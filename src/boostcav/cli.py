@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Sequence
 
 from .cavity import Cavity1D, Cavity2D, Scheme, nonrelativistic_flag
 from .observables import (
+    ROUTE_AGREEMENT_RTOL,
     Route,
     em_plate_energy_per_area,
     lab_prior_discrepancy_report,
@@ -47,7 +47,6 @@ __all__ = ["main"]
 
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
-ROUTE_AGREEMENT_RTOL = 1e-8
 
 
 class UsageError(Exception):
@@ -188,16 +187,6 @@ def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
     raise UsageError(f"unknown method {method!r} (expected zeta, cutoff, or abel-plana)")
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("BOOSTCAV_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"BOOSTCAV_THREADS must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -333,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(opts["v"])
     route = Route.from_label(opts["route"])
     config = _reg_config_1d(opts["method"], opts["L"])
-    table = sweep(scheme, opts["L"], grid, route, config, max_workers=_thread_cap())
+    table = sweep(scheme, opts["L"], grid, route, config)
     header = ["v", "E", "P", "shell_residual", "E_point_particle", "P_point_particle", "route"]
     csv_rows = [
         [r.velocity, r.energy, r.momentum, r.shell_residual,

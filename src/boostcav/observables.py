@@ -282,14 +282,8 @@ def sweep(
     v_grid,
     route: Route = Route.CLOSED_FORM,
     config: RegConfig | None = None,
-    *,
-    max_workers: int = 1,
 ) -> SweepTable:
-    """Velocity sweep with point-particle reference columns m0*gamma(, v).
-
-    Rows are independent pure computations, so max_workers > 1 evaluates
-    them on a thread pool; they are emitted sorted by velocity either way.
-    """
+    """Velocity sweep with point-particle reference columns m0*gamma(, v), sorted by v."""
     grid = sorted({float(v) for v in v_grid})
     if not grid:
         raise ValueError("velocity grid is empty")
@@ -310,7 +304,6 @@ def sweep(
         warnings.append(flag)
     m0 = static_m0(proper_length, config)
     method = config.method if config is not None else RegMethod.ZETA_EXACT
-    ordered = grid
 
     def row(v: float) -> SweepRow:
         em = boosted_em(scheme, Cavity1D(proper_length, v), route, config)
@@ -325,15 +318,8 @@ def sweep(
             route=route,
         )
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(row, ordered))
-    else:
-        rows = [row(v) for v in ordered]
     return SweepTable(
-        rows=tuple(rows), scheme=scheme, proper_length=proper_length,
+        rows=tuple(row(v) for v in grid), scheme=scheme, proper_length=proper_length,
         method=method, warnings=tuple(warnings),
     )
 

@@ -22,8 +22,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cavity import Cavity2D
-from .regsum import FinitePart, RegConfig, RegMethod, rect_finite_parts
+from .regsum import FinitePart, RegConfig, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 
 __all__ = [
@@ -47,13 +49,6 @@ __all__ = [
 class Route2D(enum.Enum):
     GROUPED = "grouped"      # boost prefactors on FP[sum(w/2 +- k^2/2w)]
     PER_MODE = "per-mode"    # quadrature-established per-mode coefficient law
-
-    @classmethod
-    def from_label(cls, label: str) -> "Route2D":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown 2D route {label!r} (expected grouped or per-mode)")
 
 
 class UnderdeterminedError(ValueError):
@@ -106,6 +101,37 @@ class SubtractionSolution:
     note: str
 
 
+class _FourPartsSummand:
+    """The rectangle spectrum w = sqrt(k_n^2 + p_m^2), k_n = n pi/a, p_m = m pi/b.
+
+    Each block is one row of fixed n, ascending in m (hence in w), with one
+    coefficient row per FourParts field:
+
+        U: (w^2 + k^2)/(4w)   W: p^2/(4w)   S_omega: w/2   S_k: k^2/(2w)
+    """
+
+    def __init__(self, a: float, b: float):
+        if a <= 0 or b <= 0:
+            raise ValueError("side lengths must be positive")
+        self.a = a
+        self.b = b
+
+    def blocks(self, omega_cap: float):
+        kx_step = math.pi / self.a
+        ky_step = math.pi / self.b
+        for n in range(1, int(omega_cap / kx_step) + 1):
+            k = n * kx_step
+            remainder = omega_cap * omega_cap - k * k
+            if remainder <= ky_step * ky_step:
+                break
+            p = np.arange(1, int(math.sqrt(remainder) / ky_step) + 1, dtype=float) * ky_step
+            w = np.sqrt(k * k + p * p)
+            coefficients = np.stack((
+                (w * w + k * k) / (4.0 * w), p * p / (4.0 * w), 0.5 * w, k * k / (2.0 * w),
+            ))
+            yield coefficients, w
+
+
 def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
     omega_min = math.hypot(
         math.pi / cavity.proper_length_x, math.pi / cavity.proper_length_y
@@ -114,13 +140,16 @@ def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
 
 
 def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:
-    """U, W, S_omega, S_k from one pass with identical schedules."""
+    """U, W, S_omega, S_k from one pass over the spectrum with identical schedules.
+
+    The four sums share their truncation and fit, so linear identities
+    between them (U + W = S_omega, U - W = S_k) survive the fit exactly and
+    their errors correlate.
+    """
     if config is None:
         config = default_config(cavity)
-    if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
-        raise ValueError("2D finite parts require an EXPONENTIAL_CUTOFF config")
-    fp = rect_finite_parts(cavity.proper_length_x, cavity.proper_length_y, config)
-    return FourParts(U=fp["U"], W=fp["W"], S_omega=fp["S_omega"], S_k=fp["S_k"])
+    summand = _FourPartsSummand(cavity.proper_length_x, cavity.proper_length_y)
+    return FourParts(*cutoff_finite_part(summand, config))
 
 
 def static_energy_2d(cavity: Cavity2D, config: RegConfig | None = None) -> FinitePart:

@@ -190,12 +190,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(Scheme.LORENTZ_EXACT, 1.0, [1.5])
 
-    def test_thread_pool_matches_serial(self):
-        grid = np.arange(0.0, 0.51, 0.1)
-        serial = sweep(Scheme.LORENTZ_EXACT, 1.0, grid, Route.PER_MODE_NUMERIC)
-        pooled = sweep(Scheme.LORENTZ_EXACT, 1.0, grid, Route.PER_MODE_NUMERIC, max_workers=4)
-        assert serial.rows == pooled.rows
-
 
 class TestPlates:
     def test_reference_values(self):

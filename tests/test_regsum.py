@@ -5,13 +5,13 @@ import pytest
 
 from boostcav.cavity import Cavity2D
 from boostcav import rect2d
+from boostcav.observables import static_m0
 from boostcav.regsum import (
     FitError,
     Linear1DSummand,
     RegConfig,
     RegMethod,
     SequenceSummand,
-    Rect2DSummand,
     abel_plana_m0,
     cutoff_finite_part,
     geometric_schedule,
@@ -33,7 +33,8 @@ class TestZetaAssignment:
 class TestAbelPlana:
     @pytest.mark.parametrize("length", [1.0, 2.0, 0.5])
     def test_static_energy(self, length):
-        assert abs(abel_plana_m0(length) + math.pi / (24.0 * length)) < 1e-10
+        exact = -math.pi / (24.0 * length)
+        assert abs(abel_plana_m0(length) - exact) <= 1e-15 * abs(exact)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
@@ -78,10 +79,11 @@ class TestCutoffFit:
         fp = cutoff_finite_part(summand, config)
         assert abs(fp.value + 1.0 / 12.0) < 1e-6
         # the engine's raw sums must agree with the closed form
-        from boostcav.regsum import _sum_at
-        for eps in config.epsilon_schedule:
+        from boostcav.regsum import _damped_sums
+        schedule = np.asarray(config.epsilon_schedule)
+        for eps, total in zip(schedule, _damped_sums(summand, schedule, 1e-18)):
             x = math.exp(-eps)
-            assert abs(_sum_at(summand, eps, 1e-18) - x / (1 - x) ** 2) < 1e-9
+            assert abs(total - x / (1 - x) ** 2) < 1e-9
 
     def test_convergent_passthrough(self):
         config = RegConfig.cutoff_1d(1.0)
@@ -160,6 +162,40 @@ class TestRect2DSums:
 
     def test_summand_validation(self):
         with pytest.raises(ValueError):
-            Rect2DSummand(1.0, 1.0, weight="nope")
+            rect2d._FourPartsSummand(-1.0, 1.0)
         with pytest.raises(ValueError):
-            Rect2DSummand(-1.0, 1.0)
+            rect2d._FourPartsSummand(1.0, 0.0)
+
+
+class TestBitIdentity:
+    """float.hex values of the cutoff route, pinned so refactors of the
+    spectrum pass and the divergence fit cannot drift by even one ulp."""
+
+    # (value, error_estimate) of U, W, S_omega, S_k
+    RECT = {
+        (1.0, 1.0): (
+            ("0x1.f84e91ec49d69p-6", "0x1.65d9b29f6e419p-22"),
+            ("0x1.503457e16c6ddp-7", "0x1.be01e2ca9dac9p-24"),
+            ("0x1.50344fbce2b55p-5", "0x1.c123f6a25dacep-22"),
+            ("0x1.503462376f7f8p-6", "0x1.d6db5883fdae2p-23"),
+        ),
+        (1.0, 5.0): (
+            ("-0x1.d293544cb749dp-4", "0x1.8eba787fe549ap-19"),
+            ("0x1.e9c3fc56e1dacp-5", "0x1.dc52eb6ab29abp-22"),
+            ("-0x1.bb62d3d5080a1p-5", "0x1.7a673488f79cep-19"),
+            ("-0x1.63baaacca5bdfp-3", "0x1.9536508da2f63p-19"),
+        ),
+    }
+    STATIC_CUTOFF = {1.0: "-0x1.0c152382799bcp-3", 2.5: "-0x1.acee9f37272f3p-5"}
+
+    @pytest.mark.parametrize("sides", sorted(RECT))
+    def test_rectangle_parts(self, sides):
+        parts = rect2d.finite_parts(Cavity2D(*sides, 0.0))
+        got = tuple((fp.value.hex(), fp.error_estimate.hex())
+                    for fp in (parts.U, parts.W, parts.S_omega, parts.S_k))
+        assert got == self.RECT[sides]
+
+    @pytest.mark.parametrize("length", sorted(STATIC_CUTOFF))
+    def test_static_cutoff(self, length):
+        m0 = static_m0(length, RegConfig.cutoff_1d(math.pi / length))
+        assert m0.hex() == self.STATIC_CUTOFF[length]
