@@ -33,7 +33,6 @@ from .rect2d import (
     Route2D,
     UnderdeterminedError,
     boosted_em_2d,
-    default_config,
     finite_parts,
     mass_shell_probe_2d,
     static_limit_report,
@@ -362,14 +361,9 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
     if opts["a"] is None or opts["b"] is None:
         raise UsageError("rect2d requires --a and --b")
     cavity = Cavity2D(opts["a"], opts["b"], opts["v"])
-    config = default_config(cavity)
-    try:
-        parts = finite_parts(cavity, config)
-        per_mode = boosted_em_2d(cavity, Route2D.PER_MODE, parts=parts)
-        grouped = boosted_em_2d(cavity, Route2D.GROUPED, parts=parts)
-    except FitError as exc:
-        print(f"rect2d: regularization failure: {exc}", file=sys.stderr)
-        return 1
+    parts = finite_parts(cavity)
+    per_mode = boosted_em_2d(cavity, Route2D.PER_MODE, parts=parts)
+    grouped = boosted_em_2d(cavity, Route2D.GROUPED, parts=parts)
     e_m = parts.S_omega.value
     rows = []
     for res in (per_mode, grouped):
@@ -388,6 +382,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
     ]
     meta = {
         "command": "rect2d",
+        "method": "zeta",
         "a": opts["a"],
         "b": opts["b"],
         "v": opts["v"],
@@ -431,6 +426,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
                 f"  P_s = {_fmt(row['P_s'])} +- {_fmt(row['P_s_error'])}"
                 f"  shell residual = {_fmt(row['shell_residual'])}"
             )
+        lines.append("finite parts by: zeta (Chowla-Selberg)")
         lines.append("finite parts:")
         for row in part_rows:
             lines.append(f"  {row['part']:>8s} = {_fmt(row['value'])} +- {_fmt(row['error'])}")

@@ -14,6 +14,11 @@ zero; the subtraction solver reports exactly those two branches. A second,
 "grouped" route evaluates the boost prefactors on the regrouped sums
 FP[ sum (w/2 +- k^2/(2w)) ]; it fails its own static limit by the finite
 amount FP[ sum k^2/(2w) ] and is reported side by side, never corrected.
+
+The four finite parts come by default from the Chowla-Selberg closed form
+(the Epstein-zeta value, exponentially convergent, a few milliseconds at
+any aspect ratio). The exponential-cutoff fit stays available through a
+cutoff RegConfig (default_config) as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import Cavity2D
-from .regsum import FinitePart, RegConfig, cutoff_finite_part
+from .quadrature import gauss_legendre
+from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 
 __all__ = [
@@ -132,7 +138,110 @@ class _FourPartsSummand:
             yield coefficients, w
 
 
+_ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
+_Z_MAX = 60.0  # K_1(60) ~ 1.4e-27: Bessel terms past it sit ~25 digits below the leading ones
+_ROUNDING = 16.0 * np.finfo(float).eps  # rounding bound per unit of summed term magnitude
+
+
+def _bessel_k(nu: int, z: float) -> tuple[float, float]:
+    """K_nu(z) for nu in {0, 1} and z >= 2 pi, with a bound on its error.
+
+    e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(t/2)) cosh(nu t) dt. Past
+    T = 2 asinh(5/sqrt(z)) the integrand is below e^{-50} of its peak, and by
+    convexity of cosh the dropped range adds at most e^{T-50}/(z sinh T - 1).
+    """
+    t_max = 2.0 * math.asinh(5.0 / math.sqrt(z))
+    value, err = gauss_legendre(
+        lambda t: np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t), 0.0, t_max
+    )
+    tail = math.exp(t_max - 50.0) / (z * math.sinh(t_max) - 1.0)
+    scale = math.exp(-z)
+    return float(value) * scale, (float(err) + tail) * scale
+
+
+def _chowla_selberg(a: float, b: float) -> FourParts:
+    """Exact U, W, S_omega, S_k of the a x b rectangle (a along the boost).
+
+    With x the shorter side, y the longer and k_n = n pi/x,
+
+        S_omega = pi/(48x) - zeta(3) y/(16 pi x^2) - (1/2pi) sum_n k_n sum_j K_1(2 j k_n y)/j
+
+    (Chowla & Selberg, PNAS 35 (1949) 371). Every Bessel argument
+    z = c n j, c = 2 pi y/x, is at least 2 pi, so grouping the terms by
+    m = n j (weight (pi/x) sigma_2(m)/m, sigma_2 the sum of squared divisors)
+    leaves at most nine K evaluations below _Z_MAX. With K_1' = -K_0 - K_1/z,
+    the part along each side, -s dS_omega/ds, is a fixed combination of
+
+        T0 = pi/(48x)   T1 = zeta(3) y/(16 pi x^2)
+        T2 = (1/2pi) sum (k_n/j) K_1(z)   T3 = (1/2pi) sum (k_n/j) (z K_0(z) + K_1(z)):
+
+        S_omega = T0 - T1 - T2,   along y: T1 - T3,   along x: T0 - 2 T1 - T2 + T3.
+
+    S_k is the part along a; U = (S_omega + S_k)/2, W = (S_omega - S_k)/2.
+    Each error is the dropped-tail bound plus the propagated K quadrature
+    error plus _ROUNDING times the summed magnitude of the terms.
+    """
+    x, y = min(a, b), max(a, b)
+    step = math.pi / x
+    c = 2.0 * math.pi * (y / x)
+    t_sum = d_sum = t_err = d_err = 0.0
+    m_max = int(_Z_MAX / c)
+    for m in range(1, m_max + 1):
+        z = c * m
+        weight = step * sum(d * d for d in range(1, m + 1) if m % d == 0) / m
+        k0, e0 = _bessel_k(0, z)
+        k1, e1 = _bessel_k(1, z)
+        t_sum += weight * k1
+        d_sum += weight * (z * k0 + k1)
+        t_err += weight * e1
+        d_err += weight * (z * e0 + e1)
+    # Dropped m > m_max: sigma_2(m)/m <= zeta(2) m, K_0 < K_1 <= sqrt(pi/2z) e^{-z} (1 + 3/(8z))
+    # (DLMF 10.40(iv)), and each term is at most 4 e^{-2 pi} < 1/2 times the one
+    # before, so the tail is at most twice its first term.
+    z = c * (m_max + 1)
+    k1_bound = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 3.0 / (8.0 * z))
+    first = step * (math.pi**2 / 6.0) * (m_max + 1) * k1_bound
+    t_err += 2.0 * first
+    d_err += 2.0 * first * (z + 1.0)
+
+    terms = np.array([math.pi / (48.0 * x), _ZETA3 * (y / x) / (16.0 * math.pi * x),
+                      t_sum / (2.0 * math.pi), d_sum / (2.0 * math.pi)])
+    errors = np.array([0.0, 0.0, t_err / (2.0 * math.pi), d_err / (2.0 * math.pi)])
+
+    def combine(row: np.ndarray) -> tuple[float, float]:
+        weights = np.abs(row)
+        return float(row @ terms), float(weights @ errors + _ROUNDING * (weights @ terms))
+
+    s_omega_row = np.array([1.0, -1.0, -1.0, 0.0])
+    along_y_row = np.array([0.0, 1.0, 0.0, -1.0])
+    with np.errstate(all="ignore"):  # extreme sides overflow; reported below
+        s_omega = combine(s_omega_row)
+        s_k = combine(s_omega_row - along_y_row if a <= b else along_y_row)
+    # The halving sums' own rounding, at most eps (|S_omega| + |S_k|)/2, lies
+    # inside the two parts' rounding terms.
+    values = {
+        "U": (0.5 * (s_omega[0] + s_k[0]), 0.5 * (s_omega[1] + s_k[1])),
+        "W": (0.5 * (s_omega[0] - s_k[0]), 0.5 * (s_omega[1] + s_k[1])),
+        "S_omega": s_omega,
+        "S_k": s_k,
+    }
+    for name, (value, error) in values.items():
+        # every observable squares the parts (E^2 - P^2 - E_m^2)
+        if not (math.isfinite(value * value) and math.isfinite(error)):
+            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
+                             "or its square is not finite in float64")
+    return FourParts(**{
+        name: FinitePart(value=value, error_estimate=error, method=RegMethod.ZETA_EXACT)
+        for name, (value, error) in values.items()
+    })
+
+
 def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
+    """The cutoff cross-check schedule for this rectangle.
+
+    finite_parts uses the Chowla-Selberg closed form unless handed a config;
+    this one routes it through the exponential-cutoff fit instead.
+    """
     omega_min = math.hypot(
         math.pi / cavity.proper_length_x, math.pi / cavity.proper_length_y
     )
@@ -140,16 +249,23 @@ def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
 
 
 def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:
-    """U, W, S_omega, S_k from one pass over the spectrum with identical schedules.
+    """U, W, S_omega, S_k of the rectangle by the route the config names.
 
-    The four sums share their truncation and fit, so linear identities
-    between them (U + W = S_omega, U - W = S_k) survive the fit exactly and
+    No config, or a ZETA_EXACT one, gives the Chowla-Selberg closed form. A
+    cutoff config gives the exponential-cutoff fit: one pass over the
+    spectrum with identical schedules, so linear identities between the
+    four sums (U + W = S_omega, U - W = S_k) survive the fit exactly and
     their errors correlate.
+
+    Raises ValueError for any other method, and (closed form) when a part
+    or its square is not finite in float64.
     """
-    if config is None:
-        config = default_config(cavity)
-    summand = _FourPartsSummand(cavity.proper_length_x, cavity.proper_length_y)
-    return FourParts(*cutoff_finite_part(summand, config))
+    a, b = cavity.proper_length_x, cavity.proper_length_y
+    if config is None or config.method is RegMethod.ZETA_EXACT:
+        return _chowla_selberg(a, b)
+    if config.method is RegMethod.EXPONENTIAL_CUTOFF:
+        return FourParts(*cutoff_finite_part(_FourPartsSummand(a, b), config))
+    raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 
 def static_energy_2d(cavity: Cavity2D, config: RegConfig | None = None) -> FinitePart:
@@ -233,7 +349,7 @@ def static_limit_report(
         note=(
             "the grouped closed form misses its own static limit by the finite "
             f"amount FP[sum k^2/(2w)] = {parts.S_k.value:.12g}; the per-mode route "
-            "reproduces it exactly (U + W = S_omega by fit linearity)"
+            "reproduces it exactly (U + W = S_omega by linearity)"
         ),
     )
 

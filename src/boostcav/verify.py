@@ -224,6 +224,15 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
     out.append(_result("regsum: schedule robustness", ok and ok2,
                        f"{detail_1d}; 2D shift {shift2:.2e} vs 5x error "
                        f"{5.0 * p_full.S_omega.error_estimate:.2e}"))
+
+    # The square only: at b/a >= 2 the cutoff estimate is known to under-report.
+    exact = rect2d.finite_parts(square)
+    worst = 0.0
+    for name in ("U", "W", "S_omega", "S_k"):
+        cut, ref = getattr(p_full, name), getattr(exact, name)
+        worst = max(worst, abs(cut.value - ref.value) / (cut.error_estimate + ref.error_estimate))
+    out.append(_result("regsum: cutoff fit agrees with the Chowla-Selberg closed form", worst <= 1.0,
+                       f"square: max |cutoff - exact| / error = {worst:.2f}"))
     return out
 
 

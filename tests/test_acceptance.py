@@ -219,7 +219,7 @@ def test_criterion_11_subtraction_solver(square_parts):
     assert ok
 
 
-def test_criterion_12_regulator_robustness(square_parts):
+def test_criterion_12_regulator_robustness():
     config = RegConfig.cutoff_1d(math.pi)
     summand = Linear1DSummand(1.0, weight=0.5)
     full = cutoff_finite_part(summand, config)
@@ -227,12 +227,14 @@ def test_criterion_12_regulator_robustness(square_parts):
     shift_1d = abs(half.value - full.value)
     ok_1d = shift_1d < 5.0 * full.error_estimate
 
-    cfg2 = rect2d.default_config(Cavity2D(1.0, 1.0, 0.0))
-    halved_parts = rect2d.finite_parts(Cavity2D(1.0, 1.0, 0.0), cfg2.halved())
+    square = Cavity2D(1.0, 1.0, 0.0)
+    cfg2 = rect2d.default_config(square)
+    cutoff_parts = rect2d.finite_parts(square, cfg2)
+    halved_parts = rect2d.finite_parts(square, cfg2.halved())
     ok_2d = True
     worst_2d = 0.0
     for name in ("U", "W", "S_omega", "S_k"):
-        fp = getattr(square_parts, name)
+        fp = getattr(cutoff_parts, name)
         fph = getattr(halved_parts, name)
         shift = abs(fph.value - fp.value)
         worst_2d = max(worst_2d, shift / max(5.0 * fp.error_estimate, 1e-300))

@@ -152,6 +152,7 @@ class TestRect2D:
                            "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert payload["meta"]["method"] == "zeta"
         per_mode = next(r for r in payload["rows"] if r.get("route") == "per-mode")
         assert per_mode["P_s"] == 0.0
         e_m = payload["meta"]["E_m"]
@@ -171,11 +172,23 @@ class TestRect2D:
         code, out, _ = run(capsys, "rect2d", "--a", "1", "--b", "1", "--v", "0.3")
         assert code == 0
         assert "static limit" in out
-        assert "finite parts" in out
+        assert "finite parts by: zeta (Chowla-Selberg)\nfinite parts:\n" in out
 
     def test_missing_sides(self, capsys):
         code, _, _ = run(capsys, "rect2d", "--a", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("a", ["1e-200", "1e200"])
+    def test_extreme_side_fails_fast(self, capsys, a):
+        code, out, err = run(capsys, "rect2d", "--a", a, "--b", "1")
+        assert code == 2
+        assert not out
+        assert f"usage error: rectangle a = {float(a):g}, b = 1:" in err
+
+    def test_large_aspect_ratio(self, capsys):
+        code, out, _ = run(capsys, "rect2d", "--a", "1", "--b", "1000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["E_m"] < 0.0
 
 
 class TestVerify:

@@ -1,9 +1,13 @@
 import math
+import re
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
 from boostcav import rect2d
+from boostcav.regsum import RegConfig, RegMethod
 from boostcav.rect2d import (
     Route2D,
     UnderdeterminedError,
@@ -118,8 +122,9 @@ class TestWideCavityAsymptotics:
     """
 
     def test_rest_energy_tracks_strip_density(self, wide_parts):
+        # every Bessel argument is >= 60 pi, so S_omega is the two leading terms
         expected = -ZETA3 * 30.0 / (16.0 * math.pi) + math.pi / 48.0
-        assert abs(wide_parts.S_omega.value - expected) < 5e-3 * abs(expected)
+        assert abs(wide_parts.S_omega.value - expected) <= wide_parts.S_omega.error_estimate
 
     def test_longitudinal_and_transverse_shares(self, wide_parts):
         e_m = wide_parts.S_omega.value
@@ -143,3 +148,104 @@ class TestWideCavityAsymptotics:
             + wide_parts.S_omega.error_estimate
         )
         assert abs(rows[0].residual - rows[0].predicted_residual) <= budget
+
+
+PART_NAMES = ("U", "W", "S_omega", "S_k")
+# classical lattice value of the unit square, see tests/test_regsum.py
+SQUARE_REST_ENERGY = 0.0410405973441
+
+
+def _reference_parts(a, b):
+    """The Chowla-Selberg series for F = S_omega and its side derivatives in mpmath.
+
+    30 digits, summed to Bessel argument 80 (K_1 ~ 1e-36), with x the
+    shorter side, y the longer, k_n = n pi/x, z = 2 j k_n y and
+    K_1'(z) = -K_0(z) - K_1(z)/z:
+
+        F    = pi/(48x) - zeta(3) y/(16 pi x^2) - (1/2pi) sum k_n K_1(z)/j
+        x F_x = -pi/(48x) + zeta(3) y/(8 pi x^2) + (1/2pi) sum (k_n K_1(z)/j + 2 y k_n^2 K_1'(z))
+        y F_y = -zeta(3) y/(16 pi x^2) - (y/pi) sum k_n^2 K_1'(z)
+    """
+    with mpmath.workdps(30):
+        x, y = sorted((mpmath.mpf(a), mpmath.mpf(b)))
+        pi, zeta3 = mpmath.pi, mpmath.zeta(3)
+        f = pi / (48 * x) - zeta3 * y / (16 * pi * x**2)
+        x_fx = -pi / (48 * x) + zeta3 * y / (8 * pi * x**2)
+        y_fy = -zeta3 * y / (16 * pi * x**2)
+        bessel = {}  # z depends on n j only
+        n = 1
+        while 2 * n * pi * y / x <= 80:
+            k = n * pi / x
+            j = 1
+            while 2 * j * k * y <= 80:
+                z = 2 * j * k * y
+                if n * j not in bessel:
+                    bessel[n * j] = mpmath.besselk(0, z), mpmath.besselk(1, z)
+                k0, k1 = bessel[n * j]
+                k1_prime = -k0 - k1 / z
+                f -= k * k1 / (2 * pi * j)
+                x_fx += (k * k1 / j + 2 * y * k**2 * k1_prime) / (2 * pi)
+                y_fy -= y * k**2 * k1_prime / pi
+                j += 1
+            n += 1
+        s_k = -x_fx if a <= b else -y_fy
+        return {"U": (f + s_k) / 2, "W": (f - s_k) / 2, "S_omega": f, "S_k": s_k}
+
+
+GRID = [(s, r * s) for s in (0.37, 2.9) for r in (1e-3, 0.03, 0.5, 1.0, 2.0, 30.0, 1e3)]
+
+
+class TestChowlaSelberg:
+    """The closed form is the default route; its errors are real bounds."""
+
+    @pytest.mark.parametrize("a, b", GRID)
+    def test_error_bounds_the_30_digit_reference(self, a, b):
+        parts = finite_parts(Cavity2D(a, b, 0.0))
+        ref = _reference_parts(a, b)
+        for name in PART_NAMES:
+            fp = getattr(parts, name)
+            assert fp.method is RegMethod.ZETA_EXACT
+            assert fp.error_estimate > 0.0
+            assert abs(fp.value - float(ref[name])) <= fp.error_estimate, name
+
+    def test_square_is_the_lattice_constant(self, square_parts):
+        assert abs(square_parts.S_omega.value - SQUARE_REST_ENERGY) <= 1e-12
+
+    def test_config_selects_the_route(self):
+        cav = Cavity2D(1.0, 2.0, 0.0)
+        assert finite_parts(cav, RegConfig.zeta()) == finite_parts(cav)
+        cutoff = finite_parts(cav, rect2d.default_config(cav))
+        assert cutoff.S_omega.method is RegMethod.EXPONENTIAL_CUTOFF
+        with pytest.raises(ValueError):
+            finite_parts(cav, RegConfig.abel_plana())
+
+    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1e200, 1.0), (1e-200, 1e-200)])
+    def test_unrepresentable_parts_are_rejected(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")):
+            finite_parts(Cavity2D(a, b, 0.0))
+
+
+SIDES = st.floats(min_value=1e-2, max_value=1e2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SIDES, b=SIDES, lam=st.floats(min_value=1e-2, max_value=1e2))
+def test_scaling_law(a, b, lam):
+    """S(lam a, lam b) = S(a, b)/lam, within the stated errors."""
+    base = finite_parts(Cavity2D(a, b, 0.0))
+    scaled = finite_parts(Cavity2D(lam * a, lam * b, 0.0))
+    for name in PART_NAMES:
+        p, q = getattr(base, name), getattr(scaled, name)
+        assert abs(q.value - p.value / lam) <= q.error_estimate + p.error_estimate / lam, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SIDES, b=SIDES)
+def test_swap_symmetry_and_linearity(a, b):
+    """S_omega(a, b) = S_omega(b, a) and U + W = S_omega, within the stated errors."""
+    ab = finite_parts(Cavity2D(a, b, 0.0))
+    ba = finite_parts(Cavity2D(b, a, 0.0))
+    assert abs(ab.S_omega.value - ba.S_omega.value) <= (
+        ab.S_omega.error_estimate + ba.S_omega.error_estimate)
+    assert abs(ab.U.value + ab.W.value - ab.S_omega.value) <= (
+        ab.U.error_estimate + ab.W.error_estimate + ab.S_omega.error_estimate)

@@ -122,15 +122,27 @@ class TestCutoffFit:
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
 
 
+def _cutoff_parts(a, b):
+    cav = Cavity2D(a, b, 0.0)
+    return rect2d.finite_parts(cav, rect2d.default_config(cav))
+
+
+def _cutoff_energy(a, b):
+    cav = Cavity2D(a, b, 0.0)
+    return rect2d.static_energy_2d(cav, rect2d.default_config(cav))
+
+
 class TestRect2DSums:
+    """The exponential-cutoff route for the rectangle (the cross-check)."""
+
     def test_square_matches_lattice_zeta_value(self):
-        parts = rect2d.finite_parts(Cavity2D(1.0, 1.0, 0.0))
+        parts = _cutoff_parts(1.0, 1.0)
         assert abs(parts.S_omega.value - SQUARE_REST_ENERGY) < 1e-6
         assert abs(parts.S_omega.value - SQUARE_REST_ENERGY) < 5.0 * parts.S_omega.error_estimate
 
     def test_square_symmetry_halves_s_omega(self):
         # on the square, sum k^2/2w and sum p^2/2w coincide, so S_k = S_omega/2
-        parts = rect2d.finite_parts(Cavity2D(1.0, 1.0, 0.0))
+        parts = _cutoff_parts(1.0, 1.0)
         assert abs(parts.S_k.value - 0.5 * parts.S_omega.value) < 3.0 * (
             parts.S_k.error_estimate + parts.S_omega.error_estimate
         )
@@ -145,8 +157,8 @@ class TestRect2DSums:
         assert abs(a.value - b.value) / abs(a.value) < 1e-4
 
     def test_dimensional_scaling(self):
-        base = rect2d.static_energy_2d(Cavity2D(1.0, 1.0, 0.0))
-        scaled = rect2d.static_energy_2d(Cavity2D(2.0, 2.0, 0.0))
+        base = _cutoff_energy(1.0, 1.0)
+        scaled = _cutoff_energy(2.0, 2.0)
         assert abs(scaled.value - base.value / 2.0) / abs(base.value / 2.0) < 1e-4
 
     def test_large_aspect_tracks_strip_law(self):
@@ -155,7 +167,7 @@ class TestRect2DSums:
         strip = -1.2020569031595943 / (16.0 * math.pi)
         ratios = []
         for b in (5.0, 20.0, 50.0):
-            fp = rect2d.static_energy_2d(Cavity2D(1.0, b, 0.0))
+            fp = _cutoff_energy(1.0, b)
             ratios.append(fp.value / (strip * b))
         assert ratios[0] < ratios[1] < ratios[2] <= 1.0
         assert abs(ratios[2] - 1.0) < 0.1
@@ -190,7 +202,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("sides", sorted(RECT))
     def test_rectangle_parts(self, sides):
-        parts = rect2d.finite_parts(Cavity2D(*sides, 0.0))
+        parts = _cutoff_parts(*sides)
         got = tuple((fp.value.hex(), fp.error_estimate.hex())
                     for fp in (parts.U, parts.W, parts.S_omega, parts.S_k))
         assert got == self.RECT[sides]
