@@ -58,6 +58,7 @@ from .stress import (
     PerModeEM,
     StressConvention,
     coefficient_extract,
+    coefficient_fits,
     per_mode_em,
     per_mode_em_2d,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "per_mode_em",
     "per_mode_em_2d",
     "coefficient_extract",
+    "coefficient_fits",
     "FinitePart",
     "FitError",
     "RegConfig",

@@ -10,12 +10,18 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Scheme",
     "Cavity1D",
     "Cavity2D",
     "NONREL_VELOCITY_LIMIT",
     "nonrelativistic_flag",
+    "speed_squared",
+    "lorentz_factor",
+    "lab_length",
+    "wall_positions",
 ]
 
 # Galilean treatments are leading-order-in-v approximations; beyond this
@@ -68,6 +74,37 @@ def _check_length(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+# Kinematics of a float velocity or, element by element, an ndarray of them.
+
+def speed_squared(velocity):
+    """v**2 as Python squares a float: C pow(v, 2), element by element for an ndarray.
+
+    numpy squares an array with v * v, which differs from pow in the last bit
+    for about one velocity in a thousand.
+    """
+    if isinstance(velocity, np.ndarray):
+        return np.array([v**2 for v in velocity.ravel().tolist()]).reshape(velocity.shape)
+    return velocity**2
+
+
+def lorentz_factor(velocity):
+    """gamma = 1/sqrt(1 - v^2)."""
+    return 1.0 / np.sqrt(1.0 - speed_squared(velocity))
+
+
+def lab_length(scheme: Scheme, proper_length: float, velocity):
+    """Instantaneous cavity extent on a lab-time slice."""
+    if scheme is Scheme.LORENTZ_EXACT:
+        return proper_length / lorentz_factor(velocity)
+    return proper_length
+
+
+def wall_positions(scheme: Scheme, proper_length: float, velocity, t):
+    """Positions of the left and right walls at lab time t."""
+    left = velocity * t
+    return left, left + lab_length(scheme, proper_length, velocity)
+
+
 @dataclass(frozen=True)
 class Cavity1D:
     """A 1D Dirichlet cavity of proper length L moving at constant velocity v."""
@@ -80,18 +117,16 @@ class Cavity1D:
         _check_velocity(self.velocity)
 
     def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.velocity**2)
+        return float(lorentz_factor(self.velocity))
 
     def lab_length(self, scheme: Scheme) -> float:
         """Instantaneous cavity extent on a lab-time slice."""
-        if scheme is Scheme.LORENTZ_EXACT:
-            return self.proper_length / self.gamma()
-        return self.proper_length
+        return float(lab_length(scheme, self.proper_length, self.velocity))
 
     def walls(self, scheme: Scheme, t: float) -> tuple[float, float]:
         """Positions of the left and right walls at lab time t."""
-        left = self.velocity * t
-        return left, left + self.lab_length(scheme)
+        left, right = wall_positions(scheme, self.proper_length, self.velocity, t)
+        return float(left), float(right)
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,7 @@ class Cavity2D:
         _check_velocity(self.velocity)
 
     def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.velocity**2)
+        return float(lorentz_factor(self.velocity))
 
     def lab_length_x(self) -> float:
         # Only the boost axis is contracted.

@@ -299,7 +299,7 @@ def _cmd_boost(args: argparse.Namespace) -> int:
                 f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}"
             )
         if scheme is Scheme.GALILEO_LAB_PRIOR:
-            lines.extend(lab_prior_discrepancy_report(cavity, config).lines())
+            lines.extend(lab_prior_discrepancy_report(cavity, config, m0=m0).lines())
         _emit("\n".join(lines) + "\n", opts["output"])
     return 0 if comparison.agree else 1
 

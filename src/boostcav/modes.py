@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Cavity1D, Cavity2D, Scheme
+from .cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor, speed_squared
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -61,6 +61,71 @@ def _check_index(n: int, name: str = "n") -> None:
 _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 
+# ---------------------------------------------------------------------------
+# 1D mode algebra of a float velocity or an ndarray of velocities (element by
+# element); SpacetimeMode and the row-batched stress quadrature both use it
+# ---------------------------------------------------------------------------
+
+def base_frequency(proper_length: float, n: int) -> float:
+    """n*pi/L, the proper-frame standing-wave frequency."""
+    return n * math.pi / proper_length
+
+
+def expansion_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
+    """The comoving/expansion frequency entering the 1/(2w') vacuum prefactor."""
+    if scheme is Scheme.GALILEO_LAB_PRIOR:
+        return (1.0 - speed_squared(velocity)) * base_frequency(proper_length, n)
+    return base_frequency(proper_length, n)
+
+
+def phase_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
+    """Coefficient of -t in the total lab-frame phase at fixed x."""
+    if scheme is Scheme.LORENTZ_EXACT:
+        return lorentz_factor(velocity) * base_frequency(proper_length, n)
+    return base_frequency(proper_length, n)
+
+
+def mode_normalization(scheme: Scheme, proper_length: float, velocity):
+    """N, which gives the mode unit L2 norm over the instantaneous cavity."""
+    if scheme is Scheme.LORENTZ_EXACT:
+        return np.sqrt(2.0 * lorentz_factor(velocity) / proper_length)
+    return math.sqrt(2.0 / proper_length)
+
+
+def affine_coefficients(scheme: Scheme, proper_length: float, velocity, n: int):
+    """(th_t, th_x, s_t, s_x) of u = N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
+    k = base_frequency(proper_length, n)
+    v = velocity
+    if scheme is Scheme.GALILEO_LAB_PRIOR:
+        return -k, v * k, -v * k, k
+    if scheme is Scheme.GALILEO_COMOVING_PRIOR:
+        return -k, 0.0, -v * k, k
+    g = lorentz_factor(v)
+    return -k * g, k * g * v, -k * g * v, k * g
+
+
+def mode_d_dt(scheme: Scheme, proper_length: float, velocity, n: int, t, x):
+    """du/dt; velocity and t broadcast against x."""
+    th_t, th_x, s_t, s_x = affine_coefficients(scheme, proper_length, velocity, n)
+    x = np.asarray(x, dtype=float)
+    ph = np.exp(1j * (th_t * t + th_x * x))
+    s = s_t * t + s_x * x
+    return mode_normalization(scheme, proper_length, velocity) * ph * (
+        1j * th_t * np.sin(s) + s_t * np.cos(s)
+    )
+
+
+def mode_d_dx(scheme: Scheme, proper_length: float, velocity, n: int, t, x):
+    """du/dx; velocity and t broadcast against x."""
+    th_t, th_x, s_t, s_x = affine_coefficients(scheme, proper_length, velocity, n)
+    x = np.asarray(x, dtype=float)
+    ph = np.exp(1j * (th_t * t + th_x * x))
+    s = s_t * t + s_x * x
+    return mode_normalization(scheme, proper_length, velocity) * ph * (
+        1j * th_x * np.sin(s) + s_x * np.cos(s)
+    )
+
+
 @dataclass(frozen=True)
 class SpacetimeMode:
     """One normalized 1D cavity mode; evaluation plus closed-form derivatives."""
@@ -76,40 +141,30 @@ class SpacetimeMode:
     @property
     def base_frequency(self) -> float:
         """n*pi/L, the proper-frame standing-wave frequency."""
-        return self.n * math.pi / self.cavity.proper_length
+        return base_frequency(self.cavity.proper_length, self.n)
 
     @property
     def comoving_frequency(self) -> float:
         """The expansion frequency entering the 1/(2w') vacuum prefactor."""
-        if self.scheme is Scheme.GALILEO_LAB_PRIOR:
-            return (1.0 - self.cavity.velocity**2) * self.base_frequency
-        return self.base_frequency
+        return expansion_frequency(self.scheme, self.cavity.proper_length, self.cavity.velocity,
+                                   self.n)
 
     @property
     def lab_phase_frequency(self) -> float:
         """Coefficient of -t in the total lab-frame phase at fixed x."""
-        if self.scheme is Scheme.LORENTZ_EXACT:
-            return self.cavity.gamma() * self.base_frequency
-        return self.base_frequency
+        return phase_frequency(self.scheme, self.cavity.proper_length, self.cavity.velocity,
+                               self.n)
 
     @property
     def normalization(self) -> float:
-        if self.scheme is Scheme.LORENTZ_EXACT:
-            return math.sqrt(2.0 * self.cavity.gamma() / self.cavity.proper_length)
-        return math.sqrt(2.0 / self.cavity.proper_length)
+        return mode_normalization(self.scheme, self.cavity.proper_length, self.cavity.velocity)
 
     # -- affine phase/argument coefficients -------------------------------
     @property
     def _coeffs(self) -> tuple[float, float, float, float]:
         """(th_t, th_x, s_t, s_x)."""
-        k = self.base_frequency
-        v = self.cavity.velocity
-        if self.scheme is Scheme.GALILEO_LAB_PRIOR:
-            return -k, v * k, -v * k, k
-        if self.scheme is Scheme.GALILEO_COMOVING_PRIOR:
-            return -k, 0.0, -v * k, k
-        g = self.cavity.gamma()
-        return -k * g, k * g * v, -k * g * v, k * g
+        return affine_coefficients(self.scheme, self.cavity.proper_length, self.cavity.velocity,
+                                   self.n)
 
     # -- geometry ----------------------------------------------------------
     def walls(self, t: float) -> tuple[float, float]:
@@ -139,18 +194,12 @@ class SpacetimeMode:
     __call__ = value
 
     def d_dt(self, t: float, x):
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        s = s_t * t + s_x * x
-        return self.normalization * ph * (1j * th_t * np.sin(s) + s_t * np.cos(s))
+        return mode_d_dt(self.scheme, self.cavity.proper_length, self.cavity.velocity, self.n,
+                         t, x)
 
     def d_dx(self, t: float, x):
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        s = s_t * t + s_x * x
-        return self.normalization * ph * (1j * th_x * np.sin(s) + s_x * np.cos(s))
+        return mode_d_dx(self.scheme, self.cavity.proper_length, self.cavity.velocity, self.n,
+                         t, x)
 
     def d2_dt2(self, t: float, x):
         th_t, th_x, s_t, s_x = self._coeffs

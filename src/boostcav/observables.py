@@ -26,7 +26,7 @@ from .regsum import (
     zeta_linear_sum,
 )
 from .reports import DiscrepancyEntry, DiscrepancyReport
-from .stress import coefficient_extract
+from .stress import coefficient_fits
 from . import stress
 
 __all__ = [
@@ -148,6 +148,21 @@ def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, fl
     return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
 
 
+def _coefficients(
+    scheme: Scheme,
+    proper_length: float,
+    velocities,
+    route: Route,
+    n_max: int = 6,
+    t_samples: tuple[float, ...] = (0.0, 0.37),
+) -> list[tuple[float, float]]:
+    """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
+    if route is Route.CLOSED_FORM:
+        return [closed_form_coefficients(scheme, v) for v in velocities]
+    fits = coefficient_fits(scheme, proper_length, velocities, n_max, t_samples)
+    return [(fit.c_energy, fit.c_momentum) for fit in fits]
+
+
 def boosted_em(
     scheme: Scheme,
     cavity: Cavity1D,
@@ -156,18 +171,19 @@ def boosted_em(
     *,
     n_max: int = 6,
     t_samples: tuple[float, ...] = (0.0, 0.37),
+    m0: float | None = None,
 ) -> EnergyMomentum:
     """Lab-frame vacuum energy and momentum of the moving cavity.
 
     CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE_NUMERIC
     multiplies the quadrature-extracted coefficients by the regularized m0.
+    A caller that already holds static_m0(L, config) passes it as m0.
     """
-    m0 = static_m0(cavity.proper_length, config)
-    if route is Route.CLOSED_FORM:
-        c_e, c_p = closed_form_coefficients(scheme, cavity.velocity)
-    else:
-        fit = coefficient_extract(scheme, cavity, n_max, t_samples)
-        c_e, c_p = fit.c_energy, fit.c_momentum
+    if m0 is None:
+        m0 = static_m0(cavity.proper_length, config)
+    [(c_e, c_p)] = _coefficients(
+        scheme, cavity.proper_length, (cavity.velocity,), route, n_max, t_samples
+    )
     return EnergyMomentum(
         energy=c_e * m0, momentum=c_p * m0, scheme=scheme, velocity=cavity.velocity, route=route
     )
@@ -181,8 +197,9 @@ def route_comparison(
     rtol: float = ROUTE_AGREEMENT_RTOL,
 ) -> RouteComparison:
     """Both routes side by side; disagreement is reported, never hidden."""
-    closed = boosted_em(scheme, cavity, Route.CLOSED_FORM, config)
-    numeric = boosted_em(scheme, cavity, Route.PER_MODE_NUMERIC, config)
+    m0 = static_m0(cavity.proper_length, config)
+    closed = boosted_em(scheme, cavity, Route.CLOSED_FORM, config, m0=m0)
+    numeric = boosted_em(scheme, cavity, Route.PER_MODE_NUMERIC, config, m0=m0)
     scale_e = max(abs(closed.energy), abs(numeric.energy), 1e-300)
     # momentum vanishes at v = 0; measure its disagreement on the overall
     # energy-momentum scale so quadrature noise around zero is not inflated
@@ -234,11 +251,10 @@ def nonrel_fit(
         raise ValueError("need at least 12 sample velocities")
     m0 = static_m0(proper_length, config)
     vs = np.linspace(v_max / n_samples, v_max, n_samples)
-    e_over, p_over = [], []
-    for v in vs:
-        em = boosted_em(scheme, Cavity1D(proper_length, float(v)), Route.PER_MODE_NUMERIC, config)
-        e_over.append(em.energy / m0)
-        p_over.append(em.momentum / m0)
+    coefficients = _coefficients(scheme, proper_length, vs, Route.PER_MODE_NUMERIC)
+    # E/m0 of boosted_em, (c_E m0)/m0, which can differ from c_E in the last bit
+    e_over = [c_e * m0 / m0 for c_e, _ in coefficients]
+    p_over = [c_p * m0 / m0 for _, c_p in coefficients]
     e_powers = list(range(0, degree + 1, 2))
     p_powers = list(range(1, degree + 1, 2))
 
@@ -304,9 +320,10 @@ def sweep(
         warnings.append(flag)
     m0 = static_m0(proper_length, config)
     method = config.method if config is not None else RegMethod.ZETA_EXACT
+    grid = [Cavity1D(proper_length, v).velocity for v in grid]  # validates L and each v
 
-    def row(v: float) -> SweepRow:
-        em = boosted_em(scheme, Cavity1D(proper_length, v), route, config)
+    def row(v: float, c_e: float, c_p: float) -> SweepRow:
+        em = EnergyMomentum(c_e * m0, c_p * m0, scheme, v, route)
         gamma = 1.0 / math.sqrt(1.0 - v * v)
         return SweepRow(
             velocity=v,
@@ -318,9 +335,10 @@ def sweep(
             route=route,
         )
 
+    coefficients = _coefficients(scheme, proper_length, grid, route)
     return SweepTable(
-        rows=tuple(row(v) for v in grid), scheme=scheme, proper_length=proper_length,
-        method=method, warnings=tuple(warnings),
+        rows=tuple(row(v, *c) for v, c in zip(grid, coefficients)), scheme=scheme,
+        proper_length=proper_length, method=method, warnings=tuple(warnings),
     )
 
 
@@ -339,13 +357,14 @@ def em_plate_energy_per_area(separation: float) -> tuple[float, float]:
 
 
 def lab_prior_discrepancy_report(
-    cavity: Cavity1D, config: RegConfig | None = None
+    cavity: Cavity1D, config: RegConfig | None = None, *, m0: float | None = None
 ) -> DiscrepancyReport:
     """galileo-lab closed forms vs the quadrature-derived per-mode law."""
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     c_quad = stress.per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
-    m0 = static_m0(cavity.proper_length, config)
+    if m0 is None:
+        m0 = static_m0(cavity.proper_length, config)
     entries = (
         DiscrepancyEntry("E/m0 coefficient", c_closed[0], c_quad[0]),
         DiscrepancyEntry("P/m0 coefficient", c_closed[1], c_quad[1]),

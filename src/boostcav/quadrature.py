@@ -32,56 +32,80 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int):
+def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
     x0, w0 = _nodes(_ORDER)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    # All panel nodes in one flat, ascending array: deterministic order.
-    xs = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    ws = (half[:, None] * w0[None, :]).ravel()
-    return np.sum(ws * f(xs))
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    # np.linspace(a, b, panels + 1, axis=-1) element by element: linspace
+    # itself switches every element to another formula when one has a == b.
+    # Each element's nodes form one contiguous ascending row, so the sum over
+    # the last axis is the pairwise sum the scalar call does.
+    edges = np.arange(panels + 1) * ((b - a) / panels) + a
+    edges[..., -1:] = b
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    xs = (mid[..., None] + half[..., None] * x0).reshape(edges.shape[:-1] + (-1,))
+    ws = (half[..., None] * w0).reshape(xs.shape)
+    return np.sum(ws * f(xs), axis=-1)
 
 
 def gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a,
+    b,
     *,
     oscillations: float = 1.0,
     rtol: float = 1e-13,
     atol: float = 0.0,
     max_doublings: int = 8,
-) -> tuple[complex, float]:
+):
     """Integrate a vectorized (possibly complex) integrand over [a, b].
+
+    a and b are floats or equal-shape arrays; with arrays there is one
+    integral per element, and each element returns the value and error of
+    its own first converged doubling, exactly as the scalar call on its own
+    endpoints would.
 
     Parameters
     ----------
     f : callable
-        Accepts an ndarray of abscissae, returns integrand values.
+        Accepts abscissae of shape a.shape + (points,) and returns integrand
+        values of that shape, optionally behind leading component axes (e.g.
+        two densities stacked); each component converges on its own.
     oscillations : float
         Expected number of half-waves/oscillations across the interval;
         sets the initial panel count.
     rtol, atol : float
         Convergence targets for the doubling check.
     max_doublings : int
-        Refinement budget before QuadratureError is raised.
+        Refinement budget before QuadratureError is raised for the first
+        element (in C order) that has not converged.
 
     Returns
     -------
-    (value, error_estimate)
+    (value, error_estimate), scalars for scalar endpoints, else arrays of
+    shape components + a.shape.
     """
     panels = max(2, math.ceil(oscillations))
     prev = _panel_eval(f, a, b, panels)
-    err = math.inf
+    value = np.zeros_like(prev)
+    err = np.full(np.shape(prev), math.inf)
+    done = np.zeros(np.shape(prev), dtype=bool)
+    diff = err
     for _ in range(max_doublings):
         panels *= 2
         cur = _panel_eval(f, a, b, panels)
-        err = abs(cur - prev)
-        if err <= max(atol, rtol * abs(cur)):
-            return cur, err
+        diff = np.abs(cur - prev)
+        new = ~done & (diff <= np.maximum(atol, rtol * np.abs(cur)))
+        value = np.where(new, cur, value)
+        err = np.where(new, diff, err)
+        done |= new
+        if done.all():
+            return value[()], err[()]
         prev = cur
-    raise QuadratureError("integral did not converge under panel doubling", err)
+    raise QuadratureError(
+        "integral did not converge under panel doubling", float(diff[~done].flat[0])
+    )
 
 
 def _panel_eval_2d(f, ax, bx, ay, by, px, py):

@@ -107,6 +107,11 @@ class SubtractionSolution:
     note: str
 
 
+# Spectrum terms one cutoff fit may sum: about 6x the 1.7e8 that b/a = 50,
+# the largest aspect ratio the tests sum, needs at its smallest cutoff.
+_TERM_BUDGET = 1e9
+
+
 class _FourPartsSummand:
     """The rectangle spectrum w = sqrt(k_n^2 + p_m^2), k_n = n pi/a, p_m = m pi/b.
 
@@ -123,6 +128,14 @@ class _FourPartsSummand:
         self.b = b
 
     def blocks(self, omega_cap: float):
+        cap = float(omega_cap)
+        # lattice points under the quarter circle of radius cap: a b cap^2 / (4 pi)
+        terms = (self.a * cap) * (self.b * cap) / (4.0 * math.pi)
+        if not terms <= _TERM_BUDGET:
+            raise ValueError(
+                f"rectangle a = {self.a:g}, b = {self.b:g}: the cutoff sum needs about "
+                f"{terms:.3g} spectrum terms, over the budget of {_TERM_BUDGET:.0e}"
+            )
         kx_step = math.pi / self.a
         ky_step = math.pi / self.b
         for n in range(1, int(omega_cap / kx_step) + 1):

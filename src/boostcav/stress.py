@@ -21,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Cavity1D, Cavity2D, Scheme
-from .modes import SpacetimeMode, SpacetimeMode2D, mode, mode_2d
-from .quadrature import gauss_legendre, gauss_legendre_2d
+from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
+from .modes import (
+    base_frequency,
+    expansion_frequency,
+    mode,
+    mode_2d,
+    mode_d_dt,
+    mode_d_dx,
+    phase_frequency,
+)
+from .quadrature import QuadratureError, gauss_legendre, gauss_legendre_2d
 
 __all__ = [
     "PrefactorRule",
@@ -37,7 +45,12 @@ __all__ = [
     "per_mode_coefficients",
     "per_mode_em_2d_law",
     "coefficient_extract",
+    "coefficient_fits",
 ]
+
+# Velocities per batched quadrature. Each chunk holds its rows' abscissae for
+# every doubling; 16 to 400 rows run equally fast, 32 keeps the memory small.
+_CHUNK_ROWS = 32
 
 
 class PrefactorRule(enum.Enum):
@@ -100,15 +113,50 @@ class CoefficientFit:
     t_dispersion: float
 
 
-def _prefactor_frequency(u: SpacetimeMode | SpacetimeMode2D, convention: StressConvention) -> float:
+def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     if convention.prefactor_rule is PrefactorRule.LAB_PHASE:
-        if isinstance(u, SpacetimeMode2D):
-            return u.cavity.gamma() * u.frequency
-        return u.lab_phase_frequency
-    w = u.frequency if isinstance(u, SpacetimeMode2D) else u.comoving_frequency
+        return lab_phase
     if convention.prefactor_rule is PrefactorRule.DOUBLED:
-        return 2.0 * w
-    return w
+        return 2.0 * comoving
+    return comoving
+
+
+def _mode_integrals(
+    scheme: Scheme,
+    proper_length: float,
+    velocities: np.ndarray,
+    n: int,
+    t_samples: np.ndarray,
+    convention: StressConvention,
+) -> tuple[np.ndarray, np.ndarray]:
+    """per_mode_em's e_n and p_n for every (velocity, time) row, and their errors.
+
+    Both come back with shape (2, velocities, times). One panelled
+    quadrature serves every row, and each row is bit-identical to its own
+    scalar integration.
+    """
+    left, right = wall_positions(scheme, proper_length, velocities[:, None], t_samples[None, :])
+    v = velocities[:, None, None]  # against abscissae of shape (velocities, times, points)
+    t = t_samples[None, :, None]
+    wp = _prefactor_frequency(
+        convention,
+        expansion_frequency(scheme, proper_length, v, n),
+        phase_frequency(scheme, proper_length, v, n),
+    )
+
+    def densities(x):
+        ut = mode_d_dt(scheme, proper_length, v, n, t, x)
+        ux = mode_d_dx(scheme, proper_length, v, n, t, x)
+        return np.stack((
+            (np.abs(ut) ** 2 + np.abs(ux) ** 2) / (4.0 * wp),
+            -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
+        ))
+
+    scale = max(1.0, base_frequency(proper_length, n))
+    values, errors = gauss_legendre(
+        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * scale
+    )
+    return np.real(values), errors
 
 
 def per_mode_em(
@@ -129,29 +177,13 @@ def per_mode_em(
     with closed-form derivatives and a convergence-checked Gauss-Legendre
     quadrature. Both are time independent; t only picks the slice.
     """
-    u = mode(scheme, cavity, n)
-    wp = _prefactor_frequency(u, convention)
-    left, right = u.walls(t)
-
-    def energy_density(x):
-        ut = u.d_dt(t, x)
-        ux = u.d_dx(t, x)
-        return (np.abs(ut) ** 2 + np.abs(ux) ** 2) / (4.0 * wp)
-
-    def momentum_density(x):
-        ut = u.d_dt(t, x)
-        ux = u.d_dx(t, x)
-        return -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp)
-
-    scale = max(1.0, u.base_frequency)
-    e, e_err = gauss_legendre(
-        energy_density, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * scale
+    mode(scheme, cavity, n)  # validates n
+    (e, p), (e_err, p_err) = _mode_integrals(
+        scheme, cavity.proper_length, np.array([cavity.velocity]), n, np.array([t], dtype=float),
+        convention,
     )
-    p, p_err = gauss_legendre(
-        momentum_density, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * scale
-    )
-    return PerModeEM(n=n, energy=float(np.real(e)), momentum=float(np.real(p)),
-                     quad_error=float(max(e_err, p_err)))
+    return PerModeEM(n=n, energy=float(e[0, 0]), momentum=float(p[0, 0]),
+                     quad_error=float(max(e_err[0, 0], p_err[0, 0])))
 
 
 def per_mode_em_2d(
@@ -164,7 +196,7 @@ def per_mode_em_2d(
 ) -> PerModeEM:
     """2D analogue of per_mode_em with the transverse gradient in T00."""
     u = mode_2d(cavity, n, m)
-    wp = _prefactor_frequency(u, convention)
+    wp = _prefactor_frequency(convention, u.frequency, u.cavity.gamma() * u.frequency)
     left, right = u.walls_x(t)
     b = cavity.proper_length_y
 
@@ -238,18 +270,65 @@ def coefficient_extract(
     indices and time samples; raises NotProportionalError when the relative
     dispersion exceeds dispersion_limit (the factorization claim fails).
     """
+    return coefficient_fits(
+        scheme, cavity.proper_length, (cavity.velocity,), n_max, t_samples,
+        convention=convention, dispersion_limit=dispersion_limit,
+    )[0]
+
+
+def coefficient_fits(
+    scheme: Scheme,
+    proper_length: float,
+    velocities,
+    n_max: int,
+    t_samples: tuple[float, ...] = (0.0, 0.37),
+    *,
+    convention: StressConvention = DEFAULT_CONVENTION,
+    dispersion_limit: float = 1e-8,
+) -> tuple[CoefficientFit, ...]:
+    """coefficient_extract for every velocity of a grid, in one batched quadrature per mode.
+
+    Each fit is bit-identical to coefficient_extract at its velocity. A
+    failure raises what a loop of coefficient_extract calls would have raised
+    first (lowest position in the grid, then time sample, then mode index).
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if len(t_samples) < 2:
         raise ValueError("need at least two time samples")
-    half_w = np.array([n * math.pi / cavity.proper_length / 2.0 for n in range(1, n_max + 1)])
-    e_ratio = np.empty((len(t_samples), n_max))
-    p_ratio = np.empty((len(t_samples), n_max))
-    for it, t in enumerate(t_samples):
+    velocities = [Cavity1D(proper_length, float(v)).velocity for v in velocities]
+    half_w = np.array([n * math.pi / proper_length / 2.0 for n in range(1, n_max + 1)])
+    ts = np.array(t_samples, dtype=float)
+
+    def ratios(rows: np.ndarray) -> np.ndarray:
+        """e_n/(w_n/2) and p_n/(w_n/2), shape (2, rows, times, modes)."""
+        out = np.empty((2, len(rows), len(ts), n_max))
         for n in range(1, n_max + 1):
-            pm = per_mode_em(scheme, cavity, n, t, convention=convention)
-            e_ratio[it, n - 1] = pm.energy / half_w[n - 1]
-            p_ratio[it, n - 1] = pm.momentum / half_w[n - 1]
+            em, _ = _mode_integrals(scheme, proper_length, rows, n, ts, convention)
+            out[..., n - 1] = em / half_w[n - 1]
+        return out
+
+    fits: list[CoefficientFit] = []
+    for start in range(0, len(velocities), _CHUNK_ROWS):
+        chunk = np.array(velocities[start:start + _CHUNK_ROWS])
+        try:
+            table = ratios(chunk)
+        except QuadratureError:
+            # Replay the chunk in loop order, so the failure raised is the one
+            # a per-velocity loop meets first.
+            for v in chunk:
+                for t in ts:
+                    for n in range(1, n_max + 1):
+                        _mode_integrals(scheme, proper_length, v[None], n, t[None], convention)
+                row = ratios(v[None])
+                _fit(row[0, 0], row[1, 0], dispersion_limit)
+            raise
+        fits.extend(_fit(table[0, i], table[1, i], dispersion_limit) for i in range(len(chunk)))
+    return tuple(fits)
+
+
+def _fit(e_ratio: np.ndarray, p_ratio: np.ndarray, dispersion_limit: float) -> CoefficientFit:
+    """Mean coefficients of one velocity's (time, mode) ratio tables, gated on their spread."""
     c_e = float(np.mean(e_ratio))
     c_p = float(np.mean(p_ratio))
     scale = max(abs(c_e), abs(c_p), 1e-300)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -280,3 +281,60 @@ class TestOutputFile:
         assert out == ""
         content = target.read_text()
         assert content.startswith("# units")
+
+
+# sha256 of stdout, recorded before the per-mode quadrature was batched and m0
+# was fitted once per request; per-mode sweeps shaped like the benchmark's
+# (375, 106 and 27 rows) and cutoff boosts. Any change is a defect.
+STDOUT_SHA256 = {
+    ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
+     "--method", "zeta", "--format", "csv"):
+        "7e33fb772c6d279227794e2dbde009423fbb1b29580a9cf3ee008f139c875c31",
+    ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
+     "per-mode", "--method", "cutoff", "--format", "json"):
+        "39d0ce5c4e9c58f8c78c8b79dc499687c3e1f5d1c09919eb243003452b3a0a2a",
+    ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
+     "--method", "abel-plana", "--format", "csv"):
+        "98e3b3f09c7cc8dae3f737132abbdcda5c535b786fd7a31e9e90fa6c2aa13feb",
+    ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
+        "8463f85f7cff287aa587ece105d7ff2603784630a7867bf7f0f01766887d4b1f",
+    ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
+     "--format", "json"):
+        "a827f57ef2d657c9e627969a383af03071bce8404c6e1c34e41055ea1479b8ac",
+}
+
+
+class TestStdoutGoldens:
+    @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=lambda a: "-".join(a[:3] + a[-3:]))
+    def test_bytes_unchanged(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+class TestStaticM0FittedOnce:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        from boostcav import observables
+
+        calls = []
+        fit = observables.cutoff_finite_part
+        monkeypatch.setattr(observables, "cutoff_finite_part",
+                            lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("route", ["closed-form", "per-mode"])
+    def test_five_row_sweep(self, capsys, fits, route):
+        code, out, _ = run(capsys, "sweep", "--scheme", "lorentz", "--L", "1.3",
+                           "--v=0.1:0.5:0.1", "--route", route, "--method", "cutoff")
+        assert code == 0 and out.count(f",{route}\n") == 5
+        assert len(fits) == 1
+
+    def test_boost(self, capsys, fits):
+        # the printed m0 and route_comparison's own fit, which both routes share
+        # (the report section reuses the printed one); a single fit would need
+        # route_comparison to take m0 from the CLI
+        code, out, _ = run(capsys, "boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27",
+                           "--method", "cutoff")
+        assert code == 0 and "galileo-lab routes" in out
+        assert len(fits) == 2

@@ -223,3 +223,46 @@ class TestDivergenceAndParity:
         minus = boosted_em(scheme, Cavity1D(1.0, -0.3), route)
         assert abs(plus.energy - minus.energy) < 1e-10 * abs(plus.energy)
         assert abs(plus.momentum + minus.momentum) < 1e-10 * abs(plus.momentum)
+
+
+@pytest.fixture
+def cutoff_fits(monkeypatch):
+    """Count the cutoff fits of m0 (observables.cutoff_finite_part calls)."""
+    from boostcav import observables
+
+    calls = []
+    fit = observables.cutoff_finite_part
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "cutoff_finite_part", counted)
+    return calls
+
+
+class TestStaticM0FittedOnce:
+    """m0 does not depend on v: one cutoff fit serves a whole grid."""
+
+    CUTOFF = RegConfig.cutoff_1d(math.pi / 1.3)
+
+    @pytest.mark.parametrize("route", list(Route))
+    def test_sweep(self, cutoff_fits, route):
+        table = sweep(Scheme.GALILEO_COMOVING_PRIOR, 1.3, [0.0, 0.1, 0.2, 0.3, 0.4], route,
+                      self.CUTOFF)
+        assert len(table.rows) == 5
+        assert len(cutoff_fits) == 1
+
+    def test_nonrel_fit(self, cutoff_fits):
+        nonrel_fit(Scheme.LORENTZ_EXACT, 1.3, 0.2, 6, config=self.CUTOFF)
+        assert len(cutoff_fits) == 1
+
+    def test_route_comparison(self, cutoff_fits):
+        route_comparison(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), self.CUTOFF)
+        assert len(cutoff_fits) == 1
+
+    def test_passed_m0_is_used(self, cutoff_fits):
+        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), Route.CLOSED_FORM, self.CUTOFF,
+                        m0=-2.0)
+        assert not cutoff_fits
+        assert em.energy == -2.0 * closed_form_coefficients(Scheme.LORENTZ_EXACT, 0.4)[0]

@@ -51,3 +51,49 @@ def test_2d_mixed_nonseparable():
         lambda x, y: x * y**2 * np.cos(x * y), (0.0, 1.0), (0.0, 1.0)
     )
     assert abs(value - ref) < 5e-7
+
+
+class TestArrayEndpoints:
+    """One integral per element, each bit-identical to the scalar call on its endpoints."""
+
+    @staticmethod
+    def _elementwise(f, a, b, **kw):
+        values = np.empty(a.shape, dtype=complex)
+        errors = np.empty(a.shape)
+        for idx in np.ndindex(a.shape):
+            values[idx], errors[idx] = gauss_legendre(f, a[idx], b[idx], **kw)
+        return values, errors
+
+    def test_rows_converging_at_different_doublings(self):
+        # short intervals converge at the first doubling, long ones need more
+        a = np.array([[0.0, 0.5, -3.0], [1.0, 0.0, 2.0]])
+        b = np.array([[0.1, 9.0, 20.0], [1.01, 40.0, 2.5]])
+        f = lambda x: np.exp(1j * 3.1 * x) * np.cos(x) ** 2
+        values, errors = gauss_legendre(f, a, b, oscillations=2, rtol=1e-14)
+        ref_values, ref_errors = self._elementwise(f, a, b, oscillations=2, rtol=1e-14)
+        assert values.shape == errors.shape == a.shape
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(errors, ref_errors)
+
+    def test_stacked_components_converge_separately(self):
+        a = np.array([0.0, -1.0, 0.3])
+        b = np.array([2.0, 30.0, 0.31])
+        densities = (lambda x: np.sin(5.0 * x) ** 2, lambda x: x * np.exp(-x * x))
+        values, errors = gauss_legendre(
+            lambda x: np.stack([d(x) for d in densities]), a, b, oscillations=3, rtol=1e-14
+        )
+        assert values.shape == errors.shape == (2, 3)
+        for c, d in enumerate(densities):
+            for i in range(3):
+                ref = gauss_legendre(d, a[i], b[i], oscillations=3, rtol=1e-14)
+                assert (values[c, i], errors[c, i]) == ref
+
+    def test_unconverged_row_raises_its_own_estimate(self):
+        kink = lambda x: np.abs(x - np.sqrt(2) / 2)
+        a = np.array([0.0, 0.0])
+        b = np.array([0.5, 1.0])  # only the second interval contains the kink
+        with pytest.raises(QuadratureError) as exc:
+            gauss_legendre(kink, a, b, rtol=1e-15, max_doublings=2)
+        with pytest.raises(QuadratureError) as ref:
+            gauss_legendre(kink, 0.0, 1.0, rtol=1e-15, max_doublings=2)
+        assert exc.value.estimate == ref.value.estimate > 0.0

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import pytest
@@ -223,6 +224,26 @@ class TestChowlaSelberg:
     def test_unrepresentable_parts_are_rejected(self, a, b):
         with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")):
             finite_parts(Cavity2D(a, b, 0.0))
+
+
+class TestCutoffWorkBudget:
+    """The cutoff cross-check estimates its term count and fails fast past the budget."""
+
+    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1.0, 1e4)])
+    def test_extreme_sides_fail_fast(self, a, b):
+        cav = Cavity2D(a, b, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")) as exc:
+                finite_parts(cav, rect2d.default_config(cav))
+        assert "spectrum terms, over the budget of 1e+09" in str(exc.value)
+
+    def test_largest_tested_aspect_is_within_budget(self):
+        # b/a = 50 sums about 1.7e8 terms at its smallest cutoff
+        cav = Cavity2D(1.0, 50.0, 0.0)
+        config = rect2d.default_config(cav)
+        cap = -math.log(config.truncation_damping) / config.epsilon_schedule[-1]
+        assert 1e8 < 50.0 * cap * cap / (4.0 * math.pi) < rect2d._TERM_BUDGET
 
 
 SIDES = st.floats(min_value=1e-2, max_value=1e2)

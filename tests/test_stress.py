@@ -1,13 +1,18 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
+from boostcav.quadrature import QuadratureError, gauss_legendre
 from boostcav.stress import (
     NotProportionalError,
     PrefactorRule,
     StressConvention,
     coefficient_extract,
+    coefficient_fits,
     per_mode_coefficients,
     per_mode_em,
     per_mode_em_2d,
@@ -170,3 +175,138 @@ class TestPerMode2D:
         gamma2 = 1.0 / 0.64
         assert abs(pm.energy / (w / 2) - gamma2 * 1.36) < 2e-3
         assert abs(pm.momentum / w - gamma2 * 0.6) < 2e-3
+
+
+# float.hex of per_mode_em(scheme, Cavity1D(1.3, v), n, t) (energy, momentum),
+# recorded before the per-mode quadrature was batched; any change is a defect
+PER_MODE_HEX = {
+    ("galileo-lab", -0.3, 1, 0.0): ("0x1.7282ec43a7d11p+0", "-0x1.97e708ce018f4p-1"),
+    ("galileo-lab", -0.3, 1, 0.37): ("0x1.7282ec43a7d10p+0", "-0x1.97e708ce018f4p-1"),
+    ("galileo-lab", -0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "-0x1.31ed469a812b8p+2"),
+    ("galileo-lab", -0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "-0x1.31ed469a812b8p+2"),
+    ("galileo-lab", 0.3, 1, 0.0): ("0x1.7282ec43a7d11p+0", "0x1.97e708ce018f4p-1"),
+    ("galileo-lab", 0.3, 1, 0.37): ("0x1.7282ec43a7d11p+0", "0x1.97e708ce018f4p-1"),
+    ("galileo-lab", 0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
+    ("galileo-lab", 0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
+    ("galileo-comoving", -0.3, 1, 0.0): ("0x1.433ee75f3d968p+0", "-0x1.7330f617a023bp-2"),
+    ("galileo-comoving", -0.3, 1, 0.37): ("0x1.433ee75f3d968p+0", "-0x1.7330f617a0238p-2"),
+    ("galileo-comoving", -0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "-0x1.1664b891b81acp+1"),
+    ("galileo-comoving", -0.3, 6, 0.37): ("0x1.e4de5b0edc61fp+2", "-0x1.1664b891b81aep+1"),
+    ("galileo-comoving", 0.3, 1, 0.0): ("0x1.433ee75f3d968p+0", "0x1.7330f617a023bp-2"),
+    ("galileo-comoving", 0.3, 1, 0.37): ("0x1.433ee75f3d968p+0", "0x1.7330f617a023ap-2"),
+    ("galileo-comoving", 0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81acp+1"),
+    ("galileo-comoving", 0.3, 6, 0.37): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81aep+1"),
+    ("lorentz", -0.7, 1, 0.0): ("0x1.c3dbcf8c071fep+1", "-0x1.a890ae64a4c30p+1"),
+    ("lorentz", -0.7, 1, 0.37): ("0x1.c3dbcf8c071fep+1", "-0x1.a890ae64a4c2ep+1"),
+    ("lorentz", -0.7, 6, 0.0): ("0x1.52e4dba90557ep+4", "-0x1.3e6c82cb7b922p+4"),
+    ("lorentz", -0.7, 6, 0.37): ("0x1.52e4dba90557ep+4", "-0x1.3e6c82cb7b922p+4"),
+    ("lorentz", 0.3, 1, 0.0): ("0x1.7282ec43a7d12p+0", "0x1.97e708ce018f5p-1"),
+    ("lorentz", 0.3, 1, 0.37): ("0x1.7282ec43a7d12p+0", "0x1.97e708ce018f6p-1"),
+    ("lorentz", 0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
+    ("lorentz", 0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
+    # here Python's v ** 2 (C pow) and numpy's array square v * v differ, and
+    # so would these bits
+    ("lorentz", 0.6352, 3, 0.37): ("0x1.10ea551b8ed10p+3", "0x1.ee13192f90325p+2"),
+    ("lorentz", -0.8329, 6, 0.37): ("0x1.40bbdc7f4bdd2p+5", "-0x1.3b723edc0c6eep+5"),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("key", sorted(PER_MODE_HEX), ids=lambda k: "-".join(map(str, k)))
+    def test_per_mode_energy_and_momentum(self, key):
+        label, v, n, t = key
+        pm = per_mode_em(Scheme.from_label(label), Cavity1D(1.3, v), n, t)
+        assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_HEX[key]
+
+
+
+CONVENTIONS = (
+    StressConvention(),
+    StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE),
+    StressConvention(prefactor_rule=PrefactorRule.DOUBLED),
+    StressConvention(momentum_sign=-1.0),
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (NotProportionalError, QuadratureError) as exc:
+        return type(exc), str(exc)
+
+
+def _extract_loop(scheme, length, velocities, n_max, t_samples, **kw):
+    """coefficient_extract one velocity at a time; the first failure ends the loop."""
+    return _outcome(lambda: tuple(
+        coefficient_extract(scheme, Cavity1D(length, v), n_max, t_samples, **kw)
+        for v in velocities
+    ))
+
+
+@st.composite
+def _grids(draw):
+    scheme = draw(st.sampled_from(ALL_SCHEMES))
+    cap = 0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5
+    velocities = draw(st.lists(st.floats(-cap, cap), min_size=1, max_size=40))
+    t_samples = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3)))
+    return (scheme, draw(st.floats(0.3, 5.0)), velocities, draw(st.integers(2, 8)), t_samples,
+            draw(st.sampled_from(CONVENTIONS)))
+
+
+class TestBatchedFits:
+    """coefficient_fits batches the per-mode quadrature over (velocity, time) rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grids())
+    def test_equals_the_per_velocity_loop(self, grid):
+        scheme, length, velocities, n_max, t_samples, convention = grid
+        batched = _outcome(lambda: coefficient_fits(
+            scheme, length, velocities, n_max, t_samples, convention=convention))
+        assert batched == _extract_loop(scheme, length, velocities, n_max, t_samples,
+                                        convention=convention)
+
+    def test_chunks_are_invisible(self):
+        velocities = np.linspace(-0.9, 0.9, 2 * stress._CHUNK_ROWS + 5)
+        fits = coefficient_fits(Scheme.LORENTZ_EXACT, 1.7, velocities, 3)
+        assert len(fits) == len(velocities)
+        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, 1.7, velocities, 3, (0.0, 0.37))
+
+    def test_first_dispersion_failure_is_the_loops(self):
+        velocities = (0.4, -0.2, 0.7)
+        with pytest.raises(NotProportionalError) as exc:
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, velocities, 4, dispersion_limit=0.0)
+        with pytest.raises(NotProportionalError) as first:
+            coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.4), 4, dispersion_limit=0.0)
+        assert str(exc.value) == str(first.value)
+        assert np.array_equal(exc.value.ratios, first.value.ratios)
+
+    @staticmethod
+    def _stepped(f, a, b, *, oscillations, **kw):
+        # A step never converges under panel doubling. It sits at x = -0.1 for
+        # mode 2 and at x = -0.15 for mode 1, so at t = 0.37 the v = -0.3 cavity
+        # (left wall -0.111) fails at n = 2 only and v = -0.5 (-0.185) at n = 1.
+        edge = -0.1 if oscillations == 2 else -0.15
+        return gauss_legendre(lambda x: f(x) + (x < edge), a, b, oscillations=oscillations, **kw)
+
+    def test_first_quadrature_failure_is_the_loops(self, monkeypatch):
+        monkeypatch.setattr(stress, "gauss_legendre", self._stepped)
+        velocities = (0.2, -0.3, -0.5)
+        batched = _outcome(lambda: coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, velocities, 3))
+        assert batched[0] is QuadratureError
+        assert batched == _extract_loop(Scheme.LORENTZ_EXACT, 1.0, velocities, 3, (0.0, 0.37))
+        later = _outcome(lambda: coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, -0.5), 3))
+        assert later[0] is QuadratureError and later != batched
+
+    def test_dispersion_failure_before_a_later_quadrature_failure(self, monkeypatch):
+        monkeypatch.setattr(stress, "gauss_legendre", self._stepped)
+        velocities = (0.2, -0.5)
+        batched = _outcome(lambda: coefficient_fits(
+            Scheme.LORENTZ_EXACT, 1.0, velocities, 3, dispersion_limit=0.0))
+        assert batched[0] is NotProportionalError
+        assert batched == _extract_loop(Scheme.LORENTZ_EXACT, 1.0, velocities, 3, (0.0, 0.37),
+                                        dispersion_limit=0.0)
+
+    def test_validates_every_velocity(self):
+        with pytest.raises(ValueError):
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.2, 1.0), 4)
+        assert coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (), 4) == ()
