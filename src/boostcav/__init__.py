@@ -14,14 +14,10 @@ from .modes import (
     SpacetimeMode,
     SpacetimeMode2D,
     boundary_residual,
-    eval_mode,
-    eval_mode_2d,
     gram_matrix,
     kg_residual,
     mode,
     mode_2d,
-    mode_frequency,
-    mode_frequency_2d,
     spatial_overlap_matrix,
 )
 from .observables import (
@@ -37,7 +33,7 @@ from .observables import (
     static_m0,
     sweep,
 )
-from .quadrature import QuadratureError, gauss_legendre, gauss_legendre_2d
+from .quadrature import QuadratureError, gauss_legendre
 from .rect2d import (
     Route2D,
     boosted_em_2d,
@@ -75,17 +71,12 @@ __all__ = [
     "SpacetimeMode2D",
     "mode",
     "mode_2d",
-    "mode_frequency",
-    "mode_frequency_2d",
-    "eval_mode",
-    "eval_mode_2d",
     "boundary_residual",
     "kg_residual",
     "gram_matrix",
     "spatial_overlap_matrix",
     "QuadratureError",
     "gauss_legendre",
-    "gauss_legendre_2d",
     "PerModeEM",
     "StressConvention",
     "per_mode_em",

@@ -114,6 +114,12 @@ class Cavity1D:
 
     def __post_init__(self) -> None:
         _check_length(self.proper_length, "proper_length")
+        k = math.pi / self.proper_length
+        if not math.isfinite(k * k):  # every mode sum and stress density carries (pi/L)^2
+            raise ValueError(
+                f"proper_length L = {self.proper_length!r} is too small: "
+                "(pi/L)^2 is not finite in float64"
+            )
         _check_velocity(self.velocity)
 
     def gamma(self) -> float:

@@ -180,6 +180,7 @@ def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
     if method == "zeta":
         return None
     if method == "cutoff":
+        Cavity1D(proper_length)  # validates L before its schedule is built
         return RegConfig.cutoff_1d(math.pi / proper_length)
     if method == "abel-plana":
         return RegConfig.abel_plana()

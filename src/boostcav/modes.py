@@ -13,6 +13,9 @@ Scheme coefficients (k = n*pi/L, g = gamma):
     galileo-lab       th = k*(v*x - t),            s = k*(x - v*t),   N = sqrt(2/L)
     galileo-comoving  th = -k*t,                   s = k*(x - v*t),   N = sqrt(2/L)
     lorentz           th = -k*g*(t - v*x),         s = k*g*(x - v*t), N = sqrt(2*g/L)
+
+A rectangle mode (n, m) is the lorentz x profile with w = hypot(k, p) in
+place of k in th, times sin(p*y), with N = 2*sqrt(g/(a*b)) and p = m*pi/b.
 """
 
 from __future__ import annotations
@@ -31,14 +34,6 @@ __all__ = [
     "SpacetimeMode2D",
     "mode",
     "mode_2d",
-    "mode_frequency",
-    "lab_phase_frequency",
-    "normalization",
-    "eval_mode",
-    "mode_frequency_2d",
-    "wavenumber_x",
-    "wavenumber_y",
-    "eval_mode_2d",
     "boundary_residual",
     "kg_residual",
     "comoving_kg_residual",
@@ -100,29 +95,47 @@ def affine_coefficients(scheme: Scheme, proper_length: float, velocity, n: int):
         return -k, v * k, -v * k, k
     if scheme is Scheme.GALILEO_COMOVING_PRIOR:
         return -k, 0.0, -v * k, k
-    g = lorentz_factor(v)
-    return -k * g, k * g * v, -k * g * v, k * g
+    return lorentz_coefficients(k, k, v)
 
 
-def mode_d_dt(scheme: Scheme, proper_length: float, velocity, n: int, t, x):
-    """du/dt; velocity and t broadcast against x."""
-    th_t, th_x, s_t, s_x = affine_coefficients(scheme, proper_length, velocity, n)
+def lorentz_coefficients(w: float, k: float, velocity):
+    """Affine coefficients of a contracted mode with phase frequency w and wavenumber k.
+
+    The 1D mode has w = k; the rectangle's x profile has w = hypot(k, p).
+    """
+    g = lorentz_factor(velocity)
+    v = velocity
+    return -w * g, w * g * v, -k * g * v, k * g
+
+
+# The affine form of the module docstring and its derivatives, written only
+# here for 1D and 2D modes alike; axis 0 is t, axis 1 is x. Coefficients and
+# t broadcast against x.
+
+def _phase_and_argument(coeffs, t, x):
+    th_t, th_x, s_t, s_x = coeffs
     x = np.asarray(x, dtype=float)
-    ph = np.exp(1j * (th_t * t + th_x * x))
-    s = s_t * t + s_x * x
-    return mode_normalization(scheme, proper_length, velocity) * ph * (
-        1j * th_t * np.sin(s) + s_t * np.cos(s)
-    )
+    return np.exp(1j * (th_t * t + th_x * x)), s_t * t + s_x * x
 
 
-def mode_d_dx(scheme: Scheme, proper_length: float, velocity, n: int, t, x):
-    """du/dx; velocity and t broadcast against x."""
-    th_t, th_x, s_t, s_x = affine_coefficients(scheme, proper_length, velocity, n)
-    x = np.asarray(x, dtype=float)
-    ph = np.exp(1j * (th_t * t + th_x * x))
-    s = s_t * t + s_x * x
-    return mode_normalization(scheme, proper_length, velocity) * ph * (
-        1j * th_x * np.sin(s) + s_x * np.cos(s)
+def affine_value(norm, coeffs, t, x):
+    """N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
+    ph, s = _phase_and_argument(coeffs, t, x)
+    return norm * ph * np.sin(s)
+
+
+def affine_derivative(norm, coeffs, axis: int, t, x):
+    """d/dt (axis 0) or d/dx (axis 1) of affine_value."""
+    ph, s = _phase_and_argument(coeffs, t, x)
+    th, s_a = coeffs[axis], coeffs[2 + axis]
+    return norm * ph * (1j * th * np.sin(s) + s_a * np.cos(s))
+
+
+def _affine_second_derivative(norm, coeffs, i: int, j: int, t, x):
+    ph, s = _phase_and_argument(coeffs, t, x)
+    th_i, th_j, s_i, s_j = coeffs[i], coeffs[j], coeffs[2 + i], coeffs[2 + j]
+    return norm * ph * (
+        -(th_i * th_j + s_i * s_j) * np.sin(s) + 1j * (th_i * s_j + th_j * s_i) * np.cos(s)
     )
 
 
@@ -187,46 +200,24 @@ class SpacetimeMode:
     def value(self, t: float, x, *, check: bool = True):
         if check:
             self._require_inside(t, x)
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        return self.normalization * np.exp(1j * (th_t * t + th_x * x)) * np.sin(s_t * t + s_x * x)
+        return affine_value(self.normalization, self._coeffs, t, x)
 
     __call__ = value
 
     def d_dt(self, t: float, x):
-        return mode_d_dt(self.scheme, self.cavity.proper_length, self.cavity.velocity, self.n,
-                         t, x)
+        return affine_derivative(self.normalization, self._coeffs, 0, t, x)
 
     def d_dx(self, t: float, x):
-        return mode_d_dx(self.scheme, self.cavity.proper_length, self.cavity.velocity, self.n,
-                         t, x)
+        return affine_derivative(self.normalization, self._coeffs, 1, t, x)
 
     def d2_dt2(self, t: float, x):
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        s = s_t * t + s_x * x
-        return self.normalization * ph * (
-            -(th_t**2 + s_t**2) * np.sin(s) + 2j * th_t * s_t * np.cos(s)
-        )
+        return _affine_second_derivative(self.normalization, self._coeffs, 0, 0, t, x)
 
     def d2_dx2(self, t: float, x):
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        s = s_t * t + s_x * x
-        return self.normalization * ph * (
-            -(th_x**2 + s_x**2) * np.sin(s) + 2j * th_x * s_x * np.cos(s)
-        )
+        return _affine_second_derivative(self.normalization, self._coeffs, 1, 1, t, x)
 
     def d2_dtdx(self, t: float, x):
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        s = s_t * t + s_x * x
-        return self.normalization * ph * (
-            -(th_t * th_x + s_t * s_x) * np.sin(s) + 1j * (th_t * s_x + th_x * s_t) * np.cos(s)
-        )
+        return _affine_second_derivative(self.normalization, self._coeffs, 0, 1, t, x)
 
 
 @dataclass(frozen=True)
@@ -263,11 +254,8 @@ class SpacetimeMode2D:
 
     @property
     def _coeffs(self) -> tuple[float, float, float, float]:
-        g = self.cavity.gamma()
-        v = self.cavity.velocity
-        w = self.frequency
-        k = self.wavenumber_x
-        return -w * g, w * g * v, -k * g * v, k * g
+        """(th_t, th_x, s_t, s_x) of the x profile; the mode is the profile times sin(p y)."""
+        return lorentz_coefficients(self.frequency, self.wavenumber_x, self.cavity.velocity)
 
     def walls_x(self, t: float) -> tuple[float, float]:
         return self.cavity.walls_x(t)
@@ -284,42 +272,23 @@ class SpacetimeMode2D:
     def value(self, t: float, x, y, *, check: bool = True):
         if check and not np.all(self.contains(t, x, y)):
             raise OutsideCavityError("(x, y) outside the instantaneous cavity")
-        th_t, th_x, s_t, s_x = self._coeffs
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ph = np.exp(1j * (th_t * t + th_x * x))
-        return self.normalization * ph * np.sin(s_t * t + s_x * x) * np.sin(self.wavenumber_y * y)
+        return affine_value(self.normalization, self._coeffs, t, x) * self._sin_py(y)
 
     __call__ = value
 
+    def _sin_py(self, y):
+        return np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
+
     def d_dt(self, t: float, x, y):
-        th_t, th_x, s_t, s_x = self._coeffs
-        ph = np.exp(1j * (th_t * t + th_x * np.asarray(x, dtype=float)))
-        s = s_t * t + s_x * np.asarray(x, dtype=float)
-        return (
-            self.normalization
-            * ph
-            * (1j * th_t * np.sin(s) + s_t * np.cos(s))
-            * np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
-        )
+        return affine_derivative(self.normalization, self._coeffs, 0, t, x) * self._sin_py(y)
 
     def d_dx(self, t: float, x, y):
-        th_t, th_x, s_t, s_x = self._coeffs
-        ph = np.exp(1j * (th_t * t + th_x * np.asarray(x, dtype=float)))
-        s = s_t * t + s_x * np.asarray(x, dtype=float)
-        return (
-            self.normalization
-            * ph
-            * (1j * th_x * np.sin(s) + s_x * np.cos(s))
-            * np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
-        )
+        return affine_derivative(self.normalization, self._coeffs, 1, t, x) * self._sin_py(y)
 
     def d_dy(self, t: float, x, y):
-        th_t, th_x, s_t, s_x = self._coeffs
-        ph = np.exp(1j * (th_t * t + th_x * np.asarray(x, dtype=float)))
-        s = s_t * t + s_x * np.asarray(x, dtype=float)
         p = self.wavenumber_y
-        return self.normalization * ph * np.sin(s) * p * np.cos(p * np.asarray(y, dtype=float))
+        return (affine_value(self.normalization, self._coeffs, t, x)
+                * p * np.cos(p * np.asarray(y, dtype=float)))
 
 
 def mode(scheme: Scheme, cavity: Cavity1D, n: int) -> SpacetimeMode:
@@ -328,45 +297,6 @@ def mode(scheme: Scheme, cavity: Cavity1D, n: int) -> SpacetimeMode:
 
 def mode_2d(cavity: Cavity2D, n: int, m: int) -> SpacetimeMode2D:
     return SpacetimeMode2D(cavity, n, m)
-
-
-# ---------------------------------------------------------------------------
-# thin functional wrappers
-# ---------------------------------------------------------------------------
-
-def mode_frequency(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
-    """Comoving/expansion frequency w'_n used in the vacuum sum rule."""
-    return mode(scheme, cavity, n).comoving_frequency
-
-
-def lab_phase_frequency(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
-    return mode(scheme, cavity, n).lab_phase_frequency
-
-
-def normalization(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
-    return mode(scheme, cavity, n).normalization
-
-
-def eval_mode(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) -> complex:
-    return complex(mode(scheme, cavity, n).value(t, x))
-
-
-def mode_frequency_2d(cavity: Cavity2D, n: int, m: int) -> float:
-    return mode_2d(cavity, n, m).frequency
-
-
-def wavenumber_x(cavity: Cavity2D, n: int) -> float:
-    _check_index(n, "n")
-    return n * math.pi / cavity.proper_length_x
-
-
-def wavenumber_y(cavity: Cavity2D, m: int) -> float:
-    _check_index(m, "m")
-    return m * math.pi / cavity.proper_length_y
-
-
-def eval_mode_2d(cavity: Cavity2D, n: int, m: int, t: float, x: float, y: float) -> complex:
-    return complex(mode_2d(cavity, n, m).value(t, x, y))
 
 
 def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tuple[complex, complex]:

@@ -115,8 +115,7 @@ class NonRelFit:
 
 def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
     """Regularized static cavity energy m0(L) = -pi/(24 L) by the chosen route."""
-    if proper_length <= 0:
-        raise ValueError("proper_length must be positive")
+    Cavity1D(proper_length)  # validates L
     if config is None or config.method is RegMethod.ZETA_EXACT:
         # m0 = (1/2) sum n pi/L -> (pi/2L) * (-1/12)
         return 0.5 * zeta_linear_sum(math.pi / proper_length)

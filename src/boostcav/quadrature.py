@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gauss_legendre", "gauss_legendre_2d"]
+__all__ = ["QuadratureError", "gauss_legendre"]
 
 _ORDER = 16  # nodes per panel; one panel per oscillation gives 16 >= 8 nodes/cycle
 
@@ -106,50 +106,3 @@ def gauss_legendre(
     raise QuadratureError(
         "integral did not converge under panel doubling", float(diff[~done].flat[0])
     )
-
-
-def _panel_eval_2d(f, ax, bx, ay, by, px, py):
-    x0, w0 = _nodes(_ORDER)
-    ex = np.linspace(ax, bx, px + 1)
-    ey = np.linspace(ay, by, py + 1)
-    hx = 0.5 * np.diff(ex)
-    hy = 0.5 * np.diff(ey)
-    xs = ((0.5 * (ex[:-1] + ex[1:]))[:, None] + hx[:, None] * x0[None, :]).ravel()
-    ys = ((0.5 * (ey[:-1] + ey[1:]))[:, None] + hy[:, None] * x0[None, :]).ravel()
-    wx = (hx[:, None] * w0[None, :]).ravel()
-    wy = (hy[:, None] * w0[None, :]).ravel()
-    vals = f(xs[:, None], ys[None, :])
-    return np.einsum("i,j,ij->", wx, wy, vals)
-
-
-def gauss_legendre_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    *,
-    oscillations_x: float = 1.0,
-    oscillations_y: float = 1.0,
-    rtol: float = 1e-13,
-    atol: float = 0.0,
-    max_doublings: int = 6,
-) -> tuple[complex, float]:
-    """Tensor-product Gauss-Legendre over a rectangle, with doubling check.
-
-    The integrand is called with broadcastable column/row abscissa arrays
-    and must return the full value grid.
-    """
-    ax, bx = x_range
-    ay, by = y_range
-    px = max(2, math.ceil(oscillations_x))
-    py = max(2, math.ceil(oscillations_y))
-    prev = _panel_eval_2d(f, ax, bx, ay, by, px, py)
-    err = math.inf
-    for _ in range(max_doublings):
-        px *= 2
-        py *= 2
-        cur = _panel_eval_2d(f, ax, bx, ay, by, px, py)
-        err = abs(cur - prev)
-        if err <= max(atol, rtol * abs(cur)):
-            return cur, err
-        prev = cur
-    raise QuadratureError("2D integral did not converge under panel doubling", err)

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Cavity2D
+from .cavity import Cavity2D, Scheme
 from .quadrature import gauss_legendre
 from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
+from .stress import per_mode_coefficients
 
 __all__ = [
     "Route2D",
@@ -286,11 +287,6 @@ def static_energy_2d(cavity: Cavity2D, config: RegConfig | None = None) -> Finit
     return finite_parts(cavity, config).S_omega
 
 
-def _boost_factors(v: float) -> tuple[float, float]:
-    g2 = 1.0 / (1.0 - v * v)
-    return g2 * (1.0 + v * v), 2.0 * g2 * v
-
-
 def boosted_em_2d(
     cavity: Cavity2D,
     route: Route2D = Route2D.PER_MODE,
@@ -306,7 +302,7 @@ def boosted_em_2d(
     if parts is None:
         parts = finite_parts(cavity, config)
     v = cavity.velocity
-    ce, cp = _boost_factors(v)
+    ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
     if route is Route2D.PER_MODE:
         energy = ce * parts.U.value + parts.W.value
         momentum = cp * parts.U.value
@@ -392,7 +388,7 @@ def mass_shell_probe_2d(
         )
         predicted = None
         if route is Route2D.PER_MODE:
-            ce, _ = _boost_factors(v)
+            ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
             predicted = 2.0 * (ce - 1.0) * parts.U.value * parts.W.value
         rows.append(
             ShellProbeRow(velocity=v, residual=residual, residual_error=err,
@@ -436,7 +432,7 @@ def subtraction_solver_2d(
         e_m = u + w
         worst = 0.0
         for v in nonzero:
-            ce, cp = _boost_factors(v)
+            ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
             residual = (ce * u + w) ** 2 - (cp * u) ** 2 - e_m**2
             worst = max(worst, abs(residual) / max(e_m**2, 1e-300))
         return SubtractionBranch(name=name, delta_U=du, delta_W=dw, max_rel_residual=worst)

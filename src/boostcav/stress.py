@@ -23,15 +23,18 @@ import numpy as np
 
 from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
 from .modes import (
+    affine_coefficients,
+    affine_derivative,
+    affine_value,
     base_frequency,
     expansion_frequency,
+    lorentz_coefficients,
     mode,
     mode_2d,
-    mode_d_dt,
-    mode_d_dx,
+    mode_normalization,
     phase_frequency,
 )
-from .quadrature import QuadratureError, gauss_legendre, gauss_legendre_2d
+from .quadrature import QuadratureError, gauss_legendre
 
 __all__ = [
     "PrefactorRule",
@@ -143,10 +146,12 @@ def _mode_integrals(
         expansion_frequency(scheme, proper_length, v, n),
         phase_frequency(scheme, proper_length, v, n),
     )
+    norm = mode_normalization(scheme, proper_length, v)
+    coeffs = affine_coefficients(scheme, proper_length, v, n)
 
     def densities(x):
-        ut = mode_d_dt(scheme, proper_length, v, n, t, x)
-        ux = mode_d_dx(scheme, proper_length, v, n, t, x)
+        ut = affine_derivative(norm, coeffs, 0, t, x)
+        ux = affine_derivative(norm, coeffs, 1, t, x)
         return np.stack((
             (np.abs(ut) ** 2 + np.abs(ux) ** 2) / (4.0 * wp),
             -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
@@ -194,33 +199,37 @@ def per_mode_em_2d(
     *,
     convention: StressConvention = DEFAULT_CONVENTION,
 ) -> PerModeEM:
-    """2D analogue of per_mode_em with the transverse gradient in T00."""
+    """2D analogue of per_mode_em with the transverse gradient in T00.
+
+    The mode is its x profile f (the contracted 1D mode with the frequency w
+    in its phase) times sin(p y), and sin^2(p y) and cos^2(p y) both
+    integrate to b/2 over [0, b]. So only the x integral is numerical:
+
+        e_nm = (b/2) int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
+        p_nm = -(b/2) int Re(f_t conj(f_x)) / (2 w')            dx
+    """
     u = mode_2d(cavity, n, m)
-    wp = _prefactor_frequency(convention, u.frequency, u.cavity.gamma() * u.frequency)
+    w = u.frequency
+    wp = _prefactor_frequency(convention, w, cavity.gamma() * w)
     left, right = u.walls_x(t)
-    b = cavity.proper_length_y
+    norm = u.normalization
+    coeffs = lorentz_coefficients(w, u.wavenumber_x, cavity.velocity)
+    p2 = u.wavenumber_y ** 2
+    half_b = 0.5 * cavity.proper_length_y
 
-    def energy_density(x, y):
-        ut = u.d_dt(t, x, y)
-        ux = u.d_dx(t, x, y)
-        uy = u.d_dy(t, x, y)
-        return (np.abs(ut) ** 2 + np.abs(ux) ** 2 + np.abs(uy) ** 2) / (4.0 * wp)
+    def densities(x):
+        ft = affine_derivative(norm, coeffs, 0, t, x)
+        fx = affine_derivative(norm, coeffs, 1, t, x)
+        f = affine_value(norm, coeffs, t, x)
+        return half_b * np.stack((
+            (np.abs(ft) ** 2 + np.abs(fx) ** 2 + p2 * np.abs(f) ** 2) / (4.0 * wp),
+            -convention.momentum_sign * np.real(ft * np.conj(fx)) / (2.0 * wp),
+        ))
 
-    def momentum_density(x, y):
-        ut = u.d_dt(t, x, y)
-        ux = u.d_dx(t, x, y)
-        return -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp)
-
-    scale = max(1.0, u.frequency)
-    e, e_err = gauss_legendre_2d(
-        energy_density, (left, right), (0.0, b),
-        oscillations_x=n, oscillations_y=m, rtol=1e-14, atol=1e-13 * scale,
+    (e, p), (e_err, p_err) = gauss_legendre(
+        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, w)
     )
-    p, p_err = gauss_legendre_2d(
-        momentum_density, (left, right), (0.0, b),
-        oscillations_x=n, oscillations_y=m, rtol=1e-14, atol=1e-13 * scale,
-    )
-    return PerModeEM(n=n, m=m, energy=float(np.real(e)), momentum=float(np.real(p)),
+    return PerModeEM(n=n, m=m, energy=float(e), momentum=float(p),
                      quad_error=float(max(e_err, p_err)))
 
 

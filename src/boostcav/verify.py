@@ -47,7 +47,7 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
         for n in (1, 7, 23, 50):
             for t in (0.0, 0.37, 5.0):
                 left, right = modes.boundary_residual(scheme, cav, n, t)
-                scale = modes.normalization(scheme, cav, n)
+                scale = modes.mode(scheme, cav, n).normalization
                 worst = max(worst, abs(left) / scale, abs(right) / scale)
     out.append(_result("modes: dirichlet walls", worst <= 1e-12, f"max |u(wall)|/N = {worst:.2e}"))
 

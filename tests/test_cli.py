@@ -192,6 +192,35 @@ class TestRect2D:
         assert json.loads(out)["meta"]["E_m"] < 0.0
 
 
+class TestTinyLength:
+    """A length whose (pi/L)^2 is not finite in float64 is a usage error naming L."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--scheme", "lorentz", "--L", "1e-320", "--v", "0:0.5:0.25"),
+        ("sweep", "--scheme", "lorentz", "--L", "1e-160", "--v", "0:0.5:0.25"),
+        ("sweep", "--scheme", "lorentz", "--L", "1e-320", "--v", "0:0.5:0.25",
+         "--route", "per-mode"),
+        ("sweep", "--scheme", "lorentz", "--L", "1e-320", "--v", "0:0.5:0.25",
+         "--method", "cutoff"),
+        ("boost", "--scheme", "lorentz", "--L", "1e-320", "--v", "0.3"),
+        ("boost", "--scheme", "galileo-lab", "--L", "1e-160", "--v", "0.3", "--method", "cutoff"),
+        ("modes", "--scheme", "lorentz", "--L", "1e-320"),
+        ("static", "--L", "1e-320"),
+    ], ids=["sweep", "sweep-1e-160", "sweep-per-mode", "sweep-cutoff", "boost",
+            "boost-cutoff-1e-160", "modes", "static"])
+    def test_exits_2_naming_L(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out
+        length = float(argv[argv.index("--L") + 1])
+        assert f"usage error: proper_length L = {length!r} is too small" in err
+
+    def test_representable_length_still_runs(self, capsys):
+        code, out, _ = run(capsys, "static", "--L", "1e-150", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["m0"] == pytest.approx(M0 / 1e-150)
+
+
 class TestVerify:
     def test_single_module_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "modes")

@@ -6,7 +6,7 @@ import pytest
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav import modes
 from boostcav.modes import OutsideCavityError
-from boostcav.quadrature import gauss_legendre, gauss_legendre_2d
+from boostcav.quadrature import gauss_legendre
 
 ALL_SCHEMES = list(Scheme)
 
@@ -42,35 +42,35 @@ class TestCavityTypes:
 class TestFrequencies:
     def test_lab_prior_frequency_shift(self):
         # comoving frequency (1 - v^2) n pi / L
-        got = modes.mode_frequency(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, 0.2), 3)
+        got = modes.mode(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, 0.2), 3).comoving_frequency
         assert abs(got - 0.96 * 3 * math.pi) < 1e-14
 
     def test_contraction_frequency_velocity_independent(self):
-        got = modes.mode_frequency(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 1)
+        got = modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 1).comoving_frequency
         assert abs(got - math.pi) < 1e-15
 
     def test_comoving_prior_frequency(self):
-        got = modes.mode_frequency(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(2.0, 0.1), 2)
+        got = modes.mode(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(2.0, 0.1), 2).comoving_frequency
         assert abs(got - math.pi) < 1e-15
 
     def test_lab_phase_accessor(self):
         cav = Cavity1D(1.0, 0.6)
-        assert abs(modes.lab_phase_frequency(Scheme.LORENTZ_EXACT, cav, 2)
+        assert abs(modes.mode(Scheme.LORENTZ_EXACT, cav, 2).lab_phase_frequency
                    - 1.25 * 2 * math.pi) < 1e-14
-        assert abs(modes.lab_phase_frequency(Scheme.GALILEO_COMOVING_PRIOR, cav, 2)
+        assert abs(modes.mode(Scheme.GALILEO_COMOVING_PRIOR, cav, 2).lab_phase_frequency
                    - 2 * math.pi) < 1e-14
 
     def test_rejects_bad_index(self):
         for bad in (0, -3):
             with pytest.raises(ValueError):
-                modes.mode_frequency(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), bad)
+                modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), bad)
         with pytest.raises(ValueError):
-            modes.mode_frequency_2d(Cavity2D(1.0, 1.0), 1, 0)
+            modes.SpacetimeMode2D(Cavity2D(1.0, 1.0), 1, 0)
 
 
 class TestEvalMode:
     def test_static_midpoint_antinode(self):
-        got = modes.eval_mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1, 0.0, 0.5)
+        got = modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1).value(0.0, 0.5)
         assert abs(got - math.sqrt(2.0)) < 1e-14
 
     def test_wall_zero_every_scheme(self):
@@ -78,7 +78,7 @@ class TestEvalMode:
             cav = Cavity1D(1.0, scheme_velocity(scheme))
             t = 0.8
             left = cav.velocity * t
-            assert abs(modes.eval_mode(scheme, cav, 4, t, left)) < 1e-12
+            assert abs(modes.mode(scheme, cav, 4).value(t, left)) < 1e-12
 
     def test_contracted_mode_value_and_norm(self):
         # v = 0.6, n = 1, t = 0, x = 0.4: N e^{i pi gamma 0.24} sin(0.4 pi gamma)
@@ -89,7 +89,7 @@ class TestEvalMode:
             * np.exp(1j * math.pi * gamma * 0.6 * 0.4)
             * math.sin(0.4 * math.pi * gamma)
         )
-        got = modes.eval_mode(Scheme.LORENTZ_EXACT, cav, 1, 0.0, 0.4)
+        got = modes.mode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.4)
         assert abs(got - expected) < 1e-14
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -108,9 +108,9 @@ class TestEvalMode:
     def test_outside_cavity_rejected(self):
         cav = Cavity1D(1.0, 0.6)
         with pytest.raises(OutsideCavityError):
-            modes.eval_mode(Scheme.LORENTZ_EXACT, cav, 1, 0.0, 0.9)  # beyond L/gamma
+            modes.mode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.9)  # beyond L/gamma
         with pytest.raises(OutsideCavityError):
-            modes.eval_mode(Scheme.GALILEO_COMOVING_PRIOR, cav, 1, 2.0, 0.3)
+            modes.mode(Scheme.GALILEO_COMOVING_PRIOR, cav, 1).value(2.0, 0.3)
 
 
 class TestBoundaryAndFieldEquation:
@@ -157,18 +157,48 @@ class TestBoundaryAndFieldEquation:
         assert abs(fd_x - complex(u.d_dx(t, x))) < 1e-6 * abs(u.d_dx(t, x))
 
 
+# float.hex (real, imag) of SpacetimeMode2D(Cavity2D(a, b, v), n, m).value, d_dt, d_dx
+# and d_dy at (t, x, y), recorded while the 2D mode still wrote its own derivatives.
+MODE_2D_HEX = {
+    (1.0, 1.0, 0.0, 1, 1, 0.0, 0.3, 0.4): (
+        ("0x1.89f188bdcd7afp+0", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x1.b58fab2c4e2fdp+2"),
+        ("0x1.c196908691da6p+1", "0x0.0p+0"),
+        ("0x1.921fb54442d18p+0", "0x0.0p+0"),
+    ),
+    (1.0, 2.0, 0.6, 2, 3, 0.37, 0.7899999999999999, 1.3): (
+        ("0x1.005cc98f4a05cp-3", "0x1.a25872857caf2p-3"),
+        ("0x1.da9d4950199c5p+0", "-0x1.79e01e30474f4p+0"),
+        ("-0x1.e6d271c50d58ap-1", "0x1.2636fb4150f7ap+0"),
+        ("-0x1.dcb83aa9ed018p+1", "-0x1.84f7c6e462989p+2"),
+    ),
+    (1.5, 0.7, -0.8329, 5, 2, 1.1, -0.8082724140385359, 0.52): (
+        ("0x1.a43c4b3694915p-1", "-0x1.17da6b29c540fp+1"),
+        ("-0x1.e8a24f69d927fp+5", "-0x1.72fadeb7b1b65p+1"),
+        ("-0x1.aa5f696aa0f43p+5", "0x1.02b2a69bf01eep+2"),
+        ("0x1.52cdbf145b972p-2", "-0x1.c33f95613a08fp-1"),
+    ),
+    (0.3, 5.0, 0.95, 7, 8, -0.4, -0.2956925270216216, 4.1): (
+        ("-0x1.1ff9f2628c909p+1", "0x1.26dedd6050d2cp-1"),
+        ("0x1.f411bcabb5566p+8", "0x1.b4168fa52f1a0p+8"),
+        ("-0x1.003d727693f2bp+9", "-0x1.94b4cc061ab65p+8"),
+        ("0x1.14216bca9faa3p+1", "-0x1.1abdbd5f03269p-1"),
+    ),
+}
+
+
 class TestModes2D:
     def test_frequency_examples(self):
-        assert abs(modes.mode_frequency_2d(Cavity2D(1.0, 2.0), 1, 1)
+        assert abs(modes.SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 1).frequency
                    - math.pi * math.sqrt(1.25)) < 1e-14
-        assert abs(modes.mode_frequency_2d(Cavity2D(1.0, 1.0), 3, 4) - 5 * math.pi) < 1e-13
-        assert abs(modes.mode_frequency_2d(Cavity2D(2.0, 2.0), 2, 2)
+        assert abs(modes.SpacetimeMode2D(Cavity2D(1.0, 1.0), 3, 4).frequency - 5 * math.pi) < 1e-13
+        assert abs(modes.SpacetimeMode2D(Cavity2D(2.0, 2.0), 2, 2).frequency
                    - math.pi * math.sqrt(2.0)) < 1e-14
-        assert abs(modes.wavenumber_x(Cavity2D(1.0, 2.0), 1) - math.pi) < 1e-15
-        assert abs(modes.wavenumber_y(Cavity2D(1.0, 2.0), 1) - math.pi / 2) < 1e-15
+        assert abs(modes.SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 1).wavenumber_x - math.pi) < 1e-15
+        assert abs(modes.SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 1).wavenumber_y - math.pi / 2) < 1e-15
 
     def test_static_antinode_value(self):
-        got = modes.eval_mode_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1, 0.0, 0.5, 0.5)
+        got = modes.SpacetimeMode2D(Cavity2D(1.0, 1.0, 0.0), 1, 1).value(0.0, 0.5, 0.5)
         assert abs(got - 2.0) < 1e-14
 
     def test_boundary_zeros(self):
@@ -181,17 +211,47 @@ class TestModes2D:
         assert abs(u.value(t, left + cav.lab_length_x(), 0.4, check=False)) < 1e-12
 
     def test_unit_norm_2d(self):
-        # oracle: 2D quadrature of |u|^2 over the instantaneous rectangle
+        # oracle: nested quadrature of |u|^2 over the instantaneous rectangle;
+        # the outer x integrand integrates y at all of its abscissae at once
         cav = Cavity2D(1.0, 2.0, 0.6)
         u = modes.mode_2d(cav, 2, 3)
         t = 0.15
         left, right = cav.walls_x(t)
-        norm, _ = gauss_legendre_2d(
-            lambda x, y: np.abs(u.value(t, x, y, check=False)) ** 2,
-            (left, right), (0.0, cav.proper_length_y),
-            oscillations_x=2, oscillations_y=3,
-        )
+
+        def over_y(x):
+            return gauss_legendre(
+                lambda y: np.abs(u.value(t, x[..., None], y, check=False)) ** 2,
+                np.zeros_like(x), np.full_like(x, cav.proper_length_y), oscillations=3,
+            )[0]
+
+        norm, _ = gauss_legendre(over_y, left, right, oscillations=2)
         assert abs(norm - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("point", list(MODE_2D_HEX), ids=str)
+    def test_bits_unchanged(self, point):
+        a, b, v, n, m, t, x, y = point
+        u = modes.SpacetimeMode2D(Cavity2D(a, b, v), n, m)
+        got = [complex(f(t, x, y)) for f in (u.value, u.d_dt, u.d_dx, u.d_dy)]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == list(MODE_2D_HEX[point])
+
+    @pytest.mark.parametrize("a,b,v,n,m", [
+        (1.0, 1.0, 0.0, 1, 1), (1.0, 2.0, 0.6, 2, 3), (1.5, 0.7, -0.83, 5, 2), (0.3, 5.0, 0.95, 3, 8),
+    ])
+    def test_first_derivatives_match_finite_differences(self, a, b, v, n, m):
+        cav = Cavity2D(a, b, v)
+        u = modes.SpacetimeMode2D(cav, n, m)
+        t = 0.3
+        left, right = cav.walls_x(t)
+        x, y = left + 0.37 * (right - left), 0.61 * b
+        h = 1e-5 * min(cav.lab_length_x(), b)
+        fd = (
+            (u.value(t + h, x, y, check=False) - u.value(t - h, x, y, check=False)) / (2 * h),
+            (u.value(t, x + h, y) - u.value(t, x - h, y)) / (2 * h),
+            (u.value(t, x, y + h) - u.value(t, x, y - h)) / (2 * h),
+        )
+        # central differences carry O(h^2 |u'''|) truncation error
+        for approx, exact in zip(fd, (u.d_dt(t, x, y), u.d_dx(t, x, y), u.d_dy(t, x, y))):
+            assert abs(approx - complex(exact)) < 1e-6 * abs(exact)
 
 
 class TestOrthogonality:

@@ -167,6 +167,23 @@ class TestPerMode2D:
         assert abs(pm.energy - e_law) <= 1e-9 * e_law
         assert abs(pm.momentum - p_law) <= 1e-9 * max(abs(p_law), 1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(0.3, 3.0),
+        log_aspect=st.floats(-2.0, 2.0),
+        v=st.floats(-0.95, 0.95),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        t=st.floats(-5.0, 5.0),
+    )
+    def test_matches_law(self, a, log_aspect, v, n, m, t):
+        # e_nm >= |p_nm| always, so e_nm scales both errors (p_nm = 0 at v = 0)
+        cav = Cavity2D(a, a * 10.0**log_aspect, v)
+        pm = per_mode_em_2d(cav, n, m, t)
+        e_law, p_law = per_mode_em_2d_law(cav, n, m)
+        assert abs(pm.energy - e_law) <= 1e-12 * e_law
+        assert abs(pm.momentum - p_law) <= 1e-12 * e_law
+
     def test_wide_cavity_recovers_1d_ratios(self):
         # p_1 -> 0 proxy: per-mode ratios approach the 1D boosted laws
         cav = Cavity2D(1.0, 50.0, 0.6)
