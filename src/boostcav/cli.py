@@ -181,7 +181,7 @@ def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
         return None
     if method == "cutoff":
         Cavity1D(proper_length)  # validates L before its schedule is built
-        return RegConfig.cutoff_1d(math.pi / proper_length)
+        return RegConfig.cutoff(math.pi / proper_length)
     if method == "abel-plana":
         return RegConfig.abel_plana()
     raise UsageError(f"unknown method {method!r} (expected zeta, cutoff, or abel-plana)")
@@ -224,7 +224,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
         raise UsageError("static requires a positive --L")
     values = {
         "zeta": static_m0(length),
-        "cutoff": static_m0(length, RegConfig.cutoff_1d(math.pi / length)),
+        "cutoff": static_m0(length, RegConfig.cutoff(math.pi / length)),
         "abel-plana": static_m0(length, RegConfig.abel_plana()),
     }
     spread = max(values.values()) - min(values.values())

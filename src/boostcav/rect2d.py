@@ -108,7 +108,7 @@ class SubtractionSolution:
     note: str
 
 
-# Spectrum terms one cutoff fit may sum: about 6x the 1.7e8 that b/a = 50,
+# Spectrum terms one cutoff fit may sum: about 37x the 2.7e7 that b/a = 50,
 # the largest aspect ratio the tests sum, needs at its smallest cutoff.
 _TERM_BUDGET = 1e9
 
@@ -116,11 +116,17 @@ _TERM_BUDGET = 1e9
 class _FourPartsSummand:
     """The rectangle spectrum w = sqrt(k_n^2 + p_m^2), k_n = n pi/a, p_m = m pi/b.
 
-    Each block is one row of fixed n, ascending in m (hence in w), with one
-    coefficient row per FourParts field:
+    Each block is one row of fixed index along the shorter side, ascending
+    along the longer side (hence in w), with one coefficient row per
+    FourParts field:
 
         U: (w^2 + k^2)/(4w)   W: p^2/(4w)   S_omega: w/2   S_k: k^2/(2w)
+
+    By Poisson summation each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2):
+    Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
     """
+
+    divergent_powers = (3, 2)
 
     def __init__(self, a: float, b: float):
         if a <= 0 or b <= 0:
@@ -137,15 +143,16 @@ class _FourPartsSummand:
                 f"rectangle a = {self.a:g}, b = {self.b:g}: the cutoff sum needs about "
                 f"{terms:.3g} spectrum terms, over the budget of {_TERM_BUDGET:.0e}"
             )
-        kx_step = math.pi / self.a
-        ky_step = math.pi / self.b
-        for n in range(1, int(omega_cap / kx_step) + 1):
-            k = n * kx_step
-            remainder = omega_cap * omega_cap - k * k
-            if remainder <= ky_step * ky_step:
+        # the Python loop runs over the shorter side's (fewer) modes
+        row_step, col_step = math.pi / min(self.a, self.b), math.pi / max(self.a, self.b)
+        for i in range(1, int(omega_cap / row_step) + 1):
+            r = i * row_step
+            remainder = omega_cap * omega_cap - r * r
+            if remainder <= col_step * col_step:
                 break
-            p = np.arange(1, int(math.sqrt(remainder) / ky_step) + 1, dtype=float) * ky_step
-            w = np.sqrt(k * k + p * p)
+            c = np.arange(1, int(math.sqrt(remainder) / col_step) + 1, dtype=float) * col_step
+            w = np.sqrt(r * r + c * c)
+            k, p = (r, c) if self.a <= self.b else (c, r)
             coefficients = np.stack((
                 (w * w + k * k) / (4.0 * w), p * p / (4.0 * w), 0.5 * w, k * k / (2.0 * w),
             ))
@@ -259,7 +266,9 @@ def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
     omega_min = math.hypot(
         math.pi / cavity.proper_length_x, math.pi / cavity.proper_length_y
     )
-    return RegConfig.cutoff_2d(omega_min, **schedule_kw)
+    schedule_kw.setdefault("hi", 0.25)
+    schedule_kw.setdefault("lo", 0.05)
+    return RegConfig.cutoff(omega_min, **schedule_kw)
 
 
 def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:

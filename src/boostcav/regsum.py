@@ -5,7 +5,8 @@ Three independent routes:
   * exact zeta assignment for linear-in-n sums (sum n -> -1/12),
   * exponential-cutoff evaluation S(eps) = sum c e^{-eps w} followed by a
     least-squares fit of the divergent powers of 1/eps, keeping the eps^0
-    constant,
+    constant; the powers are the summand's divergent_powers, fixed by its
+    spectrum (Weyl terms), never by the config,
   * an Abel-Plana integral representation for the 1D static sum.
 
 Cross-agreement of the routes is the package's strongest regularization
@@ -58,22 +59,20 @@ def geometric_schedule(
     return tuple(np.geomspace(hi, lo, points) / omega_min)
 
 
+# Every damped sum is fitted with its summand's divergent powers, the eps^0
+# constant and these eps^{+k} stabilizers (they vanish at eps -> 0, but
+# absorbing them sharpens the constant by orders of magnitude).
+_STABILIZER_POWERS = (2, 4)
+_TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it
+_CONDITION_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class RegConfig:
-    """Method selection plus the cutoff-fit schedule and power basis.
-
-    divergent_powers are the 1/eps^k terms fitted alongside the constant;
-    positive_powers add eps^{+k} stabilizer columns (they vanish at eps -> 0
-    but absorbing them sharpens the constant by orders of magnitude).
-    truncation_damping terminates each sum once e^{-eps w} drops below it.
-    """
+    """Method selection plus, for the cutoff route, its eps schedule."""
 
     method: RegMethod
     epsilon_schedule: tuple[float, ...] = ()
-    divergent_powers: tuple[int, ...] = (2,)
-    positive_powers: tuple[int, ...] = ()
-    truncation_damping: float = 1e-18
-    condition_limit: float = 1e12
 
     def __post_init__(self) -> None:
         if self.method is RegMethod.EXPONENTIAL_CUTOFF:
@@ -82,10 +81,6 @@ class RegConfig:
                 raise ValueError("cutoff schedule needs at least 4 points")
             if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or eps[-1] <= 0:
                 raise ValueError("cutoff schedule must be strictly decreasing and positive")
-            if not self.divergent_powers:
-                raise ValueError("cutoff fitting needs at least one divergent power")
-        if not (0 < self.truncation_damping < 1):
-            raise ValueError("truncation_damping must lie in (0, 1)")
 
     # -- convenience constructors ------------------------------------------
     @staticmethod
@@ -97,37 +92,16 @@ class RegConfig:
         return RegConfig(method=RegMethod.ABEL_PLANA)
 
     @staticmethod
-    def cutoff_1d(omega_min: float, **schedule_kw) -> "RegConfig":
-        """Working 1D default: {eps^-2} divergent, {eps^2, eps^4} stabilizers."""
+    def cutoff(omega_min: float, **schedule_kw) -> "RegConfig":
+        """Exponential cutoff on geometric_schedule(omega_min, **schedule_kw)."""
         return RegConfig(
             method=RegMethod.EXPONENTIAL_CUTOFF,
             epsilon_schedule=geometric_schedule(omega_min, **schedule_kw),
-            divergent_powers=(2,),
-            positive_powers=(2, 4),
-        )
-
-    @staticmethod
-    def cutoff_2d(omega_min: float, **schedule_kw) -> "RegConfig":
-        """Working 2D default: bulk/perimeter/corner divergences, {eps, eps^2} stabilizers."""
-        schedule_kw.setdefault("hi", 0.25)
-        schedule_kw.setdefault("lo", 0.02)
-        return RegConfig(
-            method=RegMethod.EXPONENTIAL_CUTOFF,
-            epsilon_schedule=geometric_schedule(omega_min, **schedule_kw),
-            divergent_powers=(3, 2, 1),
-            positive_powers=(1, 2),
         )
 
     def halved(self) -> "RegConfig":
         """Same config with every cutoff halved (robustness checks)."""
-        return RegConfig(
-            method=self.method,
-            epsilon_schedule=tuple(e / 2.0 for e in self.epsilon_schedule),
-            divergent_powers=self.divergent_powers,
-            positive_powers=self.positive_powers,
-            truncation_damping=self.truncation_damping,
-            condition_limit=self.condition_limit,
-        )
+        return RegConfig(self.method, tuple(e / 2.0 for e in self.epsilon_schedule))
 
 
 @dataclass(frozen=True)
@@ -155,6 +129,8 @@ class SequenceSummand:
 
     Terms are kept in ascending frequency (stable order among ties).
     """
+
+    divergent_powers = (2,)  # an unsaturated sequence is fitted like the 1D spectrum
 
     def __init__(self, coefficients: Sequence[float], frequencies: Sequence[float]):
         c = np.asarray(coefficients, dtype=float)
@@ -187,6 +163,8 @@ class SequenceSummand:
 
 class Linear1DSummand:
     """c_n = weight * n pi / L on the 1D Dirichlet spectrum w_n = n pi / L."""
+
+    divergent_powers = (2,)  # sum n e^{-eps n} = 1/eps^2 - 1/12 + eps^2/240 - ...
 
     def __init__(self, proper_length: float, weight: float = 0.5):
         if proper_length <= 0:
@@ -234,20 +212,19 @@ class _DivergenceFit:
     propagation share it.
     """
 
-    def __init__(self, eps: np.ndarray, config: RegConfig):
-        powers = ([-int(p) for p in config.divergent_powers] + [0]
-                  + [int(p) for p in config.positive_powers])
+    def __init__(self, eps: np.ndarray, divergent_powers: tuple[int, ...]):
+        powers = [-p for p in divergent_powers] + [0, *_STABILIZER_POWERS]
         self.design = np.stack([eps.astype(np.longdouble) ** float(q) for q in powers], axis=1)
         self.scale = np.max(np.abs(self.design), axis=0)
         self.scaled = self.design / self.scale
         self.cond = float(np.linalg.cond(self.scaled.astype(float)))
-        if self.cond > config.condition_limit:
+        if self.cond > _CONDITION_LIMIT:
             raise FitError(
                 f"divergence-fit design matrix condition number {self.cond:.3e} exceeds "
-                f"{config.condition_limit:.1e}; use a wider or shorter schedule"
+                f"{_CONDITION_LIMIT:.1e}; use a wider or shorter schedule"
             )
         self.normal = self.scaled.T @ self.scaled
-        self.n_div = len(config.divergent_powers)  # also the column of the eps^0 term
+        self.n_div = len(divergent_powers)  # also the column of the eps^0 term
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         rhs = self.scaled.T @ values.astype(np.longdouble)
@@ -290,7 +267,7 @@ def _gauss_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_finite_parts(eps: np.ndarray, table: np.ndarray, config: RegConfig) -> list[FinitePart]:
+def _fit_finite_parts(eps: np.ndarray, table: np.ndarray, powers: tuple[int, ...]) -> list[FinitePart]:
     """The eps^0 constant of every column of the damped-sum table, with its error.
 
     The error estimate adds the fit residual, the shift of a refit restricted
@@ -298,12 +275,12 @@ def _fit_finite_parts(eps: np.ndarray, table: np.ndarray, config: RegConfig) -> 
     2^{leading power}: one eps-halving scales the raw sums (hence the noise)
     by that much, so the estimate also covers nearby schedules.
     """
-    fit = _DivergenceFit(eps, config)
+    fit = _DivergenceFit(eps, powers)
     n_params = fit.design.shape[1]
     lower = slice(len(eps) - max(n_params + 1, len(eps) // 2), len(eps))
     refit = None
     if lower.stop - lower.start >= n_params and lower.start > 0:
-        refit = _DivergenceFit(eps[lower], config)
+        refit = _DivergenceFit(eps[lower], powers)
     n_div = fit.n_div
     parts = []
     for values in table.reshape(len(eps), -1).T:
@@ -313,11 +290,11 @@ def _fit_finite_parts(eps: np.ndarray, table: np.ndarray, config: RegConfig) -> 
         refit_shift = 0.0
         if refit is not None:
             refit_shift = abs(float(refit.coefficients(values[lower])[n_div]) - a0)
-        error = refit_shift + residual + 2.0 ** max(config.divergent_powers) * fit.noise(values)
+        error = refit_shift + residual + 2.0 ** max(powers) * fit.noise(values)
         parts.append(FinitePart(
             value=a0,
             error_estimate=float(error),
-            method=config.method,
+            method=RegMethod.EXPONENTIAL_CUTOFF,
             fitted_divergent_coeffs=tuple(float(c) for c in coeffs[:n_div]),
             fit_residual=residual,
             condition_number=fit.cond,
@@ -329,24 +306,26 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
     Evaluates S(eps) over the schedule (each sum truncated once the damping
-    factor falls below config.truncation_damping), fits
+    factor falls below 1e-18), fits
 
-        S(eps) = sum_k a_k eps^{-k} + a_0 + stabilizer terms,
+        S(eps) = sum_k a_k eps^{-k} + a_0 + a_2 eps^2 + a_4 eps^4,
 
-    and returns a_0. The error estimate combines the fit residual with a
-    refit restricted to the small-eps half of the schedule.
+    k over summand.divergent_powers, and returns a_0. The error estimate
+    combines the fit residual with a refit restricted to the small-eps half
+    of the schedule.
 
-    A summand has blocks(omega_cap), yielding (c, w) pairs with w ascending
-    and at most omega_cap. When c is a matrix with one row per weight, one
-    FinitePart per row comes back, all from the same damped sums, so linear
-    identities between the weights survive the fit exactly.
+    A summand has divergent_powers and blocks(omega_cap), yielding (c, w)
+    pairs with w ascending and at most omega_cap. When c is a matrix with one
+    row per weight, one FinitePart per row comes back, all from the same
+    damped sums, so linear identities between the weights survive the fit
+    exactly.
     """
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
     eps = np.asarray(config.epsilon_schedule, dtype=float)
 
     if isinstance(summand, SequenceSummand):
-        saturated = summand.saturated_sum(-math.log(config.truncation_damping) / eps[-1])
+        saturated = summand.saturated_sum(-math.log(_TRUNCATION_DAMPING) / eps[-1])
         if saturated is not None:
             # Absolutely convergent (finite below every cutoff): the damped sums
             # carry no divergence and the eps -> 0 limit is the plain sum.
@@ -354,13 +333,13 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
                 value=saturated,
                 error_estimate=0.0,
                 method=config.method,
-                fitted_divergent_coeffs=tuple(0.0 for _ in config.divergent_powers),
+                fitted_divergent_coeffs=tuple(0.0 for _ in summand.divergent_powers),
                 fit_residual=0.0,
                 condition_number=1.0,
             )
 
-    table = _damped_sums(summand, eps, config.truncation_damping)
-    parts = _fit_finite_parts(eps, table, config)
+    table = _damped_sums(summand, eps, _TRUNCATION_DAMPING)
+    parts = _fit_finite_parts(eps, table, summand.divergent_powers)
     return parts[0] if table.ndim == 1 else tuple(parts)
 
 

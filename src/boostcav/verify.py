@@ -174,18 +174,19 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for length in (0.5, 1.0, 2.0):
         exact = observables.static_m0(length)
-        cut = observables.static_m0(length, RegConfig.cutoff_1d(math.pi / length))
+        cut = observables.static_m0(length, RegConfig.cutoff(math.pi / length))
         ap = observables.static_m0(length, RegConfig.abel_plana())
         worst = max(worst, abs(cut - exact) / abs(exact), abs(ap - exact) / abs(exact))
     out.append(_result("regsum: regulator universality on m0(L)", worst <= 1e-6,
                        f"max relative spread = {worst:.2e}"))
 
-    config = RegConfig.cutoff_1d(1.0)
+    config = RegConfig.cutoff(1.0)
     c = regsum.Linear1DSummand(math.pi, weight=1.0)        # c_n = n on w_n = n
     d = regsum.Linear1DSummand(math.pi / 2.0, weight=1.0)  # d_n = 2n on w_n = 2n
 
     class _Combined:
         omega_min = c.omega_min
+        divergent_powers = c.divergent_powers
 
         def blocks(self, omega_cap):
             for coeff, w in c.blocks(omega_cap):
@@ -225,14 +226,30 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
                        f"{detail_1d}; 2D shift {shift2:.2e} vs 5x error "
                        f"{5.0 * p_full.S_omega.error_estimate:.2e}"))
 
-    # The square only: at b/a >= 2 the cutoff estimate is known to under-report.
-    exact = rect2d.finite_parts(square)
-    worst = 0.0
-    for name in ("U", "W", "S_omega", "S_k"):
-        cut, ref = getattr(p_full, name), getattr(exact, name)
-        worst = max(worst, abs(cut.value - ref.value) / (cut.error_estimate + ref.error_estimate))
-    out.append(_result("regsum: cutoff fit agrees with the Chowla-Selberg closed form", worst <= 1.0,
-                       f"square: max |cutoff - exact| / error = {worst:.2f}"))
+    # Weyl area and perimeter terms, the (eps^-3, eps^-2) coefficients of each damped sum
+    a, b = square.proper_length_x, square.proper_length_y
+    weyl = {
+        "U": (3.0 * a * b / (8.0 * math.pi), -(2.0 * a + b) / (8.0 * math.pi)),
+        "W": (a * b / (8.0 * math.pi), -b / (8.0 * math.pi)),
+        "S_omega": (a * b / (2.0 * math.pi), -(a + b) / (4.0 * math.pi)),
+        "S_k": (a * b / (4.0 * math.pi), -a / (4.0 * math.pi)),
+    }
+    worst = max(abs(fitted - exact) / abs(exact) for name, terms in weyl.items()
+                for fitted, exact in zip(getattr(p_full, name).fitted_divergent_coeffs, terms))
+    out.append(_result("regsum: fitted divergences are the Weyl area and perimeter terms",
+                       worst <= 1e-8, f"square: max relative deviation = {worst:.2e}"))
+
+    wide = Cavity2D(1.0, 20.0, 0.0)
+    p_wide = rect2d.finite_parts(wide, rect2d.default_config(wide))
+    for suffix, label, cavity, cutoff in (("", "square", square, p_full),
+                                          (" at b/a = 20", "a = 1, b = 20", wide, p_wide)):
+        exact = rect2d.finite_parts(cavity)
+        worst = 0.0
+        for name in ("U", "W", "S_omega", "S_k"):
+            cut, ref = getattr(cutoff, name), getattr(exact, name)
+            worst = max(worst, abs(cut.value - ref.value) / (cut.error_estimate + ref.error_estimate))
+        out.append(_result("regsum: cutoff fit agrees with the Chowla-Selberg closed form" + suffix,
+                           worst <= 1.0, f"{label}: max |cutoff - exact| / error = {worst:.2f}"))
     return out
 
 

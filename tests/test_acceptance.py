@@ -54,7 +54,7 @@ def aspect_parts():
 
 def test_criterion_01_static_energy_three_regularizers():
     zeta = static_m0(1.0)
-    cut = static_m0(1.0, RegConfig.cutoff_1d(math.pi))
+    cut = static_m0(1.0, RegConfig.cutoff(math.pi))
     ap = static_m0(1.0, RegConfig.abel_plana())
     err_zeta = abs(zeta - M0)
     err_cut = abs(cut - M0) / abs(M0)
@@ -220,7 +220,7 @@ def test_criterion_11_subtraction_solver(square_parts):
 
 
 def test_criterion_12_regulator_robustness():
-    config = RegConfig.cutoff_1d(math.pi)
+    config = RegConfig.cutoff(math.pi)
     summand = Linear1DSummand(1.0, weight=0.5)
     full = cutoff_finite_part(summand, config)
     half = cutoff_finite_part(summand, config.halved())

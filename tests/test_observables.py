@@ -30,7 +30,7 @@ class TestStaticM0:
         assert abs(static_m0(10.0) + math.pi / 240.0) < 1e-15
 
     def test_cutoff_within_tolerance(self):
-        got = static_m0(1.0, RegConfig.cutoff_1d(math.pi))
+        got = static_m0(1.0, RegConfig.cutoff(math.pi))
         assert abs(got - M0) < 1e-6 * abs(M0)
 
     def test_abel_plana(self):
@@ -244,7 +244,7 @@ def cutoff_fits(monkeypatch):
 class TestStaticM0FittedOnce:
     """m0 does not depend on v: one cutoff fit serves a whole grid."""
 
-    CUTOFF = RegConfig.cutoff_1d(math.pi / 1.3)
+    CUTOFF = RegConfig.cutoff(math.pi / 1.3)
 
     @pytest.mark.parametrize("route", list(Route))
     def test_sweep(self, cutoff_fits, route):

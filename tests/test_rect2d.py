@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
-from boostcav import rect2d
+from boostcav import rect2d, regsum
 from boostcav.regsum import RegConfig, RegMethod
 from boostcav.rect2d import (
     Route2D,
@@ -239,11 +239,11 @@ class TestCutoffWorkBudget:
         assert "spectrum terms, over the budget of 1e+09" in str(exc.value)
 
     def test_largest_tested_aspect_is_within_budget(self):
-        # b/a = 50 sums about 1.7e8 terms at its smallest cutoff
+        # b/a = 50 sums about 2.7e7 terms at its smallest cutoff
         cav = Cavity2D(1.0, 50.0, 0.0)
         config = rect2d.default_config(cav)
-        cap = -math.log(config.truncation_damping) / config.epsilon_schedule[-1]
-        assert 1e8 < 50.0 * cap * cap / (4.0 * math.pi) < rect2d._TERM_BUDGET
+        cap = -math.log(regsum._TRUNCATION_DAMPING) / config.epsilon_schedule[-1]
+        assert 2e7 < 50.0 * cap * cap / (4.0 * math.pi) < rect2d._TERM_BUDGET
 
 
 SIDES = st.floats(min_value=1e-2, max_value=1e2)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -47,9 +48,6 @@ class TestConfig:
             RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF, epsilon_schedule=(0.1, 0.2, 0.05, 0.01))
         with pytest.raises(ValueError):
             RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF, epsilon_schedule=(0.1, 0.05))
-        with pytest.raises(ValueError):
-            RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF,
-                      epsilon_schedule=(0.1, 0.05, 0.02, 0.01), divergent_powers=())
 
     def test_geometric_schedule_shape(self):
         sched = geometric_schedule(2.0, hi=0.2, lo=0.01, points=8)
@@ -58,7 +56,7 @@ class TestConfig:
         assert abs(sched[0] - 0.1) < 1e-15
 
     def test_halved(self):
-        cfg = RegConfig.cutoff_1d(1.0)
+        cfg = RegConfig.cutoff(1.0)
         half = cfg.halved()
         assert all(abs(h - e / 2) < 1e-18 for h, e in zip(half.epsilon_schedule,
                                                           cfg.epsilon_schedule))
@@ -67,13 +65,11 @@ class TestConfig:
 class TestCutoffFit:
     def test_linear_summand_reference_schedule(self):
         # S(eps) = sum n e^{-eps n} has the closed form e^-eps/(1-e^-eps)^2,
-        # whose eps-expansion constant is -1/12; eps^2 stabilizer needed at
-        # this schedule's coarseness.
+        # whose eps-expansion constant is -1/12; the eps^2, eps^4 stabilizers
+        # absorb this schedule's coarseness.
         config = RegConfig(
             method=RegMethod.EXPONENTIAL_CUTOFF,
             epsilon_schedule=(0.1, 0.05, 0.02, 0.01),
-            divergent_powers=(2,),
-            positive_powers=(2,),
         )
         summand = Linear1DSummand(math.pi, weight=1.0)  # c_n = n, w_n = n
         fp = cutoff_finite_part(summand, config)
@@ -86,21 +82,21 @@ class TestCutoffFit:
             assert abs(total - x / (1 - x) ** 2) < 1e-9
 
     def test_convergent_passthrough(self):
-        config = RegConfig.cutoff_1d(1.0)
+        config = RegConfig.cutoff(1.0)
         finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
         fp = cutoff_finite_part(finite, config)
         assert fp.value == 10.0
         assert all(c == 0.0 for c in fp.fitted_divergent_coeffs)
 
     def test_static_1d_energy(self):
-        config = RegConfig.cutoff_1d(math.pi)
+        config = RegConfig.cutoff(math.pi)
         fp = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
         target = -math.pi / 24.0
         assert abs(fp.value - target) < 1e-6 * abs(target)
         assert abs(fp.value - target) < 5.0 * max(fp.error_estimate, 1e-12)
 
     def test_halving_robustness_1d(self):
-        config = RegConfig.cutoff_1d(math.pi)
+        config = RegConfig.cutoff(math.pi)
         summand = Linear1DSummand(1.0, weight=0.5)
         full = cutoff_finite_part(summand, config)
         half = cutoff_finite_part(summand, config.halved())
@@ -111,8 +107,6 @@ class TestCutoffFit:
         config = RegConfig(
             method=RegMethod.EXPONENTIAL_CUTOFF,
             epsilon_schedule=(0.1, 0.0999999999, 0.0999999998, 0.0999999997),
-            divergent_powers=(2,),
-            positive_powers=(2, 4),
         )
         with pytest.raises(FitError):
             cutoff_finite_part(Linear1DSummand(1.0), config)
@@ -122,14 +116,20 @@ class TestCutoffFit:
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
 
 
+@functools.lru_cache(maxsize=None)
 def _cutoff_parts(a, b):
     cav = Cavity2D(a, b, 0.0)
     return rect2d.finite_parts(cav, rect2d.default_config(cav))
 
 
 def _cutoff_energy(a, b):
-    cav = Cavity2D(a, b, 0.0)
-    return rect2d.static_energy_2d(cav, rect2d.default_config(cav))
+    return _cutoff_parts(a, b).S_omega
+
+
+# b/a from 1 to 50 with a and b in both orders, and one pair off the grid
+BOUND_GRID = [(1.0, 1.0)] + [
+    sides for r in (2.0, 5.0, 20.0, 50.0) for sides in ((1.0, r), (r, 1.0))
+] + [(0.7, 35.0)]
 
 
 class TestRect2DSums:
@@ -155,6 +155,30 @@ class TestRect2DSums:
         a = rect2d.static_energy_2d(cav, rect2d.default_config(cav, hi=0.25, lo=0.02))
         b = rect2d.static_energy_2d(cav, rect2d.default_config(cav, hi=0.19, lo=0.03, points=7))
         assert abs(a.value - b.value) / abs(a.value) < 1e-4
+
+    @pytest.mark.parametrize("a, b", BOUND_GRID)
+    def test_error_bounds_the_closed_form(self, a, b):
+        cutoff = _cutoff_parts(a, b)
+        exact = rect2d.finite_parts(Cavity2D(a, b, 0.0))
+        for name in ("U", "W", "S_omega", "S_k"):
+            cut, ref = getattr(cutoff, name), getattr(exact, name)
+            assert abs(cut.value - ref.value) <= cut.error_estimate, name
+
+    @pytest.mark.parametrize("a, b", BOUND_GRID)
+    def test_fitted_divergences_are_the_weyl_terms(self, a, b):
+        # (eps^-3, eps^-2) coefficients: the area and Dirichlet-perimeter terms
+        cutoff = _cutoff_parts(a, b)
+        weyl = {
+            "U": (3.0 * a * b / (8.0 * math.pi), -(2.0 * a + b) / (8.0 * math.pi)),
+            "W": (a * b / (8.0 * math.pi), -b / (8.0 * math.pi)),
+            "S_omega": (a * b / (2.0 * math.pi), -(a + b) / (4.0 * math.pi)),
+            "S_k": (a * b / (4.0 * math.pi), -a / (4.0 * math.pi)),
+        }
+        for name, terms in weyl.items():
+            fitted = getattr(cutoff, name).fitted_divergent_coeffs
+            assert len(fitted) == 2, name
+            for got, exact in zip(fitted, terms):
+                assert abs(got - exact) <= 1e-8 * abs(exact), name
 
     def test_dimensional_scaling(self):
         base = _cutoff_energy(1.0, 1.0)
@@ -186,16 +210,16 @@ class TestBitIdentity:
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e91ec49d69p-6", "0x1.65d9b29f6e419p-22"),
-            ("0x1.503457e16c6ddp-7", "0x1.be01e2ca9dac9p-24"),
-            ("0x1.50344fbce2b55p-5", "0x1.c123f6a25dacep-22"),
-            ("0x1.503462376f7f8p-6", "0x1.d6db5883fdae2p-23"),
+            ("0x1.f84e8e8b869a9p-6", "0x1.210f2a9a43111p-27"),
+            ("0x1.50345f1954080p-7", "0x1.a15fd3a4596c5p-29"),
+            ("0x1.50345f1c4bc24p-5", "0x1.8be448b8596c6p-27"),
+            ("0x1.50345eb4540b3p-6", "0x1.ad90c928596c8p-28"),
         ),
         (1.0, 5.0): (
-            ("-0x1.d293544cb749dp-4", "0x1.8eba787fe549ap-19"),
-            ("0x1.e9c3fc56e1dacp-5", "0x1.dc52eb6ab29abp-22"),
-            ("-0x1.bb62d3d5080a1p-5", "0x1.7a673488f79cep-19"),
-            ("-0x1.63baaacca5bdfp-3", "0x1.9536508da2f63p-19"),
+            ("-0x1.d28f7c25782fdp-4", "0x1.395e10feea426p-26"),
+            ("0x1.e9c31523d96d4p-5", "0x1.774b6bc58e543p-28"),
+            ("-0x1.bb5be289220aap-5", "0x1.7886dddc4dd79p-26"),
+            ("-0x1.63b8834e09767p-3", "0x1.b82352730d5b7p-27"),
         ),
     }
     STATIC_CUTOFF = {1.0: "-0x1.0c152382799bcp-3", 2.5: "-0x1.acee9f37272f3p-5"}
@@ -209,5 +233,5 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("length", sorted(STATIC_CUTOFF))
     def test_static_cutoff(self, length):
-        m0 = static_m0(length, RegConfig.cutoff_1d(math.pi / length))
+        m0 = static_m0(length, RegConfig.cutoff(math.pi / length))
         assert m0.hex() == self.STATIC_CUTOFF[length]

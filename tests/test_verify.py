@@ -9,7 +9,7 @@ def test_module_groups_cover_every_package_module():
     assert set(MODULE_GROUPS) == {"modes", "stress", "regsum", "observables", "rect2d"}
 
 
-@pytest.mark.parametrize("group", ["modes", "observables"])
+@pytest.mark.parametrize("group", ["modes", "regsum", "observables"])
 def test_groups_pass_under_default_convention(group):
     results = run_checks(group)
     assert results
