@@ -46,6 +46,8 @@ __all__ = ["main"]
 
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
+# Rows one `modes` table may hold; a table this long takes well under a second.
+MODES_ROW_BUDGET = 10_000
 
 
 class UsageError(Exception):
@@ -492,6 +494,8 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     cavity = Cavity1D(opts["L"], opts["v"])
     if opts["n-max"] < 1:
         raise UsageError("--n-max must be >= 1")
+    if opts["n-max"] > MODES_ROW_BUDGET:
+        raise UsageError(f"--n-max {opts['n-max']} is over the row budget of {MODES_ROW_BUDGET}")
     t = opts["t"]
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)

@@ -355,11 +355,49 @@ def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
     return 2.0 * k
 
 
-def _paired_derivative(scheme: Scheme, u: SpacetimeMode, t: float, x):
+def _paired_derivative(scheme: Scheme, velocity, norm, coeffs, t: float, x):
     # The first-order time operator D whose current the scheme conserves.
     if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        return u.d_dt(t, x) + u.cavity.velocity * u.d_dx(t, x)
-    return u.d_dt(t, x)
+        return (affine_derivative(norm, coeffs, 0, t, x)
+                + velocity * affine_derivative(norm, coeffs, 1, t, x))
+    return affine_derivative(norm, coeffs, 0, t, x)
+
+
+# Density values one pairwise quadrature call evaluates at its starting panel
+# count; the (rows, n_modes, nodes) density grows as n_modes^3 otherwise.
+_PAIR_POINTS = 2**18
+
+
+def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float, pairing, *,
+                     rtol: float, atol) -> np.ndarray:
+    """Integrals of pairing(u_n, Du_n, u_m, Du_m) over the instantaneous cavity.
+
+    The arguments broadcast to (n, m, nodes); every mode and its paired
+    derivative is evaluated once per node set. One quadrature call covers a
+    block of rows (the whole matrix up to n_modes = 20), with one panel per
+    half-wave of the fastest pair; each entry converges on its own and does
+    not depend on the blocking (atol may be an (n, m) array).
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    n = np.arange(1, n_modes + 1)[:, None]
+    coeffs = affine_coefficients(scheme, cavity.proper_length, cavity.velocity, n)
+    norm = mode_normalization(scheme, cavity.proper_length, cavity.velocity)
+    left, right = cavity.walls(scheme, t)
+    atol = np.broadcast_to(atol, (n_modes, n_modes))
+    step = max(1, _PAIR_POINTS // (32 * n_modes * n_modes))  # 16 nodes on each of 2 n_modes panels
+    blocks = []
+    for start in range(0, n_modes, step):
+        rows = slice(start, start + step)
+
+        def density(x, rows=rows):
+            u = affine_value(norm, coeffs, t, x)
+            du = _paired_derivative(scheme, cavity.velocity, norm, coeffs, t, x)
+            return pairing(u[rows, None], du[rows, None], u[None], du[None])
+
+        blocks.append(gauss_legendre(density, left, right, oscillations=2 * n_modes, rtol=rtol,
+                                     atol=atol[rows])[0])
+    return np.concatenate(blocks)
 
 
 def gram_matrix(
@@ -383,30 +421,13 @@ def gram_matrix(
     slice-independent, which is what makes the orthonormality statement
     exact at every lab time.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    us = [mode(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    left, right = cavity.walls(scheme, t)
-    norms = np.array([canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)])
-    gram = np.empty((n_modes, n_modes), dtype=complex)
-    for i, un in enumerate(us):
-        for j, um in enumerate(us):
-            def density(x, un=un, um=um):
-                return 1j * (
-                    np.conj(un.value(t, x, check=False)) * _paired_derivative(scheme, um, t, x)
-                    - um.value(t, x, check=False) * np.conj(_paired_derivative(scheme, un, t, x))
-                )
+    def pairing(u_n, du_n, u_m, du_m):
+        return 1j * (np.conj(u_n) * du_m - u_m * np.conj(du_n))
 
-            value, _ = gauss_legendre(
-                density,
-                left,
-                right,
-                oscillations=un.n + um.n,
-                rtol=rtol,
-                atol=1e-14 * math.sqrt(norms[i] * norms[j]),
-            )
-            gram[i, j] = value / math.sqrt(norms[i] * norms[j])
-    return gram
+    norms = np.array([canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)])
+    scale = np.sqrt(np.outer(norms, norms))
+    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, rtol=rtol,
+                            atol=1e-14 * scale) / scale
 
 
 def spatial_overlap_matrix(
@@ -426,21 +447,10 @@ def spatial_overlap_matrix(
     of exactly that time-space mixing; gram_matrix holds the conserved
     pairing that is exactly diagonal.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    us = [mode(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    left, right = cavity.walls(scheme, t)
-    overlap = np.empty((n_modes, n_modes), dtype=complex)
-    for i, un in enumerate(us):
-        for j, um in enumerate(us):
-            def density(x, un=un, um=um):
-                return un.value(t, x, check=False) * np.conj(um.value(t, x, check=False))
+    def pairing(u_n, du_n, u_m, du_m):
+        return u_n * np.conj(u_m)
 
-            value, _ = gauss_legendre(
-                density, left, right, oscillations=un.n + um.n, rtol=rtol, atol=1e-15
-            )
-            overlap[i, j] = value
-    return overlap
+    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, rtol=rtol, atol=1e-15)
 
 
 def finite_difference_derivatives(

@@ -75,8 +75,11 @@ def gauss_legendre(
     oscillations : float
         Expected number of half-waves/oscillations across the interval;
         sets the initial panel count.
-    rtol, atol : float
-        Convergence targets for the doubling check.
+    rtol : float
+        Relative convergence target for the doubling check.
+    atol : float or array
+        Absolute convergence target; an array broadcasts against the result
+        (components + a.shape), giving each component its own target.
     max_doublings : int
         Refinement budget before QuadratureError is raised for the first
         element (in C order) that has not converged.

@@ -117,10 +117,12 @@ class _FourPartsSummand:
     """The rectangle spectrum w = sqrt(k_n^2 + p_m^2), k_n = n pi/a, p_m = m pi/b.
 
     Each block is one row of fixed index along the shorter side, ascending
-    along the longer side (hence in w), with one coefficient row per
-    FourParts field:
+    along the longer side (hence in w), with two coefficient rows:
 
-        U: (w^2 + k^2)/(4w)   W: p^2/(4w)   S_omega: w/2   S_k: k^2/(2w)
+        S_omega: w/2   S_k: k^2/(2w)
+
+    U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2 follow by linearity
+    (_four_parts).
 
     By Poisson summation each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2):
     Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
@@ -145,18 +147,45 @@ class _FourPartsSummand:
             )
         # the Python loop runs over the shorter side's (fewer) modes
         row_step, col_step = math.pi / min(self.a, self.b), math.pi / max(self.a, self.b)
+        c2 = None  # squared column wavenumbers of the first, longest row; later rows are prefixes
         for i in range(1, int(omega_cap / row_step) + 1):
             r = i * row_step
             remainder = omega_cap * omega_cap - r * r
             if remainder <= col_step * col_step:
                 break
-            c = np.arange(1, int(math.sqrt(remainder) / col_step) + 1, dtype=float) * col_step
-            w = np.sqrt(r * r + c * c)
-            k, p = (r, c) if self.a <= self.b else (c, r)
-            coefficients = np.stack((
-                (w * w + k * k) / (4.0 * w), p * p / (4.0 * w), 0.5 * w, k * k / (2.0 * w),
-            ))
-            yield coefficients, w
+            n = int(math.sqrt(remainder) / col_step)
+            if c2 is None:
+                c2 = np.arange(1, n + 1, dtype=float) * col_step
+                c2 *= c2
+            w = np.sqrt(r * r + c2[:n])
+            rows = np.empty((2, n))
+            np.multiply(0.5, w, out=rows[0])
+            np.divide(r * r if self.a <= self.b else c2[:n], np.multiply(2.0, w, out=rows[1]),
+                      out=rows[1])
+            yield rows, w
+
+
+def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
+    """U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2, field by field.
+
+    Both routes build U and W this way. The halves are linear in the data,
+    so value and fitted coefficients follow exactly, and the error and fit
+    residual of each half are bounded by the mean of the two.
+    """
+    def half(sign: float) -> FinitePart:
+        return FinitePart(
+            value=0.5 * (s_omega.value + sign * s_k.value),
+            error_estimate=0.5 * (s_omega.error_estimate + s_k.error_estimate),
+            method=s_omega.method,
+            fitted_divergent_coeffs=tuple(
+                0.5 * (a + sign * b)
+                for a, b in zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs)
+            ),
+            fit_residual=0.5 * (s_omega.fit_residual + s_k.fit_residual),
+            condition_number=s_omega.condition_number,
+        )
+
+    return FourParts(U=half(1.0), W=half(-1.0), S_omega=s_omega, S_k=s_k)
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
@@ -238,23 +267,16 @@ def _chowla_selberg(a: float, b: float) -> FourParts:
     with np.errstate(all="ignore"):  # extreme sides overflow; reported below
         s_omega = combine(s_omega_row)
         s_k = combine(s_omega_row - along_y_row if a <= b else along_y_row)
-    # The halving sums' own rounding, at most eps (|S_omega| + |S_k|)/2, lies
-    # inside the two parts' rounding terms.
-    values = {
-        "U": (0.5 * (s_omega[0] + s_k[0]), 0.5 * (s_omega[1] + s_k[1])),
-        "W": (0.5 * (s_omega[0] - s_k[0]), 0.5 * (s_omega[1] + s_k[1])),
-        "S_omega": s_omega,
-        "S_k": s_k,
-    }
-    for name, (value, error) in values.items():
-        # every observable squares the parts (E^2 - P^2 - E_m^2)
+    for name, (value, error) in (("S_omega", s_omega), ("S_k", s_k)):
+        # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
+        # no larger in magnitude than the larger of these two.
         if not (math.isfinite(value * value) and math.isfinite(error)):
             raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
                              "or its square is not finite in float64")
-    return FourParts(**{
-        name: FinitePart(value=value, error_estimate=error, method=RegMethod.ZETA_EXACT)
-        for name, (value, error) in values.items()
-    })
+    # The halving sums' own rounding, at most eps (|S_omega| + |S_k|)/2, lies
+    # inside the two parts' rounding terms.
+    return _four_parts(FinitePart(*s_omega, method=RegMethod.ZETA_EXACT),
+                       FinitePart(*s_k, method=RegMethod.ZETA_EXACT))
 
 
 def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
@@ -275,10 +297,11 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     """U, W, S_omega, S_k of the rectangle by the route the config names.
 
     No config, or a ZETA_EXACT one, gives the Chowla-Selberg closed form. A
-    cutoff config gives the exponential-cutoff fit: one pass over the
-    spectrum with identical schedules, so linear identities between the
-    four sums (U + W = S_omega, U - W = S_k) survive the fit exactly and
-    their errors correlate.
+    cutoff config gives the exponential-cutoff fit of S_omega and S_k from
+    one pass over the spectrum with identical schedules. Either way U and W
+    are built from those two as U = (S_omega + S_k)/2 and
+    W = (S_omega - S_k)/2, so both identities hold by construction, bit for
+    bit, and the errors of all four parts correlate.
 
     Raises ValueError for any other method, and (closed form) when a part
     or its square is not finite in float64.
@@ -287,7 +310,7 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     if config is None or config.method is RegMethod.ZETA_EXACT:
         return _chowla_selberg(a, b)
     if config.method is RegMethod.EXPONENTIAL_CUTOFF:
-        return FourParts(*cutoff_finite_part(_FourPartsSummand(a, b), config))
+        return _four_parts(*cutoff_finite_part(_FourPartsSummand(a, b), config))
     raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 

@@ -188,7 +188,8 @@ def _damped_sums(summand, eps: np.ndarray, damping: float) -> np.ndarray:
 
     The spectrum is enumerated once, at the smallest eps; every block is
     ascending in w, so the terms below a larger eps's cap are its prefix.
-    Matrix blocks give one column per coefficient row.
+    Matrix blocks give one column per coefficient row, contracted with the
+    damping factors in one matrix-vector product.
     """
     caps = -math.log(damping) / eps
     table = None
@@ -198,7 +199,8 @@ def _damped_sums(summand, eps: np.ndarray, damping: float) -> np.ndarray:
         counts = np.searchsorted(w, caps, side="right")
         for i in np.flatnonzero(counts):
             m = counts[i]
-            table[i] += np.sum(c[..., :m] * np.exp(-eps[i] * w[:m]), axis=-1)
+            decay = np.exp(-eps[i] * w[:m])
+            table[i] += np.sum(c[:m] * decay) if c.ndim == 1 else c[:, :m] @ decay
     if table is None:
         raise FitError("no spectrum term lies below the largest cutoff")
     return table

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
-from boostcav.cli import main
+from boostcav.cli import MODES_ROW_BUDGET, main
 
 M0 = -math.pi / 24.0
 
@@ -271,6 +272,30 @@ class TestModesDump:
         assert code == 0
         payload = json.loads(out)
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+
+class TestModesRowBudget:
+    """--n-max is bounded by a stated row budget: past it, exit 2 before any work."""
+
+    def test_oversized_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "modes", "--scheme", "lorentz", "--n-max", "100000000")
+        assert time.perf_counter() - start < 5.0  # 1e8 rows at ~40 us each: about an hour
+        assert code == 2 and not out
+        assert (f"usage error: --n-max 100000000 is over the row budget of {MODES_ROW_BUDGET}"
+                in err)
+
+    def test_one_past_the_budget_fails(self, capsys):
+        code, _, err = run(capsys, "modes", "--scheme", "lorentz",
+                           "--n-max", str(MODES_ROW_BUDGET + 1))
+        assert code == 2 and "row budget" in err
+
+    def test_at_the_budget_runs(self, capsys):
+        code, out, _ = run(capsys, "modes", "--scheme", "lorentz", "--n-max", str(MODES_ROW_BUDGET))
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 + MODES_ROW_BUDGET
+        assert lines[-1].startswith(f"{MODES_ROW_BUDGET},")
 
 
 class TestConfigFile:

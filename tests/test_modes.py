@@ -308,6 +308,79 @@ class TestOrthogonality:
         assert even_gap[1] / even_gap[0] == pytest.approx(4.0, rel=0.02)
 
 
+def _pairwise_reference(scheme, cav, n_modes, t, pairing_of, atol_of):
+    """One gauss_legendre call per (n, m) entry, oscillations n + m."""
+    us = [modes.mode(scheme, cav, n) for n in range(1, n_modes + 1)]
+    left, right = cav.walls(scheme, t)
+    out = np.empty((n_modes, n_modes), dtype=complex)
+    for i, un in enumerate(us):
+        for j, um in enumerate(us):
+            out[i, j] = gauss_legendre(lambda x: pairing_of(un, um, x), left, right,
+                                       oscillations=un.n + um.n, rtol=1e-12,
+                                       atol=atol_of(un, um))[0]
+    return out
+
+
+def _paired(u, t, x):
+    if u.scheme is Scheme.GALILEO_COMOVING_PRIOR:
+        return u.d_dt(t, x) + u.cavity.velocity * u.d_dx(t, x)
+    return u.d_dt(t, x)
+
+
+class TestOnePairwiseQuadrature:
+    """Each matrix is one quadrature over all (n, m) and matches the per-pair loop."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("n_modes", [1, 4, 10])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 3.0])
+    def test_matches_per_pair_loop(self, scheme, n_modes, t):
+        cav = Cavity1D(1.0, scheme_velocity(scheme))
+        norms = [modes.canonical_norm(scheme, cav, n) for n in range(1, n_modes + 1)]
+
+        def conserved(un, um, x):
+            return 1j * (np.conj(un.value(t, x, check=False)) * _paired(um, t, x)
+                         - um.value(t, x, check=False) * np.conj(_paired(un, t, x)))
+
+        gram = _pairwise_reference(
+            scheme, cav, n_modes, t, conserved,
+            lambda un, um: 1e-14 * math.sqrt(norms[un.n - 1] * norms[um.n - 1]))
+        gram /= np.sqrt(np.outer(norms, norms))
+        assert np.max(np.abs(modes.gram_matrix(scheme, cav, n_modes, t) - gram)) <= 1e-14
+
+        overlap = _pairwise_reference(
+            scheme, cav, n_modes, t,
+            lambda un, um, x: un.value(t, x, check=False) * np.conj(um.value(t, x, check=False)),
+            lambda un, um: 1e-15)
+        got = modes.spatial_overlap_matrix(scheme, cav, n_modes, t)
+        assert np.max(np.abs(got - overlap)) <= 1e-14
+
+    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
+    def test_one_quadrature_per_matrix(self, monkeypatch, matrix):
+        calls = []
+        monkeypatch.setattr(modes, "gauss_legendre",
+                            lambda *a, **kw: calls.append(a) or gauss_legendre(*a, **kw))
+        assert matrix(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 10, 0.37).shape == (10, 10)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
+    def test_row_blocks_do_not_change_entries(self, monkeypatch, matrix):
+        # a small point budget forces one call per row; each entry converges on
+        # its own at the same nodes, so the blocking is invisible
+        cav = Cavity1D(1.0, 0.9)
+        whole = matrix(Scheme.LORENTZ_EXACT, cav, 7, 0.37)
+        calls = []
+        monkeypatch.setattr(modes, "_PAIR_POINTS", 1)
+        monkeypatch.setattr(modes, "gauss_legendre",
+                            lambda *a, **kw: calls.append(a) or gauss_legendre(*a, **kw))
+        assert np.array_equal(matrix(Scheme.LORENTZ_EXACT, cav, 7, 0.37), whole)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
+    def test_rejects_empty(self, matrix):
+        with pytest.raises(ValueError, match="n_modes"):
+            matrix(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 0, 0.0)
+
+
 class TestStaticReduction:
     def test_schemes_coincide_at_rest(self):
         cav = Cavity1D(1.0, 0.0)

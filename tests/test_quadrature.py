@@ -103,3 +103,21 @@ class TestArrayEndpoints:
         with pytest.raises(QuadratureError) as ref:
             gauss_legendre(kink, 0.0, 1.0, rtol=1e-15, max_doublings=2)
         assert exc.value.estimate == ref.value.estimate > 0.0
+
+    def test_per_component_atol(self):
+        # atol of shape (components, 1) broadcasts against (components,) + a.shape;
+        # each component equals the scalar call with its own atol, bit for bit
+        a = np.array([0.0, -1.0, 0.3])
+        b = np.array([2.0, 30.0, 0.31])
+        densities = (lambda x: np.cos(3.1 * x) * np.cos(x) ** 2, lambda x: np.sin(5.0 * x) ** 2)
+        atol = np.array([[1e-4], [1e-13]])
+        values, errors = gauss_legendre(
+            lambda x: np.stack([d(x) for d in densities]), a, b, oscillations=2, rtol=0.0, atol=atol
+        )
+        for c, d in enumerate(densities):
+            for i in range(3):
+                ref = gauss_legendre(d, a[i], b[i], oscillations=2, rtol=0.0, atol=atol[c, 0])
+                assert (values[c, i], errors[c, i]) == ref
+        # the loose target stops at an earlier doubling, so the targets are really per component
+        loose = gauss_legendre(densities[0], a[1], b[1], oscillations=2, rtol=0.0, atol=1e-13)
+        assert values[0, 1] != loose[0]

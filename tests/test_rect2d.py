@@ -226,6 +226,28 @@ class TestChowlaSelberg:
             finite_parts(Cavity2D(a, b, 0.0))
 
 
+class TestHalvesByConstruction:
+    """U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2 hold exactly on both routes."""
+
+    @pytest.mark.parametrize("cutoff", [False, True], ids=["chowla-selberg", "cutoff"])
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (3.0, 0.5)])
+    def test_u_and_w_are_half_sum_and_difference(self, cutoff, a, b):
+        cav = Cavity2D(a, b, 0.0)
+        parts = finite_parts(cav, rect2d.default_config(cav) if cutoff else None)
+        s_omega, s_k = parts.S_omega, parts.S_k
+        assert parts.U.value == 0.5 * (s_omega.value + s_k.value)
+        assert parts.W.value == 0.5 * (s_omega.value - s_k.value)
+        pairs = list(zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs))
+        assert parts.U.fitted_divergent_coeffs == tuple(0.5 * (x + y) for x, y in pairs)
+        assert parts.W.fitted_divergent_coeffs == tuple(0.5 * (x - y) for x, y in pairs)
+        for half in (parts.U, parts.W):
+            assert half.error_estimate == 0.5 * (s_omega.error_estimate + s_k.error_estimate)
+            assert half.fit_residual == 0.5 * (s_omega.fit_residual + s_k.fit_residual)
+            assert (half.method, half.condition_number) == (s_omega.method,
+                                                            s_omega.condition_number)
+        assert len(s_omega.fitted_divergent_coeffs) == (2 if cutoff else 0)
+
+
 class TestCutoffWorkBudget:
     """The cutoff cross-check estimates its term count and fails fast past the budget."""
 

@@ -210,16 +210,16 @@ class TestBitIdentity:
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e8b869a9p-6", "0x1.210f2a9a43111p-27"),
-            ("0x1.50345f1954080p-7", "0x1.a15fd3a4596c5p-29"),
-            ("0x1.50345f1c4bc24p-5", "0x1.8be448b8596c6p-27"),
-            ("0x1.50345eb4540b3p-6", "0x1.ad90c928596c8p-28"),
+            ("0x1.f84e8e6aa87fap-6", "0x1.2d9315b343112p-27"),
+            ("0x1.50345f6c660cbp-7", "0x1.2d9315b343112p-27"),
+            ("0x1.50345f106dc30p-5", "0x1.8572b840596c2p-27"),
+            ("0x1.50345eb475795p-6", "0x1.ab66e64c596c4p-28"),
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7c25782fdp-4", "0x1.395e10feea426p-26"),
-            ("0x1.e9c31523d96d4p-5", "0x1.774b6bc58e543p-28"),
-            ("-0x1.bb5be289220aap-5", "0x1.7886dddc4dd79p-26"),
-            ("-0x1.63b8834e09767p-3", "0x1.b82352730d5b7p-27"),
+            ("-0x1.d28f7bfceec24p-4", "0x1.311bf96bea42ap-26"),
+            ("0x1.e9c315475236dp-5", "0x1.311bf96bea42ap-26"),
+            ("-0x1.bb5be2b28b4dap-5", "0x1.84eeefbe4dd7ap-26"),
+            ("-0x1.63b883504beedp-3", "0x1.ba9206330d5b6p-27"),
         ),
     }
     STATIC_CUTOFF = {1.0: "-0x1.0c152382799bcp-3", 2.5: "-0x1.acee9f37272f3p-5"}
