@@ -151,13 +151,13 @@ class Cavity2D:
     def gamma(self) -> float:
         return float(lorentz_factor(self.velocity))
 
+    # Only the boost axis is contracted: x is the 1D lorentz cavity.
     def lab_length_x(self) -> float:
-        # Only the boost axis is contracted.
-        return self.proper_length_x / self.gamma()
+        return float(lab_length(Scheme.LORENTZ_EXACT, self.proper_length_x, self.velocity))
 
     def walls_x(self, t: float) -> tuple[float, float]:
-        left = self.velocity * t
-        return left, left + self.lab_length_x()
+        left, right = wall_positions(Scheme.LORENTZ_EXACT, self.proper_length_x, self.velocity, t)
+        return float(left), float(right)
 
 
 def nonrelativistic_flag(scheme: Scheme, velocity: float) -> str | None:

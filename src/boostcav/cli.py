@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: static | boost | sweep | rect2d | verify | modes. Flags may be
-seeded from a plain `key = value` config file (flags override the file).
+Subcommands: static | boost | sweep | rect2d | verify | modes. A `--config`
+file of `key = value` lines is read as the flags `--key=value` it spells;
+flags on the command line override it.
 All output is deterministic: byte-identical across runs for the same
 configuration. Numbers are serialized with 12 significant digits and every
 header carries the unit convention hbar = c = 1.
@@ -12,10 +13,13 @@ Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from typing import Any, Sequence
+
+import numpy as np
 
 from .cavity import Cavity1D, Cavity2D, Scheme, nonrelativistic_flag
 from .observables import (
@@ -103,7 +107,7 @@ def _csv_payload(header: Sequence[str], rows: list[Sequence[Any]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config-file merging
+# config file
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> dict[str, str]:
@@ -123,39 +127,13 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge(args: argparse.Namespace, options: dict[str, Any]) -> dict[str, Any]:
-    """Resolve each option: CLI flag, then config file, then hard default."""
-    file_values = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_values) - set(options)
-    if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    resolved: dict[str, Any] = {}
-    for key, (convert, default) in options.items():
-        cli_value = getattr(args, key.replace("-", "_"), None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_values:
-            try:
-                resolved[key] = convert(file_values[key])
-            except (ValueError, TypeError) as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
-        else:
-            resolved[key] = default
-    return resolved
-
-
-def _require_format(fmt: str, allowed: tuple[str, ...], command: str) -> None:
-    if fmt not in allowed:
-        raise UsageError(f"{command} supports --format {'|'.join(allowed)}, got {fmt!r}")
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -184,9 +162,7 @@ def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
     if method == "cutoff":
         Cavity1D(proper_length)  # validates L before its schedule is built
         return RegConfig.cutoff(math.pi / proper_length)
-    if method == "abel-plana":
-        return RegConfig.abel_plana()
-    raise UsageError(f"unknown method {method!r} (expected zeta, cutoff, or abel-plana)")
+    return RegConfig.abel_plana()
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +170,26 @@ def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_static(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "L": (float, None),
-        "a": (float, None),
-        "plates": (_parse_bool, False),
-        "format": (str, "text"),
-        "output": (str, None),
-    })
-    _require_format(opts["format"], ("text", "json"), "static")
-    if opts["plates"]:
-        separation = opts["a"] if opts["a"] is not None else opts["L"]
+    if args.plates:
+        separation = args.a if args.a is not None else args.L
         if separation is None or separation <= 0:
             raise UsageError("--plates requires a positive --a (plate separation)")
         energy, slope = em_plate_energy_per_area(separation)
         meta = {"command": "static-plates", "a": separation, "units": UNITS_NOTE}
         rows = [{"energy_per_area": energy, "d_energy_da": slope}]
-        if opts["format"] == "json":
-            _emit(_json_payload(meta, rows), opts["output"])
+        if args.format == "json":
+            _emit(_json_payload(meta, rows), args.output)
         else:
             _emit(
                 f"# units: {UNITS_NOTE}\n"
                 f"plate separation a = {_fmt(separation)}\n"
                 f"vacuum energy per area = {_fmt(energy)}\n"
                 f"d(E/A)/da = {_fmt(slope)} (> 0: attraction)\n",
-                opts["output"],
+                args.output,
             )
         return 0
 
-    length = opts["L"]
+    length = args.L
     if length is None or length <= 0:
         raise UsageError("static requires a positive --L")
     values = {
@@ -238,35 +206,26 @@ def _cmd_static(args: argparse.Namespace) -> int:
         "agreement_rtol": REGULATOR_AGREEMENT_RTOL,
     }
     rows = [{"method": k, "m0": v} for k, v in values.items()]
-    if opts["format"] == "json":
-        _emit(_json_payload(meta, rows), opts["output"])
+    if args.format == "json":
+        _emit(_json_payload(meta, rows), args.output)
     else:
         lines = [f"# units: {UNITS_NOTE}", f"static cavity energy m0(L={_fmt(length)})"]
         for k, v in values.items():
             lines.append(f"  {k:>10s}: {_fmt(v)}")
         lines.append(f"  relative spread: {_fmt(rel)}")
-        _emit("\n".join(lines) + "\n", opts["output"])
+        _emit("\n".join(lines) + "\n", args.output)
     return 0 if rel <= REGULATOR_AGREEMENT_RTOL else 1
 
 
 def _cmd_boost(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "scheme": (str, None),
-        "L": (float, 1.0),
-        "v": (float, None),
-        "method": (str, "zeta"),
-        "format": (str, "text"),
-        "output": (str, None),
-    })
-    _require_format(opts["format"], ("text", "json"), "boost")
-    if opts["scheme"] is None or opts["v"] is None:
+    if args.scheme is None or args.v is None:
         raise UsageError("boost requires --scheme and --v")
-    scheme = Scheme.from_label(opts["scheme"])
-    cavity = Cavity1D(opts["L"], opts["v"])
-    config = _reg_config_1d(opts["method"], opts["L"])
-    m0 = static_m0(opts["L"], config)
+    scheme = Scheme.from_label(args.scheme)
+    cavity = Cavity1D(args.L, args.v)
+    config = _reg_config_1d(args.method, args.L)
+    m0 = static_m0(args.L, config)
     comparison = route_comparison(scheme, cavity, config)
-    flag = nonrelativistic_flag(scheme, opts["v"])
+    flag = nonrelativistic_flag(scheme, args.v)
     rows = []
     for em in (comparison.closed, comparison.numeric):
         rows.append({
@@ -278,8 +237,8 @@ def _cmd_boost(args: argparse.Namespace) -> int:
     meta = {
         "command": "boost",
         "scheme": scheme.label,
-        "L": opts["L"],
-        "v": opts["v"],
+        "L": args.L,
+        "v": args.v,
         "m0": m0,
         "units": UNITS_NOTE,
         "route_agreement_rtol": ROUTE_AGREEMENT_RTOL,
@@ -288,11 +247,11 @@ def _cmd_boost(args: argparse.Namespace) -> int:
         meta["scheme_note"] = "non-relativistic approximation"
     if flag:
         meta["validity"] = flag
-    if opts["format"] == "json":
-        _emit(_json_payload(meta, rows), opts["output"])
+    if args.format == "json":
+        _emit(_json_payload(meta, rows), args.output)
     else:
         lines = [f"# units: {UNITS_NOTE}",
-                 f"scheme {scheme.label}, L = {_fmt(opts['L'])}, v = {_fmt(opts['v'])}, "
+                 f"scheme {scheme.label}, L = {_fmt(args.L)}, v = {_fmt(args.v)}, "
                  f"m0 = {_fmt(m0)}"]
         if flag:
             lines.append(f"note: {flag}")
@@ -302,40 +261,30 @@ def _cmd_boost(args: argparse.Namespace) -> int:
                 f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}"
             )
         if scheme is Scheme.GALILEO_LAB_PRIOR:
-            lines.extend(lab_prior_discrepancy_report(cavity, config, m0=m0).lines())
-        _emit("\n".join(lines) + "\n", opts["output"])
+            lines.extend(lab_prior_discrepancy_report(cavity, m0=m0).lines())
+        _emit("\n".join(lines) + "\n", args.output)
     return 0 if comparison.agree else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "scheme": (str, None),
-        "L": (float, 1.0),
-        "v": (str, None),
-        "route": (str, "closed-form"),
-        "method": (str, "zeta"),
-        "format": (str, "csv"),
-        "output": (str, None),
-    })
-    _require_format(opts["format"], ("csv", "json"), "sweep")
-    if opts["scheme"] is None or opts["v"] is None:
+    if args.scheme is None or args.v is None:
         raise UsageError("sweep requires --scheme and --v (grid spec start:stop:step)")
-    scheme = Scheme.from_label(opts["scheme"])
-    grid = _parse_grid(opts["v"])
-    route = Route.from_label(opts["route"])
-    config = _reg_config_1d(opts["method"], opts["L"])
-    table = sweep(scheme, opts["L"], grid, route, config)
+    scheme = Scheme.from_label(args.scheme)
+    grid = _parse_grid(args.v)
+    route = Route.from_label(args.route)
+    config = _reg_config_1d(args.method, args.L)
+    table = sweep(scheme, args.L, grid, route, config)
     header = ["v", "E", "P", "shell_residual", "E_point_particle", "P_point_particle", "route"]
     csv_rows = [
         [r.velocity, r.energy, r.momentum, r.shell_residual,
          r.energy_point_particle, r.momentum_point_particle, r.route.value]
         for r in table.rows
     ]
-    if opts["format"] == "json":
+    if args.format == "json":
         meta = {
             "command": "sweep",
             "scheme": scheme.label,
-            "L": opts["L"],
+            "L": args.L,
             "method": table.method.value,
             "route": route.value,
             "units": UNITS_NOTE,
@@ -344,26 +293,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if scheme.is_galilean:
             meta["scheme_note"] = "non-relativistic approximation"
         rows = [dict(zip(header, row)) for row in csv_rows]
-        _emit(_json_payload(meta, rows), opts["output"])
+        _emit(_json_payload(meta, rows), args.output)
     else:
-        _emit(_csv_payload(header, csv_rows), opts["output"])
+        _emit(_csv_payload(header, csv_rows), args.output)
     return 0
 
 
 def _cmd_rect2d(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "a": (float, None),
-        "b": (float, None),
-        "v": (float, 0.0),
-        "shell-grid": (str, None),
-        "solve-subtraction": (_parse_bool, False),
-        "format": (str, "text"),
-        "output": (str, None),
-    })
-    _require_format(opts["format"], ("text", "json"), "rect2d")
-    if opts["a"] is None or opts["b"] is None:
+    if args.a is None or args.b is None:
         raise UsageError("rect2d requires --a and --b")
-    cavity = Cavity2D(opts["a"], opts["b"], opts["v"])
+    cavity = Cavity2D(args.a, args.b, args.v)
     parts = finite_parts(cavity)
     per_mode = boosted_em_2d(cavity, Route2D.PER_MODE, parts=parts)
     grouped = boosted_em_2d(cavity, Route2D.GROUPED, parts=parts)
@@ -386,30 +325,30 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
     meta = {
         "command": "rect2d",
         "method": "zeta",
-        "a": opts["a"],
-        "b": opts["b"],
-        "v": opts["v"],
+        "a": args.a,
+        "b": args.b,
+        "v": args.v,
         "E_m": e_m,
         "E_m_error": parts.S_omega.error_estimate,
         "units": UNITS_NOTE,
     }
     solver = None
     probe_rows = []
-    if opts["shell-grid"]:
-        grid = _parse_grid(opts["shell-grid"])
+    if args.shell_grid:
+        grid = _parse_grid(args.shell_grid)
         probe_rows = [
             {"v": r.velocity, "residual": r.residual, "error": r.residual_error,
              "predicted": r.predicted_residual}
             for r in mass_shell_probe_2d(cavity, grid, Route2D.PER_MODE, parts=parts)
         ]
-    if opts["solve-subtraction"]:
-        grid = _parse_grid(opts["shell-grid"] or "0.2:0.6:0.2")
+    if args.solve_subtraction:
+        grid = _parse_grid(args.shell_grid or "0.2:0.6:0.2")
         try:
             solver = subtraction_solver_2d(cavity, grid, parts=parts)
         except UnderdeterminedError as exc:
             raise UsageError(str(exc)) from exc
 
-    if opts["format"] == "json":
+    if args.format == "json":
         payload_rows = rows + part_rows + probe_rows
         if solver:
             meta["subtraction_note"] = solver.note
@@ -418,10 +357,10 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
                  "max_rel_residual": br.max_rel_residual}
                 for br in solver.branches
             ]
-        _emit(_json_payload(meta, payload_rows), opts["output"])
+        _emit(_json_payload(meta, payload_rows), args.output)
     else:
         lines = [f"# units: {UNITS_NOTE}",
-                 f"rectangle a = {_fmt(opts['a'])}, b = {_fmt(opts['b'])}, v = {_fmt(opts['v'])}",
+                 f"rectangle a = {_fmt(args.a)}, b = {_fmt(args.b)}, v = {_fmt(args.v)}",
                  f"E_m (rest) = {_fmt(e_m)} +- {_fmt(parts.S_omega.error_estimate)}"]
         for row in rows:
             lines.append(
@@ -446,22 +385,18 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
                     f"  branch {br.name}: dU = {_fmt(br.delta_U)}, dW = {_fmt(br.delta_W)}, "
                     f"post-shift max relative residual = {_fmt(br.max_rel_residual)}"
                 )
-        _emit("\n".join(lines) + "\n", opts["output"])
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "only": (str, None),
-        "output": (str, None),
-    })
     convention = StressConvention(
         momentum_sign=-1.0 if args.inject_t01_sign_flip else 1.0,
         prefactor_rule=PrefactorRule(args.inject_prefactor) if args.inject_prefactor
         else PrefactorRule.SCHEME,
     )
     try:
-        results = run_checks(opts["only"], convention)
+        results = run_checks(args.only, convention)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines = [f"# units: {UNITS_NOTE}"]
@@ -473,48 +408,45 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if failures:
         failure_list = [{"name": res.name, "detail": res.detail} for res in failures]
         lines.append("failures: " + json.dumps(failure_list, sort_keys=True))
-    _emit("\n".join(lines) + "\n", opts["output"])
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if not failures else 1
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
-    opts = _merge(args, {
-        "scheme": (str, None),
-        "L": (float, 1.0),
-        "v": (float, 0.0),
-        "n-max": (int, 8),
-        "t": (float, 0.0),
-        "format": (str, "csv"),
-        "output": (str, None),
-    })
-    _require_format(opts["format"], ("csv", "json"), "modes")
-    if opts["scheme"] is None:
+    if args.scheme is None:
         raise UsageError("modes requires --scheme")
-    scheme = Scheme.from_label(opts["scheme"])
-    cavity = Cavity1D(opts["L"], opts["v"])
-    if opts["n-max"] < 1:
+    scheme = Scheme.from_label(args.scheme)
+    cavity = Cavity1D(args.L, args.v)
+    if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    if opts["n-max"] > MODES_ROW_BUDGET:
-        raise UsageError(f"--n-max {opts['n-max']} is over the row budget of {MODES_ROW_BUDGET}")
-    t = opts["t"]
+    if args.n_max > MODES_ROW_BUDGET:
+        raise UsageError(f"--n-max {args.n_max} is over the row budget of {MODES_ROW_BUDGET}")
+    t = args.t
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",
               "re_u_mid", "im_u_mid"]
-    csv_rows = []
-    for n in range(1, opts["n-max"] + 1):
-        u = modes_mod.mode(scheme, cavity, n)
-        val = complex(u.value(t, x_mid))
-        csv_rows.append([float(n), u.comoving_frequency, u.lab_phase_frequency,
-                         u.normalization, val.real, val.imag])
-    if opts["format"] == "json":
-        meta = {"command": "modes", "scheme": scheme.label, "L": opts["L"],
-                "v": opts["v"], "t": t, "x_sample": x_mid, "units": UNITS_NOTE}
+    n = np.arange(1, args.n_max + 1)
+    length, v = cavity.proper_length, cavity.velocity
+    norm = modes_mod.mode_normalization(scheme, length, v)
+    u_mid = modes_mod.affine_value(norm, modes_mod.affine_coefficients(scheme, length, v, n),
+                                   t, x_mid)
+    csv_rows = np.stack([
+        n.astype(float),
+        modes_mod.expansion_frequency(scheme, length, v, n),
+        modes_mod.phase_frequency(scheme, length, v, n),
+        np.broadcast_to(norm, n.shape),
+        u_mid.real,
+        u_mid.imag,
+    ], axis=1).tolist()
+    if args.format == "json":
+        meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
+                "v": args.v, "t": t, "x_sample": x_mid, "units": UNITS_NOTE}
         rows = [dict(zip(header, row)) for row in csv_rows]
-        _emit(_json_payload(meta, rows), opts["output"])
+        _emit(_json_payload(meta, rows), args.output)
     else:
         rows = [[int(r[0])] + [float(x) for x in r[1:]] for r in csv_rows]
-        _emit(_csv_payload(header, rows), opts["output"])
+        _emit(_csv_payload(header, rows), args.output)
     return 0
 
 
@@ -522,10 +454,19 @@ def _cmd_modes(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value file supplying defaults for flags")
-    sub.add_argument("--format", choices=("text", "csv", "json"), default=None)
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
+    """--config, --output and (with formats, the first the default) --format."""
+    sub.add_argument("--config", help="file of 'key = value' lines, read as the flags "
+                                      "--key=value; flags on the command line win")
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.add_argument("--output", help="output path (default: stdout)")
+
+
+def _add_switch(sub: argparse.ArgumentParser, flag: str, **kw) -> None:
+    """A flag that alone means true and also takes a boolean: --plates, --plates=false."""
+    sub.add_argument(flag, nargs="?", const=True, default=False, type=_parse_bool,
+                     metavar="BOOL", **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -534,58 +475,61 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Vacuum energy and momentum of uniformly moving Dirichlet cavities "
                     f"(units: {UNITS_NOTE}).",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a config key, like a flag, must spell its option in full
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=functools.partial(argparse.ArgumentParser,
+                                                                allow_abbrev=False))
+    schemes = [s.label for s in Scheme]
+    methods = ("zeta", "cutoff", "abel-plana")
 
     p = subs.add_parser("static", help="regularized static energy, all regularizers side by side")
-    p.add_argument("--L", type=float, default=None, help="proper cavity length")
-    p.add_argument("--a", type=float, default=None, help="plate separation (with --plates)")
-    p.add_argument("--plates", action="store_const", const=True, default=None,
-                   help="parallel-plate energy per unit area instead of the 1D cavity")
-    _add_common(p)
+    p.add_argument("--L", type=float, help="proper cavity length")
+    p.add_argument("--a", type=float, help="plate separation (with --plates)")
+    _add_switch(p, "--plates", help="parallel-plate energy per unit area instead of the 1D cavity")
+    _add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_static)
 
     p = subs.add_parser("boost", help="boosted energy/momentum, both routes")
-    p.add_argument("--scheme", choices=[s.label for s in Scheme], default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--method", choices=("zeta", "cutoff", "abel-plana"), default=None)
-    _add_common(p)
+    p.add_argument("--scheme", choices=schemes)
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--v", type=float)
+    p.add_argument("--method", choices=methods, default="zeta")
+    _add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_boost)
 
     p = subs.add_parser("sweep", help="velocity sweep table with point-particle reference columns")
-    p.add_argument("--scheme", choices=[s.label for s in Scheme], default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--v", default=None, help="grid spec start:stop:step (inclusive)")
-    p.add_argument("--route", choices=[r.value for r in Route], default=None)
-    p.add_argument("--method", choices=("zeta", "cutoff", "abel-plana"), default=None)
-    _add_common(p)
+    p.add_argument("--scheme", choices=schemes)
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--v", help="grid spec start:stop:step (inclusive)")
+    p.add_argument("--route", choices=[r.value for r in Route], default=Route.CLOSED_FORM.value)
+    p.add_argument("--method", choices=methods, default="zeta")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("rect2d", help="moving rectangle: finite parts, routes, shell probe")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--shell-grid", default=None, help="velocity grid for the shell probe")
-    p.add_argument("--solve-subtraction", action="store_const", const=True, default=None)
-    _add_common(p)
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
+    p.add_argument("--v", type=float, default=0.0)
+    p.add_argument("--shell-grid", help="velocity grid for the shell probe")
+    _add_switch(p, "--solve-subtraction")
+    _add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_rect2d)
 
     p = subs.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--only", default=None, help="restrict to one module group")
-    p.add_argument("--inject-t01-sign-flip", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control fault injection
-    p.add_argument("--inject-prefactor", choices=("lab-phase", "doubled"), default=None,
+    p.add_argument("--only", help="restrict to one module group")
+    _add_switch(p, "--inject-t01-sign-flip", help=argparse.SUPPRESS)  # negative-control fault
+    p.add_argument("--inject-prefactor", choices=("lab-phase", "doubled"),
                    help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("modes", help="dump a mode table: n, frequencies, norm, sample value")
-    p.add_argument("--scheme", choices=[s.label for s in Scheme], default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--scheme", choices=schemes)
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--v", type=float, default=0.0)
+    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--t", type=float, default=0.0)
+    _add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_modes)
 
     return parser
@@ -593,12 +537,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's lines as flags right after the subcommand: argparse
+            # converts and checks them, and the command line's own flags,
+            # coming later, win
+            file_flags = [f"--{key}={value}" for key, value in _load_config(args.config).items()]
+            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(f"run `boostcav {args.command} --help` for accepted flags", file=sys.stderr)

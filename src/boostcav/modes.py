@@ -124,11 +124,23 @@ def affine_value(norm, coeffs, t, x):
     return norm * ph * np.sin(s)
 
 
+def affine_jet(norm, coeffs, t, x):
+    """(u, du/dt, du/dx) of affine_value; exp(i th), sin s and cos s are evaluated once."""
+    ph, s = _phase_and_argument(coeffs, t, x)
+    sin_s, cos_s = np.sin(s), np.cos(s)
+    th_t, th_x, s_t, s_x = coeffs
+    # Each product is spelled norm * ph * (...) as in affine_value: numpy's
+    # complex product is not commutative bit for bit (fused multiply-add),
+    # and past 256 KiB numpy may swap operands to reuse a temporary, so a
+    # shared norm * ph changes the last bits of large Gram matrices.
+    return (norm * ph * sin_s,
+            norm * ph * (1j * th_t * sin_s + s_t * cos_s),
+            norm * ph * (1j * th_x * sin_s + s_x * cos_s))
+
+
 def affine_derivative(norm, coeffs, axis: int, t, x):
     """d/dt (axis 0) or d/dx (axis 1) of affine_value."""
-    ph, s = _phase_and_argument(coeffs, t, x)
-    th, s_a = coeffs[axis], coeffs[2 + axis]
-    return norm * ph * (1j * th * np.sin(s) + s_a * np.cos(s))
+    return affine_jet(norm, coeffs, t, x)[1 + axis]
 
 
 def _affine_second_derivative(norm, coeffs, i: int, j: int, t, x):
@@ -348,19 +360,8 @@ def comoving_kg_residual(cavity: Cavity1D, n: int, x_comoving: float) -> float:
 # ---------------------------------------------------------------------------
 
 def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
-    """Diagonal of the scheme's conserved sesquilinear pairing (analytic)."""
-    k = n * math.pi / cavity.proper_length
-    if scheme is Scheme.LORENTZ_EXACT:
-        return 2.0 * cavity.gamma() * k
-    return 2.0 * k
-
-
-def _paired_derivative(scheme: Scheme, velocity, norm, coeffs, t: float, x):
-    # The first-order time operator D whose current the scheme conserves.
-    if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        return (affine_derivative(norm, coeffs, 0, t, x)
-                + velocity * affine_derivative(norm, coeffs, 1, t, x))
-    return affine_derivative(norm, coeffs, 0, t, x)
+    """Diagonal of the scheme's conserved sesquilinear pairing (analytic): 2 w_n."""
+    return float(2.0 * phase_frequency(scheme, cavity.proper_length, cavity.velocity, n))
 
 
 # Density values one pairwise quadrature call evaluates at its starting panel
@@ -369,7 +370,7 @@ _PAIR_POINTS = 2**18
 
 
 def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float, pairing, *,
-                     rtol: float, atol) -> np.ndarray:
+                     atol) -> np.ndarray:
     """Integrals of pairing(u_n, Du_n, u_m, Du_m) over the instantaneous cavity.
 
     The arguments broadcast to (n, m, nodes); every mode and its paired
@@ -391,11 +392,12 @@ def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float, p
         rows = slice(start, start + step)
 
         def density(x, rows=rows):
-            u = affine_value(norm, coeffs, t, x)
-            du = _paired_derivative(scheme, cavity.velocity, norm, coeffs, t, x)
+            u, du, u_x = affine_jet(norm, coeffs, t, x)
+            if scheme is Scheme.GALILEO_COMOVING_PRIOR:
+                du = du + cavity.velocity * u_x  # D = d_t + v d_x, as the scheme conserves
             return pairing(u[rows, None], du[rows, None], u[None], du[None])
 
-        blocks.append(gauss_legendre(density, left, right, oscillations=2 * n_modes, rtol=rtol,
+        blocks.append(gauss_legendre(density, left, right, oscillations=2 * n_modes, rtol=1e-12,
                                      atol=atol[rows])[0])
     return np.concatenate(blocks)
 
@@ -405,8 +407,6 @@ def gram_matrix(
     cavity: Cavity1D,
     n_modes: int,
     t: float,
-    *,
-    rtol: float = 1e-12,
 ) -> np.ndarray:
     """Mode Gram matrix under the scheme's conserved pairing; the identity.
 
@@ -424,10 +424,10 @@ def gram_matrix(
     def pairing(u_n, du_n, u_m, du_m):
         return 1j * (np.conj(u_n) * du_m - u_m * np.conj(du_n))
 
-    norms = np.array([canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)])
+    norms = 2.0 * phase_frequency(scheme, cavity.proper_length, cavity.velocity,
+                                  np.arange(1, n_modes + 1))
     scale = np.sqrt(np.outer(norms, norms))
-    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, rtol=rtol,
-                            atol=1e-14 * scale) / scale
+    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, atol=1e-14 * scale) / scale
 
 
 def spatial_overlap_matrix(
@@ -435,8 +435,6 @@ def spatial_overlap_matrix(
     cavity: Cavity1D,
     n_modes: int,
     t: float,
-    *,
-    rtol: float = 1e-12,
 ) -> np.ndarray:
     """Literal equal-time overlaps int u_n conj(u_m) dx (unit diagonal).
 
@@ -450,16 +448,15 @@ def spatial_overlap_matrix(
     def pairing(u_n, du_n, u_m, du_m):
         return u_n * np.conj(u_m)
 
-    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, rtol=rtol, atol=1e-15)
+    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, atol=1e-15)
 
 
 def finite_difference_derivatives(
-    scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float, h: float | None = None
+    scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float
 ) -> tuple[complex, complex]:
-    """Central-difference (du/dt, du/dx) cross-check for the closed forms."""
+    """Central-difference (du/dt, du/dx) cross-check for the closed forms, step 1e-5 L."""
     u = mode(scheme, cavity, n)
-    if h is None:
-        h = 1e-5 * cavity.proper_length
+    h = 1e-5 * cavity.proper_length
     ut = (u.value(t + h, x, check=False) - u.value(t - h, x, check=False)) / (2 * h)
     ux = (u.value(t, x + h, check=False) - u.value(t, x - h, check=False)) / (2 * h)
     return complex(ut), complex(ux)

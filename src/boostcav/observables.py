@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comoving
+# The per-mode route fits its coefficients over modes 1..6 on two time slices.
+_N_MAX = 6
+_T_SAMPLES = (0.0, 0.37)
+_NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
 
 
 class Route(enum.Enum):
@@ -148,17 +152,12 @@ def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, fl
 
 
 def _coefficients(
-    scheme: Scheme,
-    proper_length: float,
-    velocities,
-    route: Route,
-    n_max: int = 6,
-    t_samples: tuple[float, ...] = (0.0, 0.37),
+    scheme: Scheme, proper_length: float, velocities, route: Route
 ) -> list[tuple[float, float]]:
     """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
     if route is Route.CLOSED_FORM:
         return [closed_form_coefficients(scheme, v) for v in velocities]
-    fits = coefficient_fits(scheme, proper_length, velocities, n_max, t_samples)
+    fits = coefficient_fits(scheme, proper_length, velocities, _N_MAX, _T_SAMPLES)
     return [(fit.c_energy, fit.c_momentum) for fit in fits]
 
 
@@ -168,8 +167,6 @@ def boosted_em(
     route: Route = Route.PER_MODE_NUMERIC,
     config: RegConfig | None = None,
     *,
-    n_max: int = 6,
-    t_samples: tuple[float, ...] = (0.0, 0.37),
     m0: float | None = None,
 ) -> EnergyMomentum:
     """Lab-frame vacuum energy and momentum of the moving cavity.
@@ -180,20 +177,14 @@ def boosted_em(
     """
     if m0 is None:
         m0 = static_m0(cavity.proper_length, config)
-    [(c_e, c_p)] = _coefficients(
-        scheme, cavity.proper_length, (cavity.velocity,), route, n_max, t_samples
-    )
+    [(c_e, c_p)] = _coefficients(scheme, cavity.proper_length, (cavity.velocity,), route)
     return EnergyMomentum(
         energy=c_e * m0, momentum=c_p * m0, scheme=scheme, velocity=cavity.velocity, route=route
     )
 
 
 def route_comparison(
-    scheme: Scheme,
-    cavity: Cavity1D,
-    config: RegConfig | None = None,
-    *,
-    rtol: float = ROUTE_AGREEMENT_RTOL,
+    scheme: Scheme, cavity: Cavity1D, config: RegConfig | None = None
 ) -> RouteComparison:
     """Both routes side by side; disagreement is reported, never hidden."""
     m0 = static_m0(cavity.proper_length, config)
@@ -214,7 +205,7 @@ def route_comparison(
         )
         agree = True
     else:
-        agree = de <= rtol and dp <= rtol
+        agree = de <= ROUTE_AGREEMENT_RTOL and dp <= ROUTE_AGREEMENT_RTOL
     return RouteComparison(
         closed=closed, numeric=numeric, rel_diff_energy=de, rel_diff_momentum=dp,
         agree=agree, note=note,
@@ -233,14 +224,13 @@ def nonrel_fit(
     degree: int,
     *,
     n_samples: int = 16,
-    residual_limit: float = 1e-6,
     config: RegConfig | None = None,
 ) -> NonRelFit:
     """Least-squares small-velocity expansion of the per-mode-numeric route.
 
     Even powers only for E/m0 and odd only for P/m0 (the parity the exact
     expressions obey). Raises FitError when the worst residual exceeds
-    residual_limit, which flags a degree too low for the requested window.
+    1e-6, which flags a degree too low for the requested window.
     """
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
@@ -267,10 +257,10 @@ def nonrel_fit(
 
     e_coeffs, e_res = fit(e_powers, e_over)
     p_coeffs, p_res = fit(p_powers, p_over)
-    if max(e_res, p_res) > residual_limit:
+    if max(e_res, p_res) > _NONREL_RESIDUAL_LIMIT:
         raise FitError(
             f"non-relativistic fit residual {max(e_res, p_res):.3e} exceeds "
-            f"{residual_limit:g}; raise the degree or shrink v_max"
+            f"{_NONREL_RESIDUAL_LIMIT:g}; raise the degree or shrink v_max"
         )
     return NonRelFit(e_coeffs, p_coeffs, e_res, p_res)
 
@@ -355,15 +345,13 @@ def em_plate_energy_per_area(separation: float) -> tuple[float, float]:
     return energy, slope
 
 
-def lab_prior_discrepancy_report(
-    cavity: Cavity1D, config: RegConfig | None = None, *, m0: float | None = None
-) -> DiscrepancyReport:
-    """galileo-lab closed forms vs the quadrature-derived per-mode law."""
+def lab_prior_discrepancy_report(cavity: Cavity1D, *, m0: float | None = None) -> DiscrepancyReport:
+    """galileo-lab closed forms vs the quadrature-derived per-mode law (m0 by zeta unless given)."""
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     c_quad = stress.per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     if m0 is None:
-        m0 = static_m0(cavity.proper_length, config)
+        m0 = static_m0(cavity.proper_length)
     entries = (
         DiscrepancyEntry("E/m0 coefficient", c_closed[0], c_quad[0]),
         DiscrepancyEntry("P/m0 coefficient", c_closed[1], c_quad[1]),

@@ -322,17 +322,17 @@ def static_energy_2d(cavity: Cavity2D, config: RegConfig | None = None) -> Finit
 def boosted_em_2d(
     cavity: Cavity2D,
     route: Route2D = Route2D.PER_MODE,
-    config: RegConfig | None = None,
     *,
     parts: FourParts | None = None,
 ) -> Rect2DResult:
     """Lab-frame (E_s, P_s) of the moving rectangle by the chosen route.
 
     Passing precomputed parts skips the spectral sums (they are velocity
-    independent, so sweeps over v reuse one set).
+    independent, so sweeps over v reuse one set); without them the closed
+    form supplies the parts.
     """
     if parts is None:
-        parts = finite_parts(cavity, config)
+        parts = finite_parts(cavity)
     v = cavity.velocity
     ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
     if route is Route2D.PER_MODE:
@@ -363,15 +363,10 @@ def boosted_em_2d(
     )
 
 
-def static_limit_report(
-    cavity: Cavity2D,
-    config: RegConfig | None = None,
-    *,
-    parts: FourParts | None = None,
-) -> DiscrepancyReport:
+def static_limit_report(cavity: Cavity2D, *, parts: FourParts | None = None) -> DiscrepancyReport:
     """Quantifies the grouped route's failure of its own v = 0 limit."""
     if parts is None:
-        parts = finite_parts(cavity, config)
+        parts = finite_parts(cavity)
     at_rest = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, 0.0)
     grouped = boosted_em_2d(at_rest, Route2D.GROUPED, parts=parts)
     per_mode = boosted_em_2d(at_rest, Route2D.PER_MODE, parts=parts)
@@ -399,13 +394,12 @@ def mass_shell_probe_2d(
     cavity: Cavity2D,
     v_grid,
     route: Route2D = Route2D.PER_MODE,
-    config: RegConfig | None = None,
     *,
     parts: FourParts | None = None,
 ) -> tuple[ShellProbeRow, ...]:
     """Shell residual E^2 - P^2 - E_m^2 across a velocity grid."""
     if parts is None:
-        parts = finite_parts(cavity, config)
+        parts = finite_parts(cavity)
     e_m = parts.S_omega.value
     e_m_err = parts.S_omega.error_estimate
     rows = []
@@ -432,7 +426,6 @@ def mass_shell_probe_2d(
 def subtraction_solver_2d(
     cavity: Cavity2D,
     v_grid,
-    config: RegConfig | None = None,
     *,
     parts: FourParts | None = None,
 ) -> SubtractionSolution:
@@ -454,7 +447,7 @@ def subtraction_solver_2d(
             f"got {len(nonzero)}"
         )
     if parts is None:
-        parts = finite_parts(cavity, config)
+        parts = finite_parts(cavity)
     u0 = parts.U.value
     w0 = parts.W.value
 

@@ -65,6 +65,7 @@ def geometric_schedule(
 _STABILIZER_POWERS = (2, 4)
 _TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it
 _CONDITION_LIMIT = 1e12
+_ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,7 @@ def zeta_linear_sum(slope: float) -> float:
     return -slope / 12.0
 
 
-def abel_plana_m0(proper_length: float, *, tol: float = 1e-12) -> float:
+def abel_plana_m0(proper_length: float) -> float:
     """Static cavity energy -pi/(24 L) via the Abel-Plana sum-minus-integral.
 
     The regularized sum_n n equals -2 int_0^inf t/(e^{2 pi t} - 1) dt; with
@@ -363,7 +364,8 @@ def abel_plana_m0(proper_length: float, *, tol: float = 1e-12) -> float:
 
     The integrand decays like t e^{-2 pi t}, so the tail beyond t = 7 is
     ~1e-19, below the rounding of the 1/24 result: Gauss-Legendre on [0, 7],
-    starting from one panel per unit of t, evaluates the integral.
+    starting from one panel per unit of t, evaluates the integral; a
+    quadrature error above 1e-12 raises FitError.
     """
     if proper_length <= 0:
         raise ValueError("proper_length must be positive")
@@ -373,6 +375,6 @@ def abel_plana_m0(proper_length: float, *, tol: float = 1e-12) -> float:
         return t * decay / -np.expm1(-2.0 * math.pi * t)
 
     value, abserr = gauss_legendre(integrand, 0.0, 7.0, oscillations=7)
-    if abserr > tol:
+    if abserr > _ABEL_PLANA_TOL:
         raise FitError(f"Abel-Plana integral tolerance not met (abserr {abserr:.2e})")
     return float(-(math.pi / proper_length) * value)

@@ -24,8 +24,7 @@ import numpy as np
 from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
 from .modes import (
     affine_coefficients,
-    affine_derivative,
-    affine_value,
+    affine_jet,
     base_frequency,
     expansion_frequency,
     lorentz_coefficients,
@@ -124,6 +123,22 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     return comoving
 
 
+def _densities(norm, coeffs, wp, convention: StressConvention, t, p2=0.0):
+    """The stacked per-mode T00 and T01 densities, divided by 2 w', as a function of x.
+
+    The mode is N exp(i th) sin s with th and s affine in (t, x); p2 is the
+    squared transverse wavenumber of a rectangle mode's x profile, 0 in 1D.
+    """
+    def densities(x):
+        u, ut, ux = affine_jet(norm, coeffs, t, x)
+        return np.stack((
+            (np.abs(ut) ** 2 + np.abs(ux) ** 2 + p2 * np.abs(u) ** 2) / (4.0 * wp),
+            -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
+        ))
+
+    return densities
+
+
 def _mode_integrals(
     scheme: Scheme,
     proper_length: float,
@@ -140,23 +155,14 @@ def _mode_integrals(
     """
     left, right = wall_positions(scheme, proper_length, velocities[:, None], t_samples[None, :])
     v = velocities[:, None, None]  # against abscissae of shape (velocities, times, points)
-    t = t_samples[None, :, None]
     wp = _prefactor_frequency(
         convention,
         expansion_frequency(scheme, proper_length, v, n),
         phase_frequency(scheme, proper_length, v, n),
     )
-    norm = mode_normalization(scheme, proper_length, v)
-    coeffs = affine_coefficients(scheme, proper_length, v, n)
-
-    def densities(x):
-        ut = affine_derivative(norm, coeffs, 0, t, x)
-        ux = affine_derivative(norm, coeffs, 1, t, x)
-        return np.stack((
-            (np.abs(ut) ** 2 + np.abs(ux) ** 2) / (4.0 * wp),
-            -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
-        ))
-
+    densities = _densities(mode_normalization(scheme, proper_length, v),
+                           affine_coefficients(scheme, proper_length, v, n), wp, convention,
+                           t_samples[None, :, None])
     scale = max(1.0, base_frequency(proper_length, n))
     values, errors = gauss_legendre(
         densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * scale
@@ -202,30 +208,23 @@ def per_mode_em_2d(
     """2D analogue of per_mode_em with the transverse gradient in T00.
 
     The mode is its x profile f (the contracted 1D mode with the frequency w
-    in its phase) times sin(p y), and sin^2(p y) and cos^2(p y) both
-    integrate to b/2 over [0, b]. So only the x integral is numerical:
+    in its phase) times sin(p y). sin^2(p y) and cos^2(p y) both integrate
+    to b/2 over [0, b], which cancels the 2/b in the square of the 2D
+    normalization; so f carries the 1D normalization sqrt(2 gamma/a) and
+    only the x integral is numerical:
 
-        e_nm = (b/2) int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
-        p_nm = -(b/2) int Re(f_t conj(f_x)) / (2 w')            dx
+        e_nm = int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
+        p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
     u = mode_2d(cavity, n, m)
     w = u.frequency
     wp = _prefactor_frequency(convention, w, cavity.gamma() * w)
     left, right = u.walls_x(t)
-    norm = u.normalization
-    coeffs = lorentz_coefficients(w, u.wavenumber_x, cavity.velocity)
-    p2 = u.wavenumber_y ** 2
-    half_b = 0.5 * cavity.proper_length_y
-
-    def densities(x):
-        ft = affine_derivative(norm, coeffs, 0, t, x)
-        fx = affine_derivative(norm, coeffs, 1, t, x)
-        f = affine_value(norm, coeffs, t, x)
-        return half_b * np.stack((
-            (np.abs(ft) ** 2 + np.abs(fx) ** 2 + p2 * np.abs(f) ** 2) / (4.0 * wp),
-            -convention.momentum_sign * np.real(ft * np.conj(fx)) / (2.0 * wp),
-        ))
-
+    densities = _densities(
+        mode_normalization(Scheme.LORENTZ_EXACT, cavity.proper_length_x, cavity.velocity),
+        lorentz_coefficients(w, u.wavenumber_x, cavity.velocity), wp, convention, t,
+        u.wavenumber_y ** 2,
+    )
     (e, p), (e_err, p_err) = gauss_legendre(
         densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, w)
     )

@@ -280,7 +280,7 @@ class TestModesRowBudget:
     def test_oversized_fails_fast(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "modes", "--scheme", "lorentz", "--n-max", "100000000")
-        assert time.perf_counter() - start < 5.0  # 1e8 rows at ~40 us each: about an hour
+        assert time.perf_counter() - start < 5.0  # a 1e8-row table would need gigabytes
         assert code == 2 and not out
         assert (f"usage error: --n-max 100000000 is over the row budget of {MODES_ROW_BUDGET}"
                 in err)
@@ -324,6 +324,91 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "boost", "--config", "/nonexistent.cfg", "--v", "0.1")
         assert code == 2
+
+    # every key of each command; output "-" is stdout
+    EVERY_KEY = {
+        "static": {"L": "1.3", "a": "2", "plates": "false", "format": "json", "output": "-"},
+        "boost": {"scheme": "galileo-lab", "L": "0.8", "v": "-0.25", "method": "abel-plana",
+                  "format": "text", "output": "-"},
+        "sweep": {"scheme": "lorentz", "L": "1.7", "v": "0:0.4:0.2", "route": "per-mode",
+                  "method": "cutoff", "format": "json", "output": "-"},
+        "rect2d": {"a": "1", "b": "2", "v": "0.4", "shell-grid": "0.2:0.6:0.2",
+                   "solve-subtraction": "true", "format": "text", "output": "-"},
+        "verify": {"only": "stress", "inject-t01-sign-flip": "true",
+                   "inject-prefactor": "lab-phase", "output": "-"},
+        "modes": {"scheme": "galileo-comoving", "L": "2", "v": "0.3", "n-max": "5", "t": "0.7",
+                  "format": "json", "output": "-"},
+    }
+
+    @pytest.mark.parametrize("command", list(EVERY_KEY))
+    def test_file_reads_as_its_flags(self, capsys, tmp_path, command):
+        keys = self.EVERY_KEY[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        flags = [token for key, value in keys.items() for token in (f"--{key}", value)]
+        from_flags = run(capsys, command, *flags)
+        assert from_flags[1]
+        assert run(capsys, command, "--config", str(cfg)) == from_flags
+
+    def test_switches_take_a_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("plates = true\na = 1\n")
+        code, out, _ = run(capsys, "static", "--config", str(cfg))
+        assert code == 0 and "plate separation a = 1" in out
+        cfg.write_text("a = 1\nb = 1\nv = 0.6\nsolve-subtraction = false\nformat = json\n")
+        code, out, _ = run(capsys, "rect2d", "--config", str(cfg))
+        assert code == 0 and "branch" not in out
+        code, out, _ = run(capsys, "rect2d", "--config", str(cfg), "--solve-subtraction")
+        assert code == 0 and len([r for r in json.loads(out)["rows"] if "branch" in r]) == 2
+
+    @pytest.mark.parametrize("command,line,key", [
+        ("boost", "L = abc", "--L"),
+        ("static", "plates = maybe", "--plates"),
+        ("modes", "n-max = 2.5", "--n-max"),
+        ("boost", "wheels = 4", "--wheels"),
+        ("boost", "sch = galileo-lab", "--sch"),
+        ("sweep", "format = text", "--format"),
+        ("verify", "format = json", "--format"),
+    ])
+    def test_bad_line_exits_2_naming_the_key(self, capsys, tmp_path, command, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scheme = lorentz\n{line}\n" if command != "verify" else f"{line}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and not out
+        assert key in err
+
+    def test_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme lorentz\n")
+        code, _, err = run(capsys, "boost", "--config", str(cfg), "--v", "0.1")
+        assert code == 2
+        assert f"usage error: {cfg}:1: expected 'key = value'" in err
+        assert "run `boostcav boost --help`" in err
+
+    def test_flag_before_config_also_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = lorentz\nv = 0.2\nformat = json\n")
+        code, out, _ = run(capsys, "boost", "--v", "0.6", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["meta"]["v"] == 0.6
+
+
+class TestFormat:
+    """Each command accepts only its own formats; verify has no --format."""
+
+    def test_verify_rejects_format(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "modes", "--format", "json")
+        assert code == 2 and not out
+        assert "--format" in err
+
+    @pytest.mark.parametrize("argv,default", [
+        (("static", "--L", "1"), "text"),
+        (("boost", "--scheme", "lorentz", "--v", "0.3"), "text"),
+        (("sweep", "--scheme", "lorentz", "--v", "0.3"), "csv"),
+        (("modes", "--scheme", "lorentz"), "csv"),
+    ])
+    def test_first_choice_is_the_default(self, capsys, argv, default):
+        assert run(capsys, *argv) == run(capsys, *argv, "--format", default)
 
 
 class TestOutputFile:
