@@ -53,7 +53,6 @@ from .regsum import (
 from .stress import (
     PerModeEM,
     StressConvention,
-    coefficient_extract,
     coefficient_fits,
     per_mode_em,
     per_mode_em_2d,
@@ -81,7 +80,6 @@ __all__ = [
     "StressConvention",
     "per_mode_em",
     "per_mode_em_2d",
-    "coefficient_extract",
     "coefficient_fits",
     "FinitePart",
     "FitError",

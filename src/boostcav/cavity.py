@@ -55,14 +55,6 @@ class Scheme(enum.Enum):
     def is_galilean(self) -> bool:
         return self is not Scheme.LORENTZ_EXACT
 
-    @classmethod
-    def from_label(cls, label: str) -> "Scheme":
-        for member in cls:
-            if member.value == label:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown scheme {label!r} (expected one of: {valid})")
-
 
 def _check_velocity(v: float) -> None:
     if not math.isfinite(v) or abs(v) >= 1.0:

@@ -110,8 +110,9 @@ def _csv_payload(header: Sequence[str], rows: list[Sequence[Any]]) -> str:
 # config file
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, tuple[str, int]]:
+    """Each key's value and the number of the line that set it."""
+    values: dict[str, tuple[str, int]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -121,7 +122,7 @@ def _load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
+                values[key] = value, lineno
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -220,7 +221,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
 def _cmd_boost(args: argparse.Namespace) -> int:
     if args.scheme is None or args.v is None:
         raise UsageError("boost requires --scheme and --v")
-    scheme = Scheme.from_label(args.scheme)
+    scheme = Scheme(args.scheme)
     cavity = Cavity1D(args.L, args.v)
     config = _reg_config_1d(args.method, args.L)
     m0 = static_m0(args.L, config)
@@ -269,9 +270,9 @@ def _cmd_boost(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scheme is None or args.v is None:
         raise UsageError("sweep requires --scheme and --v (grid spec start:stop:step)")
-    scheme = Scheme.from_label(args.scheme)
+    scheme = Scheme(args.scheme)
     grid = _parse_grid(args.v)
-    route = Route.from_label(args.route)
+    route = Route(args.route)
     config = _reg_config_1d(args.method, args.L)
     table = sweep(scheme, args.L, grid, route, config)
     header = ["v", "E", "P", "shell_residual", "E_point_particle", "P_point_particle", "route"]
@@ -415,7 +416,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_modes(args: argparse.Namespace) -> int:
     if args.scheme is None:
         raise UsageError("modes requires --scheme")
-    scheme = Scheme.from_label(args.scheme)
+    scheme = Scheme(args.scheme)
     cavity = Cavity1D(args.L, args.v)
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
@@ -544,8 +545,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the file's lines as flags right after the subcommand: argparse
             # converts and checks them, and the command line's own flags,
             # coming later, win
-            file_flags = [f"--{key}={value}" for key, value in _load_config(args.config).items()]
-            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+            file_flags = {f"--{key}={value}": (key, lineno)
+                          for key, (value, lineno) in _load_config(args.config).items()}
+            _, unknown = parser.parse_known_args(argv[:1] + list(file_flags))
+            if unknown:
+                key, lineno = file_flags[unknown[0]]
+                raise UsageError(f"{args.config}:{lineno}: unknown key {key!r} for boostcav "
+                                 f"{args.command} (no flag --{key})")
+            args = parser.parse_args(argv[:1] + list(file_flags) + argv[1:])
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

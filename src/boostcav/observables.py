@@ -60,13 +60,6 @@ class Route(enum.Enum):
     CLOSED_FORM = "closed-form"
     PER_MODE_NUMERIC = "per-mode"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Route":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown route {label!r} (expected closed-form or per-mode)")
-
 
 @dataclass(frozen=True)
 class EnergyMomentum:
@@ -224,13 +217,14 @@ def nonrel_fit(
     degree: int,
     *,
     n_samples: int = 16,
-    config: RegConfig | None = None,
 ) -> NonRelFit:
     """Least-squares small-velocity expansion of the per-mode-numeric route.
 
-    Even powers only for E/m0 and odd only for P/m0 (the parity the exact
-    expressions obey). Raises FitError when the worst residual exceeds
-    1e-6, which flags a degree too low for the requested window.
+    Fits the per-mode coefficients c_E = E/m0 and c_P = P/m0 themselves, so
+    no regularized m0 enters. Even powers only for E/m0 and odd only for
+    P/m0 (the parity the exact expressions obey). Raises FitError when the
+    worst residual exceeds 1e-6, which flags a degree too low for the
+    requested window.
     """
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
@@ -238,12 +232,8 @@ def nonrel_fit(
         raise ValueError("degree must be >= 2")
     if n_samples < 12:
         raise ValueError("need at least 12 sample velocities")
-    m0 = static_m0(proper_length, config)
     vs = np.linspace(v_max / n_samples, v_max, n_samples)
-    coefficients = _coefficients(scheme, proper_length, vs, Route.PER_MODE_NUMERIC)
-    # E/m0 of boosted_em, (c_E m0)/m0, which can differ from c_E in the last bit
-    e_over = [c_e * m0 / m0 for c_e, _ in coefficients]
-    p_over = [c_p * m0 / m0 for _, c_p in coefficients]
+    e_over, p_over = np.array(_coefficients(scheme, proper_length, vs, Route.PER_MODE_NUMERIC)).T
     e_powers = list(range(0, degree + 1, 2))
     p_powers = list(range(1, degree + 1, 2))
 

@@ -23,17 +23,17 @@ import numpy as np
 
 from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
 from .modes import (
+    _check_index,
     affine_coefficients,
     affine_jet,
     base_frequency,
     expansion_frequency,
     lorentz_coefficients,
-    mode,
     mode_2d,
     mode_normalization,
     phase_frequency,
 )
-from .quadrature import QuadratureError, gauss_legendre
+from .quadrature import gauss_legendre
 
 __all__ = [
     "PrefactorRule",
@@ -46,7 +46,6 @@ __all__ = [
     "per_mode_em_2d",
     "per_mode_coefficients",
     "per_mode_em_2d_law",
-    "coefficient_extract",
     "coefficient_fits",
 ]
 
@@ -123,11 +122,13 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     return comoving
 
 
-def _densities(norm, coeffs, wp, convention: StressConvention, t, p2=0.0):
-    """The stacked per-mode T00 and T01 densities, divided by 2 w', as a function of x.
+def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: StressConvention):
+    """The per-mode T00 and T01 integrals over the walls, divided by 2 w', and their errors.
 
     The mode is N exp(i th) sin s with th and s affine in (t, x); p2 is the
     squared transverse wavenumber of a rectangle mode's x profile, 0 in 1D.
+    Both come back stacked on a leading axis of length 2; scale is the
+    frequency that sets the absolute tolerance.
     """
     def densities(x):
         u, ut, ux = affine_jet(norm, coeffs, t, x)
@@ -136,7 +137,10 @@ def _densities(norm, coeffs, wp, convention: StressConvention, t, p2=0.0):
             -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
         ))
 
-    return densities
+    left, right = walls
+    return gauss_legendre(
+        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, scale)
+    )
 
 
 def _mode_integrals(
@@ -153,21 +157,18 @@ def _mode_integrals(
     quadrature serves every row, and each row is bit-identical to its own
     scalar integration.
     """
-    left, right = wall_positions(scheme, proper_length, velocities[:, None], t_samples[None, :])
     v = velocities[:, None, None]  # against abscissae of shape (velocities, times, points)
     wp = _prefactor_frequency(
         convention,
         expansion_frequency(scheme, proper_length, v, n),
         phase_frequency(scheme, proper_length, v, n),
     )
-    densities = _densities(mode_normalization(scheme, proper_length, v),
-                           affine_coefficients(scheme, proper_length, v, n), wp, convention,
-                           t_samples[None, :, None])
-    scale = max(1.0, base_frequency(proper_length, n))
-    values, errors = gauss_legendre(
-        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * scale
+    return _stress_integrals(
+        mode_normalization(scheme, proper_length, v),
+        affine_coefficients(scheme, proper_length, v, n), wp, 0.0,
+        wall_positions(scheme, proper_length, velocities[:, None], t_samples[None, :]),
+        t_samples[None, :, None], n, base_frequency(proper_length, n), convention,
     )
-    return np.real(values), errors
 
 
 def per_mode_em(
@@ -188,7 +189,7 @@ def per_mode_em(
     with closed-form derivatives and a convergence-checked Gauss-Legendre
     quadrature. Both are time independent; t only picks the slice.
     """
-    mode(scheme, cavity, n)  # validates n
+    _check_index(n)
     (e, p), (e_err, p_err) = _mode_integrals(
         scheme, cavity.proper_length, np.array([cavity.velocity]), n, np.array([t], dtype=float),
         convention,
@@ -218,15 +219,11 @@ def per_mode_em_2d(
     """
     u = mode_2d(cavity, n, m)
     w = u.frequency
-    wp = _prefactor_frequency(convention, w, cavity.gamma() * w)
-    left, right = u.walls_x(t)
-    densities = _densities(
+    (e, p), (e_err, p_err) = _stress_integrals(
         mode_normalization(Scheme.LORENTZ_EXACT, cavity.proper_length_x, cavity.velocity),
-        lorentz_coefficients(w, u.wavenumber_x, cavity.velocity), wp, convention, t,
-        u.wavenumber_y ** 2,
-    )
-    (e, p), (e_err, p_err) = gauss_legendre(
-        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, w)
+        lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
+        _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2,
+        u.walls_x(t), t, n, w, convention,
     )
     return PerModeEM(n=n, m=m, energy=float(e), momentum=float(p),
                      quad_error=float(max(e_err, p_err)))
@@ -263,27 +260,6 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
     return e, p
 
 
-def coefficient_extract(
-    scheme: Scheme,
-    cavity: Cavity1D,
-    n_max: int,
-    t_samples: tuple[float, ...] = (0.0, 0.37),
-    *,
-    convention: StressConvention = DEFAULT_CONVENTION,
-    dispersion_limit: float = 1e-8,
-) -> CoefficientFit:
-    """Fit the n- and t-independent coefficients from per-mode quadrature.
-
-    Fits e_n = c_E * (n pi / L)/2 and p_n = c_P * (n pi / L)/2 over all mode
-    indices and time samples; raises NotProportionalError when the relative
-    dispersion exceeds dispersion_limit (the factorization claim fails).
-    """
-    return coefficient_fits(
-        scheme, cavity.proper_length, (cavity.velocity,), n_max, t_samples,
-        convention=convention, dispersion_limit=dispersion_limit,
-    )[0]
-
-
 def coefficient_fits(
     scheme: Scheme,
     proper_length: float,
@@ -294,11 +270,15 @@ def coefficient_fits(
     convention: StressConvention = DEFAULT_CONVENTION,
     dispersion_limit: float = 1e-8,
 ) -> tuple[CoefficientFit, ...]:
-    """coefficient_extract for every velocity of a grid, in one batched quadrature per mode.
+    """Fit the n- and t-independent coefficients at every velocity of a grid.
 
-    Each fit is bit-identical to coefficient_extract at its velocity. A
-    failure raises what a loop of coefficient_extract calls would have raised
-    first (lowest position in the grid, then time sample, then mode index).
+    Fits e_n = c_E * (n pi / L)/2 and p_n = c_P * (n pi / L)/2 over mode
+    indices 1..n_max and the time samples, with one batched quadrature per
+    mode index and chunk of velocities; each fit is bit-identical to the fit
+    of a grid of that one velocity. Raises NotProportionalError for the
+    first velocity, in grid order, whose relative dispersion exceeds
+    dispersion_limit (the factorization claim fails). A quadrature that
+    does not converge raises QuadratureError as gauss_legendre meets it.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -307,30 +287,14 @@ def coefficient_fits(
     velocities = [Cavity1D(proper_length, float(v)).velocity for v in velocities]
     half_w = np.array([n * math.pi / proper_length / 2.0 for n in range(1, n_max + 1)])
     ts = np.array(t_samples, dtype=float)
-
-    def ratios(rows: np.ndarray) -> np.ndarray:
-        """e_n/(w_n/2) and p_n/(w_n/2), shape (2, rows, times, modes)."""
-        out = np.empty((2, len(rows), len(ts), n_max))
-        for n in range(1, n_max + 1):
-            em, _ = _mode_integrals(scheme, proper_length, rows, n, ts, convention)
-            out[..., n - 1] = em / half_w[n - 1]
-        return out
-
     fits: list[CoefficientFit] = []
     for start in range(0, len(velocities), _CHUNK_ROWS):
         chunk = np.array(velocities[start:start + _CHUNK_ROWS])
-        try:
-            table = ratios(chunk)
-        except QuadratureError:
-            # Replay the chunk in loop order, so the failure raised is the one
-            # a per-velocity loop meets first.
-            for v in chunk:
-                for t in ts:
-                    for n in range(1, n_max + 1):
-                        _mode_integrals(scheme, proper_length, v[None], n, t[None], convention)
-                row = ratios(v[None])
-                _fit(row[0, 0], row[1, 0], dispersion_limit)
-            raise
+        # e_n/(w_n/2) and p_n/(w_n/2), shape (2, rows, times, modes)
+        table = np.empty((2, len(chunk), len(ts), n_max))
+        for n in range(1, n_max + 1):
+            em, _ = _mode_integrals(scheme, proper_length, chunk, n, ts, convention)
+            table[..., n - 1] = em / half_w[n - 1]
         fits.extend(_fit(table[0, i], table[1, i], dispersion_limit) for i in range(len(chunk)))
     return tuple(fits)
 

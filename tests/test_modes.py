@@ -34,9 +34,9 @@ class TestCavityTypes:
 
     def test_scheme_labels_roundtrip(self):
         for scheme in ALL_SCHEMES:
-            assert Scheme.from_label(scheme.label) is scheme
+            assert Scheme(scheme.label) is scheme
         with pytest.raises(ValueError):
-            Scheme.from_label("einstein")
+            Scheme("einstein")
 
 
 class TestFrequencies:

@@ -254,8 +254,9 @@ class TestStaticM0FittedOnce:
         assert len(cutoff_fits) == 1
 
     def test_nonrel_fit(self, cutoff_fits):
-        nonrel_fit(Scheme.LORENTZ_EXACT, 1.3, 0.2, 6, config=self.CUTOFF)
-        assert len(cutoff_fits) == 1
+        # c_E = E/m0 and c_P = P/m0 are fitted directly; no m0 is regularized
+        nonrel_fit(Scheme.LORENTZ_EXACT, 1.3, 0.2, 6)
+        assert not cutoff_fits
 
     def test_route_comparison(self, cutoff_fits):
         route_comparison(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), self.CUTOFF)

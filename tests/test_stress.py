@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.quadrature import QuadratureError, gauss_legendre
 from boostcav.stress import (
     NotProportionalError,
     PrefactorRule,
     StressConvention,
-    coefficient_extract,
     coefficient_fits,
     per_mode_coefficients,
     per_mode_em,
@@ -54,54 +52,52 @@ class TestPerMode1D:
 
 class TestCoefficients:
     def test_contracted_closed_form_at_half_light_speed(self):
-        fit = coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.5), 5)
+        fit = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.5,), 5)[0]
         assert abs(fit.c_energy - 5.0 / 3.0) < 1e-9
         assert abs(fit.c_momentum - 4.0 / 3.0) < 1e-9
 
     def test_comoving_prior_small_velocity(self):
-        fit = coefficient_extract(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.1), 5)
+        fit = coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, 1.0, (0.1,), 5)[0]
         assert abs(fit.c_energy - 1.005) < 1e-9
         assert abs(fit.c_momentum - 0.1) < 1e-9
 
     def test_lab_prior_quadrature_law(self):
         # analytic trig integrals give ((1+v^2)/(1-v^2), 2v/(1-v^2)); at
         # v = 0.2 that is (1.08333..., 0.41666...)
-        fit = coefficient_extract(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, 0.2), 5)
+        fit = coefficient_fits(Scheme.GALILEO_LAB_PRIOR, 1.0, (0.2,), 5)[0]
         assert abs(fit.c_energy - 1.04 / 0.96) < 1e-9
         assert abs(fit.c_momentum - 0.4 / 0.96) < 1e-9
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("v", [0.05, 0.3])
     def test_quadrature_matches_per_mode_law(self, scheme, v):
-        fit = coefficient_extract(scheme, Cavity1D(1.0, v), 4)
+        fit = coefficient_fits(scheme, 1.0, (v,), 4)[0]
         ce, cp = per_mode_coefficients(scheme, v)
         assert abs(fit.c_energy - ce) < 1e-10 * max(1.0, ce)
         assert abs(fit.c_momentum - cp) < 1e-10
 
     def test_dispersion_reported_small(self):
-        fit = coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.8), 6, (0.0, 1.7))
+        fit = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.8,), 6, (0.0, 1.7))[0]
         assert fit.n_dispersion <= 1e-8
         assert fit.t_dispersion <= 1e-8
 
     def test_parity(self):
         for scheme in ALL_SCHEMES:
-            plus = coefficient_extract(scheme, Cavity1D(1.0, 0.25), 4)
-            minus = coefficient_extract(scheme, Cavity1D(1.0, -0.25), 4)
+            plus, minus = coefficient_fits(scheme, 1.0, (0.25, -0.25), 4)
             assert abs(plus.c_energy - minus.c_energy) < 1e-10
             assert abs(plus.c_momentum + minus.c_momentum) < 1e-10
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), 1)
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.1,), 1)
         with pytest.raises(ValueError):
-            coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), 4, (0.0,))
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.1,), 4, (0.0,))
 
     def test_dispersion_gate_raises_with_data(self):
         # an unreachable dispersion limit must trip the proportionality gate
         # and hand back the ratio table for inspection
         with pytest.raises(NotProportionalError) as exc:
-            coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.3), 4,
-                                dispersion_limit=1e-18)
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.3,), 4, dispersion_limit=1e-18)
         assert exc.value.ratios.shape == (2, 2, 4)
 
 
@@ -131,8 +127,7 @@ class TestNegativeControls:
         # the proportionality statement itself still holds per mode; the
         # failure shows up against the closed-form coefficients instead
         convention = StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE)
-        fit = coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 4,
-                                  convention=convention)
+        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.6,), 4, convention=convention)
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(fit.c_energy - ce) > 1e-3
 
@@ -228,34 +223,61 @@ PER_MODE_HEX = {
 }
 
 
+CONVENTIONS = {
+    "scheme": StressConvention(),
+    "lab-phase": StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE),
+    "doubled": StressConvention(prefactor_rule=PrefactorRule.DOUBLED),
+    "t01-flip": StressConvention(momentum_sign=-1.0),
+}
+
+# float.hex of per_mode_em_2d(Cavity2D(a, b, v), n, m, t) (energy, momentum)
+# under each convention, recorded before the 1D and 2D per-mode integrals
+# shared one quadrature call; any change is a defect
+PER_MODE_2D_HEX = {
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "scheme"): ("0x1.7c2d2b2f9000cp+1", "0x1.2c7cf7fabe96cp+0"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "lab-phase"): ("0x1.6aaa4b3011347p+1", "0x1.1ea5be412b415p+0"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "doubled"): ("0x1.7c2d2b2f9000cp+0", "0x1.2c7cf7fabe96cp-1"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "t01-flip"): ("0x1.7c2d2b2f9000cp+1", "-0x1.2c7cf7fabe96cp+0"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "scheme"): ("0x1.c9c79b83ce42dp+3", "-0x1.93eb4739aae07p+3"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "lab-phase"): ("0x1.6e3949363e9bcp+3", "-0x1.43229f6155805p+3"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "doubled"): ("0x1.c9c79b83ce42dp+2", "-0x1.93eb4739aae07p+2"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "t01-flip"): ("0x1.c9c79b83ce42dp+3", "0x1.93eb4739aae07p+3"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "scheme"): ("0x1.ab4bfbfcd42ecp+1", "0x1.78fdba6e70fc0p+1"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "lab-phase"): ("0x1.55d66330a9bf0p+1", "0x1.2d97c8585a634p+1"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "doubled"): ("0x1.ab4bfbfcd42ecp+0", "0x1.78fdba6e70fc0p+0"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "t01-flip"): ("0x1.ab4bfbfcd42ecp+1", "-0x1.78fdba6e70fc0p+1"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "scheme"): ("0x1.ee83ddf789cf2p+6", "-0x1.ce98f7fb84900p+6"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "lab-phase"): ("0x1.6b8708316c842p+5", "-0x1.541072f4f0902p+5"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "doubled"): ("0x1.ee83ddf789cf2p+5", "-0x1.ce98f7fb84900p+5"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "t01-flip"): ("0x1.ee83ddf789cf2p+6", "0x1.ce98f7fb84900p+6"),
+}
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("key", sorted(PER_MODE_HEX), ids=lambda k: "-".join(map(str, k)))
     def test_per_mode_energy_and_momentum(self, key):
         label, v, n, t = key
-        pm = per_mode_em(Scheme.from_label(label), Cavity1D(1.3, v), n, t)
+        pm = per_mode_em(Scheme(label), Cavity1D(1.3, v), n, t)
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_HEX[key]
 
-
-
-CONVENTIONS = (
-    StressConvention(),
-    StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE),
-    StressConvention(prefactor_rule=PrefactorRule.DOUBLED),
-    StressConvention(momentum_sign=-1.0),
-)
+    @pytest.mark.parametrize("key", sorted(PER_MODE_2D_HEX), ids=lambda k: "-".join(map(str, k)))
+    def test_per_mode_2d(self, key):
+        (a, b, v, n, m, t), rule = key
+        pm = per_mode_em_2d(Cavity2D(a, b, v), n, m, t, convention=CONVENTIONS[rule])
+        assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_2D_HEX[key]
 
 
 def _outcome(call):
     try:
         return call()
-    except (NotProportionalError, QuadratureError) as exc:
+    except NotProportionalError as exc:
         return type(exc), str(exc)
 
 
 def _extract_loop(scheme, length, velocities, n_max, t_samples, **kw):
-    """coefficient_extract one velocity at a time; the first failure ends the loop."""
+    """One single-velocity fit at a time; the first failure ends the loop."""
     return _outcome(lambda: tuple(
-        coefficient_extract(scheme, Cavity1D(length, v), n_max, t_samples, **kw)
+        coefficient_fits(scheme, length, (v,), n_max, t_samples, **kw)[0]
         for v in velocities
     ))
 
@@ -267,7 +289,7 @@ def _grids(draw):
     velocities = draw(st.lists(st.floats(-cap, cap), min_size=1, max_size=40))
     t_samples = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3)))
     return (scheme, draw(st.floats(0.3, 5.0)), velocities, draw(st.integers(2, 8)), t_samples,
-            draw(st.sampled_from(CONVENTIONS)))
+            draw(st.sampled_from(list(CONVENTIONS.values()))))
 
 
 class TestBatchedFits:
@@ -293,35 +315,9 @@ class TestBatchedFits:
         with pytest.raises(NotProportionalError) as exc:
             coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, velocities, 4, dispersion_limit=0.0)
         with pytest.raises(NotProportionalError) as first:
-            coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.4), 4, dispersion_limit=0.0)
+            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.4,), 4, dispersion_limit=0.0)
         assert str(exc.value) == str(first.value)
         assert np.array_equal(exc.value.ratios, first.value.ratios)
-
-    @staticmethod
-    def _stepped(f, a, b, *, oscillations, **kw):
-        # A step never converges under panel doubling. It sits at x = -0.1 for
-        # mode 2 and at x = -0.15 for mode 1, so at t = 0.37 the v = -0.3 cavity
-        # (left wall -0.111) fails at n = 2 only and v = -0.5 (-0.185) at n = 1.
-        edge = -0.1 if oscillations == 2 else -0.15
-        return gauss_legendre(lambda x: f(x) + (x < edge), a, b, oscillations=oscillations, **kw)
-
-    def test_first_quadrature_failure_is_the_loops(self, monkeypatch):
-        monkeypatch.setattr(stress, "gauss_legendre", self._stepped)
-        velocities = (0.2, -0.3, -0.5)
-        batched = _outcome(lambda: coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, velocities, 3))
-        assert batched[0] is QuadratureError
-        assert batched == _extract_loop(Scheme.LORENTZ_EXACT, 1.0, velocities, 3, (0.0, 0.37))
-        later = _outcome(lambda: coefficient_extract(Scheme.LORENTZ_EXACT, Cavity1D(1.0, -0.5), 3))
-        assert later[0] is QuadratureError and later != batched
-
-    def test_dispersion_failure_before_a_later_quadrature_failure(self, monkeypatch):
-        monkeypatch.setattr(stress, "gauss_legendre", self._stepped)
-        velocities = (0.2, -0.5)
-        batched = _outcome(lambda: coefficient_fits(
-            Scheme.LORENTZ_EXACT, 1.0, velocities, 3, dispersion_limit=0.0))
-        assert batched[0] is NotProportionalError
-        assert batched == _extract_loop(Scheme.LORENTZ_EXACT, 1.0, velocities, 3, (0.0, 0.37),
-                                        dispersion_limit=0.0)
 
     def test_validates_every_velocity(self):
         with pytest.raises(ValueError):
