@@ -157,12 +157,11 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad velocity {text!r}") from exc
 
 
-def _reg_config_1d(method: str, proper_length: float) -> RegConfig | None:
+def _reg_config_1d(method: str) -> RegConfig | None:
     if method == "zeta":
         return None
     if method == "cutoff":
-        Cavity1D(proper_length)  # validates L before its schedule is built
-        return RegConfig.cutoff(math.pi / proper_length)
+        return RegConfig.cutoff()
     return RegConfig.abel_plana()
 
 
@@ -195,7 +194,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
         raise UsageError("static requires a positive --L")
     values = {
         "zeta": static_m0(length),
-        "cutoff": static_m0(length, RegConfig.cutoff(math.pi / length)),
+        "cutoff": static_m0(length, RegConfig.cutoff()),
         "abel-plana": static_m0(length, RegConfig.abel_plana()),
     }
     spread = max(values.values()) - min(values.values())
@@ -223,7 +222,7 @@ def _cmd_boost(args: argparse.Namespace) -> int:
         raise UsageError("boost requires --scheme and --v")
     scheme = Scheme(args.scheme)
     cavity = Cavity1D(args.L, args.v)
-    config = _reg_config_1d(args.method, args.L)
+    config = _reg_config_1d(args.method)
     m0 = static_m0(args.L, config)
     comparison = route_comparison(scheme, cavity, config)
     flag = nonrelativistic_flag(scheme, args.v)
@@ -273,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     grid = _parse_grid(args.v)
     route = Route(args.route)
-    config = _reg_config_1d(args.method, args.L)
+    config = _reg_config_1d(args.method)
     table = sweep(scheme, args.L, grid, route, config)
     header = ["v", "E", "P", "shell_residual", "E_point_particle", "P_point_particle", "route"]
     csv_rows = [

@@ -5,6 +5,9 @@ per-mode numeric route that multiplies quadrature-extracted velocity
 coefficients by the regularized static energy. The numeric route exploits
 the per-mode proportionality to w_n, so regularization is confined to the
 single static sum; velocity-dependent sums are never regularized directly.
+
+E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
+and every regularized m0 are computed on the unit cavity and L only scales.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ __all__ = [
 ]
 
 ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comoving
-# The per-mode route fits its coefficients over modes 1..6 on two time slices.
+# The per-mode route fits its coefficients over modes 1..6 on two time slices,
+# in units of L.
 _N_MAX = 6
 _T_SAMPLES = (0.0, 0.37)
 _NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
@@ -118,7 +122,7 @@ def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
         return 0.5 * zeta_linear_sum(math.pi / proper_length)
     if config.method is RegMethod.ABEL_PLANA:
         return abel_plana_m0(proper_length)
-    return cutoff_finite_part(Linear1DSummand(proper_length, weight=0.5), config).value
+    return cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config).value / proper_length
 
 
 def comoving_energy(scheme: Scheme, cavity: Cavity1D, config: RegConfig | None = None) -> float:
@@ -144,13 +148,11 @@ def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, fl
     return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
 
 
-def _coefficients(
-    scheme: Scheme, proper_length: float, velocities, route: Route
-) -> list[tuple[float, float]]:
+def _coefficients(scheme: Scheme, velocities, route: Route) -> list[tuple[float, float]]:
     """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
     if route is Route.CLOSED_FORM:
         return [closed_form_coefficients(scheme, v) for v in velocities]
-    fits = coefficient_fits(scheme, proper_length, velocities, _N_MAX, _T_SAMPLES)
+    fits = coefficient_fits(scheme, velocities, _N_MAX, _T_SAMPLES)
     return [(fit.c_energy, fit.c_momentum) for fit in fits]
 
 
@@ -170,7 +172,7 @@ def boosted_em(
     """
     if m0 is None:
         m0 = static_m0(cavity.proper_length, config)
-    [(c_e, c_p)] = _coefficients(scheme, cavity.proper_length, (cavity.velocity,), route)
+    [(c_e, c_p)] = _coefficients(scheme, (cavity.velocity,), route)
     return EnergyMomentum(
         energy=c_e * m0, momentum=c_p * m0, scheme=scheme, velocity=cavity.velocity, route=route
     )
@@ -212,7 +214,6 @@ def mass_shell_residual(em: EnergyMomentum, m0: float) -> float:
 
 def nonrel_fit(
     scheme: Scheme,
-    proper_length: float,
     v_max: float,
     degree: int,
     *,
@@ -233,7 +234,7 @@ def nonrel_fit(
     if n_samples < 12:
         raise ValueError("need at least 12 sample velocities")
     vs = np.linspace(v_max / n_samples, v_max, n_samples)
-    e_over, p_over = np.array(_coefficients(scheme, proper_length, vs, Route.PER_MODE_NUMERIC)).T
+    e_over, p_over = np.array(_coefficients(scheme, vs, Route.PER_MODE_NUMERIC)).T
     e_powers = list(range(0, degree + 1, 2))
     p_powers = list(range(1, degree + 1, 2))
 
@@ -256,10 +257,7 @@ def nonrel_fit(
 
 
 def inertia_ratios(
-    scheme: Scheme = Scheme.LORENTZ_EXACT,
-    proper_length: float = 1.0,
-    *,
-    v_max: float = 0.2,
+    scheme: Scheme = Scheme.LORENTZ_EXACT, *, v_max: float = 0.2
 ) -> tuple[float, float]:
     """The two candidate inertia/energy ratios at v = 0, reported side by side.
 
@@ -267,7 +265,7 @@ def inertia_ratios(
     are 4 and 2; the package reports both without endorsing either as "the"
     inertia.
     """
-    fit = nonrel_fit(scheme, proper_length, v_max, degree=6)
+    fit = nonrel_fit(scheme, v_max, degree=6)
     return 2.0 * fit.energy_coeffs[1], fit.momentum_coeffs[0]
 
 
@@ -314,7 +312,7 @@ def sweep(
             route=route,
         )
 
-    coefficients = _coefficients(scheme, proper_length, grid, route)
+    coefficients = _coefficients(scheme, grid, route)
     return SweepTable(
         rows=tuple(row(v, *c) for v, c in zip(grid, coefficients)), scheme=scheme,
         proper_length=proper_length, method=method, warnings=tuple(warnings),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import Cavity2D, Scheme
+from .cavity import Cavity2D, Scheme, _check_length
 from .quadrature import gauss_legendre
 from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
@@ -131,10 +131,11 @@ class _FourPartsSummand:
     divergent_powers = (3, 2)
 
     def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise ValueError("side lengths must be positive")
+        _check_length(a, "side a")
+        _check_length(b, "side b")
         self.a = a
         self.b = b
+        self.omega_min = math.hypot(math.pi / a, math.pi / b)
 
     def blocks(self, omega_cap: float):
         cap = float(omega_cap)
@@ -279,18 +280,13 @@ def _chowla_selberg(a: float, b: float) -> FourParts:
                        FinitePart(*s_k, method=RegMethod.ZETA_EXACT))
 
 
-def default_config(cavity: Cavity2D, **schedule_kw) -> RegConfig:
-    """The cutoff cross-check schedule for this rectangle.
+def default_config(**schedule_kw) -> RegConfig:
+    """The rectangles' cutoff cross-check schedule, x from 0.25 to 0.05 unless overridden.
 
     finite_parts uses the Chowla-Selberg closed form unless handed a config;
     this one routes it through the exponential-cutoff fit instead.
     """
-    omega_min = math.hypot(
-        math.pi / cavity.proper_length_x, math.pi / cavity.proper_length_y
-    )
-    schedule_kw.setdefault("hi", 0.25)
-    schedule_kw.setdefault("lo", 0.05)
-    return RegConfig.cutoff(omega_min, **schedule_kw)
+    return RegConfig.cutoff(**{"hi": 0.25, "lo": 0.05, **schedule_kw})
 
 
 def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:

@@ -6,7 +6,8 @@ Three independent routes:
   * exponential-cutoff evaluation S(eps) = sum c e^{-eps w} followed by a
     least-squares fit of the divergent powers of 1/eps, keeping the eps^0
     constant; the powers are the summand's divergent_powers, fixed by its
-    spectrum (Weyl terms), never by the config,
+    spectrum (Weyl terms), never by the config, and the schedule is
+    dimensionless, in units of 1/omega_min of the summand,
   * an Abel-Plana integral representation for the 1D static sum.
 
 Cross-agreement of the routes is the package's strongest regularization
@@ -22,6 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .cavity import _check_length
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -48,15 +50,11 @@ class FitError(RuntimeError):
     """Divergence fit rejected (ill-conditioned design or bad schedule)."""
 
 
-def geometric_schedule(
-    omega_min: float, *, hi: float = 0.2, lo: float = 0.01, points: int = 8
-) -> tuple[float, ...]:
-    """Strictly decreasing cutoff schedule, dimensionless [lo, hi] in 1/omega_min."""
-    if omega_min <= 0:
-        raise ValueError("omega_min must be positive")
-    if not (0 < lo < hi) or points < 4:
-        raise ValueError("need 0 < lo < hi and at least 4 points")
-    return tuple(np.geomspace(hi, lo, points) / omega_min)
+def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) -> tuple[float, ...]:
+    """Strictly decreasing cutoff schedule from hi to lo, in units of 1/omega_min."""
+    if not (0 < lo < hi < math.inf) or points < 4:
+        raise ValueError("need finite 0 < lo < hi and at least 4 points")
+    return tuple(np.geomspace(hi, lo, points))
 
 
 # Every damped sum is fitted with its summand's divergent powers, the eps^0
@@ -70,18 +68,23 @@ _ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
 @dataclass(frozen=True)
 class RegConfig:
-    """Method selection plus, for the cutoff route, its eps schedule."""
+    """Method selection plus, for the cutoff route, its eps schedule.
+
+    The schedule is dimensionless: a summand with lowest frequency omega_min
+    is damped at eps = x / omega_min for each x in epsilon_schedule.
+    """
 
     method: RegMethod
     epsilon_schedule: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.method is RegMethod.EXPONENTIAL_CUTOFF:
-            eps = self.epsilon_schedule
-            if len(eps) < 4:
+            x = self.epsilon_schedule
+            if len(x) < 4:
                 raise ValueError("cutoff schedule needs at least 4 points")
-            if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or eps[-1] <= 0:
-                raise ValueError("cutoff schedule must be strictly decreasing and positive")
+            # NaN fails every comparison, so this also rejects non-finite points
+            if not (x[0] < math.inf and all(x1 > x2 for x1, x2 in zip(x, x[1:])) and x[-1] > 0):
+                raise ValueError("cutoff schedule must be finite, strictly decreasing and positive")
 
     # -- convenience constructors ------------------------------------------
     @staticmethod
@@ -93,11 +96,11 @@ class RegConfig:
         return RegConfig(method=RegMethod.ABEL_PLANA)
 
     @staticmethod
-    def cutoff(omega_min: float, **schedule_kw) -> "RegConfig":
-        """Exponential cutoff on geometric_schedule(omega_min, **schedule_kw)."""
+    def cutoff(**schedule_kw) -> "RegConfig":
+        """Exponential cutoff on geometric_schedule(**schedule_kw)."""
         return RegConfig(
             method=RegMethod.EXPONENTIAL_CUTOFF,
-            epsilon_schedule=geometric_schedule(omega_min, **schedule_kw),
+            epsilon_schedule=geometric_schedule(**schedule_kw),
         )
 
     def halved(self) -> "RegConfig":
@@ -138,12 +141,15 @@ class SequenceSummand:
         w = np.asarray(frequencies, dtype=float)
         if c.shape != w.shape or c.ndim != 1:
             raise ValueError("coefficients and frequencies must be equal-length 1D")
-        if np.any(w <= 0):
-            raise ValueError("frequencies must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         order = np.argsort(w, kind="stable")
         self._c = c[order]
         self._w = w[order]
         self.omega_min = float(np.min(w))
+        # a NaN makes both extremes NaN
+        _check_length(self.omega_min, "lowest frequency")
+        _check_length(float(np.max(w)), "highest frequency")
 
     def blocks(self, omega_cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         keep = self._w <= omega_cap
@@ -168,8 +174,9 @@ class Linear1DSummand:
     divergent_powers = (2,)  # sum n e^{-eps n} = 1/eps^2 - 1/12 + eps^2/240 - ...
 
     def __init__(self, proper_length: float, weight: float = 0.5):
-        if proper_length <= 0:
-            raise ValueError("proper_length must be positive")
+        _check_length(proper_length, "proper_length")
+        if not math.isfinite(weight):
+            raise ValueError(f"weight must be finite, got {weight!r}")
         self.step = math.pi / proper_length
         self.weight = weight
         self.omega_min = self.step
@@ -208,124 +215,107 @@ def _damped_sums(summand, eps: np.ndarray, damping: float) -> np.ndarray:
 
 
 class _DivergenceFit:
-    """Least squares for S(eps) = sum_q a_q eps^q on one schedule.
+    """Least squares for S = sum_q b_q x^q on one dimensionless schedule x.
 
-    The column-scaled normal matrix is built (in extended precision) and its
-    conditioning checked once; every data column and the rounding-noise
-    propagation share it.
+    One float64 QR factorization of the column-scaled design, its
+    conditioning checked once, serves every data column and the
+    rounding-noise propagation.
     """
 
-    def __init__(self, eps: np.ndarray, divergent_powers: tuple[int, ...]):
-        powers = [-p for p in divergent_powers] + [0, *_STABILIZER_POWERS]
-        self.design = np.stack([eps.astype(np.longdouble) ** float(q) for q in powers], axis=1)
-        self.scale = np.max(np.abs(self.design), axis=0)
-        self.scaled = self.design / self.scale
-        self.cond = float(np.linalg.cond(self.scaled.astype(float)))
+    def __init__(self, x: np.ndarray, divergent_powers: tuple[int, ...]):
+        self.powers = np.array([-p for p in divergent_powers] + [0, *_STABILIZER_POWERS], dtype=float)
+        design = x[:, None] ** self.powers
+        self.scale = np.max(np.abs(design), axis=0)  # 1 for the all-ones x^0 column
+        self.scaled = design / self.scale
+        self.cond = float(np.linalg.cond(self.scaled))
         if self.cond > _CONDITION_LIMIT:
             raise FitError(
                 f"divergence-fit design matrix condition number {self.cond:.3e} exceeds "
                 f"{_CONDITION_LIMIT:.1e}; use a wider or shorter schedule"
             )
-        self.normal = self.scaled.T @ self.scaled
-        self.n_div = len(divergent_powers)  # also the column of the eps^0 term
+        self.q, self.r = np.linalg.qr(self.scaled)
+        self.n_div = len(divergent_powers)  # also the row of the x^0 term
 
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        rhs = self.scaled.T @ values.astype(np.longdouble)
-        return _gauss_solve(self.normal, rhs) / self.scale
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the scaled columns, one column per data column."""
+        return np.linalg.solve(self.r, self.q.T @ values)
 
-    def noise(self, values: np.ndarray) -> float:
+    def noise(self, values: np.ndarray) -> np.ndarray:
         """Propagated float64 rounding of the data through the (linear) fit.
 
         The constant is a linear functional a0 = sum_i d_i y_i of the summed
         data; each y_i carries accumulation rounding O(eps_mach |y_i|), which
-        the divergent columns amplify. This bounds that contribution and is
-        what makes small-eps schedules *worse* beyond a point.
+        the divergent columns amplify. This bounds that contribution, per data
+        column, and is what makes small-eps schedules *worse* beyond a point.
         """
-        basis = np.zeros(self.scaled.shape[1], dtype=np.longdouble)
-        basis[self.n_div] = 1.0
-        # sensitivities of the scaled constant to each data point
-        dual = self.scaled @ _gauss_solve(self.normal, basis)
-        per_point = 16.0 * np.finfo(float).eps * np.abs(values.astype(np.longdouble))
-        return float(np.sum(np.abs(dual) * per_point) / self.scale[self.n_div])
+        dual = self.q @ np.linalg.solve(self.r.T, np.eye(len(self.powers))[self.n_div])
+        return (16.0 * np.finfo(float).eps * np.abs(dual)) @ np.abs(values)
 
 
-def _gauss_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # numpy.linalg does not accept longdouble; the systems here are tiny.
-    m = mat.copy()
-    r = rhs.copy()
-    size = m.shape[0]
-    for col in range(size):
-        pivot = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[pivot, col] == 0:
-            raise FitError("singular divergence-fit system")
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            r[[col, pivot]] = r[[pivot, col]]
-        factor = m[col + 1:, col] / m[col, col]
-        m[col + 1:] -= factor[:, None] * m[col]
-        r[col + 1:] -= factor * r[col]
-    out = np.zeros_like(r)
-    for col in range(size - 1, -1, -1):
-        out[col] = (r[col] - m[col, col + 1:] @ out[col + 1:]) / m[col, col]
-    return out
-
-
-def _fit_finite_parts(eps: np.ndarray, table: np.ndarray, powers: tuple[int, ...]) -> list[FinitePart]:
+def _fit_finite_parts(
+    x: np.ndarray, table: np.ndarray, powers: tuple[int, ...], omega_min: float
+) -> list[FinitePart]:
     """The eps^0 constant of every column of the damped-sum table, with its error.
 
-    The error estimate adds the fit residual, the shift of a refit restricted
-    to the small-eps half of the schedule, and the extraction noise scaled by
-    2^{leading power}: one eps-halving scales the raw sums (hence the noise)
-    by that much, so the estimate also covers nearby schedules.
+    The fit runs in x = eps omega_min, and b_q x^q = (b_q omega_min^q) eps^q
+    gives the divergent coefficients back in eps units. The error estimate
+    adds the fit residual, the shift of a refit restricted to the small-x
+    half of the schedule, and the extraction noise scaled by 2^{leading
+    power}: one x-halving scales the raw sums (hence the noise) by that
+    much, so the estimate also covers nearby schedules.
     """
-    fit = _DivergenceFit(eps, powers)
-    n_params = fit.design.shape[1]
-    lower = slice(len(eps) - max(n_params + 1, len(eps) // 2), len(eps))
-    refit = None
+    fit = _DivergenceFit(x, powers)
+    n_params, n_div = len(fit.powers), fit.n_div
+    lower = slice(len(x) - max(n_params + 1, len(x) // 2), len(x))
+    values = table.reshape(len(x), -1)  # one column per coefficient row
+    coeffs = fit.solve(values)
+    a0 = coeffs[n_div]
+    residual = np.max(np.abs(fit.scaled @ coeffs - values), axis=0)
+    refit_shift = np.zeros_like(a0)
     if lower.stop - lower.start >= n_params and lower.start > 0:
-        refit = _DivergenceFit(eps[lower], powers)
-    n_div = fit.n_div
-    parts = []
-    for values in table.reshape(len(eps), -1).T:
-        coeffs = fit.coefficients(values)
-        a0 = float(coeffs[n_div])
-        residual = float(np.max(np.abs(fit.design @ coeffs - values.astype(np.longdouble))))
-        refit_shift = 0.0
-        if refit is not None:
-            refit_shift = abs(float(refit.coefficients(values[lower])[n_div]) - a0)
-        error = refit_shift + residual + 2.0 ** max(powers) * fit.noise(values)
-        parts.append(FinitePart(
-            value=a0,
-            error_estimate=float(error),
+        refit_shift = np.abs(_DivergenceFit(x[lower], powers).solve(values[lower])[n_div] - a0)
+    error = refit_shift + residual + 2.0 ** max(powers) * fit.noise(values)
+    # b x^-p = (b / omega_min^p) eps^-p; one division per power keeps a
+    # representable coefficient from overflowing on the way
+    divergent = coeffs[:n_div] / fit.scale[:n_div, None]
+    for row, p in zip(divergent, powers):
+        for _ in range(p):
+            row /= omega_min
+    return [
+        FinitePart(
+            value=float(a0[j]),
+            error_estimate=float(error[j]),
             method=RegMethod.EXPONENTIAL_CUTOFF,
-            fitted_divergent_coeffs=tuple(float(c) for c in coeffs[:n_div]),
-            fit_residual=residual,
+            fitted_divergent_coeffs=tuple(float(c) for c in divergent[:, j]),
+            fit_residual=float(residual[j]),
             condition_number=fit.cond,
-        ))
-    return parts
+        )
+        for j in range(values.shape[1])
+    ]
 
 
 def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FinitePart, ...]:
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
-    Evaluates S(eps) over the schedule (each sum truncated once the damping
-    factor falls below 1e-18), fits
+    Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule
+    x (each sum truncated once the damping factor falls below 1e-18), fits
 
-        S(eps) = sum_k a_k eps^{-k} + a_0 + a_2 eps^2 + a_4 eps^4,
+        S = sum_k b_k x^{-k} + a_0 + b_2 x^2 + b_4 x^4,
 
     k over summand.divergent_powers, and returns a_0. The error estimate
-    combines the fit residual with a refit restricted to the small-eps half
+    combines the fit residual with a refit restricted to the small-x half
     of the schedule.
 
-    A summand has divergent_powers and blocks(omega_cap), yielding (c, w)
-    pairs with w ascending and at most omega_cap. When c is a matrix with one
-    row per weight, one FinitePart per row comes back, all from the same
-    damped sums, so linear identities between the weights survive the fit
-    exactly.
+    A summand has omega_min, divergent_powers and blocks(omega_cap),
+    yielding (c, w) pairs with w ascending and at most omega_cap. When c is
+    a matrix with one row per weight, one FinitePart per row comes back, all
+    from the same damped sums, so linear identities between the weights
+    survive the fit exactly.
     """
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
-    eps = np.asarray(config.epsilon_schedule, dtype=float)
+    x = np.asarray(config.epsilon_schedule, dtype=float)
+    eps = x / summand.omega_min
 
     if isinstance(summand, SequenceSummand):
         saturated = summand.saturated_sum(-math.log(_TRUNCATION_DAMPING) / eps[-1])
@@ -342,7 +332,7 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
             )
 
     table = _damped_sums(summand, eps, _TRUNCATION_DAMPING)
-    parts = _fit_finite_parts(eps, table, summand.divergent_powers)
+    parts = _fit_finite_parts(x, table, summand.divergent_powers, summand.omega_min)
     return parts[0] if table.ndim == 1 else tuple(parts)
 
 
@@ -352,6 +342,8 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
 
 def zeta_linear_sum(slope: float) -> float:
     """Regularized value of sum_{n>=1} slope*n, i.e. slope * (-1/12)."""
+    if not math.isfinite(slope):
+        raise ValueError(f"slope must be finite, got {slope!r}")
     return -slope / 12.0
 
 
@@ -367,8 +359,7 @@ def abel_plana_m0(proper_length: float) -> float:
     starting from one panel per unit of t, evaluates the integral; a
     quadrature error above 1e-12 raises FitError.
     """
-    if proper_length <= 0:
-        raise ValueError("proper_length must be positive")
+    _check_length(proper_length, "proper_length")
 
     def integrand(t: np.ndarray) -> np.ndarray:
         decay = np.exp(-2.0 * math.pi * t)  # overflow-safe form of t/(e^{2pi t}-1)

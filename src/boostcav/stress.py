@@ -262,7 +262,6 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
 
 def coefficient_fits(
     scheme: Scheme,
-    proper_length: float,
     velocities,
     n_max: int,
     t_samples: tuple[float, ...] = (0.0, 0.37),
@@ -272,8 +271,10 @@ def coefficient_fits(
 ) -> tuple[CoefficientFit, ...]:
     """Fit the n- and t-independent coefficients at every velocity of a grid.
 
-    Fits e_n = c_E * (n pi / L)/2 and p_n = c_P * (n pi / L)/2 over mode
-    indices 1..n_max and the time samples, with one batched quadrature per
+    The coefficients are dimensionless, so they are fitted on the unit
+    cavity (L = 1) and hold at every L, with t_samples in units of L. Fits
+    e_n = c_E * (n pi)/2 and p_n = c_P * (n pi)/2 over mode indices
+    1..n_max and the time samples, with one batched quadrature per
     mode index and chunk of velocities; each fit is bit-identical to the fit
     of a grid of that one velocity. Raises NotProportionalError for the
     first velocity, in grid order, whose relative dispersion exceeds
@@ -284,8 +285,8 @@ def coefficient_fits(
         raise ValueError("n_max must be >= 2")
     if len(t_samples) < 2:
         raise ValueError("need at least two time samples")
-    velocities = [Cavity1D(proper_length, float(v)).velocity for v in velocities]
-    half_w = np.array([n * math.pi / proper_length / 2.0 for n in range(1, n_max + 1)])
+    velocities = [Cavity1D(1.0, float(v)).velocity for v in velocities]
+    half_w = np.array([n * math.pi / 2.0 for n in range(1, n_max + 1)])
     ts = np.array(t_samples, dtype=float)
     fits: list[CoefficientFit] = []
     for start in range(0, len(velocities), _CHUNK_ROWS):
@@ -293,7 +294,7 @@ def coefficient_fits(
         # e_n/(w_n/2) and p_n/(w_n/2), shape (2, rows, times, modes)
         table = np.empty((2, len(chunk), len(ts), n_max))
         for n in range(1, n_max + 1):
-            em, _ = _mode_integrals(scheme, proper_length, chunk, n, ts, convention)
+            em, _ = _mode_integrals(scheme, 1.0, chunk, n, ts, convention)
             table[..., n - 1] = em / half_w[n - 1]
         fits.extend(_fit(table[0, i], table[1, i], dispersion_limit) for i in range(len(chunk)))
     return tuple(fits)

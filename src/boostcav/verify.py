@@ -130,7 +130,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
-        [fit] = stress.coefficient_fits(scheme, 1.0, (v,), 6, (0.0, 0.37), convention=convention)
+        [fit] = stress.coefficient_fits(scheme, (v,), 6, (0.0, 0.37), convention=convention)
         worst = max(worst, fit.n_dispersion, fit.t_dispersion)
     out.append(_result("stress: per-mode proportionality to w_n", worst <= 1e-8,
                        f"max dispersion = {worst:.2e}"))
@@ -139,7 +139,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst_p = 0.0
     cases = [(Scheme.LORENTZ_EXACT, (0.3, 0.6, 0.9)), (Scheme.GALILEO_COMOVING_PRIOR, (0.05, 0.1, 0.2))]
     for scheme, vs in cases:
-        fits = stress.coefficient_fits(scheme, 1.0, vs, 5, (0.0, 0.5), convention=convention)
+        fits = stress.coefficient_fits(scheme, vs, 5, (0.0, 0.5), convention=convention)
         for v, fit in zip(vs, fits):
             ce, cp = stress.per_mode_coefficients(scheme, v)
             worst_e = max(worst_e, abs(fit.c_energy - ce) / ce)
@@ -152,7 +152,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         for v in (0.15, 0.45 if scheme is Scheme.LORENTZ_EXACT else 0.25):
-            plus, minus = stress.coefficient_fits(scheme, 1.0, (v, -v), 4, (0.0, 0.3),
+            plus, minus = stress.coefficient_fits(scheme, (v, -v), 4, (0.0, 0.3),
                                                   convention=convention)
             worst = max(worst, abs(plus.c_energy - minus.c_energy),
                         abs(plus.c_momentum + minus.c_momentum))
@@ -170,13 +170,13 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for length in (0.5, 1.0, 2.0):
         exact = observables.static_m0(length)
-        cut = observables.static_m0(length, RegConfig.cutoff(math.pi / length))
+        cut = observables.static_m0(length, RegConfig.cutoff())
         ap = observables.static_m0(length, RegConfig.abel_plana())
         worst = max(worst, abs(cut - exact) / abs(exact), abs(ap - exact) / abs(exact))
     out.append(_result("regsum: regulator universality on m0(L)", worst <= 1e-6,
                        f"max relative spread = {worst:.2e}"))
 
-    config = RegConfig.cutoff(1.0)
+    config = RegConfig.cutoff()
     c = regsum.Linear1DSummand(math.pi, weight=1.0)        # c_n = n on w_n = n
     d = regsum.Linear1DSummand(math.pi / 2.0, weight=1.0)  # d_n = 2n on w_n = 2n
 
@@ -213,7 +213,7 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
     detail_1d = f"1D shift {shift:.2e} vs 5x error {5.0 * full.error_estimate:.2e}"
 
     square = Cavity2D(1.0, 1.0, 0.0)
-    cfg2 = rect2d.default_config(square)
+    cfg2 = rect2d.default_config()
     p_full = rect2d.finite_parts(square, cfg2)
     p_half = rect2d.finite_parts(square, cfg2.halved())
     shift2 = abs(p_half.S_omega.value - p_full.S_omega.value)
@@ -236,7 +236,7 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
                        worst <= 1e-8, f"square: max relative deviation = {worst:.2e}"))
 
     wide = Cavity2D(1.0, 20.0, 0.0)
-    p_wide = rect2d.finite_parts(wide, rect2d.default_config(wide))
+    p_wide = rect2d.finite_parts(wide, cfg2)
     for suffix, label, cavity, cutoff in (("", "square", square, p_full),
                                           (" at b/a = 20", "a = 1, b = 20", wide, p_wide)):
         exact = rect2d.finite_parts(cavity)

@@ -54,7 +54,7 @@ def aspect_parts():
 
 def test_criterion_01_static_energy_three_regularizers():
     zeta = static_m0(1.0)
-    cut = static_m0(1.0, RegConfig.cutoff(math.pi))
+    cut = static_m0(1.0, RegConfig.cutoff())
     ap = static_m0(1.0, RegConfig.abel_plana())
     err_zeta = abs(zeta - M0)
     err_cut = abs(cut - M0) / abs(M0)
@@ -93,7 +93,7 @@ def test_criterion_03_mass_shell_identity():
 def test_criterion_04_comoving_prior_coefficients():
     worst = 0.0
     vs = (0.05, 0.1, 0.2)
-    for v, fit in zip(vs, stress.coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, 1.0, vs, 5)):
+    for v, fit in zip(vs, stress.coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, vs, 5)):
         worst = max(worst, abs(fit.c_energy - (1.0 + v * v / 2.0)),
                     abs(fit.c_momentum - v))
     ok = worst <= 1e-9
@@ -117,7 +117,7 @@ def test_criterion_05_galilean_mismatch():
 
 
 def test_criterion_06_nonrelativistic_fit():
-    fit = nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.2, degree=6)
+    fit = nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)
     d0 = abs(fit.energy_coeffs[0] - 1.0)
     d2 = abs(fit.energy_coeffs[1] - 2.0)
     d1 = abs(fit.momentum_coeffs[0] - 2.0)
@@ -220,7 +220,7 @@ def test_criterion_11_subtraction_solver(square_parts):
 
 
 def test_criterion_12_regulator_robustness():
-    config = RegConfig.cutoff(math.pi)
+    config = RegConfig.cutoff()
     summand = Linear1DSummand(1.0, weight=0.5)
     full = cutoff_finite_part(summand, config)
     half = cutoff_finite_part(summand, config.halved())
@@ -228,7 +228,7 @@ def test_criterion_12_regulator_robustness():
     ok_1d = shift_1d < 5.0 * full.error_estimate
 
     square = Cavity2D(1.0, 1.0, 0.0)
-    cfg2 = rect2d.default_config(square)
+    cfg2 = rect2d.default_config()
     cutoff_parts = rect2d.finite_parts(square, cfg2)
     halved_parts = rect2d.finite_parts(square, cfg2.halved())
     ok_2d = True

@@ -214,6 +214,27 @@ class TestTinyLength:
         assert json.loads(out)["rows"][0]["m0"] == pytest.approx(M0 / 1e-150)
 
 
+class TestExtremeLength:
+    """Far from L = 1 the per-mode route still gives the closed form: only m0 carries L."""
+
+    @pytest.mark.parametrize("argv", [
+        ("boost", "--scheme", "lorentz", "--L", "1e-10", "--v", "0.3"),
+        ("boost", "--scheme", "lorentz", "--L", "1e-150", "--v", "0.3"),
+        ("sweep", "--scheme", "lorentz", "--L", "1e150", "--v", "0:0.5:0.25", "--route", "per-mode"),
+    ], ids=["boost-1e-10", "boost-1e-150", "sweep-per-mode-1e150"])
+    def test_per_mode_route_is_the_closed_form(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        m0 = M0 / float(argv[argv.index("--L") + 1])
+        rows = [row for row in payload["rows"] if row["route"] == "per-mode"]
+        assert rows
+        for row in rows:
+            v = row.get("v", payload["meta"].get("v"))
+            assert row["E"] == pytest.approx(m0 * (1 + v * v) / (1 - v * v), rel=1e-8)
+            assert row["P"] == pytest.approx(m0 * 2 * v / (1 - v * v), rel=1e-8, abs=1e-8 * abs(m0))
+
+
 class TestVerify:
     def test_single_module_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "modes")
@@ -415,24 +436,25 @@ class TestOutputFile:
         assert content.startswith("# units")
 
 
-# sha256 of stdout, recorded before the per-mode quadrature was batched and m0
-# was fitted once per request; per-mode sweeps shaped like the benchmark's
-# (375, 106 and 27 rows) and cutoff boosts. Any change is a defect.
+# sha256 of stdout: per-mode sweeps shaped like the benchmark's (375, 106 and
+# 27 rows) and cutoff boosts. Recorded once m0 and the per-mode coefficients
+# were computed on the unit cavity and the cutoff fit became a float64 QR
+# least squares; any later change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
-        "7e33fb772c6d279227794e2dbde009423fbb1b29580a9cf3ee008f139c875c31",
+        "ae36b0a19bc9fc64053bbcfdf0d090ce6f0d85243452fa5cd0357bb97a43c3a0",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "39d0ce5c4e9c58f8c78c8b79dc499687c3e1f5d1c09919eb243003452b3a0a2a",
+        "f7c65e9a0a031672829655ea1c11bbded86420da71fe6316987800e702397a48",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
-        "98e3b3f09c7cc8dae3f737132abbdcda5c535b786fd7a31e9e90fa6c2aa13feb",
+        "0c66fd50032dbbd60c3763c6886ae7a1ce999ddf16360cb5017252796b5f9a9a",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
-        "8463f85f7cff287aa587ece105d7ff2603784630a7867bf7f0f01766887d4b1f",
+        "a21d995741c1296eb8dc29fcdaafdf62317b6188d76ff0e787c4b5a5e0c327ea",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "a827f57ef2d657c9e627969a383af03071bce8404c6e1c34e41055ea1479b8ac",
+        "403bc715ad99e02d250e55c021dde0b64762c348f3b67c9b0ac7e7ac880cd669",
 }
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity1D, Scheme
 from boostcav.observables import (
@@ -30,7 +31,7 @@ class TestStaticM0:
         assert abs(static_m0(10.0) + math.pi / 240.0) < 1e-15
 
     def test_cutoff_within_tolerance(self):
-        got = static_m0(1.0, RegConfig.cutoff(math.pi))
+        got = static_m0(1.0, RegConfig.cutoff())
         assert abs(got - M0) < 1e-6 * abs(M0)
 
     def test_abel_plana(self):
@@ -106,33 +107,33 @@ class TestMassShell:
 
 class TestNonRelFit:
     def test_contracted_expansion_coefficients(self):
-        fit = nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.2, degree=6)
+        fit = nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)
         assert abs(fit.energy_coeffs[0] - 1.0) < 1e-3
         assert abs(fit.energy_coeffs[1] - 2.0) < 1e-3
         assert abs(fit.momentum_coeffs[0] - 2.0) < 1e-3
 
     def test_comoving_prior_expansion(self):
-        fit = nonrel_fit(Scheme.GALILEO_COMOVING_PRIOR, 1.0, 0.2, degree=4)
+        fit = nonrel_fit(Scheme.GALILEO_COMOVING_PRIOR, 0.2, degree=4)
         assert abs(fit.energy_coeffs[0] - 1.0) < 1e-6
         assert abs(fit.energy_coeffs[1] - 0.5) < 1e-6
         assert abs(fit.momentum_coeffs[0] - 1.0) < 1e-9
 
     def test_tiny_window_constant_term(self):
-        fit = nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.05, degree=4)
+        fit = nonrel_fit(Scheme.LORENTZ_EXACT, 0.05, degree=4)
         assert abs(fit.energy_coeffs[0] - 1.0) < 1e-7
 
     def test_residual_gate(self):
         # degree 2 cannot represent the v^4 content over this window
         with pytest.raises(FitError):
-            nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.3, degree=2)
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.3, degree=2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.4, degree=4)
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.4, degree=4)
         with pytest.raises(ValueError):
-            nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.2, degree=1)
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=1)
         with pytest.raises(ValueError):
-            nonrel_fit(Scheme.LORENTZ_EXACT, 1.0, 0.2, degree=4, n_samples=5)
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=4, n_samples=5)
 
     def test_inertia_ratios_reported_side_by_side(self):
         de, dp = inertia_ratios()
@@ -244,7 +245,7 @@ def cutoff_fits(monkeypatch):
 class TestStaticM0FittedOnce:
     """m0 does not depend on v: one cutoff fit serves a whole grid."""
 
-    CUTOFF = RegConfig.cutoff(math.pi / 1.3)
+    CUTOFF = RegConfig.cutoff()
 
     @pytest.mark.parametrize("route", list(Route))
     def test_sweep(self, cutoff_fits, route):
@@ -255,7 +256,7 @@ class TestStaticM0FittedOnce:
 
     def test_nonrel_fit(self, cutoff_fits):
         # c_E = E/m0 and c_P = P/m0 are fitted directly; no m0 is regularized
-        nonrel_fit(Scheme.LORENTZ_EXACT, 1.3, 0.2, 6)
+        nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, 6)
         assert not cutoff_fits
 
     def test_route_comparison(self, cutoff_fits):
@@ -267,3 +268,29 @@ class TestStaticM0FittedOnce:
                         m0=-2.0)
         assert not cutoff_fits
         assert em.energy == -2.0 * closed_form_coefficients(Scheme.LORENTZ_EXACT, 0.4)[0]
+
+
+CONFIGS = {"zeta": None, "cutoff": RegConfig.cutoff(), "abel-plana": RegConfig.abel_plana()}
+
+
+class TestLengthOnlyScales:
+    """m0 = m0(1)/L and E/m0, P/m0 depend on v alone, so L m0, L E and L P do not depend on L."""
+
+    @pytest.mark.parametrize("method", sorted(CONFIGS))
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.label)
+    # below |v| ~ 1e-150, P = c_P m0 leaves the normal float64 range at one end
+    # of the L range, where no result keeps 53 bits to compare in ulp
+    @settings(max_examples=12, deadline=None)
+    @given(log10_length=st.floats(-150.0, 150.0),
+           v=st.floats(-0.5, 0.5).filter(lambda v: v == 0.0 or abs(v) >= 1e-100))
+    def test_within_4_ulp_of_the_unit_cavity(self, scheme, route, method, log10_length, v):
+        length = 10.0 ** log10_length
+        config = CONFIGS[method]
+        m0 = static_m0(length, config)
+        scaled = boosted_em(scheme, Cavity1D(length, v), route, config)
+        unit = boosted_em(scheme, Cavity1D(1.0, v), route, config)
+        for got, want in ((length * m0, static_m0(1.0, config)),
+                          (length * scaled.energy, unit.energy),
+                          (length * scaled.momentum, unit.momentum)):
+            assert abs(got - want) <= 4.0 * math.ulp(want)

@@ -215,7 +215,7 @@ class TestChowlaSelberg:
     def test_config_selects_the_route(self):
         cav = Cavity2D(1.0, 2.0, 0.0)
         assert finite_parts(cav, RegConfig.zeta()) == finite_parts(cav)
-        cutoff = finite_parts(cav, rect2d.default_config(cav))
+        cutoff = finite_parts(cav, rect2d.default_config())
         assert cutoff.S_omega.method is RegMethod.EXPONENTIAL_CUTOFF
         with pytest.raises(ValueError):
             finite_parts(cav, RegConfig.abel_plana())
@@ -233,7 +233,7 @@ class TestHalvesByConstruction:
     @pytest.mark.parametrize("a, b", [(1.0, 2.0), (3.0, 0.5)])
     def test_u_and_w_are_half_sum_and_difference(self, cutoff, a, b):
         cav = Cavity2D(a, b, 0.0)
-        parts = finite_parts(cav, rect2d.default_config(cav) if cutoff else None)
+        parts = finite_parts(cav, rect2d.default_config() if cutoff else None)
         s_omega, s_k = parts.S_omega, parts.S_k
         assert parts.U.value == 0.5 * (s_omega.value + s_k.value)
         assert parts.W.value == 0.5 * (s_omega.value - s_k.value)
@@ -257,14 +257,15 @@ class TestCutoffWorkBudget:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")) as exc:
-                finite_parts(cav, rect2d.default_config(cav))
+                finite_parts(cav, rect2d.default_config())
         assert "spectrum terms, over the budget of 1e+09" in str(exc.value)
 
     def test_largest_tested_aspect_is_within_budget(self):
         # b/a = 50 sums about 2.7e7 terms at its smallest cutoff
-        cav = Cavity2D(1.0, 50.0, 0.0)
-        config = rect2d.default_config(cav)
-        cap = -math.log(regsum._TRUNCATION_DAMPING) / config.epsilon_schedule[-1]
+        # the schedule is in units of 1/omega_min
+        x_lo = rect2d.default_config().epsilon_schedule[-1]
+        omega_min = rect2d._FourPartsSummand(1.0, 50.0).omega_min
+        cap = -math.log(regsum._TRUNCATION_DAMPING) * omega_min / x_lo
         assert 2e7 < 50.0 * cap * cap / (4.0 * math.pi) < rect2d._TERM_BUDGET
 
 

@@ -29,6 +29,9 @@ class TestZetaAssignment:
         assert abs(zeta_linear_sum(math.pi) + math.pi / 12.0) < 1e-15
         assert zeta_linear_sum(0.0) == 0.0
         assert abs(zeta_linear_sum(2.0 * math.pi) + math.pi / 6.0) < 1e-15
+        for slope in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="slope must be finite"):
+                zeta_linear_sum(slope)
 
 
 class TestAbelPlana:
@@ -38,25 +41,32 @@ class TestAbelPlana:
         assert abs(abel_plana_m0(length) - exact) <= 1e-15 * abs(exact)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            abel_plana_m0(0.0)
+        for length in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="proper_length must be positive and finite"):
+                abel_plana_m0(length)
 
 
 class TestConfig:
     def test_schedule_validation(self):
+        for schedule in ((0.1, 0.2, 0.05, 0.01), (0.1, 0.05), (0.1, 0.05, 0.02, 0.0),
+                         (math.inf, 0.1, 0.05, 0.01), (0.1, math.nan, 0.05, 0.01),
+                         (0.1, 0.05, 0.02, math.nan)):
+            with pytest.raises(ValueError):
+                RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF, epsilon_schedule=schedule)
+
+    @pytest.mark.parametrize("kw", [{"hi": math.inf}, {"lo": math.nan}, {"lo": 0.3}, {"points": 3}])
+    def test_geometric_schedule_validation(self, kw):
         with pytest.raises(ValueError):
-            RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF, epsilon_schedule=(0.1, 0.2, 0.05, 0.01))
-        with pytest.raises(ValueError):
-            RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF, epsilon_schedule=(0.1, 0.05))
+            geometric_schedule(**kw)
 
     def test_geometric_schedule_shape(self):
-        sched = geometric_schedule(2.0, hi=0.2, lo=0.01, points=8)
+        sched = geometric_schedule(hi=0.2, lo=0.01, points=8)
         assert len(sched) == 8
         assert all(b < a for a, b in zip(sched, sched[1:]))
-        assert abs(sched[0] - 0.1) < 1e-15
+        assert sched[0] == 0.2 and abs(sched[-1] - 0.01) < 1e-17
 
     def test_halved(self):
-        cfg = RegConfig.cutoff(1.0)
+        cfg = RegConfig.cutoff()
         half = cfg.halved()
         assert all(abs(h - e / 2) < 1e-18 for h, e in zip(half.epsilon_schedule,
                                                           cfg.epsilon_schedule))
@@ -82,21 +92,21 @@ class TestCutoffFit:
             assert abs(total - x / (1 - x) ** 2) < 1e-9
 
     def test_convergent_passthrough(self):
-        config = RegConfig.cutoff(1.0)
+        config = RegConfig.cutoff()
         finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
         fp = cutoff_finite_part(finite, config)
         assert fp.value == 10.0
         assert all(c == 0.0 for c in fp.fitted_divergent_coeffs)
 
     def test_static_1d_energy(self):
-        config = RegConfig.cutoff(math.pi)
+        config = RegConfig.cutoff()
         fp = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
         target = -math.pi / 24.0
         assert abs(fp.value - target) < 1e-6 * abs(target)
         assert abs(fp.value - target) < 5.0 * max(fp.error_estimate, 1e-12)
 
     def test_halving_robustness_1d(self):
-        config = RegConfig.cutoff(math.pi)
+        config = RegConfig.cutoff()
         summand = Linear1DSummand(1.0, weight=0.5)
         full = cutoff_finite_part(summand, config)
         half = cutoff_finite_part(summand, config.halved())
@@ -115,11 +125,41 @@ class TestCutoffFit:
         with pytest.raises(ValueError):
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
 
+    def test_fits_in_units_of_omega_min(self):
+        # sum (n pi / 2L) e^{-eps n pi / L} = L/(2 pi eps^2) - pi/(24 L) + O(eps^2):
+        # the schedule scales with 1/omega_min = L/pi, so each length fits the
+        # unit cavity's sums times 1/L, and the divergent coefficient is L/(2 pi)
+        unit = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
+        assert unit.fitted_divergent_coeffs[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
+        for length in (0.25, 4.0):
+            fp = cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff())
+            assert fp.value * length == pytest.approx(unit.value, rel=1e-12)
+            assert fp.fitted_divergent_coeffs[0] / length == pytest.approx(
+                unit.fitted_divergent_coeffs[0], rel=1e-12)
+            assert fp.condition_number == unit.condition_number
+        # L/(2 pi) is representable at L = 1e160 although omega_min^-2 is not
+        far = cutoff_finite_part(Linear1DSummand(1e160), RegConfig.cutoff())
+        assert far.fitted_divergent_coeffs[0] == pytest.approx(1e160 / (2.0 * math.pi), rel=1e-9)
+        assert far.value * 1e160 == pytest.approx(unit.value, rel=1e-9)
+
+    def test_summands_reject_non_finite_input(self):
+        for length in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="proper_length must be positive and finite"):
+                Linear1DSummand(length)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight must be finite"):
+                Linear1DSummand(1.0, bad)
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                SequenceSummand([1.0, bad, 1.0], [1.0, 2.0, 3.0])
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="frequency must be positive and finite"):
+                SequenceSummand([1.0, 1.0, 1.0], [1.0, bad, 3.0])
+
 
 @functools.lru_cache(maxsize=None)
 def _cutoff_parts(a, b):
     cav = Cavity2D(a, b, 0.0)
-    return rect2d.finite_parts(cav, rect2d.default_config(cav))
+    return rect2d.finite_parts(cav, rect2d.default_config())
 
 
 def _cutoff_energy(a, b):
@@ -152,8 +192,8 @@ class TestRect2DSums:
 
     def test_disjoint_schedules_agree(self):
         cav = Cavity2D(1.0, 1.0, 0.0)
-        a = rect2d.static_energy_2d(cav, rect2d.default_config(cav, hi=0.25, lo=0.02))
-        b = rect2d.static_energy_2d(cav, rect2d.default_config(cav, hi=0.19, lo=0.03, points=7))
+        a = rect2d.static_energy_2d(cav, rect2d.default_config(hi=0.25, lo=0.02))
+        b = rect2d.static_energy_2d(cav, rect2d.default_config(hi=0.19, lo=0.03, points=7))
         assert abs(a.value - b.value) / abs(a.value) < 1e-4
 
     @pytest.mark.parametrize("a, b", BOUND_GRID)
@@ -197,10 +237,9 @@ class TestRect2DSums:
         assert abs(ratios[2] - 1.0) < 0.1
 
     def test_summand_validation(self):
-        with pytest.raises(ValueError):
-            rect2d._FourPartsSummand(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            rect2d._FourPartsSummand(1.0, 0.0)
+        for a, b in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                rect2d._FourPartsSummand(a, b)
 
 
 class TestBitIdentity:
@@ -210,19 +249,19 @@ class TestBitIdentity:
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e6aa87fap-6", "0x1.2d9315b343112p-27"),
-            ("0x1.50345f6c660cbp-7", "0x1.2d9315b343112p-27"),
-            ("0x1.50345f106dc30p-5", "0x1.8572b840596c2p-27"),
-            ("0x1.50345eb475795p-6", "0x1.ab66e64c596c4p-28"),
+            ("0x1.f84e8e7625ecdp-6", "0x1.2f520d0943116p-27"),
+            ("0x1.50345f7480372p-7", "0x1.2f520d0943116p-27"),
+            ("0x1.50345f1833043p-5", "0x1.8c6e29a4596c8p-27"),
+            ("0x1.50345ebbe5d14p-6", "0x1.a46be0dc596cap-28"),
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7bfceec24p-4", "0x1.311bf96bea42ap-26"),
-            ("0x1.e9c315475236dp-5", "0x1.311bf96bea42ap-26"),
-            ("-0x1.bb5be2b28b4dap-5", "0x1.84eeefbe4dd7ap-26"),
-            ("-0x1.63b883504beedp-3", "0x1.ba9206330d5b6p-27"),
+            ("-0x1.d28f7bfc2fb4dp-4", "0x1.31f5e349ea42fp-26"),
+            ("0x1.e9c31547c59dap-5", "0x1.31f5e349ea42fp-26"),
+            ("-0x1.bb5be2b099cc1p-5", "0x1.86361d3a4dd80p-26"),
+            ("-0x1.63b883500941dp-3", "0x1.bb6b52b30d5bcp-27"),
         ),
     }
-    STATIC_CUTOFF = {1.0: "-0x1.0c152382799bcp-3", 2.5: "-0x1.acee9f37272f3p-5"}
+    STATIC_CUTOFF = {1.0: "-0x1.0c1523826cb8bp-3", 2.5: "-0x1.acee9f37145abp-5"}
 
     @pytest.mark.parametrize("sides", sorted(RECT))
     def test_rectangle_parts(self, sides):
@@ -233,5 +272,5 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("length", sorted(STATIC_CUTOFF))
     def test_static_cutoff(self, length):
-        m0 = static_m0(length, RegConfig.cutoff(math.pi / length))
+        m0 = static_m0(length, RegConfig.cutoff())
         assert m0.hex() == self.STATIC_CUTOFF[length]

@@ -52,52 +52,52 @@ class TestPerMode1D:
 
 class TestCoefficients:
     def test_contracted_closed_form_at_half_light_speed(self):
-        fit = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.5,), 5)[0]
+        fit = coefficient_fits(Scheme.LORENTZ_EXACT, (0.5,), 5)[0]
         assert abs(fit.c_energy - 5.0 / 3.0) < 1e-9
         assert abs(fit.c_momentum - 4.0 / 3.0) < 1e-9
 
     def test_comoving_prior_small_velocity(self):
-        fit = coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, 1.0, (0.1,), 5)[0]
+        fit = coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, (0.1,), 5)[0]
         assert abs(fit.c_energy - 1.005) < 1e-9
         assert abs(fit.c_momentum - 0.1) < 1e-9
 
     def test_lab_prior_quadrature_law(self):
         # analytic trig integrals give ((1+v^2)/(1-v^2), 2v/(1-v^2)); at
         # v = 0.2 that is (1.08333..., 0.41666...)
-        fit = coefficient_fits(Scheme.GALILEO_LAB_PRIOR, 1.0, (0.2,), 5)[0]
+        fit = coefficient_fits(Scheme.GALILEO_LAB_PRIOR, (0.2,), 5)[0]
         assert abs(fit.c_energy - 1.04 / 0.96) < 1e-9
         assert abs(fit.c_momentum - 0.4 / 0.96) < 1e-9
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("v", [0.05, 0.3])
     def test_quadrature_matches_per_mode_law(self, scheme, v):
-        fit = coefficient_fits(scheme, 1.0, (v,), 4)[0]
+        fit = coefficient_fits(scheme, (v,), 4)[0]
         ce, cp = per_mode_coefficients(scheme, v)
         assert abs(fit.c_energy - ce) < 1e-10 * max(1.0, ce)
         assert abs(fit.c_momentum - cp) < 1e-10
 
     def test_dispersion_reported_small(self):
-        fit = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.8,), 6, (0.0, 1.7))[0]
+        fit = coefficient_fits(Scheme.LORENTZ_EXACT, (0.8,), 6, (0.0, 1.7))[0]
         assert fit.n_dispersion <= 1e-8
         assert fit.t_dispersion <= 1e-8
 
     def test_parity(self):
         for scheme in ALL_SCHEMES:
-            plus, minus = coefficient_fits(scheme, 1.0, (0.25, -0.25), 4)
+            plus, minus = coefficient_fits(scheme, (0.25, -0.25), 4)
             assert abs(plus.c_energy - minus.c_energy) < 1e-10
             assert abs(plus.c_momentum + minus.c_momentum) < 1e-10
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.1,), 1)
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.1,), 1)
         with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.1,), 4, (0.0,))
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.1,), 4, (0.0,))
 
     def test_dispersion_gate_raises_with_data(self):
         # an unreachable dispersion limit must trip the proportionality gate
         # and hand back the ratio table for inspection
         with pytest.raises(NotProportionalError) as exc:
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.3,), 4, dispersion_limit=1e-18)
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.3,), 4, dispersion_limit=1e-18)
         assert exc.value.ratios.shape == (2, 2, 4)
 
 
@@ -127,7 +127,7 @@ class TestNegativeControls:
         # the proportionality statement itself still holds per mode; the
         # failure shows up against the closed-form coefficients instead
         convention = StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE)
-        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.6,), 4, convention=convention)
+        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.6,), 4, convention=convention)
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(fit.c_energy - ce) > 1e-3
 
@@ -274,10 +274,10 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _extract_loop(scheme, length, velocities, n_max, t_samples, **kw):
+def _extract_loop(scheme, velocities, n_max, t_samples, **kw):
     """One single-velocity fit at a time; the first failure ends the loop."""
     return _outcome(lambda: tuple(
-        coefficient_fits(scheme, length, (v,), n_max, t_samples, **kw)[0]
+        coefficient_fits(scheme, (v,), n_max, t_samples, **kw)[0]
         for v in velocities
     ))
 
@@ -288,7 +288,7 @@ def _grids(draw):
     cap = 0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5
     velocities = draw(st.lists(st.floats(-cap, cap), min_size=1, max_size=40))
     t_samples = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3)))
-    return (scheme, draw(st.floats(0.3, 5.0)), velocities, draw(st.integers(2, 8)), t_samples,
+    return (scheme, velocities, draw(st.integers(2, 8)), t_samples,
             draw(st.sampled_from(list(CONVENTIONS.values()))))
 
 
@@ -298,28 +298,28 @@ class TestBatchedFits:
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_equals_the_per_velocity_loop(self, grid):
-        scheme, length, velocities, n_max, t_samples, convention = grid
+        scheme, velocities, n_max, t_samples, convention = grid
         batched = _outcome(lambda: coefficient_fits(
-            scheme, length, velocities, n_max, t_samples, convention=convention))
-        assert batched == _extract_loop(scheme, length, velocities, n_max, t_samples,
+            scheme, velocities, n_max, t_samples, convention=convention))
+        assert batched == _extract_loop(scheme, velocities, n_max, t_samples,
                                         convention=convention)
 
     def test_chunks_are_invisible(self):
         velocities = np.linspace(-0.9, 0.9, 2 * stress._CHUNK_ROWS + 5)
-        fits = coefficient_fits(Scheme.LORENTZ_EXACT, 1.7, velocities, 3)
+        fits = coefficient_fits(Scheme.LORENTZ_EXACT, velocities, 3)
         assert len(fits) == len(velocities)
-        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, 1.7, velocities, 3, (0.0, 0.37))
+        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, velocities, 3, (0.0, 0.37))
 
     def test_first_dispersion_failure_is_the_loops(self):
         velocities = (0.4, -0.2, 0.7)
         with pytest.raises(NotProportionalError) as exc:
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, velocities, 4, dispersion_limit=0.0)
+            coefficient_fits(Scheme.LORENTZ_EXACT, velocities, 4, dispersion_limit=0.0)
         with pytest.raises(NotProportionalError) as first:
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.4,), 4, dispersion_limit=0.0)
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.4,), 4, dispersion_limit=0.0)
         assert str(exc.value) == str(first.value)
         assert np.array_equal(exc.value.ratios, first.value.ratios)
 
     def test_validates_every_velocity(self):
         with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (0.2, 1.0), 4)
-        assert coefficient_fits(Scheme.LORENTZ_EXACT, 1.0, (), 4) == ()
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.2, 1.0), 4)
+        assert coefficient_fits(Scheme.LORENTZ_EXACT, (), 4) == ()
