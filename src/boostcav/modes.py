@@ -21,11 +21,11 @@ place of k in th, times sin(p*y), with N = 2*sqrt(g/(a*b)) and p = m*pi/b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor, speed_squared
+from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor, speed_squared
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -151,15 +151,15 @@ def _affine_second_derivative(norm, coeffs, i: int, j: int, t, x):
     )
 
 
-@dataclass(frozen=True)
-class SpacetimeMode:
+@_validated
+class SpacetimeMode(NamedTuple):
     """One normalized 1D cavity mode; evaluation plus closed-form derivatives."""
 
     scheme: Scheme
     cavity: Cavity1D
     n: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_index(self.n)
 
     # -- spectral data ----------------------------------------------------
@@ -232,15 +232,15 @@ class SpacetimeMode:
         return _affine_second_derivative(self.normalization, self._coeffs, 0, 1, t, x)
 
 
-@dataclass(frozen=True)
-class SpacetimeMode2D:
+@_validated
+class SpacetimeMode2D(NamedTuple):
     """Exact-contraction mode of the moving rectangle (boost along x)."""
 
     cavity: Cavity2D
     n: int
     m: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_index(self.n, "n")
         _check_index(self.m, "m")
 

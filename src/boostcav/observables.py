@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class Route(enum.Enum):
     PER_MODE_NUMERIC = "per-mode"
 
 
-@dataclass(frozen=True)
-class EnergyMomentum:
+class EnergyMomentum(NamedTuple):
     energy: float
     momentum: float
     scheme: Scheme
@@ -74,8 +73,7 @@ class EnergyMomentum:
     route: Route
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     velocity: float
     energy: float
     momentum: float
@@ -85,8 +83,7 @@ class SweepRow:
     route: Route
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     rows: tuple[SweepRow, ...]
     scheme: Scheme
     proper_length: float
@@ -94,8 +91,7 @@ class SweepTable:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RouteComparison:
+class RouteComparison(NamedTuple):
     closed: EnergyMomentum
     numeric: EnergyMomentum
     rel_diff_energy: float
@@ -104,8 +100,7 @@ class RouteComparison:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class NonRelFit:
+class NonRelFit(NamedTuple):
     """Small-velocity polynomial coefficients of E(v)/m0 (even) and P(v)/m0 (odd)."""
 
     energy_coeffs: tuple[float, ...]    # v^0, v^2, v^4, ...

@@ -9,14 +9,26 @@ check turns that into a verified error estimate.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 __all__ = ["QuadratureError", "gauss_legendre"]
 
-_ORDER = 16  # nodes per panel; one panel per oscillation gives 16 >= 8 nodes/cycle
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the
+# np.polynomial.legendre.leggauss(16) table: 16 nodes per panel, so one panel
+# per oscillation gives 16 >= 8 nodes/cycle. The rule is symmetric; these are
+# the eight positive nodes, ascending, and their weights.
+_HALF_NODES = [float.fromhex(h) for h in (
+    "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+    "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1",
+)]
+_HALF_WEIGHTS = [float.fromhex(h) for h in (
+    "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+    "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
+)]
+_NODES = np.array([-x for x in reversed(_HALF_NODES)] + _HALF_NODES)
+_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
 
 
 class QuadratureError(RuntimeError):
@@ -27,13 +39,7 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-@lru_cache(maxsize=None)
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
-    x0, w0 = _nodes(_ORDER)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     # np.linspace(a, b, panels + 1, axis=-1) element by element: linspace
@@ -44,8 +50,8 @@ def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
     edges[..., -1:] = b
     half = 0.5 * np.diff(edges, axis=-1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    xs = (mid[..., None] + half[..., None] * x0).reshape(edges.shape[:-1] + (-1,))
-    ws = (half[..., None] * w0).reshape(xs.shape)
+    xs = (mid[..., None] + half[..., None] * _NODES).reshape(edges.shape[:-1] + (-1,))
+    ws = (half[..., None] * _WEIGHTS).reshape(xs.shape)
     return np.sum(ws * f(xs), axis=-1)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class UnderdeterminedError(ValueError):
     """Too few velocity points to constrain the two finite-part shifts."""
 
 
-@dataclass(frozen=True)
-class FourParts:
+class FourParts(NamedTuple):
     """The four regularized sums every 2D observable is built from."""
 
     U: FinitePart
@@ -72,8 +71,7 @@ class FourParts:
     S_k: FinitePart
 
 
-@dataclass(frozen=True)
-class Rect2DResult:
+class Rect2DResult(NamedTuple):
     proper_length_x: float
     proper_length_y: float
     velocity: float
@@ -86,24 +84,21 @@ class Rect2DResult:
     parts: FourParts
 
 
-@dataclass(frozen=True)
-class ShellProbeRow:
+class ShellProbeRow(NamedTuple):
     velocity: float
     residual: float
     residual_error: float
     predicted_residual: float | None  # analytic 2(g^2(1+v^2)-1) U W, per-mode route only
 
 
-@dataclass(frozen=True)
-class SubtractionBranch:
+class SubtractionBranch(NamedTuple):
     name: str
     delta_U: float
     delta_W: float
     max_rel_residual: float
 
 
-@dataclass(frozen=True)
-class SubtractionSolution:
+class SubtractionSolution(NamedTuple):
     branches: tuple[SubtractionBranch, ...]
     note: str
 
@@ -114,7 +109,12 @@ _TERM_BUDGET = 1e9
 
 
 class _FourPartsSummand:
-    """The rectangle spectrum w = sqrt(k_n^2 + p_m^2), k_n = n pi/a, p_m = m pi/b.
+    """The a x b rectangle's spectrum in units of 1/a: the 1 x b/a rectangle's,
+
+        w = sqrt(k_n^2 + p_m^2), k_n = n pi, p_m = m pi a/b.
+
+    Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits this
+    spectrum, representable at any scale, and scales the parts back.
 
     Each block is one row of fixed index along the shorter side, ascending
     along the longer side (hence in w), with two coefficient rows:
@@ -133,21 +133,26 @@ class _FourPartsSummand:
     def __init__(self, a: float, b: float):
         _check_length(a, "side a")
         _check_length(b, "side b")
-        self.a = a
-        self.b = b
-        self.omega_min = math.hypot(math.pi / a, math.pi / b)
+        self.sides = a, b  # named in messages
+        self.aspect = b / a
+        # such aspects are far past the term budget, and there pi/aspect or the cutoffs overflow
+        if not 1e-300 < self.aspect < 1e300:
+            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a = "
+                             f"{self.aspect:g} is out of range for the cutoff sum")
+        self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
 
     def blocks(self, omega_cap: float):
         cap = float(omega_cap)
-        # lattice points under the quarter circle of radius cap: a b cap^2 / (4 pi)
-        terms = (self.a * cap) * (self.b * cap) / (4.0 * math.pi)
+        # lattice points under the quarter circle of radius cap: (b/a) cap^2 / (4 pi)
+        terms = cap * (self.aspect * cap) / (4.0 * math.pi)
         if not terms <= _TERM_BUDGET:
+            a, b = self.sides
             raise ValueError(
-                f"rectangle a = {self.a:g}, b = {self.b:g}: the cutoff sum needs about "
+                f"rectangle a = {a:g}, b = {b:g}: the cutoff sum needs about "
                 f"{terms:.3g} spectrum terms, over the budget of {_TERM_BUDGET:.0e}"
             )
         # the Python loop runs over the shorter side's (fewer) modes
-        row_step, col_step = math.pi / min(self.a, self.b), math.pi / max(self.a, self.b)
+        row_step, col_step = math.pi / min(1.0, self.aspect), math.pi / max(1.0, self.aspect)
         c2 = None  # squared column wavenumbers of the first, longest row; later rows are prefixes
         for i in range(1, int(omega_cap / row_step) + 1):
             r = i * row_step
@@ -161,7 +166,7 @@ class _FourPartsSummand:
             w = np.sqrt(r * r + c2[:n])
             rows = np.empty((2, n))
             np.multiply(0.5, w, out=rows[0])
-            np.divide(r * r if self.a <= self.b else c2[:n], np.multiply(2.0, w, out=rows[1]),
+            np.divide(r * r if 1.0 <= self.aspect else c2[:n], np.multiply(2.0, w, out=rows[1]),
                       out=rows[1])
             yield rows, w
 
@@ -187,6 +192,18 @@ def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
         )
 
     return FourParts(U=half(1.0), W=half(-1.0), S_omega=s_omega, S_k=s_k)
+
+
+def _per_side(part: FinitePart, a: float) -> FinitePart:
+    """A part of the 1 x b/a rectangle as the a x b rectangle's.
+
+    Value, error and fit residual scale by 1/a; the eps^-3 and eps^-2
+    coefficients by a^2 and a (S_a(eps) = S_1(eps/a)/a).
+    """
+    area, perimeter = part.fitted_divergent_coeffs
+    return part._replace(value=part.value / a, error_estimate=part.error_estimate / a,
+                         fitted_divergent_coeffs=(area * a * a, perimeter * a),
+                         fit_residual=part.fit_residual / a)
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
@@ -306,7 +323,8 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     if config is None or config.method is RegMethod.ZETA_EXACT:
         return _chowla_selberg(a, b)
     if config.method is RegMethod.EXPONENTIAL_CUTOFF:
-        return _four_parts(*cutoff_finite_part(_FourPartsSummand(a, b), config))
+        s_omega, s_k = cutoff_finite_part(_FourPartsSummand(a, b), config)
+        return _four_parts(_per_side(s_omega, a), _per_side(s_k, a))
     raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 

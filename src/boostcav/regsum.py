@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cavity import _check_length
+from .cavity import _check_length, _validated
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -66,8 +65,8 @@ _CONDITION_LIMIT = 1e12
 _ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
 
-@dataclass(frozen=True)
-class RegConfig:
+@_validated
+class RegConfig(NamedTuple):
     """Method selection plus, for the cutoff route, its eps schedule.
 
     The schedule is dimensionless: a summand with lowest frequency omega_min
@@ -77,7 +76,7 @@ class RegConfig:
     method: RegMethod
     epsilon_schedule: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.method is RegMethod.EXPONENTIAL_CUTOFF:
             x = self.epsilon_schedule
             if len(x) < 4:
@@ -108,8 +107,8 @@ class RegConfig:
         return RegConfig(self.method, tuple(e / 2.0 for e in self.epsilon_schedule))
 
 
-@dataclass(frozen=True)
-class FinitePart:
+@_validated
+class FinitePart(NamedTuple):
     """Extracted eps^0 constant with an error estimate and fit diagnostics."""
 
     value: float
@@ -119,7 +118,7 @@ class FinitePart:
     fit_residual: float = 0.0
     condition_number: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if math.isnan(self.value):
             raise ValueError("finite part is NaN")
 

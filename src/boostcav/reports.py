@@ -7,11 +7,10 @@ the deviation quantified rather than silently preferring one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DiscrepancyEntry:
+class DiscrepancyEntry(NamedTuple):
     quantity: str
     value_a: float
     value_b: float
@@ -26,8 +25,7 @@ class DiscrepancyEntry:
         return self.abs_diff / scale
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     title: str
     label_a: str
     label_b: str

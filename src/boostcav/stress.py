@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class PrefactorRule(enum.Enum):
     DOUBLED = "doubled"
 
 
-@dataclass(frozen=True)
-class StressConvention:
+class StressConvention(NamedTuple):
     """Component rules and sum-rule prefactor for the vacuum stress tensor.
 
     momentum_sign multiplies the canonical T01 = -Re(dt phi conj(dx phi));
@@ -85,8 +84,7 @@ class StressConvention:
 DEFAULT_CONVENTION = StressConvention()
 
 
-@dataclass(frozen=True)
-class PerModeEM:
+class PerModeEM(NamedTuple):
     """Cavity-integrated energy/momentum contribution of a single mode."""
 
     n: int
@@ -104,8 +102,7 @@ class NotProportionalError(RuntimeError):
         self.ratios = ratios
 
 
-@dataclass(frozen=True)
-class CoefficientFit:
+class CoefficientFit(NamedTuple):
     """Velocity-dependent per-mode coefficients: e_n = c_E w_n/2, p_n = c_P w_n/2."""
 
     c_energy: float

@@ -9,8 +9,7 @@ injected as negative controls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .stress import DEFAULT_CONVENTION, StressConvention
 __all__ = ["CheckResult", "run_checks", "MODULE_GROUPS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import boostcav
 from boostcav.cli import MODES_ROW_BUDGET, main
 
 M0 = -math.pi / 24.0
@@ -492,3 +497,25 @@ class TestStaticM0FittedOnce:
                            "--method", "cutoff")
         assert code == 0 and "galileo-lab routes" in out
         assert len(fits) == 2
+
+
+class TestColdStart:
+    """What a fresh CLI process imports; structural, so no timing is asserted."""
+
+    def test_no_dataclasses_and_no_numpy_polynomial(self):
+        script = (
+            "import io, sys, contextlib\n"
+            "from boostcav.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['boost', '--scheme', 'lorentz', '--v', '0.5',"
+            " '--method', 'abel-plana']),\n"
+            "             main(['rect2d', '--a', '1', '--b', '3', '--v', '0.4'])]\n"
+            "print(codes, sorted(m for m in ('dataclasses', 'numpy.polynomial')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(boostcav.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "[0, 0] []\n"

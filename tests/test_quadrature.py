@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
+from boostcav import quadrature
 from boostcav.quadrature import QuadratureError, gauss_legendre
+
+
+class TestRule:
+    """The 16-point rule is a constant table; numpy's leggauss only checks it."""
+
+    def test_table_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for table, ref in ((quadrature._NODES, nodes), (quadrature._WEIGHTS, weights)):
+            assert table.dtype == ref.dtype and table.shape == (16,)
+            assert [float(x).hex() for x in table] == [float(x).hex() for x in ref]
+
+    @pytest.mark.parametrize("k", range(33))
+    def test_integrates_monomials_to_rounding_through_degree_31(self, k):
+        x, w = quadrature._NODES, quadrature._WEIGHTS
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        error = abs(float(np.sum(w * x**k)) - exact)
+        rounding = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(w * x**k)))
+        # 16 nodes are exact through degree 2*16 - 1 and no further (x^32 misses by ~1e-9)
+        assert (error <= rounding) == (k <= 31)
 
 
 def test_polynomial_exact():

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ class TestRect2DSums:
         for a, b in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 rect2d._FourPartsSummand(a, b)
+        # sides whose ratio leaves float64: every such aspect is far past the term budget
+        for a, b in ((1e200, 1e-200), (1e-160, 1e160)):
+            with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}: aspect ratio")):
+                rect2d._FourPartsSummand(a, b)
+
+    @pytest.mark.parametrize("aspect", [1.0, 5.0])
+    @pytest.mark.parametrize("side", [1e-200, 1e-160, 1e-150, 1e-100, 1e100, 1e150, 1e160, 1e200])
+    def test_extreme_sides_scale_the_unit_fit(self, side, aspect):
+        # every part is g(b/a)/a: side * part is the (1, b/a) rectangle's, within its error
+        cutoff = rect2d.finite_parts(Cavity2D(side, aspect * side, 0.0), rect2d.default_config())
+        unit = _cutoff_parts(1.0, aspect)
+        exact = rect2d.finite_parts(Cavity2D(1.0, aspect, 0.0))
+        close = functools.partial(pytest.approx, rel=1e-12, abs=0.0)
+        for name in ("U", "W", "S_omega", "S_k"):
+            cut, ref, one = getattr(cutoff, name), getattr(exact, name), getattr(unit, name)
+            assert abs(side * cut.value - ref.value) <= side * cut.error_estimate, name
+            assert side * cut.error_estimate == close(one.error_estimate), name
+            if 1e-150 <= side <= 1e150:  # past these the eps^-3 coefficient (~side^2) leaves float64
+                area, perimeter = cut.fitted_divergent_coeffs
+                assert (area, perimeter) == close((one.fitted_divergent_coeffs[0] * side * side,
+                                                   one.fitted_divergent_coeffs[1] * side)), name
 
 
 class TestBitIdentity:
