@@ -9,9 +9,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "Scheme",
@@ -92,16 +91,22 @@ def speed_squared(velocity):
     """v**2 as Python squares a float: C pow(v, 2), element by element for an ndarray.
 
     numpy squares an array with v * v, which differs from pow in the last bit
-    for about one velocity in a thousand.
+    for about one velocity in a thousand. An ndarray means numpy is loaded,
+    so a float velocity never imports it.
     """
-    if isinstance(velocity, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(velocity, np.ndarray):
         return np.array([v**2 for v in velocity.ravel().tolist()]).reshape(velocity.shape)
     return velocity**2
 
 
 def lorentz_factor(velocity):
-    """gamma = 1/sqrt(1 - v^2)."""
-    return 1.0 / np.sqrt(1.0 - speed_squared(velocity))
+    """gamma = 1/sqrt(1 - v^2): a float for a float velocity, else an ndarray."""
+    one_minus = 1.0 - speed_squared(velocity)
+    if isinstance(one_minus, float):
+        return 1.0 / math.sqrt(one_minus)
+    import numpy as np
+    return 1.0 / np.sqrt(one_minus)
 
 
 def lab_length(scheme: Scheme, proper_length: float, velocity):

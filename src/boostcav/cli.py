@@ -19,8 +19,6 @@ import math
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from .cavity import Cavity1D, Cavity2D, Scheme, nonrelativistic_flag
 from .observables import (
     ROUTE_AGREEMENT_RTOL,
@@ -50,8 +48,10 @@ __all__ = ["main"]
 
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
-# Rows one `modes` table may hold; a table this long takes well under a second.
-MODES_ROW_BUDGET = 10_000
+# Rows one table may hold: a `modes` --n-max, or the points of a velocity grid.
+# A closed-form table this long takes well under a second, a per-mode sweep
+# about 6 s.
+ROW_BUDGET = 10_000
 
 
 class UsageError(Exception):
@@ -138,16 +138,22 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """A single velocity or an inclusive start:stop:step grid."""
+    """A single velocity or an inclusive start:stop:step grid of at most ROW_BUDGET points."""
     if ":" in text:
         try:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
         except ValueError as exc:
             raise UsageError(f"bad grid spec {text!r} (expected start:stop:step)") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid spec {text!r}: start, stop and step must be finite")
         if step <= 0:
             raise UsageError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        intervals = (stop - start) / step + 1e-9  # inf when the span overflows
+        if not intervals < ROW_BUDGET:
+            raise UsageError(f"grid spec {text!r} has {intervals + 1:.6g} points, over the row "
+                             f"budget of {ROW_BUDGET}")
+        count = math.floor(intervals) + 1
         if count < 1:
             raise UsageError(f"grid spec {text!r} produces no points")
         return [_round12(start + i * step) for i in range(count)]
@@ -413,14 +419,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
+    import numpy as np
     if args.scheme is None:
         raise UsageError("modes requires --scheme")
     scheme = Scheme(args.scheme)
     cavity = Cavity1D(args.L, args.v)
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    if args.n_max > MODES_ROW_BUDGET:
-        raise UsageError(f"--n-max {args.n_max} is over the row budget of {MODES_ROW_BUDGET}")
+    if args.n_max > ROW_BUDGET:
+        raise UsageError(f"--n-max {args.n_max} is over the row budget of {ROW_BUDGET}")
     t = args.t
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor, speed_squared
 from .quadrature import gauss_legendre
 
@@ -49,6 +47,7 @@ class OutsideCavityError(ValueError):
 
 
 def _check_index(n: int, name: str = "n") -> None:
+    import numpy as np
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode index {name} must be a positive integer, got {n!r}")
 
@@ -82,6 +81,7 @@ def phase_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
 
 def mode_normalization(scheme: Scheme, proper_length: float, velocity):
     """N, which gives the mode unit L2 norm over the instantaneous cavity."""
+    import numpy as np
     if scheme is Scheme.LORENTZ_EXACT:
         return np.sqrt(2.0 * lorentz_factor(velocity) / proper_length)
     return math.sqrt(2.0 / proper_length)
@@ -113,6 +113,7 @@ def lorentz_coefficients(w: float, k: float, velocity):
 # t broadcast against x.
 
 def _phase_and_argument(coeffs, t, x):
+    import numpy as np
     th_t, th_x, s_t, s_x = coeffs
     x = np.asarray(x, dtype=float)
     return np.exp(1j * (th_t * t + th_x * x)), s_t * t + s_x * x
@@ -120,12 +121,14 @@ def _phase_and_argument(coeffs, t, x):
 
 def affine_value(norm, coeffs, t, x):
     """N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
+    import numpy as np
     ph, s = _phase_and_argument(coeffs, t, x)
     return norm * ph * np.sin(s)
 
 
 def affine_jet(norm, coeffs, t, x):
     """(u, du/dt, du/dx) of affine_value; exp(i th), sin s and cos s are evaluated once."""
+    import numpy as np
     ph, s = _phase_and_argument(coeffs, t, x)
     sin_s, cos_s = np.sin(s), np.cos(s)
     th_t, th_x, s_t, s_x = coeffs
@@ -144,6 +147,7 @@ def affine_derivative(norm, coeffs, axis: int, t, x):
 
 
 def _affine_second_derivative(norm, coeffs, i: int, j: int, t, x):
+    import numpy as np
     ph, s = _phase_and_argument(coeffs, t, x)
     th_i, th_j, s_i, s_j = coeffs[i], coeffs[j], coeffs[2 + i], coeffs[2 + j]
     return norm * ph * (
@@ -196,12 +200,14 @@ class SpacetimeMode(NamedTuple):
         return self.cavity.walls(self.scheme, t)
 
     def contains(self, t: float, x) -> np.ndarray:
+        import numpy as np
         left, right = self.walls(t)
         slack = _WALL_SLACK * (right - left)
         x = np.asarray(x, dtype=float)
         return (x >= left - slack) & (x <= right + slack)
 
     def _require_inside(self, t: float, x) -> None:
+        import numpy as np
         if not np.all(self.contains(t, x)):
             left, right = self.walls(t)
             raise OutsideCavityError(
@@ -273,6 +279,7 @@ class SpacetimeMode2D(NamedTuple):
         return self.cavity.walls_x(t)
 
     def contains(self, t: float, x, y) -> np.ndarray:
+        import numpy as np
         left, right = self.walls_x(t)
         b = self.cavity.proper_length_y
         sx = _WALL_SLACK * (right - left)
@@ -282,6 +289,7 @@ class SpacetimeMode2D(NamedTuple):
         return (x >= left - sx) & (x <= right + sx) & (y >= -sy) & (y <= b + sy)
 
     def value(self, t: float, x, y, *, check: bool = True):
+        import numpy as np
         if check and not np.all(self.contains(t, x, y)):
             raise OutsideCavityError("(x, y) outside the instantaneous cavity")
         return affine_value(self.normalization, self._coeffs, t, x) * self._sin_py(y)
@@ -289,6 +297,7 @@ class SpacetimeMode2D(NamedTuple):
     __call__ = value
 
     def _sin_py(self, y):
+        import numpy as np
         return np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
 
     def d_dt(self, t: float, x, y):
@@ -298,6 +307,7 @@ class SpacetimeMode2D(NamedTuple):
         return affine_derivative(self.normalization, self._coeffs, 1, t, x) * self._sin_py(y)
 
     def d_dy(self, t: float, x, y):
+        import numpy as np
         p = self.wavenumber_y
         return (affine_value(self.normalization, self._coeffs, t, x)
                 * p * np.cos(p * np.asarray(y, dtype=float)))
@@ -343,6 +353,7 @@ def comoving_kg_residual(cavity: Cavity1D, n: int, x_comoving: float) -> float:
     Applies (1 - v^2) f'' - 2 i v w' f' + w'^2 f to the spatial profile
     f(x') = exp(i v k x') sin(k x'); must vanish.
     """
+    import numpy as np
     _check_index(n)
     k = n * math.pi / cavity.proper_length
     v = cavity.velocity
@@ -379,6 +390,7 @@ def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float, p
     half-wave of the fastest pair; each entry converges on its own and does
     not depend on the blocking (atol may be an (n, m) array).
     """
+    import numpy as np
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     n = np.arange(1, n_modes + 1)[:, None]
@@ -421,6 +433,8 @@ def gram_matrix(
     slice-independent, which is what makes the orthonormality statement
     exact at every lab time.
     """
+    import numpy as np
+
     def pairing(u_n, du_n, u_m, du_m):
         return 1j * (np.conj(u_n) * du_m - u_m * np.conj(du_n))
 
@@ -445,6 +459,8 @@ def spatial_overlap_matrix(
     of exactly that time-space mixing; gram_matrix holds the conserved
     pairing that is exactly diagonal.
     """
+    import numpy as np
+
     def pairing(u_n, du_n, u_m, du_m):
         return u_n * np.conj(u_m)
 

@@ -16,8 +16,6 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .cavity import Cavity1D, Scheme, nonrelativistic_flag
 from .regsum import (
     FitError,
@@ -222,6 +220,7 @@ def nonrel_fit(
     worst residual exceeds 1e-6, which flags a degree too low for the
     requested window.
     """
+    import numpy as np
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
     if degree < 2:

@@ -4,16 +4,18 @@ The integrands in this package are smooth products of trigonometric
 functions and complex phases, so fixed-order Gauss-Legendre on panels
 sized to the oscillation count converges extremely fast; the doubling
 check turns that into a verified error estimate.
+
+gauss_legendre_scalar runs the same rule on lists of floats with `math`
+alone, for closed forms whose callers should not have to import numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
-import numpy as np
-
-__all__ = ["QuadratureError", "gauss_legendre"]
+__all__ = ["QuadratureError", "gauss_legendre", "gauss_legendre_scalar"]
 
 # The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the
 # np.polynomial.legendre.leggauss(16) table: 16 nodes per panel, so one panel
@@ -27,8 +29,23 @@ _HALF_WEIGHTS = [float.fromhex(h) for h in (
     "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
     "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
 )]
-_NODES = np.array([-x for x in reversed(_HALF_NODES)] + _HALF_NODES)
-_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
+# All sixteen, ascending, as floats; _NODES and _WEIGHTS are these as float64
+# ndarrays, built on first use so that importing the package does not import numpy.
+_NODE_LIST = [-x for x in reversed(_HALF_NODES)] + _HALF_NODES
+_WEIGHT_LIST = _HALF_WEIGHTS[::-1] + _HALF_WEIGHTS
+
+
+@functools.cache
+def _rule():
+    import numpy as np
+    return np.array(_NODE_LIST), np.array(_WEIGHT_LIST)
+
+
+def __getattr__(name: str):
+    if name in ("_NODES", "_WEIGHTS"):
+        nodes, weights = _rule()
+        return nodes if name == "_NODES" else weights
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -40,6 +57,8 @@ class QuadratureError(RuntimeError):
 
 
 def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
+    import numpy as np
+    nodes, weights = _rule()
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     # np.linspace(a, b, panels + 1, axis=-1) element by element: linspace
@@ -50,8 +69,8 @@ def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
     edges[..., -1:] = b
     half = 0.5 * np.diff(edges, axis=-1)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    xs = (mid[..., None] + half[..., None] * _NODES).reshape(edges.shape[:-1] + (-1,))
-    ws = (half[..., None] * _WEIGHTS).reshape(xs.shape)
+    xs = (mid[..., None] + half[..., None] * nodes).reshape(edges.shape[:-1] + (-1,))
+    ws = (half[..., None] * weights).reshape(xs.shape)
     return np.sum(ws * f(xs), axis=-1)
 
 
@@ -95,6 +114,7 @@ def gauss_legendre(
     (value, error_estimate), scalars for scalar endpoints, else arrays of
     shape components + a.shape.
     """
+    import numpy as np
     panels = max(2, math.ceil(oscillations))
     prev = _panel_eval(f, a, b, panels)
     value = np.zeros_like(prev)
@@ -115,3 +135,49 @@ def gauss_legendre(
     raise QuadratureError(
         "integral did not converge under panel doubling", float(diff[~done].flat[0])
     )
+
+
+def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, panels: int) -> float:
+    """_panel_eval of scalar endpoints in floats, the same abscissae and weights bit for bit.
+
+    The weighted values are summed by math.fsum, rounded once.
+    """
+    step = (b - a) / panels
+    edges = [i * step + a for i in range(panels)] + [b]
+    xs: list[float] = []
+    ws: list[float] = []
+    for left, right in zip(edges, edges[1:]):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (left + right)
+        xs += [mid + half * x for x in _NODE_LIST]
+        ws += [half * w for w in _WEIGHT_LIST]
+    return math.fsum(w * y for w, y in zip(ws, f(xs)))
+
+
+def gauss_legendre_scalar(
+    f: Callable[[list[float]], list[float]],
+    a: float,
+    b: float,
+    *,
+    rtol: float = 1e-13,
+    max_doublings: int = 8,
+) -> tuple[float, float]:
+    """gauss_legendre of a real, non-oscillating integrand over float endpoints, in pure `math`.
+
+    f maps a list of abscissae to a list of values; it is called once per
+    doubling level, as the vectorized integrand is. The table, the panels
+    (two to start), the doubling and the relative convergence test are
+    gauss_legendre's, so a closed form that integrates this way never needs
+    numpy. Returns (value, error_estimate) as floats.
+    """
+    panels = 2
+    prev = _panel_sum(f, a, b, panels)
+    diff = math.inf
+    for _ in range(max_doublings):
+        panels *= 2
+        cur = _panel_sum(f, a, b, panels)
+        diff = abs(cur - prev)
+        if diff <= rtol * abs(cur):
+            return cur, diff
+        prev = cur
+    raise QuadratureError("integral did not converge under panel doubling", diff)

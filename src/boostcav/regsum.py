@@ -20,8 +20,6 @@ import enum
 import math
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .cavity import _check_length, _validated
 from .quadrature import gauss_legendre
 
@@ -51,6 +49,7 @@ class FitError(RuntimeError):
 
 def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) -> tuple[float, ...]:
     """Strictly decreasing cutoff schedule from hi to lo, in units of 1/omega_min."""
+    import numpy as np
     if not (0 < lo < hi < math.inf) or points < 4:
         raise ValueError("need finite 0 < lo < hi and at least 4 points")
     return tuple(np.geomspace(hi, lo, points))
@@ -136,6 +135,7 @@ class SequenceSummand:
     divergent_powers = (2,)  # an unsaturated sequence is fitted like the 1D spectrum
 
     def __init__(self, coefficients: Sequence[float], frequencies: Sequence[float]):
+        import numpy as np
         c = np.asarray(coefficients, dtype=float)
         w = np.asarray(frequencies, dtype=float)
         if c.shape != w.shape or c.ndim != 1:
@@ -161,6 +161,7 @@ class SequenceSummand:
         pushed 25% past omega_cap, the schedule's most permissive truncation
         point (any infinite polynomial-density spectrum gains terms there).
         """
+        import numpy as np
         past = self._w <= 1.25 * omega_cap
         if np.count_nonzero(past) != np.count_nonzero(self._w <= omega_cap):
             return None
@@ -181,6 +182,7 @@ class Linear1DSummand:
         self.omega_min = self.step
 
     def blocks(self, omega_cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        import numpy as np
         n_max = int(omega_cap / self.step)
         w = np.arange(1, n_max + 1, dtype=float) * self.step
         yield self.weight * w, w
@@ -198,6 +200,7 @@ def _damped_sums(summand, eps: np.ndarray, damping: float) -> np.ndarray:
     Matrix blocks give one column per coefficient row, contracted with the
     damping factors in one matrix-vector product.
     """
+    import numpy as np
     caps = -math.log(damping) / eps
     table = None
     for c, w in summand.blocks(caps[-1]):
@@ -222,6 +225,7 @@ class _DivergenceFit:
     """
 
     def __init__(self, x: np.ndarray, divergent_powers: tuple[int, ...]):
+        import numpy as np
         self.powers = np.array([-p for p in divergent_powers] + [0, *_STABILIZER_POWERS], dtype=float)
         design = x[:, None] ** self.powers
         self.scale = np.max(np.abs(design), axis=0)  # 1 for the all-ones x^0 column
@@ -237,6 +241,7 @@ class _DivergenceFit:
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the scaled columns, one column per data column."""
+        import numpy as np
         return np.linalg.solve(self.r, self.q.T @ values)
 
     def noise(self, values: np.ndarray) -> np.ndarray:
@@ -247,6 +252,7 @@ class _DivergenceFit:
         the divergent columns amplify. This bounds that contribution, per data
         column, and is what makes small-eps schedules *worse* beyond a point.
         """
+        import numpy as np
         dual = self.q @ np.linalg.solve(self.r.T, np.eye(len(self.powers))[self.n_div])
         return (16.0 * np.finfo(float).eps * np.abs(dual)) @ np.abs(values)
 
@@ -263,6 +269,7 @@ def _fit_finite_parts(
     power}: one x-halving scales the raw sums (hence the noise) by that
     much, so the estimate also covers nearby schedules.
     """
+    import numpy as np
     fit = _DivergenceFit(x, powers)
     n_params, n_div = len(fit.powers), fit.n_div
     lower = slice(len(x) - max(n_params + 1, len(x) // 2), len(x))
@@ -311,6 +318,7 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     from the same damped sums, so linear identities between the weights
     survive the fit exactly.
     """
+    import numpy as np
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
     x = np.asarray(config.epsilon_schedule, dtype=float)
@@ -358,6 +366,7 @@ def abel_plana_m0(proper_length: float) -> float:
     starting from one panel per unit of t, evaluates the integral; a
     quadrature error above 1e-12 raises FitError.
     """
+    import numpy as np
     _check_length(proper_length, "proper_length")
 
     def integrand(t: np.ndarray) -> np.ndarray:

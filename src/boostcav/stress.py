@@ -19,8 +19,6 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
 from .modes import (
     _check_index,
@@ -127,6 +125,8 @@ def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention:
     Both come back stacked on a leading axis of length 2; scale is the
     frequency that sets the absolute tolerance.
     """
+    import numpy as np
+
     def densities(x):
         u, ut, ux = affine_jet(norm, coeffs, t, x)
         return np.stack((
@@ -186,6 +186,7 @@ def per_mode_em(
     with closed-form derivatives and a convergence-checked Gauss-Legendre
     quadrature. Both are time independent; t only picks the slice.
     """
+    import numpy as np
     _check_index(n)
     (e, p), (e_err, p_err) = _mode_integrals(
         scheme, cavity.proper_length, np.array([cavity.velocity]), n, np.array([t], dtype=float),
@@ -278,6 +279,7 @@ def coefficient_fits(
     dispersion_limit (the factorization claim fails). A quadrature that
     does not converge raises QuadratureError as gauss_legendre meets it.
     """
+    import numpy as np
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if len(t_samples) < 2:
@@ -299,6 +301,7 @@ def coefficient_fits(
 
 def _fit(e_ratio: np.ndarray, p_ratio: np.ndarray, dispersion_limit: float) -> CoefficientFit:
     """Mean coefficients of one velocity's (time, mode) ratio tables, gated on their spread."""
+    import numpy as np
     c_e = float(np.mean(e_ratio))
     c_p = float(np.mean(p_ratio))
     scale = max(abs(c_e), abs(c_p), 1e-300)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import modes, observables, rect2d, regsum, stress
 from .cavity import Cavity1D, Cavity2D, Scheme
 from .observables import Route
@@ -37,6 +35,7 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _checks_modes(convention: StressConvention) -> list[CheckResult]:
+    import numpy as np
     out = []
     worst = 0.0
     for scheme in Scheme:
@@ -99,6 +98,7 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_stress(convention: StressConvention) -> list[CheckResult]:
+    import numpy as np
     out = []
     worst = 0.0
     for scheme in Scheme:
@@ -164,6 +164,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
+    import numpy as np
     out = []
     worst = 0.0
     for length in (0.5, 1.0, 2.0):
@@ -252,6 +253,7 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_observables(convention: StressConvention) -> list[CheckResult]:
+    import numpy as np
     out = []
     m0 = observables.static_m0(1.0)
     worst = 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import boostcav
-from boostcav.cli import MODES_ROW_BUDGET, main
+from boostcav.cli import ROW_BUDGET, main
 
 M0 = -math.pi / 24.0
 
@@ -300,20 +300,59 @@ class TestModesRowBudget:
         code, out, err = run(capsys, "modes", "--scheme", "lorentz", "--n-max", "100000000")
         assert time.perf_counter() - start < 5.0  # a 1e8-row table would need gigabytes
         assert code == 2 and not out
-        assert (f"usage error: --n-max 100000000 is over the row budget of {MODES_ROW_BUDGET}"
+        assert (f"usage error: --n-max 100000000 is over the row budget of {ROW_BUDGET}"
                 in err)
 
     def test_one_past_the_budget_fails(self, capsys):
         code, _, err = run(capsys, "modes", "--scheme", "lorentz",
-                           "--n-max", str(MODES_ROW_BUDGET + 1))
+                           "--n-max", str(ROW_BUDGET + 1))
         assert code == 2 and "row budget" in err
 
     def test_at_the_budget_runs(self, capsys):
-        code, out, _ = run(capsys, "modes", "--scheme", "lorentz", "--n-max", str(MODES_ROW_BUDGET))
+        code, out, _ = run(capsys, "modes", "--scheme", "lorentz", "--n-max", str(ROW_BUDGET))
         assert code == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 2 + MODES_ROW_BUDGET
-        assert lines[-1].startswith(f"{MODES_ROW_BUDGET},")
+        assert len(lines) == 2 + ROW_BUDGET
+        assert lines[-1].startswith(f"{ROW_BUDGET},")
+
+
+class TestGridSpec:
+    """A velocity grid is finite and within the row budget, or exit 2 before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--scheme", "lorentz", "--v=0:0.9:1e-7"),
+        ("sweep", "--scheme", "lorentz", "--route", "per-mode", "--v=0:0.9:1e-7"),
+        ("rect2d", "--a", "1", "--b", "1", "--shell-grid", "0:0.99:1e-7"),
+        ("rect2d", "--a", "1", "--b", "1", "--solve-subtraction", "--shell-grid", "0:0.99:1e-7"),
+        ("sweep", "--scheme", "lorentz", "--v=-0.5:0.5:5e-324"),  # the point count overflows
+        ("sweep", "--scheme", "lorentz", "--v=-1e308:1e308:1"),   # so does stop - start
+    ], ids=lambda a: " ".join(a))
+    def test_over_the_budget_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0  # a 9e6-row sweep ran past 20 s
+        assert code == 2 and not out
+        assert f"usage error: grid spec {argv[-1].split('=')[-1]!r} has " in err
+        assert f"points, over the row budget of {ROW_BUDGET}\n" in err
+
+    @pytest.mark.parametrize("spec", ["0:inf:0.1", "0:nan:0.1", "0:0.5:inf", "-inf:0.5:0.1",
+                                      "0:0.5:nan"])
+    @pytest.mark.parametrize("flag", ["--v", "--shell-grid"])
+    def test_non_finite_spec_names_itself(self, capsys, flag, spec):
+        command = (("sweep", "--scheme", "lorentz") if flag == "--v"
+                   else ("rect2d", "--a", "1", "--b", "2"))
+        code, out, err = run(capsys, *command, f"{flag}={spec}")
+        assert code == 2 and not out
+        assert (f"usage error: grid spec {spec!r}: start, stop and step must be finite\n"
+                in err)
+
+    def test_at_the_budget_runs(self, capsys):
+        spec = "-0.4999:0.5:0.0001"
+        code, out, _ = run(capsys, "sweep", "--scheme", "lorentz", f"--v={spec}")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2 + ROW_BUDGET
+        code, _, err = run(capsys, "sweep", "--scheme", "lorentz", "--v=-0.5:0.5:0.0001")
+        assert code == 2 and f"has {ROW_BUDGET + 1} points" in err
 
 
 class TestConfigFile:
@@ -460,6 +499,15 @@ STDOUT_SHA256 = {
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
         "403bc715ad99e02d250e55c021dde0b64762c348f3b67c9b0ac7e7ac880cd669",
+    # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
+    # closed form in floats (libm exp, sinh and cosh, math.fsum). Recorded once each
+    # Bessel value's error carried its own rounding.
+    ("rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55", "--shell-grid", "0.05:0.8:0.15",
+     "--solve-subtraction"):
+        "6d0ebe8a507c8c5866db9ee56de6872b0eea41d3d028d76a47ae7204008e69cd",
+    ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
+     "--solve-subtraction", "--format", "json"):
+        "4c4a58d3c33e0345397040a6952fd2ed7591f8ece43d6db1527170807744c602",
 }
 
 
@@ -502,6 +550,14 @@ class TestStaticM0FittedOnce:
 class TestColdStart:
     """What a fresh CLI process imports; structural, so no timing is asserted."""
 
+    @staticmethod
+    def _fresh(script: str) -> str:
+        src = str(Path(boostcav.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True).stdout
+
     def test_no_dataclasses_and_no_numpy_polynomial(self):
         script = (
             "import io, sys, contextlib\n"
@@ -513,9 +569,35 @@ class TestColdStart:
             "print(codes, sorted(m for m in ('dataclasses', 'numpy.polynomial')"
             " if m in sys.modules))\n"
         )
-        src = str(Path(boostcav.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        assert out == "[0, 0] []\n"
+        assert self._fresh(script) == "[0, 0] []\n"
+
+    # Closed forms, in the order run, each with its exit code; a per-mode
+    # boost last shows that the check sees numpy once something imports it.
+    CLOSED_FORMS = (
+        (["rect2d", "--a", "1", "--b", "3", "--v", "0.4", "--shell-grid", "0.1:0.7:0.2",
+          "--solve-subtraction"], 0),
+        (["rect2d", "--a", "2.5", "--b", "0.5", "--v", "0.6", "--shell-grid", "0.05:0.8:0.25",
+          "--solve-subtraction", "--format", "json"], 0),
+        (["static", "--plates", "--a", "1.5"], 0),
+        (["sweep", "--scheme", "lorentz", "--L", "1.3", "--v=-0.9:0.9:0.1",
+          "--method", "zeta"], 0),
+        (["boost", "--scheme", "lorentz", "--v", "1.2"], 2),
+    )
+
+    def test_closed_forms_never_import_numpy(self):
+        script = (
+            "import io, sys, contextlib\n"
+            "import boostcav\n"
+            "print('import', 'numpy' in sys.modules)\n"
+            "from boostcav.cli import main\n"
+            f"for argv in {[argv for argv, _ in self.CLOSED_FORMS]!r} + "
+            "[['boost', '--scheme', 'lorentz', '--v', '0.5']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(argv[0], code, 'numpy' in sys.modules)\n"
+        )
+        expected = ["import False"]
+        expected += [f"{argv[0]} {code} False" for argv, code in self.CLOSED_FORMS]
+        expected.append("boost 0 True")
+        assert self._fresh(script).splitlines() == expected

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from boostcav import quadrature
-from boostcav.quadrature import QuadratureError, gauss_legendre
+from boostcav.quadrature import QuadratureError, gauss_legendre, gauss_legendre_scalar
 
 
 class TestRule:
@@ -22,6 +24,48 @@ class TestRule:
         rounding = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(w * x**k)))
         # 16 nodes are exact through degree 2*16 - 1 and no further (x^32 misses by ~1e-9)
         assert (error <= rounding) == (k <= 31)
+
+
+class TestScalarRule:
+    """gauss_legendre_scalar: the same rule, panels and doubling on lists of floats."""
+
+    @pytest.mark.parametrize("k", range(33))
+    def test_one_panel_integrates_monomials_to_rounding_through_degree_31(self, k):
+        value = quadrature._panel_sum(lambda xs: [x**k for x in xs], -1.0, 1.0, 1)
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        rounding = 16.0 * 2.0**-52 * math.fsum(
+            abs(w * x**k) for x, w in zip(quadrature._NODE_LIST, quadrature._WEIGHT_LIST))
+        assert (abs(value - exact) <= rounding) == (k <= 31)
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    @pytest.mark.parametrize("z", [2.0 * math.pi, 9.7, 23.0, 41.3, 60.0])
+    def test_agrees_with_the_vector_rule_on_the_bessel_integrand(self, nu, z):
+        # the integrand of rect2d's e^z K_nu(z); numpy's exp, sinh and cosh and its
+        # pairwise sum may each differ from libm and math.fsum in the last bit
+        t_max = 2.0 * math.asinh(5.0 / math.sqrt(z))
+
+        def floats(ts):
+            return [math.exp(-2.0 * z * math.sinh(0.5 * t) ** 2) * math.cosh(nu * t) for t in ts]
+
+        calls = []
+        value, err = gauss_legendre_scalar(lambda ts: calls.append(len(ts)) or floats(ts),
+                                           0.0, t_max)
+        ref, ref_err = gauss_legendre(
+            lambda t: np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t), 0.0, t_max)
+        assert isinstance(value, float) and isinstance(err, float)
+        assert abs(value - ref) <= 4.0 * math.ulp(ref)
+        assert err <= 1e-13 * value and ref_err <= 1e-13 * ref
+        # one call per doubling level, 16 points per panel, from 2 panels
+        assert calls == [32 * 2**i for i in range(len(calls))] and len(calls) >= 2
+
+    def test_unconverged_raises_its_estimate(self):
+        with pytest.raises(QuadratureError) as exc:
+            gauss_legendre_scalar(lambda xs: [abs(x - math.sqrt(2) / 2) for x in xs], 0.0, 1.0,
+                                  rtol=1e-15, max_doublings=2)
+        with pytest.raises(QuadratureError) as ref:
+            gauss_legendre(lambda x: np.abs(x - np.sqrt(2) / 2), 0.0, 1.0,
+                           rtol=1e-15, max_doublings=2)
+        assert exc.value.estimate == pytest.approx(ref.value.estimate, rel=1e-6)
 
 
 def test_polynomial_exact():

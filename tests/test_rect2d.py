@@ -226,6 +226,24 @@ class TestChowlaSelberg:
             finite_parts(Cavity2D(a, b, 0.0))
 
 
+class TestBesselK:
+    """Each K_nu(z) the closed form sums carries an error that bounds its actual error."""
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_error_bounds_the_30_digit_value(self, nu):
+        # without a rounding term, the doubling difference alone fell below the
+        # actual error at 10 of these 80, by factors up to 3e6
+        zs = [2.0 * math.pi + (60.0 - 2.0 * math.pi) * i / 39 for i in range(40)]
+        misses = []
+        with mpmath.workdps(30):
+            for z in zs:
+                k, err = rect2d._bessel_k(nu, z)
+                actual = abs(mpmath.mpf(k) - mpmath.besselk(nu, z))
+                if actual > err:
+                    misses.append((z, float(actual / err)))
+        assert misses == []
+
+
 class TestHalvesByConstruction:
     """U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2 hold exactly on both routes."""
 
