@@ -70,19 +70,15 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _emit(text: str, path: str | None) -> None:
-    stream, close = _out_stream(path)
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
     try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _json_payload(meta: dict, rows: list[dict]) -> str:
@@ -429,6 +425,8 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     if args.n_max > ROW_BUDGET:
         raise UsageError(f"--n-max {args.n_max} is over the row budget of {ROW_BUDGET}")
     t = args.t
+    if not math.isfinite(t):
+        raise UsageError(f"--t must be finite, got {t!r}")
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",

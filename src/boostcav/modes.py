@@ -6,7 +6,10 @@ phase and argument are affine in (t, x):
     u(t, x) = N * exp(i*(th_t*t + th_x*x)) * sin(s_t*t + s_x*x)
 
 which makes all derivatives closed-form. The spatial normalization N fixes
-unit L2 norm over the instantaneous cavity at any lab time.
+unit L2 norm over the instantaneous cavity at any lab time. The mode is the
+pair of plane waves (N/2i)(exp(i k+.X) - exp(i k-.X)), k+- = grad(th +- s),
+X = (t, x), so it solves its field equation where the scheme's operator
+symbol vanishes on k+ and k- (kg_residual).
 
 Scheme coefficients (k = n*pi/L, g = gamma):
 
@@ -20,6 +23,7 @@ place of k in th, times sin(p*y), with N = 2*sqrt(g/(a*b)) and p = m*pi/b.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -34,11 +38,9 @@ __all__ = [
     "mode_2d",
     "boundary_residual",
     "kg_residual",
-    "comoving_kg_residual",
     "canonical_norm",
     "gram_matrix",
     "spatial_overlap_matrix",
-    "finite_difference_derivatives",
 ]
 
 
@@ -108,9 +110,8 @@ def lorentz_coefficients(w: float, k: float, velocity):
     return -w * g, w * g * v, -k * g * v, k * g
 
 
-# The affine form of the module docstring and its derivatives, written only
-# here for 1D and 2D modes alike; axis 0 is t, axis 1 is x. Coefficients and
-# t broadcast against x.
+# The affine form of the module docstring and its first derivatives, written
+# only here for 1D and 2D modes alike. Coefficients and t broadcast against x.
 
 def _phase_and_argument(coeffs, t, x):
     import numpy as np
@@ -139,20 +140,6 @@ def affine_jet(norm, coeffs, t, x):
     return (norm * ph * sin_s,
             norm * ph * (1j * th_t * sin_s + s_t * cos_s),
             norm * ph * (1j * th_x * sin_s + s_x * cos_s))
-
-
-def affine_derivative(norm, coeffs, axis: int, t, x):
-    """d/dt (axis 0) or d/dx (axis 1) of affine_value."""
-    return affine_jet(norm, coeffs, t, x)[1 + axis]
-
-
-def _affine_second_derivative(norm, coeffs, i: int, j: int, t, x):
-    import numpy as np
-    ph, s = _phase_and_argument(coeffs, t, x)
-    th_i, th_j, s_i, s_j = coeffs[i], coeffs[j], coeffs[2 + i], coeffs[2 + j]
-    return norm * ph * (
-        -(th_i * th_j + s_i * s_j) * np.sin(s) + 1j * (th_i * s_j + th_j * s_i) * np.cos(s)
-    )
 
 
 @_validated
@@ -223,19 +210,10 @@ class SpacetimeMode(NamedTuple):
     __call__ = value
 
     def d_dt(self, t: float, x):
-        return affine_derivative(self.normalization, self._coeffs, 0, t, x)
+        return affine_jet(self.normalization, self._coeffs, t, x)[1]
 
     def d_dx(self, t: float, x):
-        return affine_derivative(self.normalization, self._coeffs, 1, t, x)
-
-    def d2_dt2(self, t: float, x):
-        return _affine_second_derivative(self.normalization, self._coeffs, 0, 0, t, x)
-
-    def d2_dx2(self, t: float, x):
-        return _affine_second_derivative(self.normalization, self._coeffs, 1, 1, t, x)
-
-    def d2_dtdx(self, t: float, x):
-        return _affine_second_derivative(self.normalization, self._coeffs, 0, 1, t, x)
+        return affine_jet(self.normalization, self._coeffs, t, x)[2]
 
 
 @_validated
@@ -301,10 +279,10 @@ class SpacetimeMode2D(NamedTuple):
         return np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
 
     def d_dt(self, t: float, x, y):
-        return affine_derivative(self.normalization, self._coeffs, 0, t, x) * self._sin_py(y)
+        return affine_jet(self.normalization, self._coeffs, t, x)[1] * self._sin_py(y)
 
     def d_dx(self, t: float, x, y):
-        return affine_derivative(self.normalization, self._coeffs, 1, t, x) * self._sin_py(y)
+        return affine_jet(self.normalization, self._coeffs, t, x)[2] * self._sin_py(y)
 
     def d_dy(self, t: float, x, y):
         import numpy as np
@@ -329,41 +307,24 @@ def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tup
 
 
 def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) -> float:
-    """|governing PDE applied to the mode| from closed-form second derivatives.
+    """|governing PDE applied to the mode|: (N/2)|q(k+) exp(i k+.X) - q(k-) exp(i k-.X)|.
 
-    galileo-lab and lorentz modes solve the plain lab-frame wave equation;
-    galileo-comoving modes solve the Galileo-shifted operator
-    (d_t + v d_x)^2 - d_x^2.
+    galileo-lab and lorentz modes solve the lab-frame wave equation, symbol
+    q(k) = k_t^2 - k_x^2; galileo-comoving modes solve the Galileo-shifted
+    operator (d_t + v d_x)^2 - d_x^2, q(k) = (k_t + v k_x)^2 - k_x^2. Squares
+    are products, so q is exactly 0 where the coefficients are symmetric.
     """
     u = mode(scheme, cavity, n)
     u._require_inside(t, x)
-    utt = u.d2_dt2(t, x)
-    uxx = u.d2_dx2(t, x)
-    if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        v = cavity.velocity
-        r = utt + 2.0 * v * u.d2_dtdx(t, x) + (v * v - 1.0) * uxx
-    else:
-        r = utt - uxx
-    return float(abs(r))
+    th_t, th_x, s_t, s_x = u._coeffs
+    shift = cavity.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
 
+    def wave(k_t, k_x):
+        d_t = k_t + shift * k_x
+        return (d_t * d_t - k_x * k_x) * cmath.exp(1j * (k_t * t + k_x * x))
 
-def comoving_kg_residual(cavity: Cavity1D, n: int, x_comoving: float) -> float:
-    """Cavity-frame check of the galileo-lab scheme's drifted spatial ODE.
-
-    Applies (1 - v^2) f'' - 2 i v w' f' + w'^2 f to the spatial profile
-    f(x') = exp(i v k x') sin(k x'); must vanish.
-    """
-    import numpy as np
-    _check_index(n)
-    k = n * math.pi / cavity.proper_length
-    v = cavity.velocity
-    wp = (1.0 - v * v) * k
-    xp = float(x_comoving)
-    ph = np.exp(1j * v * k * xp)
-    f = ph * np.sin(k * xp)
-    fp = ph * (1j * v * k * np.sin(k * xp) + k * np.cos(k * xp))
-    fpp = ph * (-(v * v + 1.0) * k * k * np.sin(k * xp) + 2j * v * k * k * np.cos(k * xp))
-    return float(abs((1.0 - v * v) * fpp - 2j * v * wp * fp + wp * wp * f))
+    residual = wave(th_t + s_t, th_x + s_x) - wave(th_t - s_t, th_x - s_x)
+    return float(0.5 * u.normalization * abs(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +426,3 @@ def spatial_overlap_matrix(
         return u_n * np.conj(u_m)
 
     return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, atol=1e-15)
-
-
-def finite_difference_derivatives(
-    scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float
-) -> tuple[complex, complex]:
-    """Central-difference (du/dt, du/dx) cross-check for the closed forms, step 1e-5 L."""
-    u = mode(scheme, cavity, n)
-    h = 1e-5 * cavity.proper_length
-    ut = (u.value(t + h, x, check=False) - u.value(t - h, x, check=False)) / (2 * h)
-    ux = (u.value(t, x + h, check=False) - u.value(t, x - h, check=False)) / (2 * h)
-    return complex(ut), complex(ux)

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Scheme, nonrelativistic_flag
+from .cavity import Cavity1D, Scheme, _check_length, nonrelativistic_flag
 from .regsum import (
     FitError,
     Linear1DSummand,
@@ -317,13 +317,18 @@ def em_plate_energy_per_area(separation: float) -> tuple[float, float]:
     """Parallel-plate vacuum energy per unit area and its separation derivative.
 
     Returns (-pi^2/(720 a^3), +3 pi^2/(720 a^4)); the positive derivative is
-    what makes the plates attract.
+    what makes the plates attract. A separation whose energy or slope is not
+    finite and nonzero in float64 is rejected.
     """
-    if separation <= 0:
-        raise ValueError("separation must be positive")
-    energy = -math.pi**2 / (720.0 * separation**3)
-    slope = 3.0 * math.pi**2 / (720.0 * separation**4)
-    assert slope > 0.0
+    _check_length(separation, "plate separation a")
+    try:
+        energy = -math.pi**2 / (720.0 * separation**3)
+        slope = 3.0 * math.pi**2 / (720.0 * separation**4)
+    except (OverflowError, ZeroDivisionError):  # a**4 overflows, or a denominator is 0
+        energy = slope = math.inf
+    if not (math.isfinite(energy) and math.isfinite(slope) and energy and slope):
+        raise ValueError(f"plate separation a = {separation!r} puts the energy per area or its "
+                         f"slope outside the float64 range")
     return energy, slope
 
 

@@ -50,6 +50,22 @@ class TestStatic:
         assert payload["meta"]["units"] == "hbar = c = 1"
         assert len(payload["rows"]) == 3
 
+    # energy or slope not finite and nonzero in float64: nan and inf fail the
+    # length check, a**4 overflows at 1e100, 720 a**4 underflows to 0 at 1e-100
+    # and the slope overflows to inf at 1e-80
+    @pytest.mark.parametrize("a", ["nan", "inf", "1e100", "1e-100", "1e-80"])
+    def test_plates_unrepresentable_separation_exits_2(self, capsys, a):
+        code, out, err = run(capsys, "static", "--plates", "--a", a)
+        assert code == 2 and not out
+        assert err.startswith("usage error: plate separation a")
+        assert repr(float(a)) in err
+
+    @pytest.mark.parametrize("a", ["1e-70", "1e70"])
+    def test_plates_extreme_separation_still_prints(self, capsys, a):
+        code, out, _ = run(capsys, "static", "--plates", "--a", a)
+        assert code == 0
+        assert f"d(E/A)/da = {3.0 * math.pi**2 / (720.0 * float(a)**4):.12g}" in out
+
 
 class TestBoost:
     def test_contracted_values(self, capsys):
@@ -291,6 +307,12 @@ class TestModesDump:
         payload = json.loads(out)
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_exits_2(self, capsys, t):
+        code, out, err = run(capsys, "modes", "--scheme", "lorentz", "--v", "0.5", f"--t={t}")
+        assert code == 2 and not out
+        assert f"usage error: --t must be finite, got {float(t)!r}" in err
+
 
 class TestModesRowBudget:
     """--n-max is bounded by a stated row budget: past it, exit 2 before any work."""
@@ -478,6 +500,19 @@ class TestOutputFile:
         assert out == ""
         content = target.read_text()
         assert content.startswith("# units")
+
+    # exit 1 is kept for a failed check; an output path that cannot be opened
+    # is a usage error, as an unreadable --config is
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "verify", "--only", "modes", "--output", str(target))
+        assert code == 2 and not out
+        assert f"usage error: cannot write output file {target}: [Errno 2]" in err
+
+    def test_directory_as_output_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "rect2d", "--a", "1", "--b", "1", "--output", str(tmp_path))
+        assert code == 2 and not out
+        assert f"usage error: cannot write output file {tmp_path}: [Errno 21]" in err
 
 
 # sha256 of stdout: per-mode sweeps shaped like the benchmark's (375, 106 and

@@ -211,6 +211,11 @@ class TestPlates:
         with pytest.raises(ValueError):
             em_plate_energy_per_area(0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 1e100, 1e-100, 1e-80])
+    def test_rejects_separation_outside_float64(self, a):
+        with pytest.raises(ValueError, match="plate separation a"):
+            em_plate_energy_per_area(a)
+
 
 class TestDivergenceAndParity:
     def test_energy_grows_unbounded(self):
