@@ -27,6 +27,7 @@ from .observables import (
     lab_prior_discrepancy_report,
     mass_shell_residual,
     route_comparison,
+    shell_residual_warning,
     static_m0,
     sweep,
 )
@@ -228,6 +229,8 @@ def _cmd_boost(args: argparse.Namespace) -> int:
     m0 = static_m0(args.L, config)
     comparison = route_comparison(scheme, cavity, config)
     flag = nonrelativistic_flag(scheme, args.v)
+    notes = [note for em in (comparison.closed, comparison.numeric)
+             if (note := shell_residual_warning([em], m0))]
     rows = []
     for em in (comparison.closed, comparison.numeric):
         rows.append({
@@ -249,6 +252,8 @@ def _cmd_boost(args: argparse.Namespace) -> int:
         meta["scheme_note"] = "non-relativistic approximation"
     if flag:
         meta["validity"] = flag
+    if notes:
+        meta["warnings"] = notes
     if args.format == "json":
         _emit(_json_payload(meta, rows), args.output)
     else:
@@ -257,6 +262,7 @@ def _cmd_boost(args: argparse.Namespace) -> int:
                  f"m0 = {_fmt(m0)}"]
         if flag:
             lines.append(f"note: {flag}")
+        lines.extend(f"note: {note}" for note in notes)
         for row in rows:
             lines.append(
                 f"  {row['route']:>12s}: E = {_fmt(row['E'])}  P = {_fmt(row['P'])}  "
@@ -297,6 +303,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = [dict(zip(header, row)) for row in csv_rows]
         _emit(_json_payload(meta, rows), args.output)
     else:
+        # the CSV keeps one row per line after its header, so warnings go to stderr
+        for warning in table.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         _emit(_csv_payload(header, csv_rows), args.output)
     return 0
 
@@ -429,6 +438,13 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         raise UsageError(f"--t must be finite, got {t!r}")
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)
+    # past 2^52 pi the float64 spacing of a phase is about pi or more: no digit is left
+    th_t, th_x, s_t, s_x = modes_mod.affine_coefficients(scheme, cavity.proper_length,
+                                                         cavity.velocity, args.n_max)
+    worst = max(abs(th_t * t + th_x * x_mid), abs(s_t * t + s_x * x_mid))
+    if not worst * sys.float_info.epsilon <= math.pi:
+        raise UsageError(f"--t {t!r} leaves no correct digit in the phase of mode n = "
+                         f"{args.n_max} at x_mid: |phase| = {worst:.6g}, over 2^52 pi")
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",
               "re_u_mid", "im_u_mid"]
     n = np.arange(1, args.n_max + 1)

@@ -2,9 +2,10 @@
 
 Two routes everywhere: the closed forms each scheme's algebra prints, and a
 per-mode numeric route that multiplies quadrature-extracted velocity
-coefficients by the regularized static energy. The numeric route exploits
-the per-mode proportionality to w_n, so regularization is confined to the
-single static sum; velocity-dependent sums are never regularized directly.
+coefficients by the regularized static energy. The numeric route rests on
+the per-mode proportionality to w_n, which verify checks, so one mode gives
+the coefficients and regularization is confined to the single static sum;
+velocity-dependent sums are never regularized directly.
 
 E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
 and every regularized m0 are computed on the unit cavity and L only scales.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Scheme, _check_length, nonrelativistic_flag
@@ -43,6 +45,7 @@ __all__ = [
     "boosted_em",
     "route_comparison",
     "mass_shell_residual",
+    "shell_residual_warning",
     "nonrel_fit",
     "inertia_ratios",
     "sweep",
@@ -51,10 +54,6 @@ __all__ = [
 ]
 
 ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comoving
-# The per-mode route fits its coefficients over modes 1..6 on two time slices,
-# in units of L.
-_N_MAX = 6
-_T_SAMPLES = (0.0, 0.37)
 _NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
 
 
@@ -145,8 +144,7 @@ def _coefficients(scheme: Scheme, velocities, route: Route) -> list[tuple[float,
     """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
     if route is Route.CLOSED_FORM:
         return [closed_form_coefficients(scheme, v) for v in velocities]
-    fits = coefficient_fits(scheme, velocities, _N_MAX, _T_SAMPLES)
-    return [(fit.c_energy, fit.c_momentum) for fit in fits]
+    return list(coefficient_fits(scheme, velocities))  # each fit is its (c_E, c_P)
 
 
 def boosted_em(
@@ -203,6 +201,25 @@ def route_comparison(
 def mass_shell_residual(em: EnergyMomentum, m0: float) -> float:
     """E^2 - P^2 - m0^2; zero iff the boosted pair stays on the static shell."""
     return em.energy**2 - em.momentum**2 - m0**2
+
+
+def shell_residual_warning(ems, m0: float) -> str:
+    """Empty unless m0^2 underflows float64, so that E^2 - P^2 - m0^2 checks nothing.
+
+    Then it says so and gives, in its place, the relative residual
+    (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems (EnergyMomentum
+    or SweepRow records).
+    """
+    if m0 * m0 >= sys.float_info.min:
+        return ""
+
+    def relative(em) -> float:
+        return (em.energy / m0) ** 2 - (em.momentum / m0) ** 2 - 1.0
+
+    worst = max(ems, key=lambda em: abs(relative(em)))
+    return (f"m0^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-m0^2 is not representable; "
+            f"relative residual (E/m0)^2-(P/m0)^2-1 = {relative(worst):.12g} "
+            f"({worst.route.value}, v = {worst.velocity:.12g})")
 
 
 def nonrel_fit(
@@ -306,11 +323,12 @@ def sweep(
             route=route,
         )
 
-    coefficients = _coefficients(scheme, grid, route)
-    return SweepTable(
-        rows=tuple(row(v, *c) for v, c in zip(grid, coefficients)), scheme=scheme,
-        proper_length=proper_length, method=method, warnings=tuple(warnings),
-    )
+    rows = tuple(row(v, *c) for v, c in zip(grid, _coefficients(scheme, grid, route)))
+    shell = shell_residual_warning(rows, m0)
+    if shell:
+        warnings.append(shell)
+    return SweepTable(rows=rows, scheme=scheme, proper_length=proper_length, method=method,
+                      warnings=tuple(warnings))
 
 
 def em_plate_energy_per_area(separation: float) -> tuple[float, float]:

@@ -38,7 +38,6 @@ __all__ = [
     "StressConvention",
     "DEFAULT_CONVENTION",
     "PerModeEM",
-    "NotProportionalError",
     "CoefficientFit",
     "per_mode_em",
     "per_mode_em_2d",
@@ -92,21 +91,11 @@ class PerModeEM(NamedTuple):
     m: int | None = None
 
 
-class NotProportionalError(RuntimeError):
-    """Per-mode results failed the e_n proportional-to-w_n factorization."""
-
-    def __init__(self, message: str, ratios: np.ndarray):
-        super().__init__(message)
-        self.ratios = ratios
-
-
 class CoefficientFit(NamedTuple):
     """Velocity-dependent per-mode coefficients: e_n = c_E w_n/2, p_n = c_P w_n/2."""
 
     c_energy: float
     c_momentum: float
-    n_dispersion: float
-    t_dispersion: float
 
 
 def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
@@ -145,16 +134,16 @@ def _mode_integrals(
     proper_length: float,
     velocities: np.ndarray,
     n: int,
-    t_samples: np.ndarray,
+    t: float,
     convention: StressConvention,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """per_mode_em's e_n and p_n for every (velocity, time) row, and their errors.
+    """per_mode_em's e_n and p_n on the slice t at every velocity, and their errors.
 
-    Both come back with shape (2, velocities, times). One panelled
-    quadrature serves every row, and each row is bit-identical to its own
-    scalar integration.
+    Both come back with shape (2, velocities). One panelled quadrature
+    serves every velocity, and each is bit-identical to its own scalar
+    integration.
     """
-    v = velocities[:, None, None]  # against abscissae of shape (velocities, times, points)
+    v = velocities[:, None]  # against abscissae of shape (velocities, points)
     wp = _prefactor_frequency(
         convention,
         expansion_frequency(scheme, proper_length, v, n),
@@ -163,8 +152,8 @@ def _mode_integrals(
     return _stress_integrals(
         mode_normalization(scheme, proper_length, v),
         affine_coefficients(scheme, proper_length, v, n), wp, 0.0,
-        wall_positions(scheme, proper_length, velocities[:, None], t_samples[None, :]),
-        t_samples[None, :, None], n, base_frequency(proper_length, n), convention,
+        wall_positions(scheme, proper_length, velocities, t), t, n,
+        base_frequency(proper_length, n), convention,
     )
 
 
@@ -189,11 +178,10 @@ def per_mode_em(
     import numpy as np
     _check_index(n)
     (e, p), (e_err, p_err) = _mode_integrals(
-        scheme, cavity.proper_length, np.array([cavity.velocity]), n, np.array([t], dtype=float),
-        convention,
+        scheme, cavity.proper_length, np.array([cavity.velocity]), n, t, convention
     )
-    return PerModeEM(n=n, energy=float(e[0, 0]), momentum=float(p[0, 0]),
-                     quad_error=float(max(e_err[0, 0], p_err[0, 0])))
+    return PerModeEM(n=n, energy=float(e[0]), momentum=float(p[0]),
+                     quad_error=float(max(e_err[0], p_err[0])))
 
 
 def per_mode_em_2d(
@@ -261,61 +249,26 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
 def coefficient_fits(
     scheme: Scheme,
     velocities,
-    n_max: int,
-    t_samples: tuple[float, ...] = (0.0, 0.37),
     *,
     convention: StressConvention = DEFAULT_CONVENTION,
-    dispersion_limit: float = 1e-8,
 ) -> tuple[CoefficientFit, ...]:
-    """Fit the n- and t-independent coefficients at every velocity of a grid.
+    """The coefficients (c_E, c_P) = (e_1, p_1)/(pi/2) at every velocity of a grid.
 
-    The coefficients are dimensionless, so they are fitted on the unit
-    cavity (L = 1) and hold at every L, with t_samples in units of L. Fits
-    e_n = c_E * (n pi)/2 and p_n = c_P * (n pi)/2 over mode indices
-    1..n_max and the time samples, with one batched quadrature per
-    mode index and chunk of velocities; each fit is bit-identical to the fit
-    of a grid of that one velocity. Raises NotProportionalError for the
-    first velocity, in grid order, whose relative dispersion exceeds
-    dispersion_limit (the factorization claim fails). A quadrature that
-    does not converge raises QuadratureError as gauss_legendre meets it.
+    e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n and t (verify's
+    "per-mode proportionality to w_n" check holds the quadrature to it), and
+    the coefficients are dimensionless; so the first mode of the unit cavity
+    (L = 1) at t = 0 gives them at every L. One batched quadrature serves
+    each chunk of velocities, and each fit is bit-identical to the fit of a
+    grid of that one velocity. A quadrature that does not converge raises
+    QuadratureError as gauss_legendre meets it.
     """
     import numpy as np
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if len(t_samples) < 2:
-        raise ValueError("need at least two time samples")
     velocities = [Cavity1D(1.0, float(v)).velocity for v in velocities]
-    half_w = np.array([n * math.pi / 2.0 for n in range(1, n_max + 1)])
-    ts = np.array(t_samples, dtype=float)
+    half_w = math.pi / 2.0
     fits: list[CoefficientFit] = []
     for start in range(0, len(velocities), _CHUNK_ROWS):
         chunk = np.array(velocities[start:start + _CHUNK_ROWS])
-        # e_n/(w_n/2) and p_n/(w_n/2), shape (2, rows, times, modes)
-        table = np.empty((2, len(chunk), len(ts), n_max))
-        for n in range(1, n_max + 1):
-            em, _ = _mode_integrals(scheme, 1.0, chunk, n, ts, convention)
-            table[..., n - 1] = em / half_w[n - 1]
-        fits.extend(_fit(table[0, i], table[1, i], dispersion_limit) for i in range(len(chunk)))
+        (e, p), _ = _mode_integrals(scheme, 1.0, chunk, 1, 0.0, convention)
+        fits.extend(CoefficientFit(float(c_e), float(c_p))
+                    for c_e, c_p in zip(e / half_w, p / half_w))
     return tuple(fits)
-
-
-def _fit(e_ratio: np.ndarray, p_ratio: np.ndarray, dispersion_limit: float) -> CoefficientFit:
-    """Mean coefficients of one velocity's (time, mode) ratio tables, gated on their spread."""
-    import numpy as np
-    c_e = float(np.mean(e_ratio))
-    c_p = float(np.mean(p_ratio))
-    scale = max(abs(c_e), abs(c_p), 1e-300)
-    # dispersion across n at fixed t, and across t at fixed n
-    n_disp = max(
-        float(np.max(np.ptp(e_ratio, axis=1))), float(np.max(np.ptp(p_ratio, axis=1)))
-    ) / scale
-    t_disp = max(
-        float(np.max(np.ptp(e_ratio, axis=0))), float(np.max(np.ptp(p_ratio, axis=0)))
-    ) / scale
-    if max(n_disp, t_disp) > dispersion_limit:
-        raise NotProportionalError(
-            f"per-mode ratios disperse beyond {dispersion_limit:g} "
-            f"(n: {n_disp:.3e}, t: {t_disp:.3e})",
-            np.stack([e_ratio, p_ratio]),
-        )
-    return CoefficientFit(c_energy=c_e, c_momentum=c_p, n_dispersion=n_disp, t_dispersion=t_disp)

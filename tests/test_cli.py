@@ -160,6 +160,20 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--scheme", "newton", "--L", "1", "--v", "0:0.2:0.1")
         assert code == 2
 
+    def test_csv_warnings_go_to_stderr(self, capsys):
+        # the 0.6 row is dropped and the grid flagged non-relativistic; CSV
+        # says so on stderr, as JSON does in meta.warnings, and its stdout
+        # keeps the bytes it had before the warnings were written
+        argv = ("sweep", "--scheme", "galileo-lab", "--v", "0:0.6:0.1")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7110b54c4b29c6dc398ecb9f0912a276ce549cd49fccb9c962f4056b472ed149")
+        _, json_out, json_err = run(capsys, *argv, "--format", "json")
+        warnings = json.loads(json_out)["meta"]["warnings"]
+        assert len(warnings) == 2 and not json_err
+        assert err == "".join(f"warning: {w}\n" for w in warnings)
+
 
 class TestRect2D:
     def test_rest_rectangle(self, capsys):
@@ -256,6 +270,56 @@ class TestExtremeLength:
             assert row["P"] == pytest.approx(m0 * 2 * v / (1 - v * v), rel=1e-8, abs=1e-8 * abs(m0))
 
 
+class TestShellResidualUnderflow:
+    """Past L ~ 1e154, m0^2 underflows float64 and E^2-P^2-m0^2 checks nothing: say so."""
+
+    @staticmethod
+    def _relative(warning):
+        assert warning.startswith("m0^2 underflows float64 (to ")
+        assert "so E^2-P^2-m0^2 is not representable" in warning
+        return float(warning.split("(E/m0)^2-(P/m0)^2-1 = ")[1].split()[0])
+
+    @pytest.mark.parametrize("length", ["1e155", "1e300"])
+    def test_sweep_json_and_csv(self, capsys, length):
+        argv = ("sweep", "--scheme", "lorentz", "--L", length, "--v", "0:0.9:0.3",
+                "--route", "per-mode")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and not err
+        [warning] = json.loads(out)["meta"]["warnings"]
+        assert abs(self._relative(warning)) <= 1e-13
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == f"warning: {warning}\n"
+
+    def test_boost_text_and_json(self, capsys):
+        code, out, err = run(capsys, "boost", "--scheme", "lorentz", "--L", "1e300", "--v", "0.3")
+        assert code == 0 and not err
+        notes = [line[len("note: "):] for line in out.splitlines() if line.startswith("note: ")]
+        assert len(notes) == 2
+        assert notes[0].endswith("(closed-form, v = 0.3)")
+        assert notes[1].endswith("(per-mode, v = 0.3)")
+        assert all(abs(self._relative(note)) <= 1e-14 for note in notes)
+        code, out, _ = run(capsys, "boost", "--scheme", "lorentz", "--L", "1e300", "--v", "0.3",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["meta"]["warnings"] == notes
+
+    def test_galilean_relative_residual_is_the_law(self, capsys):
+        # galileo-lab's closed forms leave the shell: (1+2v^2+v^4)^2 - (v+v^3)^2 - 1
+        code, out, _ = run(capsys, "boost", "--scheme", "galileo-lab", "--L", "1e300", "--v", "0.3")
+        assert code == 0
+        closed = next(line for line in out.splitlines() if line.endswith("(closed-form, v = 0.3)"))
+        v = 0.3
+        law = (1 + 2 * v**2 + v**4) ** 2 - (v + v**3) ** 2 - 1
+        assert self._relative(closed[len("note: "):]) == pytest.approx(law, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("boost", "--scheme", "lorentz", "--L", "1e150", "--v", "0.3"),
+        ("sweep", "--scheme", "lorentz", "--L", "1e150", "--v", "0:0.5:0.25"),
+    ])
+    def test_representable_residual_is_silent(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err and "note:" not in out
+
+
 class TestVerify:
     def test_single_module_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "modes")
@@ -312,6 +376,22 @@ class TestModesDump:
         code, out, err = run(capsys, "modes", "--scheme", "lorentz", "--v", "0.5", f"--t={t}")
         assert code == 2 and not out
         assert f"usage error: --t must be finite, got {float(t)!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--t", "1e300", "--n-max", "2"),
+        ("--t", "1e15", "--n-max", "5"),    # |phase| of mode 5 = 5 pi 1e15 > 2^52 pi
+        ("--v", "0.9", "--t", "1e308"),     # the phase's two terms overflow to inf - inf
+        ("--L", "1e-150", "--t", "1"),
+    ])
+    def test_time_past_the_phase_precision_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "modes", "--scheme", "lorentz", *argv)
+        assert code == 2 and not out
+        t = float(argv[argv.index("--t") + 1])
+        assert f"usage error: --t {t!r} leaves no correct digit in the phase of mode n = " in err
+
+    def test_time_within_the_phase_precision_runs(self, capsys):
+        code, out, _ = run(capsys, "modes", "--scheme", "lorentz", "--t", "1e15", "--n-max", "4")
+        assert code == 0 and out.count("\n") == 6
 
 
 class TestModesRowBudget:
@@ -516,24 +596,25 @@ class TestOutputFile:
 
 
 # sha256 of stdout: per-mode sweeps shaped like the benchmark's (375, 106 and
-# 27 rows) and cutoff boosts. Recorded once m0 and the per-mode coefficients
-# were computed on the unit cavity and the cutoff fit became a float64 QR
-# least squares; any later change is a defect.
+# 27 rows) and cutoff boosts. Recorded once m0 was computed on the unit cavity,
+# the cutoff fit became a float64 QR least squares and the per-mode
+# coefficients were read off the first mode of the unit cavity at t = 0; any
+# later change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
-        "ae36b0a19bc9fc64053bbcfdf0d090ce6f0d85243452fa5cd0357bb97a43c3a0",
+        "d441573b722050cfd4bef55d82b2bbac24c03044fe5a1c2b8c7fc3c874ba96a1",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "f7c65e9a0a031672829655ea1c11bbded86420da71fe6316987800e702397a48",
+        "85e35d0822c706edf4d14db78b24fe45de6d24989235149fcc3a229bf5506187",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
-        "0c66fd50032dbbd60c3763c6886ae7a1ce999ddf16360cb5017252796b5f9a9a",
+        "b7ec8a2ab67512cfa856811706128a9ba6390dccfb75774598ebcddca5e15de4",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
-        "a21d995741c1296eb8dc29fcdaafdf62317b6188d76ff0e787c4b5a5e0c327ea",
+        "b927e7aeea35ff82d575f0e57c5416b72de81afa17d97c839fdaf4bf59ef7313",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "403bc715ad99e02d250e55c021dde0b64762c348f3b67c9b0ac7e7ac880cd669",
+        "d6a42bef3da54499c1a2dffb9416e169322b63ee723b0cd7c0c161c26e2a396f",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm exp, sinh and cosh, math.fsum). Recorded once each
     # Bessel value's error carried its own rounding.

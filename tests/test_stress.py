@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.stress import (
-    NotProportionalError,
     PrefactorRule,
     StressConvention,
     coefficient_fits,
@@ -49,56 +48,67 @@ class TestPerMode1D:
         assert (max(es) - min(es)) / abs(es[0]) < 1e-9
         assert (max(ps) - min(ps)) / abs(ps[0]) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        log_length=st.floats(-3.0, 3.0),
+        v_fraction=st.floats(-1.0, 1.0),
+        n=st.integers(1, 12),
+        t_fraction=st.floats(-3.0, 3.0),
+    )
+    def test_factorizes_into_the_coefficients(self, scheme, log_length, v_fraction, n, t_fraction):
+        # e_n = c_E w_n/2 and p_n = c_P w_n/2 at every L, n and t: what lets
+        # coefficient_fits read (c_E, c_P) off the first mode of the unit cavity
+        length = 10.0**log_length
+        v = v_fraction * (0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5)
+        pm = per_mode_em(scheme, Cavity1D(length, v), n, t_fraction * length)
+        half_w = n * math.pi / (2.0 * length)
+        ce, cp = per_mode_coefficients(scheme, v)
+        assert abs(pm.energy / half_w - ce) <= 1e-12 * ce
+        assert abs(pm.momentum / half_w - cp) <= 1e-12 * ce
+
 
 class TestCoefficients:
     def test_contracted_closed_form_at_half_light_speed(self):
-        fit = coefficient_fits(Scheme.LORENTZ_EXACT, (0.5,), 5)[0]
+        fit = coefficient_fits(Scheme.LORENTZ_EXACT, (0.5,))[0]
         assert abs(fit.c_energy - 5.0 / 3.0) < 1e-9
         assert abs(fit.c_momentum - 4.0 / 3.0) < 1e-9
 
     def test_comoving_prior_small_velocity(self):
-        fit = coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, (0.1,), 5)[0]
+        fit = coefficient_fits(Scheme.GALILEO_COMOVING_PRIOR, (0.1,))[0]
         assert abs(fit.c_energy - 1.005) < 1e-9
         assert abs(fit.c_momentum - 0.1) < 1e-9
 
     def test_lab_prior_quadrature_law(self):
         # analytic trig integrals give ((1+v^2)/(1-v^2), 2v/(1-v^2)); at
         # v = 0.2 that is (1.08333..., 0.41666...)
-        fit = coefficient_fits(Scheme.GALILEO_LAB_PRIOR, (0.2,), 5)[0]
+        fit = coefficient_fits(Scheme.GALILEO_LAB_PRIOR, (0.2,))[0]
         assert abs(fit.c_energy - 1.04 / 0.96) < 1e-9
         assert abs(fit.c_momentum - 0.4 / 0.96) < 1e-9
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("v", [0.05, 0.3])
     def test_quadrature_matches_per_mode_law(self, scheme, v):
-        fit = coefficient_fits(scheme, (v,), 4)[0]
+        fit = coefficient_fits(scheme, (v,))[0]
         ce, cp = per_mode_coefficients(scheme, v)
         assert abs(fit.c_energy - ce) < 1e-10 * max(1.0, ce)
         assert abs(fit.c_momentum - cp) < 1e-10
 
-    def test_dispersion_reported_small(self):
-        fit = coefficient_fits(Scheme.LORENTZ_EXACT, (0.8,), 6, (0.0, 1.7))[0]
-        assert fit.n_dispersion <= 1e-8
-        assert fit.t_dispersion <= 1e-8
+    def test_first_mode_ratios_hold_for_every_mode_and_time(self):
+        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.8,))
+        cav = Cavity1D(1.0, 0.8)
+        for n in range(1, 7):
+            for t in (0.0, 1.7):
+                pm = per_mode_em(Scheme.LORENTZ_EXACT, cav, n, t)
+                half_w = n * math.pi / 2
+                assert abs(pm.energy / half_w - fit.c_energy) <= 1e-8 * fit.c_energy
+                assert abs(pm.momentum / half_w - fit.c_momentum) <= 1e-8 * fit.c_energy
 
     def test_parity(self):
         for scheme in ALL_SCHEMES:
-            plus, minus = coefficient_fits(scheme, (0.25, -0.25), 4)
+            plus, minus = coefficient_fits(scheme, (0.25, -0.25))
             assert abs(plus.c_energy - minus.c_energy) < 1e-10
             assert abs(plus.c_momentum + minus.c_momentum) < 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, (0.1,), 1)
-        with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, (0.1,), 4, (0.0,))
-
-    def test_dispersion_gate_raises_with_data(self):
-        # an unreachable dispersion limit must trip the proportionality gate
-        # and hand back the ratio table for inspection
-        with pytest.raises(NotProportionalError) as exc:
-            coefficient_fits(Scheme.LORENTZ_EXACT, (0.3,), 4, dispersion_limit=1e-18)
-        assert exc.value.ratios.shape == (2, 2, 4)
 
 
 class TestNegativeControls:
@@ -127,7 +137,7 @@ class TestNegativeControls:
         # the proportionality statement itself still holds per mode; the
         # failure shows up against the closed-form coefficients instead
         convention = StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE)
-        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.6,), 4, convention=convention)
+        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.6,), convention=convention)
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(fit.c_energy - ce) > 1e-3
 
@@ -267,19 +277,9 @@ class TestBitIdentity:
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_2D_HEX[key]
 
 
-def _outcome(call):
-    try:
-        return call()
-    except NotProportionalError as exc:
-        return type(exc), str(exc)
-
-
-def _extract_loop(scheme, velocities, n_max, t_samples, **kw):
-    """One single-velocity fit at a time; the first failure ends the loop."""
-    return _outcome(lambda: tuple(
-        coefficient_fits(scheme, (v,), n_max, t_samples, **kw)[0]
-        for v in velocities
-    ))
+def _extract_loop(scheme, velocities, **kw):
+    """One single-velocity fit at a time."""
+    return tuple(coefficient_fits(scheme, (v,), **kw)[0] for v in velocities)
 
 
 @st.composite
@@ -287,39 +287,37 @@ def _grids(draw):
     scheme = draw(st.sampled_from(ALL_SCHEMES))
     cap = 0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5
     velocities = draw(st.lists(st.floats(-cap, cap), min_size=1, max_size=40))
-    t_samples = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3)))
-    return (scheme, velocities, draw(st.integers(2, 8)), t_samples,
-            draw(st.sampled_from(list(CONVENTIONS.values()))))
+    return scheme, velocities, draw(st.sampled_from(list(CONVENTIONS.values())))
 
 
 class TestBatchedFits:
-    """coefficient_fits batches the per-mode quadrature over (velocity, time) rows."""
+    """coefficient_fits batches the first mode's quadrature over velocities."""
 
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_equals_the_per_velocity_loop(self, grid):
-        scheme, velocities, n_max, t_samples, convention = grid
-        batched = _outcome(lambda: coefficient_fits(
-            scheme, velocities, n_max, t_samples, convention=convention))
-        assert batched == _extract_loop(scheme, velocities, n_max, t_samples,
-                                        convention=convention)
+        scheme, velocities, convention = grid
+        batched = coefficient_fits(scheme, velocities, convention=convention)
+        assert batched == _extract_loop(scheme, velocities, convention=convention)
 
     def test_chunks_are_invisible(self):
         velocities = np.linspace(-0.9, 0.9, 2 * stress._CHUNK_ROWS + 5)
-        fits = coefficient_fits(Scheme.LORENTZ_EXACT, velocities, 3)
+        fits = coefficient_fits(Scheme.LORENTZ_EXACT, velocities)
         assert len(fits) == len(velocities)
-        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, velocities, 3, (0.0, 0.37))
+        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, velocities)
 
-    def test_first_dispersion_failure_is_the_loops(self):
-        velocities = (0.4, -0.2, 0.7)
-        with pytest.raises(NotProportionalError) as exc:
-            coefficient_fits(Scheme.LORENTZ_EXACT, velocities, 4, dispersion_limit=0.0)
-        with pytest.raises(NotProportionalError) as first:
-            coefficient_fits(Scheme.LORENTZ_EXACT, (0.4,), 4, dispersion_limit=0.0)
-        assert str(exc.value) == str(first.value)
-        assert np.array_equal(exc.value.ratios, first.value.ratios)
+    @pytest.mark.parametrize("count,calls", [(1, 1), (32, 1), (33, 2), (69, 3)])
+    def test_one_quadrature_per_chunk(self, monkeypatch, count, calls):
+        seen = []
+        quad = stress.gauss_legendre
+        monkeypatch.setattr(stress, "gauss_legendre",
+                            lambda f, a, b, **kw: seen.append(np.shape(a)) or quad(f, a, b, **kw))
+        coefficient_fits(Scheme.LORENTZ_EXACT, np.linspace(-0.9, 0.9, count))
+        assert len(seen) == calls
+        assert sum(n for (n,) in seen) == count
+        assert max(n for (n,) in seen) <= 32
 
     def test_validates_every_velocity(self):
         with pytest.raises(ValueError):
-            coefficient_fits(Scheme.LORENTZ_EXACT, (0.2, 1.0), 4)
-        assert coefficient_fits(Scheme.LORENTZ_EXACT, (), 4) == ()
+            coefficient_fits(Scheme.LORENTZ_EXACT, (0.2, 1.0))
+        assert coefficient_fits(Scheme.LORENTZ_EXACT, ()) == ()
