@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -424,7 +425,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_modes(args: argparse.Namespace) -> int:
-    import numpy as np
     if args.scheme is None:
         raise UsageError("modes requires --scheme")
     scheme = Scheme(args.scheme)
@@ -447,26 +447,23 @@ def _cmd_modes(args: argparse.Namespace) -> int:
                          f"{args.n_max} at x_mid: |phase| = {worst:.6g}, over 2^52 pi")
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",
               "re_u_mid", "im_u_mid"]
-    n = np.arange(1, args.n_max + 1)
     length, v = cavity.proper_length, cavity.velocity
     norm = modes_mod.mode_normalization(scheme, length, v)
-    u_mid = modes_mod.affine_value(norm, modes_mod.affine_coefficients(scheme, length, v, n),
-                                   t, x_mid)
-    csv_rows = np.stack([
-        n.astype(float),
-        modes_mod.expansion_frequency(scheme, length, v, n),
-        modes_mod.phase_frequency(scheme, length, v, n),
-        np.broadcast_to(norm, n.shape),
-        u_mid.real,
-        u_mid.imag,
-    ], axis=1).tolist()
+    csv_rows = []
+    for n in range(1, args.n_max + 1):
+        th_t, th_x, s_t, s_x = modes_mod.affine_coefficients(scheme, length, v, n)
+        # affine_value at x_mid: N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)
+        u_mid = norm * cmath.exp(1j * (th_t * t + th_x * x_mid)) * math.sin(s_t * t + s_x * x_mid)
+        csv_rows.append([float(n), modes_mod.expansion_frequency(scheme, length, v, n),
+                         modes_mod.phase_frequency(scheme, length, v, n), norm,
+                         u_mid.real, u_mid.imag])
     if args.format == "json":
         meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
                 "v": args.v, "t": t, "x_sample": x_mid, "units": UNITS_NOTE}
         rows = [dict(zip(header, row)) for row in csv_rows]
         _emit(_json_payload(meta, rows), args.output)
     else:
-        rows = [[int(r[0])] + [float(x) for x in r[1:]] for r in csv_rows]
+        rows = [[int(r[0])] + r[1:] for r in csv_rows]
         _emit(_csv_payload(header, rows), args.output)
     return 0
 

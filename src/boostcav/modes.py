@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor, speed_squared
@@ -49,8 +50,12 @@ class OutsideCavityError(ValueError):
 
 
 def _check_index(n: int, name: str = "n") -> None:
-    import numpy as np
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """n must be a positive integer: an int or any integer type (operator.index), numpy's too."""
+    try:
+        positive = operator.index(n) >= 1
+    except TypeError:
+        positive = False
+    if not positive:
         raise ValueError(f"mode index {name} must be a positive integer, got {n!r}")
 
 
@@ -59,7 +64,7 @@ _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 # ---------------------------------------------------------------------------
 # 1D mode algebra of a float velocity or an ndarray of velocities (element by
-# element); SpacetimeMode and the row-batched stress quadrature both use it
+# element); SpacetimeMode, both stress quadratures and the CLI's modes table use it
 # ---------------------------------------------------------------------------
 
 def base_frequency(proper_length: float, n: int) -> float:
@@ -83,10 +88,13 @@ def phase_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
 
 def mode_normalization(scheme: Scheme, proper_length: float, velocity):
     """N, which gives the mode unit L2 norm over the instantaneous cavity."""
+    if scheme is not Scheme.LORENTZ_EXACT:
+        return math.sqrt(2.0 / proper_length)
+    g = lorentz_factor(velocity)
+    if isinstance(g, float):
+        return math.sqrt(2.0 * g / proper_length)
     import numpy as np
-    if scheme is Scheme.LORENTZ_EXACT:
-        return np.sqrt(2.0 * lorentz_factor(velocity) / proper_length)
-    return math.sqrt(2.0 / proper_length)
+    return np.sqrt(2.0 * g / proper_length)
 
 
 def affine_coefficients(scheme: Scheme, proper_length: float, velocity, n: int):

@@ -1,11 +1,13 @@
 """Frame-dependent Casimir energy and momentum of the 1D cavity.
 
 Two routes everywhere: the closed forms each scheme's algebra prints, and a
-per-mode numeric route that multiplies quadrature-extracted velocity
-coefficients by the regularized static energy. The numeric route rests on
-the per-mode proportionality to w_n, which verify checks, so one mode gives
-the coefficients and regularization is confined to the single static sum;
-velocity-dependent sums are never regularized directly.
+per-mode numeric route that multiplies velocity coefficients, integrated
+from the real T00 and T01 densities of one mode (stress.coefficient_fits),
+by the regularized static energy. The numeric route rests on the per-mode
+proportionality to w_n, which verify checks, so one mode gives the
+coefficients and regularization is confined to the single static sum;
+velocity-dependent sums are never regularized directly. Every 1D request
+path runs on `math`; only nonrel_fit, a library call, uses numpy.
 
 E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
 and every regularized m0 are computed on the unit cavity and L only scales.
@@ -199,26 +201,41 @@ def route_comparison(
 
 
 def mass_shell_residual(em: EnergyMomentum, m0: float) -> float:
-    """E^2 - P^2 - m0^2; zero iff the boosted pair stays on the static shell."""
-    return em.energy**2 - em.momentum**2 - m0**2
+    """E^2 - P^2 - m0^2; zero iff the boosted pair stays on the static shell.
+
+    Where E^2 leaves float64 (|E| > 1.3e154: L below about 1e-149 with |v|
+    near 1), Python's float power raises OverflowError; the same difference
+    is then formed as (E - P)(E + P) - m0^2, representable there.
+    """
+    try:
+        return em.energy**2 - em.momentum**2 - m0**2
+    except OverflowError:
+        return (em.energy - em.momentum) * (em.energy + em.momentum) - m0**2
 
 
 def shell_residual_warning(ems, m0: float) -> str:
-    """Empty unless m0^2 underflows float64, so that E^2 - P^2 - m0^2 checks nothing.
+    """Empty unless E^2 - P^2 - m0^2 is not the plain float64 shell check.
 
-    Then it says so and gives, in its place, the relative residual
-    (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems (EnergyMomentum
-    or SweepRow records).
+    Where m0^2 underflows (L above about 1e154) the residual checks nothing;
+    where some E^2 overflows (|E| above about 1.3e154) mass_shell_residual
+    forms it as (E - P)(E + P) - m0^2. The warning says which and gives the
+    relative residual (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems
+    (EnergyMomentum or SweepRow records).
     """
-    if m0 * m0 >= sys.float_info.min:
+    largest = max(abs(em.energy) for em in ems)
+    if m0 * m0 < sys.float_info.min:
+        cause = f"m0^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-m0^2 is not representable"
+    elif largest * largest == math.inf:
+        cause = (f"E^2 overflows float64 (|E| up to {largest:.12g}), so E^2-P^2-m0^2 is formed "
+                 f"as (E-P)(E+P)-m0^2")
+    else:
         return ""
 
     def relative(em) -> float:
         return (em.energy / m0) ** 2 - (em.momentum / m0) ** 2 - 1.0
 
     worst = max(ems, key=lambda em: abs(relative(em)))
-    return (f"m0^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-m0^2 is not representable; "
-            f"relative residual (E/m0)^2-(P/m0)^2-1 = {relative(worst):.12g} "
+    return (f"{cause}; relative residual (E/m0)^2-(P/m0)^2-1 = {relative(worst):.12g} "
             f"({worst.route.value}, v = {worst.velocity:.12g})")
 
 

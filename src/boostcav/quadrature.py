@@ -6,7 +6,9 @@ sized to the oscillation count converges extremely fast; the doubling
 check turns that into a verified error estimate.
 
 gauss_legendre_scalar runs the same rule on lists of floats with `math`
-alone, for closed forms whose callers should not have to import numpy.
+alone, for the Bessel values of the rectangle's closed form, the per-mode
+route's densities and the Abel-Plana integral, whose callers should not
+have to import numpy.
 """
 
 from __future__ import annotations
@@ -137,10 +139,11 @@ def gauss_legendre(
     )
 
 
-def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, panels: int) -> float:
+def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, panels: int):
     """_panel_eval of scalar endpoints in floats, the same abscissae and weights bit for bit.
 
-    The weighted values are summed by math.fsum, rounded once.
+    The weighted values are summed by math.fsum, rounded once: one float,
+    or a tuple of floats when f returns a tuple of lists (components).
     """
     step = (b - a) / panels
     edges = [i * step + a for i in range(panels)] + [b]
@@ -151,7 +154,10 @@ def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, pane
         mid = 0.5 * (left + right)
         xs += [mid + half * x for x in _NODE_LIST]
         ws += [half * w for w in _WEIGHT_LIST]
-    return math.fsum(w * y for w, y in zip(ws, f(xs)))
+    values = f(xs)
+    if isinstance(values, tuple):
+        return tuple(math.fsum([w * y for w, y in zip(ws, part)]) for part in values)
+    return math.fsum([w * y for w, y in zip(ws, values)])
 
 
 def gauss_legendre_scalar(
@@ -160,24 +166,37 @@ def gauss_legendre_scalar(
     b: float,
     *,
     rtol: float = 1e-13,
+    atol: float = 0.0,
     max_doublings: int = 8,
-) -> tuple[float, float]:
+):
     """gauss_legendre of a real, non-oscillating integrand over float endpoints, in pure `math`.
 
-    f maps a list of abscissae to a list of values; it is called once per
-    doubling level, as the vectorized integrand is. The table, the panels
-    (two to start), the doubling and the relative convergence test are
-    gauss_legendre's, so a closed form that integrates this way never needs
-    numpy. Returns (value, error_estimate) as floats.
+    f maps a list of abscissae to a list of values, or to a tuple of such
+    lists for several components, each converging on its own; it is called
+    once per doubling level, as the vectorized integrand is. The table, the
+    panels (two to start), the doubling and the convergence test
+    |doubling difference| <= max(atol, rtol |value|) are gauss_legendre's,
+    so a closed form that integrates this way never needs numpy. Returns
+    (value, error_estimate) as floats, or as tuples of floats, one per
+    component, when f returns a tuple.
     """
     panels = 2
     prev = _panel_sum(f, a, b, panels)
-    diff = math.inf
+    several = isinstance(prev, tuple)
+    prev = prev if several else (prev,)
+    value = [0.0] * len(prev)
+    err = [math.inf] * len(prev)
+    diff = list(err)
     for _ in range(max_doublings):
         panels *= 2
         cur = _panel_sum(f, a, b, panels)
-        diff = abs(cur - prev)
-        if diff <= rtol * abs(cur):
-            return cur, diff
+        cur = cur if several else (cur,)
+        for i, (c, p) in enumerate(zip(cur, prev)):
+            diff[i] = abs(c - p)
+            if err[i] == math.inf and diff[i] <= max(atol, rtol * abs(c)):
+                value[i], err[i] = c, diff[i]
+        if math.inf not in err:
+            return (tuple(value), tuple(err)) if several else (value[0], err[0])
         prev = cur
-    raise QuadratureError("integral did not converge under panel doubling", diff)
+    estimate = next(d for d, e in zip(diff, err) if e == math.inf)
+    raise QuadratureError("integral did not converge under panel doubling", estimate)

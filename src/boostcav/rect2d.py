@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length
 from .quadrature import gauss_legendre_scalar
-from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
+from .regsum import FinitePart, RegConfig, RegMethod, _BlockSummand, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -107,7 +107,7 @@ class SubtractionSolution(NamedTuple):
 _TERM_BUDGET = 1e9
 
 
-class _FourPartsSummand:
+class _FourPartsSummand(_BlockSummand):
     """The a x b rectangle's spectrum in units of 1/a: the 1 x b/a rectangle's,
 
         w = sqrt(k_n^2 + p_m^2), k_n = n pi, p_m = m pi a/b.

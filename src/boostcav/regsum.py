@@ -12,16 +12,24 @@ Three independent routes:
 
 Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
+
+Each summand sums its own spectrum: the 1D one in floats with math.fsum,
+the sequence and rectangle summands in numpy blocks. The divergence fit is
+one least squares in plain floats for every summand (a Householder QR
+refined twice against math.fsum residuals), and the schedule and the
+Abel-Plana integral use `math`, so a 1D finite part never imports numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import sys
 from typing import Iterator, NamedTuple, Sequence
 
 from .cavity import _check_length, _validated
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre_scalar
 
 __all__ = [
     "RegMethod",
@@ -48,18 +56,26 @@ class FitError(RuntimeError):
 
 
 def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) -> tuple[float, ...]:
-    """Strictly decreasing cutoff schedule from hi to lo, in units of 1/omega_min."""
-    import numpy as np
+    """Strictly decreasing cutoff schedule from hi to lo, in units of 1/omega_min.
+
+    np.geomspace(hi, lo, points) in floats: 10**(i step + log10(hi)) with
+    both endpoints pinned. It is that array bit for bit on the default
+    schedules; elsewhere libm's log10 and pow may differ from numpy's in
+    the last bit.
+    """
     if not (0 < lo < hi < math.inf) or points < 4:
         raise ValueError("need finite 0 < lo < hi and at least 4 points")
-    return tuple(np.geomspace(hi, lo, points))
+    start = math.log10(hi)
+    step = (math.log10(lo) - start) / (points - 1)
+    return (float(hi), *(10.0 ** (i * step + start) for i in range(1, points - 1)), float(lo))
 
 
 # Every damped sum is fitted with its summand's divergent powers, the eps^0
 # constant and these eps^{+k} stabilizers (they vanish at eps -> 0, but
 # absorbing them sharpens the constant by orders of magnitude).
 _STABILIZER_POWERS = (2, 4)
-_TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it
+_TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it,
+_TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
 _ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
@@ -126,7 +142,40 @@ class FinitePart(NamedTuple):
 # summands
 # ---------------------------------------------------------------------------
 
-class SequenceSummand:
+class _BlockSummand:
+    """damped_sums of a summand whose blocks(omega_cap) enumerate its spectrum in numpy.
+
+    Each block is a pair (c, w) of arrays with w ascending and at most
+    omega_cap, and c either one coefficient per w or a matrix with one row
+    per weight.
+    """
+
+    def damped_sums(self, eps: list[float]) -> list[list[float]]:
+        """S(eps_i) = sum of c e^{-eps_i w} over w <= _TRUNCATION_CAP/eps_i: one column per weight.
+
+        The spectrum is enumerated once, at the smallest eps; every block is
+        ascending in w, so the terms below a larger eps's cap are its prefix.
+        Matrix blocks give one column per coefficient row, contracted with the
+        damping factors in one matrix-vector product.
+        """
+        import numpy as np
+        eps = np.asarray(eps)
+        caps = _TRUNCATION_CAP / eps
+        table = None
+        for c, w in self.blocks(caps[-1]):
+            if table is None:
+                table = np.zeros(eps.shape + c.shape[:-1])
+            counts = np.searchsorted(w, caps, side="right")
+            for i in np.flatnonzero(counts):
+                m = counts[i]
+                decay = np.exp(-eps[i] * w[:m])
+                table[i] += np.sum(c[:m] * decay) if c.ndim == 1 else c[:, :m] @ decay
+        if table is None:
+            raise FitError("no spectrum term lies below the largest cutoff")
+        return table.reshape(len(eps), -1).T.tolist()
+
+
+class SequenceSummand(_BlockSummand):
     """Explicit finite (or truncatable) sequence of (coefficient, frequency).
 
     Terms are kept in ascending frequency (stable order among ties).
@@ -181,86 +230,149 @@ class Linear1DSummand:
         self.weight = weight
         self.omega_min = self.step
 
-    def blocks(self, omega_cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        import numpy as np
-        n_max = int(omega_cap / self.step)
-        w = np.arange(1, n_max + 1, dtype=float) * self.step
-        yield self.weight * w, w
+    def damped_sums(self, eps: list[float]) -> list[list[float]]:
+        """The one column S(eps_i) = sum of c_n e^{-eps_i w_n} over w_n <= _TRUNCATION_CAP/eps_i.
+
+        Plain floats: each sum is math.fsum of its terms, rounded once (about
+        11,700 terms over the default schedule).
+        """
+        w = [n * self.step for n in range(1, int(_TRUNCATION_CAP / eps[-1] / self.step) + 1)]
+        c = [self.weight * wn for wn in w]
+        sums = []
+        for e in eps:
+            m = bisect.bisect_right(w, _TRUNCATION_CAP / e)
+            sums.append(math.fsum([cn * math.exp(-e * wn) for cn, wn in zip(c[:m], w)]))
+        return [sums]
 
 
 # ---------------------------------------------------------------------------
-# cutoff evaluation and divergence fit
+# divergence fit: least squares in floats
 # ---------------------------------------------------------------------------
 
-def _damped_sums(summand, eps: np.ndarray, damping: float) -> np.ndarray:
-    """S(eps_i) = sum of c e^{-eps_i w} over w <= -ln(damping)/eps_i, one row per eps_i.
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum([p * q for p, q in zip(a, b)])
 
-    The spectrum is enumerated once, at the smallest eps; every block is
-    ascending in w, so the terms below a larger eps's cap are its prefix.
-    Matrix blocks give one column per coefficient row, contracted with the
-    damping factors in one matrix-vector product.
+
+def _householder_qr(columns: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """Thin QR of the matrix with these columns: Q's columns and R's rows (upper triangular)."""
+    m, n = len(columns[0]), len(columns)
+    a = [list(col) for col in columns]
+    reflectors = []
+    for k in range(n):
+        x = a[k][k:]
+        alpha = -math.copysign(math.hypot(*x), x[0])
+        v = [x[0] - alpha] + x[1:]
+        vv = _dot(v, v)  # nonzero: the design passed its condition check, so it has full rank
+        reflectors.append((v, vv))
+        for j in range(k, n):
+            f = 2.0 * _dot(v, a[j][k:]) / vv
+            a[j][k:] = [aj - f * vi for aj, vi in zip(a[j][k:], v)]
+    q = []
+    for j in range(n):
+        e = [0.0] * m
+        e[j] = 1.0
+        for k in reversed(range(n)):
+            v, vv = reflectors[k]
+            f = 2.0 * _dot(v, e[k:]) / vv
+            e[k:] = [ei - f * vi for ei, vi in zip(e[k:], v)]
+        q.append(e)
+    r = [[a[j][i] if j >= i else 0.0 for j in range(n)] for i in range(n)]
+    return q, r
+
+
+def _back_substitute(r: list[list[float]], b: list[float]) -> list[float]:
+    """z with R z = b, R upper triangular."""
+    n = len(b)
+    z = [0.0] * n
+    for i in reversed(range(n)):
+        z[i] = (b[i] - _dot(r[i][i + 1:], z[i + 1:])) / r[i][i]
+    return z
+
+
+def _condition_number(columns: list[list[float]]) -> float:
+    """2-norm condition number: the ratio of extreme singular values, by one-sided Jacobi.
+
+    Plane rotations orthogonalize the columns pairwise until every pair is
+    orthogonal to rounding; the column norms are then the singular values,
+    each to high relative accuracy, the smallest included.
     """
-    import numpy as np
-    caps = -math.log(damping) / eps
-    table = None
-    for c, w in summand.blocks(caps[-1]):
-        if table is None:
-            table = np.zeros(eps.shape + c.shape[:-1])
-        counts = np.searchsorted(w, caps, side="right")
-        for i in np.flatnonzero(counts):
-            m = counts[i]
-            decay = np.exp(-eps[i] * w[:m])
-            table[i] += np.sum(c[:m] * decay) if c.ndim == 1 else c[:, :m] @ decay
-    if table is None:
-        raise FitError("no spectrum term lies below the largest cutoff")
-    return table
+    u = [list(col) for col in columns]
+    n = len(u)
+    for _ in range(30):  # sweeps; the fit's designs need about five
+        rotated = False
+        for j in range(n - 1):
+            for k in range(j + 1, n):
+                alpha, beta, gamma = _dot(u[j], u[j]), _dot(u[k], u[k]), _dot(u[j], u[k])
+                if abs(gamma) <= sys.float_info.epsilon * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                u[j], u[k] = ([c * p - s * q for p, q in zip(u[j], u[k])],
+                              [s * p + c * q for p, q in zip(u[j], u[k])])
+        if not rotated:
+            break
+    sigma = [math.sqrt(_dot(col, col)) for col in u]
+    return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
 
 
 class _DivergenceFit:
     """Least squares for S = sum_q b_q x^q on one dimensionless schedule x.
 
-    One float64 QR factorization of the column-scaled design, its
-    conditioning checked once, serves every data column and the
-    rounding-noise propagation.
+    One Householder QR of the column-scaled design, its conditioning
+    checked once, serves every data column and the rounding-noise
+    propagation. Each solve is refined twice against residuals summed by
+    math.fsum (iterative refinement of least squares).
     """
 
-    def __init__(self, x: np.ndarray, divergent_powers: tuple[int, ...]):
-        import numpy as np
-        self.powers = np.array([-p for p in divergent_powers] + [0, *_STABILIZER_POWERS], dtype=float)
-        design = x[:, None] ** self.powers
-        self.scale = np.max(np.abs(design), axis=0)  # 1 for the all-ones x^0 column
-        self.scaled = design / self.scale
-        self.cond = float(np.linalg.cond(self.scaled))
+    def __init__(self, x: Sequence[float], divergent_powers: tuple[int, ...]):
+        self.powers = [-p for p in divergent_powers] + [0, *_STABILIZER_POWERS]
+        design = [[xi ** q for xi in x] for q in self.powers]
+        self.scale = [max(map(abs, col)) for col in design]  # 1 for the all-ones x^0 column
+        self.columns = [[d / s for d in col] for col, s in zip(design, self.scale)]
+        self.cond = _condition_number(self.columns)
         if self.cond > _CONDITION_LIMIT:
             raise FitError(
                 f"divergence-fit design matrix condition number {self.cond:.3e} exceeds "
                 f"{_CONDITION_LIMIT:.1e}; use a wider or shorter schedule"
             )
-        self.q, self.r = np.linalg.qr(self.scaled)
-        self.n_div = len(divergent_powers)  # also the row of the x^0 term
+        self.q, self.r = _householder_qr(self.columns)
+        self.n_div = len(divergent_powers)  # also the index of the x^0 term
 
-    def solve(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of the scaled columns, one column per data column."""
-        import numpy as np
-        return np.linalg.solve(self.r, self.q.T @ values)
+    def residuals(self, coeffs: list[float], values: Sequence[float]) -> list[float]:
+        """values - design @ coeffs, each row summed exactly by math.fsum and rounded once."""
+        return [math.fsum([y] + [-col[i] * c for col, c in zip(self.columns, coeffs)])
+                for i, y in enumerate(values)]
 
-    def noise(self, values: np.ndarray) -> np.ndarray:
-        """Propagated float64 rounding of the data through the (linear) fit.
+    def solve(self, values: Sequence[float]) -> list[float]:
+        """Coefficients of the scaled columns for one data column."""
+        coeffs = [0.0] * len(self.powers)
+        target = list(values)
+        for _ in range(3):  # the solve, then two refinement steps
+            step = _back_substitute(self.r, [_dot(q, target) for q in self.q])
+            coeffs = [c + d for c, d in zip(coeffs, step)]
+            target = self.residuals(coeffs, values)
+        return coeffs
 
-        The constant is a linear functional a0 = sum_i d_i y_i of the summed
-        data; each y_i carries accumulation rounding O(eps_mach |y_i|), which
-        the divergent columns amplify. This bounds that contribution, per data
-        column, and is what makes small-eps schedules *worse* beyond a point.
+    def dual(self) -> list[float]:
+        """The x^0 coefficient's row of the pseudoinverse: a0 = sum_i dual_i y_i.
+
+        Q z with R^T z = e_{n_div}, by forward substitution.
         """
-        import numpy as np
-        dual = self.q @ np.linalg.solve(self.r.T, np.eye(len(self.powers))[self.n_div])
-        return (16.0 * np.finfo(float).eps * np.abs(dual)) @ np.abs(values)
+        n = len(self.powers)
+        z = [0.0] * n
+        for i in range(n):
+            unit = 1.0 if i == self.n_div else 0.0
+            z[i] = (unit - _dot([self.r[k][i] for k in range(i)], z[:i])) / self.r[i][i]
+        return [_dot([q[i] for q in self.q], z) for i in range(len(self.q[0]))]
 
 
 def _fit_finite_parts(
-    x: np.ndarray, table: np.ndarray, powers: tuple[int, ...], omega_min: float
+    x: list[float], columns: list[list[float]], powers: tuple[int, ...], omega_min: float
 ) -> list[FinitePart]:
-    """The eps^0 constant of every column of the damped-sum table, with its error.
+    """The eps^0 constant of every column of damped sums, with its error.
 
     The fit runs in x = eps omega_min, and b_q x^q = (b_q omega_min^q) eps^q
     gives the divergent coefficients back in eps units. The error estimate
@@ -268,36 +380,43 @@ def _fit_finite_parts(
     half of the schedule, and the extraction noise scaled by 2^{leading
     power}: one x-halving scales the raw sums (hence the noise) by that
     much, so the estimate also covers nearby schedules.
+
+    The noise is the propagated float64 rounding of the data through the
+    (linear) fit: each sum y_i carries accumulation rounding O(eps_mach
+    |y_i|), which the divergent columns amplify through the constant's row
+    of the pseudoinverse. It is what makes small-eps schedules *worse*
+    beyond a point.
     """
-    import numpy as np
     fit = _DivergenceFit(x, powers)
-    n_params, n_div = len(fit.powers), fit.n_div
-    lower = slice(len(x) - max(n_params + 1, len(x) // 2), len(x))
-    values = table.reshape(len(x), -1)  # one column per coefficient row
-    coeffs = fit.solve(values)
-    a0 = coeffs[n_div]
-    residual = np.max(np.abs(fit.scaled @ coeffs - values), axis=0)
-    refit_shift = np.zeros_like(a0)
-    if lower.stop - lower.start >= n_params and lower.start > 0:
-        refit_shift = np.abs(_DivergenceFit(x[lower], powers).solve(values[lower])[n_div] - a0)
-    error = refit_shift + residual + 2.0 ** max(powers) * fit.noise(values)
-    # b x^-p = (b / omega_min^p) eps^-p; one division per power keeps a
-    # representable coefficient from overflowing on the way
-    divergent = coeffs[:n_div] / fit.scale[:n_div, None]
-    for row, p in zip(divergent, powers):
-        for _ in range(p):
-            row /= omega_min
-    return [
-        FinitePart(
-            value=float(a0[j]),
-            error_estimate=float(error[j]),
+    n_div = fit.n_div
+    lower = len(x) - max(len(fit.powers) + 1, len(x) // 2)  # first point of the small-x half
+    refit = _DivergenceFit(x[lower:], powers) if lower > 0 else None
+    dual = fit.dual()
+    parts = []
+    for values in columns:
+        coeffs = fit.solve(values)
+        a0 = coeffs[n_div]
+        residual = max(map(abs, fit.residuals(coeffs, values)))
+        refit_shift = abs(refit.solve(values[lower:])[n_div] - a0) if refit else 0.0
+        noise = 16.0 * sys.float_info.epsilon * math.fsum(
+            [abs(d) * abs(y) for d, y in zip(dual, values)])
+        divergent = []
+        for c, s, p in zip(coeffs, fit.scale, powers):
+            # b x^-p = (b / omega_min^p) eps^-p; one division per power keeps a
+            # representable coefficient from overflowing on the way
+            c /= s
+            for _ in range(p):
+                c /= omega_min
+            divergent.append(c)
+        parts.append(FinitePart(
+            value=a0,
+            error_estimate=refit_shift + residual + 2.0 ** max(powers) * noise,
             method=RegMethod.EXPONENTIAL_CUTOFF,
-            fitted_divergent_coeffs=tuple(float(c) for c in divergent[:, j]),
-            fit_residual=float(residual[j]),
+            fitted_divergent_coeffs=tuple(divergent),
+            fit_residual=residual,
             condition_number=fit.cond,
-        )
-        for j in range(values.shape[1])
-    ]
+        ))
+    return parts
 
 
 def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FinitePart, ...]:
@@ -312,20 +431,19 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     combines the fit residual with a refit restricted to the small-x half
     of the schedule.
 
-    A summand has omega_min, divergent_powers and blocks(omega_cap),
-    yielding (c, w) pairs with w ascending and at most omega_cap. When c is
-    a matrix with one row per weight, one FinitePart per row comes back, all
-    from the same damped sums, so linear identities between the weights
-    survive the fit exactly.
+    A summand has omega_min, divergent_powers and damped_sums(eps), which
+    sums its own spectrum: one column of S(eps_i) per weight. With one
+    column one FinitePart comes back; with several (the rectangle's, one
+    per coefficient row) a tuple of them, all from the same damped sums, so
+    linear identities between the weights survive the fit exactly.
     """
-    import numpy as np
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
-    x = np.asarray(config.epsilon_schedule, dtype=float)
-    eps = x / summand.omega_min
+    x = list(config.epsilon_schedule)
+    eps = [xi / summand.omega_min for xi in x]
 
     if isinstance(summand, SequenceSummand):
-        saturated = summand.saturated_sum(-math.log(_TRUNCATION_DAMPING) / eps[-1])
+        saturated = summand.saturated_sum(_TRUNCATION_CAP / eps[-1])
         if saturated is not None:
             # Absolutely convergent (finite below every cutoff): the damped sums
             # carry no divergence and the eps -> 0 limit is the plain sum.
@@ -338,9 +456,9 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
                 condition_number=1.0,
             )
 
-    table = _damped_sums(summand, eps, _TRUNCATION_DAMPING)
-    parts = _fit_finite_parts(x, table, summand.divergent_powers, summand.omega_min)
-    return parts[0] if table.ndim == 1 else tuple(parts)
+    parts = _fit_finite_parts(x, summand.damped_sums(eps), summand.divergent_powers,
+                              summand.omega_min)
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +484,13 @@ def abel_plana_m0(proper_length: float) -> float:
     starting from one panel per unit of t, evaluates the integral; a
     quadrature error above 1e-12 raises FitError.
     """
-    import numpy as np
     _check_length(proper_length, "proper_length")
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        decay = np.exp(-2.0 * math.pi * t)  # overflow-safe form of t/(e^{2pi t}-1)
-        return t * decay / -np.expm1(-2.0 * math.pi * t)
+    def integrand(ts: list[float]) -> list[float]:
+        # e^{-2 pi t} / -expm1(-2 pi t): the overflow-safe form of 1/(e^{2 pi t} - 1)
+        return [t * math.exp(-2.0 * math.pi * t) / -math.expm1(-2.0 * math.pi * t) for t in ts]
 
-    value, abserr = gauss_legendre(integrand, 0.0, 7.0, oscillations=7)
+    value, abserr = gauss_legendre_scalar(integrand, 0.0, 7.0)
     if abserr > _ABEL_PLANA_TOL:
         raise FitError(f"Abel-Plana integral tolerance not met (abserr {abserr:.2e})")
-    return float(-(math.pi / proper_length) * value)
+    return -(math.pi / proper_length) * value

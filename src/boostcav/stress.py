@@ -11,6 +11,12 @@ and the vacuum expectation of any mode bilinear B is the per-mode sum
 
 with w'_n the scheme's comoving/expansion frequency. At v = 0 this makes
 the per-mode energy exactly w_n / 2, which pins every factor.
+
+Two quadratures of the same integrals. coefficient_fits, the route every 1D
+request takes, integrates the real densities of u = N e^{i th} sin s in
+pure `math`, one scalar Gauss-Legendre quadrature per velocity.
+per_mode_em and per_mode_em_2d integrate the complex jet (u, u_t, u_x)
+with numpy at any mode and time slice; they are the route's oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .modes import (
     mode_normalization,
     phase_frequency,
 )
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, gauss_legendre_scalar
 
 __all__ = [
     "PrefactorRule",
@@ -45,11 +51,6 @@ __all__ = [
     "per_mode_em_2d_law",
     "coefficient_fits",
 ]
-
-# Velocities per batched quadrature. Each chunk holds its rows' abscissae for
-# every doubling; 16 to 400 rows run equally fast, 32 keeps the memory small.
-_CHUNK_ROWS = 32
-
 
 class PrefactorRule(enum.Enum):
     """Which frequency enters the 1/(2w') vacuum prefactor.
@@ -106,13 +107,30 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     return comoving
 
 
+def _mode_terms(scheme: Scheme, proper_length: float, velocity: float, n: int, t: float,
+                convention: StressConvention):
+    """N, (th_t, th_x, s_t, s_x), the prefactor frequency w' and the walls on the slice t.
+
+    Of 1D mode n at a float velocity; both quadratures start from these.
+    """
+    wp = _prefactor_frequency(
+        convention,
+        expansion_frequency(scheme, proper_length, velocity, n),
+        phase_frequency(scheme, proper_length, velocity, n),
+    )
+    return (mode_normalization(scheme, proper_length, velocity),
+            affine_coefficients(scheme, proper_length, velocity, n), wp,
+            wall_positions(scheme, proper_length, velocity, t))
+
+
 def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: StressConvention):
     """The per-mode T00 and T01 integrals over the walls, divided by 2 w', and their errors.
 
     The mode is N exp(i th) sin s with th and s affine in (t, x); p2 is the
     squared transverse wavenumber of a rectangle mode's x profile, 0 in 1D.
-    Both come back stacked on a leading axis of length 2; scale is the
-    frequency that sets the absolute tolerance.
+    The complex jet of the mode gives the densities. Both come back stacked
+    on a leading axis of length 2; scale is the frequency that sets the
+    absolute tolerance.
     """
     import numpy as np
 
@@ -126,34 +144,6 @@ def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention:
     left, right = walls
     return gauss_legendre(
         densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, scale)
-    )
-
-
-def _mode_integrals(
-    scheme: Scheme,
-    proper_length: float,
-    velocities: np.ndarray,
-    n: int,
-    t: float,
-    convention: StressConvention,
-) -> tuple[np.ndarray, np.ndarray]:
-    """per_mode_em's e_n and p_n on the slice t at every velocity, and their errors.
-
-    Both come back with shape (2, velocities). One panelled quadrature
-    serves every velocity, and each is bit-identical to its own scalar
-    integration.
-    """
-    v = velocities[:, None]  # against abscissae of shape (velocities, points)
-    wp = _prefactor_frequency(
-        convention,
-        expansion_frequency(scheme, proper_length, v, n),
-        phase_frequency(scheme, proper_length, v, n),
-    )
-    return _stress_integrals(
-        mode_normalization(scheme, proper_length, v),
-        affine_coefficients(scheme, proper_length, v, n), wp, 0.0,
-        wall_positions(scheme, proper_length, velocities, t), t, n,
-        base_frequency(proper_length, n), convention,
     )
 
 
@@ -173,15 +163,17 @@ def per_mode_em(
         p_n = -int Re(u_t conj(u_x)) / (2 w')   dx
 
     with closed-form derivatives and a convergence-checked Gauss-Legendre
-    quadrature. Both are time independent; t only picks the slice.
+    quadrature of the complex jet. Both are time independent; t only picks
+    the slice. At n = 1 and t = 0 this is the oracle of coefficient_fits.
     """
-    import numpy as np
     _check_index(n)
-    (e, p), (e_err, p_err) = _mode_integrals(
-        scheme, cavity.proper_length, np.array([cavity.velocity]), n, t, convention
+    norm, coeffs, wp, walls = _mode_terms(scheme, cavity.proper_length, cavity.velocity, n, t,
+                                          convention)
+    (e, p), (e_err, p_err) = _stress_integrals(
+        norm, coeffs, wp, 0.0, walls, t, n, base_frequency(cavity.proper_length, n), convention
     )
-    return PerModeEM(n=n, energy=float(e[0]), momentum=float(p[0]),
-                     quad_error=float(max(e_err[0], p_err[0])))
+    return PerModeEM(n=n, energy=float(e), momentum=float(p),
+                     quad_error=float(max(e_err, p_err)))
 
 
 def per_mode_em_2d(
@@ -257,18 +249,41 @@ def coefficient_fits(
     e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n and t (verify's
     "per-mode proportionality to w_n" check holds the quadrature to it), and
     the coefficients are dimensionless; so the first mode of the unit cavity
-    (L = 1) at t = 0 gives them at every L. One batched quadrature serves
-    each chunk of velocities, and each fit is bit-identical to the fit of a
-    grid of that one velocity. A quadrature that does not converge raises
-    QuadratureError as gauss_legendre meets it.
+    (L = 1) at t = 0 gives them at every L. With u = N e^{i th} sin s the
+    densities are real:
+
+        e = N^2 [(th_t^2 + th_x^2) sin^2 s + (s_t^2 + s_x^2) cos^2 s] / (4 w')
+        p = -sigma N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s) / (2 w')
+
+    with sigma the convention's momentum sign. One scalar Gauss-Legendre
+    quadrature per velocity integrates both over the cavity, one sin and one
+    cos per node; per_mode_em's complex-jet quadrature is its oracle
+    (verify checks the two against each other). A quadrature that does not
+    converge raises QuadratureError.
     """
-    import numpy as np
-    velocities = [Cavity1D(1.0, float(v)).velocity for v in velocities]
-    half_w = math.pi / 2.0
-    fits: list[CoefficientFit] = []
-    for start in range(0, len(velocities), _CHUNK_ROWS):
-        chunk = np.array(velocities[start:start + _CHUNK_ROWS])
-        (e, p), _ = _mode_integrals(scheme, 1.0, chunk, 1, 0.0, convention)
-        fits.extend(CoefficientFit(float(c_e), float(c_p))
-                    for c_e, c_p in zip(e / half_w, p / half_w))
+    fits = []
+    for v in velocities:
+        v = Cavity1D(1.0, float(v)).velocity
+        norm, (th_t, th_x, s_t, s_x), wp, (left, right) = _mode_terms(
+            scheme, 1.0, v, 1, 0.0, convention)
+        # the sin^2 s and cos^2 s weights of each density; s = s_x x at t = 0
+        n2 = norm * norm
+        e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
+        e_cos = n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)
+        p_sin = -convention.momentum_sign * n2 * th_t * th_x / (2.0 * wp)
+        p_cos = -convention.momentum_sign * n2 * s_t * s_x / (2.0 * wp)
+
+        def densities(xs):
+            e, p = [], []
+            for x in xs:
+                sin_s, cos_s = math.sin(s_x * x), math.cos(s_x * x)
+                sin2, cos2 = sin_s * sin_s, cos_s * cos_s
+                e.append(e_sin * sin2 + e_cos * cos2)
+                p.append(p_sin * sin2 + p_cos * cos2)
+            return e, p
+
+        # per_mode_em's tolerances at n = 1, whose frequency is pi
+        (e, p), _ = gauss_legendre_scalar(densities, left, right, rtol=1e-14,
+                                          atol=1e-13 * math.pi)
+        fits.append(CoefficientFit(e / (math.pi / 2.0), p / (math.pi / 2.0)))
     return tuple(fits)

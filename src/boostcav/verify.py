@@ -161,6 +161,20 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
                         abs(plus.c_momentum + minus.c_momentum))
     out.append(_result("stress: parity (E even, P odd in v)", worst <= 1e-9,
                        f"max parity violation = {worst:.2e}"))
+
+    # the route's real densities against the complex jet, at the velocities above;
+    # momentum is measured on the energy scale, as it vanishes at v = 0
+    worst = 0.0
+    for scheme in Scheme:
+        vs = ((0.0, 0.15, -0.15, 0.3, 0.45, -0.45, 0.6, 0.9) if scheme is Scheme.LORENTZ_EXACT
+              else (0.0, 0.05, 0.1, 0.15, -0.15, 0.2, 0.25, -0.25))
+        for v, fit in zip(vs, stress.coefficient_fits(scheme, vs, convention=convention)):
+            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1, 0.0, convention=convention)
+            c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
+            worst = max(worst, abs(fit.c_energy - c_e) / abs(c_e),
+                        abs(fit.c_momentum - c_p) / max(abs(c_p), abs(c_e)))
+    out.append(_result("stress: per-mode route matches the complex-jet quadrature", worst <= 1e-13,
+                       f"max relative difference = {worst:.2e}"))
     return out
 
 
@@ -188,11 +202,9 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
         omega_min = c.omega_min
         divergent_powers = c.divergent_powers
 
-        def blocks(self, omega_cap):
-            for coeff, w in c.blocks(omega_cap):
-                yield 2.0 * coeff, w
-            for coeff, w in d.blocks(omega_cap):
-                yield 3.0 * coeff, w
+        def damped_sums(self, eps):
+            [sums_c], [sums_d] = c.damped_sums(eps), d.damped_sums(eps)
+            return [[2.0 * sc + 3.0 * sd for sc, sd in zip(sums_c, sums_d)]]
 
     fc = cutoff_finite_part(c, config)
     fd = cutoff_finite_part(d, config)

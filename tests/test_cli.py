@@ -597,24 +597,25 @@ class TestOutputFile:
 
 # sha256 of stdout: per-mode sweeps shaped like the benchmark's (375, 106 and
 # 27 rows) and cutoff boosts. Recorded once m0 was computed on the unit cavity,
-# the cutoff fit became a float64 QR least squares and the per-mode
-# coefficients were read off the first mode of the unit cavity at t = 0; any
-# later change is a defect.
+# the per-mode coefficients were read off the real T00 and T01 densities of the
+# first mode of the unit cavity at t = 0 by the scalar rule, and the cutoff fit
+# became a float QR least squares refined twice against math.fsum residuals
+# over math.fsum damped sums; any later change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
-        "d441573b722050cfd4bef55d82b2bbac24c03044fe5a1c2b8c7fc3c874ba96a1",
+        "2faf01b20a26ba834a0d74e0b9ba0af47d5ab2df1b5e3270229dd0e954b774c6",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "85e35d0822c706edf4d14db78b24fe45de6d24989235149fcc3a229bf5506187",
+        "5a48bc60464d66e1b26efdfe956c41b5f73fc53f53ecf7e14e5fffb70e1c95bd",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
-        "b7ec8a2ab67512cfa856811706128a9ba6390dccfb75774598ebcddca5e15de4",
+        "c9182b7c5043451ec3dc9a61902438cfd7c804fe2c09da2d0aecf38a1eea74a0",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
-        "b927e7aeea35ff82d575f0e57c5416b72de81afa17d97c839fdaf4bf59ef7313",
+        "e04212b4ad5cf1e3393bb53330a838091f1a3ae2b16a07d24e1a2999b8d9e1e6",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "d6a42bef3da54499c1a2dffb9416e169322b63ee723b0cd7c0c161c26e2a396f",
+        "888e2ff5d32c2a822b5b33bda9672528df4825d4ffba9e55fd6bf7a8e3dee5fc",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm exp, sinh and cosh, math.fsum). Recorded once each
     # Bessel value's error carried its own rounding.
@@ -687,33 +688,85 @@ class TestColdStart:
         )
         assert self._fresh(script) == "[0, 0] []\n"
 
-    # Closed forms, in the order run, each with its exit code; a per-mode
-    # boost last shows that the check sees numpy once something imports it.
-    CLOSED_FORMS = (
+    # Every request shape of the benchmark's 1D workload and the rectangle's, in
+    # the order run, each with its exit code; `verify --only stress` last shows
+    # that the check sees numpy once something imports it.
+    REQUESTS = (
         (["rect2d", "--a", "1", "--b", "3", "--v", "0.4", "--shell-grid", "0.1:0.7:0.2",
           "--solve-subtraction"], 0),
         (["rect2d", "--a", "2.5", "--b", "0.5", "--v", "0.6", "--shell-grid", "0.05:0.8:0.25",
           "--solve-subtraction", "--format", "json"], 0),
         (["static", "--plates", "--a", "1.5"], 0),
-        (["sweep", "--scheme", "lorentz", "--L", "1.3", "--v=-0.9:0.9:0.1",
-          "--method", "zeta"], 0),
-        (["boost", "--scheme", "lorentz", "--v", "1.2"], 2),
+        (["static", "--L", "1.3"], 0),
+        (["static", "--L", "0.7", "--format", "json"], 0),
+        *((["boost", "--scheme", scheme, "--L", "1.3", f"--v={v}", "--method", method,
+            "--format", fmt], 0)
+          for scheme, v in (("lorentz", 0.7), ("galileo-comoving", -0.2), ("galileo-lab", 0.35))
+          for method, fmt in (("zeta", "text"), ("cutoff", "json"), ("abel-plana", "text"))),
+        *((["sweep", "--scheme", "lorentz", "--L", "1.3", "--v=-0.9:0.9:0.1", "--route", route,
+            "--method", method, "--format", fmt], 0)
+          for route in ("closed-form", "per-mode")
+          for method, fmt in (("zeta", "csv"), ("cutoff", "json"), ("abel-plana", "csv"))),
+        (["modes", "--scheme", "lorentz", "--L", "0.9", "--v", "0.6", "--n-max", "12",
+          "--t", "1.1"], 0),
+        (["modes", "--scheme", "galileo-lab", "--L", "1.4", "--v", "0.3", "--n-max", "20",
+          "--format", "json"], 0),
+        (["boost", "--scheme", "lorentz", "--L", "1", "--v=1.2"], 2),
+        (["static", "--L=-0.5"], 2),
     )
 
-    def test_closed_forms_never_import_numpy(self):
+    def test_requests_never_import_numpy(self):
         script = (
             "import io, sys, contextlib\n"
             "import boostcav\n"
             "print('import', 'numpy' in sys.modules)\n"
             "from boostcav.cli import main\n"
-            f"for argv in {[argv for argv, _ in self.CLOSED_FORMS]!r} + "
-            "[['boost', '--scheme', 'lorentz', '--v', '0.5']]:\n"
+            f"for argv in {[argv for argv, _ in self.REQUESTS]!r} + "
+            "[['verify', '--only', 'stress']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = main(argv)\n"
             "    print(argv[0], code, 'numpy' in sys.modules)\n"
         )
         expected = ["import False"]
-        expected += [f"{argv[0]} {code} False" for argv, code in self.CLOSED_FORMS]
-        expected.append("boost 0 True")
+        expected += [f"{argv[0]} {code} False" for argv, code in self.REQUESTS]
+        expected.append("verify 0 True")
         assert self._fresh(script).splitlines() == expected
+
+
+class TestEdgeExitCodes:
+    """Inputs at the float64 edges keep their exit codes; math never overflows into exit 1."""
+
+    UNDERFLOW = "warning: m0^2 underflows float64"
+    OVERFLOW = "E^2 overflows float64"
+
+    @pytest.mark.parametrize("argv, code, note", [
+        (("static", "--L", "1e-300"), 2, None),
+        (("static", "--L", "5e-324"), 2, None),
+        (("modes", "--scheme", "lorentz", "--L", "1e-300", "--v", "0.9", "--n-max", "10000"),
+         2, None),
+        (("boost", "--scheme", "galileo-lab", "--L", "1e-308", "--v=0.1", "--method",
+          "abel-plana"), 2, None),
+        (("sweep", "--scheme", "lorentz", "--L", "1e300", "--v", "0:0.9:0.3", "--route",
+          "per-mode", "--method", "cutoff"), 0, UNDERFLOW),
+        (("boost", "--scheme", "lorentz", "--v=0.9999999999", "--method", "cutoff"), 0, None),
+        # |E| past 1.3e154: E^2 overflows, and the residual is formed as (E-P)(E+P)-m0^2
+        (("boost", "--scheme", "lorentz", "--L", "1e-150", "--v=0.9999999999999999"), 0,
+         "note: " + OVERFLOW),
+        (("sweep", "--scheme", "lorentz", "--L", "1e-150", "--v=-0.9999999999:-0.9:0.5",
+          "--route", "per-mode"), 0, "warning: " + OVERFLOW),
+    ], ids=["static-1e-300", "static-5e-324", "modes-1e-300", "boost-abel-plana-1e-308",
+            "sweep-per-mode-cutoff-1e300", "boost-cutoff-near-light-speed",
+            "boost-E-squared-overflows", "sweep-E-squared-overflows"])
+    def test_exit_code(self, capsys, argv, code, note):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        # a math OverflowError would reach the catch-all as "error: math range error" or
+        # "error: (34, 'Numerical result out of range')"
+        assert not err.startswith("error: ") and "range" not in err
+        if code == 2:
+            assert not out and err.startswith("usage error: ")
+        for marker in (self.UNDERFLOW, self.OVERFLOW):
+            assert (marker in out + err) == (note is not None and marker in note)
+        if note is not None:
+            assert note in out + err

@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
 from boostcav import rect2d
 from boostcav.observables import static_m0
 from boostcav.regsum import (
     FitError,
+    _DivergenceFit,
     Linear1DSummand,
     RegConfig,
     RegMethod,
@@ -66,6 +68,23 @@ class TestConfig:
         assert all(b < a for a, b in zip(sched, sched[1:]))
         assert sched[0] == 0.2 and abs(sched[-1] - 0.01) < 1e-17
 
+    @pytest.mark.parametrize("hi, lo", [(0.2, 0.01), (0.25, 0.05)])
+    def test_default_schedules_are_geomspace_bit_for_bit(self, hi, lo):
+        # the 1D default and rect2d's
+        assert geometric_schedule(hi=hi, lo=lo, points=8) == tuple(np.geomspace(hi, lo, 8).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(hi=st.floats(0.01, 1.0), ratio=st.floats(1.01, 1e3), points=st.integers(4, 40))
+    def test_schedule_is_geomspace_to_rounding(self, hi, ratio, points):
+        # libm's and numpy's log10 may differ by an ulp at an endpoint, and 10^y turns
+        # one ulp of y into ln(10)|y| ulps of the point, so the 16 ulp scale with |log10 lo|
+        lo = hi / ratio
+        got = geometric_schedule(hi=hi, lo=lo, points=points)
+        ref = np.geomspace(hi, lo, points).tolist()
+        assert (got[0], got[-1]) == (hi, lo)
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 16.0 * max(1.0, abs(math.log10(lo))) * math.ulp(b)
+
     def test_halved(self):
         cfg = RegConfig.cutoff()
         half = cfg.halved()
@@ -86,9 +105,9 @@ class TestCutoffFit:
         fp = cutoff_finite_part(summand, config)
         assert abs(fp.value + 1.0 / 12.0) < 1e-6
         # the engine's raw sums must agree with the closed form
-        from boostcav.regsum import _damped_sums
-        schedule = np.asarray(config.epsilon_schedule)
-        for eps, total in zip(schedule, _damped_sums(summand, schedule, 1e-18)):
+        schedule = list(config.epsilon_schedule)
+        [sums] = summand.damped_sums(schedule)
+        for eps, total in zip(schedule, sums):
             x = math.exp(-eps)
             assert abs(total - x / (1 - x) ** 2) < 1e-9
 
@@ -155,6 +174,47 @@ class TestCutoffFit:
         for bad in (0.0, -2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="frequency must be positive and finite"):
                 SequenceSummand([1.0, 1.0, 1.0], [1.0, bad, 3.0])
+
+
+class TestDivergenceFit:
+    """The pure-float least squares against numpy's SVD-based lstsq, pinv and cond."""
+
+    @staticmethod
+    def _check(x, powers, data_seed):
+        fit = _DivergenceFit(list(x), powers)
+        design = np.array(fit.columns).T
+        cond = np.linalg.cond(design)
+        # numpy's own error grows like cond * eps; the fit is refined against exact residuals
+        tol = 64.0 * cond * np.finfo(float).eps
+        assert fit.cond == pytest.approx(cond, rel=tol)
+        rng = np.random.default_rng(data_seed)
+        values = design @ rng.normal(size=design.shape[1]) + 1e-6 * rng.normal(size=len(x))
+        ref = np.linalg.lstsq(design, values, rcond=None)[0]
+        coeffs = np.array(fit.solve(values.tolist()))
+        assert np.max(np.abs(coeffs - ref)) <= tol * np.max(np.abs(ref))
+        dual = np.linalg.pinv(design)[fit.n_div]
+        assert np.max(np.abs(np.array(fit.dual()) - dual)) <= tol * np.max(np.abs(dual))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_1d_schedule(self, seed):
+        self._check(RegConfig.cutoff().epsilon_schedule, Linear1DSummand.divergent_powers, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_2d_schedule(self, seed):
+        self._check(rect2d.default_config().epsilon_schedule,
+                    rect2d._FourPartsSummand.divergent_powers, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hi=st.floats(0.05, 0.5), ratio=st.floats(1.5, 50.0), points=st.integers(6, 12),
+           powers=st.sampled_from([(2,), (3, 2)]), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_schedules(self, hi, ratio, points, powers, seed):
+        self._check(geometric_schedule(hi=hi, lo=hi / ratio, points=points), powers, seed)
+
+    def test_refinement_sharpens_the_static_constant(self):
+        # m0(1) = -pi/24 from the default schedule: 8.7e-11 relative, inside its error
+        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
+        assert abs(fp.value / (-math.pi / 24.0) - 1.0) <= 8.8e-11
+        assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,24 +326,30 @@ class TestRect2DSums:
 
 class TestBitIdentity:
     """float.hex values of the cutoff route, pinned so refactors of the
-    spectrum pass and the divergence fit cannot drift by even one ulp."""
+    spectrum pass and the divergence fit cannot drift by even one ulp.
+
+    Recorded once the fit became a float QR refined twice against
+    math.fsum residuals and the 1D damped sums math.fsum sums. Each value's
+    distance to the oracle (Chowla-Selberg; -pi/(24 L)) is noted beside it.
+    """
 
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e7625ecdp-6", "0x1.2f520d0943116p-27"),
-            ("0x1.50345f7480372p-7", "0x1.2f520d0943116p-27"),
-            ("0x1.50345f1833043p-5", "0x1.8c6e29a4596c8p-27"),
-            ("0x1.50345ebbe5d14p-6", "0x1.a46be0dc596cap-28"),
+            ("0x1.f84e8e750b45bp-6", "0x1.3059bd674d255p-27"),  # 6.47e-11 from the oracle
+            ("0x1.50345f6fb8b76p-7", "0x1.3059bd674d255p-27"),  # 2.38e-10
+            ("0x1.50345f1673d0bp-5", "0x1.8db3cb1ab228dp-27"),  # 3.03e-10
+            ("0x1.50345ebd2eea0p-6", "0x1.a5ff5f67d043bp-28"),  # 1.73e-10
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7bfc2fb4dp-4", "0x1.31f5e349ea42fp-26"),
-            ("0x1.e9c31547c59dap-5", "0x1.31f5e349ea42fp-26"),
-            ("-0x1.bb5be2b099cc1p-5", "0x1.86361d3a4dd80p-26"),
-            ("-0x1.63b883500941dp-3", "0x1.bb6b52b30d5bcp-27"),
+            ("-0x1.d28f7bfc574f5p-4", "0x1.30fc36bcd35cfp-26"),  # 1.38e-09
+            ("0x1.e9c31548cd0c2p-5", "0x1.30fc36bcd35cfp-26"),  # 7.38e-11
+            ("-0x1.bb5be2afe1929p-5", "0x1.843a607346189p-26"),  # 1.45e-09
+            ("-0x1.63b883505eeabp-3", "0x1.bb7c1a0cc1429p-27"),  # 1.31e-09
         ),
     }
-    STATIC_CUTOFF = {1.0: "-0x1.0c1523826cb8bp-3", 2.5: "-0x1.acee9f37145abp-5"}
+    # relative distance to -pi/(24 L): 8.706e-11 at both lengths
+    STATIC_CUTOFF = {1.0: "-0x1.0c15238272f88p-3", 2.5: "-0x1.acee9f371e5a6p-5"}
 
     @pytest.mark.parametrize("sides", sorted(RECT))
     def test_rectangle_parts(self, sides):

@@ -291,7 +291,7 @@ def _grids(draw):
 
 
 class TestBatchedFits:
-    """coefficient_fits batches the first mode's quadrature over velocities."""
+    """coefficient_fits integrates the first mode's real densities, one velocity at a time."""
 
     @settings(max_examples=60, deadline=None)
     @given(_grids())
@@ -300,22 +300,27 @@ class TestBatchedFits:
         batched = coefficient_fits(scheme, velocities, convention=convention)
         assert batched == _extract_loop(scheme, velocities, convention=convention)
 
-    def test_chunks_are_invisible(self):
-        velocities = np.linspace(-0.9, 0.9, 2 * stress._CHUNK_ROWS + 5)
-        fits = coefficient_fits(Scheme.LORENTZ_EXACT, velocities)
-        assert len(fits) == len(velocities)
-        assert fits == _extract_loop(Scheme.LORENTZ_EXACT, velocities)
+    @settings(max_examples=60, deadline=None)
+    @given(_grids())
+    def test_matches_the_complex_jet_quadrature(self, grid):
+        # the oracle: per_mode_em's complex-jet quadrature of the same mode
+        scheme, velocities, convention = grid
+        for v, fit in zip(velocities, coefficient_fits(scheme, velocities, convention=convention)):
+            pm = per_mode_em(scheme, Cavity1D(1.0, v), 1, 0.0, convention=convention)
+            c_e, c_p = pm.energy / (math.pi / 2), pm.momentum / (math.pi / 2)
+            assert abs(fit.c_energy - c_e) <= 1e-13 * abs(c_e)
+            assert abs(fit.c_momentum - c_p) <= 1e-13 * max(abs(c_p), abs(c_e))
 
-    @pytest.mark.parametrize("count,calls", [(1, 1), (32, 1), (33, 2), (69, 3)])
-    def test_one_quadrature_per_chunk(self, monkeypatch, count, calls):
+    @pytest.mark.parametrize("count", [1, 32, 69])
+    def test_one_scalar_quadrature_per_velocity(self, monkeypatch, count):
         seen = []
-        quad = stress.gauss_legendre
-        monkeypatch.setattr(stress, "gauss_legendre",
-                            lambda f, a, b, **kw: seen.append(np.shape(a)) or quad(f, a, b, **kw))
+        quad = stress.gauss_legendre_scalar
+        monkeypatch.setattr(stress, "gauss_legendre_scalar",
+                            lambda f, a, b, **kw: seen.append((a, b)) or quad(f, a, b, **kw))
+        monkeypatch.setattr(stress, "gauss_legendre", lambda *a, **kw: pytest.fail("array rule"))
         coefficient_fits(Scheme.LORENTZ_EXACT, np.linspace(-0.9, 0.9, count))
-        assert len(seen) == calls
-        assert sum(n for (n,) in seen) == count
-        assert max(n for (n,) in seen) <= 32
+        assert len(seen) == count
+        assert all(isinstance(a, float) and isinstance(b, float) for a, b in seen)
 
     def test_validates_every_velocity(self):
         with pytest.raises(ValueError):
