@@ -3,7 +3,7 @@
 The package builds the normalized spacetime modes of 1D and 2D cavities
 under three transformation treatments (two Galilean approximations and the
 exact contracted treatment), integrates the per-mode vacuum stress tensor
-by quadrature, extracts finite parts of the divergent mode sums with
+in closed form and by quadrature, extracts finite parts of the divergent mode sums with
 cross-validated regularizers, and assembles the frame-dependent energy,
 momentum, and mass-shell diagnostics. Units: hbar = c = 1.
 """

@@ -327,7 +327,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
             "E_s_error": res.energy_error,
             "P_s": res.momentum,
             "P_s_error": res.momentum_error,
-            "shell_residual": res.energy**2 - res.momentum**2 - e_m**2,
+            "shell_residual": mass_shell_residual(res, e_m),
         })
     part_rows = [
         {"part": name, "value": fp.value, "error": fp.error_estimate}
@@ -345,14 +345,15 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
         "units": UNITS_NOTE,
     }
     solver = None
-    probe_rows = []
+    probe = ()
     if args.shell_grid:
-        grid = _parse_grid(args.shell_grid)
-        probe_rows = [
-            {"v": r.velocity, "residual": r.residual, "error": r.residual_error,
-             "predicted": r.predicted_residual}
-            for r in mass_shell_probe_2d(cavity, grid, Route2D.PER_MODE, parts=parts)
-        ]
+        probe = mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), Route2D.PER_MODE,
+                                    parts=parts)
+    probe_rows = [{"v": r.velocity, "residual": r.residual, "error": r.residual_error,
+                   "predicted": r.predicted_residual} for r in probe]
+    note = shell_residual_warning((per_mode, grouped) + probe, e_m, rest="E_m")
+    if note:
+        meta["warnings"] = [note]
     if args.solve_subtraction:
         grid = _parse_grid(args.shell_grid or "0.2:0.6:0.2")
         try:
@@ -374,6 +375,8 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
         lines = [f"# units: {UNITS_NOTE}",
                  f"rectangle a = {_fmt(args.a)}, b = {_fmt(args.b)}, v = {_fmt(args.v)}",
                  f"E_m (rest) = {_fmt(e_m)} +- {_fmt(parts.S_omega.error_estimate)}"]
+        if note:
+            lines.append(f"note: {note}")
         for row in rows:
             lines.append(
                 f"  route {row['route']:>9s}: E_s = {_fmt(row['E_s'])} +- {_fmt(row['E_s_error'])}"

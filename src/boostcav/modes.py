@@ -64,7 +64,7 @@ _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 # ---------------------------------------------------------------------------
 # 1D mode algebra of a float velocity or an ndarray of velocities (element by
-# element); SpacetimeMode, both stress quadratures and the CLI's modes table use it
+# element); SpacetimeMode, the stress integrals and the CLI's modes table use it
 # ---------------------------------------------------------------------------
 
 def base_frequency(proper_length: float, n: int) -> float:

@@ -205,7 +205,9 @@ def mass_shell_residual(em: EnergyMomentum, m0: float) -> float:
 
     Where E^2 leaves float64 (|E| > 1.3e154: L below about 1e-149 with |v|
     near 1), Python's float power raises OverflowError; the same difference
-    is then formed as (E - P)(E + P) - m0^2, representable there.
+    is then formed as (E - P)(E + P) - m0^2, representable there in 1D (on
+    the rectangle, whose results rect2d passes with m0 = E_m, the product
+    may pass 1.8e308 and read +-inf).
     """
     try:
         return em.energy**2 - em.momentum**2 - m0**2
@@ -213,21 +215,24 @@ def mass_shell_residual(em: EnergyMomentum, m0: float) -> float:
         return (em.energy - em.momentum) * (em.energy + em.momentum) - m0**2
 
 
-def shell_residual_warning(ems, m0: float) -> str:
+def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
     """Empty unless E^2 - P^2 - m0^2 is not the plain float64 shell check.
 
     Where m0^2 underflows (L above about 1e154) the residual checks nothing;
     where some E^2 overflows (|E| above about 1.3e154) mass_shell_residual
     forms it as (E - P)(E + P) - m0^2. The warning says which and gives the
     relative residual (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems
-    (EnergyMomentum or SweepRow records).
+    (records with energy, momentum, route and velocity: EnergyMomentum,
+    SweepRow, or rect2d's results and shell probe rows with their rest energy
+    E_m as m0). rest names m0 in the message.
     """
     largest = max(abs(em.energy) for em in ems)
     if m0 * m0 < sys.float_info.min:
-        cause = f"m0^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-m0^2 is not representable"
+        cause = (f"{rest}^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-{rest}^2 is not "
+                 "representable")
     elif largest * largest == math.inf:
-        cause = (f"E^2 overflows float64 (|E| up to {largest:.12g}), so E^2-P^2-m0^2 is formed "
-                 f"as (E-P)(E+P)-m0^2")
+        cause = (f"E^2 overflows float64 (|E| up to {largest:.12g}), so E^2-P^2-{rest}^2 is formed "
+                 f"as (E-P)(E+P)-{rest}^2")
     else:
         return ""
 
@@ -235,7 +240,7 @@ def shell_residual_warning(ems, m0: float) -> str:
         return (em.energy / m0) ** 2 - (em.momentum / m0) ** 2 - 1.0
 
     worst = max(ems, key=lambda em: abs(relative(em)))
-    return (f"{cause}; relative residual (E/m0)^2-(P/m0)^2-1 = {relative(worst):.12g} "
+    return (f"{cause}; relative residual (E/{rest})^2-(P/{rest})^2-1 = {relative(worst):.12g} "
             f"({worst.route.value}, v = {worst.velocity:.12g})")
 
 

@@ -1,6 +1,6 @@
 """Boosted rectangular (2+1D) cavity: regularized sums and the shell probe.
 
-The per-mode quadrature law for the moving rectangle gives
+The per-mode law for the moving rectangle gives
 
     E_s = gamma^2 (1 + v^2) U + W        U = FP[ sum (w^2 + k^2) / (4 w) ]
     P_s = 2 gamma^2 v U                  W = FP[ sum p^2 / (4 w) ]
@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length
 from .quadrature import gauss_legendre_scalar
+from .observables import mass_shell_residual
 from .regsum import FinitePart, RegConfig, RegMethod, _BlockSummand, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
@@ -88,6 +89,9 @@ class ShellProbeRow(NamedTuple):
     residual: float
     residual_error: float
     predicted_residual: float | None  # analytic 2(g^2(1+v^2)-1) U W, per-mode route only
+    route: Route2D
+    energy: float  # the (E_s, P_s) the residual is formed from
+    momentum: float
 
 
 class SubtractionBranch(NamedTuple):
@@ -431,7 +435,7 @@ def mass_shell_probe_2d(
     for v in sorted(float(v) for v in v_grid):
         moving = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, v)
         res = boosted_em_2d(moving, route, parts=parts)
-        residual = res.energy**2 - res.momentum**2 - e_m**2
+        residual = mass_shell_residual(res, e_m)
         err = (
             2.0 * abs(res.energy) * res.energy_error
             + 2.0 * abs(res.momentum) * res.momentum_error
@@ -443,7 +447,8 @@ def mass_shell_probe_2d(
             predicted = 2.0 * (ce - 1.0) * parts.U.value * parts.W.value
         rows.append(
             ShellProbeRow(velocity=v, residual=residual, residual_error=err,
-                          predicted_residual=predicted)
+                          predicted_residual=predicted, route=route, energy=res.energy,
+                          momentum=res.momentum)
         )
     return tuple(rows)
 

@@ -12,20 +12,37 @@ and the vacuum expectation of any mode bilinear B is the per-mode sum
 with w'_n the scheme's comoving/expansion frequency. At v = 0 this makes
 the per-mode energy exactly w_n / 2, which pins every factor.
 
-Two quadratures of the same integrals. coefficient_fits, the route every 1D
-request takes, integrates the real densities of u = N e^{i th} sin s in
-pure `math`, one scalar Gauss-Legendre quadrature per velocity.
-per_mode_em and per_mode_em_2d integrate the complex jet (u, u_t, u_x)
-with numpy at any mode and time slice; they are the route's oracle.
+Closed form. Every mode is u = N e^{i th} sin s with th and s affine in
+(t, x), and the walls sit at s = 0 and s = n pi, so
+
+    |u_t|^2 + |u_x|^2 = N^2 [(th_t^2 + th_x^2) sin^2 s + (s_t^2 + s_x^2) cos^2 s]
+    Re(u_t conj(u_x)) = N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s)
+
+and over a cavity of lab length l, int sin^2 s dx = int cos^2 s dx = l/2
+exactly (n half-periods of s). Hence, with sigma the convention's momentum
+sign and p the transverse wavenumber of a rectangle mode (0 in 1D):
+
+    e = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2 + p^2) / (8 w')
+    p = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
+
+per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
+Phys. 11 (1970) 2679, for the modes). Two quadratures are the closed
+form's oracles: coefficient_fits, the route every 1D request takes,
+integrates the real densities of the first mode with the scalar
+Gauss-Legendre rule, one quadrature per velocity, and verify compares the
+same quadrature with the closed form at other modes and slices;
+_jet_quadrature integrates the complex jet (u, u_t, u_x) with numpy, for
+the tests.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme, wall_positions
+from .cavity import Cavity1D, Cavity2D, Scheme, lab_length, wall_positions
 from .modes import (
     _check_index,
     affine_coefficients,
@@ -83,7 +100,12 @@ DEFAULT_CONVENTION = StressConvention()
 
 
 class PerModeEM(NamedTuple):
-    """Cavity-integrated energy/momentum contribution of a single mode."""
+    """Cavity-integrated energy/momentum contribution of a single mode.
+
+    quad_error bounds the rounding error of energy and momentum: it is the
+    closed form's stated rounding bound 8 eps gamma^2 e, not a quadrature
+    estimate (the field keeps its name).
+    """
 
     n: int
     energy: float
@@ -107,29 +129,54 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     return comoving
 
 
-def _mode_terms(scheme: Scheme, proper_length: float, velocity: float, n: int, t: float,
+def _mode_terms(scheme: Scheme, proper_length: float, velocity: float, n: int,
                 convention: StressConvention):
-    """N, (th_t, th_x, s_t, s_x), the prefactor frequency w' and the walls on the slice t.
-
-    Of 1D mode n at a float velocity; both quadratures start from these.
-    """
+    """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of 1D mode n at a float velocity."""
     wp = _prefactor_frequency(
         convention,
         expansion_frequency(scheme, proper_length, velocity, n),
         phase_frequency(scheme, proper_length, velocity, n),
     )
     return (mode_normalization(scheme, proper_length, velocity),
-            affine_coefficients(scheme, proper_length, velocity, n), wp,
-            wall_positions(scheme, proper_length, velocity, t))
+            affine_coefficients(scheme, proper_length, velocity, n), wp)
 
 
-def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: StressConvention):
+def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConvention):
+    """N, (th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
+
+    The profile is the contracted 1D mode with the frequency w in its phase;
+    it carries the 1D normalization sqrt(2 gamma/a) (per_mode_em_2d says why).
+    """
+    u = mode_2d(cavity, n, m)
+    w = u.frequency
+    return (mode_normalization(Scheme.LORENTZ_EXACT, cavity.proper_length_x, cavity.velocity),
+            lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
+            _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2)
+
+
+def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int, convention: StressConvention,
+                 m: int | None = None) -> PerModeEM:
+    """The module docstring's e and p of the mode N exp(i th) sin s over a cavity of lab length l.
+
+    quad_error is the stated rounding bound 8 eps gamma^2 e: e >= |p| and
+    neither sum cancels, so a few eps of rounding per operation remain,
+    amplified only by the 1 - v^2 inside gamma (and inside galileo-lab's w').
+    """
+    th_t, th_x, s_t, s_x = coeffs
+    n2l = norm * norm * length
+    e = n2l * (th_t * th_t + th_x * th_x + s_t * s_t + s_x * s_x + p2) / (8.0 * wp)
+    p = -convention.momentum_sign * n2l * (th_t * th_x + s_t * s_x) / (4.0 * wp)
+    bound = 8.0 * sys.float_info.epsilon * e / (1.0 - velocity * velocity)
+    return PerModeEM(n=n, energy=e, momentum=p, quad_error=bound, m=m)
+
+
+def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: StressConvention):
     """The per-mode T00 and T01 integrals over the walls, divided by 2 w', and their errors.
 
-    The mode is N exp(i th) sin s with th and s affine in (t, x); p2 is the
-    squared transverse wavenumber of a rectangle mode's x profile, 0 in 1D.
-    The complex jet of the mode gives the densities. Both come back stacked
-    on a leading axis of length 2; scale is the frequency that sets the
+    The oracle of the closed form, by the complex jet (u, u_t, u_x) of the
+    mode N exp(i th) sin s; p2 is the squared transverse wavenumber of a
+    rectangle mode's x profile, 0 in 1D. Both integrals come back stacked on
+    a leading axis of length 2; scale is the frequency that sets the
     absolute tolerance.
     """
     import numpy as np
@@ -147,6 +194,44 @@ def _stress_integrals(norm, coeffs, wp, p2, walls, t, n: int, scale, convention:
     )
 
 
+def _density_quadrature(scheme: Scheme, proper_length: float, velocity: float, n: int, t: float,
+                        convention: StressConvention) -> tuple[float, float]:
+    """(e_n, p_n) by one scalar Gauss-Legendre quadrature of the real densities on the slice t.
+
+    With u = N e^{i th} sin s the densities are real:
+
+        e = N^2 [(th_t^2 + th_x^2) sin^2 s + (s_t^2 + s_x^2) cos^2 s] / (4 w')
+        p = -sigma N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s) / (2 w')
+
+    one sin and one cos per node, s = s_t t + s_x x. A quadrature that does
+    not converge raises QuadratureError.
+    """
+    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(scheme, proper_length, velocity, n, convention)
+    left, right = wall_positions(scheme, proper_length, velocity, t)
+    # the sin^2 s and cos^2 s weights of each density
+    n2 = norm * norm
+    e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
+    e_cos = n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)
+    p_sin = -convention.momentum_sign * n2 * th_t * th_x / (2.0 * wp)
+    p_cos = -convention.momentum_sign * n2 * s_t * s_x / (2.0 * wp)
+
+    def densities(xs):
+        e, p = [], []
+        for x in xs:
+            s = s_t * t + s_x * x
+            sin_s, cos_s = math.sin(s), math.cos(s)
+            sin2, cos2 = sin_s * sin_s, cos_s * cos_s
+            e.append(e_sin * sin2 + e_cos * cos2)
+            p.append(p_sin * sin2 + p_cos * cos2)
+        return e, p
+
+    # the jet quadrature's tolerances
+    (e, p), _ = gauss_legendre_scalar(
+        densities, left, right, rtol=1e-14,
+        atol=1e-13 * max(1.0, base_frequency(proper_length, n)))
+    return e, p
+
+
 def per_mode_em(
     scheme: Scheme,
     cavity: Cavity1D,
@@ -155,25 +240,20 @@ def per_mode_em(
     *,
     convention: StressConvention = DEFAULT_CONVENTION,
 ) -> PerModeEM:
-    """Quadrature of the per-mode T00 and T01 over the instantaneous cavity.
+    """The per-mode T00 and T01 integrals over the instantaneous cavity, in closed form.
 
     Returns the contributions
 
-        e_n = int (|u_t|^2 + |u_x|^2) / (4 w')  dx
-        p_n = -int Re(u_t conj(u_x)) / (2 w')   dx
+        e_n = int (|u_t|^2 + |u_x|^2) / (4 w') dx = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2) / (8 w')
+        p_n = -int Re(u_t conj(u_x)) / (2 w') dx  = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
 
-    with closed-form derivatives and a convergence-checked Gauss-Legendre
-    quadrature of the complex jet. Both are time independent; t only picks
-    the slice. At n = 1 and t = 0 this is the oracle of coefficient_fits.
+    with l the lab length. Both are time independent, so t, the slice, does
+    not enter. quad_error is the closed form's stated rounding bound.
     """
     _check_index(n)
-    norm, coeffs, wp, walls = _mode_terms(scheme, cavity.proper_length, cavity.velocity, n, t,
-                                          convention)
-    (e, p), (e_err, p_err) = _stress_integrals(
-        norm, coeffs, wp, 0.0, walls, t, n, base_frequency(cavity.proper_length, n), convention
-    )
-    return PerModeEM(n=n, energy=float(e), momentum=float(p),
-                     quad_error=float(max(e_err, p_err)))
+    length, v = cavity.proper_length, cavity.velocity
+    norm, coeffs, wp = _mode_terms(scheme, length, v, n, convention)
+    return _closed_form(norm, coeffs, wp, 0.0, lab_length(scheme, length, v), v, n, convention)
 
 
 def per_mode_em_2d(
@@ -189,22 +269,15 @@ def per_mode_em_2d(
     The mode is its x profile f (the contracted 1D mode with the frequency w
     in its phase) times sin(p y). sin^2(p y) and cos^2(p y) both integrate
     to b/2 over [0, b], which cancels the 2/b in the square of the 2D
-    normalization; so f carries the 1D normalization sqrt(2 gamma/a) and
-    only the x integral is numerical:
+    normalization; so f carries the 1D normalization sqrt(2 gamma/a), and
+    the x integrals are the 1D closed form with p^2 |f|^2 added to T00:
 
         e_nm = int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
-    u = mode_2d(cavity, n, m)
-    w = u.frequency
-    (e, p), (e_err, p_err) = _stress_integrals(
-        mode_normalization(Scheme.LORENTZ_EXACT, cavity.proper_length_x, cavity.velocity),
-        lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
-        _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2,
-        u.walls_x(t), t, n, w, convention,
-    )
-    return PerModeEM(n=n, m=m, energy=float(e), momentum=float(p),
-                     quad_error=float(max(e_err, p_err)))
+    norm, coeffs, wp, p2 = _profile_terms(cavity, n, m, convention)
+    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity, n,
+                        convention, m)
 
 
 def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
@@ -247,43 +320,16 @@ def coefficient_fits(
     """The coefficients (c_E, c_P) = (e_1, p_1)/(pi/2) at every velocity of a grid.
 
     e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n and t (verify's
-    "per-mode proportionality to w_n" check holds the quadrature to it), and
+    "per-mode proportionality to w_n" check holds the closed form to it), and
     the coefficients are dimensionless; so the first mode of the unit cavity
-    (L = 1) at t = 0 gives them at every L. With u = N e^{i th} sin s the
-    densities are real:
-
-        e = N^2 [(th_t^2 + th_x^2) sin^2 s + (s_t^2 + s_x^2) cos^2 s] / (4 w')
-        p = -sigma N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s) / (2 w')
-
-    with sigma the convention's momentum sign. One scalar Gauss-Legendre
-    quadrature per velocity integrates both over the cavity, one sin and one
-    cos per node; per_mode_em's complex-jet quadrature is its oracle
-    (verify checks the two against each other). A quadrature that does not
-    converge raises QuadratureError.
+    (L = 1) at t = 0 gives them at every L. One scalar Gauss-Legendre
+    quadrature of the real densities per velocity (_density_quadrature);
+    the closed form of per_mode_em is its oracle (verify checks the two
+    against each other).
     """
     fits = []
     for v in velocities:
         v = Cavity1D(1.0, float(v)).velocity
-        norm, (th_t, th_x, s_t, s_x), wp, (left, right) = _mode_terms(
-            scheme, 1.0, v, 1, 0.0, convention)
-        # the sin^2 s and cos^2 s weights of each density; s = s_x x at t = 0
-        n2 = norm * norm
-        e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
-        e_cos = n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)
-        p_sin = -convention.momentum_sign * n2 * th_t * th_x / (2.0 * wp)
-        p_cos = -convention.momentum_sign * n2 * s_t * s_x / (2.0 * wp)
-
-        def densities(xs):
-            e, p = [], []
-            for x in xs:
-                sin_s, cos_s = math.sin(s_x * x), math.cos(s_x * x)
-                sin2, cos2 = sin_s * sin_s, cos_s * cos_s
-                e.append(e_sin * sin2 + e_cos * cos2)
-                p.append(p_sin * sin2 + p_cos * cos2)
-            return e, p
-
-        # per_mode_em's tolerances at n = 1, whose frequency is pi
-        (e, p), _ = gauss_legendre_scalar(densities, left, right, rtol=1e-14,
-                                          atol=1e-13 * math.pi)
+        e, p = _density_quadrature(scheme, 1.0, v, 1, 0.0, convention)
         fits.append(CoefficientFit(e / (math.pi / 2.0), p / (math.pi / 2.0)))
     return tuple(fits)

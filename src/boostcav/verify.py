@@ -99,7 +99,6 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_stress(convention: StressConvention) -> list[CheckResult]:
-    import numpy as np
     out = []
     worst = 0.0
     for scheme in Scheme:
@@ -107,11 +106,10 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
         cav = Cavity1D(1.0, v)
         samples = [stress.per_mode_em(scheme, cav, 3, t, convention=convention)
                    for t in (0.0, 0.37, 0.7, 5.0)]
-        es = np.array([s.energy for s in samples])
-        ps = np.array([s.momentum for s in samples])
-        worst = max(worst, float(np.ptp(es) / np.max(np.abs(es))))
-        if np.max(np.abs(ps)) > 0:
-            worst = max(worst, float(np.ptp(ps) / np.max(np.abs(ps))))
+        for values in ([s.energy for s in samples], [s.momentum for s in samples]):
+            largest = max(map(abs, values))
+            if largest > 0:
+                worst = max(worst, (max(values) - min(values)) / largest)
     out.append(_result("stress: time independence", worst < 1e-9, f"max relative spread = {worst:.2e}"))
 
     worst = 0.0
@@ -162,7 +160,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     out.append(_result("stress: parity (E even, P odd in v)", worst <= 1e-9,
                        f"max parity violation = {worst:.2e}"))
 
-    # the route's real densities against the complex jet, at the velocities above;
+    # the route's quadrature against the closed form, at the velocities above;
     # momentum is measured on the energy scale, as it vanishes at v = 0
     worst = 0.0
     for scheme in Scheme:
@@ -173,8 +171,20 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
             c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
             worst = max(worst, abs(fit.c_energy - c_e) / abs(c_e),
                         abs(fit.c_momentum - c_p) / max(abs(c_p), abs(c_e)))
-    out.append(_result("stress: per-mode route matches the complex-jet quadrature", worst <= 1e-13,
-                       f"max relative difference = {worst:.2e}"))
+    out.append(_result("stress: per-mode route's first-mode quadrature matches the closed form",
+                       worst <= 1e-13, f"max relative difference = {worst:.2e}"))
+
+    # quadrature as the closed form's oracle beyond the first mode and the t = 0 slice;
+    # e >= |p|, so e scales both differences
+    worst = 0.0
+    for scheme in Scheme:
+        v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
+        for n in (2, 5):
+            e, p = stress._density_quadrature(scheme, 1.0, v, n, 0.37, convention)
+            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), n, 0.37, convention=convention)
+            worst = max(worst, abs(pm.energy - e) / abs(e), abs(pm.momentum - p) / abs(e))
+    out.append(_result("stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
+                       worst <= 1e-12, f"max relative difference = {worst:.2e}"))
     return out
 
 
@@ -270,12 +280,11 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_observables(convention: StressConvention) -> list[CheckResult]:
-    import numpy as np
     out = []
     m0 = observables.static_m0(1.0)
     worst = 0.0
-    for v in np.arange(0.0, 0.951, 0.05):
-        cav = Cavity1D(1.0, float(v))
+    for v in [i * 0.05 for i in range(20)]:  # 0, 0.05, ..., 0.95
+        cav = Cavity1D(1.0, v)
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
             em = observables.boosted_em(Scheme.LORENTZ_EXACT, cav, route)
             worst = max(worst, abs(observables.mass_shell_residual(em, m0)) / m0**2)

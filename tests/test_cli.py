@@ -636,6 +636,138 @@ class TestStdoutGoldens:
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
+# `boostcav --help` and each `boostcav <command> --help` at 80 columns, byte for
+# byte: building only the chosen subparser must keep every one of them.
+HELP_TEXT = {
+    (): (
+        "usage: boostcav [-h] {static,boost,sweep,rect2d,verify,modes} ...\n"
+        "\n"
+        "Vacuum energy and momentum of uniformly moving Dirichlet cavities (units: hbar\n"
+        "= c = 1).\n"
+        "\n"
+        "positional arguments:\n"
+        "  {static,boost,sweep,rect2d,verify,modes}\n"
+        "    static              regularized static energy, all regularizers side by\n"
+        "                        side\n"
+        "    boost               boosted energy/momentum, both routes\n"
+        "    sweep               velocity sweep table with point-particle reference\n"
+        "                        columns\n"
+        "    rect2d              moving rectangle: finite parts, routes, shell probe\n"
+        "    verify              run the invariant suite\n"
+        "    modes               dump a mode table: n, frequencies, norm, sample value\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    ("static",): (
+        "usage: boostcav static [-h] [--L L] [--a A] [--plates [BOOL]]\n"
+        "                       [--config CONFIG] [--format {text,json}]\n"
+        "                       [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --L L                 proper cavity length\n"
+        "  --a A                 plate separation (with --plates)\n"
+        "  --plates [BOOL]       parallel-plate energy per unit area instead of the 1D\n"
+        "                        cavity\n"
+        "  --config CONFIG       file of 'key = value' lines, read as the flags\n"
+        "                        --key=value; flags on the command line win\n"
+        "  --format {text,json}\n"
+        "  --output OUTPUT       output path (default: stdout)\n"
+    ),
+    ("boost",): (
+        "usage: boostcav boost [-h] [--scheme {galileo-lab,galileo-comoving,lorentz}]\n"
+        "                      [--L L] [--v V] [--method {zeta,cutoff,abel-plana}]\n"
+        "                      [--config CONFIG] [--format {text,json}]\n"
+        "                      [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --scheme {galileo-lab,galileo-comoving,lorentz}\n"
+        "  --L L\n"
+        "  --v V\n"
+        "  --method {zeta,cutoff,abel-plana}\n"
+        "  --config CONFIG       file of 'key = value' lines, read as the flags\n"
+        "                        --key=value; flags on the command line win\n"
+        "  --format {text,json}\n"
+        "  --output OUTPUT       output path (default: stdout)\n"
+    ),
+    ("sweep",): (
+        "usage: boostcav sweep [-h] [--scheme {galileo-lab,galileo-comoving,lorentz}]\n"
+        "                      [--L L] [--v V] [--route {closed-form,per-mode}]\n"
+        "                      [--method {zeta,cutoff,abel-plana}] [--config CONFIG]\n"
+        "                      [--format {csv,json}] [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --scheme {galileo-lab,galileo-comoving,lorentz}\n"
+        "  --L L\n"
+        "  --v V                 grid spec start:stop:step (inclusive)\n"
+        "  --route {closed-form,per-mode}\n"
+        "  --method {zeta,cutoff,abel-plana}\n"
+        "  --config CONFIG       file of 'key = value' lines, read as the flags\n"
+        "                        --key=value; flags on the command line win\n"
+        "  --format {csv,json}\n"
+        "  --output OUTPUT       output path (default: stdout)\n"
+    ),
+    ("rect2d",): (
+        "usage: boostcav rect2d [-h] [--a A] [--b B] [--v V] [--shell-grid SHELL_GRID]\n"
+        "                       [--solve-subtraction [BOOL]] [--config CONFIG]\n"
+        "                       [--format {text,json}] [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --v V\n"
+        "  --shell-grid SHELL_GRID\n"
+        "                        velocity grid for the shell probe\n"
+        "  --solve-subtraction [BOOL]\n"
+        "  --config CONFIG       file of 'key = value' lines, read as the flags\n"
+        "                        --key=value; flags on the command line win\n"
+        "  --format {text,json}\n"
+        "  --output OUTPUT       output path (default: stdout)\n"
+    ),
+    ("verify",): (
+        "usage: boostcav verify [-h] [--only ONLY] [--config CONFIG] [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --only ONLY      restrict to one module group\n"
+        "  --config CONFIG  file of 'key = value' lines, read as the flags --key=value;\n"
+        "                   flags on the command line win\n"
+        "  --output OUTPUT  output path (default: stdout)\n"
+    ),
+    ("modes",): (
+        "usage: boostcav modes [-h] [--scheme {galileo-lab,galileo-comoving,lorentz}]\n"
+        "                      [--L L] [--v V] [--n-max N_MAX] [--t T]\n"
+        "                      [--config CONFIG] [--format {csv,json}]\n"
+        "                      [--output OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --scheme {galileo-lab,galileo-comoving,lorentz}\n"
+        "  --L L\n"
+        "  --v V\n"
+        "  --n-max N_MAX\n"
+        "  --t T\n"
+        "  --config CONFIG       file of 'key = value' lines, read as the flags\n"
+        "                        --key=value; flags on the command line win\n"
+        "  --format {csv,json}\n"
+        "  --output OUTPUT       output path (default: stdout)\n"
+    ),
+}
+
+
+class TestHelpGoldens:
+    @pytest.mark.parametrize("command", list(HELP_TEXT), ids=lambda c: "-".join(c) or "top")
+    def test_bytes_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *command, "--help")
+        assert code == 0 and not err
+        assert out == HELP_TEXT[command]
+
+
 class TestStaticM0FittedOnce:
     @pytest.fixture
     def fits(self, monkeypatch):
@@ -688,9 +820,10 @@ class TestColdStart:
         )
         assert self._fresh(script) == "[0, 0] []\n"
 
-    # Every request shape of the benchmark's 1D workload and the rectangle's, in
-    # the order run, each with its exit code; `verify --only stress` last shows
-    # that the check sees numpy once something imports it.
+    # Every request shape of the benchmark's 1D workload and the rectangle's, and
+    # the verify groups that evaluate closed forms (with the stress fault
+    # injections), in the order run, each with its exit code; `verify --only
+    # modes` last shows that the check sees numpy once something imports it.
     REQUESTS = (
         (["rect2d", "--a", "1", "--b", "3", "--v", "0.4", "--shell-grid", "0.1:0.7:0.2",
           "--solve-subtraction"], 0),
@@ -713,6 +846,14 @@ class TestColdStart:
           "--format", "json"], 0),
         (["boost", "--scheme", "lorentz", "--L", "1", "--v=1.2"], 2),
         (["static", "--L=-0.5"], 2),
+        (["verify", "--only", "stress"], 0),
+        (["verify", "--only", "observables"], 0),
+        (["verify", "--only", "rect2d"], 0),
+        (["verify", "--only", "stress", "--inject-t01-sign-flip"], 1),
+        (["verify", "--only", "stress", "--inject-prefactor", "doubled"], 1),
+        (["verify", "--only", "stress", "--inject-prefactor", "lab-phase"], 1),
+        (["verify", "--only", "stress", "--inject-t01-sign-flip", "--inject-prefactor",
+          "lab-phase"], 1),
     )
 
     def test_requests_never_import_numpy(self):
@@ -722,7 +863,7 @@ class TestColdStart:
             "print('import', 'numpy' in sys.modules)\n"
             "from boostcav.cli import main\n"
             f"for argv in {[argv for argv, _ in self.REQUESTS]!r} + "
-            "[['verify', '--only', 'stress']]:\n"
+            "[['verify', '--only', 'modes']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = main(argv)\n"
@@ -755,9 +896,17 @@ class TestEdgeExitCodes:
          "note: " + OVERFLOW),
         (("sweep", "--scheme", "lorentz", "--L", "1e-150", "--v=-0.9999999999:-0.9:0.5",
           "--route", "per-mode"), 0, "warning: " + OVERFLOW),
+        # the rectangle's residual E_s^2 - P_s^2 - E_m^2, on the route rows and the probe rows
+        (("rect2d", "--a", "1e-150", "--b", "1e-150", "--v", "0.9999999999999999"), 0,
+         "note: " + OVERFLOW),
+        (("rect2d", "--a", "1e-150", "--b", "1e-150", "--shell-grid", "0.999999999999",
+          "--format", "json"), 0, OVERFLOW),
+        (("rect2d", "--a", "1e200", "--b", "1e200"), 0, "note: E_m^2 underflows float64"),
     ], ids=["static-1e-300", "static-5e-324", "modes-1e-300", "boost-abel-plana-1e-308",
             "sweep-per-mode-cutoff-1e300", "boost-cutoff-near-light-speed",
-            "boost-E-squared-overflows", "sweep-E-squared-overflows"])
+            "boost-E-squared-overflows", "sweep-E-squared-overflows",
+            "rect2d-E-squared-overflows", "rect2d-probe-E-squared-overflows",
+            "rect2d-E_m-squared-underflows"])
     def test_exit_code(self, capsys, argv, code, note):
         got, out, err = run(capsys, *argv)
         assert got == code

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -62,6 +63,15 @@ class TestShellProbe:
     def test_square_residual_beyond_error_bars(self, square_parts):
         rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.6], parts=square_parts)
         assert abs(rows[0].residual) > 10.0 * rows[0].residual_error
+
+    def test_overflowing_squares_form_the_residual_as_a_product(self):
+        # |E_s| ~ 3e156: E_s^2 overflows, (E_s - P_s)(E_s + P_s) ~ 3e304 does not;
+        # E_s - P_s is a difference of two such numbers, good to about 1e-7
+        tiny = Cavity2D(1e-150, 1e-150, 0.0)
+        parts = finite_parts(tiny)
+        [row] = mass_shell_probe_2d(tiny, [0.99999999], parts=parts)
+        assert row.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
+        assert abs(row.residual - row.predicted_residual) <= 1e-6 * row.predicted_residual
 
 
 class TestSubtractionSolver:

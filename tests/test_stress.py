@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
+from boostcav.modes import mode_2d
 from boostcav.stress import (
     PrefactorRule,
     StressConvention,
@@ -150,7 +152,7 @@ class TestPerMode2D:
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.1])
     def test_law_at_three_times(self, t):
-        # oracle: the quadrature at distinct slices against the closed law
+        # the closed form at distinct slices against the closed law
         cav = Cavity2D(1.0, 1.0, 0.6)
         e_law, p_law = per_mode_em_2d_law(cav, 1, 1)
         w = math.pi * math.sqrt(2.0)
@@ -200,36 +202,37 @@ class TestPerMode2D:
 
 
 # float.hex of per_mode_em(scheme, Cavity1D(1.3, v), n, t) (energy, momentum),
-# recorded before the per-mode quadrature was batched; any change is a defect
+# recorded once the per-mode integrals were evaluated in closed form; any change
+# is a defect
 PER_MODE_HEX = {
     ("galileo-lab", -0.3, 1, 0.0): ("0x1.7282ec43a7d11p+0", "-0x1.97e708ce018f4p-1"),
-    ("galileo-lab", -0.3, 1, 0.37): ("0x1.7282ec43a7d10p+0", "-0x1.97e708ce018f4p-1"),
+    ("galileo-lab", -0.3, 1, 0.37): ("0x1.7282ec43a7d11p+0", "-0x1.97e708ce018f4p-1"),
     ("galileo-lab", -0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "-0x1.31ed469a812b8p+2"),
     ("galileo-lab", -0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "-0x1.31ed469a812b8p+2"),
     ("galileo-lab", 0.3, 1, 0.0): ("0x1.7282ec43a7d11p+0", "0x1.97e708ce018f4p-1"),
     ("galileo-lab", 0.3, 1, 0.37): ("0x1.7282ec43a7d11p+0", "0x1.97e708ce018f4p-1"),
     ("galileo-lab", 0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
     ("galileo-lab", 0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
-    ("galileo-comoving", -0.3, 1, 0.0): ("0x1.433ee75f3d968p+0", "-0x1.7330f617a023bp-2"),
-    ("galileo-comoving", -0.3, 1, 0.37): ("0x1.433ee75f3d968p+0", "-0x1.7330f617a0238p-2"),
-    ("galileo-comoving", -0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "-0x1.1664b891b81acp+1"),
-    ("galileo-comoving", -0.3, 6, 0.37): ("0x1.e4de5b0edc61fp+2", "-0x1.1664b891b81aep+1"),
-    ("galileo-comoving", 0.3, 1, 0.0): ("0x1.433ee75f3d968p+0", "0x1.7330f617a023bp-2"),
-    ("galileo-comoving", 0.3, 1, 0.37): ("0x1.433ee75f3d968p+0", "0x1.7330f617a023ap-2"),
-    ("galileo-comoving", 0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81acp+1"),
-    ("galileo-comoving", 0.3, 6, 0.37): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81aep+1"),
-    ("lorentz", -0.7, 1, 0.0): ("0x1.c3dbcf8c071fep+1", "-0x1.a890ae64a4c30p+1"),
-    ("lorentz", -0.7, 1, 0.37): ("0x1.c3dbcf8c071fep+1", "-0x1.a890ae64a4c2ep+1"),
+    ("galileo-comoving", -0.3, 1, 0.0): ("0x1.433ee75f3d969p+0", "-0x1.7330f617a023bp-2"),
+    ("galileo-comoving", -0.3, 1, 0.37): ("0x1.433ee75f3d969p+0", "-0x1.7330f617a023bp-2"),
+    ("galileo-comoving", -0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "-0x1.1664b891b81adp+1"),
+    ("galileo-comoving", -0.3, 6, 0.37): ("0x1.e4de5b0edc61ep+2", "-0x1.1664b891b81adp+1"),
+    ("galileo-comoving", 0.3, 1, 0.0): ("0x1.433ee75f3d969p+0", "0x1.7330f617a023bp-2"),
+    ("galileo-comoving", 0.3, 1, 0.37): ("0x1.433ee75f3d969p+0", "0x1.7330f617a023bp-2"),
+    ("galileo-comoving", 0.3, 6, 0.0): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81adp+1"),
+    ("galileo-comoving", 0.3, 6, 0.37): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81adp+1"),
+    ("lorentz", -0.7, 1, 0.0): ("0x1.c3dbcf8c071fdp+1", "-0x1.a890ae64a4c2ep+1"),
+    ("lorentz", -0.7, 1, 0.37): ("0x1.c3dbcf8c071fdp+1", "-0x1.a890ae64a4c2ep+1"),
     ("lorentz", -0.7, 6, 0.0): ("0x1.52e4dba90557ep+4", "-0x1.3e6c82cb7b922p+4"),
     ("lorentz", -0.7, 6, 0.37): ("0x1.52e4dba90557ep+4", "-0x1.3e6c82cb7b922p+4"),
-    ("lorentz", 0.3, 1, 0.0): ("0x1.7282ec43a7d12p+0", "0x1.97e708ce018f5p-1"),
-    ("lorentz", 0.3, 1, 0.37): ("0x1.7282ec43a7d12p+0", "0x1.97e708ce018f6p-1"),
-    ("lorentz", 0.3, 6, 0.0): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
-    ("lorentz", 0.3, 6, 0.37): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
+    ("lorentz", 0.3, 1, 0.0): ("0x1.7282ec43a7d14p+0", "0x1.97e708ce018f7p-1"),
+    ("lorentz", 0.3, 1, 0.37): ("0x1.7282ec43a7d14p+0", "0x1.97e708ce018f7p-1"),
+    ("lorentz", 0.3, 6, 0.0): ("0x1.15e23132bddd0p+3", "0x1.31ed469a812b9p+2"),
+    ("lorentz", 0.3, 6, 0.37): ("0x1.15e23132bddd0p+3", "0x1.31ed469a812b9p+2"),
     # here Python's v ** 2 (C pow) and numpy's array square v * v differ, and
     # so would these bits
-    ("lorentz", 0.6352, 3, 0.37): ("0x1.10ea551b8ed10p+3", "0x1.ee13192f90325p+2"),
-    ("lorentz", -0.8329, 6, 0.37): ("0x1.40bbdc7f4bdd2p+5", "-0x1.3b723edc0c6eep+5"),
+    ("lorentz", 0.6352, 3, 0.37): ("0x1.10ea551b8ed10p+3", "0x1.ee13192f90326p+2"),
+    ("lorentz", -0.8329, 6, 0.37): ("0x1.40bbdc7f4bdd3p+5", "-0x1.3b723edc0c6eep+5"),
 }
 
 
@@ -241,25 +244,25 @@ CONVENTIONS = {
 }
 
 # float.hex of per_mode_em_2d(Cavity2D(a, b, v), n, m, t) (energy, momentum)
-# under each convention, recorded before the 1D and 2D per-mode integrals
-# shared one quadrature call; any change is a defect
+# under each convention, recorded once the per-mode integrals were evaluated in
+# closed form; any change is a defect
 PER_MODE_2D_HEX = {
-    ((1.0, 1.5, 0.3, 1, 2, 0.2), "scheme"): ("0x1.7c2d2b2f9000cp+1", "0x1.2c7cf7fabe96cp+0"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "scheme"): ("0x1.7c2d2b2f9000cp+1", "0x1.2c7cf7fabe96bp+0"),
     ((1.0, 1.5, 0.3, 1, 2, 0.2), "lab-phase"): ("0x1.6aaa4b3011347p+1", "0x1.1ea5be412b415p+0"),
-    ((1.0, 1.5, 0.3, 1, 2, 0.2), "doubled"): ("0x1.7c2d2b2f9000cp+0", "0x1.2c7cf7fabe96cp-1"),
-    ((1.0, 1.5, 0.3, 1, 2, 0.2), "t01-flip"): ("0x1.7c2d2b2f9000cp+1", "-0x1.2c7cf7fabe96cp+0"),
-    ((0.7, 35.0, -0.6, 3, 1, 0.37), "scheme"): ("0x1.c9c79b83ce42dp+3", "-0x1.93eb4739aae07p+3"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "doubled"): ("0x1.7c2d2b2f9000cp+0", "0x1.2c7cf7fabe96bp-1"),
+    ((1.0, 1.5, 0.3, 1, 2, 0.2), "t01-flip"): ("0x1.7c2d2b2f9000cp+1", "-0x1.2c7cf7fabe96bp+0"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "scheme"): ("0x1.c9c79b83ce42bp+3", "-0x1.93eb4739aae07p+3"),
     ((0.7, 35.0, -0.6, 3, 1, 0.37), "lab-phase"): ("0x1.6e3949363e9bcp+3", "-0x1.43229f6155805p+3"),
-    ((0.7, 35.0, -0.6, 3, 1, 0.37), "doubled"): ("0x1.c9c79b83ce42dp+2", "-0x1.93eb4739aae07p+2"),
-    ((0.7, 35.0, -0.6, 3, 1, 0.37), "t01-flip"): ("0x1.c9c79b83ce42dp+3", "0x1.93eb4739aae07p+3"),
-    ((1.0, 50.0, 0.6, 1, 1, 0.0), "scheme"): ("0x1.ab4bfbfcd42ecp+1", "0x1.78fdba6e70fc0p+1"),
-    ((1.0, 50.0, 0.6, 1, 1, 0.0), "lab-phase"): ("0x1.55d66330a9bf0p+1", "0x1.2d97c8585a634p+1"),
-    ((1.0, 50.0, 0.6, 1, 1, 0.0), "doubled"): ("0x1.ab4bfbfcd42ecp+0", "0x1.78fdba6e70fc0p+0"),
-    ((1.0, 50.0, 0.6, 1, 1, 0.0), "t01-flip"): ("0x1.ab4bfbfcd42ecp+1", "-0x1.78fdba6e70fc0p+1"),
-    ((2.3, 0.4, -0.93, 5, 4, -1.1), "scheme"): ("0x1.ee83ddf789cf2p+6", "-0x1.ce98f7fb84900p+6"),
-    ((2.3, 0.4, -0.93, 5, 4, -1.1), "lab-phase"): ("0x1.6b8708316c842p+5", "-0x1.541072f4f0902p+5"),
-    ((2.3, 0.4, -0.93, 5, 4, -1.1), "doubled"): ("0x1.ee83ddf789cf2p+5", "-0x1.ce98f7fb84900p+5"),
-    ((2.3, 0.4, -0.93, 5, 4, -1.1), "t01-flip"): ("0x1.ee83ddf789cf2p+6", "0x1.ce98f7fb84900p+6"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "doubled"): ("0x1.c9c79b83ce42bp+2", "-0x1.93eb4739aae07p+2"),
+    ((0.7, 35.0, -0.6, 3, 1, 0.37), "t01-flip"): ("0x1.c9c79b83ce42bp+3", "0x1.93eb4739aae07p+3"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "scheme"): ("0x1.ab4bfbfcd42eep+1", "0x1.78fdba6e70fc0p+1"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "lab-phase"): ("0x1.55d66330a9bf2p+1", "0x1.2d97c8585a633p+1"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "doubled"): ("0x1.ab4bfbfcd42eep+0", "0x1.78fdba6e70fc0p+0"),
+    ((1.0, 50.0, 0.6, 1, 1, 0.0), "t01-flip"): ("0x1.ab4bfbfcd42eep+1", "-0x1.78fdba6e70fc0p+1"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "scheme"): ("0x1.ee83ddf789cf3p+6", "-0x1.ce98f7fb84901p+6"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "lab-phase"): ("0x1.6b8708316c842p+5", "-0x1.541072f4f0904p+5"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "doubled"): ("0x1.ee83ddf789cf3p+5", "-0x1.ce98f7fb84901p+5"),
+    ((2.3, 0.4, -0.93, 5, 4, -1.1), "t01-flip"): ("0x1.ee83ddf789cf3p+6", "0x1.ce98f7fb84901p+6"),
 }
 
 
@@ -275,6 +278,128 @@ class TestBitIdentity:
         (a, b, v, n, m, t), rule = key
         pm = per_mode_em_2d(Cavity2D(a, b, v), n, m, t, convention=CONVENTIONS[rule])
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_2D_HEX[key]
+
+
+# velocities uniform in the range every scheme runs, and within 1e-15 of light speed,
+# where the 1 - v^2 in gamma (and in galileo-lab's w') amplifies rounding most
+VELOCITIES = st.one_of(st.floats(-0.99, 0.99),
+                       st.builds(lambda gap, sign: sign * (1.0 - 10.0**-gap),
+                                 st.floats(2.0, 15.0), st.sampled_from((-1.0, 1.0))))
+
+
+def _exact(coeffs, wp, p2, sigma):
+    """(e, p) of the module docstring's closed form with N^2 l = 2, the unit L2 norm."""
+    th_t, th_x, s_t, s_x = coeffs
+    e = (th_t**2 + th_x**2 + s_t**2 + s_x**2 + p2) / (4 * wp)
+    return e, -sigma * (th_t * th_x + s_t * s_x) / (2 * wp)
+
+
+def _exact_1d(scheme, length, v, n, convention):
+    """per_mode_em in 40-digit arithmetic from the float inputs (length, v)."""
+    with mpmath.workdps(40):
+        k = n * mpmath.pi / mpmath.mpf(length)
+        v = mpmath.mpf(v)
+        g = 1 / mpmath.sqrt(1 - v * v)
+        if scheme is Scheme.GALILEO_LAB_PRIOR:
+            coeffs, expansion, phase = (-k, v * k, -v * k, k), (1 - v * v) * k, k
+        elif scheme is Scheme.GALILEO_COMOVING_PRIOR:
+            coeffs, expansion, phase = (-k, 0, -v * k, k), k, k
+        else:
+            coeffs, expansion, phase = (-k * g, k * g * v, -k * g * v, k * g), k, g * k
+        wp = {PrefactorRule.SCHEME: expansion, PrefactorRule.LAB_PHASE: phase,
+              PrefactorRule.DOUBLED: 2 * expansion}[convention.prefactor_rule]
+        return _exact(coeffs, wp, 0, convention.momentum_sign)
+
+
+def _exact_2d(a, b, v, n, m, convention):
+    """per_mode_em_2d in 40-digit arithmetic from the float inputs (a, b, v)."""
+    with mpmath.workdps(40):
+        k, p = n * mpmath.pi / mpmath.mpf(a), m * mpmath.pi / mpmath.mpf(b)
+        w = mpmath.sqrt(k * k + p * p)
+        v = mpmath.mpf(v)
+        g = 1 / mpmath.sqrt(1 - v * v)
+        wp = {PrefactorRule.SCHEME: w, PrefactorRule.LAB_PHASE: g * w,
+              PrefactorRule.DOUBLED: 2 * w}[convention.prefactor_rule]
+        return _exact((-w * g, w * g * v, -k * g * v, k * g), wp, p * p, convention.momentum_sign)
+
+
+class TestClosedForm:
+    """per_mode_em and per_mode_em_2d in closed form: against the jet quadrature, and the
+    stated rounding bound (quad_error) against exact arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        rule=st.sampled_from(sorted(CONVENTIONS)),
+        log_length=st.floats(-3.0, 3.0),
+        v_fraction=st.floats(-1.0, 1.0),
+        n=st.integers(1, 12),
+        t_fraction=st.floats(-3.0, 3.0),
+    )
+    def test_1d_matches_the_jet_quadrature(self, scheme, rule, log_length, v_fraction, n,
+                                           t_fraction):
+        convention, length = CONVENTIONS[rule], 10.0**log_length
+        cav = Cavity1D(length, v_fraction * (0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5))
+        t = t_fraction * length
+        pm = per_mode_em(scheme, cav, n, t, convention=convention)
+        norm, coeffs, wp = stress._mode_terms(scheme, length, cav.velocity, n, convention)
+        (e, p), _ = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n,
+                                           n * math.pi / length, convention)
+        # e >= |p|, so e scales both differences
+        assert abs(pm.energy - e) <= 1e-13 * pm.energy
+        assert abs(pm.momentum - p) <= 1e-13 * pm.energy
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rule=st.sampled_from(sorted(CONVENTIONS)),
+        log_a=st.floats(-3.0, 3.0),
+        log_aspect=st.floats(-2.0, 2.0),
+        v=st.floats(-0.99, 0.99),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        t_fraction=st.floats(-3.0, 3.0),
+    )
+    def test_2d_matches_the_jet_quadrature(self, rule, log_a, log_aspect, v, n, m, t_fraction):
+        convention, a = CONVENTIONS[rule], 10.0**log_a
+        cav = Cavity2D(a, a * 10.0**log_aspect, v)
+        t = t_fraction * a
+        pm = per_mode_em_2d(cav, n, m, t, convention=convention)
+        norm, coeffs, wp, p2 = stress._profile_terms(cav, n, m, convention)
+        (e, p), _ = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n,
+                                           mode_2d(cav, n, m).frequency, convention)
+        assert abs(pm.energy - e) <= 1e-13 * pm.energy
+        assert abs(pm.momentum - p) <= 1e-13 * pm.energy
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        rule=st.sampled_from(sorted(CONVENTIONS)),
+        log_length=st.floats(-3.0, 3.0),
+        v=VELOCITIES,
+        n=st.integers(1, 12),
+    )
+    def test_1d_rounding_bound_holds(self, scheme, rule, log_length, v, n):
+        length = 10.0**log_length
+        pm = per_mode_em(scheme, Cavity1D(length, v), n, 0.37, convention=CONVENTIONS[rule])
+        e, p = _exact_1d(scheme, length, v, n, CONVENTIONS[rule])
+        assert abs(pm.energy - e) <= pm.quad_error
+        assert abs(pm.momentum - p) <= pm.quad_error
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule=st.sampled_from(sorted(CONVENTIONS)),
+        log_a=st.floats(-3.0, 3.0),
+        log_aspect=st.floats(-3.0, 3.0),
+        v=VELOCITIES,
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+    )
+    def test_2d_rounding_bound_holds(self, rule, log_a, log_aspect, v, n, m):
+        a, b = 10.0**log_a, 10.0**(log_a + log_aspect)
+        pm = per_mode_em_2d(Cavity2D(a, b, v), n, m, -1.1, convention=CONVENTIONS[rule])
+        e, p = _exact_2d(a, b, v, n, m, CONVENTIONS[rule])
+        assert abs(pm.energy - e) <= pm.quad_error
+        assert abs(pm.momentum - p) <= pm.quad_error
 
 
 def _extract_loop(scheme, velocities, **kw):
@@ -302,8 +427,8 @@ class TestBatchedFits:
 
     @settings(max_examples=60, deadline=None)
     @given(_grids())
-    def test_matches_the_complex_jet_quadrature(self, grid):
-        # the oracle: per_mode_em's complex-jet quadrature of the same mode
+    def test_matches_the_closed_form(self, grid):
+        # the oracle: per_mode_em's closed form of the same mode
         scheme, velocities, convention = grid
         for v, fit in zip(velocities, coefficient_fits(scheme, velocities, convention=convention)):
             pm = per_mode_em(scheme, Cavity1D(1.0, v), 1, 0.0, convention=convention)
