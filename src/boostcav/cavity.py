@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -18,10 +17,7 @@ __all__ = [
     "Cavity2D",
     "NONREL_VELOCITY_LIMIT",
     "nonrelativistic_flag",
-    "speed_squared",
     "lorentz_factor",
-    "lab_length",
-    "wall_positions",
 ]
 
 # Galilean treatments are leading-order-in-v approximations; beyond this
@@ -85,41 +81,9 @@ def _validated(record: type) -> type:
     })
 
 
-# Kinematics of a float velocity or, element by element, an ndarray of them.
-
-def speed_squared(velocity):
-    """v**2 as Python squares a float: C pow(v, 2), element by element for an ndarray.
-
-    numpy squares an array with v * v, which differs from pow in the last bit
-    for about one velocity in a thousand. An ndarray means numpy is loaded,
-    so a float velocity never imports it.
-    """
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(velocity, np.ndarray):
-        return np.array([v**2 for v in velocity.ravel().tolist()]).reshape(velocity.shape)
-    return velocity**2
-
-
-def lorentz_factor(velocity):
-    """gamma = 1/sqrt(1 - v^2): a float for a float velocity, else an ndarray."""
-    one_minus = 1.0 - speed_squared(velocity)
-    if isinstance(one_minus, float):
-        return 1.0 / math.sqrt(one_minus)
-    import numpy as np
-    return 1.0 / np.sqrt(one_minus)
-
-
-def lab_length(scheme: Scheme, proper_length: float, velocity):
-    """Instantaneous cavity extent on a lab-time slice."""
-    if scheme is Scheme.LORENTZ_EXACT:
-        return proper_length / lorentz_factor(velocity)
-    return proper_length
-
-
-def wall_positions(scheme: Scheme, proper_length: float, velocity, t):
-    """Positions of the left and right walls at lab time t."""
-    left = velocity * t
-    return left, left + lab_length(scheme, proper_length, velocity)
+def lorentz_factor(velocity: float) -> float:
+    """gamma = 1/sqrt(1 - v^2)."""
+    return 1.0 / math.sqrt(1.0 - velocity**2)
 
 
 @_validated
@@ -140,16 +104,18 @@ class Cavity1D(NamedTuple):
         _check_velocity(self.velocity)
 
     def gamma(self) -> float:
-        return float(lorentz_factor(self.velocity))
+        return lorentz_factor(self.velocity)
 
     def lab_length(self, scheme: Scheme) -> float:
         """Instantaneous cavity extent on a lab-time slice."""
-        return float(lab_length(scheme, self.proper_length, self.velocity))
+        if scheme is Scheme.LORENTZ_EXACT:
+            return self.proper_length / self.gamma()
+        return self.proper_length
 
     def walls(self, scheme: Scheme, t: float) -> tuple[float, float]:
         """Positions of the left and right walls at lab time t."""
-        left, right = wall_positions(scheme, self.proper_length, self.velocity, t)
-        return float(left), float(right)
+        left = self.velocity * t
+        return left, left + self.lab_length(scheme)
 
 
 @_validated
@@ -166,15 +132,15 @@ class Cavity2D(NamedTuple):
         _check_velocity(self.velocity)
 
     def gamma(self) -> float:
-        return float(lorentz_factor(self.velocity))
+        return lorentz_factor(self.velocity)
 
     # Only the boost axis is contracted: x is the 1D lorentz cavity.
     def lab_length_x(self) -> float:
-        return float(lab_length(Scheme.LORENTZ_EXACT, self.proper_length_x, self.velocity))
+        return self.proper_length_x / self.gamma()
 
     def walls_x(self, t: float) -> tuple[float, float]:
-        left, right = wall_positions(Scheme.LORENTZ_EXACT, self.proper_length_x, self.velocity, t)
-        return float(left), float(right)
+        left = self.velocity * t
+        return left, left + self.lab_length_x()
 
 
 def nonrelativistic_flag(scheme: Scheme, velocity: float) -> str | None:

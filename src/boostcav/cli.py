@@ -86,7 +86,8 @@ def _emit(text: str, path: str | None) -> None:
 def _json_payload(meta: dict, rows: list[dict]) -> str:
     def clean(obj):
         if isinstance(obj, float):
-            return _round12(obj)
+            # RFC 8259 has no inf or nan: write them as the strings "inf", "-inf", "nan"
+            return _round12(obj) if math.isfinite(obj) else str(obj)
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
@@ -94,7 +95,7 @@ def _json_payload(meta: dict, rows: list[dict]) -> str:
         return obj
 
     payload = {"meta": clean(meta), "rows": clean(rows)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_payload(header: Sequence[str], rows: list[Sequence[Any]]) -> str:

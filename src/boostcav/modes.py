@@ -28,7 +28,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor, speed_squared
+from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -63,8 +63,8 @@ _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 
 # ---------------------------------------------------------------------------
-# 1D mode algebra of a float velocity or an ndarray of velocities (element by
-# element); SpacetimeMode, the stress integrals and the CLI's modes table use it
+# 1D mode algebra of a float velocity; n may be an index array (_pairwise_matrix).
+# SpacetimeMode, the stress integrals and the CLI's modes table use it
 # ---------------------------------------------------------------------------
 
 def base_frequency(proper_length: float, n: int) -> float:
@@ -72,32 +72,28 @@ def base_frequency(proper_length: float, n: int) -> float:
     return n * math.pi / proper_length
 
 
-def expansion_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
+def expansion_frequency(scheme: Scheme, proper_length: float, velocity: float, n: int):
     """The comoving/expansion frequency entering the 1/(2w') vacuum prefactor."""
     if scheme is Scheme.GALILEO_LAB_PRIOR:
-        return (1.0 - speed_squared(velocity)) * base_frequency(proper_length, n)
+        return (1.0 - velocity**2) * base_frequency(proper_length, n)
     return base_frequency(proper_length, n)
 
 
-def phase_frequency(scheme: Scheme, proper_length: float, velocity, n: int):
+def phase_frequency(scheme: Scheme, proper_length: float, velocity: float, n: int):
     """Coefficient of -t in the total lab-frame phase at fixed x."""
     if scheme is Scheme.LORENTZ_EXACT:
         return lorentz_factor(velocity) * base_frequency(proper_length, n)
     return base_frequency(proper_length, n)
 
 
-def mode_normalization(scheme: Scheme, proper_length: float, velocity):
+def mode_normalization(scheme: Scheme, proper_length: float, velocity: float) -> float:
     """N, which gives the mode unit L2 norm over the instantaneous cavity."""
     if scheme is not Scheme.LORENTZ_EXACT:
         return math.sqrt(2.0 / proper_length)
-    g = lorentz_factor(velocity)
-    if isinstance(g, float):
-        return math.sqrt(2.0 * g / proper_length)
-    import numpy as np
-    return np.sqrt(2.0 * g / proper_length)
+    return math.sqrt(2.0 * lorentz_factor(velocity) / proper_length)
 
 
-def affine_coefficients(scheme: Scheme, proper_length: float, velocity, n: int):
+def affine_coefficients(scheme: Scheme, proper_length: float, velocity: float, n: int):
     """(th_t, th_x, s_t, s_x) of u = N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
     k = base_frequency(proper_length, n)
     v = velocity
@@ -108,7 +104,7 @@ def affine_coefficients(scheme: Scheme, proper_length: float, velocity, n: int):
     return lorentz_coefficients(k, k, v)
 
 
-def lorentz_coefficients(w: float, k: float, velocity):
+def lorentz_coefficients(w: float, k: float, velocity: float):
     """Affine coefficients of a contracted mode with phase frequency w and wavenumber k.
 
     The 1D mode has w = k; the rectangle's x profile has w = hypot(k, p).

@@ -6,8 +6,8 @@ from the real T00 and T01 densities of one mode (stress.coefficient_fits),
 by the regularized static energy. The numeric route rests on the per-mode
 proportionality to w_n, which verify checks, so one mode gives the
 coefficients and regularization is confined to the single static sum;
-velocity-dependent sums are never regularized directly. Every 1D request
-path runs on `math`; only nonrel_fit, a library call, uses numpy.
+velocity-dependent sums are never regularized directly. Everything here
+runs on `math`; nonrel_fit uses the divergence fit's float least squares.
 
 E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
 and every regularized m0 are computed on the unit cavity and L only scales.
@@ -26,6 +26,7 @@ from .regsum import (
     Linear1DSummand,
     RegConfig,
     RegMethod,
+    _PowerFit,
     abel_plana_m0,
     cutoff_finite_part,
     zeta_linear_sum,
@@ -257,30 +258,29 @@ def nonrel_fit(
     no regularized m0 enters. Even powers only for E/m0 and odd only for
     P/m0 (the parity the exact expressions obey). Raises FitError when the
     worst residual exceeds 1e-6, which flags a degree too low for the
-    requested window.
+    requested window, and when a design's condition number exceeds 1e12
+    (a degree too high for the samples).
     """
-    import numpy as np
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
     if degree < 2:
         raise ValueError("degree must be >= 2")
     if n_samples < 12:
         raise ValueError("need at least 12 sample velocities")
-    vs = np.linspace(v_max / n_samples, v_max, n_samples)
-    e_over, p_over = np.array(_coefficients(scheme, vs, Route.PER_MODE_NUMERIC)).T
-    e_powers = list(range(0, degree + 1, 2))
-    p_powers = list(range(1, degree + 1, 2))
+    # np.linspace(v_max / n_samples, v_max, n_samples) in floats
+    start = v_max / n_samples
+    step = (v_max - start) / (n_samples - 1)
+    vs = [i * step + start for i in range(n_samples - 1)] + [v_max]
+    e_over, p_over = zip(*_coefficients(scheme, vs, Route.PER_MODE_NUMERIC))
 
     def fit(powers, data):
-        design = np.stack([vs**q for q in powers], axis=1)
-        scale = np.max(np.abs(design), axis=0)
-        coef, *_ = np.linalg.lstsq(design / scale, np.asarray(data), rcond=None)
-        coef = coef / scale
-        resid = float(np.max(np.abs(design @ coef - data)))
-        return tuple(float(c) for c in coef), resid
+        power_fit = _PowerFit(vs, powers)
+        coeffs = power_fit.solve(data)
+        resid = max(map(abs, power_fit.residuals(coeffs, data)))
+        return tuple(c / s for c, s in zip(coeffs, power_fit.scale)), resid
 
-    e_coeffs, e_res = fit(e_powers, e_over)
-    p_coeffs, p_res = fit(p_powers, p_over)
+    e_coeffs, e_res = fit(range(0, degree + 1, 2), e_over)
+    p_coeffs, p_res = fit(range(1, degree + 1, 2), p_over)
     if max(e_res, p_res) > _NONREL_RESIDUAL_LIMIT:
         raise FitError(
             f"non-relativistic fit residual {max(e_res, p_res):.3e} exceeds "

@@ -13,7 +13,6 @@ have to import numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -31,23 +30,9 @@ _HALF_WEIGHTS = [float.fromhex(h) for h in (
     "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
     "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
 )]
-# All sixteen, ascending, as floats; _NODES and _WEIGHTS are these as float64
-# ndarrays, built on first use so that importing the package does not import numpy.
+# All sixteen, ascending.
 _NODE_LIST = [-x for x in reversed(_HALF_NODES)] + _HALF_NODES
 _WEIGHT_LIST = _HALF_WEIGHTS[::-1] + _HALF_WEIGHTS
-
-
-@functools.cache
-def _rule():
-    import numpy as np
-    return np.array(_NODE_LIST), np.array(_WEIGHT_LIST)
-
-
-def __getattr__(name: str):
-    if name in ("_NODES", "_WEIGHTS"):
-        nodes, weights = _rule()
-        return nodes if name == "_NODES" else weights
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QuadratureError(RuntimeError):
@@ -58,28 +43,31 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
 
 
-def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a, b, panels: int):
+def _abscissae(a: float, b: float, panels: int) -> tuple[list[float], list[float]]:
+    """The rule's abscissae on `panels` equal panels of [a, b], ascending, and their weights."""
+    step = (b - a) / panels
+    edges = [i * step + a for i in range(panels)] + [b]
+    xs: list[float] = []
+    ws: list[float] = []
+    for left, right in zip(edges, edges[1:]):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (left + right)
+        xs += [mid + half * x for x in _NODE_LIST]
+        ws += [half * w for w in _WEIGHT_LIST]
+    return xs, ws
+
+
+def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int):
+    """The weighted values summed over the last axis, pairwise by numpy."""
     import numpy as np
-    nodes, weights = _rule()
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    # np.linspace(a, b, panels + 1, axis=-1) element by element: linspace
-    # itself switches every element to another formula when one has a == b.
-    # Each element's nodes form one contiguous ascending row, so the sum over
-    # the last axis is the pairwise sum the scalar call does.
-    edges = np.arange(panels + 1) * ((b - a) / panels) + a
-    edges[..., -1:] = b
-    half = 0.5 * np.diff(edges, axis=-1)
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    xs = (mid[..., None] + half[..., None] * nodes).reshape(edges.shape[:-1] + (-1,))
-    ws = (half[..., None] * weights).reshape(xs.shape)
-    return np.sum(ws * f(xs), axis=-1)
+    xs, ws = _abscissae(a, b, panels)
+    return np.sum(np.array(ws) * f(np.array(xs)), axis=-1)
 
 
 def gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray],
-    a,
-    b,
+    a: float,
+    b: float,
     *,
     oscillations: float = 1.0,
     rtol: float = 1e-13,
@@ -88,33 +76,30 @@ def gauss_legendre(
 ):
     """Integrate a vectorized (possibly complex) integrand over [a, b].
 
-    a and b are floats or equal-shape arrays; with arrays there is one
-    integral per element, and each element returns the value and error of
-    its own first converged doubling, exactly as the scalar call on its own
-    endpoints would.
-
     Parameters
     ----------
     f : callable
-        Accepts abscissae of shape a.shape + (points,) and returns integrand
-        values of that shape, optionally behind leading component axes (e.g.
-        two densities stacked); each component converges on its own.
+        Accepts the abscissae, a 1D array, and returns integrand values of
+        that shape, optionally behind leading component axes (e.g. two
+        densities stacked, or an inner integral at many outer points); each
+        component converges on its own and returns the value and error of
+        its own first converged doubling.
     oscillations : float
         Expected number of half-waves/oscillations across the interval;
         sets the initial panel count.
     rtol : float
         Relative convergence target for the doubling check.
     atol : float or array
-        Absolute convergence target; an array broadcasts against the result
-        (components + a.shape), giving each component its own target.
+        Absolute convergence target; an array broadcasts against the
+        component axes, giving each component its own target.
     max_doublings : int
         Refinement budget before QuadratureError is raised for the first
-        element (in C order) that has not converged.
+        component (in C order) that has not converged.
 
     Returns
     -------
-    (value, error_estimate), scalars for scalar endpoints, else arrays of
-    shape components + a.shape.
+    (value, error_estimate), scalars without component axes, else arrays of
+    the components' shape.
     """
     import numpy as np
     panels = max(2, math.ceil(oscillations))
@@ -140,20 +125,11 @@ def gauss_legendre(
 
 
 def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, panels: int):
-    """_panel_eval of scalar endpoints in floats, the same abscissae and weights bit for bit.
+    """The weighted values summed by math.fsum, rounded once.
 
-    The weighted values are summed by math.fsum, rounded once: one float,
-    or a tuple of floats when f returns a tuple of lists (components).
+    One float, or a tuple of floats when f returns a tuple of lists (components).
     """
-    step = (b - a) / panels
-    edges = [i * step + a for i in range(panels)] + [b]
-    xs: list[float] = []
-    ws: list[float] = []
-    for left, right in zip(edges, edges[1:]):
-        half = 0.5 * (right - left)
-        mid = 0.5 * (left + right)
-        xs += [mid + half * x for x in _NODE_LIST]
-        ws += [half * w for w in _WEIGHT_LIST]
+    xs, ws = _abscissae(a, b, panels)
     values = f(xs)
     if isinstance(values, tuple):
         return tuple(math.fsum([w * y for w, y in zip(ws, part)]) for part in values)

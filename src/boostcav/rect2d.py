@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .cavity import Cavity2D, Scheme, _check_length
 from .quadrature import gauss_legendre_scalar
 from .observables import mass_shell_residual
-from .regsum import FinitePart, RegConfig, RegMethod, _BlockSummand, cutoff_finite_part
+from .regsum import _TRUNCATION_CAP, FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -111,7 +111,7 @@ class SubtractionSolution(NamedTuple):
 _TERM_BUDGET = 1e9
 
 
-class _FourPartsSummand(_BlockSummand):
+class _FourPartsSummand:
     """The a x b rectangle's spectrum in units of 1/a: the 1 x b/a rectangle's,
 
         w = sqrt(k_n^2 + p_m^2), k_n = n pi, p_m = m pi a/b.
@@ -119,8 +119,8 @@ class _FourPartsSummand(_BlockSummand):
     Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits this
     spectrum, representable at any scale, and scales the parts back.
 
-    Each block is one row of fixed index along the shorter side, ascending
-    along the longer side (hence in w), with two coefficient rows:
+    The spectrum is summed in rows of fixed index along the shorter side,
+    ascending along the longer side (hence in w), with two weights:
 
         S_omega: w/2   S_k: k^2/(2w)
 
@@ -144,9 +144,18 @@ class _FourPartsSummand(_BlockSummand):
                              f"{self.aspect:g} is out of range for the cutoff sum")
         self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
 
-    def blocks(self, omega_cap: float):
+    def damped_sums(self, eps: list[float]) -> list[list[float]]:
+        """S(eps_i) = sum of c e^{-eps_i w} over w <= _TRUNCATION_CAP/eps_i: one column per weight.
+
+        The spectrum is enumerated once, at the smallest eps; every row is
+        ascending in w, so the terms below a larger eps's cap are its prefix.
+        Both weights are contracted with the damping factors in one
+        matrix-vector product.
+        """
         import numpy as np
-        cap = float(omega_cap)
+        eps = np.asarray(eps)
+        caps = _TRUNCATION_CAP / eps
+        cap = float(caps[-1])
         # lattice points under the quarter circle of radius cap: (b/a) cap^2 / (4 pi)
         terms = cap * (self.aspect * cap) / (4.0 * math.pi)
         if not terms <= _TERM_BUDGET:
@@ -157,10 +166,11 @@ class _FourPartsSummand(_BlockSummand):
             )
         # the Python loop runs over the shorter side's (fewer) modes
         row_step, col_step = math.pi / min(1.0, self.aspect), math.pi / max(1.0, self.aspect)
+        table = np.zeros((len(eps), 2))
         c2 = None  # squared column wavenumbers of the first, longest row; later rows are prefixes
-        for i in range(1, int(omega_cap / row_step) + 1):
+        for i in range(1, int(cap / row_step) + 1):
             r = i * row_step
-            remainder = omega_cap * omega_cap - r * r
+            remainder = cap * cap - r * r
             if remainder <= col_step * col_step:
                 break
             n = int(math.sqrt(remainder) / col_step)
@@ -172,7 +182,11 @@ class _FourPartsSummand(_BlockSummand):
             np.multiply(0.5, w, out=rows[0])
             np.divide(r * r if 1.0 <= self.aspect else c2[:n], np.multiply(2.0, w, out=rows[1]),
                       out=rows[1])
-            yield rows, w
+            counts = np.searchsorted(w, caps, side="right")
+            for j in np.flatnonzero(counts):
+                m = counts[j]
+                table[j] += rows[:, :m] @ np.exp(-eps[j] * w[:m])
+        return table.T.tolist()
 
 
 def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:

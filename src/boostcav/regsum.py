@@ -13,11 +13,12 @@ Three independent routes:
 Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
-Each summand sums its own spectrum: the 1D one in floats with math.fsum,
-the sequence and rectangle summands in numpy blocks. The divergence fit is
-one least squares in plain floats for every summand (a Householder QR
-refined twice against math.fsum residuals), and the schedule and the
-Abel-Plana integral use `math`, so a 1D finite part never imports numpy.
+Each summand sums its own spectrum: the 1D and sequence summands in
+floats with math.fsum, the rectangle's (rect2d) in numpy blocks. The
+divergence fit is one least squares in plain floats for every summand (a
+Householder QR refined twice against math.fsum residuals), and the
+schedule and the Abel-Plana integral use `math`, so this module never
+imports numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import bisect
 import enum
 import math
 import sys
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .cavity import _check_length, _validated
 from .quadrature import gauss_legendre_scalar
@@ -142,40 +143,20 @@ class FinitePart(NamedTuple):
 # summands
 # ---------------------------------------------------------------------------
 
-class _BlockSummand:
-    """damped_sums of a summand whose blocks(omega_cap) enumerate its spectrum in numpy.
+def _damped_fsums(c: list[float], w: list[float], eps: list[float]) -> list[list[float]]:
+    """The one column S(eps_i) = sum of c_n e^{-eps_i w_n} over w_n <= _TRUNCATION_CAP/eps_i.
 
-    Each block is a pair (c, w) of arrays with w ascending and at most
-    omega_cap, and c either one coefficient per w or a matrix with one row
-    per weight.
+    w is ascending, so each sum's terms are a prefix; each sum is math.fsum
+    of its terms, rounded once.
     """
-
-    def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """S(eps_i) = sum of c e^{-eps_i w} over w <= _TRUNCATION_CAP/eps_i: one column per weight.
-
-        The spectrum is enumerated once, at the smallest eps; every block is
-        ascending in w, so the terms below a larger eps's cap are its prefix.
-        Matrix blocks give one column per coefficient row, contracted with the
-        damping factors in one matrix-vector product.
-        """
-        import numpy as np
-        eps = np.asarray(eps)
-        caps = _TRUNCATION_CAP / eps
-        table = None
-        for c, w in self.blocks(caps[-1]):
-            if table is None:
-                table = np.zeros(eps.shape + c.shape[:-1])
-            counts = np.searchsorted(w, caps, side="right")
-            for i in np.flatnonzero(counts):
-                m = counts[i]
-                decay = np.exp(-eps[i] * w[:m])
-                table[i] += np.sum(c[:m] * decay) if c.ndim == 1 else c[:, :m] @ decay
-        if table is None:
-            raise FitError("no spectrum term lies below the largest cutoff")
-        return table.reshape(len(eps), -1).T.tolist()
+    sums = []
+    for e in eps:
+        m = bisect.bisect_right(w, _TRUNCATION_CAP / e)
+        sums.append(math.fsum([cn * math.exp(-e * wn) for cn, wn in zip(c[:m], w)]))
+    return [sums]
 
 
-class SequenceSummand(_BlockSummand):
+class SequenceSummand:
     """Explicit finite (or truncatable) sequence of (coefficient, frequency).
 
     Terms are kept in ascending frequency (stable order among ties).
@@ -184,24 +165,21 @@ class SequenceSummand(_BlockSummand):
     divergent_powers = (2,)  # an unsaturated sequence is fitted like the 1D spectrum
 
     def __init__(self, coefficients: Sequence[float], frequencies: Sequence[float]):
-        import numpy as np
-        c = np.asarray(coefficients, dtype=float)
-        w = np.asarray(frequencies, dtype=float)
-        if c.shape != w.shape or c.ndim != 1:
-            raise ValueError("coefficients and frequencies must be equal-length 1D")
-        if not np.all(np.isfinite(c)):
+        c = [float(x) for x in coefficients]
+        w = [float(x) for x in frequencies]
+        if len(c) != len(w) or not w:
+            raise ValueError("coefficients and frequencies must be non-empty and of equal length")
+        if not all(map(math.isfinite, c)):
             raise ValueError("coefficients must be finite")
-        order = np.argsort(w, kind="stable")
-        self._c = c[order]
-        self._w = w[order]
-        self.omega_min = float(np.min(w))
-        # a NaN makes both extremes NaN
-        _check_length(self.omega_min, "lowest frequency")
-        _check_length(float(np.max(w)), "highest frequency")
+        for x in w:
+            _check_length(x, "frequency")
+        order = sorted(range(len(w)), key=w.__getitem__)
+        self._c = [c[i] for i in order]
+        self._w = [w[i] for i in order]
+        self.omega_min = self._w[0]
 
-    def blocks(self, omega_cap: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        keep = self._w <= omega_cap
-        yield self._c[keep], self._w[keep]
+    def damped_sums(self, eps: list[float]) -> list[list[float]]:
+        return _damped_fsums(self._c, self._w, eps)
 
     def saturated_sum(self, omega_cap: float) -> float | None:
         """Undamped total when the sequence is already finite below the cutoffs.
@@ -210,11 +188,10 @@ class SequenceSummand(_BlockSummand):
         pushed 25% past omega_cap, the schedule's most permissive truncation
         point (any infinite polynomial-density spectrum gains terms there).
         """
-        import numpy as np
-        past = self._w <= 1.25 * omega_cap
-        if np.count_nonzero(past) != np.count_nonzero(self._w <= omega_cap):
+        count = bisect.bisect_right(self._w, 1.25 * omega_cap)
+        if count != bisect.bisect_right(self._w, omega_cap):
             return None
-        return float(np.sum(self._c[past]))
+        return math.fsum(self._c[:count])
 
 
 class Linear1DSummand:
@@ -231,18 +208,9 @@ class Linear1DSummand:
         self.omega_min = self.step
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """The one column S(eps_i) = sum of c_n e^{-eps_i w_n} over w_n <= _TRUNCATION_CAP/eps_i.
-
-        Plain floats: each sum is math.fsum of its terms, rounded once (about
-        11,700 terms over the default schedule).
-        """
+        """_damped_fsums of the spectrum up to the largest cap (about 11,700 terms by default)."""
         w = [n * self.step for n in range(1, int(_TRUNCATION_CAP / eps[-1] / self.step) + 1)]
-        c = [self.weight * wn for wn in w]
-        sums = []
-        for e in eps:
-            m = bisect.bisect_right(w, _TRUNCATION_CAP / e)
-            sums.append(math.fsum([cn * math.exp(-e * wn) for cn, wn in zip(c[:m], w)]))
-        return [sums]
+        return _damped_fsums([self.weight * wn for wn in w], w, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +286,8 @@ def _condition_number(columns: list[list[float]]) -> float:
     return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
 
 
-class _DivergenceFit:
-    """Least squares for S = sum_q b_q x^q on one dimensionless schedule x.
+class _PowerFit:
+    """Least squares for y = sum_q b_q x^q over the given powers q, at the samples x.
 
     One Householder QR of the column-scaled design, its conditioning
     checked once, serves every data column and the rounding-noise
@@ -327,19 +295,18 @@ class _DivergenceFit:
     math.fsum (iterative refinement of least squares).
     """
 
-    def __init__(self, x: Sequence[float], divergent_powers: tuple[int, ...]):
-        self.powers = [-p for p in divergent_powers] + [0, *_STABILIZER_POWERS]
+    def __init__(self, x: Sequence[float], powers: Sequence[int]):
+        self.powers = list(powers)
         design = [[xi ** q for xi in x] for q in self.powers]
         self.scale = [max(map(abs, col)) for col in design]  # 1 for the all-ones x^0 column
         self.columns = [[d / s for d in col] for col, s in zip(design, self.scale)]
         self.cond = _condition_number(self.columns)
         if self.cond > _CONDITION_LIMIT:
             raise FitError(
-                f"divergence-fit design matrix condition number {self.cond:.3e} exceeds "
-                f"{_CONDITION_LIMIT:.1e}; use a wider or shorter schedule"
+                f"least-squares design matrix condition number {self.cond:.3e} exceeds "
+                f"{_CONDITION_LIMIT:.1e}; fit fewer powers or spread the samples wider"
             )
         self.q, self.r = _householder_qr(self.columns)
-        self.n_div = len(divergent_powers)  # also the index of the x^0 term
 
     def residuals(self, coeffs: list[float], values: Sequence[float]) -> list[float]:
         """values - design @ coeffs, each row summed exactly by math.fsum and rounded once."""
@@ -356,16 +323,16 @@ class _DivergenceFit:
             target = self.residuals(coeffs, values)
         return coeffs
 
-    def dual(self) -> list[float]:
-        """The x^0 coefficient's row of the pseudoinverse: a0 = sum_i dual_i y_i.
+    def dual(self, k: int) -> list[float]:
+        """Row k of the pseudoinverse: the k-th scaled coefficient is sum_i dual_i y_i.
 
-        Q z with R^T z = e_{n_div}, by forward substitution.
+        Q z with R^T z = e_k, by forward substitution.
         """
         n = len(self.powers)
         z = [0.0] * n
         for i in range(n):
-            unit = 1.0 if i == self.n_div else 0.0
-            z[i] = (unit - _dot([self.r[k][i] for k in range(i)], z[:i])) / self.r[i][i]
+            unit = 1.0 if i == k else 0.0
+            z[i] = (unit - _dot([self.r[j][i] for j in range(i)], z[:i])) / self.r[i][i]
         return [_dot([q[i] for q in self.q], z) for i in range(len(self.q[0]))]
 
 
@@ -387,11 +354,12 @@ def _fit_finite_parts(
     of the pseudoinverse. It is what makes small-eps schedules *worse*
     beyond a point.
     """
-    fit = _DivergenceFit(x, powers)
-    n_div = fit.n_div
-    lower = len(x) - max(len(fit.powers) + 1, len(x) // 2)  # first point of the small-x half
-    refit = _DivergenceFit(x[lower:], powers) if lower > 0 else None
-    dual = fit.dual()
+    fit_powers = [-p for p in powers] + [0, *_STABILIZER_POWERS]
+    n_div = len(powers)  # the index of the x^0 term
+    fit = _PowerFit(x, fit_powers)
+    lower = len(x) - max(len(fit_powers) + 1, len(x) // 2)  # first point of the small-x half
+    refit = _PowerFit(x[lower:], fit_powers) if lower > 0 else None
+    dual = fit.dual(n_div)
     parts = []
     for values in columns:
         coeffs = fit.solve(values)
@@ -441,6 +409,8 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
     x = list(config.epsilon_schedule)
     eps = [xi / summand.omega_min for xi in x]
+    if x[-1] > _TRUNCATION_CAP:  # e^{-eps omega_min} < 1e-18 at every cutoff: no sum has a term
+        raise FitError("no spectrum term lies below the largest cutoff")
 
     if isinstance(summand, SequenceSummand):
         saturated = summand.saturated_sum(_TRUNCATION_CAP / eps[-1])

@@ -42,7 +42,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme, lab_length, wall_positions
+from .cavity import Cavity1D, Cavity2D, Scheme
 from .modes import (
     _check_index,
     affine_coefficients,
@@ -194,7 +194,7 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: S
     )
 
 
-def _density_quadrature(scheme: Scheme, proper_length: float, velocity: float, n: int, t: float,
+def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
                         convention: StressConvention) -> tuple[float, float]:
     """(e_n, p_n) by one scalar Gauss-Legendre quadrature of the real densities on the slice t.
 
@@ -206,8 +206,9 @@ def _density_quadrature(scheme: Scheme, proper_length: float, velocity: float, n
     one sin and one cos per node, s = s_t t + s_x x. A quadrature that does
     not converge raises QuadratureError.
     """
-    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(scheme, proper_length, velocity, n, convention)
-    left, right = wall_positions(scheme, proper_length, velocity, t)
+    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(scheme, cavity.proper_length, cavity.velocity,
+                                                   n, convention)
+    left, right = cavity.walls(scheme, t)
     # the sin^2 s and cos^2 s weights of each density
     n2 = norm * norm
     e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
@@ -228,7 +229,7 @@ def _density_quadrature(scheme: Scheme, proper_length: float, velocity: float, n
     # the jet quadrature's tolerances
     (e, p), _ = gauss_legendre_scalar(
         densities, left, right, rtol=1e-14,
-        atol=1e-13 * max(1.0, base_frequency(proper_length, n)))
+        atol=1e-13 * max(1.0, base_frequency(cavity.proper_length, n)))
     return e, p
 
 
@@ -253,7 +254,7 @@ def per_mode_em(
     _check_index(n)
     length, v = cavity.proper_length, cavity.velocity
     norm, coeffs, wp = _mode_terms(scheme, length, v, n, convention)
-    return _closed_form(norm, coeffs, wp, 0.0, lab_length(scheme, length, v), v, n, convention)
+    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), v, n, convention)
 
 
 def per_mode_em_2d(
@@ -329,7 +330,6 @@ def coefficient_fits(
     """
     fits = []
     for v in velocities:
-        v = Cavity1D(1.0, float(v)).velocity
-        e, p = _density_quadrature(scheme, 1.0, v, 1, 0.0, convention)
+        e, p = _density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0, convention)
         fits.append(CoefficientFit(e / (math.pi / 2.0), p / (math.pi / 2.0)))
     return tuple(fits)

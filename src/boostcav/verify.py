@@ -180,8 +180,9 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
         for n in (2, 5):
-            e, p = stress._density_quadrature(scheme, 1.0, v, n, 0.37, convention)
-            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), n, 0.37, convention=convention)
+            cavity = Cavity1D(1.0, v)
+            e, p = stress._density_quadrature(scheme, cavity, n, 0.37, convention)
+            pm = stress.per_mode_em(scheme, cavity, n, 0.37, convention=convention)
             worst = max(worst, abs(pm.energy - e) / abs(e), abs(pm.momentum - p) / abs(e))
     out.append(_result("stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
                        worst <= 1e-12, f"max relative difference = {worst:.2e}"))
@@ -193,7 +194,6 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
-    import numpy as np
     out = []
     worst = 0.0
     for length in (0.5, 1.0, 2.0):
@@ -224,7 +224,7 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
     out.append(_result("regsum: linearity of the finite part", lin_err <= max(budget, 1e-12),
                        f"|FP(2c+3d) - 2FP(c) - 3FP(d)| = {lin_err:.2e} (budget {budget:.2e})"))
 
-    finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
+    finite = SequenceSummand([1.0] * 10, [float(n) for n in range(1, 11)])
     fp = cutoff_finite_part(finite, config)
     div = max((abs(x) for x in fp.fitted_divergent_coeffs), default=0.0)
     ok = abs(fp.value - 10.0) <= 1e-10 and div <= 1e-8

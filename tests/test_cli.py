@@ -571,6 +571,22 @@ class TestFormat:
         assert run(capsys, *argv) == run(capsys, *argv, "--format", default)
 
 
+class TestStrictJson:
+    """--format json is RFC 8259 JSON: a non-finite number is written as a string."""
+
+    @staticmethod
+    def _reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    def test_overflowed_residual_is_the_string_inf(self, capsys):
+        code, out, _ = run(capsys, "rect2d", "--a", "1e-150", "--b", "1e-150",
+                           "--shell-grid", "0.999999999999", "--format", "json")
+        assert code == 0
+        [probe] = [row for row in json.loads(out, parse_constant=self._reject)["rows"]
+                   if "predicted" in row]
+        assert probe["residual"] == probe["predicted"] == "inf"
+
+
 class TestOutputFile:
     def test_writes_to_path(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

@@ -231,7 +231,8 @@ class TestModes2D:
 
     def test_unit_norm_2d(self):
         # oracle: nested quadrature of |u|^2 over the instantaneous rectangle;
-        # the outer x integrand integrates y at all of its abscissae at once
+        # the outer x integrand integrates y at all of its abscissae at once, one
+        # component per abscissa
         cav = Cavity2D(1.0, 2.0, 0.6)
         u = modes.mode_2d(cav, 2, 3)
         t = 0.15
@@ -239,8 +240,8 @@ class TestModes2D:
 
         def over_y(x):
             return gauss_legendre(
-                lambda y: np.abs(u.value(t, x[..., None], y, check=False)) ** 2,
-                np.zeros_like(x), np.full_like(x, cav.proper_length_y), oscillations=3,
+                lambda y: np.abs(u.value(t, x[:, None], y, check=False)) ** 2,
+                0.0, cav.proper_length_y, oscillations=3,
             )[0]
 
         norm, _ = gauss_legendre(over_y, left, right, oscillations=2)

@@ -1,0 +1,62 @@
+"""numpy is imported only where arrays are the workload; every scalar path runs on `math`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import boostcav
+from boostcav.cavity import Cavity1D, Scheme
+from boostcav.observables import inertia_ratios, nonrel_fit
+from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part
+
+SRC = Path(boostcav.__file__).resolve().parent
+
+# mode evaluation and Gram matrices, the vectorized rule, the rectangle's lattice
+# sums, the jet oracle, and verify's modes group
+NUMPY_MODULES = {"modes", "quadrature", "rect2d", "stress", "verify"}
+
+
+def _imports_numpy(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            return True
+    return False
+
+
+def test_modules_importing_numpy():
+    importing = {path.stem for path in SRC.glob("*.py")
+                 if _imports_numpy(ast.parse(path.read_text()))}
+    assert importing == NUMPY_MODULES
+
+
+# each line prints the repr of one scalar call's result
+SCALAR_CALLS = (
+    "nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)",
+    "inertia_ratios()",
+    "cutoff_finite_part(SequenceSummand(range(1, 10_001), range(1, 10_001)), RegConfig.cutoff())",
+    "Cavity1D(1, 0.6).walls(Scheme.LORENTZ_EXACT, 0.3)",
+)
+
+
+def test_scalar_calls_run_without_numpy():
+    script = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
+        "from boostcav.cavity import Cavity1D, Scheme",
+        "from boostcav.observables import inertia_ratios, nonrel_fit",
+        "from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part",
+        *(f"print(repr({call}))" for call in SCALAR_CALLS),
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.splitlines() == [repr(eval(call)) for call in SCALAR_CALLS]

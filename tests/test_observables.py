@@ -127,6 +127,14 @@ class TestNonRelFit:
         with pytest.raises(FitError):
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.3, degree=2)
 
+    @pytest.mark.parametrize("degree", [31, 40])
+    def test_degree_too_high_for_the_samples(self, degree):
+        # 16 powers on 16 samples (design condition 1.3e13) or more powers than samples
+        # (condition inf): no least-squares fit is left, only an interpolant
+        with pytest.raises(FitError, match=r"condition number \S+ exceeds 1\.0e\+12") as exc:
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=degree)
+        assert "schedule" not in str(exc.value)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.4, degree=4)

@@ -12,18 +12,46 @@ class TestRule:
 
     def test_table_is_leggauss_bit_for_bit(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        for table, ref in ((quadrature._NODES, nodes), (quadrature._WEIGHTS, weights)):
-            assert table.dtype == ref.dtype and table.shape == (16,)
-            assert [float(x).hex() for x in table] == [float(x).hex() for x in ref]
+        for table, ref in ((quadrature._NODE_LIST, nodes), (quadrature._WEIGHT_LIST, weights)):
+            assert len(table) == 16 and all(isinstance(x, float) for x in table)
+            assert [x.hex() for x in table] == [float(x).hex() for x in ref]
 
     @pytest.mark.parametrize("k", range(33))
     def test_integrates_monomials_to_rounding_through_degree_31(self, k):
-        x, w = quadrature._NODES, quadrature._WEIGHTS
+        x, w = np.array(quadrature._NODE_LIST), np.array(quadrature._WEIGHT_LIST)
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         error = abs(float(np.sum(w * x**k)) - exact)
         rounding = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(w * x**k)))
         # 16 nodes are exact through degree 2*16 - 1 and no further (x^32 misses by ~1e-9)
         assert (error <= rounding) == (k <= 31)
+
+
+class TestAbscissae:
+    """One float builder serves both sums; the vector sum is numpy's, the scalar one math.fsum."""
+
+    @staticmethod
+    def _array_abscissae(a, b, panels):
+        # the array construction of the rule on panels: np.linspace's edges, element by element
+        edges = np.arange(panels + 1) * ((b - a) / panels) + a
+        edges[-1] = b
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        nodes, weights = np.array(quadrature._NODE_LIST), np.array(quadrature._WEIGHT_LIST)
+        return ((mid[:, None] + half[:, None] * nodes).ravel(),
+                (half[:, None] * weights).ravel())
+
+    @pytest.mark.parametrize("a, b, panels", [(0.0, 1.0, 2), (-3.0, 20.0, 7), (0.3, 0.31, 64),
+                                              (1e-300, 2.5e-300, 5), (2.0, -1.0, 3)])
+    def test_sums_bit_for_bit(self, a, b, panels):
+        xs, ws = quadrature._abscissae(a, b, panels)
+        ref_xs, ref_ws = self._array_abscissae(a, b, panels)
+        assert [x.hex() for x in xs] == [float(x).hex() for x in ref_xs]
+        assert [w.hex() for w in ws] == [float(w).hex() for w in ref_ws]
+        f = lambda x: np.exp(1j * 3.1 * x) * np.cos(x) ** 2
+        assert quadrature._panel_eval(f, a, b, panels) == np.sum(ref_ws * f(ref_xs))
+        g = lambda xs: [math.cos(x) ** 2 for x in xs]
+        assert quadrature._panel_sum(g, a, b, panels) == math.fsum(
+            [w * y for w, y in zip(ws, g(xs))])
 
 
 class TestScalarRule:
@@ -97,11 +125,12 @@ def test_error_estimate_reported_on_failure():
 
 
 def _nested(f, x_range, y_range):
-    """int int f(x, y) dy dx: the outer x integrand integrates y at all of its abscissae at once."""
+    """int int f(x, y) dy dx: the outer x integrand integrates y at all of its abscissae at once,
+    one component per abscissa."""
     (ax, bx), (ay, by) = x_range, y_range
 
     def over_y(x):
-        return gauss_legendre(lambda y: f(x[..., None], y), np.full_like(x, ay), np.full_like(x, by))[0]
+        return gauss_legendre(lambda y: f(x[:, None], y), ay, by)[0]
 
     return gauss_legendre(over_y, ax, bx)
 
@@ -123,65 +152,59 @@ def test_2d_mixed_nonseparable():
     assert abs(value - ref) < 5e-7
 
 
-class TestArrayEndpoints:
-    """One integral per element, each bit-identical to the scalar call on its endpoints."""
+class TestComponents:
+    """Leading component axes: each component converges, and fails, on its own."""
 
-    @staticmethod
-    def _elementwise(f, a, b, **kw):
-        values = np.empty(a.shape, dtype=complex)
-        errors = np.empty(a.shape)
-        for idx in np.ndindex(a.shape):
-            values[idx], errors[idx] = gauss_legendre(f, a[idx], b[idx], **kw)
-        return values, errors
-
-    def test_rows_converging_at_different_doublings(self):
+    def test_intervals_converge_at_their_own_doubling(self):
         # short intervals converge at the first doubling, long ones need more
-        a = np.array([[0.0, 0.5, -3.0], [1.0, 0.0, 2.0]])
-        b = np.array([[0.1, 9.0, 20.0], [1.01, 40.0, 2.5]])
         f = lambda x: np.exp(1j * 3.1 * x) * np.cos(x) ** 2
-        values, errors = gauss_legendre(f, a, b, oscillations=2, rtol=1e-14)
-        ref_values, ref_errors = self._elementwise(f, a, b, oscillations=2, rtol=1e-14)
-        assert values.shape == errors.shape == a.shape
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(errors, ref_errors)
+        # e^{3.1ix} cos^2 x = e^{3.1ix}/2 + e^{5.1ix}/4 + e^{1.1ix}/4
+        antiderivative = lambda x: (np.exp(3.1j * x) / 6.2j + np.exp(5.1j * x) / 20.4j
+                                    + np.exp(1.1j * x) / 4.4j)
+        levels = {}
+        for a, b in [(0.0, 0.1), (1.0, 1.01), (0.5, 9.0), (-3.0, 20.0), (0.0, 40.0)]:
+            calls = []
+            value, err = gauss_legendre(lambda x: calls.append(x.size) or f(x), a, b,
+                                        oscillations=2, rtol=1e-14)
+            assert abs(value - (antiderivative(b) - antiderivative(a))) <= 1e-14 * (b - a)
+            assert err <= 1e-14 * abs(value)
+            levels[a, b] = len(calls)
+        assert levels[0.0, 0.1] == levels[1.0, 1.01] == 2
+        assert levels[-3.0, 20.0] > 2 and levels[0.0, 40.0] > levels[0.5, 9.0]
 
     def test_stacked_components_converge_separately(self):
-        a = np.array([0.0, -1.0, 0.3])
-        b = np.array([2.0, 30.0, 0.31])
         densities = (lambda x: np.sin(5.0 * x) ** 2, lambda x: x * np.exp(-x * x))
-        values, errors = gauss_legendre(
-            lambda x: np.stack([d(x) for d in densities]), a, b, oscillations=3, rtol=1e-14
-        )
-        assert values.shape == errors.shape == (2, 3)
-        for c, d in enumerate(densities):
-            for i in range(3):
-                ref = gauss_legendre(d, a[i], b[i], oscillations=3, rtol=1e-14)
-                assert (values[c, i], errors[c, i]) == ref
+        for a, b in [(0.0, 2.0), (-1.0, 30.0), (0.3, 0.31)]:
+            values, errors = gauss_legendre(
+                lambda x: np.stack([d(x) for d in densities]), a, b, oscillations=3, rtol=1e-14
+            )
+            assert values.shape == errors.shape == (2,)
+            for c, d in enumerate(densities):
+                ref = gauss_legendre(d, a, b, oscillations=3, rtol=1e-14)
+                assert (values[c], errors[c]) == ref
 
-    def test_unconverged_row_raises_its_own_estimate(self):
-        kink = lambda x: np.abs(x - np.sqrt(2) / 2)
-        a = np.array([0.0, 0.0])
-        b = np.array([0.5, 1.0])  # only the second interval contains the kink
+    def test_unconverged_component_raises_its_own_estimate(self):
+        smooth = lambda x: np.cos(x)
+        kink = lambda x: np.abs(x - np.sqrt(2) / 2)  # only this component fails to converge
         with pytest.raises(QuadratureError) as exc:
-            gauss_legendre(kink, a, b, rtol=1e-15, max_doublings=2)
+            gauss_legendre(lambda x: np.stack([smooth(x), kink(x)]), 0.0, 1.0,
+                           rtol=1e-15, max_doublings=2)
         with pytest.raises(QuadratureError) as ref:
             gauss_legendre(kink, 0.0, 1.0, rtol=1e-15, max_doublings=2)
         assert exc.value.estimate == ref.value.estimate > 0.0
 
     def test_per_component_atol(self):
-        # atol of shape (components, 1) broadcasts against (components,) + a.shape;
-        # each component equals the scalar call with its own atol, bit for bit
-        a = np.array([0.0, -1.0, 0.3])
-        b = np.array([2.0, 30.0, 0.31])
+        # atol of shape (components,) gives each component its own target; each
+        # component equals the call on it alone with that atol, bit for bit
         densities = (lambda x: np.cos(3.1 * x) * np.cos(x) ** 2, lambda x: np.sin(5.0 * x) ** 2)
-        atol = np.array([[1e-4], [1e-13]])
-        values, errors = gauss_legendre(
-            lambda x: np.stack([d(x) for d in densities]), a, b, oscillations=2, rtol=0.0, atol=atol
-        )
-        for c, d in enumerate(densities):
-            for i in range(3):
-                ref = gauss_legendre(d, a[i], b[i], oscillations=2, rtol=0.0, atol=atol[c, 0])
-                assert (values[c, i], errors[c, i]) == ref
+        atol = np.array([1e-4, 1e-13])
+        stacked = lambda x: np.stack([d(x) for d in densities])
+        for a, b in [(0.0, 2.0), (-1.0, 30.0), (0.3, 0.31)]:
+            values, errors = gauss_legendre(stacked, a, b, oscillations=2, rtol=0.0, atol=atol)
+            for c, d in enumerate(densities):
+                ref = gauss_legendre(d, a, b, oscillations=2, rtol=0.0, atol=atol[c])
+                assert (values[c], errors[c]) == ref
         # the loose target stops at an earlier doubling, so the targets are really per component
-        loose = gauss_legendre(densities[0], a[1], b[1], oscillations=2, rtol=0.0, atol=1e-13)
-        assert values[0, 1] != loose[0]
+        values, _ = gauss_legendre(stacked, -1.0, 30.0, oscillations=2, rtol=0.0, atol=atol)
+        tight = gauss_legendre(densities[0], -1.0, 30.0, oscillations=2, rtol=0.0, atol=1e-13)
+        assert values[0] != tight[0]

@@ -11,7 +11,7 @@ from boostcav import rect2d
 from boostcav.observables import static_m0
 from boostcav.regsum import (
     FitError,
-    _DivergenceFit,
+    _PowerFit,
     Linear1DSummand,
     RegConfig,
     RegMethod,
@@ -141,6 +141,23 @@ class TestCutoffFit:
         with pytest.raises(FitError):
             cutoff_finite_part(Linear1DSummand(1.0), config)
 
+    def test_schedule_past_every_term_is_rejected(self):
+        # x > 41.4 at the smallest cutoff damps even omega_min's term below 1e-18: every
+        # damped sum is empty, and a fit of zeros must not pass for a finite part
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (1e8, 1e6, 1e4, 1e2, 42.0))
+        for summand in (Linear1DSummand(1.0), SequenceSummand([1.0, 2.0], [1.0, 2.0]),
+                        rect2d._FourPartsSummand(1.0, 1.0)):
+            with pytest.raises(FitError, match="no spectrum term lies below the largest cutoff"):
+                cutoff_finite_part(summand, config)
+
+    def test_unsaturated_sequence_is_the_linear_spectrum(self):
+        # c_n = w_n = n for n <= 10,000 reaches past every cutoff, so it is fitted like the
+        # 1D spectrum, whose damped sums it shares term for term
+        sequence = SequenceSummand(range(1, 10_001), range(1, 10_001))
+        fp = cutoff_finite_part(sequence, RegConfig.cutoff())
+        assert fp == cutoff_finite_part(Linear1DSummand(math.pi, weight=1.0), RegConfig.cutoff())
+        assert fp.value.hex() == "-0x1.55555554defe2p-4"
+
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError):
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
@@ -181,7 +198,8 @@ class TestDivergenceFit:
 
     @staticmethod
     def _check(x, powers, data_seed):
-        fit = _DivergenceFit(list(x), powers)
+        n_div = len(powers)  # the index of the x^0 column
+        fit = _PowerFit(list(x), [-p for p in powers] + [0, 2, 4])
         design = np.array(fit.columns).T
         cond = np.linalg.cond(design)
         # numpy's own error grows like cond * eps; the fit is refined against exact residuals
@@ -192,8 +210,8 @@ class TestDivergenceFit:
         ref = np.linalg.lstsq(design, values, rcond=None)[0]
         coeffs = np.array(fit.solve(values.tolist()))
         assert np.max(np.abs(coeffs - ref)) <= tol * np.max(np.abs(ref))
-        dual = np.linalg.pinv(design)[fit.n_div]
-        assert np.max(np.abs(np.array(fit.dual()) - dual)) <= tol * np.max(np.abs(dual))
+        dual = np.linalg.pinv(design)[n_div]
+        assert np.max(np.abs(np.array(fit.dual(n_div)) - dual)) <= tol * np.max(np.abs(dual))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_default_1d_schedule(self, seed):
