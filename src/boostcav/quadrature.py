@@ -6,9 +6,8 @@ sized to the oscillation count converges extremely fast; the doubling
 check turns that into a verified error estimate.
 
 gauss_legendre_scalar runs the same rule on lists of floats with `math`
-alone, for the Bessel values of the rectangle's closed form, the per-mode
-route's densities and the Abel-Plana integral, whose callers should not
-have to import numpy.
+alone, for the per-mode route's densities and the Abel-Plana integral,
+whose callers should not have to import numpy.
 """
 
 from __future__ import annotations

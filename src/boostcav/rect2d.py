@@ -7,7 +7,7 @@ The per-mode law for the moving rectangle gives
 
 so the mass-shell residual has the closed algebraic form
 
-    E_s^2 - P_s^2 - E_m^2 = 2 (gamma^2 (1 + v^2) - 1) U W,
+    E_s^2 - P_s^2 - E_m^2 = 2 (gamma^2 (1 + v^2) - 1) U W = 4 gamma^2 v^2 U W,
 
 which vanishes for all v only if one of the two finite parts is driven to
 zero; the subtraction solver reports exactly those two branches. A second,
@@ -29,7 +29,6 @@ import sys
 from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length
-from .quadrature import gauss_legendre_scalar
 from .observables import mass_shell_residual
 from .regsum import _TRUNCATION_CAP, FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
@@ -55,7 +54,7 @@ __all__ = [
 
 class Route2D(enum.Enum):
     GROUPED = "grouped"      # boost prefactors on FP[sum(w/2 +- k^2/2w)]
-    PER_MODE = "per-mode"    # quadrature-established per-mode coefficient law
+    PER_MODE = "per-mode"    # closed-form per-mode coefficient law on U and W
 
 
 class UnderdeterminedError(ValueError):
@@ -88,7 +87,7 @@ class ShellProbeRow(NamedTuple):
     velocity: float
     residual: float
     residual_error: float
-    predicted_residual: float | None  # analytic 2(g^2(1+v^2)-1) U W, per-mode route only
+    predicted_residual: float | None  # analytic 4 g^2 v^2 U W, per-mode route only
     route: Route2D
     energy: float  # the (E_s, P_s) the residual is formed from
     momentum: float
@@ -227,31 +226,58 @@ def _per_side(part: FinitePart, a: float) -> FinitePart:
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
 _Z_MAX = 60.0  # K_1(60) ~ 1.4e-27: Bessel terms past it sit ~25 digits below the leading ones
 _ROUNDING = 16.0 * sys.float_info.epsilon  # rounding bound per unit of summed term magnitude
+_STRIP = 1.5  # half-width a of the strip |Im t| < a on which _bessel_k01 bounds its integrand
 
 
-def _bessel_k(nu: int, z: float) -> tuple[float, float]:
-    """K_nu(z) for nu in {0, 1} and z >= 2 pi, with a bound on its error.
+def _k1_upper(z: float) -> float:
+    """sqrt(pi/2z) e^{-z} (1 + 3/(8z)), an upper bound on K_1(z) >= K_0(z) for every z > 0.
 
-    e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(t/2)) cosh(nu t) dt. Past
-    T = 2 asinh(5/sqrt(z)) the integrand is below e^{-50} of its peak, and by
-    convexity of cosh the dropped range adds at most e^{T-50}/(z sinh T - 1).
-    The doubling difference can fall far below the value's own rounding, so
-    the error also carries _ROUNDING K (the rounding measured against
-    30-digit references stays below 1.6 eps K).
+    The first two terms of Hankel's expansion (DLMF 10.40.2): for real order and
+    positive argument the remainder has the sign of the first neglected term,
+    here -15/(128 z^2) (DLMF 10.40(ii)).
     """
-    def integrand(ts: list[float]) -> list[float]:
-        values = []
-        for t in ts:
-            s = math.sinh(0.5 * t)
-            values.append(math.exp(-2.0 * z * (s * s)) * math.cosh(nu * t))
-        return values
+    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 3.0 / (8.0 * z))
 
-    t_max = 2.0 * math.asinh(5.0 / math.sqrt(z))
-    value, err = gauss_legendre_scalar(integrand, 0.0, t_max)
-    tail = math.exp(t_max - 50.0) / (z * math.sinh(t_max) - 1.0)
-    scale = math.exp(-z)
-    k = value * scale
-    return k, (err + tail) * scale + _ROUNDING * k
+
+def _bessel_k01(z: float) -> tuple[float, float, float]:
+    """K_0(z) and K_1(z) for 2 pi <= z <= _Z_MAX, with one bound on the error of either.
+
+    e^z K_nu(z) = (1/2) int_R g_nu, g_nu(t) = exp(-z (cosh t - 1)) cosh(nu t),
+    even and entire, is summed by the trapezoidal rule (h/2) sum_{k in Z} g_nu(k h).
+
+    Discretization: on |Im t| <= a, |g_nu| <= exp(z - z cos(a) cosh t) cosh t,
+    so every line of the strip carries int |g_nu| <= M = 2 e^z K_1(z cos a),
+    and the rule errs by at most M/(e^{2 pi a/h} - 1) (Trefethen & Weideman,
+    SIAM Rev. 56 (2014) 385, Thm 5.1, halved). h makes that eps/4 times
+    _k1_upper(z), then drops to 46 bits, so every node k h is exact.
+
+    Truncation: log g_nu is concave (z >= 1), so the terms fall by ever
+    smaller ratios; past the first below 1e-18 they add at most r/(1 - r)
+    times it, r its ratio to the one before.
+
+    Rounding, with libm's exp and sinh within one ulp: q = 2 z sinh^2(t/2)
+    carries 3 eps q, so exp(-q) carries (1 + 3q) eps, and cosh t = 1 + q/z
+    and the product add (1 + 3.5 q/z) eps <= (1 + 0.6 q) eps; the closing
+    math.fsum and the scaling by h e^{-z} add 2.5 eps. Each term so errs by
+    at most (3.6 q + 4.5) eps of itself.
+
+    K_1's terms bound K_0's term by term (cosh >= 1), so all three bounds,
+    taken on K_1, serve both orders.
+    """
+    eps = sys.float_info.epsilon
+    m = 2.0 * _k1_upper(z * math.cos(_STRIP))  # e^{-z} M
+    h = 2.0 * math.pi * _STRIP / math.log1p(m / (0.25 * eps * _k1_upper(z)))
+    h = math.floor(h * 2.0**48) / 2.0**48
+    g0, g1, rounding = [0.5], [0.5], 0.5 * 4.5  # the t = 0 node has half weight
+    while g1[-1] >= 1e-18:
+        q = 2.0 * z * math.sinh(0.5 * len(g0) * h) ** 2
+        g0.append(math.exp(-q))
+        g1.append(g0[-1] * (1.0 + q / z))
+        rounding += (3.6 * q + 4.5) * g1[-1]
+    scale = h * math.exp(-z)
+    tail = g1[-1] ** 2 / (g1[-2] - g1[-1])  # r/(1 - r) times the last term
+    error = m / math.expm1(2.0 * math.pi * _STRIP / h) + scale * (tail + eps * rounding)
+    return scale * math.fsum(g0), scale * math.fsum(g1), error
 
 
 def _chowla_selberg(a: float, b: float) -> FourParts:
@@ -273,8 +299,8 @@ def _chowla_selberg(a: float, b: float) -> FourParts:
         S_omega = T0 - T1 - T2,   along y: T1 - T3,   along x: T0 - 2 T1 - T2 + T3.
 
     S_k is the part along a; U = (S_omega + S_k)/2, W = (S_omega - S_k)/2.
-    Each error is the dropped-tail bound plus the propagated K quadrature
-    error plus _ROUNDING times the summed magnitude of the terms.
+    Each error is the dropped-tail bound plus the propagated a-priori K error
+    of _bessel_k01 plus _ROUNDING times the summed magnitude of the terms.
     """
     x, y = min(a, b), max(a, b)
     step = math.pi / x
@@ -284,18 +310,16 @@ def _chowla_selberg(a: float, b: float) -> FourParts:
     for m in range(1, m_max + 1):
         z = c * m
         weight = step * sum(d * d for d in range(1, m + 1) if m % d == 0) / m
-        k0, e0 = _bessel_k(0, z)
-        k1, e1 = _bessel_k(1, z)
+        k0, k1, k_err = _bessel_k01(z)
         t_sum += weight * k1
         d_sum += weight * (z * k0 + k1)
-        t_err += weight * e1
-        d_err += weight * (z * e0 + e1)
-    # Dropped m > m_max: sigma_2(m)/m <= zeta(2) m, K_0 < K_1 <= sqrt(pi/2z) e^{-z} (1 + 3/(8z))
-    # (DLMF 10.40(iv)), and each term is at most 4 e^{-2 pi} < 1/2 times the one
-    # before, so the tail is at most twice its first term.
+        t_err += weight * k_err
+        d_err += weight * (z + 1.0) * k_err
+    # Dropped m > m_max: sigma_2(m)/m <= zeta(2) m, K_0 < K_1 <= _k1_upper, and each
+    # term is at most 4 e^{-2 pi} < 1/2 times the one before, so the tail is at
+    # most twice its first term.
     z = c * (m_max + 1)
-    k1_bound = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 3.0 / (8.0 * z))
-    first = step * (math.pi**2 / 6.0) * (m_max + 1) * k1_bound
+    first = step * (math.pi**2 / 6.0) * (m_max + 1) * _k1_upper(z)
     t_err += 2.0 * first
     d_err += 2.0 * first * (z + 1.0)
 
@@ -384,8 +408,7 @@ def boosted_em_2d(
         energy_err = abs(ce) * parts.U.error_estimate + parts.W.error_estimate
         momentum_err = abs(cp) * parts.U.error_estimate
     else:
-        half_ce = 0.5 * ce  # grouped route applies gamma^2(1+v^2) to S_omega + S_k
-        energy = 2.0 * half_ce * (parts.S_omega.value + parts.S_k.value)
+        energy = ce * (parts.S_omega.value + parts.S_k.value)  # gamma^2(1+v^2) on S_omega + S_k
         g2v = cp / 2.0
         momentum = g2v * (parts.S_omega.value - parts.S_k.value)
         energy_err = ce * (parts.S_omega.error_estimate + parts.S_k.error_estimate)
@@ -457,8 +480,8 @@ def mass_shell_probe_2d(
         )
         predicted = None
         if route is Route2D.PER_MODE:
-            ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
-            predicted = 2.0 * (ce - 1.0) * parts.U.value * parts.W.value
+            # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
+            predicted = 4.0 * v * v / (1.0 - v * v) * parts.U.value * parts.W.value
         rows.append(
             ShellProbeRow(velocity=v, residual=residual, residual_error=err,
                           predicted_residual=predicted, route=route, energy=res.energy,

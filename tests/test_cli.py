@@ -633,14 +633,14 @@ STDOUT_SHA256 = {
      "--format", "json"):
         "888e2ff5d32c2a822b5b33bda9672528df4825d4ffba9e55fd6bf7a8e3dee5fc",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
-    # closed form in floats (libm exp, sinh and cosh, math.fsum). Recorded once each
-    # Bessel value's error carried its own rounding.
+    # closed form in floats (libm and math.fsum). Recorded once its Bessel values came
+    # from the trapezoidal rule with an a-priori bound; only the error columns moved.
     ("rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55", "--shell-grid", "0.05:0.8:0.15",
      "--solve-subtraction"):
-        "6d0ebe8a507c8c5866db9ee56de6872b0eea41d3d028d76a47ae7204008e69cd",
+        "91f9b2d4f3ae96e915ba572c841505270dea9b62248f77c6c47b5bf6266ee8b7",
     ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
      "--solve-subtraction", "--format", "json"):
-        "4c4a58d3c33e0345397040a6952fd2ed7591f8ece43d6db1527170807744c602",
+        "88f75a448f2b11ee975f489120a412245b96349fabd061c95ce8b9c5996a1800",
 }
 
 

@@ -2,13 +2,15 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
-from boostcav import rect2d, regsum
+from boostcav import quadrature, rect2d, regsum
+from boostcav.cli import main
 from boostcav.regsum import RegConfig, RegMethod
 from boostcav.rect2d import (
     Route2D,
@@ -59,6 +61,15 @@ class TestShellProbe:
         )
         for row in rows:
             assert abs(row.residual - row.predicted_residual) <= budget
+
+    @pytest.mark.parametrize("v", [1e-9, 1e-7, 1e-5, 0.3])
+    def test_predicted_residual_has_no_cancellation(self, square_parts, v):
+        # 2 (gamma^2 (1 + v^2) - 1) U W = 4 gamma^2 v^2 U W in exact rational arithmetic;
+        # gamma^2 (1 + v^2) - 1 formed in floats loses everything at v = 1e-9
+        [row] = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [v], parts=square_parts)
+        vq, u, w = (Fraction(x) for x in (v, square_parts.U.value, square_parts.W.value))
+        exact = float(4 * vq * vq / (1 - vq * vq) * u * w)
+        assert abs(row.predicted_residual - exact) <= 4.0 * math.ulp(exact)
 
     def test_square_residual_beyond_error_bars(self, square_parts):
         rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.6], parts=square_parts)
@@ -241,17 +252,41 @@ class TestBesselK:
 
     @pytest.mark.parametrize("nu", [0, 1])
     def test_error_bounds_the_30_digit_value(self, nu):
-        # without a rounding term, the doubling difference alone fell below the
-        # actual error at 10 of these 80, by factors up to 3e6
+        # the trapezoidal rule's a-priori bound: discretization, truncation and
+        # the rounding of each term, one bound for both orders
         zs = [2.0 * math.pi + (60.0 - 2.0 * math.pi) * i / 39 for i in range(40)]
         misses = []
         with mpmath.workdps(30):
             for z in zs:
-                k, err = rect2d._bessel_k(nu, z)
+                *k01, err = rect2d._bessel_k01(z)
+                k = k01[nu]
                 actual = abs(mpmath.mpf(k) - mpmath.besselk(nu, z))
                 if actual > err:
                     misses.append((z, float(actual / err)))
         assert misses == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=st.floats(min_value=2.0 * math.pi, max_value=60.0), nu=st.sampled_from([0, 1]))
+    def test_error_is_a_tight_bound(self, z, nu):
+        *k01, err = rect2d._bessel_k01(z)
+        with mpmath.workdps(30):
+            exact = mpmath.besselk(nu, z)
+            actual = float(abs(mpmath.mpf(k01[nu]) - exact))
+        assert actual <= err <= 8.0 * sys.float_info.epsilon * float(exact)
+
+
+def test_rectangle_runs_no_adaptive_quadrature(monkeypatch, capsys):
+    """The closed form and the rect2d command never reach the Gauss-Legendre panels."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature on the rectangle's path")
+
+    monkeypatch.setattr(quadrature, "_panel_sum", refuse)
+    monkeypatch.setattr(quadrature, "_panel_eval", refuse)
+    for a, b in ((1.0, 1.0), (1.0, 5.0), (1.0, 0.05)):
+        finite_parts(Cavity2D(a, b, 0.0))
+    assert main(["rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55",
+                 "--shell-grid", "0.05:0.8:0.15"]) == 0
+    assert "shell probe v = 0.8" in capsys.readouterr().out
 
 
 class TestHalvesByConstruction:
