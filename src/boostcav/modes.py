@@ -8,8 +8,10 @@ phase and argument are affine in (t, x):
 which makes all derivatives closed-form. The spatial normalization N fixes
 unit L2 norm over the instantaneous cavity at any lab time. The mode is the
 pair of plane waves (N/2i)(exp(i k+.X) - exp(i k-.X)), k+- = grad(th +- s),
-X = (t, x), so it solves its field equation where the scheme's operator
-symbol vanishes on k+ and k- (kg_residual).
+X = (t, x) (Moore, J. Math. Phys. 11 (1970) 2679). So it solves its field
+equation where the scheme's operator symbol vanishes on k+ and k-
+(kg_residual), and each Gram or overlap entry is a closed-form sum of four
+exponential integrals (gram_matrix).
 
 Scheme coefficients (k = n*pi/L, g = gamma):
 
@@ -29,7 +31,6 @@ import operator
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor
-from .quadrature import gauss_legendre
 
 __all__ = [
     "OutsideCavityError",
@@ -63,7 +64,7 @@ _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 
 # ---------------------------------------------------------------------------
-# 1D mode algebra of a float velocity; n may be an index array (_pairwise_matrix).
+# 1D mode algebra of a float velocity and a mode index n.
 # SpacetimeMode, the stress integrals and the CLI's modes table use it
 # ---------------------------------------------------------------------------
 
@@ -137,10 +138,10 @@ def affine_jet(norm, coeffs, t, x):
     ph, s = _phase_and_argument(coeffs, t, x)
     sin_s, cos_s = np.sin(s), np.cos(s)
     th_t, th_x, s_t, s_x = coeffs
-    # Each product is spelled norm * ph * (...) as in affine_value: numpy's
-    # complex product is not commutative bit for bit (fused multiply-add),
-    # and past 256 KiB numpy may swap operands to reuse a temporary, so a
-    # shared norm * ph changes the last bits of large Gram matrices.
+    # Each product is spelled norm * ph * (...) as in affine_value, so a point's
+    # bits do not depend on the array's size: numpy's complex product is not
+    # commutative bit for bit (fused multiply-add), and past 256 KiB numpy may
+    # swap the operands of a shared norm * ph to reuse a temporary.
     return (norm * ph * sin_s,
             norm * ph * (1j * th_t * sin_s + s_t * cos_s),
             norm * ph * (1j * th_x * sin_s + s_x * cos_s))
@@ -310,6 +311,20 @@ def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tup
     return complex(u.value(t, left, check=False)), complex(u.value(t, right, check=False))
 
 
+def _plane_waves(scheme: Scheme, cavity: Cavity1D, n: int):
+    """The mode's two plane waves (c, k_t, k_x, d); u is the sum of c exp(i(k_t t + k_x x)).
+
+    c = +-N/2i and k = grad(th +- s); d is the wave's eigenvalue of the
+    scheme's conserved time operator D over i: k_t for d_t, k_t + v k_x for
+    galileo-comoving's d_t + v d_x.
+    """
+    th_t, th_x, s_t, s_x = affine_coefficients(scheme, cavity.proper_length, cavity.velocity, n)
+    c = mode_normalization(scheme, cavity.proper_length, cavity.velocity) / 2j
+    shift = cavity.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
+    plus, minus = (th_t + s_t, th_x + s_x), (th_t - s_t, th_x - s_x)
+    return (c, *plus, plus[0] + shift * plus[1]), (-c, *minus, minus[0] + shift * minus[1])
+
+
 def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) -> float:
     """|governing PDE applied to the mode|: (N/2)|q(k+) exp(i k+.X) - q(k-) exp(i k-.X)|.
 
@@ -320,14 +335,12 @@ def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) ->
     """
     u = mode(scheme, cavity, n)
     u._require_inside(t, x)
-    th_t, th_x, s_t, s_x = u._coeffs
-    shift = cavity.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
 
-    def wave(k_t, k_x):
-        d_t = k_t + shift * k_x
-        return (d_t * d_t - k_x * k_x) * cmath.exp(1j * (k_t * t + k_x * x))
+    def wave(_, k_t, k_x, d):
+        return (d * d - k_x * k_x) * cmath.exp(1j * (k_t * t + k_x * x))
 
-    residual = wave(th_t + s_t, th_x + s_x) - wave(th_t - s_t, th_x - s_x)
+    plus, minus = _plane_waves(scheme, cavity, n)
+    residual = wave(*plus) - wave(*minus)
     return float(0.5 * u.normalization * abs(residual))
 
 
@@ -340,43 +353,27 @@ def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
     return float(2.0 * phase_frequency(scheme, cavity.proper_length, cavity.velocity, n))
 
 
-# Density values one pairwise quadrature call evaluates at its starting panel
-# count; the (rows, n_modes, nodes) density grows as n_modes^3 otherwise.
-_PAIR_POINTS = 2**18
+def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
+                     pair) -> np.ndarray:
+    """Sums over wave pairs (j of mode n, l of mode m) of w exp(i(a t + b x)) dx on the cavity.
 
-
-def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float, pairing, *,
-                     atol) -> np.ndarray:
-    """Integrals of pairing(u_n, Du_n, u_m, Du_m) over the instantaneous cavity.
-
-    The arguments broadcast to (n, m, nodes); every mode and its paired
-    derivative is evaluated once per node set. One quadrature call covers a
-    block of rows (the whole matrix up to n_modes = 20), with one panel per
-    half-wave of the fastest pair; each entry converges on its own and does
-    not depend on the blocking (atol may be an (n, m) array).
+    pair(j, l) gives the weight w and wave vector (a, b) of the product of
+    waves j and l. The x integral over [L, R] is
+    exp(i b (L + R)/2) (R - L) sinc(b (R - L)/2), which does not cancel as b -> 0.
     """
     import numpy as np
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    n = np.arange(1, n_modes + 1)[:, None]
-    coeffs = affine_coefficients(scheme, cavity.proper_length, cavity.velocity, n)
-    norm = mode_normalization(scheme, cavity.proper_length, cavity.velocity)
     left, right = cavity.walls(scheme, t)
-    atol = np.broadcast_to(atol, (n_modes, n_modes))
-    step = max(1, _PAIR_POINTS // (32 * n_modes * n_modes))  # 16 nodes on each of 2 n_modes panels
-    blocks = []
-    for start in range(0, n_modes, step):
-        rows = slice(start, start + step)
+    mid, width = 0.5 * (left + right), right - left
 
-        def density(x, rows=rows):
-            u, du, u_x = affine_jet(norm, coeffs, t, x)
-            if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-                du = du + cavity.velocity * u_x  # D = d_t + v d_x, as the scheme conserves
-            return pairing(u[rows, None], du[rows, None], u[None], du[None])
+    def integral(w, a, b):
+        z = 0.5 * b * width
+        return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
 
-        blocks.append(gauss_legendre(density, left, right, oscillations=2 * n_modes, rtol=1e-12,
-                                     atol=atol[rows])[0])
-    return np.concatenate(blocks)
+    waves = [_plane_waves(scheme, cavity, n) for n in range(1, n_modes + 1)]
+    return np.array([[sum(integral(*pair(j, l)) for j in waves_n for l in waves_m)
+                      for waves_m in waves] for waves_n in waves], dtype=complex)
 
 
 def gram_matrix(
@@ -390,7 +387,9 @@ def gram_matrix(
     Entry (n, m) is  i * int( conj(u_n) D u_m - u_m conj(D u_n) ) dx  over
     the instantaneous cavity, divided by sqrt of the analytic diagonals,
     with D the scheme's conserved first-order time operator (d_t for the
-    wave-equation schemes, d_t + v d_x for galileo-comoving).
+    wave-equation schemes, d_t + v d_x for galileo-comoving). In closed form
+    (Moore 1970): waves j of u_n and l of u_m, c exp(i k.X) with
+    D exp(i k.X) = i d exp(i k.X), add -conj(c_j) c_l (d_j + d_l) exp(i (k_l - k_j).X).
 
     The naive equal-time overlap int u_n conj(u_m) dx is *not* diagonal for
     the moving cavity (the mode phases mix t and x); see
@@ -400,13 +399,13 @@ def gram_matrix(
     """
     import numpy as np
 
-    def pairing(u_n, du_n, u_m, du_m):
-        return 1j * (np.conj(u_n) * du_m - u_m * np.conj(du_n))
+    def pair(j, l):
+        (c_j, a_j, b_j, d_j), (c_l, a_l, b_l, d_l) = j, l
+        return -c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j
 
-    norms = 2.0 * phase_frequency(scheme, cavity.proper_length, cavity.velocity,
-                                  np.arange(1, n_modes + 1))
-    scale = np.sqrt(np.outer(norms, norms))
-    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, atol=1e-14 * scale) / scale
+    gram = _pairwise_matrix(scheme, cavity, n_modes, t, pair)
+    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
+    return gram / np.sqrt(np.outer(norms, norms))
 
 
 def spatial_overlap_matrix(
@@ -422,11 +421,12 @@ def spatial_overlap_matrix(
     measure choice can cancel. They grow as O(v) between modes of opposite
     parity and O(v^2) between modes of equal parity. Kept as a diagnostic
     of exactly that time-space mixing; gram_matrix holds the conserved
-    pairing that is exactly diagonal.
+    pairing that is exactly diagonal. In closed form, as there, waves j and
+    l add c_j conj(c_l) exp(i (k_j - k_l).X).
     """
-    import numpy as np
 
-    def pairing(u_n, du_n, u_m, du_m):
-        return u_n * np.conj(u_m)
+    def pair(j, l):
+        (c_j, a_j, b_j, _), (c_l, a_l, b_l, _) = j, l
+        return c_j * c_l.conjugate(), a_j - a_l, b_j - b_l
 
-    return _pairwise_matrix(scheme, cavity, n_modes, t, pairing, atol=1e-15)
+    return _pairwise_matrix(scheme, cavity, n_modes, t, pair)

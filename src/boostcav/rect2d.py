@@ -524,8 +524,8 @@ def subtraction_solver_2d(
         e_m = u + w
         worst = 0.0
         for v in nonzero:
-            ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
-            residual = (ce * u + w) ** 2 - (cp * u) ** 2 - e_m**2
+            d2 = (1.0 - v) / (1.0 + v)  # (c_E u + w)^2 - (c_P u)^2, as c_E -+ c_P = D^(+-2)
+            residual = (d2 * u + w) * (u / d2 + w) - e_m**2
             worst = max(worst, abs(residual) / max(e_m**2, 1e-300))
         return SubtractionBranch(name=name, delta_U=du, delta_W=dw, max_rel_residual=worst)
 

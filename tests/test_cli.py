@@ -633,14 +633,14 @@ STDOUT_SHA256 = {
      "--format", "json"):
         "888e2ff5d32c2a822b5b33bda9672528df4825d4ffba9e55fd6bf7a8e3dee5fc",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
-    # closed form in floats (libm and math.fsum). Recorded once its Bessel values came
-    # from the trapezoidal rule with an a-priori bound; only the error columns moved.
+    # closed form in floats (libm and math.fsum). Re-recorded when the subtraction
+    # branches' residual took its light-cone form; only the zero-transverse residual moved.
     ("rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55", "--shell-grid", "0.05:0.8:0.15",
      "--solve-subtraction"):
-        "91f9b2d4f3ae96e915ba572c841505270dea9b62248f77c6c47b5bf6266ee8b7",
+        "fdd418d526713aa450e17d68b8aaf47f98fe1947f044869c4600857349c7b953",
     ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
      "--solve-subtraction", "--format", "json"):
-        "88f75a448f2b11ee975f489120a412245b96349fabd061c95ce8b9c5996a1800",
+        "52fbb0e48b3b7ec598ba5b6a1799355bcabc035ac75fc2addcab2bad40515484",
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav import modes
 from boostcav.modes import OutsideCavityError
 from boostcav.quadrature import gauss_legendre
+from mpmath.calculus.quadrature import GaussLegendre
 
 ALL_SCHEMES = list(Scheme)
 
@@ -349,72 +351,115 @@ class TestOrthogonality:
         assert even_gap[1] / even_gap[0] == pytest.approx(4.0, rel=0.02)
 
 
-def _pairwise_reference(scheme, cav, n_modes, t, pairing_of, atol_of):
-    """One gauss_legendre call per (n, m) entry, oscillations n + m."""
-    us = [modes.mode(scheme, cav, n) for n in range(1, n_modes + 1)]
+def _wave_sum_mp(scheme, cav, n, m, t, gram):
+    """Entry (n, m) as the four-wave sum in 30-digit mpmath on the modes' float waves.
+
+    Also returns the stated float error 4 eps sum |w| (R - L)(1 + |a t| + |b| max(|L|, |R|)):
+    a few eps per term for the rounded phase, exp, sinc and products, and the sum.
+    """
+    left, right = cav.walls(scheme, t)
+    bound = 0.0
+    with mpmath.workdps(30):
+        mid, width = (mpmath.mpf(left) + right) / 2, mpmath.mpf(right) - left
+        total = mpmath.mpc(0)
+        for c_j, a_j, b_j, d_j in modes._plane_waves(scheme, cav, n):
+            for c_l, a_l, b_l, d_l in modes._plane_waves(scheme, cav, m):
+                if gram:
+                    w = -mpmath.conj(c_j) * c_l * (mpmath.mpf(d_j) + d_l)
+                    a, b = mpmath.mpf(a_l) - a_j, mpmath.mpf(b_l) - b_j
+                else:
+                    w = mpmath.mpc(c_j) * mpmath.conj(c_l)
+                    a, b = mpmath.mpf(a_j) - a_l, mpmath.mpf(b_j) - b_l
+                total += w * mpmath.expj(a * t + b * mid) * width * mpmath.sinc(b * width / 2)
+                bound += float(abs(w) * width) * (1.0 + abs(float(a) * t)
+                                                  + abs(float(b)) * max(abs(left), abs(right)))
+        if gram:
+            scale = mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, n))
+                                * modes.canonical_norm(scheme, cav, m))
+            total, bound = total / scale, bound / float(scale)
+    return complex(total), 4.0 * EPS * bound
+
+
+def _pairing_mp(scheme, cav, n_modes, t, gram, degree=5):
+    """Each matrix by one fixed 48-node Gauss-Legendre rule in 30-digit mpmath.
+
+    Integrates the pairing itself, i (conj(u_n) D u_m - u_m conj(D u_n)) or
+    u_n conj(u_m), from the affine form, independently of the plane waves.
+    """
+    shift = cav.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
     left, right = cav.walls(scheme, t)
     out = np.empty((n_modes, n_modes), dtype=complex)
-    for i, un in enumerate(us):
-        for j, um in enumerate(us):
-            out[i, j] = gauss_legendre(lambda x: pairing_of(un, um, x), left, right,
-                                       oscillations=un.n + um.n, rtol=1e-12,
-                                       atol=atol_of(un, um))[0]
+    with mpmath.workdps(30):
+        nodes = GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec)
+        mid, half = (mpmath.mpf(left) + right) / 2, (mpmath.mpf(right) - left) / 2
+        xs = [(mid + half * x, half * w) for x, w in nodes]
+        norm = modes.mode_normalization(scheme, cav.proper_length, cav.velocity)
+        jets = []
+        for n in range(1, n_modes + 1):
+            th_t, th_x, s_t, s_x = modes.affine_coefficients(scheme, cav.proper_length,
+                                                             cav.velocity, n)
+            jet = []
+            for x, _ in xs:
+                phase = norm * mpmath.expj(th_t * t + th_x * x)
+                s = s_t * t + s_x * x
+                jet.append((phase * mpmath.sin(s), phase * (1j * (mpmath.mpf(th_t) + shift * th_x)
+                                                            * mpmath.sin(s)
+                                                            + (mpmath.mpf(s_t) + shift * s_x)
+                                                            * mpmath.cos(s))))
+            jets.append(jet)
+        for i, jet_n in enumerate(jets):
+            for k, jet_m in enumerate(jets):
+                if gram:
+                    terms = (1j * (mpmath.conj(u) * dv - v * mpmath.conj(du))
+                             for (u, du), (v, dv) in zip(jet_n, jet_m))
+                else:
+                    terms = (u * mpmath.conj(v) for (u, _), (v, _) in zip(jet_n, jet_m))
+                total = mpmath.fsum(w * term for (_, w), term in zip(xs, terms))
+                if gram:
+                    total /= mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, i + 1))
+                                         * modes.canonical_norm(scheme, cav, k + 1))
+                out[i, k] = complex(total)
     return out
 
 
-def _paired(u, t, x):
-    if u.scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        return u.d_dt(t, x) + u.cavity.velocity * u.d_dx(t, x)
-    return u.d_dt(t, x)
-
-
-class TestOnePairwiseQuadrature:
-    """Each matrix is one quadrature over all (n, m) and matches the per-pair loop."""
+class TestPairwiseClosedForm:
+    """Gram and overlap entries are the four-wave sum of the modes' plane waves."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("n_modes", [1, 4, 10])
     @pytest.mark.parametrize("t", [0.0, 0.37, 3.0])
-    def test_matches_per_pair_loop(self, scheme, n_modes, t):
+    def test_matches_mpmath_wave_sum(self, scheme, n_modes, t):
         cav = Cavity1D(1.0, scheme_velocity(scheme))
-        norms = [modes.canonical_norm(scheme, cav, n) for n in range(1, n_modes + 1)]
+        for matrix, gram in ((modes.gram_matrix, True), (modes.spatial_overlap_matrix, False)):
+            got = matrix(scheme, cav, n_modes, t)
+            assert got.shape == (n_modes, n_modes) and got.dtype == complex
+            want = [[_wave_sum_mp(scheme, cav, n, m, t, gram)[0] for m in range(1, n_modes + 1)]
+                    for n in range(1, n_modes + 1)]
+            assert np.max(np.abs(got - np.array(want))) <= 1e-14
 
-        def conserved(un, um, x):
-            return 1j * (np.conj(un.value(t, x, check=False)) * _paired(um, t, x)
-                         - um.value(t, x, check=False) * np.conj(_paired(un, t, x)))
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_weights_match_gauss_legendre_of_the_pairing(self, scheme):
+        # checks the weights -conj(c_j) c_l (d_j + d_l) and c_j conj(c_l) against the
+        # pairings they come from; 48 nodes integrate these entire integrands to 30 digits
+        cav = Cavity1D(1.0, scheme_velocity(scheme))
+        for matrix, gram in ((modes.gram_matrix, True), (modes.spatial_overlap_matrix, False)):
+            want = _pairing_mp(scheme, cav, 3, 0.37, gram)
+            assert np.max(np.abs(matrix(scheme, cav, 3, 0.37) - want)) <= 1e-14
 
-        gram = _pairwise_reference(
-            scheme, cav, n_modes, t, conserved,
-            lambda un, um: 1e-14 * math.sqrt(norms[un.n - 1] * norms[um.n - 1]))
-        gram /= np.sqrt(np.outer(norms, norms))
-        assert np.max(np.abs(modes.gram_matrix(scheme, cav, n_modes, t) - gram)) <= 1e-14
-
-        overlap = _pairwise_reference(
-            scheme, cav, n_modes, t,
-            lambda un, um, x: un.value(t, x, check=False) * np.conj(um.value(t, x, check=False)),
-            lambda un, um: 1e-15)
-        got = modes.spatial_overlap_matrix(scheme, cav, n_modes, t)
-        assert np.max(np.abs(got - overlap)) <= 1e-14
-
-    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
-    def test_one_quadrature_per_matrix(self, monkeypatch, matrix):
-        calls = []
-        monkeypatch.setattr(modes, "gauss_legendre",
-                            lambda *a, **kw: calls.append(a) or gauss_legendre(*a, **kw))
-        assert matrix(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 10, 0.37).shape == (10, 10)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
-    def test_row_blocks_do_not_change_entries(self, monkeypatch, matrix):
-        # a small point budget forces one call per row; each entry converges on
-        # its own at the same nodes, so the blocking is invisible
-        cav = Cavity1D(1.0, 0.9)
-        whole = matrix(Scheme.LORENTZ_EXACT, cav, 7, 0.37)
-        calls = []
-        monkeypatch.setattr(modes, "_PAIR_POINTS", 1)
-        monkeypatch.setattr(modes, "gauss_legendre",
-                            lambda *a, **kw: calls.append(a) or gauss_legendre(*a, **kw))
-        assert np.array_equal(matrix(Scheme.LORENTZ_EXACT, cav, 7, 0.37), whole)
-        assert len(calls) == 7
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(ALL_SCHEMES), v=st.floats(-0.9999, 0.9999),
+           t=st.floats(0.0, 10.0), n=st.integers(1, 30),
+           m_of=st.sampled_from([lambda n: n, lambda n: n + 1, lambda n: n - 1,
+                                 lambda n: 31 - n]),
+           gram=st.booleans())
+    def test_within_stated_rounding(self, scheme, v, t, n, m_of, gram):
+        # near |v| = 1 the minus waves' b = (m - n) pi D / L with D the Doppler
+        # factor, so sinc arguments near 0 are covered
+        m = min(max(m_of(n), 1), 30)
+        cav = Cavity1D(1.0, v)
+        matrix = modes.gram_matrix if gram else modes.spatial_overlap_matrix
+        want, bound = _wave_sum_mp(scheme, cav, n, m, t, gram)
+        assert abs(matrix(scheme, cav, max(n, m), t)[n - 1, m - 1] - want) <= bound
 
     @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
     def test_rejects_empty(self, matrix):

@@ -18,23 +18,36 @@ SRC = Path(boostcav.__file__).resolve().parent
 NUMPY_MODULES = {"modes", "quadrature", "rect2d", "stress", "verify"}
 
 
-def _imports_numpy(tree: ast.AST) -> bool:
+# the modules that integrate: the package's exports, regsum's Abel-Plana integral and
+# stress's quadrature routes and oracles. modes' matrices are closed forms.
+QUADRATURE_MODULES = {"__init__", "regsum", "stress"}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Dotted names of the modules a source imports, a relative one as boostcav.<name>."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
-            return True
-    return False
+            base = ".".join(filter(None, ["boostcav" if node.level else "", node.module]))
+            names.add(base)
+            if node.module is None:  # from . import name
+                names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _modules_importing(predicate) -> set[str]:
+    return {path.stem for path in SRC.glob("*.py")
+            if any(map(predicate, _imported_modules(ast.parse(path.read_text()))))}
 
 
 def test_modules_importing_numpy():
-    importing = {path.stem for path in SRC.glob("*.py")
-                 if _imports_numpy(ast.parse(path.read_text()))}
-    assert importing == NUMPY_MODULES
+    assert _modules_importing(lambda name: name.split(".")[0] == "numpy") == NUMPY_MODULES
+
+
+def test_modules_importing_quadrature():
+    assert _modules_importing(lambda name: name == "boostcav.quadrature") == QUADRATURE_MODULES
 
 
 # each line prints the repr of one scalar call's result

@@ -101,6 +101,19 @@ class TestSubtractionSolver:
         assert abs(by_name["zero-transverse-part"].delta_W + square_parts.W.value) < 1e-15
         assert abs(by_name["zero-longitudinal-part"].delta_U + square_parts.U.value) < 1e-15
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.3, 4.1)])
+    @pytest.mark.parametrize("grid", [
+        [0.2, 0.6, 0.999],
+        [0.999, 0.9999999, 0.999999999],
+        [-(1.0 - 1e-12), 0.5, 1.0 - 1e-12],
+    ])
+    def test_branch_residuals_do_not_cancel_near_light_speed(self, a, b, grid):
+        # each branch zeroes the residual analytically; the float residual is a few
+        # rounding errors of e_m^2 at every |v| < 1, not (c_E u)^2 - (c_P u)^2
+        sol = subtraction_solver_2d(Cavity2D(a, b, 0.0), grid)
+        for br in sol.branches:
+            assert br.max_rel_residual <= 4.0 * sys.float_info.epsilon
+
     def test_single_point_underdetermined(self, square_parts):
         with pytest.raises(UnderdeterminedError):
             subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.5], parts=square_parts)
