@@ -263,6 +263,8 @@ def nonrel_fit(
     """
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
+    if not v_max > 0.0:
+        raise ValueError("v_max must be > 0 for a non-relativistic fit")
     if degree < 2:
         raise ValueError("degree must be >= 2")
     if n_samples < 12:

@@ -15,10 +15,10 @@ check; nothing here ever regularizes velocity-dependent sums directly.
 
 Each summand sums its own spectrum: the 1D and sequence summands in
 floats with math.fsum, the rectangle's (rect2d) in numpy blocks. The
-divergence fit is one least squares in plain floats for every summand (a
-Householder QR refined twice against math.fsum residuals), and the
-schedule and the Abel-Plana integral use `math`, so this module never
-imports numpy.
+divergence fit is one least squares in plain floats for every summand
+(the pseudoinverse of a one-sided Jacobi SVD, refined twice against
+math.fsum residuals), and the schedule and the Abel-Plana integral use
+`math`, so this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ _STABILIZER_POWERS = (2, 4)
 _TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it,
 _TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
+_TERM_BUDGET = 1e6  # spectrum terms a 1D cutoff sum may enumerate: 241x the default schedule's
 _ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
 
@@ -208,8 +209,18 @@ class Linear1DSummand:
         self.omega_min = self.step
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """_damped_fsums of the spectrum up to the largest cap (about 11,700 terms by default)."""
-        w = [n * self.step for n in range(1, int(_TRUNCATION_CAP / eps[-1] / self.step) + 1)]
+        """_damped_fsums of the spectrum up to the largest cap (4,144 terms by default).
+
+        A schedule that needs more than _TERM_BUDGET terms raises ValueError
+        before any is enumerated.
+        """
+        terms = _TRUNCATION_CAP / eps[-1] / self.step
+        if not terms <= _TERM_BUDGET:
+            raise ValueError(
+                f"1D spectrum: the cutoff sum needs about {terms:.3g} spectrum terms, "
+                f"over the budget of {_TERM_BUDGET:.0e}"
+            )
+        w = [n * self.step for n in range(1, int(terms) + 1)]
         return _damped_fsums([self.weight * wn for wn in w], w, eps)
 
 
@@ -221,51 +232,20 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum([p * q for p, q in zip(a, b)])
 
 
-def _householder_qr(columns: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
-    """Thin QR of the matrix with these columns: Q's columns and R's rows (upper triangular)."""
-    m, n = len(columns[0]), len(columns)
-    a = [list(col) for col in columns]
-    reflectors = []
-    for k in range(n):
-        x = a[k][k:]
-        alpha = -math.copysign(math.hypot(*x), x[0])
-        v = [x[0] - alpha] + x[1:]
-        vv = _dot(v, v)  # nonzero: the design passed its condition check, so it has full rank
-        reflectors.append((v, vv))
-        for j in range(k, n):
-            f = 2.0 * _dot(v, a[j][k:]) / vv
-            a[j][k:] = [aj - f * vi for aj, vi in zip(a[j][k:], v)]
-    q = []
-    for j in range(n):
-        e = [0.0] * m
-        e[j] = 1.0
-        for k in reversed(range(n)):
-            v, vv = reflectors[k]
-            f = 2.0 * _dot(v, e[k:]) / vv
-            e[k:] = [ei - f * vi for ei, vi in zip(e[k:], v)]
-        q.append(e)
-    r = [[a[j][i] if j >= i else 0.0 for j in range(n)] for i in range(n)]
-    return q, r
-
-
-def _back_substitute(r: list[list[float]], b: list[float]) -> list[float]:
-    """z with R z = b, R upper triangular."""
-    n = len(b)
-    z = [0.0] * n
-    for i in reversed(range(n)):
-        z[i] = (b[i] - _dot(r[i][i + 1:], z[i + 1:])) / r[i][i]
-    return z
-
-
-def _condition_number(columns: list[list[float]]) -> float:
-    """2-norm condition number: the ratio of extreme singular values, by one-sided Jacobi.
+def _jacobi_svd(
+    columns: list[list[float]],
+) -> tuple[list[list[float]], list[float], list[list[float]]]:
+    """Thin SVD of the matrix with these columns by one-sided Jacobi (Hestenes).
 
     Plane rotations orthogonalize the columns pairwise until every pair is
     orthogonal to rounding; the column norms are then the singular values,
-    each to high relative accuracy, the smallest included.
+    each to high relative accuracy, the smallest included, and the same
+    rotations applied to the identity give V. Returns the rotated columns
+    (U diag(sigma)), sigma and V's columns.
     """
     u = [list(col) for col in columns]
     n = len(u)
+    v = [[float(i == j) for i in range(n)] for j in range(n)]
     for _ in range(30):  # sweeps; the fit's designs need about five
         rotated = False
         for j in range(n - 1):
@@ -278,35 +258,40 @@ def _condition_number(columns: list[list[float]]) -> float:
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
-                u[j], u[k] = ([c * p - s * q for p, q in zip(u[j], u[k])],
-                              [s * p + c * q for p, q in zip(u[j], u[k])])
+                for a in (u, v):
+                    a[j], a[k] = ([c * p - s * q for p, q in zip(a[j], a[k])],
+                                  [s * p + c * q for p, q in zip(a[j], a[k])])
         if not rotated:
             break
-    sigma = [math.sqrt(_dot(col, col)) for col in u]
-    return max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
+    return u, [math.sqrt(_dot(col, col)) for col in u], v
 
 
 class _PowerFit:
     """Least squares for y = sum_q b_q x^q over the given powers q, at the samples x.
 
-    One Householder QR of the column-scaled design, its conditioning
-    checked once, serves every data column and the rounding-noise
-    propagation. Each solve is refined twice against residuals summed by
-    math.fsum (iterative refinement of least squares).
+    One one-sided Jacobi SVD of the column-scaled design gives its 2-norm
+    condition number, checked once, and its pseudoinverse, which serves
+    every data column and the rounding-noise propagation. Each solve is
+    refined twice against residuals summed by math.fsum (iterative
+    refinement of least squares).
     """
 
     def __init__(self, x: Sequence[float], powers: Sequence[int]):
         self.powers = list(powers)
         design = [[xi ** q for xi in x] for q in self.powers]
         self.scale = [max(map(abs, col)) for col in design]  # 1 for the all-ones x^0 column
-        self.columns = [[d / s for d in col] for col, s in zip(design, self.scale)]
-        self.cond = _condition_number(self.columns)
+        # a vanishing column stays zero, so its singular value is 0 and cond inf
+        self.columns = [[d / s for d in col] if s else col for col, s in zip(design, self.scale)]
+        u, sigma, v = _jacobi_svd(self.columns)
+        self.cond = max(sigma) / min(sigma) if min(sigma) > 0.0 else math.inf
         if self.cond > _CONDITION_LIMIT:
             raise FitError(
                 f"least-squares design matrix condition number {self.cond:.3e} exceeds "
                 f"{_CONDITION_LIMIT:.1e}; fit fewer powers or spread the samples wider"
             )
-        self.q, self.r = _householder_qr(self.columns)
+        # V diag(1/sigma) U^T row by row, as V diag(1/sigma^2) times (U diag(sigma))^T
+        weights = [[vj[k] / (s * s) for vj, s in zip(v, sigma)] for k in range(len(v))]
+        self.pinv = [[_dot(w, row) for row in zip(*u)] for w in weights]
 
     def residuals(self, coeffs: list[float], values: Sequence[float]) -> list[float]:
         """values - design @ coeffs, each row summed exactly by math.fsum and rounded once."""
@@ -318,22 +303,14 @@ class _PowerFit:
         coeffs = [0.0] * len(self.powers)
         target = list(values)
         for _ in range(3):  # the solve, then two refinement steps
-            step = _back_substitute(self.r, [_dot(q, target) for q in self.q])
+            step = [_dot(row, target) for row in self.pinv]
             coeffs = [c + d for c, d in zip(coeffs, step)]
             target = self.residuals(coeffs, values)
         return coeffs
 
     def dual(self, k: int) -> list[float]:
-        """Row k of the pseudoinverse: the k-th scaled coefficient is sum_i dual_i y_i.
-
-        Q z with R^T z = e_k, by forward substitution.
-        """
-        n = len(self.powers)
-        z = [0.0] * n
-        for i in range(n):
-            unit = 1.0 if i == k else 0.0
-            z[i] = (unit - _dot([self.r[j][i] for j in range(i)], z[:i])) / self.r[i][i]
-        return [_dot([q[i] for q in self.q], z) for i in range(len(self.q[0]))]
+        """Row k of the pseudoinverse: the k-th scaled coefficient is sum_i dual_i y_i."""
+        return self.pinv[k]
 
 
 def _fit_finite_parts(

@@ -104,9 +104,10 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
         cav = Cavity1D(1.0, v)
-        samples = [stress.per_mode_em(scheme, cav, 3, t, convention=convention)
+        # quadrature between the walls of each slice: the closed form has no t to vary
+        samples = [stress._density_quadrature(scheme, cav, 3, t, convention)
                    for t in (0.0, 0.37, 0.7, 5.0)]
-        for values in ([s.energy for s in samples], [s.momentum for s in samples]):
+        for values in zip(*samples):
             largest = max(map(abs, values))
             if largest > 0:
                 worst = max(worst, (max(values) - min(values)) / largest)

@@ -615,8 +615,9 @@ class TestOutputFile:
 # 27 rows) and cutoff boosts. Recorded once m0 was computed on the unit cavity,
 # the per-mode coefficients were read off the real T00 and T01 densities of the
 # first mode of the unit cavity at t = 0 by the scalar rule, and the cutoff fit
-# became a float QR least squares refined twice against math.fsum residuals
-# over math.fsum damped sums; any later change is a defect.
+# became a float least squares refined twice against math.fsum residuals over
+# math.fsum damped sums; solving through a Jacobi SVD instead of a QR kept
+# every hash. Any later change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):

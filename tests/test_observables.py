@@ -142,6 +142,14 @@ class TestNonRelFit:
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=1)
         with pytest.raises(ValueError):
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=4, n_samples=5)
+        for v_max in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="v_max must be > 0"):
+                nonrel_fit(Scheme.LORENTZ_EXACT, v_max, degree=4)
+
+    def test_vanishing_column_fails_the_condition_check(self):
+        # v^2 <= 1e-600 underflows to 0 at every sample: a zero column, condition inf
+        with pytest.raises(FitError, match=r"condition number inf exceeds 1\.0e\+12"):
+            nonrel_fit(Scheme.LORENTZ_EXACT, 1e-300, degree=4)
 
     def test_inertia_ratios_reported_side_by_side(self):
         de, dp = inertia_ratios()

@@ -158,6 +158,12 @@ class TestCutoffFit:
         assert fp == cutoff_finite_part(Linear1DSummand(math.pi, weight=1.0), RegConfig.cutoff())
         assert fp.value.hex() == "-0x1.55555554defe2p-4"
 
+    def test_1d_term_budget(self):
+        # lo = 2e-5 needs about 2.1e6 terms, twice the budget: rejected before any is summed
+        config = RegConfig.cutoff(lo=2e-5)
+        with pytest.raises(ValueError, match=r"2\.07e\+06 spectrum terms, over the budget of 1e\+06"):
+            cutoff_finite_part(Linear1DSummand(1.0), config)
+
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError):
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
@@ -197,9 +203,9 @@ class TestDivergenceFit:
     """The pure-float least squares against numpy's SVD-based lstsq, pinv and cond."""
 
     @staticmethod
-    def _check(x, powers, data_seed):
-        n_div = len(powers)  # the index of the x^0 column
-        fit = _PowerFit(list(x), [-p for p in powers] + [0, 2, 4])
+    def _check(x, powers, row, data_seed):
+        """Fit these powers at x; compare cond, a solve and pseudoinverse row `row` with numpy."""
+        fit = _PowerFit(list(x), powers)
         design = np.array(fit.columns).T
         cond = np.linalg.cond(design)
         # numpy's own error grows like cond * eps; the fit is refined against exact residuals
@@ -210,23 +216,36 @@ class TestDivergenceFit:
         ref = np.linalg.lstsq(design, values, rcond=None)[0]
         coeffs = np.array(fit.solve(values.tolist()))
         assert np.max(np.abs(coeffs - ref)) <= tol * np.max(np.abs(ref))
-        dual = np.linalg.pinv(design)[n_div]
-        assert np.max(np.abs(np.array(fit.dual(n_div)) - dual)) <= tol * np.max(np.abs(dual))
+        dual = np.linalg.pinv(design)[row]
+        assert np.max(np.abs(np.array(fit.dual(row)) - dual)) <= tol * np.max(np.abs(dual))
+
+    def _check_cutoff(self, x, divergent_powers, data_seed):
+        # the cutoff fit's powers; the noise estimate reads the x^0 row
+        self._check(x, [-p for p in divergent_powers] + [0, 2, 4], len(divergent_powers), data_seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_default_1d_schedule(self, seed):
-        self._check(RegConfig.cutoff().epsilon_schedule, Linear1DSummand.divergent_powers, seed)
+        self._check_cutoff(RegConfig.cutoff().epsilon_schedule,
+                           Linear1DSummand.divergent_powers, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_default_2d_schedule(self, seed):
-        self._check(rect2d.default_config().epsilon_schedule,
-                    rect2d._FourPartsSummand.divergent_powers, seed)
+        self._check_cutoff(rect2d.default_config().epsilon_schedule,
+                           rect2d._FourPartsSummand.divergent_powers, seed)
+
+    @pytest.mark.parametrize("degree", [6, 14, 20, 24, 28])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_nonrel_designs(self, degree, first):
+        # nonrel_fit's polynomial designs: 16 velocities on (0.2/16, 0.2], even powers 0..d
+        # for E/m0 and odd powers 1..d for P/m0, condition numbers from 2.8e1 to 5.8e11
+        vs = np.linspace(0.2 / 16, 0.2, 16).tolist()
+        self._check(vs, list(range(first, degree + 1, 2)), 0, degree)
 
     @settings(max_examples=100, deadline=None)
     @given(hi=st.floats(0.05, 0.5), ratio=st.floats(1.5, 50.0), points=st.integers(6, 12),
            powers=st.sampled_from([(2,), (3, 2)]), seed=st.integers(0, 2**32 - 1))
     def test_drawn_schedules(self, hi, ratio, points, powers, seed):
-        self._check(geometric_schedule(hi=hi, lo=hi / ratio, points=points), powers, seed)
+        self._check_cutoff(geometric_schedule(hi=hi, lo=hi / ratio, points=points), powers, seed)
 
     def test_refinement_sharpens_the_static_constant(self):
         # m0(1) = -pi/24 from the default schedule: 8.7e-11 relative, inside its error
@@ -346,24 +365,25 @@ class TestBitIdentity:
     """float.hex values of the cutoff route, pinned so refactors of the
     spectrum pass and the divergence fit cannot drift by even one ulp.
 
-    Recorded once the fit became a float QR refined twice against
-    math.fsum residuals and the 1D damped sums math.fsum sums. Each value's
-    distance to the oracle (Chowla-Selberg; -pi/(24 L)) is noted beside it.
+    Recorded once the fit solved through the pseudoinverse of its one-sided
+    Jacobi SVD, refined twice against math.fsum residuals, and the 1D damped
+    sums became math.fsum sums. Each value's distance to the oracle
+    (Chowla-Selberg; -pi/(24 L)) is noted beside it.
     """
 
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e750b45bp-6", "0x1.3059bd674d255p-27"),  # 6.47e-11 from the oracle
-            ("0x1.50345f6fb8b76p-7", "0x1.3059bd674d255p-27"),  # 2.38e-10
-            ("0x1.50345f1673d0bp-5", "0x1.8db3cb1ab228dp-27"),  # 3.03e-10
-            ("0x1.50345ebd2eea0p-6", "0x1.a5ff5f67d043bp-28"),  # 1.73e-10
+            ("0x1.f84e8e74bb004p-6", "0x1.304ab6deb7221p-27"),  # 6.36e-11 from the oracle
+            ("0x1.50345f707030cp-7", "0x1.304ab6deb7221p-27"),  # 2.39e-10
+            ("0x1.50345f16798c5p-5", "0x1.8db24ab7a9bf1p-27"),  # 3.03e-10
+            ("0x1.50345ebc82e7ep-6", "0x1.a5c6460b890a2p-28"),  # 1.76e-10
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7bfc574f5p-4", "0x1.30fc36bcd35cfp-26"),  # 1.38e-09
-            ("0x1.e9c31548cd0c2p-5", "0x1.30fc36bcd35cfp-26"),  # 7.38e-11
-            ("-0x1.bb5be2afe1929p-5", "0x1.843a607346189p-26"),  # 1.45e-09
-            ("-0x1.63b883505eeabp-3", "0x1.bb7c1a0cc1429p-27"),  # 1.31e-09
+            ("-0x1.d28f7bfc59f72p-4", "0x1.30ff6c85d0c1ap-26"),  # 1.38e-09
+            ("0x1.e9c31548c8390p-5", "0x1.30ff6c85d0c1ap-26"),  # 7.36e-11
+            ("-0x1.bb5be2afebb55p-5", "0x1.8440906b973ccp-26"),  # 1.45e-09
+            ("-0x1.63b883505f09dp-3", "0x1.bb7c9140148d0p-27"),  # 1.31e-09
         ),
     }
     # relative distance to -pi/(24 L): 8.706e-11 at both lengths

@@ -1,5 +1,6 @@
 import pytest
 
+from boostcav import stress
 from boostcav.reports import DiscrepancyEntry, DiscrepancyReport
 from boostcav.stress import PrefactorRule, StressConvention
 from boostcav.verify import MODULE_GROUPS, run_checks
@@ -32,6 +33,19 @@ def test_doubled_prefactor_fails_static_limit():
     results = run_checks("stress", StressConvention(prefactor_rule=PrefactorRule.DOUBLED))
     failed = {r.name for r in results if not r.passed}
     assert any("static limit" in name for name in failed)
+
+
+def test_time_independence_sees_a_drifting_slice(monkeypatch):
+    # a per-slice quadrature that drifts by 1e-6 t must fail the check
+    quadrature = stress._density_quadrature
+
+    def drifting(scheme, cavity, n, t, convention):
+        e, p = quadrature(scheme, cavity, n, t, convention)
+        return e * (1.0 + 1e-6 * t), p * (1.0 + 1e-6 * t)
+
+    monkeypatch.setattr(stress, "_density_quadrature", drifting)
+    [check] = [r for r in run_checks("stress") if r.name == "stress: time independence"]
+    assert not check.passed
 
 
 def test_discrepancy_report_arithmetic():
