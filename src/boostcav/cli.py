@@ -443,23 +443,21 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     left, right = cavity.walls(scheme, t)
     x_mid = 0.5 * (left + right)
     # past 2^52 pi the float64 spacing of a phase is about pi or more: no digit is left
-    th_t, th_x, s_t, s_x = modes_mod.affine_coefficients(scheme, cavity.proper_length,
-                                                         cavity.velocity, args.n_max)
+    th_t, th_x, s_t, s_x = modes_mod.SpacetimeMode(scheme, cavity, args.n_max)._coeffs
     worst = max(abs(th_t * t + th_x * x_mid), abs(s_t * t + s_x * x_mid))
     if not worst * sys.float_info.epsilon <= math.pi:
         raise UsageError(f"--t {t!r} leaves no correct digit in the phase of mode n = "
                          f"{args.n_max} at x_mid: |phase| = {worst:.6g}, over 2^52 pi")
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",
               "re_u_mid", "im_u_mid"]
-    length, v = cavity.proper_length, cavity.velocity
-    norm = modes_mod.mode_normalization(scheme, length, v)
+    norm = modes_mod.SpacetimeMode(scheme, cavity, 1).normalization
     csv_rows = []
     for n in range(1, args.n_max + 1):
-        th_t, th_x, s_t, s_x = modes_mod.affine_coefficients(scheme, length, v, n)
+        u = modes_mod.SpacetimeMode(scheme, cavity, n)
+        th_t, th_x, s_t, s_x = u._coeffs
         # affine_value at x_mid: N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)
         u_mid = norm * cmath.exp(1j * (th_t * t + th_x * x_mid)) * math.sin(s_t * t + s_x * x_mid)
-        csv_rows.append([float(n), modes_mod.expansion_frequency(scheme, length, v, n),
-                         modes_mod.phase_frequency(scheme, length, v, n), norm,
+        csv_rows.append([float(n), u.comoving_frequency, u.lab_phase_frequency, norm,
                          u_mid.real, u_mid.imag])
     if args.format == "json":
         meta = {"command": "modes", "scheme": scheme.label, "L": args.L,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor
@@ -63,47 +64,9 @@ def _check_index(n: int, name: str = "n") -> None:
 _WALL_SLACK = 1e-12  # relative slack when classifying a point as inside
 
 
-# ---------------------------------------------------------------------------
-# 1D mode algebra of a float velocity and a mode index n.
-# SpacetimeMode, the stress integrals and the CLI's modes table use it
-# ---------------------------------------------------------------------------
-
-def base_frequency(proper_length: float, n: int) -> float:
-    """n*pi/L, the proper-frame standing-wave frequency."""
-    return n * math.pi / proper_length
-
-
-def expansion_frequency(scheme: Scheme, proper_length: float, velocity: float, n: int):
-    """The comoving/expansion frequency entering the 1/(2w') vacuum prefactor."""
-    if scheme is Scheme.GALILEO_LAB_PRIOR:
-        return (1.0 - velocity**2) * base_frequency(proper_length, n)
-    return base_frequency(proper_length, n)
-
-
-def phase_frequency(scheme: Scheme, proper_length: float, velocity: float, n: int):
-    """Coefficient of -t in the total lab-frame phase at fixed x."""
-    if scheme is Scheme.LORENTZ_EXACT:
-        return lorentz_factor(velocity) * base_frequency(proper_length, n)
-    return base_frequency(proper_length, n)
-
-
-def mode_normalization(scheme: Scheme, proper_length: float, velocity: float) -> float:
-    """N, which gives the mode unit L2 norm over the instantaneous cavity."""
-    if scheme is not Scheme.LORENTZ_EXACT:
-        return math.sqrt(2.0 / proper_length)
-    return math.sqrt(2.0 * lorentz_factor(velocity) / proper_length)
-
-
-def affine_coefficients(scheme: Scheme, proper_length: float, velocity: float, n: int):
-    """(th_t, th_x, s_t, s_x) of u = N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
-    k = base_frequency(proper_length, n)
-    v = velocity
-    if scheme is Scheme.GALILEO_LAB_PRIOR:
-        return -k, v * k, -v * k, k
-    if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        return -k, 0.0, -v * k, k
-    return lorentz_coefficients(k, k, v)
-
+# A mode's frequencies, normalization and affine coefficients are properties
+# of its record, SpacetimeMode or SpacetimeMode2D. The contracted coefficients
+# are the one piece the lorentz 1D mode and the rectangle's x profile share.
 
 def lorentz_coefficients(w: float, k: float, velocity: float):
     """Affine coefficients of a contracted mode with phase frequency w and wavenumber k.
@@ -162,30 +125,40 @@ class SpacetimeMode(NamedTuple):
     @property
     def base_frequency(self) -> float:
         """n*pi/L, the proper-frame standing-wave frequency."""
-        return base_frequency(self.cavity.proper_length, self.n)
+        return self.n * math.pi / self.cavity.proper_length
 
     @property
     def comoving_frequency(self) -> float:
         """The expansion frequency entering the 1/(2w') vacuum prefactor."""
-        return expansion_frequency(self.scheme, self.cavity.proper_length, self.cavity.velocity,
-                                   self.n)
+        if self.scheme is Scheme.GALILEO_LAB_PRIOR:
+            return (1.0 - self.cavity.velocity**2) * self.base_frequency
+        return self.base_frequency
 
     @property
     def lab_phase_frequency(self) -> float:
         """Coefficient of -t in the total lab-frame phase at fixed x."""
-        return phase_frequency(self.scheme, self.cavity.proper_length, self.cavity.velocity,
-                               self.n)
+        if self.scheme is Scheme.LORENTZ_EXACT:
+            return lorentz_factor(self.cavity.velocity) * self.base_frequency
+        return self.base_frequency
 
     @property
     def normalization(self) -> float:
-        return mode_normalization(self.scheme, self.cavity.proper_length, self.cavity.velocity)
+        """N, which gives the mode unit L2 norm over the instantaneous cavity."""
+        if self.scheme is not Scheme.LORENTZ_EXACT:
+            return math.sqrt(2.0 / self.cavity.proper_length)
+        return math.sqrt(2.0 * lorentz_factor(self.cavity.velocity) / self.cavity.proper_length)
 
     # -- affine phase/argument coefficients -------------------------------
     @property
     def _coeffs(self) -> tuple[float, float, float, float]:
-        """(th_t, th_x, s_t, s_x)."""
-        return affine_coefficients(self.scheme, self.cavity.proper_length, self.cavity.velocity,
-                                   self.n)
+        """(th_t, th_x, s_t, s_x) of the module docstring's table."""
+        k = self.base_frequency
+        v = self.cavity.velocity
+        if self.scheme is Scheme.GALILEO_LAB_PRIOR:
+            return -k, v * k, -v * k, k
+        if self.scheme is Scheme.GALILEO_COMOVING_PRIOR:
+            return -k, 0.0, -v * k, k
+        return lorentz_coefficients(k, k, v)
 
     # -- geometry ----------------------------------------------------------
     def walls(self, t: float) -> tuple[float, float]:
@@ -311,16 +284,16 @@ def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tup
     return complex(u.value(t, left, check=False)), complex(u.value(t, right, check=False))
 
 
-def _plane_waves(scheme: Scheme, cavity: Cavity1D, n: int):
+def _plane_waves(u: SpacetimeMode):
     """The mode's two plane waves (c, k_t, k_x, d); u is the sum of c exp(i(k_t t + k_x x)).
 
     c = +-N/2i and k = grad(th +- s); d is the wave's eigenvalue of the
     scheme's conserved time operator D over i: k_t for d_t, k_t + v k_x for
     galileo-comoving's d_t + v d_x.
     """
-    th_t, th_x, s_t, s_x = affine_coefficients(scheme, cavity.proper_length, cavity.velocity, n)
-    c = mode_normalization(scheme, cavity.proper_length, cavity.velocity) / 2j
-    shift = cavity.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
+    th_t, th_x, s_t, s_x = u._coeffs
+    c = u.normalization / 2j
+    shift = u.cavity.velocity if u.scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
     plus, minus = (th_t + s_t, th_x + s_x), (th_t - s_t, th_x - s_x)
     return (c, *plus, plus[0] + shift * plus[1]), (-c, *minus, minus[0] + shift * minus[1])
 
@@ -339,7 +312,7 @@ def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) ->
     def wave(_, k_t, k_x, d):
         return (d * d - k_x * k_x) * cmath.exp(1j * (k_t * t + k_x * x))
 
-    plus, minus = _plane_waves(scheme, cavity, n)
+    plus, minus = _plane_waves(u)
     residual = wave(*plus) - wave(*minus)
     return float(0.5 * u.normalization * abs(residual))
 
@@ -350,30 +323,38 @@ def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) ->
 
 def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
     """Diagonal of the scheme's conserved sesquilinear pairing (analytic): 2 w_n."""
-    return float(2.0 * phase_frequency(scheme, cavity.proper_length, cavity.velocity, n))
+    return float(2.0 * mode(scheme, cavity, n).lab_phase_frequency)
 
 
 def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
-                     pair) -> np.ndarray:
+                     pair, term=None) -> np.ndarray:
     """Sums over wave pairs (j of mode n, l of mode m) of w exp(i(a t + b x)) dx on the cavity.
 
     pair(j, l) gives the weight w and wave vector (a, b) of the product of
     waves j and l. The x integral over [L, R] is
     exp(i b (L + R)/2) (R - L) sinc(b (R - L)/2), which does not cancel as b -> 0.
+    term(w, a, b), if given, replaces that integral.
     """
     import numpy as np
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    left, right = cavity.walls(scheme, t)
-    mid, width = 0.5 * (left + right), right - left
+    if term is None:
+        left, right = cavity.walls(scheme, t)
+        mid, width = 0.5 * (left + right), right - left
 
-    def integral(w, a, b):
-        z = 0.5 * b * width
-        return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
+        def term(w, a, b):
+            z = 0.5 * b * width
+            return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
 
-    waves = [_plane_waves(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    return np.array([[sum(integral(*pair(j, l)) for j in waves_n for l in waves_m)
+    waves = [_plane_waves(mode(scheme, cavity, n)) for n in range(1, n_modes + 1)]
+    return np.array([[sum(term(*pair(j, l)) for j in waves_n for l in waves_m)
                       for waves_m in waves] for waves_n in waves], dtype=complex)
+
+
+def _gram_pair(j, l):
+    """Weight and wave vector of waves j and l in the conserved pairing (gram_matrix)."""
+    (c_j, a_j, b_j, d_j), (c_l, a_l, b_l, d_l) = j, l
+    return -c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j
 
 
 def gram_matrix(
@@ -395,17 +376,45 @@ def gram_matrix(
     the moving cavity (the mode phases mix t and x); see
     spatial_overlap_matrix for that diagnostic. The conserved pairing is
     slice-independent, which is what makes the orthonormality statement
-    exact at every lab time.
+    exact at every lab time. _gram_bound bounds what rounding leaves of it.
     """
     import numpy as np
-
-    def pair(j, l):
-        (c_j, a_j, b_j, d_j), (c_l, a_l, b_l, d_l) = j, l
-        return -c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j
-
-    gram = _pairwise_matrix(scheme, cavity, n_modes, t, pair)
+    gram = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair)
     norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
     return gram / np.sqrt(np.outer(norms, norms))
+
+
+def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> np.ndarray:
+    """Per-entry bound on |gram_matrix - I| from rounding alone.
+
+    Entry (n, m) is S / sqrt(nu_n nu_m): nu = 2 w the analytic diagonals, S
+    the sum over four wave pairs of T = w exp(i(a t + b mid)) (R - L) sinc,
+    with |T| <= |w| (R - L). The weight, width and sinc of T are rounded to
+    a few eps, relative; its phase to eps (|a t| + |b| max(|L|, |R|)),
+    absolute, and exp makes that a relative error of T. The waves' own
+    rounding (k, gamma, N) shifts the same weights and phases: for any k and
+    gamma the waves solve the field equation with s = 0, n pi on the walls.
+    The norms, their product, the root and the division add a few eps
+    relative to the entry, which is delta_nm. So
+
+        |G_nm - delta_nm| <= 4 eps [sum |w| (R - L)(1 + |a t| + |b| max(|L|, |R|))
+                                    / sqrt(nu_n nu_m) + delta_nm].
+
+    At verify's cavities it is 8e-15 to 4e-13 against |G - I| of 1e-16 to
+    1e-15; |G - I| stays under half of it on random cavities, slices and
+    velocities up to 1 - 1e-6 (tests/test_modes.py).
+    """
+    import numpy as np
+    left, right = cavity.walls(scheme, t)
+    width, reach = right - left, max(abs(left), abs(right))
+
+    def spread(w, a, b):
+        return abs(w) * width * (1.0 + abs(a * t) + abs(b) * reach)
+
+    total = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair, spread).real
+    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
+    scaled = total / np.sqrt(np.outer(norms, norms))
+    return 4.0 * sys.float_info.epsilon * (scaled + np.eye(n_modes))
 
 
 def spatial_overlap_matrix(

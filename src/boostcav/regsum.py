@@ -428,8 +428,8 @@ def abel_plana_m0(proper_length: float) -> float:
 
     The integrand decays like t e^{-2 pi t}, so the tail beyond t = 7 is
     ~1e-19, below the rounding of the 1/24 result: Gauss-Legendre on [0, 7],
-    starting from one panel per unit of t, evaluates the integral; a
-    quadrature error above 1e-12 raises FitError.
+    from two panels, doubled until converged (gauss_legendre_scalar),
+    evaluates the integral; a quadrature error above 1e-12 raises FitError.
     """
     _check_length(proper_length, "proper_length")
 

@@ -26,13 +26,15 @@ sign and p the transverse wavenumber of a rectangle mode (0 in 1D):
     p = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
 
 per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
-Phys. 11 (1970) 2679, for the modes). Two quadratures are the closed
-form's oracles: coefficient_fits, the route every 1D request takes,
-integrates the real densities of the first mode with the scalar
-Gauss-Legendre rule, one quadrature per velocity, and verify compares the
-same quadrature with the closed form at other modes and slices;
-_jet_quadrature integrates the complex jet (u, u_t, u_x) with numpy, for
-the tests.
+Phys. 11 (1970) 2679, for the modes). N, the coefficients and w' come from
+the mode's record: a SpacetimeMode in 1D; for a rectangle mode, its
+SpacetimeMode2D, with the normalization of the lorentz SpacetimeMode of
+the x side. Two quadratures are the closed form's oracles:
+coefficient_fits, the route every 1D request takes, integrates the real
+densities of the first mode with the scalar Gauss-Legendre rule, one
+quadrature per velocity, and verify compares the same quadrature with the
+closed form at other modes and slices; _jet_quadrature integrates the
+complex jet (u, u_t, u_x) with numpy, for the tests.
 """
 
 from __future__ import annotations
@@ -43,17 +45,7 @@ import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme
-from .modes import (
-    _check_index,
-    affine_coefficients,
-    affine_jet,
-    base_frequency,
-    expansion_frequency,
-    lorentz_coefficients,
-    mode_2d,
-    mode_normalization,
-    phase_frequency,
-)
+from .modes import SpacetimeMode, affine_jet, lorentz_coefficients, mode, mode_2d
 from .quadrature import gauss_legendre, gauss_legendre_scalar
 
 __all__ = [
@@ -129,28 +121,23 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
     return comoving
 
 
-def _mode_terms(scheme: Scheme, proper_length: float, velocity: float, n: int,
-                convention: StressConvention):
-    """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of 1D mode n at a float velocity."""
-    wp = _prefactor_frequency(
-        convention,
-        expansion_frequency(scheme, proper_length, velocity, n),
-        phase_frequency(scheme, proper_length, velocity, n),
-    )
-    return (mode_normalization(scheme, proper_length, velocity),
-            affine_coefficients(scheme, proper_length, velocity, n), wp)
+def _mode_terms(u: SpacetimeMode, convention: StressConvention):
+    """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 1D mode u."""
+    wp = _prefactor_frequency(convention, u.comoving_frequency, u.lab_phase_frequency)
+    return u.normalization, u._coeffs, wp
 
 
 def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConvention):
     """N, (th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
 
     The profile is the contracted 1D mode with the frequency w in its phase;
-    it carries the 1D normalization sqrt(2 gamma/a) (per_mode_em_2d says why).
+    it carries the 1D normalization sqrt(2 gamma/a) of the lorentz mode of
+    the x side (per_mode_em_2d says why).
     """
     u = mode_2d(cavity, n, m)
     w = u.frequency
-    return (mode_normalization(Scheme.LORENTZ_EXACT, cavity.proper_length_x, cavity.velocity),
-            lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
+    profile = mode(Scheme.LORENTZ_EXACT, Cavity1D(cavity.proper_length_x, cavity.velocity), n)
+    return (profile.normalization, lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
             _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2)
 
 
@@ -206,9 +193,9 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
     one sin and one cos per node, s = s_t t + s_x x. A quadrature that does
     not converge raises QuadratureError.
     """
-    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(scheme, cavity.proper_length, cavity.velocity,
-                                                   n, convention)
-    left, right = cavity.walls(scheme, t)
+    u = mode(scheme, cavity, n)
+    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u, convention)
+    left, right = u.walls(t)
     # the sin^2 s and cos^2 s weights of each density
     n2 = norm * norm
     e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
@@ -229,7 +216,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
     # the jet quadrature's tolerances
     (e, p), _ = gauss_legendre_scalar(
         densities, left, right, rtol=1e-14,
-        atol=1e-13 * max(1.0, base_frequency(cavity.proper_length, n)))
+        atol=1e-13 * max(1.0, u.base_frequency))
     return e, p
 
 
@@ -251,10 +238,9 @@ def per_mode_em(
     with l the lab length. Both are time independent, so t, the slice, does
     not enter. quad_error is the closed form's stated rounding bound.
     """
-    _check_index(n)
-    length, v = cavity.proper_length, cavity.velocity
-    norm, coeffs, wp = _mode_terms(scheme, length, v, n, convention)
-    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), v, n, convention)
+    norm, coeffs, wp = _mode_terms(mode(scheme, cavity, n), convention)
+    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n,
+                        convention)
 
 
 def per_mode_em_2d(

@@ -55,8 +55,8 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
             cav = Cavity1D(1.0, v)
             for n in (1, 3, 10):
                 # N (th_t^2 + th_x^2 + s_t^2 + s_x^2) bounds |u_tt| + |u_xx|
-                scale = (modes.mode_normalization(scheme, 1.0, v)
-                         * sum(c * c for c in modes.affine_coefficients(scheme, 1.0, v, n)))
+                u = modes.mode(scheme, cav, n)
+                scale = u.normalization * sum(c * c for c in u._coeffs)
                 left, right = cav.walls(scheme, 0.21)
                 xs = left + (right - left) * rng.uniform(0.01, 0.99, size=25)
                 for x in xs:
@@ -64,22 +64,22 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
                     worst = max(worst, r / scale)
     out.append(_result("modes: field equation", worst <= 1e-9, f"max relative residual = {worst:.2e}"))
 
-    worst_off = 0.0
-    worst_shift = 0.0
+    # each entry within the rounding bound of modes._gram_bound
+    worst_off = worst_shift = 0.0
+    off_ok = shift_ok = True
     for scheme in Scheme:
         v = 0.9 if scheme is Scheme.LORENTZ_EXACT else 0.2
         cav = Cavity1D(1.0, v)
-        g1 = modes.gram_matrix(scheme, cav, 10, 0.0)
-        g2 = modes.gram_matrix(scheme, cav, 10, 0.37)
-        worst_off = max(
-            worst_off,
-            float(np.max(np.abs(g1 - np.eye(10)))),
-            float(np.max(np.abs(g2 - np.eye(10)))),
-        )
-        worst_shift = max(worst_shift, float(np.max(np.abs(g1 - g2))))
-    out.append(_result("modes: orthonormality (conserved pairing)", worst_off <= 1e-8,
+        g1, g2 = (modes.gram_matrix(scheme, cav, 10, t) for t in (0.0, 0.37))
+        b1, b2 = (modes._gram_bound(scheme, cav, 10, t) for t in (0.0, 0.37))
+        off1, off2, shift = np.abs(g1 - np.eye(10)), np.abs(g2 - np.eye(10)), np.abs(g1 - g2)
+        off_ok &= bool(np.all(off1 <= b1) and np.all(off2 <= b2))
+        shift_ok &= bool(np.all(shift <= b1 + b2))
+        worst_off = max(worst_off, float(np.max(off1)), float(np.max(off2)))
+        worst_shift = max(worst_shift, float(np.max(shift)))
+    out.append(_result("modes: orthonormality (conserved pairing)", off_ok,
                        f"max |G - I| = {worst_off:.2e}"))
-    out.append(_result("modes: gram time-translation", worst_shift <= 2e-8,
+    out.append(_result("modes: gram time-translation", shift_ok,
                        f"max |G(t1) - G(t2)| = {worst_shift:.2e}"))
 
     cav0 = Cavity1D(1.0, 0.0)

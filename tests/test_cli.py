@@ -642,6 +642,27 @@ STDOUT_SHA256 = {
     ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
      "--solve-subtraction", "--format", "json"):
         "52fbb0e48b3b7ec598ba5b6a1799355bcabc035ac75fc2addcab2bad40515484",
+    # the modes table of each scheme, csv and json, and the modes group of verify
+    ("modes", "--scheme", "galileo-lab", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
+     "--format", "csv"):
+        "2ebae8b79b6e9864596c24c9cfa7a20e819c4ff7da4a91e5cd08e006701131b8",
+    ("modes", "--scheme", "galileo-lab", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
+     "--format", "json"):
+        "9fc7102e398a23a95fb116aa16ff1d1da3b1eac7ef32b528a6c1e47930c75968",
+    ("modes", "--scheme", "galileo-comoving", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t",
+     "1.3", "--format", "csv"):
+        "fd6901ca00afc1c7fedb4fedbb9d0835420bc9e8bf3ea507c3376cfd94740783",
+    ("modes", "--scheme", "galileo-comoving", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t",
+     "1.3", "--format", "json"):
+        "5abf2b4cf999200378663315b6e748476bbcb4f59e9c85cbd247fae7ba1b8d13",
+    ("modes", "--scheme", "lorentz", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
+     "--format", "csv"):
+        "91969f3477d1637cc41f95c0f622ff5ff5fcfad8d80a303b401dc39936f21734",
+    ("modes", "--scheme", "lorentz", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
+     "--format", "json"):
+        "b7641c6754d9d242313f8908060a97a93cbd9ad4c71fd5add4c028a3e3d14b08",
+    ("verify", "--only", "modes"):
+        "373ad3c1eeb534283b298963936142521ffe522a73bcf007721ece0fd717a18b",
 }
 
 

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import boostcav
-from boostcav.cavity import Cavity1D, Scheme
+from boostcav.cavity import Cavity1D, Cavity2D, Scheme
+from boostcav.modes import mode
 from boostcav.observables import inertia_ratios, nonrel_fit
 from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part
+from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
 
@@ -56,6 +58,13 @@ SCALAR_CALLS = (
     "inertia_ratios()",
     "cutoff_finite_part(SequenceSummand(range(1, 10_001), range(1, 10_001)), RegConfig.cutoff())",
     "Cavity1D(1, 0.6).walls(Scheme.LORENTZ_EXACT, 0.3)",
+    "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
+    "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3, 0.4)",
+    "coefficient_fits(Scheme.LORENTZ_EXACT, (0.0, 0.6))",
+    *(f"mode(Scheme.{scheme}, Cavity1D(1.3, 0.6), 3).{name}"
+      for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
+      for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
+                   "normalization")),
 )
 
 
@@ -63,9 +72,11 @@ def test_scalar_calls_run_without_numpy():
     script = "\n".join([
         "import sys",
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
-        "from boostcav.cavity import Cavity1D, Scheme",
+        "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
+        "from boostcav.modes import mode",
         "from boostcav.observables import inertia_ratios, nonrel_fit",
         "from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part",
+        "from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d",
         *(f"print(repr({call}))" for call in SCALAR_CALLS),
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
