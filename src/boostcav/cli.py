@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import json
 import math
 import sys
 from typing import Any, Sequence
@@ -84,6 +83,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json_payload(meta: dict, rows: list[dict]) -> str:
+    import json  # only JSON output needs it: text and csv requests skip its import
+
     def clean(obj):
         if isinstance(obj, float):
             # RFC 8259 has no inf or nan: write them as the strings "inf", "-inf", "nan"
@@ -422,6 +423,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = [res for res in results if not res.passed]
     lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
+        import json
         failure_list = [{"name": res.name, "detail": res.detail} for res in failures]
         lines.append("failures: " + json.dumps(failure_list, sort_keys=True))
     _emit("\n".join(lines) + "\n", args.output)

@@ -108,6 +108,7 @@ class SubtractionSolution(NamedTuple):
 # Spectrum terms one cutoff fit may sum: about 37x the 2.7e7 that b/a = 50,
 # the largest aspect ratio the tests sum, needs at its smallest cutoff.
 _TERM_BUDGET = 1e9
+_SLAB = 1 << 14  # lattice points per slab of damped_sums, whose 640 KB of buffers stay fixed
 
 
 class _FourPartsSummand:
@@ -146,14 +147,18 @@ class _FourPartsSummand:
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
         """S(eps_i) = sum of c e^{-eps_i w} over w <= _TRUNCATION_CAP/eps_i: one column per weight.
 
-        The spectrum is enumerated once, at the smallest eps; every row is
-        ascending in w, so the terms below a larger eps's cap are its prefix.
-        Both weights are contracted with the damping factors in one
-        matrix-vector product.
+        The spectrum is enumerated once, at the smallest eps, in slabs of
+        consecutive rows of at most _SLAB lattice points (a longer row alone,
+        in pieces of _SLAB). Every row is ascending in w, so the terms below a
+        larger eps's cap are a prefix of it (_prefix_counts). A slab is stored
+        column by column, so for each eps the first row's prefix, with the
+        same columns of the later rows, is one contiguous block: it is damped
+        in one multiply and one exp, each later row is zeroed past its own
+        prefix, and both weights are contracted with it in one matrix-vector
+        product.
         """
         import numpy as np
-        eps = np.asarray(eps)
-        caps = _TRUNCATION_CAP / eps
+        caps = _TRUNCATION_CAP / np.asarray(eps)
         cap = float(caps[-1])
         # lattice points under the quarter circle of radius cap: (b/a) cap^2 / (4 pi)
         terms = cap * (self.aspect * cap) / (4.0 * math.pi)
@@ -163,29 +168,94 @@ class _FourPartsSummand:
                 f"rectangle a = {a:g}, b = {b:g}: the cutoff sum needs about "
                 f"{terms:.3g} spectrum terms, over the budget of {_TERM_BUDGET:.0e}"
             )
-        # the Python loop runs over the shorter side's (fewer) modes
+        # rows run over the shorter side's (fewer) modes
         row_step, col_step = math.pi / min(1.0, self.aspect), math.pi / max(1.0, self.aspect)
-        table = np.zeros((len(eps), 2))
-        c2 = None  # squared column wavenumbers of the first, longest row; later rows are prefixes
-        for i in range(1, int(cap / row_step) + 1):
-            r = i * row_step
-            remainder = cap * cap - r * r
-            if remainder <= col_step * col_step:
-                break
-            n = int(math.sqrt(remainder) / col_step)
-            if c2 is None:
-                c2 = np.arange(1, n + 1, dtype=float) * col_step
-                c2 *= c2
-            w = np.sqrt(r * r + c2[:n])
-            rows = np.empty((2, n))
-            np.multiply(0.5, w, out=rows[0])
-            np.divide(r * r if 1.0 <= self.aspect else c2[:n], np.multiply(2.0, w, out=rows[1]),
-                      out=rows[1])
-            counts = np.searchsorted(w, caps, side="right")
-            for j in np.flatnonzero(counts):
-                m = counts[j]
-                table[j] += rows[:, :m] @ np.exp(-eps[j] * w[:m])
-        return table.T.tolist()
+        r2 = np.arange(1, int(cap / row_step) + 1, dtype=float) * row_step
+        r2 *= r2
+        remainder = cap * cap - r2
+        n_rows = int(np.count_nonzero(remainder > col_step * col_step))
+        s_omega, s_k = [0.0] * len(eps), [0.0] * len(eps)
+        if not n_rows:
+            return [s_omega, s_k]
+        r2 = r2[:n_rows]
+        widths = (np.sqrt(remainder[:n_rows]) / col_step).astype(np.intp)
+        counts = _prefix_counts(r2, widths, caps, col_step)
+        counts, widths = counts.tolist(), widths.tolist()
+        # (c^2, 1) for the first _SLAB columns: times (1, r^2) it gives r^2 + c^2, and times
+        # (0, r^2/2) or (1/2, 0) k^2/2, for every row at once; each product is exact and each
+        # sum rounded once, as in plain vector arithmetic
+        outer = np.empty((2, min(widths[0], _SLAB))).T
+        outer[:, 0] = np.arange(1, len(outer) + 1, dtype=float) * col_step
+        outer[:, 0] *= outer[:, 0]
+        outer[:, 1] = 1.0
+        k_rows = 1.0 <= self.aspect  # k is the rows' wavenumber, else the columns'
+        slab, damping = np.empty((2, _SLAB)), np.empty(_SLAB)
+        i0 = 0
+        while i0 < n_rows:
+            i1 = min(n_rows, i0 + max(1, _SLAB // widths[i0]))
+            rows = i1 - i0
+            for c0 in range(0, widths[i0], _SLAB):
+                c1 = min(c0 + _SLAB, widths[i0])
+                n = c1 - c0
+                # column-major: slab[:, c * rows + i] holds row i0 + i, column c0 + c, so
+                # the first m columns of all the slab's rows are slab[:, :m * rows]
+                weights = slab[:, :n * rows].reshape(2, n, rows)
+                w, s_k_weight = weights
+                if rows == 1:  # one row: plain vector arithmetic is faster than the product
+                    if c1 <= len(outer):
+                        c2 = outer[c0:c1, :1]
+                    else:
+                        c2 = np.arange(c0 + 1, c1 + 1, dtype=float)[:, None] * col_step
+                        c2 *= c2
+                    np.add(c2, r2[i0], out=w)
+                    np.sqrt(w, out=w)
+                    np.divide(0.5 * (r2[i0] if k_rows else c2), w, out=s_k_weight)
+                else:
+                    r2_i = r2[i0:i1]
+                    half_k2 = ((np.zeros(rows), 0.5 * r2_i) if k_rows
+                               else (np.full(rows, 0.5), np.zeros(rows)))
+                    np.matmul(outer[:n], np.array([[np.ones(rows), r2_i], half_k2]), out=weights)
+                    np.sqrt(w, out=w)
+                    np.divide(s_k_weight, w, out=s_k_weight)
+                for j, eps_j in enumerate(eps):
+                    m = min(max(counts[i0][j] - c0, 0), n)
+                    if not m:
+                        continue
+                    size = m * rows
+                    e = damping[:size]
+                    np.multiply(slab[0, :size], -eps_j, out=e)
+                    np.exp(e, out=e)
+                    for i in range(1, rows):  # each later row past its own prefix
+                        if counts[i0 + i][j] < m:
+                            e[counts[i0 + i][j] * rows + i::rows] = 0.0
+                    sums = slab[:, :size] @ e
+                    s_omega[j] += float(sums[0])
+                    s_k[j] += float(sums[1])
+            i0 = i1
+        return [[0.5 * s for s in s_omega], s_k]  # the first weight row held w, not w/2
+
+
+def _prefix_counts(r2, widths, caps, col_step):
+    """counts[i, j]: how many of row i's first widths[i] terms have w <= caps[j].
+
+    w = sqrt(r^2 + (m col_step)^2) rises with the column m, so these are
+    prefixes. The circle gives each count to within rounding; the count is
+    then moved until w, rounded as damped_sums rounds it, of the last term
+    counted lies below the cap and that of the next one above it.
+    """
+    import numpy as np
+
+    def w(m):
+        c = m * col_step
+        return np.sqrt(r2[:, None] + c * c)
+
+    counts = np.sqrt(np.maximum(caps * caps - r2[:, None], 0.0)) / col_step
+    counts = np.minimum(counts.astype(np.intp), widths[:, None])
+    while (over := (counts > 0) & (w(counts) > caps)).any():
+        counts -= over
+    while (under := (counts < widths[:, None]) & (w(counts + 1) <= caps)).any():
+        counts += under
+    return counts
 
 
 def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:

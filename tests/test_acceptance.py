@@ -145,13 +145,19 @@ def test_criterion_07_time_independence():
 
 
 def test_criterion_08_orthonormality():
-    worst = 0.0
+    # each entry within the rounding bound modes._gram_bound gives it, as verify gates it
+    worst = ratio = 0.0
+    ok = True
     for scheme in Scheme:
         v = 0.9 if scheme is Scheme.LORENTZ_EXACT else 0.2
-        g = modes.gram_matrix(scheme, Cavity1D(1.0, v), 10, 0.4)
-        worst = max(worst, float(np.max(np.abs(g - np.eye(10)))))
-    ok = worst <= 1e-8
-    _report(8, ok, f"Gram(N=10) identity, all schemes: max |G-I| {worst:.2e} (<=1e-8)")
+        cav = Cavity1D(1.0, v)
+        dev = np.abs(modes.gram_matrix(scheme, cav, 10, 0.4) - np.eye(10))
+        bound = modes._gram_bound(scheme, cav, 10, 0.4)
+        ok = ok and bool(np.all(dev <= bound))
+        worst = max(worst, float(np.max(dev)))
+        ratio = max(ratio, float(np.max(dev / bound)))
+    _report(8, ok, f"Gram(N=10) identity, all schemes: max |G-I| {worst:.2e}, "
+                   f"at most {ratio:.2f} of its rounding bound (<=1)")
     assert ok
 
 

@@ -912,6 +912,17 @@ class TestColdStart:
         expected.append("verify 0 True")
         assert self._fresh(script).splitlines() == expected
 
+    def test_text_requests_never_import_json(self):
+        script = (
+            "import io, sys, contextlib\n"
+            "from boostcav.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['static', '--L', '1.3']),\n"
+            "             main(['rect2d', '--a', '1', '--b', '3', '--v', '0.4'])]\n"
+            "print(codes, 'json' in sys.modules)\n"
+        )
+        assert self._fresh(script) == "[0, 0] False\n"
+
 
 class TestEdgeExitCodes:
     """Inputs at the float64 edges keep their exit codes; math never overflows into exit 1."""

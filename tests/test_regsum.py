@@ -1,6 +1,10 @@
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from boostcav.regsum import (
     RegConfig,
     RegMethod,
     SequenceSummand,
+    _TRUNCATION_CAP,
     abel_plana_m0,
     cutoff_finite_part,
     geometric_schedule,
@@ -361,29 +366,100 @@ class TestRect2DSums:
                                                    one.fitted_divergent_coeffs[1] * side)), name
 
 
+class TestRectDampedSums:
+    """The rectangle's raw damped sums against an explicit enumeration of their term set."""
+
+    @staticmethod
+    def _enumerated(aspect, eps):
+        """math.fsum of (w/2, k^2/(2w)) e^{-eps w} over every lattice point with w <= CAP/eps.
+
+        w is rounded as damped_sums rounds it, so a point on the cap falls on the same side.
+        """
+        cap = _TRUNCATION_CAP / eps
+        p_step = math.pi / aspect
+        terms = ([], [])
+        n = 1
+        while n * math.pi < cap:
+            k = n * math.pi
+            m = 1
+            while True:
+                p = m * p_step
+                w = math.sqrt(k * k + p * p)
+                if w > cap:
+                    break
+                damping = math.exp(-eps * w)
+                terms[0].append(0.5 * w * damping)
+                terms[1].append(k * k / (2.0 * w) * damping)
+                m += 1
+            n += 1
+        return [math.fsum(t) for t in terms], len(terms[0])
+
+    def _check(self, sides, schedule):
+        summand = rect2d._FourPartsSummand(*sides)
+        got = summand.damped_sums(list(schedule))
+        for i, eps in enumerate(schedule):
+            ref, n_terms = self._enumerated(summand.aspect, eps)
+            for column, exact in zip(got, ref):
+                # recursive summation of n positive terms: relative error n * 2^-52
+                assert abs(column[i] - exact) <= n_terms * 2.0**-52 * exact, (eps, n_terms)
+
+    # the second schedule sits near the cap: at its smallest cutoffs each sum has a few
+    # terms, and those just inside CAP/eps lie far above n 2^-52 of it, so a wrong term
+    # set cannot hide in rounding
+    @pytest.mark.parametrize("schedule", [(4.0, 3.0, 2.0, 1.5, 1.0), (40.0, 30.0, 20.0, 10.0, 5.0)])
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 0.37), (1.0, 2.7), (1.0, 20.0),
+                                       (2.7, 1.0)])
+    def test_sums_exactly_the_terms_under_each_cap(self, sides, schedule):
+        self._check(sides, schedule)
+
+    def test_rows_longer_than_a_slab(self):
+        # b/a = 8000 at the near-cap schedule: rows of 19,533 and 13,768 terms, the first
+        # longer than a slab and summed in pieces
+        self._check((1.0, 8000.0), (40.0, 30.0, 20.0, 10.0, 5.0))
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # the default schedule as the fit damps it: slabs of three rows, up to 12,678 terms
+        script = (
+            "from boostcav import rect2d\n"
+            "summand = rect2d._FourPartsSummand(1.0, 5.0)\n"
+            "eps = [x / summand.omega_min for x in rect2d.default_config().epsilon_schedule]\n"
+            "print([[s.hex() for s in column] for column in summand.damped_sums(eps)])\n"
+        )
+        src = str(Path(rect2d.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outs.append(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                       text=True, env=env, check=True).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("0x") == 2 * len(rect2d.default_config().epsilon_schedule)
+
+
 class TestBitIdentity:
     """float.hex values of the cutoff route, pinned so refactors of the
     spectrum pass and the divergence fit cannot drift by even one ulp.
 
     Recorded once the fit solved through the pseudoinverse of its one-sided
     Jacobi SVD, refined twice against math.fsum residuals, and the 1D damped
-    sums became math.fsum sums. Each value's distance to the oracle
+    sums became math.fsum sums; RECT again once the rectangle's damped sums
+    ran in column-major slabs of rows. Each value's distance to the oracle
     (Chowla-Selberg; -pi/(24 L)) is noted beside it.
     """
 
     # (value, error_estimate) of U, W, S_omega, S_k
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e74bb004p-6", "0x1.304ab6deb7221p-27"),  # 6.36e-11 from the oracle
-            ("0x1.50345f707030cp-7", "0x1.304ab6deb7221p-27"),  # 2.39e-10
-            ("0x1.50345f16798c5p-5", "0x1.8db24ab7a9bf1p-27"),  # 3.03e-10
-            ("0x1.50345ebc82e7ep-6", "0x1.a5c6460b890a2p-28"),  # 1.76e-10
+            ("0x1.f84e8e76cf764p-6", "0x1.28759ccf2fadbp-27"),  # 7.11e-11 from the oracle
+            ("0x1.50345edc3ca45p-7", "0x1.28759ccf2fadbp-27"),  # 3.02e-11
+            ("0x1.50345ef276e43p-5", "0x1.841d74e7e3bcfp-27"),  # 4.09e-11
+            ("0x1.50345f08b1241p-6", "0x1.999b896cf73cep-28"),  # 1.01e-10
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7bfc59f72p-4", "0x1.30ff6c85d0c1ap-26"),  # 1.38e-09
-            ("0x1.e9c31548c8390p-5", "0x1.30ff6c85d0c1ap-26"),  # 7.36e-11
-            ("-0x1.bb5be2afebb55p-5", "0x1.8440906b973ccp-26"),  # 1.45e-09
-            ("-0x1.63b883505f09dp-3", "0x1.bb7c9140148d0p-27"),  # 1.31e-09
+            ("-0x1.d28f7bf65e4d2p-4", "0x1.1b1c76bafe09cp-26"),  # 1.47e-09
+            ("0x1.e9c31544c6438p-5", "0x1.1b1c76bafe09cp-26"),  # 4.45e-11
+            ("-0x1.bb5be2a7f656bp-5", "0x1.6c6fccb45cc2cp-26"),  # 1.51e-09
+            ("-0x1.63b8834c60b77p-3", "0x1.939241833ea16p-27"),  # 1.42e-09
         ),
     }
     # relative distance to -pi/(24 L): 8.706e-11 at both lengths
