@@ -155,7 +155,12 @@ class _FourPartsSummand:
         same columns of the later rows, is one contiguous block: it is damped
         in one multiply and one exp, each later row is zeroed past its own
         prefix, and both weights are contracted with it in one matrix-vector
-        product.
+        product. Which terms a sum takes is fixed by the counts alone; the w
+        that the slab holds only gives their values.
+
+        A one-row slab builds w and the weights in vector arithmetic, a slab
+        of several rows in one matrix product: broadcast over a few rows,
+        numpy's inner loop would run once per column.
         """
         import numpy as np
         caps = _TRUNCATION_CAP / np.asarray(eps)
@@ -240,8 +245,9 @@ def _prefix_counts(r2, widths, caps, col_step):
 
     w = sqrt(r^2 + (m col_step)^2) rises with the column m, so these are
     prefixes. The circle gives each count to within rounding; the count is
-    then moved until w, rounded as damped_sums rounds it, of the last term
-    counted lies below the cap and that of the next one above it.
+    then moved until w, with each operation rounded once, of the last term
+    counted lies below the cap and that of the next one above it. These
+    counts alone decide which terms damped_sums sums.
     """
     import numpy as np
 

@@ -413,11 +413,18 @@ class TestRectDampedSums:
         self._check(sides, schedule)
 
     def test_rows_longer_than_a_slab(self):
-        # b/a = 8000 at the near-cap schedule: rows of 19,533 and 13,768 terms, the first
-        # longer than a slab and summed in pieces
-        self._check((1.0, 8000.0), (40.0, 30.0, 20.0, 10.0, 5.0))
+        # b/a = 8000: at eps = 2 rows of 52,161, 50,287 and 46,998 terms, summed in three or
+        # four pieces; the pieces past the first hold 5e-5 to 2.5e-4 of each sum, far above
+        # the rounding bound, so a wrong column in them shows
+        self._check((1.0, 8000.0), (40.0, 20.0, 10.0, 5.0, 2.0))
 
     def test_same_bits_at_one_and_two_blas_threads(self):
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+            blas = "unknown"
+        if not any(name in blas.lower() for name in ("openblas", "mkl")):
+            pytest.skip(f"numpy's BLAS is {blas}, whose thread count is not set here")
         # the default schedule as the fit damps it: slabs of three rows, up to 12,678 terms
         script = (
             "from boostcav import rect2d\n"
@@ -428,8 +435,9 @@ class TestRectDampedSums:
         src = str(Path(rect2d.__file__).resolve().parent.parent)
         outs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
             outs.append(subprocess.run([sys.executable, "-c", script], capture_output=True,
                                        text=True, env=env, check=True).stdout)
         assert outs[0] == outs[1]
@@ -443,8 +451,9 @@ class TestBitIdentity:
     Recorded once the fit solved through the pseudoinverse of its one-sided
     Jacobi SVD, refined twice against math.fsum residuals, and the 1D damped
     sums became math.fsum sums; RECT again once the rectangle's damped sums
-    ran in column-major slabs of rows. Each value's distance to the oracle
-    (Chowla-Selberg; -pi/(24 L)) is noted beside it.
+    ran in column-major slabs of rows, and (1, 20), whose slabs are single
+    rows, added then. Each value's distance to the oracle (Chowla-Selberg;
+    -pi/(24 L)) is noted beside it.
     """
 
     # (value, error_estimate) of U, W, S_omega, S_k
@@ -460,6 +469,13 @@ class TestBitIdentity:
             ("0x1.e9c31544c6438p-5", "0x1.1b1c76bafe09cp-26"),  # 4.45e-11
             ("-0x1.bb5be2a7f656bp-5", "0x1.6c6fccb45cc2cp-26"),  # 1.51e-09
             ("-0x1.63b8834c60b77p-3", "0x1.939241833ea16p-27"),  # 1.42e-09
+        ),
+        # rows of over half a slab: each sums alone, in vector arithmetic
+        (1.0, 20.0): (
+            ("-0x1.4dcfab3734a80p-1", "0x1.12be665e22227p-24"),  # 8.32e-09
+            ("0x1.e9c31546965dfp-3", "0x1.12be665e22227p-24"),  # 2.30e-10
+            ("-0x1.a6bdcbcb1e211p-2", "0x1.669d9cc246c26p-24"),  # 8.55e-09
+            ("-0x1.c8407088da3f8p-1", "0x1.7dbe5ff3fb050p-25"),  # 8.09e-09
         ),
     }
     # relative distance to -pi/(24 L): 8.706e-11 at both lengths
