@@ -13,8 +13,8 @@ Three independent routes:
 Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
-Each summand sums its own spectrum: the 1D and sequence summands in
-floats with math.fsum, the rectangle's (rect2d) in numpy blocks. The
+Each summand sums its own spectrum: the 1D one in closed form, a sequence
+in floats with math.fsum, the rectangle's (rect2d) in numpy blocks. The
 divergence fit is one least squares in plain floats for every summand
 (the pseudoinverse of a one-sided Jacobi SVD, refined twice against
 math.fsum residuals), and the schedule and the Abel-Plana integral use
@@ -78,7 +78,6 @@ _STABILIZER_POWERS = (2, 4)
 _TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it,
 _TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
-_TERM_BUDGET = 1e6  # spectrum terms a 1D cutoff sum may enumerate: 241x the default schedule's
 _ABEL_PLANA_TOL = 1e-12  # largest quadrature error abel_plana_m0 accepts
 
 
@@ -144,19 +143,6 @@ class FinitePart(NamedTuple):
 # summands
 # ---------------------------------------------------------------------------
 
-def _damped_fsums(c: list[float], w: list[float], eps: list[float]) -> list[list[float]]:
-    """The one column S(eps_i) = sum of c_n e^{-eps_i w_n} over w_n <= _TRUNCATION_CAP/eps_i.
-
-    w is ascending, so each sum's terms are a prefix; each sum is math.fsum
-    of its terms, rounded once.
-    """
-    sums = []
-    for e in eps:
-        m = bisect.bisect_right(w, _TRUNCATION_CAP / e)
-        sums.append(math.fsum([cn * math.exp(-e * wn) for cn, wn in zip(c[:m], w)]))
-    return [sums]
-
-
 class SequenceSummand:
     """Explicit finite (or truncatable) sequence of (coefficient, frequency).
 
@@ -180,7 +166,10 @@ class SequenceSummand:
         self.omega_min = self._w[0]
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        return _damped_fsums(self._c, self._w, eps)
+        """One column: S(eps) is math.fsum of c_n e^{-eps w_n} over the prefix w_n <= CAP/eps."""
+        prefixes = [bisect.bisect_right(self._w, _TRUNCATION_CAP / e) for e in eps]
+        return [[math.fsum([c * math.exp(-e * w) for c, w in zip(self._c[:m], self._w)])
+                 for e, m in zip(eps, prefixes)]]
 
     def saturated_sum(self, omega_cap: float) -> float | None:
         """Undamped total when the sequence is already finite below the cutoffs.
@@ -196,7 +185,15 @@ class SequenceSummand:
 
 
 class Linear1DSummand:
-    """c_n = weight * n pi / L on the 1D Dirichlet spectrum w_n = n pi / L."""
+    """c_n = weight * n pi / L on the 1D Dirichlet spectrum w_n = n pi / L.
+
+    Each damped sum is in closed form (Elizalde, Ten Physical Applications of
+    Spectral Zeta Functions, 2nd ed. 2012, ch. 1): with step = pi/L, x = eps step
+    and N the count of n whose float n * step is at most _TRUNCATION_CAP/eps (the
+    prefix an enumeration keeps; exact while N < 2^52), sum_{n<=N} n e^{-n x} =
+    [1 - e^{-N x}((N+1) - N e^{-x})] / (4 sinh^2(x/2)). The fit, not the known
+    Laurent series, extracts the constant.
+    """
 
     divergent_powers = (2,)  # sum n e^{-eps n} = 1/eps^2 - 1/12 + eps^2/240 - ...
 
@@ -209,19 +206,21 @@ class Linear1DSummand:
         self.omega_min = self.step
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """_damped_fsums of the spectrum up to the largest cap (4,144 terms by default).
-
-        A schedule that needs more than _TERM_BUDGET terms raises ValueError
-        before any is enumerated.
-        """
-        terms = _TRUNCATION_CAP / eps[-1] / self.step
-        if not terms <= _TERM_BUDGET:
-            raise ValueError(
-                f"1D spectrum: the cutoff sum needs about {terms:.3g} spectrum terms, "
-                f"over the budget of {_TERM_BUDGET:.0e}"
-            )
-        w = [n * self.step for n in range(1, int(terms) + 1)]
-        return _damped_fsums([self.weight * wn for wn in w], w, eps)
+        """One column of weight * step * that sum, O(1) per cutoff; FitError past float64."""
+        sums = []
+        for e in eps:
+            cap = _TRUNCATION_CAP / e
+            n = int(cap / self.step)  # cap/step is within an ulp, so N is n - 1, n or n + 1
+            n += ((n + 1) * self.step <= cap) - (n * self.step > cap)
+            x = e * self.step
+            denom = 4.0 * math.sinh(0.5 * x) ** 2
+            tail = math.exp(-n * x) * ((n + 1) - n * math.exp(-x))
+            total = self.weight * self.step * (1.0 - tail) / denom if denom else math.inf
+            if not (denom >= sys.float_info.min and math.isfinite(total)):
+                raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
+                               f"(4 sinh^2(x/2) under {sys.float_info.min:.3g}, or an infinite sum)")
+            sums.append(total)
+        return [sums]
 
 
 # ---------------------------------------------------------------------------

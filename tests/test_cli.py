@@ -615,24 +615,26 @@ class TestOutputFile:
 # 27 rows) and cutoff boosts. Recorded once m0 was computed on the unit cavity,
 # the per-mode coefficients were read off the real T00 and T01 densities of the
 # first mode of the unit cavity at t = 0 by the scalar rule, and the cutoff fit
-# became a float least squares refined twice against math.fsum residuals over
-# math.fsum damped sums; solving through a Jacobi SVD instead of a QR kept
-# every hash. Any later change is a defect.
+# became a float least squares refined twice against math.fsum residuals;
+# solving through a Jacobi SVD instead of a QR kept every hash. The three cutoff
+# entries were re-recorded when the 1D damped sums took their closed form: m0
+# moved from 8.71e-11 to 8.67e-11 relative of -pi/(24 L), 0.11 of its stated
+# error, and each moved value by the 12th digit. Any other change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
         "2faf01b20a26ba834a0d74e0b9ba0af47d5ab2df1b5e3270229dd0e954b774c6",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "5a48bc60464d66e1b26efdfe956c41b5f73fc53f53ecf7e14e5fffb70e1c95bd",
+        "1c910046358451eac7d9cb709070a35fe225bff3c3af8060f918c083b9d59634",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
         "c9182b7c5043451ec3dc9a61902438cfd7c804fe2c09da2d0aecf38a1eea74a0",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
-        "e04212b4ad5cf1e3393bb53330a838091f1a3ae2b16a07d24e1a2999b8d9e1e6",
+        "48bcf6c402a21fd7b06390fa6e7f0b32b417bf82926fb232ea63ccb8e90e3a4a",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "888e2ff5d32c2a822b5b33bda9672528df4825d4ffba9e55fd6bf7a8e3dee5fc",
+        "24d749d658bf187bb394123ea9386ab34de12b67a28eb15a49c9584f91f90ac8",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm and math.fsum). Re-recorded when the subtraction
     # branches' residual took its light-cone form; only the zero-transverse residual moved.

@@ -10,7 +10,7 @@ import boostcav
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import mode
 from boostcav.observables import inertia_ratios, nonrel_fit
-from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part
+from boostcav.regsum import Linear1DSummand, RegConfig, SequenceSummand, cutoff_finite_part
 from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
@@ -57,6 +57,7 @@ SCALAR_CALLS = (
     "nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)",
     "inertia_ratios()",
     "cutoff_finite_part(SequenceSummand(range(1, 10_001), range(1, 10_001)), RegConfig.cutoff())",
+    "cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=1e-5))",
     "Cavity1D(1, 0.6).walls(Scheme.LORENTZ_EXACT, 0.3)",
     "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
     "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3, 0.4)",
@@ -68,19 +69,36 @@ SCALAR_CALLS = (
 )
 
 
+def _run(*lines: str) -> str:
+    """stdout of a fresh interpreter running these lines against this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 def test_scalar_calls_run_without_numpy():
-    script = "\n".join([
+    out = _run(
         "import sys",
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
         "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
         "from boostcav.modes import mode",
         "from boostcav.observables import inertia_ratios, nonrel_fit",
-        "from boostcav.regsum import RegConfig, SequenceSummand, cutoff_finite_part",
+        "from boostcav.regsum import (Linear1DSummand, RegConfig, SequenceSummand,",
+        "                             cutoff_finite_part)",
         "from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d",
         *(f"print(repr({call}))" for call in SCALAR_CALLS),
-    ])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    )
     assert out.splitlines() == [repr(eval(call)) for call in SCALAR_CALLS]
+
+
+def test_verify_modes_leaves_numpy_random_unimported():
+    # the field-equation check draws its points with random.Random, not numpy.random
+    out = _run(
+        "import contextlib, io, sys",
+        "from boostcav.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['verify', '--only', 'modes'])",
+        "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)",
+    )
+    assert out == "0 True False\n"

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import os
@@ -157,17 +158,19 @@ class TestCutoffFit:
 
     def test_unsaturated_sequence_is_the_linear_spectrum(self):
         # c_n = w_n = n for n <= 10,000 reaches past every cutoff, so it is fitted like the
-        # 1D spectrum, whose damped sums it shares term for term
+        # 1D spectrum, whose terms it shares; its fsum sums and the closed form differ in the
+        # last bits, so the two finite parts agree within their stated errors
         sequence = SequenceSummand(range(1, 10_001), range(1, 10_001))
         fp = cutoff_finite_part(sequence, RegConfig.cutoff())
-        assert fp == cutoff_finite_part(Linear1DSummand(math.pi, weight=1.0), RegConfig.cutoff())
+        linear = cutoff_finite_part(Linear1DSummand(math.pi, weight=1.0), RegConfig.cutoff())
+        assert abs(fp.value - linear.value) <= fp.error_estimate + linear.error_estimate
         assert fp.value.hex() == "-0x1.55555554defe2p-4"
 
-    def test_1d_term_budget(self):
-        # lo = 2e-5 needs about 2.1e6 terms, twice the budget: rejected before any is summed
-        config = RegConfig.cutoff(lo=2e-5)
-        with pytest.raises(ValueError, match=r"2\.07e\+06 spectrum terms, over the budget of 1e\+06"):
-            cutoff_finite_part(Linear1DSummand(1.0), config)
+    # lo = 2e-5 and 1e-5 take about 2.1e6 and 4.1e6 spectrum terms, each sum in O(1)
+    @pytest.mark.parametrize("lo", [2e-5, 1e-5])
+    def test_small_cutoffs_fit_m0(self, lo):
+        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=lo))
+        assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError):
@@ -444,16 +447,93 @@ class TestRectDampedSums:
         assert outs[0].count("0x") == 2 * len(rect2d.default_config().epsilon_schedule)
 
 
+class TestLinearDampedSums:
+    """The 1D closed form against an explicit enumeration of the same terms."""
+
+    @staticmethod
+    def _enumerated(summand, eps):
+        """math.fsum of n step weight e^{-eps n step} over every n with n step <= CAP/eps."""
+        cap = _TRUNCATION_CAP / eps
+        terms = []
+        n = 1
+        while n * summand.step <= cap:
+            w = n * summand.step
+            terms.append(summand.weight * w * math.exp(-eps * w))
+            n += 1
+        return math.fsum(terms)
+
+    def _check(self, summand, eps):
+        [sums] = summand.damped_sums(eps)
+        for e, total in zip(eps, sums):
+            exact = self._enumerated(summand, e)
+            assert abs(total - exact) <= 8.0 * sys.float_info.epsilon * abs(exact), e
+        return sums
+
+    # x from 5e-3 (8,300 terms) to past the cap (no term)
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.floats(1e-3, 1e3), weight=st.floats(-2.0, -0.1) | st.floats(0.1, 2.0),
+           x=st.lists(st.floats(5e-3, 45.0), min_size=1, max_size=8))
+    def test_closed_form_is_the_enumerated_sum(self, length, weight, x):
+        summand = Linear1DSummand(length, weight)
+        self._check(summand, [xi / summand.omega_min for xi in x])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_term_on_the_cap_is_kept(self, n):
+        # eps with CAP/eps equal to the float n * step: term n is in, as bisect_right keeps it,
+        # and one ulp more of eps drops it; at x = CAP/n the term weighs over 1e-12 of the sum
+        summand = Linear1DSummand(1.0)
+        w = [k * summand.step for k in range(1, 10)]
+        eps = _TRUNCATION_CAP / w[n - 1]
+        while _TRUNCATION_CAP / eps != w[n - 1]:
+            eps = math.nextafter(eps, 0.0 if _TRUNCATION_CAP / eps < w[n - 1] else math.inf)
+        past = math.nextafter(eps, math.inf)
+        assert bisect.bisect_right(w, _TRUNCATION_CAP / eps) == n
+        assert bisect.bisect_right(w, _TRUNCATION_CAP / past) == n - 1
+        on, off = self._check(summand, [eps, past])
+        assert abs(on - off) > 1e-12 * on
+
+    # cutoffs where CAP/eps/step rounds across an integer: its floor is one term too many
+    # (L = 0.59) or too few (L = 0.53) for the float products n * step
+    @pytest.mark.parametrize("length, eps_hex, count", [(0.59, "0x1.4c1b976040a5dp+1", 2),
+                                                        (0.53, "0x1.2a5587fb58724p+1", 3)])
+    def test_count_where_the_quotient_rounds_across(self, length, eps_hex, count):
+        summand = Linear1DSummand(length)
+        eps = float.fromhex(eps_hex)
+        cap = _TRUNCATION_CAP / eps
+        assert int(cap / summand.step) != count
+        assert bisect.bisect_right([k * summand.step for k in range(1, 10)], cap) == count
+        self._check(summand, [eps])
+
+    def test_cutoffs_beyond_any_enumeration(self):
+        # lo = 1e-12: about 4e13 terms at the smallest cutoff
+        summand = Linear1DSummand(1.0)
+        config = RegConfig.cutoff(lo=1e-12)
+        [sums] = summand.damped_sums([x / summand.omega_min for x in config.epsilon_schedule])
+        assert all(math.isfinite(s) and s > 0.0 for s in sums)
+        fp = cutoff_finite_part(summand, config)
+        assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
+
+    @pytest.mark.parametrize("length, lo, x", [(1.0, 1e-160, "1e-160"), (1.0, 1e-200, "2.96e-172"),
+                                               (1e-10, 1e-150, "1e-150")])
+    def test_past_float64_fails_fast(self, length, lo, x):
+        # 4 sinh^2(x/2) is subnormal at x = 1e-160 and zero at 2.96e-172, the first point of
+        # the lo = 1e-200 schedule it underflows at; at L = 1e-10 the sum overflows instead
+        with pytest.raises(FitError, match=re.escape(
+                f"1D spectrum: the damped sum at cutoff x = {x} leaves float64 "
+                f"(4 sinh^2(x/2) under 2.23e-308, or an infinite sum)")):
+            cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff(lo=lo))
+
+
 class TestBitIdentity:
     """float.hex values of the cutoff route, pinned so refactors of the
     spectrum pass and the divergence fit cannot drift by even one ulp.
 
     Recorded once the fit solved through the pseudoinverse of its one-sided
-    Jacobi SVD, refined twice against math.fsum residuals, and the 1D damped
-    sums became math.fsum sums; RECT again once the rectangle's damped sums
-    ran in column-major slabs of rows, and (1, 20), whose slabs are single
-    rows, added then. Each value's distance to the oracle (Chowla-Selberg;
-    -pi/(24 L)) is noted beside it.
+    Jacobi SVD, refined twice against math.fsum residuals; RECT again once
+    the rectangle's damped sums ran in column-major slabs of rows, and
+    (1, 20), whose slabs are single rows, added then; STATIC_CUTOFF again once
+    the 1D damped sums took their closed form. Each value's distance to the
+    oracle (Chowla-Selberg; -pi/(24 L)) is noted beside it.
     """
 
     # (value, error_estimate) of U, W, S_omega, S_k
@@ -478,8 +558,8 @@ class TestBitIdentity:
             ("-0x1.c8407088da3f8p-1", "0x1.7dbe5ff3fb050p-25"),  # 8.09e-09
         ),
     }
-    # relative distance to -pi/(24 L): 8.706e-11 at both lengths
-    STATIC_CUTOFF = {1.0: "-0x1.0c15238272f88p-3", 2.5: "-0x1.acee9f371e5a6p-5"}
+    # relative distance to -pi/(24 L): 8.671e-11 at both lengths, 0.107 of the stated error
+    STATIC_CUTOFF = {1.0: "-0x1.0c15238273612p-3", 2.5: "-0x1.acee9f371f01dp-5"}
 
     @pytest.mark.parametrize("sides", sorted(RECT))
     def test_rectangle_parts(self, sides):
