@@ -153,10 +153,9 @@ def _parse_grid(text: str) -> list[float]:
         if not intervals < ROW_BUDGET:
             raise UsageError(f"grid spec {text!r} has {intervals + 1:.6g} points, over the row "
                              f"budget of {ROW_BUDGET}")
-        count = math.floor(intervals) + 1
-        if count < 1:
+        if intervals < 0:  # -inf when the span overflows downward
             raise UsageError(f"grid spec {text!r} produces no points")
-        return [_round12(start + i * step) for i in range(count)]
+        return [_round12(start + i * step) for i in range(math.floor(intervals) + 1)]
     try:
         return [float(text)]
     except ValueError as exc:

@@ -1,13 +1,12 @@
-"""Panelled Gauss-Legendre quadrature with a doubling convergence check.
+"""Panelled Gauss-Legendre quadrature with a doubling convergence check, in pure `math`.
 
 The integrands in this package are smooth products of trigonometric
-functions and complex phases, so fixed-order Gauss-Legendre on panels
-sized to the oscillation count converges extremely fast; the doubling
-check turns that into a verified error estimate.
-
-gauss_legendre_scalar runs the same rule on lists of floats with `math`
-alone, for the per-mode route's densities and the Abel-Plana integral,
-whose callers should not have to import numpy.
+functions, so fixed-order Gauss-Legendre on panels sized to the
+oscillation count converges extremely fast; the doubling check turns that
+into a verified error estimate. The rule runs on lists of floats with
+`math.fsum`, so the per-mode route's densities and the Abel-Plana integral
+never import numpy; an integrand that computes with arrays converts at its
+own boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["QuadratureError", "gauss_legendre", "gauss_legendre_scalar"]
+__all__ = ["QuadratureError", "gauss_legendre"]
 
 # The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the
 # np.polynomial.legendre.leggauss(16) table: 16 nodes per panel, so one panel
@@ -56,73 +55,6 @@ def _abscissae(a: float, b: float, panels: int) -> tuple[list[float], list[float
     return xs, ws
 
 
-def _panel_eval(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int):
-    """The weighted values summed over the last axis, pairwise by numpy."""
-    import numpy as np
-    xs, ws = _abscissae(a, b, panels)
-    return np.sum(np.array(ws) * f(np.array(xs)), axis=-1)
-
-
-def gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    oscillations: float = 1.0,
-    rtol: float = 1e-13,
-    atol: float = 0.0,
-    max_doublings: int = 8,
-):
-    """Integrate a vectorized (possibly complex) integrand over [a, b].
-
-    Parameters
-    ----------
-    f : callable
-        Accepts the abscissae, a 1D array, and returns integrand values of
-        that shape, optionally behind leading component axes (e.g. two
-        densities stacked, or an inner integral at many outer points); each
-        component converges on its own and returns the value and error of
-        its own first converged doubling.
-    oscillations : float
-        Expected number of half-waves/oscillations across the interval;
-        sets the initial panel count.
-    rtol : float
-        Relative convergence target for the doubling check.
-    atol : float or array
-        Absolute convergence target; an array broadcasts against the
-        component axes, giving each component its own target.
-    max_doublings : int
-        Refinement budget before QuadratureError is raised for the first
-        component (in C order) that has not converged.
-
-    Returns
-    -------
-    (value, error_estimate), scalars without component axes, else arrays of
-    the components' shape.
-    """
-    import numpy as np
-    panels = max(2, math.ceil(oscillations))
-    prev = _panel_eval(f, a, b, panels)
-    value = np.zeros_like(prev)
-    err = np.full(np.shape(prev), math.inf)
-    done = np.zeros(np.shape(prev), dtype=bool)
-    diff = err
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _panel_eval(f, a, b, panels)
-        diff = np.abs(cur - prev)
-        new = ~done & (diff <= np.maximum(atol, rtol * np.abs(cur)))
-        value = np.where(new, cur, value)
-        err = np.where(new, diff, err)
-        done |= new
-        if done.all():
-            return value[()], err[()]
-        prev = cur
-    raise QuadratureError(
-        "integral did not converge under panel doubling", float(diff[~done].flat[0])
-    )
-
-
 def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, panels: int):
     """The weighted values summed by math.fsum, rounded once.
 
@@ -135,27 +67,30 @@ def _panel_sum(f: Callable[[list[float]], list[float]], a: float, b: float, pane
     return math.fsum([w * y for w, y in zip(ws, values)])
 
 
-def gauss_legendre_scalar(
+def gauss_legendre(
     f: Callable[[list[float]], list[float]],
     a: float,
     b: float,
     *,
+    oscillations: float = 1.0,
     rtol: float = 1e-13,
     atol: float = 0.0,
     max_doublings: int = 8,
 ):
-    """gauss_legendre of a real, non-oscillating integrand over float endpoints, in pure `math`.
+    """Integrate a real integrand over the float endpoints [a, b].
 
     f maps a list of abscissae to a list of values, or to a tuple of such
     lists for several components, each converging on its own; it is called
-    once per doubling level, as the vectorized integrand is. The table, the
-    panels (two to start), the doubling and the convergence test
-    |doubling difference| <= max(atol, rtol |value|) are gauss_legendre's,
-    so a closed form that integrates this way never needs numpy. Returns
-    (value, error_estimate) as floats, or as tuples of floats, one per
-    component, when f returns a tuple.
+    once per doubling level. The rule starts from max(2, ceil(oscillations))
+    panels, oscillations being the expected number of half-waves across the
+    interval, and doubles them until |doubling difference| <= max(atol,
+    rtol |value|); each component keeps the value and error of its own first
+    converged doubling. Returns (value, error_estimate) as floats, or as
+    tuples of floats, one per component, when f returns a tuple. After
+    max_doublings without convergence, QuadratureError carries the estimate
+    of the first component that has not converged.
     """
-    panels = 2
+    panels = max(2, math.ceil(oscillations))
     prev = _panel_sum(f, a, b, panels)
     several = isinstance(prev, tuple)
     prev = prev if several else (prev,)

@@ -30,7 +30,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .cavity import _check_length, _validated
-from .quadrature import gauss_legendre_scalar
+from .quadrature import gauss_legendre
 
 __all__ = [
     "RegMethod",
@@ -427,8 +427,8 @@ def abel_plana_m0(proper_length: float) -> float:
 
     The integrand decays like t e^{-2 pi t}, so the tail beyond t = 7 is
     ~1e-19, below the rounding of the 1/24 result: Gauss-Legendre on [0, 7],
-    from two panels, doubled until converged (gauss_legendre_scalar),
-    evaluates the integral; a quadrature error above 1e-12 raises FitError.
+    from two panels, doubled until converged (gauss_legendre), evaluates
+    the integral; a quadrature error above 1e-12 raises FitError.
     """
     _check_length(proper_length, "proper_length")
 
@@ -436,7 +436,7 @@ def abel_plana_m0(proper_length: float) -> float:
         # e^{-2 pi t} / -expm1(-2 pi t): the overflow-safe form of 1/(e^{2 pi t} - 1)
         return [t * math.exp(-2.0 * math.pi * t) / -math.expm1(-2.0 * math.pi * t) for t in ts]
 
-    value, abserr = gauss_legendre_scalar(integrand, 0.0, 7.0)
+    value, abserr = gauss_legendre(integrand, 0.0, 7.0)
     if abserr > _ABEL_PLANA_TOL:
         raise FitError(f"Abel-Plana integral tolerance not met (abserr {abserr:.2e})")
     return -(math.pi / proper_length) * value

@@ -29,12 +29,12 @@ per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
 Phys. 11 (1970) 2679, for the modes). N, the coefficients and w' come from
 the mode's record: a SpacetimeMode in 1D; for a rectangle mode, its
 SpacetimeMode2D, with the normalization of the lorentz SpacetimeMode of
-the x side. Two quadratures are the closed form's oracles:
-coefficient_fits, the route every 1D request takes, integrates the real
-densities of the first mode with the scalar Gauss-Legendre rule, one
-quadrature per velocity, and verify compares the same quadrature with the
-closed form at other modes and slices; _jet_quadrature integrates the
-complex jet (u, u_t, u_x) with numpy, for the tests.
+the x side. Two quadratures by the one Gauss-Legendre rule are the closed
+form's oracles: coefficient_fits, the route every 1D request takes,
+integrates the real densities of the first mode, one quadrature per
+velocity, and verify compares the same quadrature with the closed form at
+other modes and slices; _jet_quadrature integrates the densities of the
+complex jet (u, u_t, u_x), evaluated with numpy, for the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme
 from .modes import SpacetimeMode, affine_jet, lorentz_coefficients, mode, mode_2d
-from .quadrature import gauss_legendre, gauss_legendre_scalar
+from .quadrature import gauss_legendre
 
 __all__ = [
     "PrefactorRule",
@@ -162,18 +162,17 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: S
 
     The oracle of the closed form, by the complex jet (u, u_t, u_x) of the
     mode N exp(i th) sin s; p2 is the squared transverse wavenumber of a
-    rectangle mode's x profile, 0 in 1D. Both integrals come back stacked on
-    a leading axis of length 2; scale is the frequency that sets the
-    absolute tolerance.
+    rectangle mode's x profile, 0 in 1D. Both integrals come back as a pair
+    of components; scale is the frequency that sets the absolute tolerance.
     """
     import numpy as np
 
-    def densities(x):
-        u, ut, ux = affine_jet(norm, coeffs, t, x)
-        return np.stack((
-            (np.abs(ut) ** 2 + np.abs(ux) ** 2 + p2 * np.abs(u) ** 2) / (4.0 * wp),
-            -convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp),
-        ))
+    def densities(xs):
+        u, ut, ux = affine_jet(norm, coeffs, t, np.array(xs))
+        return (
+            ((np.abs(ut) ** 2 + np.abs(ux) ** 2 + p2 * np.abs(u) ** 2) / (4.0 * wp)).tolist(),
+            (-convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp)).tolist(),
+        )
 
     left, right = walls
     return gauss_legendre(
@@ -183,7 +182,7 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: S
 
 def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
                         convention: StressConvention) -> tuple[float, float]:
-    """(e_n, p_n) by one scalar Gauss-Legendre quadrature of the real densities on the slice t.
+    """(e_n, p_n) by one Gauss-Legendre quadrature of the real densities on the slice t.
 
     With u = N e^{i th} sin s the densities are real:
 
@@ -214,7 +213,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
         return e, p
 
     # the jet quadrature's tolerances
-    (e, p), _ = gauss_legendre_scalar(
+    (e, p), _ = gauss_legendre(
         densities, left, right, rtol=1e-14,
         atol=1e-13 * max(1.0, u.base_frequency))
     return e, p
@@ -309,7 +308,7 @@ def coefficient_fits(
     e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n and t (verify's
     "per-mode proportionality to w_n" check holds the closed form to it), and
     the coefficients are dimensionless; so the first mode of the unit cavity
-    (L = 1) at t = 0 gives them at every L. One scalar Gauss-Legendre
+    (L = 1) at t = 0 gives them at every L. One Gauss-Legendre
     quadrature of the real densities per velocity (_density_quadrature);
     the closed form of per_mode_em is its oracle (verify checks the two
     against each other).

@@ -448,6 +448,15 @@ class TestGridSpec:
         assert (f"usage error: grid spec {spec!r}: start, stop and step must be finite\n"
                 in err)
 
+    @pytest.mark.parametrize("flag", ["--v", "--shell-grid"])
+    def test_downward_overflowing_span_produces_no_points(self, capsys, flag):
+        # stop - start overflows to -inf, so the point count would be -inf
+        command = (("sweep", "--scheme", "lorentz") if flag == "--v"
+                   else ("rect2d", "--a", "1", "--b", "2"))
+        code, out, err = run(capsys, *command, f"{flag}=1e308:-1e308:1")
+        assert code == 2 and not out
+        assert "usage error: grid spec '1e308:-1e308:1' produces no points\n" in err
+
     def test_at_the_budget_runs(self, capsys):
         spec = "-0.4999:0.5:0.0001"
         code, out, _ = run(capsys, "sweep", "--scheme", "lorentz", f"--v={spec}")

@@ -113,7 +113,8 @@ class TestEvalMode:
         u = modes.mode(scheme, cav, n)
         left, right = u.walls(t)
         norm, _ = gauss_legendre(
-            lambda x: np.abs(u.value(t, x, check=False)) ** 2, left, right, oscillations=n
+            lambda xs: (np.abs(u.value(t, np.array(xs), check=False)) ** 2).tolist(),
+            left, right, oscillations=n,
         )
         assert abs(norm - 1.0) < 1e-12
 
@@ -240,11 +241,13 @@ class TestModes2D:
         t = 0.15
         left, right = cav.walls_x(t)
 
-        def over_y(x):
-            return gauss_legendre(
-                lambda y: np.abs(u.value(t, x[:, None], y, check=False)) ** 2,
+        def over_y(xs):
+            x = np.array(xs)[:, None]
+            values, _ = gauss_legendre(
+                lambda ys: tuple((np.abs(u.value(t, x, np.array(ys), check=False)) ** 2).tolist()),
                 0.0, cav.proper_length_y, oscillations=3,
-            )[0]
+            )
+            return list(values)
 
         norm, _ = gauss_legendre(over_y, left, right, oscillations=2)
         assert abs(norm - 1.0) < 1e-10

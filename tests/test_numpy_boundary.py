@@ -1,6 +1,7 @@
 """numpy is imported only where arrays are the workload; every scalar path runs on `math`."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +11,16 @@ import boostcav
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import mode
 from boostcav.observables import inertia_ratios, nonrel_fit
-from boostcav.regsum import Linear1DSummand, RegConfig, SequenceSummand, cutoff_finite_part
+from boostcav.quadrature import gauss_legendre
+from boostcav.regsum import (Linear1DSummand, RegConfig, SequenceSummand, abel_plana_m0,
+                             cutoff_finite_part)
 from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
 
-# mode evaluation and Gram matrices, the vectorized rule, the rectangle's lattice
-# sums, the jet oracle, and verify's modes group
-NUMPY_MODULES = {"modes", "quadrature", "rect2d", "stress", "verify"}
+# mode evaluation and Gram matrices, the rectangle's lattice sums, the jet oracle,
+# and verify's modes group; the Gauss-Legendre rule runs on lists of floats
+NUMPY_MODULES = {"modes", "rect2d", "stress", "verify"}
 
 
 # the modules that integrate: the package's exports, regsum's Abel-Plana integral and
@@ -62,6 +65,9 @@ SCALAR_CALLS = (
     "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
     "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3, 0.4)",
     "coefficient_fits(Scheme.LORENTZ_EXACT, (0.0, 0.6))",
+    "abel_plana_m0(1.3)",
+    "gauss_legendre(lambda xs: ([math.sin(x) ** 2 for x in xs], [x * math.exp(-x) for x in xs]),"
+    " 0.0, 9.0, oscillations=5)",
     *(f"mode(Scheme.{scheme}, Cavity1D(1.3, 0.6), 3).{name}"
       for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
       for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
@@ -79,13 +85,14 @@ def _run(*lines: str) -> str:
 
 def test_scalar_calls_run_without_numpy():
     out = _run(
-        "import sys",
+        "import math, sys",
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
         "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
         "from boostcav.modes import mode",
         "from boostcav.observables import inertia_ratios, nonrel_fit",
+        "from boostcav.quadrature import gauss_legendre",
         "from boostcav.regsum import (Linear1DSummand, RegConfig, SequenceSummand,",
-        "                             cutoff_finite_part)",
+        "                             abel_plana_m0, cutoff_finite_part)",
         "from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d",
         *(f"print(repr({call}))" for call in SCALAR_CALLS),
     )
