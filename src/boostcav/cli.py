@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import sys
@@ -455,9 +454,7 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     csv_rows = []
     for n in range(1, args.n_max + 1):
         u = modes_mod.SpacetimeMode(scheme, cavity, n)
-        th_t, th_x, s_t, s_x = u._coeffs
-        # affine_value at x_mid: N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)
-        u_mid = norm * cmath.exp(1j * (th_t * t + th_x * x_mid)) * math.sin(s_t * t + s_x * x_mid)
+        u_mid = modes_mod.affine_value(norm, u._coeffs, t, x_mid)
         csv_rows.append([float(n), u.comoving_frequency, u.lab_phase_frequency, norm,
                          u_mid.real, u_mid.imag])
     if args.format == "json":

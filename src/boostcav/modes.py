@@ -79,35 +79,23 @@ def lorentz_coefficients(w: float, k: float, velocity: float):
 
 
 # The affine form of the module docstring and its first derivatives, written
-# only here for 1D and 2D modes alike. Coefficients and t broadcast against x.
-
-def _phase_and_argument(coeffs, t, x):
-    import numpy as np
-    th_t, th_x, s_t, s_x = coeffs
-    x = np.asarray(x, dtype=float)
-    return np.exp(1j * (th_t * t + th_x * x)), s_t * t + s_x * x
-
+# only here for 1D and 2D modes alike. Each evaluates one point (t, x).
 
 def affine_value(norm, coeffs, t, x):
     """N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
-    import numpy as np
-    ph, s = _phase_and_argument(coeffs, t, x)
-    return norm * ph * np.sin(s)
+    th_t, th_x, s_t, s_x = coeffs
+    return norm * cmath.exp(1j * (th_t * t + th_x * x)) * math.sin(s_t * t + s_x * x)
 
 
 def affine_jet(norm, coeffs, t, x):
     """(u, du/dt, du/dx) of affine_value; exp(i th), sin s and cos s are evaluated once."""
-    import numpy as np
-    ph, s = _phase_and_argument(coeffs, t, x)
-    sin_s, cos_s = np.sin(s), np.cos(s)
     th_t, th_x, s_t, s_x = coeffs
-    # Each product is spelled norm * ph * (...) as in affine_value, so a point's
-    # bits do not depend on the array's size: numpy's complex product is not
-    # commutative bit for bit (fused multiply-add), and past 256 KiB numpy may
-    # swap the operands of a shared norm * ph to reuse a temporary.
-    return (norm * ph * sin_s,
-            norm * ph * (1j * th_t * sin_s + s_t * cos_s),
-            norm * ph * (1j * th_x * sin_s + s_x * cos_s))
+    nph = norm * cmath.exp(1j * (th_t * t + th_x * x))
+    s = s_t * t + s_x * x
+    sin_s, cos_s = math.sin(s), math.cos(s)
+    return (nph * sin_s,
+            nph * (1j * th_t * sin_s + s_t * cos_s),
+            nph * (1j * th_x * sin_s + s_x * cos_s))
 
 
 @_validated
@@ -164,33 +152,30 @@ class SpacetimeMode(NamedTuple):
     def walls(self, t: float) -> tuple[float, float]:
         return self.cavity.walls(self.scheme, t)
 
-    def contains(self, t: float, x) -> np.ndarray:
-        import numpy as np
+    def contains(self, t: float, x: float) -> bool:
         left, right = self.walls(t)
         slack = _WALL_SLACK * (right - left)
-        x = np.asarray(x, dtype=float)
-        return (x >= left - slack) & (x <= right + slack)
+        return left - slack <= x <= right + slack
 
-    def _require_inside(self, t: float, x) -> None:
-        import numpy as np
-        if not np.all(self.contains(t, x)):
+    def _require_inside(self, t: float, x: float) -> None:
+        if not self.contains(t, x):
             left, right = self.walls(t)
             raise OutsideCavityError(
                 f"x outside instantaneous cavity [{left:.6g}, {right:.6g}] at t={t:.6g}"
             )
 
     # -- evaluation ---------------------------------------------------------
-    def value(self, t: float, x, *, check: bool = True):
+    def value(self, t: float, x: float, *, check: bool = True) -> complex:
         if check:
             self._require_inside(t, x)
         return affine_value(self.normalization, self._coeffs, t, x)
 
     __call__ = value
 
-    def d_dt(self, t: float, x):
+    def d_dt(self, t: float, x: float) -> complex:
         return affine_jet(self.normalization, self._coeffs, t, x)[1]
 
-    def d_dx(self, t: float, x):
+    def d_dx(self, t: float, x: float) -> complex:
         return affine_jet(self.normalization, self._coeffs, t, x)[2]
 
 
@@ -234,39 +219,32 @@ class SpacetimeMode2D(NamedTuple):
     def walls_x(self, t: float) -> tuple[float, float]:
         return self.cavity.walls_x(t)
 
-    def contains(self, t: float, x, y) -> np.ndarray:
-        import numpy as np
+    def contains(self, t: float, x: float, y: float) -> bool:
         left, right = self.walls_x(t)
         b = self.cavity.proper_length_y
         sx = _WALL_SLACK * (right - left)
         sy = _WALL_SLACK * b
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (x >= left - sx) & (x <= right + sx) & (y >= -sy) & (y <= b + sy)
+        return left - sx <= x <= right + sx and -sy <= y <= b + sy
 
-    def value(self, t: float, x, y, *, check: bool = True):
-        import numpy as np
-        if check and not np.all(self.contains(t, x, y)):
+    def value(self, t: float, x: float, y: float, *, check: bool = True) -> complex:
+        if check and not self.contains(t, x, y):
             raise OutsideCavityError("(x, y) outside the instantaneous cavity")
         return affine_value(self.normalization, self._coeffs, t, x) * self._sin_py(y)
 
     __call__ = value
 
-    def _sin_py(self, y):
-        import numpy as np
-        return np.sin(self.wavenumber_y * np.asarray(y, dtype=float))
+    def _sin_py(self, y: float) -> float:
+        return math.sin(self.wavenumber_y * y)
 
-    def d_dt(self, t: float, x, y):
+    def d_dt(self, t: float, x: float, y: float) -> complex:
         return affine_jet(self.normalization, self._coeffs, t, x)[1] * self._sin_py(y)
 
-    def d_dx(self, t: float, x, y):
+    def d_dx(self, t: float, x: float, y: float) -> complex:
         return affine_jet(self.normalization, self._coeffs, t, x)[2] * self._sin_py(y)
 
-    def d_dy(self, t: float, x, y):
-        import numpy as np
+    def d_dy(self, t: float, x: float, y: float) -> complex:
         p = self.wavenumber_y
-        return (affine_value(self.normalization, self._coeffs, t, x)
-                * p * np.cos(p * np.asarray(y, dtype=float)))
+        return affine_value(self.normalization, self._coeffs, t, x) * p * math.cos(p * y)
 
 
 def mode(scheme: Scheme, cavity: Cavity1D, n: int) -> SpacetimeMode:
@@ -281,7 +259,7 @@ def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tup
     """Mode values at the two instantaneous walls; zero for Dirichlet walls."""
     u = mode(scheme, cavity, n)
     left, right = u.walls(t)
-    return complex(u.value(t, left, check=False)), complex(u.value(t, right, check=False))
+    return u.value(t, left, check=False), u.value(t, right, check=False)
 
 
 def _plane_waves(u: SpacetimeMode):
@@ -327,15 +305,14 @@ def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
 
 
 def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
-                     pair, term=None) -> np.ndarray:
+                     pair, term=None) -> list[list[complex]]:
     """Sums over wave pairs (j of mode n, l of mode m) of w exp(i(a t + b x)) dx on the cavity.
 
     pair(j, l) gives the weight w and wave vector (a, b) of the product of
     waves j and l. The x integral over [L, R] is
     exp(i b (L + R)/2) (R - L) sinc(b (R - L)/2), which does not cancel as b -> 0.
-    term(w, a, b), if given, replaces that integral.
+    term(w, a, b), if given, replaces that integral. Rows are modes n.
     """
-    import numpy as np
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if term is None:
@@ -347,8 +324,8 @@ def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
             return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
 
     waves = [_plane_waves(mode(scheme, cavity, n)) for n in range(1, n_modes + 1)]
-    return np.array([[sum(term(*pair(j, l)) for j in waves_n for l in waves_m)
-                      for waves_m in waves] for waves_n in waves], dtype=complex)
+    return [[sum(term(*pair(j, l)) for j in waves_n for l in waves_m) for waves_m in waves]
+            for waves_n in waves]
 
 
 def _gram_pair(j, l):
@@ -362,7 +339,7 @@ def gram_matrix(
     cavity: Cavity1D,
     n_modes: int,
     t: float,
-) -> np.ndarray:
+) -> list[list[complex]]:
     """Mode Gram matrix under the scheme's conserved pairing; the identity.
 
     Entry (n, m) is  i * int( conj(u_n) D u_m - u_m conj(D u_n) ) dx  over
@@ -377,14 +354,16 @@ def gram_matrix(
     spatial_overlap_matrix for that diagnostic. The conserved pairing is
     slice-independent, which is what makes the orthonormality statement
     exact at every lab time. _gram_bound bounds what rounding leaves of it.
+    Rows are lists of complex; np.array(gram_matrix(...)) makes the matrix.
     """
-    import numpy as np
     gram = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair)
     norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    return gram / np.sqrt(np.outer(norms, norms))
+    # times the reciprocal: rounds as numpy's complex-by-real division does
+    return [[g * (1.0 / math.sqrt(a * b)) for g, b in zip(row, norms)]
+            for row, a in zip(gram, norms)]
 
 
-def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> np.ndarray:
+def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> list[list[float]]:
     """Per-entry bound on |gram_matrix - I| from rounding alone.
 
     Entry (n, m) is S / sqrt(nu_n nu_m): nu = 2 w the analytic diagonals, S
@@ -404,17 +383,17 @@ def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> np.
     1e-15; |G - I| stays under half of it on random cavities, slices and
     velocities up to 1 - 1e-6 (tests/test_modes.py).
     """
-    import numpy as np
     left, right = cavity.walls(scheme, t)
     width, reach = right - left, max(abs(left), abs(right))
 
     def spread(w, a, b):
         return abs(w) * width * (1.0 + abs(a * t) + abs(b) * reach)
 
-    total = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair, spread).real
+    total = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair, spread)
     norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    scaled = total / np.sqrt(np.outer(norms, norms))
-    return 4.0 * sys.float_info.epsilon * (scaled + np.eye(n_modes))
+    return [[4.0 * sys.float_info.epsilon * (s / math.sqrt(a * b) + (i == k))
+             for k, (s, b) in enumerate(zip(row, norms))]
+            for i, (row, a) in enumerate(zip(total, norms))]
 
 
 def spatial_overlap_matrix(
@@ -422,7 +401,7 @@ def spatial_overlap_matrix(
     cavity: Cavity1D,
     n_modes: int,
     t: float,
-) -> np.ndarray:
+) -> list[list[complex]]:
     """Literal equal-time overlaps int u_n conj(u_m) dx (unit diagonal).
 
     Off-diagonal entries are nonzero for the galileo-lab and lorentz

@@ -4,9 +4,9 @@ The integrands in this package are smooth products of trigonometric
 functions, so fixed-order Gauss-Legendre on panels sized to the
 oscillation count converges extremely fast; the doubling check turns that
 into a verified error estimate. The rule runs on lists of floats with
-`math.fsum`, so the per-mode route's densities and the Abel-Plana integral
-never import numpy; an integrand that computes with arrays converts at its
-own boundary.
+`math.fsum`, and every integrand in the package (the per-mode route's
+densities, the Abel-Plana integral, the jet oracle) evaluates its abscissae
+one at a time in `math` and `cmath`, so no quadrature imports numpy.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ form's oracles: coefficient_fits, the route every 1D request takes,
 integrates the real densities of the first mode, one quadrature per
 velocity, and verify compares the same quadrature with the closed form at
 other modes and slices; _jet_quadrature integrates the densities of the
-complex jet (u, u_t, u_x), evaluated with numpy, for the tests.
+complex jet (u, u_t, u_x), evaluated one abscissa at a time, for the tests.
 """
 
 from __future__ import annotations
@@ -165,13 +165,13 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: S
     rectangle mode's x profile, 0 in 1D. Both integrals come back as a pair
     of components; scale is the frequency that sets the absolute tolerance.
     """
-    import numpy as np
 
     def densities(xs):
-        u, ut, ux = affine_jet(norm, coeffs, t, np.array(xs))
+        jets = [affine_jet(norm, coeffs, t, x) for x in xs]
         return (
-            ((np.abs(ut) ** 2 + np.abs(ux) ** 2 + p2 * np.abs(u) ** 2) / (4.0 * wp)).tolist(),
-            (-convention.momentum_sign * np.real(ut * np.conj(ux)) / (2.0 * wp)).tolist(),
+            [(abs(ut) ** 2 + abs(ux) ** 2 + p2 * abs(u) ** 2) / (4.0 * wp) for u, ut, ux in jets],
+            [-convention.momentum_sign * (ut * ux.conjugate()).real / (2.0 * wp)
+             for _, ut, ux in jets],
         )
 
     left, right = walls

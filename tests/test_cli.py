@@ -872,7 +872,8 @@ class TestColdStart:
     # Every request shape of the benchmark's 1D workload and the rectangle's, and
     # the verify groups that evaluate closed forms (with the stress fault
     # injections), in the order run, each with its exit code; `verify --only
-    # modes` last shows that the check sees numpy once something imports it.
+    # regsum` last, whose cutoff cross-check sums the rectangle's lattice in numpy,
+    # shows that the check sees numpy once something imports it.
     REQUESTS = (
         (["rect2d", "--a", "1", "--b", "3", "--v", "0.4", "--shell-grid", "0.1:0.7:0.2",
           "--solve-subtraction"], 0),
@@ -895,6 +896,7 @@ class TestColdStart:
           "--format", "json"], 0),
         (["boost", "--scheme", "lorentz", "--L", "1", "--v=1.2"], 2),
         (["static", "--L=-0.5"], 2),
+        (["verify", "--only", "modes"], 0),
         (["verify", "--only", "stress"], 0),
         (["verify", "--only", "observables"], 0),
         (["verify", "--only", "rect2d"], 0),
@@ -912,7 +914,7 @@ class TestColdStart:
             "print('import', 'numpy' in sys.modules)\n"
             "from boostcav.cli import main\n"
             f"for argv in {[argv for argv, _ in self.REQUESTS]!r} + "
-            "[['verify', '--only', 'modes']]:\n"
+            "[['verify', '--only', 'regsum']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = main(argv)\n"

@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import boostcav
+from boostcav import modes, stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.modes import mode
+from boostcav.modes import (boundary_residual, gram_matrix, kg_residual, mode, mode_2d,
+                            spatial_overlap_matrix)
 from boostcav.observables import inertia_ratios, nonrel_fit
 from boostcav.quadrature import gauss_legendre
 from boostcav.regsum import (Linear1DSummand, RegConfig, SequenceSummand, abel_plana_m0,
@@ -18,9 +20,9 @@ from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
 
-# mode evaluation and Gram matrices, the rectangle's lattice sums, the jet oracle,
-# and verify's modes group; the Gauss-Legendre rule runs on lists of floats
-NUMPY_MODULES = {"modes", "rect2d", "stress", "verify"}
+# only the rectangle's cutoff lattice sums, in blocks; modes evaluate one point on
+# cmath, and the Gauss-Legendre rule runs on lists of floats
+NUMPY_MODULES = {"rect2d"}
 
 
 # the modules that integrate: the package's exports, regsum's Abel-Plana integral and
@@ -72,6 +74,17 @@ SCALAR_CALLS = (
       for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
       for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
                    "normalization")),
+    *(f"mode(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 3).{name}(0.4, 0.5)"
+      for name in ("value", "d_dt", "d_dx")),
+    *(f"mode_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3).{name}(0.4, -0.1, 0.7)"
+      for name in ("value", "d_dt", "d_dx", "d_dy")),
+    "kg_residual(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4, 0.6)",
+    "boundary_residual(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
+    *(f"{call}(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 4, 0.37)"
+      for call in ("gram_matrix", "spatial_overlap_matrix", "modes._gram_bound")),
+    "stress._jet_quadrature(*stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3,"
+    " stress.DEFAULT_CONVENTION), Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2, 5.0,"
+    " stress.DEFAULT_CONVENTION)",
 )
 
 
@@ -87,8 +100,10 @@ def test_scalar_calls_run_without_numpy():
     out = _run(
         "import math, sys",
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
+        "from boostcav import modes, stress",
         "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
-        "from boostcav.modes import mode",
+        "from boostcav.modes import (boundary_residual, gram_matrix, kg_residual, mode, mode_2d,",
+        "                            spatial_overlap_matrix)",
         "from boostcav.observables import inertia_ratios, nonrel_fit",
         "from boostcav.quadrature import gauss_legendre",
         "from boostcav.regsum import (Linear1DSummand, RegConfig, SequenceSummand,",
@@ -99,8 +114,9 @@ def test_scalar_calls_run_without_numpy():
     assert out.splitlines() == [repr(eval(call)) for call in SCALAR_CALLS]
 
 
-def test_verify_modes_leaves_numpy_random_unimported():
-    # the field-equation check draws its points with random.Random, not numpy.random
+def test_verify_modes_imports_no_numpy():
+    # the closed forms run on cmath; the field-equation check draws its points with
+    # random.Random, not numpy.random
     out = _run(
         "import contextlib, io, sys",
         "from boostcav.cli import main",
@@ -108,4 +124,4 @@ def test_verify_modes_leaves_numpy_random_unimported():
         "    code = main(['verify', '--only', 'modes'])",
         "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)",
     )
-    assert out == "0 True False\n"
+    assert out == "0 False False\n"
