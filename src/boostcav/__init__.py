@@ -33,7 +33,7 @@ from .observables import (
     static_m0,
     sweep,
 )
-from .quadrature import QuadratureError, gauss_legendre
+from .quadrature import gauss_legendre
 from .rect2d import (
     Route2D,
     boosted_em_2d,
@@ -74,7 +74,6 @@ __all__ = [
     "kg_residual",
     "gram_matrix",
     "spatial_overlap_matrix",
-    "QuadratureError",
     "gauss_legendre",
     "PerModeEM",
     "StressConvention",

@@ -4,8 +4,6 @@ Natural units throughout: hbar = c = 1, so lengths are inverse energies and
 the velocity is the dimensionless fraction of the speed of light.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math

@@ -49,8 +49,8 @@ __all__ = ["main"]
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
 # Rows one table may hold: a `modes` --n-max, or the points of a velocity grid.
-# A 9,474-row sweep takes about 0.3 s wall by the closed form and 1.5 s by the
-# per-mode route (one process on a 2-core x86-64 Xeon).
+# A 9,474-row sweep takes about 0.3 s wall by the closed form and 1.0 s by the
+# per-mode route (one process on a 2-core x86-64 Xeon, median of 5).
 ROW_BUDGET = 10_000
 
 

@@ -23,8 +23,6 @@ A rectangle mode (n, m) is the lorentz x profile with w = hypot(k, p) in
 place of k in th, times sin(p*y), with N = 2*sqrt(g/(a*b)) and p = m*pi/b.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator

@@ -13,8 +13,6 @@ E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
 and every regularized m0 are computed on the unit cavity and L only scales.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys

@@ -21,8 +21,6 @@ any aspect ratio). The exponential-cutoff fit stays available through a
 cutoff RegConfig (default_config) as the independent cross-check.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys

@@ -5,8 +5,6 @@ inconsistencies of the closed forms), the package reports both sides with
 the deviation quantified rather than silently preferring one.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -37,8 +37,6 @@ other modes and slices; _jet_quadrature integrates the densities of the
 complex jet (u, u_t, u_x), evaluated one abscissa at a time, for the tests.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys
@@ -157,13 +155,27 @@ def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int, convention: Str
     return PerModeEM(n=n, energy=e, momentum=p, quad_error=bound, m=m)
 
 
-def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: StressConvention):
-    """The per-mode T00 and T01 integrals over the walls, divided by 2 w', and their errors.
+def _panels(n: int) -> int:
+    """Panels for densities A + B cos 2s with s running over n pi: at most two periods each.
+
+    On a panel of half-width h the phase 2s spans at most 4 pi, so
+    B cos 2s is bounded by |B| cosh(pi (rho - 1/rho)) on the Bernstein
+    ellipse E_rho, and the quadrature module's Thm 19.3 bound at rho = 10.7
+    is 6.4e-21 h |B|; A is integrated exactly. Summed over the panels of
+    [a, b] the truncation is below 1e-20 (b - a)/2 |B|, far under the
+    rounding.
+    """
+    return max(4, math.ceil(n / 2))
+
+
+def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, convention: StressConvention):
+    """The per-mode T00 and T01 integrals over the walls, divided by 2 w', as (e, p).
 
     The oracle of the closed form, by the complex jet (u, u_t, u_x) of the
     mode N exp(i th) sin s; p2 is the squared transverse wavenumber of a
-    rectangle mode's x profile, 0 in 1D. Both integrals come back as a pair
-    of components; scale is the frequency that sets the absolute tolerance.
+    rectangle mode's x profile, 0 in 1D. The phase th cancels from both
+    densities, which are A + B cos 2s with s running over n pi, so on
+    _panels(n) panels the truncation is below 1e-20 (b - a)/2 |B|.
     """
 
     def densities(xs):
@@ -175,9 +187,7 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, scale, convention: S
         )
 
     left, right = walls
-    return gauss_legendre(
-        densities, left, right, oscillations=n, rtol=1e-14, atol=1e-13 * max(1.0, scale)
-    )
+    return gauss_legendre(densities, left, right, panels=_panels(n))
 
 
 def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
@@ -189,8 +199,10 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
         e = N^2 [(th_t^2 + th_x^2) sin^2 s + (s_t^2 + s_x^2) cos^2 s] / (4 w')
         p = -sigma N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s) / (2 w')
 
-    one sin and one cos per node, s = s_t t + s_x x. A quadrature that does
-    not converge raises QuadratureError.
+    one sin and one cos per node, s = s_t t + s_x x. Both are A + B cos 2s
+    with s running over n pi between the walls, so the truncation on
+    _panels(n) panels is below 1e-20 (b - a)/2 |B|: the result is the
+    densities' integral to rounding.
     """
     u = mode(scheme, cavity, n)
     norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u, convention)
@@ -212,11 +224,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
             p.append(p_sin * sin2 + p_cos * cos2)
         return e, p
 
-    # the jet quadrature's tolerances
-    (e, p), _ = gauss_legendre(
-        densities, left, right, rtol=1e-14,
-        atol=1e-13 * max(1.0, u.base_frequency))
-    return e, p
+    return gauss_legendre(densities, left, right, panels=_panels(n))
 
 
 def per_mode_em(

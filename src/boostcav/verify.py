@@ -6,8 +6,6 @@ checks accept a StressConvention so deliberately broken conventions can be
 injected as negative controls.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from typing import Callable, NamedTuple

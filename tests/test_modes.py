@@ -112,9 +112,9 @@ class TestEvalMode:
         t = 0.4
         u = modes.mode(scheme, cav, n)
         left, right = u.walls(t)
-        norm, _ = gauss_legendre(
+        norm = gauss_legendre(
             lambda xs: [abs(u.value(t, x, check=False)) ** 2 for x in xs],
-            left, right, oscillations=n,
+            left, right, panels=n,
         )
         assert abs(norm - 1.0) < 1e-12
 
@@ -242,13 +242,12 @@ class TestModes2D:
         left, right = cav.walls_x(t)
 
         def over_y(xs):
-            values, _ = gauss_legendre(
+            return list(gauss_legendre(
                 lambda ys: tuple([abs(u.value(t, x, y, check=False)) ** 2 for y in ys] for x in xs),
-                0.0, cav.proper_length_y, oscillations=3,
-            )
-            return list(values)
+                0.0, cav.proper_length_y, panels=3,
+            ))
 
-        norm, _ = gauss_legendre(over_y, left, right, oscillations=2)
+        norm = gauss_legendre(over_y, left, right, panels=2)
         assert abs(norm - 1.0) < 1e-10
 
     @pytest.mark.parametrize("point", list(MODE_2D_HEX), ids=str)

@@ -69,7 +69,7 @@ SCALAR_CALLS = (
     "coefficient_fits(Scheme.LORENTZ_EXACT, (0.0, 0.6))",
     "abel_plana_m0(1.3)",
     "gauss_legendre(lambda xs: ([math.sin(x) ** 2 for x in xs], [x * math.exp(-x) for x in xs]),"
-    " 0.0, 9.0, oscillations=5)",
+    " 0.0, 9.0, panels=5)",
     *(f"mode(Scheme.{scheme}, Cavity1D(1.3, 0.6), 3).{name}"
       for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
       for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
@@ -83,7 +83,7 @@ SCALAR_CALLS = (
     *(f"{call}(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 4, 0.37)"
       for call in ("gram_matrix", "spatial_overlap_matrix", "modes._gram_bound")),
     "stress._jet_quadrature(*stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3,"
-    " stress.DEFAULT_CONVENTION), Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2, 5.0,"
+    " stress.DEFAULT_CONVENTION), Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2,"
     " stress.DEFAULT_CONVENTION)",
 )
 

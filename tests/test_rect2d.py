@@ -293,7 +293,7 @@ def test_rectangle_runs_no_adaptive_quadrature(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("adaptive quadrature on the rectangle's path")
 
-    monkeypatch.setattr(quadrature, "_panel_sum", refuse)
+    monkeypatch.setattr(quadrature, "_abscissae", refuse)
     for a, b in ((1.0, 1.0), (1.0, 5.0), (1.0, 0.05)):
         finite_parts(Cavity2D(a, b, 0.0))
     assert main(["rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55",

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,21 @@ class TestAbelPlana:
     def test_static_energy(self, length):
         exact = -math.pi / (24.0 * length)
         assert abs(abel_plana_m0(length) - exact) <= 1e-15 * abs(exact)
+
+    def test_bits(self):
+        # recorded under the panel-doubling rule, which stopped at 8 panels
+        assert abel_plana_m0(1.0).hex() == "-0x1.0c152382d7364p-3"
+
+    def test_within_the_docstring_bound(self):
+        # m0 = -(pi/L) * (the 8-panel sum); dividing out pi in 30 digits adds one rounding
+        with mpmath.workdps(30):
+            total = -mpmath.mpf(abel_plana_m0(1.0)) / mpmath.mpf(math.pi)
+            integral = mpmath.quad(lambda t: t / mpmath.expm1(2 * mpmath.pi * t), [0, 7])
+            # about 8 roundings of relative 2^-53 in each weighted value (exp, expm1, the
+            # product and quotient, the abscissa, the weight) and the sum, doubled
+            rounding = 16 * 2.0**-53 * integral
+            assert abs(total - integral) <= 4.2e-22 + rounding
+            assert abs(total - mpmath.mpf(1) / 24) <= 1e-19 + rounding
 
     def test_rejects_bad_length(self):
         for length in (0.0, -1.0, math.nan, math.inf):

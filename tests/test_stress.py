@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.modes import mode, mode_2d
+from boostcav.modes import mode
 from boostcav.stress import (
     PrefactorRule,
     StressConvention,
@@ -281,6 +281,104 @@ class TestBitIdentity:
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_2D_HEX[key]
 
 
+# float.hex of the Gauss-Legendre route: coefficient_fits(scheme, (v,)) as (c_E, c_P), the
+# route every per-mode sweep takes, and _density_quadrature(scheme, Cavity1D(1.0, v), n,
+# 0.37) as (e, p) at verify's velocities (0.6 lorentz, 0.2 galileo); recorded under the
+# panel-doubling rule, which stopped at 4 panels on every one of these
+FIT_HEX = {
+    ("lorentz", 0.0): ("0x1.0000000000001p+0", "0x0.0p+0"),
+    ("lorentz", 0.6): ("0x1.1000000000001p+1", "0x1.e000000000003p+0"),
+    ("lorentz", -0.95): ("0x1.3834834834831p+4", "-0x1.37cb7cb7cb7c7p+4"),
+    ("lorentz", 1 - 1e-9): ("0x1.dcd650da4165cp+29", "0x1.dcd650da4165cp+29"),
+    ("lorentz", -(1 - 1e-9)): ("0x1.dcd650da4165cp+29", "-0x1.dcd650da4165cp+29"),
+    ("galileo-comoving", 0.2): ("0x1.051eb851eb853p+0", "0x1.999999999999bp-3"),
+    ("galileo-comoving", -0.45): ("0x1.19eb851eb851fp+0", "-0x1.ccccccccccccdp-2"),
+    ("galileo-lab", 0.2): ("0x1.1555555555556p+0", "0x1.aaaaaaaaaaaabp-2"),
+    ("galileo-lab", -0.45): ("0x1.82019ae24ea56p+0", "-0x1.20e71f4c3cfdbp+0"),
+}
+DENSITY_QUADRATURE_HEX = {
+    ("galileo-lab", 2): ("0x1.b3a259b49db86p+1", "0x1.4f1a6c638d040p+0"),
+    ("galileo-lab", 3): ("0x1.46b9c347764a4p+2", "0x1.f6a7a29553860p+0"),
+    ("galileo-lab", 5): ("0x1.10457810e2934p+3", "0x1.a2e1077c70450p+1"),
+    ("galileo-comoving", 2): ("0x1.9a2a950d4e652p+1", "0x1.41b2f769cf0e1p-1"),
+    ("galileo-comoving", 3): ("0x1.339fefc9facbdp+2", "0x1.e28c731eb6954p-1"),
+    ("galileo-comoving", 5): ("0x1.005a9d2850ff3p+3", "0x1.921fb54442d1bp+0"),
+    ("lorentz", 2): ("0x1.ab41b09886febp+2", "0x1.78fdb9effea49p+2"),
+    ("lorentz", 3): ("0x1.40714472653efp+3", "0x1.1abe4b73fefb5p+3"),
+    ("lorentz", 5): ("0x1.0b090e5f545f3p+4", "0x1.d73d286bfe4dap+3"),
+}
+
+
+class TestQuadratureBits:
+    @pytest.mark.parametrize("key", list(FIT_HEX), ids=lambda k: "-".join(map(str, k)))
+    def test_coefficient_fits(self, key):
+        scheme, v = key
+        (fit,) = coefficient_fits(Scheme(scheme), (v,))
+        assert (fit.c_energy.hex(), fit.c_momentum.hex()) == FIT_HEX[key]
+
+    @pytest.mark.parametrize("key", list(DENSITY_QUADRATURE_HEX),
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_density_quadrature(self, key):
+        scheme, n = key
+        cav = Cavity1D(1.0, 0.6 if scheme == "lorentz" else 0.2)
+        e, p = stress._density_quadrature(Scheme(scheme), cav, n, 0.37, stress.DEFAULT_CONVENTION)
+        assert (e.hex(), p.hex()) == DENSITY_QUADRATURE_HEX[key]
+
+
+class TestDensityQuadratureSizing:
+    """_panels(n) leaves only rounding: the rule against 30 digits of the same densities."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        rule=st.sampled_from(sorted(CONVENTIONS)),
+        log_length=st.floats(-3.0, 3.0),
+        v=st.one_of(st.floats(-0.99, 0.99),
+                    st.builds(lambda gap, sign: sign * (1.0 - 10.0**-gap),
+                              st.floats(2.0, 9.0), st.sampled_from((-1.0, 1.0)))),
+        n=st.integers(1, 60),
+        t_fraction=st.floats(-3.0, 3.0),
+    )
+    def test_within_rounding_of_the_exact_integral(self, scheme, rule, log_length, v, n,
+                                                   t_fraction):
+        convention, length = CONVENTIONS[rule], 10.0**log_length
+        t = t_fraction * length
+        u = mode(scheme, Cavity1D(length, v), n)
+        got = stress._density_quadrature(scheme, Cavity1D(length, v), n, t, convention)
+        # the densities' sin^2 s and cos^2 s weights, as _density_quadrature forms them
+        norm, (th_t, th_x, s_t, s_x), wp = stress._mode_terms(u, convention)
+        n2, sigma = norm * norm, convention.momentum_sign
+        weights = ((n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp),
+                    n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)),
+                   (-sigma * n2 * th_t * th_x / (2.0 * wp), -sigma * n2 * s_t * s_x / (2.0 * wp)))
+        a, b = u.walls(t)
+        panels = stress._panels(n)
+        phase = abs(s_t * t) + abs(s_x) * max(abs(a), abs(b))  # the terms summed into s
+        eps = 2.0**-53  # unit roundoff
+        for value, (c_sin, c_cos) in zip(got, weights):
+            with mpmath.workdps(30):
+                sa, sb = (mpmath.mpf(s_t) * t + mpmath.mpf(s_x) * x for x in (a, b))
+                # int (c_sin sin^2 s + c_cos cos^2 s) dx, sin^2 s = (1 - cos 2s)/2
+                exact = ((mpmath.mpf(c_sin) + c_cos) * (mpmath.mpf(b) - a) / 2
+                         + (mpmath.mpf(c_cos) - c_sin) * (mpmath.sin(2 * sb) - mpmath.sin(2 * sa))
+                         / (4 * mpmath.mpf(s_x)))
+            # The gate is rounding alone (the truncation is below 1e-20 of (b - a)/2 |B|),
+            # each term doubled from its count of roundings of relative eps:
+            # - about 8 in each weighted value (sin or cos, square, weight, sum, the
+            #   weight w = half * W) and the fsum: 16 eps max|density| (b - a);
+            # - s = s_t t + s_x x carries 2 of its own and 2 from x: 8 eps * phase, which
+            #   moves a density by |c_cos - c_sin| per unit of s;
+            # - each panel's mid and half are rounded, so each of its two ends is off by
+            #   up to 2 eps max(|a|, |b|): 8 eps panels max(|a|, |b|) max|density|;
+            # - a subnormal result (|v| ~ 1e-313 makes p so) errs by 2^-1074 absolute
+            #   instead: 16 (b - a) of them in the values, 32 per panel in the products.
+            size = abs(c_sin) + abs(c_cos)
+            gate = (eps * ((b - a) * (16.0 * size + 8.0 * abs(c_cos - c_sin) * phase)
+                           + 8.0 * panels * max(abs(a), abs(b)) * size)
+                    + 2.0**-1074 * (16.0 * (b - a) + 32.0 * panels))
+            assert abs(value - exact) <= gate
+
+
 # velocities uniform in the range every scheme runs, and within 1e-15 of light speed,
 # where the 1 - v^2 in gamma (and in galileo-lab's w') amplifies rounding most
 VELOCITIES = st.one_of(st.floats(-0.99, 0.99),
@@ -344,8 +442,8 @@ class TestClosedForm:
         t = t_fraction * length
         pm = per_mode_em(scheme, cav, n, t, convention=convention)
         norm, coeffs, wp = stress._mode_terms(mode(scheme, cav, n), convention)
-        (e, p), _ = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n,
-                                           n * math.pi / length, convention)
+        e, p = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n,
+                                      convention)
         # e >= |p|, so e scales both differences
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
@@ -366,8 +464,7 @@ class TestClosedForm:
         t = t_fraction * a
         pm = per_mode_em_2d(cav, n, m, t, convention=convention)
         norm, coeffs, wp, p2 = stress._profile_terms(cav, n, m, convention)
-        (e, p), _ = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n,
-                                           mode_2d(cav, n, m).frequency, convention)
+        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n, convention)
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
 
