@@ -453,10 +453,9 @@ def _cmd_modes(args: argparse.Namespace) -> int:
     norm = modes_mod.SpacetimeMode(scheme, cavity, 1).normalization
     csv_rows = []
     for n in range(1, args.n_max + 1):
-        u = modes_mod.SpacetimeMode(scheme, cavity, n)
-        u_mid = modes_mod.affine_value(norm, u._coeffs, t, x_mid)
-        csv_rows.append([float(n), u.comoving_frequency, u.lab_phase_frequency, norm,
-                         u_mid.real, u_mid.imag])
+        comoving, lab_phase, coeffs = modes_mod.SpacetimeMode(scheme, cavity, n)._row()
+        u_mid = modes_mod.affine_value(norm, coeffs, t, x_mid)
+        csv_rows.append([float(n), comoving, lab_phase, norm, u_mid.real, u_mid.imag])
     if args.format == "json":
         meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
                 "v": args.v, "t": t, "x_sample": x_mid, "units": UNITS_NOTE}

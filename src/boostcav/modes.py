@@ -50,7 +50,7 @@ class OutsideCavityError(ValueError):
 
 
 def _check_index(n: int, name: str = "n") -> None:
-    """n must be a positive integer: an int or any integer type (operator.index), numpy's too."""
+    """n must be a positive integer: an int or any integer type (operator.index)."""
     try:
         positive = operator.index(n) >= 1
     except TypeError:
@@ -116,16 +116,12 @@ class SpacetimeMode(NamedTuple):
     @property
     def comoving_frequency(self) -> float:
         """The expansion frequency entering the 1/(2w') vacuum prefactor."""
-        if self.scheme is Scheme.GALILEO_LAB_PRIOR:
-            return (1.0 - self.cavity.velocity**2) * self.base_frequency
-        return self.base_frequency
+        return self._row()[0]
 
     @property
     def lab_phase_frequency(self) -> float:
         """Coefficient of -t in the total lab-frame phase at fixed x."""
-        if self.scheme is Scheme.LORENTZ_EXACT:
-            return lorentz_factor(self.cavity.velocity) * self.base_frequency
-        return self.base_frequency
+        return self._row()[1]
 
     @property
     def normalization(self) -> float:
@@ -138,13 +134,18 @@ class SpacetimeMode(NamedTuple):
     @property
     def _coeffs(self) -> tuple[float, float, float, float]:
         """(th_t, th_x, s_t, s_x) of the module docstring's table."""
+        return self._row()[2]
+
+    def _row(self) -> tuple[float, float, tuple[float, float, float, float]]:
+        """(comoving_frequency, lab_phase_frequency, _coeffs), from one n pi/L and one gamma."""
         k = self.base_frequency
         v = self.cavity.velocity
         if self.scheme is Scheme.GALILEO_LAB_PRIOR:
-            return -k, v * k, -v * k, k
+            return (1.0 - v**2) * k, k, (-k, v * k, -v * k, k)
         if self.scheme is Scheme.GALILEO_COMOVING_PRIOR:
-            return -k, 0.0, -v * k, k
-        return lorentz_coefficients(k, k, v)
+            return k, k, (-k, 0.0, -v * k, k)
+        coeffs = lorentz_coefficients(k, k, v)
+        return k, coeffs[3], coeffs  # s_x = gamma k
 
     # -- geometry ----------------------------------------------------------
     def walls(self, t: float) -> tuple[float, float]:
@@ -356,7 +357,7 @@ def gram_matrix(
     """
     gram = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair)
     norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    # times the reciprocal: rounds as numpy's complex-by-real division does
+    # times the reciprocal, not divided by the root: the tests pin the bits of this rounding
     return [[g * (1.0 / math.sqrt(a * b)) for g, b in zip(row, norms)]
             for row, a in zip(gram, norms)]
 

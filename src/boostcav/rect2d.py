@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length
 from .observables import mass_shell_residual
-from .regsum import _TRUNCATION_CAP, FinitePart, RegConfig, RegMethod, cutoff_finite_part
+from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -103,165 +103,6 @@ class SubtractionSolution(NamedTuple):
     note: str
 
 
-# Spectrum terms one cutoff fit may sum: about 37x the 2.7e7 that b/a = 50,
-# the largest aspect ratio the tests sum, needs at its smallest cutoff.
-_TERM_BUDGET = 1e9
-_SLAB = 1 << 14  # lattice points per slab of damped_sums, whose 640 KB of buffers stay fixed
-
-
-class _FourPartsSummand:
-    """The a x b rectangle's spectrum in units of 1/a: the 1 x b/a rectangle's,
-
-        w = sqrt(k_n^2 + p_m^2), k_n = n pi, p_m = m pi a/b.
-
-    Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits this
-    spectrum, representable at any scale, and scales the parts back.
-
-    The spectrum is summed in rows of fixed index along the shorter side,
-    ascending along the longer side (hence in w), with two weights:
-
-        S_omega: w/2   S_k: k^2/(2w)
-
-    U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2 follow by linearity
-    (_four_parts).
-
-    By Poisson summation each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2):
-    Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
-    """
-
-    divergent_powers = (3, 2)
-
-    def __init__(self, a: float, b: float):
-        _check_length(a, "side a")
-        _check_length(b, "side b")
-        self.sides = a, b  # named in messages
-        self.aspect = b / a
-        # such aspects are far past the term budget, and there pi/aspect or the cutoffs overflow
-        if not 1e-300 < self.aspect < 1e300:
-            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a = "
-                             f"{self.aspect:g} is out of range for the cutoff sum")
-        self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
-
-    def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """S(eps_i) = sum of c e^{-eps_i w} over w <= _TRUNCATION_CAP/eps_i: one column per weight.
-
-        The spectrum is enumerated once, at the smallest eps, in slabs of
-        consecutive rows of at most _SLAB lattice points (a longer row alone,
-        in pieces of _SLAB). Every row is ascending in w, so the terms below a
-        larger eps's cap are a prefix of it (_prefix_counts). A slab is stored
-        column by column, so for each eps the first row's prefix, with the
-        same columns of the later rows, is one contiguous block: it is damped
-        in one multiply and one exp, each later row is zeroed past its own
-        prefix, and both weights are contracted with it in one matrix-vector
-        product. Which terms a sum takes is fixed by the counts alone; the w
-        that the slab holds only gives their values.
-
-        A one-row slab builds w and the weights in vector arithmetic, a slab
-        of several rows in one matrix product: broadcast over a few rows,
-        numpy's inner loop would run once per column.
-        """
-        import numpy as np
-        caps = _TRUNCATION_CAP / np.asarray(eps)
-        cap = float(caps[-1])
-        # lattice points under the quarter circle of radius cap: (b/a) cap^2 / (4 pi)
-        terms = cap * (self.aspect * cap) / (4.0 * math.pi)
-        if not terms <= _TERM_BUDGET:
-            a, b = self.sides
-            raise ValueError(
-                f"rectangle a = {a:g}, b = {b:g}: the cutoff sum needs about "
-                f"{terms:.3g} spectrum terms, over the budget of {_TERM_BUDGET:.0e}"
-            )
-        # rows run over the shorter side's (fewer) modes
-        row_step, col_step = math.pi / min(1.0, self.aspect), math.pi / max(1.0, self.aspect)
-        r2 = np.arange(1, int(cap / row_step) + 1, dtype=float) * row_step
-        r2 *= r2
-        remainder = cap * cap - r2
-        n_rows = int(np.count_nonzero(remainder > col_step * col_step))
-        s_omega, s_k = [0.0] * len(eps), [0.0] * len(eps)
-        if not n_rows:
-            return [s_omega, s_k]
-        r2 = r2[:n_rows]
-        widths = (np.sqrt(remainder[:n_rows]) / col_step).astype(np.intp)
-        counts = _prefix_counts(r2, widths, caps, col_step)
-        counts, widths = counts.tolist(), widths.tolist()
-        # (c^2, 1) for the first _SLAB columns: times (1, r^2) it gives r^2 + c^2, and times
-        # (0, r^2/2) or (1/2, 0) k^2/2, for every row at once; each product is exact and each
-        # sum rounded once, as in plain vector arithmetic
-        outer = np.empty((2, min(widths[0], _SLAB))).T
-        outer[:, 0] = np.arange(1, len(outer) + 1, dtype=float) * col_step
-        outer[:, 0] *= outer[:, 0]
-        outer[:, 1] = 1.0
-        k_rows = 1.0 <= self.aspect  # k is the rows' wavenumber, else the columns'
-        slab, damping = np.empty((2, _SLAB)), np.empty(_SLAB)
-        i0 = 0
-        while i0 < n_rows:
-            i1 = min(n_rows, i0 + max(1, _SLAB // widths[i0]))
-            rows = i1 - i0
-            for c0 in range(0, widths[i0], _SLAB):
-                c1 = min(c0 + _SLAB, widths[i0])
-                n = c1 - c0
-                # column-major: slab[:, c * rows + i] holds row i0 + i, column c0 + c, so
-                # the first m columns of all the slab's rows are slab[:, :m * rows]
-                weights = slab[:, :n * rows].reshape(2, n, rows)
-                w, s_k_weight = weights
-                if rows == 1:  # one row: plain vector arithmetic is faster than the product
-                    if c1 <= len(outer):
-                        c2 = outer[c0:c1, :1]
-                    else:
-                        c2 = np.arange(c0 + 1, c1 + 1, dtype=float)[:, None] * col_step
-                        c2 *= c2
-                    np.add(c2, r2[i0], out=w)
-                    np.sqrt(w, out=w)
-                    np.divide(0.5 * (r2[i0] if k_rows else c2), w, out=s_k_weight)
-                else:
-                    r2_i = r2[i0:i1]
-                    half_k2 = ((np.zeros(rows), 0.5 * r2_i) if k_rows
-                               else (np.full(rows, 0.5), np.zeros(rows)))
-                    np.matmul(outer[:n], np.array([[np.ones(rows), r2_i], half_k2]), out=weights)
-                    np.sqrt(w, out=w)
-                    np.divide(s_k_weight, w, out=s_k_weight)
-                for j, eps_j in enumerate(eps):
-                    m = min(max(counts[i0][j] - c0, 0), n)
-                    if not m:
-                        continue
-                    size = m * rows
-                    e = damping[:size]
-                    np.multiply(slab[0, :size], -eps_j, out=e)
-                    np.exp(e, out=e)
-                    for i in range(1, rows):  # each later row past its own prefix
-                        if counts[i0 + i][j] < m:
-                            e[counts[i0 + i][j] * rows + i::rows] = 0.0
-                    sums = slab[:, :size] @ e
-                    s_omega[j] += float(sums[0])
-                    s_k[j] += float(sums[1])
-            i0 = i1
-        return [[0.5 * s for s in s_omega], s_k]  # the first weight row held w, not w/2
-
-
-def _prefix_counts(r2, widths, caps, col_step):
-    """counts[i, j]: how many of row i's first widths[i] terms have w <= caps[j].
-
-    w = sqrt(r^2 + (m col_step)^2) rises with the column m, so these are
-    prefixes. The circle gives each count to within rounding; the count is
-    then moved until w, with each operation rounded once, of the last term
-    counted lies below the cap and that of the next one above it. These
-    counts alone decide which terms damped_sums sums.
-    """
-    import numpy as np
-
-    def w(m):
-        c = m * col_step
-        return np.sqrt(r2[:, None] + c * c)
-
-    counts = np.sqrt(np.maximum(caps * caps - r2[:, None], 0.0)) / col_step
-    counts = np.minimum(counts.astype(np.intp), widths[:, None])
-    while (over := (counts > 0) & (w(counts) > caps)).any():
-        counts -= over
-    while (under := (counts < widths[:, None]) & (w(counts + 1) <= caps)).any():
-        counts += under
-    return counts
-
-
 def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
     """U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2, field by field.
 
@@ -300,7 +141,7 @@ def _per_side(part: FinitePart, a: float) -> FinitePart:
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
 _Z_MAX = 60.0  # K_1(60) ~ 1.4e-27: Bessel terms past it sit ~25 digits below the leading ones
 _ROUNDING = 16.0 * sys.float_info.epsilon  # rounding bound per unit of summed term magnitude
-_STRIP = 1.5  # half-width a of the strip |Im t| < a on which _bessel_k01 bounds its integrand
+_STRIP = 1.5  # half-width a of the strip |Im t| < a on which the trapezoidal rules bound their integrands
 
 
 def _k1_upper(z: float) -> float:
@@ -424,6 +265,220 @@ def _chowla_selberg(a: float, b: float) -> FourParts:
                        FinitePart(*s_k, method=RegMethod.ZETA_EXACT))
 
 
+def _geometric(y: float) -> tuple[float, float]:
+    """sum_{m>=1} m q^m = 1/(4 sinh^2(y/2)) and sum m^2 q^m = cosh(y/2)/(4 sinh^3(y/2)), q = e^{-y}.
+
+    Formed as q/(1 - q)^2 and q (1 + q)/(1 - q)^3 with 1 - q = -expm1(-y), so
+    that both fall to 0 where sinh(y/2) would overflow.
+    """
+    q = math.exp(-y)
+    d = -math.expm1(-y)
+    g1 = q / d / d
+    return g1, g1 * (1.0 + q) / d
+
+
+def _row_integrals(z: float, a: float, b: float, h: float):
+    """Trapezoidal sums, step h, of int_R (a cosh^2 t G_2 - b cosh t G_1) dt and int_R G_2 dt.
+
+    G_p is _geometric at Y = z cosh t. Returns the two sums and, for each, its
+    bound on the nodes left out plus its rounding bound (_FourPartsSummand).
+    """
+    eps = sys.float_info.epsilon
+    omega, r, rounding = [], [], [0.0, 0.0]
+    i = 0
+    while True:
+        t = i * h
+        cosh_t = math.cosh(t)
+        y = z * cosh_t
+        g1, g2 = _geometric(y)
+        f2, f1 = a * cosh_t * cosh_t * g2, b * cosh_t * g1
+        weight = 2.0 if i else 1.0  # the nodes +t and -t; t = 0 once
+        omega.append(weight * (f2 - f1))
+        r.append(weight * g2)
+        rounding[0] += weight * (5.0 * y + 32.0) * (f2 + f1)
+        rounding[1] += weight * (5.0 * y + 32.0) * g2
+        if not i:
+            first = f2 + f1, g2
+        elif (f2 + f1 <= 0.125 * eps * first[0] and g2 <= 0.125 * eps * first[1]
+              and z * math.sinh(t) >= 2.0 + math.log(2.0) / h):
+            ratio = math.exp(h * (2.0 - z * math.sinh(t)))
+            tail = 2.0 * ratio / (1.0 - ratio)  # both sides
+            return ((h * math.fsum(omega), h * math.fsum(r)),
+                    (h * (tail * (f2 + f1) + eps * rounding[0]),
+                     h * (tail * g2 + eps * rounding[1])))
+        i += 1
+
+
+class _FourPartsSummand:
+    """The a x b rectangle's damped sums, in units of 1/a, in closed form.
+
+    Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits the
+    1 x b/a rectangle's spectrum, representable at any scale, and scales the
+    parts back. Its shorter side x = min(1, b/a) carries the rows, wavenumber
+    r = m c with c = pi/x, and its longer side y the columns, u = n s with
+    s = pi/y; w = sqrt(r^2 + u^2). The two weights are
+
+        S_omega: w/2   S_k: k^2/(2w), k the wavenumber along a,
+
+    and U = (S_omega + S_k)/2, W = (S_omega - S_k)/2 follow by linearity
+    (_four_parts). Each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2):
+    Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
+
+    Each sum is taken whole: no cap on w, no term enumerated, the same work
+    at every aspect ratio (Chowla & Selberg, PNAS 35 (1949) 371, take the
+    same Poisson step on the zeta side). Along the longer side, by Poisson
+    summation, sum_{n>=1} g(n s) = (1/2s) sum_{j in Z} g^(xi_j) - g(0)/2 with
+    xi_j = 2 pi j/s = 2 j y and rho_j = sqrt(eps^2 + xi_j^2). With
+    K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt,
+
+        e^{-eps w}/w  ->  2 K_0(r rho) = int_R e^{-r rho cosh t} dt,
+        w e^{-eps w}  ->  -d/d eps of the transform (eps r/rho) 2 K_1(r rho) of e^{-eps w}
+                       =  int_R [(eps r/rho)^2 cosh^2 t - (xi^2 r/rho^3) cosh t] e^{-r rho cosh t} dt.
+
+    With r = m c the rows are geometric in q = e^{-Y}, Y = Z cosh t, Z = c rho,
+    and sum to G_1 = sum m q^m and G_2 = sum m^2 q^m (_geometric). So, the
+    n = 0 terms g(0)/2 summing to (c/4) G_1(c eps) over the rows,
+
+        S_omega = (y/4pi) sum_j Omega_j - (c/4) G_1(c eps),
+        Omega_j = int_R [A_j cosh^2 t G_2(Y) - B_j cosh t G_1(Y)] dt,
+                  A_j = (eps c/rho_j)^2, B_j = xi_j^2 c/rho_j^3,
+        R       = sum (r^2/2w) e^{-eps w} = (y c^2/4pi) sum_j R_j - (c/4) G_1(c eps),
+        R_j     = int_R G_2(Y) dt,
+
+    and S_k = R when k runs along the rows (a <= b), else S_omega - R.
+    Three facts bound the rule, for p = 1, 2:
+      (i) G_p(Y) <= p!/Y^{p+1}: sinh u >= u, and Lazarevic's (sinh u/u)^3 >= cosh u;
+      (ii) e^Y G_p(Y) falls (the weights m^p e^{-mY} have mean m >= 1);
+      (iii) |d ln G_p/d ln Y| <= Y + p + 1 (coth(Y/2) <= 1 + 2/Y, and
+            ln G_2 = ln G_1 + ln coth(Y/2) adds 1/sinh Y <= 1/Y).
+
+    Node step: both integrands are analytic on |Im t| < pi/2, where Re Y > 0.
+    On Im t = sigma, |sigma| <= _STRIP, |cosh t| <= cosh(Re t) and
+    |G_p(Y)| <= G_p(lam Z cosh(Re t)), lam = cos(_STRIP), so by (i) and
+    int sech = pi, int sech^3 = pi/2 every line carries at most
+    M = 2 pi A/(lam Z)^3 + pi B/(lam Z)^2 of Omega_j and pi/(lam Z)^3 of R_j.
+    The trapezoidal rule then errs by at most 2M/(e^{2 pi _STRIP/h} - 1)
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1). h makes that
+    eps/4 of e^{-z} times the z -> 0 value of Omega_0 and R_0 (z = c eps;
+    c^2 2 pi/z^3 and pi/z^3), which stays below both (the tests check z
+    from 1e-3 to 200), then drops to a multiple of 2^-40, so every node
+    k h is exact; every j uses it, and each adds its own bound.
+
+    Node truncation: by (ii), cosh(t + d) >= cosh t + d sinh t and
+    cosh(t + d) <= e^d cosh t, the i-th node past t weighs at most r^i
+    times the one at t, r = e^{h (2 - Z sinh t)}, cosh^2 included. The sum
+    stops at the first node whose terms are below eps/8 of the t = 0 ones
+    with r <= 1/2, and adds r/(1 - r) times them.
+
+    j truncation: Z_j >= j Theta with Theta = 2 pi y/x >= 2 pi, rho_j >= xi_j,
+    and by (ii) G_p(Y) <= G_p(Z) e^{-Z (cosh t - 1)}, so with K_0 <= K_1 <= _k1_upper
+
+        |Omega_j| <= [(eps c/xi_j)^2 G_2(j Theta) + (c/xi_j) G_1(j Theta)] E(j Theta),
+        R_j <= G_2(j Theta) E(j Theta),   E(Z) = 2 sqrt(pi/2Z) (1 + 3/8Z)(1 + 1/Z).
+
+    These fall by e^{-Theta} a step, so the terms from j on add at most
+    1/(1 - e^{-Theta}) times the one at j; the sum stops at the first j where
+    that is below eps/8 of Omega_0 and of R_0, and adds it.
+
+    Rounding, with libm's exp, expm1, cosh and sinh within one ulp: Y
+    carries at most 5 eps, so by (iii) G_p carries (5Y + 15) eps; forming
+    G_p, the powers of cosh t, A, B and the products add 17 eps. Each term so
+    errs by at most (5Y + 32) eps of its magnitude, and math.fsum, the
+    prefactors and the subtraction add 6 eps of the magnitudes they combine.
+    """
+
+    divergent_powers = (3, 2)
+
+    def __init__(self, a: float, b: float):
+        _check_length(a, "side a")
+        _check_length(b, "side b")
+        self.sides = a, b  # named in messages
+        self.aspect = b / a
+        # inside these b/a and pi a/b are float64; damped sums that overflow raise below
+        if not 1e-300 < self.aspect < 1e300:
+            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a = "
+                             f"{self.aspect:g} is out of range for the cutoff sum")
+        self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
+
+    def damped_sums(self, eps: list[float]) -> list[list[float]]:
+        """S_omega(eps_i) and S_k(eps_i), whole sums: one column per weight."""
+        sums = [self.damped(e)[:2] for e in eps]
+        return [[s[0] for s in sums], [s[1] for s in sums]]
+
+    def damped(self, eps: float) -> tuple[float, float, float, float]:
+        """S_omega, S_k and the bound on the error of each, at one cutoff."""
+        try:
+            sums = self._closed_form(eps)
+            if all(map(math.isfinite, sums)):
+                return sums
+        except OverflowError:
+            pass
+        a, b = self.sides
+        raise ValueError(f"rectangle a = {a:g}, b = {b:g}: the damped sums at cutoff "
+                         f"eps = {eps:g} (in units of 1/a) are not finite in float64")
+
+    def _closed_form(self, eps: float) -> tuple[float, float, float, float]:
+        x, y = min(1.0, self.aspect), max(1.0, self.aspect)
+        c = math.pi / x
+        z = c * eps
+        g1, g2 = _geometric(z) if z > 0.0 else (math.inf, math.inf)
+        if not math.isfinite(y * c * c * g2):
+            raise OverflowError
+        edge = 0.25 * c * g1  # the n = 0 terms
+        eps_mach = sys.float_info.epsilon
+        lam = math.cos(_STRIP)
+        log_ratio = z + math.log(8.0 / (lam**3 * eps_mach))
+        h = 2.0 * math.pi * _STRIP / (log_ratio + math.log1p(math.exp(-log_ratio)))
+        h = math.floor(h * 2.0**40) / 2.0**40
+        decay = 2.0 * math.exp(-2.0 * math.pi * _STRIP / h)
+        decay /= -math.expm1(-2.0 * math.pi * _STRIP / h)  # 2/(e^{2 pi _STRIP/h} - 1)
+
+        (omega0, r0), (omega0_err, r0_err) = _row_integrals(z, 1.0, 0.0, h)
+        u = 1.0 / (lam * z)
+        omega, r = [c * c * omega0], [r0]
+        omega_err = c * c * (omega0_err + decay * 2.0 * math.pi * u * u * u)
+        r_err = r0_err + decay * math.pi * u * u * u
+        theta = 2.0 * math.pi * (y / x)
+        j = 1
+        while True:
+            xi = 2.0 * j * y
+            zj = j * theta
+            g1, g2 = _geometric(zj)
+            # E(j Theta) / (1 - e^{-Theta}), times 2 for the terms at -j
+            e = (4.0 * math.sqrt(math.pi / (2.0 * zj)) * (1.0 + 3.0 / (8.0 * zj))
+                 * (1.0 + 1.0 / zj) / -math.expm1(-theta))
+            rest_omega = ((eps * c / xi) ** 2 * g2 + c / xi * g1) * e
+            rest_r = g2 * e
+            if (rest_omega <= 0.125 * eps_mach * abs(omega[0])
+                    and rest_r <= 0.125 * eps_mach * r[0]):
+                omega_err += rest_omega
+                r_err += rest_r
+                break
+            rho = math.hypot(eps, xi)
+            big_a, big_b = (eps * c / rho) ** 2, c * (xi / rho) ** 2 / rho
+            (omega_j, r_j), (omega_j_err, r_j_err) = _row_integrals(c * rho, big_a, big_b, h)
+            u = 1.0 / (lam * c * rho)
+            omega.append(2.0 * omega_j)
+            r.append(2.0 * r_j)
+            omega_err += 2.0 * (omega_j_err + decay * math.pi * u * u * (2.0 * big_a * u + big_b))
+            r_err += 2.0 * (r_j_err + decay * math.pi * u * u * u)
+            j += 1
+
+        edge_err = eps_mach * (5.0 * z + 32.0) * edge
+        scale = y / (4.0 * math.pi)
+        main = scale * math.fsum(omega)
+        s_omega = main - edge
+        omega_err = scale * omega_err + edge_err + 6.0 * eps_mach * (abs(main) + edge)
+        scale *= c * c
+        main = scale * math.fsum(r)
+        r_sum = main - edge
+        r_err = scale * r_err + edge_err + 6.0 * eps_mach * (main + edge)
+        if 1.0 <= self.aspect:  # k is the rows' wavenumber
+            return s_omega, r_sum, omega_err, r_err
+        s_k = s_omega - r_sum  # k^2 = w^2 - r^2
+        return s_omega, s_k, omega_err, omega_err + r_err + eps_mach * abs(s_k)
+
+
 def default_config(**schedule_kw) -> RegConfig:
     """The rectangles' cutoff cross-check schedule, x from 0.25 to 0.05 unless overridden.
 
@@ -443,15 +498,21 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     W = (S_omega - S_k)/2, so both identities hold by construction, bit for
     bit, and the errors of all four parts correlate.
 
-    Raises ValueError for any other method, and (closed form) when a part
-    or its square is not finite in float64.
+    Raises ValueError for any other method, when a Chowla-Selberg part or
+    its square is not finite in float64, and when a damped sum or a cutoff
+    part is not.
     """
     a, b = cavity.proper_length_x, cavity.proper_length_y
     if config is None or config.method is RegMethod.ZETA_EXACT:
         return _chowla_selberg(a, b)
     if config.method is RegMethod.EXPONENTIAL_CUTOFF:
-        s_omega, s_k = cutoff_finite_part(_FourPartsSummand(a, b), config)
-        return _four_parts(_per_side(s_omega, a), _per_side(s_k, a))
+        parts = [_per_side(part, a)
+                 for part in cutoff_finite_part(_FourPartsSummand(a, b), config)]
+        for name, part in zip(("S_omega", "S_k"), parts):
+            if not (math.isfinite(part.value) and math.isfinite(part.error_estimate)):
+                raise ValueError(f"rectangle a = {a:g}, b = {b:g}: cutoff finite part {name} = "
+                                 f"{part.value:g} is not finite in float64")
+        return _four_parts(*parts)
     raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 

@@ -13,12 +13,12 @@ Three independent routes:
 Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
-Each summand sums its own spectrum: the 1D one in closed form, a sequence
-in floats with math.fsum, the rectangle's (rect2d) in numpy blocks. The
+Each summand sums its own spectrum: the 1D one and the rectangle's
+(rect2d) in closed form, a sequence in floats with math.fsum. The
 divergence fit is one least squares in plain floats for every summand
 (the pseudoinverse of a one-sided Jacobi SVD, refined twice against
 math.fsum residuals), and the schedule and the Abel-Plana integral use
-`math`, so this module never imports numpy.
+`math`: every route runs on Python floats.
 """
 
 import bisect
@@ -57,10 +57,9 @@ class FitError(RuntimeError):
 def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) -> tuple[float, ...]:
     """Strictly decreasing cutoff schedule from hi to lo, in units of 1/omega_min.
 
-    np.geomspace(hi, lo, points) in floats: 10**(i step + log10(hi)) with
-    both endpoints pinned. It is that array bit for bit on the default
-    schedules; elsewhere libm's log10 and pow may differ from numpy's in
-    the last bit.
+    10**(i step + log10(hi)) with both endpoints pinned, the usual geomspace
+    construction; the tests compare it with an array library's geomspace,
+    bit for bit on the default schedules and to an ulp-scale bound elsewhere.
     """
     if not (0 < lo < hi < math.inf) or points < 4:
         raise ValueError("need finite 0 < lo < hi and at least 4 points")
@@ -73,7 +72,7 @@ def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) ->
 # constant and these eps^{+k} stabilizers (they vanish at eps -> 0, but
 # absorbing them sharpens the constant by orders of magnitude).
 _STABILIZER_POWERS = (2, 4)
-_TRUNCATION_DAMPING = 1e-18  # each sum stops once e^{-eps w} drops below it,
+_TRUNCATION_DAMPING = 1e-18  # a 1D or sequence sum stops once e^{-eps w} drops below it,
 _TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
 
@@ -364,7 +363,8 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
     Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule
-    x (each sum truncated once the damping factor falls below 1e-18), fits
+    x (a 1D or sequence sum truncated once the damping factor falls below
+    1e-18; the rectangle's are whole), fits
 
         S = sum_k b_k x^{-k} + a_0 + b_2 x^2 + b_4 x^4,
 

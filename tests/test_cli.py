@@ -870,10 +870,9 @@ class TestColdStart:
         assert self._fresh(script) == "[0, 0] []\n"
 
     # Every request shape of the benchmark's 1D workload and the rectangle's, and
-    # the verify groups that evaluate closed forms (with the stress fault
-    # injections), in the order run, each with its exit code; `verify --only
-    # regsum` last, whose cutoff cross-check sums the rectangle's lattice in numpy,
-    # shows that the check sees numpy once something imports it.
+    # the verify groups (with the stress fault injections), in the order run, each
+    # with its exit code; the full `verify` last, whose regsum group runs the
+    # rectangle's cutoff cross-check.
     REQUESTS = (
         (["rect2d", "--a", "1", "--b", "3", "--v", "0.4", "--shell-grid", "0.1:0.7:0.2",
           "--solve-subtraction"], 0),
@@ -914,7 +913,7 @@ class TestColdStart:
             "print('import', 'numpy' in sys.modules)\n"
             "from boostcav.cli import main\n"
             f"for argv in {[argv for argv, _ in self.REQUESTS]!r} + "
-            "[['verify', '--only', 'regsum']]:\n"
+            "[['verify']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        code = main(argv)\n"
@@ -922,7 +921,7 @@ class TestColdStart:
         )
         expected = ["import False"]
         expected += [f"{argv[0]} {code} False" for argv, code in self.REQUESTS]
-        expected.append("verify 0 True")
+        expected.append("verify 0 False")
         assert self._fresh(script).splitlines() == expected
 
     def test_text_requests_never_import_json(self):

@@ -1,4 +1,4 @@
-"""numpy is imported only where arrays are the workload; every scalar path runs on `math`."""
+"""src never imports numpy: every path, the rectangle's lattice sums included, runs on `math`."""
 
 import ast
 import math
@@ -20,9 +20,9 @@ from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
 
-# only the rectangle's cutoff lattice sums, in blocks; modes evaluate one point on
+# none: the rectangle's cutoff sums are closed forms, modes evaluate one point on
 # cmath, and the Gauss-Legendre rule runs on lists of floats
-NUMPY_MODULES = {"rect2d"}
+NUMPY_MODULES = set()
 
 
 # the modules that integrate: the package's exports, regsum's Abel-Plana integral and

@@ -1,7 +1,6 @@
 import math
 import re
 import sys
-import warnings
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
-from boostcav import quadrature, rect2d, regsum
+from boostcav import quadrature, rect2d
 from boostcav.cli import main
 from boostcav.regsum import RegConfig, RegMethod
 from boostcav.rect2d import (
@@ -323,25 +322,30 @@ class TestHalvesByConstruction:
         assert len(s_omega.fitted_divergent_coeffs) == (2 if cutoff else 0)
 
 
-class TestCutoffWorkBudget:
-    """The cutoff cross-check estimates its term count and fails fast past the budget."""
+class TestCutoffAtExtremeSides:
+    """The cutoff cross-check answers at every aspect ratio and scale float64 holds."""
 
-    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1.0, 1e4)])
-    def test_extreme_sides_fail_fast(self, a, b):
+    # b/a from 1e3 to 1e7 in both orientations, and sides near the ends of float64
+    @pytest.mark.parametrize("a, b", [
+        (1.0, 1e3), (1e3, 1.0), (1.0, 1e4), (1e4, 1.0), (1.0, 1e5), (1e5, 1.0), (1.0, 1e7),
+        (1e-150, 1e-150), (1e150, 1e150), (1e-150, 5e-150), (5e150, 1e150)])
+    def test_agrees_with_chowla_selberg(self, a, b):
         cav = Cavity2D(a, b, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")) as exc:
-                finite_parts(cav, rect2d.default_config())
-        assert "spectrum terms, over the budget of 1e+09" in str(exc.value)
+        cutoff, exact = finite_parts(cav, rect2d.default_config()), finite_parts(cav)
+        for name in PART_NAMES:
+            cut, ref = getattr(cutoff, name), getattr(exact, name)
+            assert abs(cut.value - ref.value) <= cut.error_estimate + ref.error_estimate, name
 
-    def test_largest_tested_aspect_is_within_budget(self):
-        # b/a = 50 sums about 2.7e7 terms at its smallest cutoff
-        # the schedule is in units of 1/omega_min
-        x_lo = rect2d.default_config().epsilon_schedule[-1]
-        omega_min = rect2d._FourPartsSummand(1.0, 50.0).omega_min
-        cap = -math.log(regsum._TRUNCATION_DAMPING) * omega_min / x_lo
-        assert 2e7 < 50.0 * cap * cap / (4.0 * math.pi) < rect2d._TERM_BUDGET
+    # a finite part of 1e-200 x 1 is about 1e398; the 1 x 1e-200 rectangle's damped sums
+    # in units of 1/a, about (a/b)^2, overflow before any fit
+    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1.0, 1e-200), (1e200, 1.0)])
+    def test_unrepresentable_sides_are_named(self, capsys, a, b):
+        cav = Cavity2D(a, b, 0.0)
+        for config in (rect2d.default_config(), None):
+            with pytest.raises(ValueError, match=re.escape(f"rectangle a = {a:g}, b = {b:g}: ")):
+                finite_parts(cav, config)
+        assert main(["rect2d", "--a", f"{a:g}", "--b", f"{b:g}"]) == 2
+        assert f"usage error: rectangle a = {a:g}, b = {b:g}: " in capsys.readouterr().err
 
 
 SIDES = st.floats(min_value=1e-2, max_value=1e2)

@@ -1,11 +1,8 @@
 import bisect
 import functools
 import math
-import os
 import re
-import subprocess
 import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -362,7 +359,7 @@ class TestRect2DSums:
         for a, b in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 rect2d._FourPartsSummand(a, b)
-        # sides whose ratio leaves float64: every such aspect is far past the term budget
+        # sides whose ratio, or pi over it, leaves float64
         for a, b in ((1e200, 1e-200), (1e-160, 1e160)):
             with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}: aspect ratio")):
                 rect2d._FourPartsSummand(a, b)
@@ -386,81 +383,110 @@ class TestRect2DSums:
 
 
 class TestRectDampedSums:
-    """The rectangle's raw damped sums against an explicit enumeration of their term set."""
+    """The rectangle's closed-form damped sums against an enumeration of the lattice.
+
+    The enumeration is the reference implementation: every lattice point with
+    w <= CAP/eps, in numpy rows each summed by math.fsum. The closed form sums
+    every term, so the two differ by the tail past the cap, the enumeration's
+    rounding and the closed form's own error, and each of the three is bounded.
+    """
 
     @staticmethod
     def _enumerated(aspect, eps):
-        """math.fsum of (w/2, k^2/(2w)) e^{-eps w} over every lattice point with w <= CAP/eps.
+        """(S_omega, S_k) enumerated under the cap, and a bound on the rounding of each.
 
-        w is rounded as damped_sums rounds it, so a point on the cap falls on the same side.
+        w = sqrt(k^2 + p^2) carries at most 2.5 ulps, so e^{-eps w} carries
+        (3 eps w + 1) and a term (3 eps w + 6); math.fsum rounds each row once,
+        and the sum of the rows once more.
         """
         cap = _TRUNCATION_CAP / eps
         p_step = math.pi / aspect
-        terms = ([], [])
+        rows, rounding = ([], []), [0.0, 0.0]
         n = 1
         while n * math.pi < cap:
             k = n * math.pi
-            m = 1
-            while True:
-                p = m * p_step
-                w = math.sqrt(k * k + p * p)
-                if w > cap:
-                    break
-                damping = math.exp(-eps * w)
-                terms[0].append(0.5 * w * damping)
-                terms[1].append(k * k / (2.0 * w) * damping)
-                m += 1
+            p = np.arange(1.0, math.sqrt(cap * cap - k * k) / p_step + 2.0) * p_step
+            w = np.sqrt(k * k + p * p)
+            w = w[w <= cap]
+            damping = np.exp(-eps * w)
+            for i, terms in enumerate((0.5 * w * damping, k * k / (2.0 * w) * damping)):
+                rows[i].append(math.fsum(terms.tolist()))
+                rounding[i] += float(np.sum((3.0 * eps * w + 6.0) * terms)) + rows[i][-1]
             n += 1
-        return [math.fsum(t) for t in terms], len(terms[0])
+        sums = [math.fsum(row) for row in rows]
+        return sums, [2.0**-52 * (r + s) for r, s in zip(rounding, sums)]
+
+    @staticmethod
+    def _tail(aspect, eps):
+        """Bound on either sum over the lattice points past w = W = CAP/eps.
+
+        At most N(w) = aspect w^2/(4 pi) points lie within w (each cell of the
+        lattice (n pi, m pi/aspect) fits inside the quarter disc), and both
+        weights are at most w/2, whose damped f = (w/2) e^{-eps w} falls past
+        1/eps: the tail is at most int_W^inf N (-f') dw
+        = (aspect/4pi) [W^2 f(W) + int_W^inf w^2 e^{-eps w} dw].
+        """
+        big_w = _TRUNCATION_CAP / eps
+        return aspect / (4.0 * math.pi) * math.exp(-eps * big_w) * (
+            0.5 * big_w**3 + big_w**2 / eps + 2.0 * big_w / eps**2 + 2.0 / eps**3)
 
     def _check(self, sides, schedule):
         summand = rect2d._FourPartsSummand(*sides)
-        got = summand.damped_sums(list(schedule))
-        for i, eps in enumerate(schedule):
-            ref, n_terms = self._enumerated(summand.aspect, eps)
-            for column, exact in zip(got, ref):
-                # recursive summation of n positive terms: relative error n * 2^-52
-                assert abs(column[i] - exact) <= n_terms * 2.0**-52 * exact, (eps, n_terms)
+        worst = 0.0
+        for eps in schedule:
+            *got, err_omega, err_k = summand.damped(eps)
+            ref, ref_rounding = self._enumerated(summand.aspect, eps)
+            tail = self._tail(summand.aspect, eps)
+            for value, exact, err, rounding in zip(got, ref, (err_omega, err_k), ref_rounding):
+                bound = err + rounding + tail
+                assert abs(value - exact) <= bound, (eps, value, exact, bound)
+                worst = max(worst, abs(value - exact) / bound)
+        assert summand.damped_sums(list(schedule)) == [
+            [summand.damped(eps)[i] for eps in schedule] for i in (0, 1)]
+        return worst
 
-    # the second schedule sits near the cap: at its smallest cutoffs each sum has a few
-    # terms, and those just inside CAP/eps lie far above n 2^-52 of it, so a wrong term
-    # set cannot hide in rounding
+    # Raw cutoffs at and near the cap: at the smallest of the second schedule each
+    # enumerated sum has a few terms or none, and the cap's tail bound is 1e-20 to 3e-12;
+    # at b/a = 8000 and eps = 2 the enumeration sums 272,000 terms.
     @pytest.mark.parametrize("schedule", [(4.0, 3.0, 2.0, 1.5, 1.0), (40.0, 30.0, 20.0, 10.0, 5.0)])
     @pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 0.37), (1.0, 2.7), (1.0, 20.0),
-                                       (2.7, 1.0)])
-    def test_sums_exactly_the_terms_under_each_cap(self, sides, schedule):
-        self._check(sides, schedule)
+                                       (2.7, 1.0), (1.0, 8000.0)])
+    def test_closed_form_is_the_enumerated_sum(self, sides, schedule):
+        if sides == (1.0, 8000.0):
+            schedule = schedule[:4] + (2.0,)
+        assert self._check(sides, schedule) <= 1.0
 
-    def test_rows_longer_than_a_slab(self):
-        # b/a = 8000: at eps = 2 rows of 52,161, 50,287 and 46,998 terms, summed in three or
-        # four pieces; the pieces past the first hold 5e-5 to 2.5e-4 of each sum, far above
-        # the rounding bound, so a wrong column in them shows
-        self._check((1.0, 8000.0), (40.0, 20.0, 10.0, 5.0, 2.0))
+    def test_default_schedule_ends(self):
+        # the fit's own cutoffs x = 0.25 and 0.05 over omega_min on the square: 43,000 and
+        # 1.08 million enumerated terms, where each sum carries its full Weyl divergence
+        summand = rect2d._FourPartsSummand(1.0, 1.0)
+        schedule = [x / summand.omega_min for x in (0.25, 0.05)]
+        assert self._check((1.0, 1.0), schedule) <= 1.0
+        for eps in schedule:
+            s_omega, s_k, err_omega, err_k = summand.damped(eps)
+            # each stated error is about 40 ulps of its sum, nearly all the rounding bound
+            assert err_omega <= 64.0 * sys.float_info.epsilon * s_omega
+            assert err_k <= 64.0 * sys.float_info.epsilon * s_k
 
-    def test_same_bits_at_one_and_two_blas_threads(self):
-        try:
-            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
-            blas = "unknown"
-        if not any(name in blas.lower() for name in ("openblas", "mkl")):
-            pytest.skip(f"numpy's BLAS is {blas}, whose thread count is not set here")
-        # the default schedule as the fit damps it: slabs of three rows, up to 12,678 terms
-        script = (
-            "from boostcav import rect2d\n"
-            "summand = rect2d._FourPartsSummand(1.0, 5.0)\n"
-            "eps = [x / summand.omega_min for x in rect2d.default_config().epsilon_schedule]\n"
-            "print([[s.hex() for s in column] for column in summand.damped_sums(eps)])\n"
-        )
-        src = str(Path(rect2d.__file__).resolve().parent.parent)
-        outs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            outs.append(subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                       text=True, env=env, check=True).stdout)
-        assert outs[0] == outs[1]
-        assert outs[0].count("0x") == 2 * len(rect2d.default_config().epsilon_schedule)
+    @pytest.mark.parametrize("z", [1e-3, 0.0177, 0.25, 1.0, 6.3, 40.0, 200.0])
+    def test_step_estimate_lies_below_the_integrals(self, z):
+        # the node step is sized from e^{-z} times the z -> 0 values 2 pi/z^3 and pi/z^3
+        # of the j = 0 integrals; below them, its bound is at most eps/4 of each
+        (omega, r), _ = rect2d._row_integrals(z, 1.0, 0.0, 0.05)
+        assert omega >= 2.0 * math.pi * math.exp(-z) / z**3
+        assert r >= math.pi * math.exp(-z) / z**3
+
+    @pytest.mark.parametrize("aspect", [1e-3, 1.0, 1e3, 1e7])
+    def test_work_does_not_grow_with_the_aspect(self, aspect, monkeypatch):
+        # each cutoff costs a few dozen nodes per Poisson index j, and j = 0 alone
+        # is left once e^{-2 pi b/a} (or a/b) is below the rounding
+        calls = []
+        row_integrals = rect2d._row_integrals
+        monkeypatch.setattr(rect2d, "_row_integrals",
+                            lambda z, a, b, h: calls.append(z) or row_integrals(z, a, b, h))
+        summand = rect2d._FourPartsSummand(1.0, aspect)
+        summand.damped_sums([x / summand.omega_min for x in rect2d.default_config().epsilon_schedule])
+        assert len(calls) <= 8 * (6 if aspect == 1.0 else 1)
 
 
 class TestLinearDampedSums:
@@ -546,32 +572,33 @@ class TestBitIdentity:
 
     Recorded once the fit solved through the pseudoinverse of its one-sided
     Jacobi SVD, refined twice against math.fsum residuals; RECT again once
-    the rectangle's damped sums ran in column-major slabs of rows, and
-    (1, 20), whose slabs are single rows, added then; STATIC_CUTOFF again once
-    the 1D damped sums took their closed form. Each value's distance to the
-    oracle (Chowla-Selberg; -pi/(24 L)) is noted beside it.
+    the rectangle's damped sums ran in column-major slabs of rows, with
+    (1, 20) added then, and once more when they took their closed form
+    (whole sums, no cap); STATIC_CUTOFF again once the 1D damped sums took
+    theirs. Each value's distance to the oracle (Chowla-Selberg;
+    -pi/(24 L)) is noted beside it.
     """
 
-    # (value, error_estimate) of U, W, S_omega, S_k
+    # (value, error_estimate) of U, W, S_omega, S_k; beside each, its distance to the
+    # oracle with the enumerated damped sums, then with the closed-form ones
     RECT = {
         (1.0, 1.0): (
-            ("0x1.f84e8e76cf764p-6", "0x1.28759ccf2fadbp-27"),  # 7.11e-11 from the oracle
-            ("0x1.50345edc3ca45p-7", "0x1.28759ccf2fadbp-27"),  # 3.02e-11
-            ("0x1.50345ef276e43p-5", "0x1.841d74e7e3bcfp-27"),  # 4.09e-11
-            ("0x1.50345f08b1241p-6", "0x1.999b896cf73cep-28"),  # 1.01e-10
+            ("0x1.f84e8e7721e0cp-6", "0x1.24fe396a176eap-27"),  # 7.11e-11 -> 7.23e-11
+            ("0x1.50345efc93b48p-7", "0x1.24fe396a176eap-27"),  # 3.02e-11 -> 2.86e-11
+            ("0x1.50345efab5dd8p-5", "0x1.867e2a9d0f63dp-27"),  # 4.09e-11 -> 1.01e-10
+            ("0x1.50345ef8d8068p-6", "0x1.86fc906e3ef2ep-28"),  # 1.01e-10 -> 4.37e-11
         ),
         (1.0, 5.0): (
-            ("-0x1.d28f7bf65e4d2p-4", "0x1.1b1c76bafe09cp-26"),  # 1.47e-09
-            ("0x1.e9c31544c6438p-5", "0x1.1b1c76bafe09cp-26"),  # 4.45e-11
-            ("-0x1.bb5be2a7f656bp-5", "0x1.6c6fccb45cc2cp-26"),  # 1.51e-09
-            ("-0x1.63b8834c60b77p-3", "0x1.939241833ea16p-27"),  # 1.42e-09
+            ("-0x1.d28f7bff8e622p-4", "0x1.22c72bec75b9ap-26"),  # 1.47e-09 -> 1.33e-09
+            ("0x1.e9c31536f9910p-5", "0x1.22c72bec75b9ap-26"),  # 4.45e-11 -> 5.59e-11
+            ("-0x1.bb5be2c823334p-5", "0x1.7959dfe487f64p-26"),  # 1.51e-09 -> 1.28e-09
+            ("-0x1.63b8834d85955p-3", "0x1.9868efe8c6f9fp-27"),  # 1.42e-09 -> 1.39e-09
         ),
-        # rows of over half a slab: each sums alone, in vector arithmetic
         (1.0, 20.0): (
-            ("-0x1.4dcfab3734a80p-1", "0x1.12be665e22227p-24"),  # 8.32e-09
-            ("0x1.e9c31546965dfp-3", "0x1.12be665e22227p-24"),  # 2.30e-10
-            ("-0x1.a6bdcbcb1e211p-2", "0x1.669d9cc246c26p-24"),  # 8.55e-09
-            ("-0x1.c8407088da3f8p-1", "0x1.7dbe5ff3fb050p-25"),  # 8.09e-09
+            ("-0x1.4dcfab4118397p-1", "0x1.1526100d99b1ap-24"),  # 8.32e-09 -> 7.17e-09
+            ("0x1.e9c315317344dp-3", "0x1.1526100d99b1ap-24"),  # 2.30e-10 -> 3.85e-10
+            ("-0x1.a6bdcbe976d07p-2", "0x1.667c7ade702f5p-24"),  # 8.55e-09 -> 6.78e-09
+            ("-0x1.c840708d750aap-1", "0x1.879f4a7986680p-25"),  # 8.09e-09 -> 7.55e-09
         ),
     }
     # relative distance to -pi/(24 L): 8.671e-11 at both lengths, 0.107 of the stated error
