@@ -16,7 +16,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .cavity import Cavity1D, Cavity2D, Scheme, nonrelativistic_flag
 from .observables import (
@@ -48,6 +48,7 @@ __all__ = ["main"]
 
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
+_METHODS = ("zeta", "cutoff", "abel-plana")  # the 1D regularizers, as --method spells them
 # Rows one table may hold: a `modes` --n-max, or the points of a velocity grid.
 # A 9,474-row sweep takes about 0.3 s wall by the closed form and 1.0 s by the
 # per-mode route (one process on a 2-core x86-64 Xeon, median of 5).
@@ -62,12 +63,6 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize negative zero
     return f"{x:.12g}"
-
-
-def _round12(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return float(f"{x:.12g}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -87,22 +82,21 @@ def _json_payload(meta: dict, rows: list[dict]) -> str:
     def clean(obj):
         if isinstance(obj, float):
             # RFC 8259 has no inf or nan: write them as the strings "inf", "-inf", "nan"
-            return _round12(obj) if math.isfinite(obj) else str(obj)
+            return float(_fmt(obj)) if math.isfinite(obj) else str(obj)
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
         return obj
 
-    payload = {"meta": clean(meta), "rows": clean(rows)}
+    payload = {"meta": clean({**meta, "units": UNITS_NOTE}), "rows": clean(rows)}
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_payload(header: Sequence[str], rows: list[Sequence[Any]]) -> str:
-    lines = [f"# units: {UNITS_NOTE}", ",".join(header)]
+def _csv_lines(header: Sequence[str], rows: list[Sequence[Any]]) -> Iterator[str]:
+    yield ",".join(header)
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def _parse_grid(text: str) -> list[float]:
                              f"budget of {ROW_BUDGET}")
         if intervals < 0:  # -inf when the span overflows downward
             raise UsageError(f"grid spec {text!r} produces no points")
-        return [_round12(start + i * step) for i in range(math.floor(intervals) + 1)]
+        return [float(_fmt(start + i * step)) for i in range(math.floor(intervals) + 1)]
     try:
         return [float(text)]
     except ValueError as exc:
@@ -170,58 +164,44 @@ def _reg_config_1d(method: str) -> RegConfig | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, then returns (exit code, JSON meta, JSON rows,
+# text or CSV lines). The rows and the lines are zero-argument functions, so a
+# request builds only its own format; `main` renders it and writes it once.
 # ---------------------------------------------------------------------------
 
-def _cmd_static(args: argparse.Namespace) -> int:
+def _cmd_static(args: argparse.Namespace) -> tuple:
     if args.plates:
-        separation = args.a if args.a is not None else args.L
-        if separation is None or separation <= 0:
+        if args.a is None or args.a <= 0:
             raise UsageError("--plates requires a positive --a (plate separation)")
-        energy, slope = em_plate_energy_per_area(separation)
-        meta = {"command": "static-plates", "a": separation, "units": UNITS_NOTE}
-        rows = [{"energy_per_area": energy, "d_energy_da": slope}]
-        if args.format == "json":
-            _emit(_json_payload(meta, rows), args.output)
-        else:
-            _emit(
-                f"# units: {UNITS_NOTE}\n"
-                f"plate separation a = {_fmt(separation)}\n"
-                f"vacuum energy per area = {_fmt(energy)}\n"
-                f"d(E/A)/da = {_fmt(slope)} (> 0: attraction)\n",
-                args.output,
-            )
-        return 0
+        energy, slope = em_plate_energy_per_area(args.a)
+
+        def lines():
+            yield f"plate separation a = {_fmt(args.a)}"
+            yield f"vacuum energy per area = {_fmt(energy)}"
+            yield f"d(E/A)/da = {_fmt(slope)} (> 0: attraction)"
+
+        return (0, {"command": "static-plates", "a": args.a},
+                lambda: [{"energy_per_area": energy, "d_energy_da": slope}], lines)
 
     length = args.L
     if length is None or length <= 0:
         raise UsageError("static requires a positive --L")
-    values = {
-        "zeta": static_m0(length),
-        "cutoff": static_m0(length, RegConfig.cutoff()),
-        "abel-plana": static_m0(length, RegConfig.abel_plana()),
-    }
+    values = {method: static_m0(length, _reg_config_1d(method)) for method in _METHODS}
     spread = max(values.values()) - min(values.values())
     rel = spread / abs(values["zeta"])
-    meta = {
-        "command": "static",
-        "L": length,
-        "units": UNITS_NOTE,
-        "agreement_rtol": REGULATOR_AGREEMENT_RTOL,
-    }
-    rows = [{"method": k, "m0": v} for k, v in values.items()]
-    if args.format == "json":
-        _emit(_json_payload(meta, rows), args.output)
-    else:
-        lines = [f"# units: {UNITS_NOTE}", f"static cavity energy m0(L={_fmt(length)})"]
+    meta = {"command": "static", "L": length, "agreement_rtol": REGULATOR_AGREEMENT_RTOL}
+
+    def lines():
+        yield f"static cavity energy m0(L={_fmt(length)})"
         for k, v in values.items():
-            lines.append(f"  {k:>10s}: {_fmt(v)}")
-        lines.append(f"  relative spread: {_fmt(rel)}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if rel <= REGULATOR_AGREEMENT_RTOL else 1
+            yield f"  {k:>10s}: {_fmt(v)}"
+        yield f"  relative spread: {_fmt(rel)}"
+
+    return (0 if rel <= REGULATOR_AGREEMENT_RTOL else 1, meta,
+            lambda: [{"method": k, "m0": v} for k, v in values.items()], lines)
 
 
-def _cmd_boost(args: argparse.Namespace) -> int:
+def _cmd_boost(args: argparse.Namespace) -> tuple:
     if args.scheme is None or args.v is None:
         raise UsageError("boost requires --scheme and --v")
     scheme = Scheme(args.scheme)
@@ -246,7 +226,6 @@ def _cmd_boost(args: argparse.Namespace) -> int:
         "L": args.L,
         "v": args.v,
         "m0": m0,
-        "units": UNITS_NOTE,
         "route_agreement_rtol": ROUTE_AGREEMENT_RTOL,
     }
     if scheme.is_galilean:
@@ -255,27 +234,22 @@ def _cmd_boost(args: argparse.Namespace) -> int:
         meta["validity"] = flag
     if notes:
         meta["warnings"] = notes
-    if args.format == "json":
-        _emit(_json_payload(meta, rows), args.output)
-    else:
-        lines = [f"# units: {UNITS_NOTE}",
-                 f"scheme {scheme.label}, L = {_fmt(args.L)}, v = {_fmt(args.v)}, "
-                 f"m0 = {_fmt(m0)}"]
+
+    def lines():
+        yield f"scheme {scheme.label}, L = {_fmt(args.L)}, v = {_fmt(args.v)}, m0 = {_fmt(m0)}"
         if flag:
-            lines.append(f"note: {flag}")
-        lines.extend(f"note: {note}" for note in notes)
+            yield f"note: {flag}"
+        yield from (f"note: {note}" for note in notes)
         for row in rows:
-            lines.append(
-                f"  {row['route']:>12s}: E = {_fmt(row['E'])}  P = {_fmt(row['P'])}  "
-                f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}"
-            )
+            yield (f"  {row['route']:>12s}: E = {_fmt(row['E'])}  P = {_fmt(row['P'])}  "
+                   f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}")
         if scheme is Scheme.GALILEO_LAB_PRIOR:
-            lines.extend(lab_prior_discrepancy_report(cavity, m0=m0).lines())
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if comparison.agree else 1
+            yield from lab_prior_discrepancy_report(cavity, m0=m0).lines()
+
+    return 0 if comparison.agree else 1, meta, lambda: rows, lines
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> tuple:
     if args.scheme is None or args.v is None:
         raise UsageError("sweep requires --scheme and --v (grid spec start:stop:step)")
     scheme = Scheme(args.scheme)
@@ -289,29 +263,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
          r.energy_point_particle, r.momentum_point_particle, r.route.value]
         for r in table.rows
     ]
-    if args.format == "json":
-        meta = {
-            "command": "sweep",
-            "scheme": scheme.label,
-            "L": args.L,
-            "method": table.method.value,
-            "route": route.value,
-            "units": UNITS_NOTE,
-            "warnings": list(table.warnings),
-        }
-        if scheme.is_galilean:
-            meta["scheme_note"] = "non-relativistic approximation"
-        rows = [dict(zip(header, row)) for row in csv_rows]
-        _emit(_json_payload(meta, rows), args.output)
-    else:
+    meta = {
+        "command": "sweep",
+        "scheme": scheme.label,
+        "L": args.L,
+        "method": table.method.value,
+        "route": route.value,
+        "warnings": list(table.warnings),
+    }
+    if scheme.is_galilean:
+        meta["scheme_note"] = "non-relativistic approximation"
+
+    def lines():
         # the CSV keeps one row per line after its header, so warnings go to stderr
         for warning in table.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        _emit(_csv_payload(header, csv_rows), args.output)
-    return 0
+        yield from _csv_lines(header, csv_rows)
+
+    return 0, meta, lambda: [dict(zip(header, row)) for row in csv_rows], lines
 
 
-def _cmd_rect2d(args: argparse.Namespace) -> int:
+def _cmd_rect2d(args: argparse.Namespace) -> tuple:
     if args.a is None or args.b is None:
         raise UsageError("rect2d requires --a and --b")
     cavity = Cavity2D(args.a, args.b, args.v)
@@ -342,69 +314,60 @@ def _cmd_rect2d(args: argparse.Namespace) -> int:
         "v": args.v,
         "E_m": e_m,
         "E_m_error": parts.S_omega.error_estimate,
-        "units": UNITS_NOTE,
     }
-    solver = None
-    probe = ()
-    if args.shell_grid:
-        probe = mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), Route2D.PER_MODE,
-                                    parts=parts)
+    probe = (mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), Route2D.PER_MODE,
+                                 parts=parts) if args.shell_grid else ())
     probe_rows = [{"v": r.velocity, "residual": r.residual, "error": r.residual_error,
                    "predicted": r.predicted_residual} for r in probe]
     note = shell_residual_warning((per_mode, grouped) + probe, e_m, rest="E_m")
     if note:
         meta["warnings"] = [note]
+    solver = None
     if args.solve_subtraction:
         grid = _parse_grid(args.shell_grid or "0.2:0.6:0.2")
         try:
             solver = subtraction_solver_2d(cavity, grid, parts=parts)
         except UnderdeterminedError as exc:
             raise UsageError(str(exc)) from exc
+        meta["subtraction_note"] = solver.note
 
-    if args.format == "json":
-        payload_rows = rows + part_rows + probe_rows
+    def json_rows():
+        out = rows + part_rows + probe_rows
         if solver:
-            meta["subtraction_note"] = solver.note
-            payload_rows += [
+            out += [
                 {"branch": br.name, "delta_U": br.delta_U, "delta_W": br.delta_W,
                  "max_rel_residual": br.max_rel_residual}
                 for br in solver.branches
             ]
-        _emit(_json_payload(meta, payload_rows), args.output)
-    else:
-        lines = [f"# units: {UNITS_NOTE}",
-                 f"rectangle a = {_fmt(args.a)}, b = {_fmt(args.b)}, v = {_fmt(args.v)}",
-                 f"E_m (rest) = {_fmt(e_m)} +- {_fmt(parts.S_omega.error_estimate)}"]
+        return out
+
+    def lines():
+        yield f"rectangle a = {_fmt(args.a)}, b = {_fmt(args.b)}, v = {_fmt(args.v)}"
+        yield f"E_m (rest) = {_fmt(e_m)} +- {_fmt(parts.S_omega.error_estimate)}"
         if note:
-            lines.append(f"note: {note}")
+            yield f"note: {note}"
         for row in rows:
-            lines.append(
-                f"  route {row['route']:>9s}: E_s = {_fmt(row['E_s'])} +- {_fmt(row['E_s_error'])}"
-                f"  P_s = {_fmt(row['P_s'])} +- {_fmt(row['P_s_error'])}"
-                f"  shell residual = {_fmt(row['shell_residual'])}"
-            )
-        lines.append("finite parts by: zeta (Chowla-Selberg)")
-        lines.append("finite parts:")
+            yield (f"  route {row['route']:>9s}: E_s = {_fmt(row['E_s'])} +- {_fmt(row['E_s_error'])}"
+                   f"  P_s = {_fmt(row['P_s'])} +- {_fmt(row['P_s_error'])}"
+                   f"  shell residual = {_fmt(row['shell_residual'])}")
+        yield "finite parts by: zeta (Chowla-Selberg)"
+        yield "finite parts:"
         for row in part_rows:
-            lines.append(f"  {row['part']:>8s} = {_fmt(row['value'])} +- {_fmt(row['error'])}")
-        lines.extend(static_limit_report(cavity, parts=parts).lines())
+            yield f"  {row['part']:>8s} = {_fmt(row['value'])} +- {_fmt(row['error'])}"
+        yield from static_limit_report(cavity, parts=parts).lines()
         for row in probe_rows:
-            lines.append(
-                f"  shell probe v = {_fmt(row['v'])}: residual = {_fmt(row['residual'])}"
-                f" +- {_fmt(row['error'])} (predicted {_fmt(row['predicted'])})"
-            )
+            yield (f"  shell probe v = {_fmt(row['v'])}: residual = {_fmt(row['residual'])}"
+                   f" +- {_fmt(row['error'])} (predicted {_fmt(row['predicted'])})")
         if solver:
-            lines.append(solver.note)
+            yield solver.note
             for br in solver.branches:
-                lines.append(
-                    f"  branch {br.name}: dU = {_fmt(br.delta_U)}, dW = {_fmt(br.delta_W)}, "
-                    f"post-shift max relative residual = {_fmt(br.max_rel_residual)}"
-                )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+                yield (f"  branch {br.name}: dU = {_fmt(br.delta_U)}, dW = {_fmt(br.delta_W)}, "
+                       f"post-shift max relative residual = {_fmt(br.max_rel_residual)}")
+
+    return 0, meta, json_rows, lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     convention = StressConvention(
         momentum_sign=-1.0 if args.inject_t01_sign_flip else 1.0,
         prefactor_rule=PrefactorRule(args.inject_prefactor) if args.inject_prefactor
@@ -414,21 +377,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results = run_checks(args.only, convention)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    lines = [f"# units: {UNITS_NOTE}"]
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"[{status}] {res.name}: {res.detail}")
     failures = [res for res in results if not res.passed]
-    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
-    if failures:
-        import json
-        failure_list = [{"name": res.name, "detail": res.detail} for res in failures]
-        lines.append("failures: " + json.dumps(failure_list, sort_keys=True))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if not failures else 1
+
+    def lines():
+        for res in results:
+            yield f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}"
+        yield f"{len(results) - len(failures)}/{len(results)} checks passed"
+        if failures:
+            import json
+            failure_list = [{"name": res.name, "detail": res.detail} for res in failures]
+            yield "failures: " + json.dumps(failure_list, sort_keys=True)
+
+    return 1 if failures else 0, None, None, lines
 
 
-def _cmd_modes(args: argparse.Namespace) -> int:
+def _cmd_modes(args: argparse.Namespace) -> tuple:
     if args.scheme is None:
         raise UsageError("modes requires --scheme")
     scheme = Scheme(args.scheme)
@@ -456,15 +419,10 @@ def _cmd_modes(args: argparse.Namespace) -> int:
         comoving, lab_phase, coeffs = modes_mod.SpacetimeMode(scheme, cavity, n)._row()
         u_mid = modes_mod.affine_value(norm, coeffs, t, x_mid)
         csv_rows.append([float(n), comoving, lab_phase, norm, u_mid.real, u_mid.imag])
-    if args.format == "json":
-        meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
-                "v": args.v, "t": t, "x_sample": x_mid, "units": UNITS_NOTE}
-        rows = [dict(zip(header, row)) for row in csv_rows]
-        _emit(_json_payload(meta, rows), args.output)
-    else:
-        rows = [[int(r[0])] + r[1:] for r in csv_rows]
-        _emit(_csv_payload(header, rows), args.output)
-    return 0
+    meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
+            "v": args.v, "t": t, "x_sample": x_mid}
+    return (0, meta, lambda: [dict(zip(header, row)) for row in csv_rows],
+            lambda: _csv_lines(header, [[int(r[0])] + r[1:] for r in csv_rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  parser_class=functools.partial(argparse.ArgumentParser,
                                                                 allow_abbrev=False))
     schemes = [s.label for s in Scheme]
-    methods = ("zeta", "cutoff", "abel-plana")
 
     p = subs.add_parser("static", help="regularized static energy, all regularizers side by side")
     p.add_argument("--L", type=float, help="proper cavity length")
@@ -510,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=schemes)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--v", type=float)
-    p.add_argument("--method", choices=methods, default="zeta")
+    p.add_argument("--method", choices=_METHODS, default="zeta")
     _add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_boost)
 
@@ -519,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--v", help="grid spec start:stop:step (inclusive)")
     p.add_argument("--route", choices=[r.value for r in Route], default=Route.CLOSED_FORM.value)
-    p.add_argument("--method", choices=methods, default="zeta")
+    p.add_argument("--method", choices=_METHODS, default="zeta")
     _add_common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_sweep)
 
@@ -569,7 +526,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"{args.config}:{lineno}: unknown key {key!r} for boostcav "
                                  f"{args.command} (no flag --{key})")
             args = parser.parse_args(argv[:1] + list(file_flags) + argv[1:])
-        return args.func(args)
+        code, meta, rows, lines = args.func(args)
+        # the one output path: JSON, or the text or CSV lines under the units note
+        if getattr(args, "format", "text") == "json":
+            text = _json_payload(meta, rows())
+        else:
+            text = "\n".join([f"# units: {UNITS_NOTE}", *lines()]) + "\n"
+        _emit(text, args.output)
+        return code
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import boostcav
+from boostcav import cli
 from boostcav.cli import ROW_BUDGET, main
 
 M0 = -math.pi / 24.0
@@ -42,6 +43,12 @@ class TestStatic:
     def test_missing_everything(self, capsys):
         code, _, _ = run(capsys, "static")
         assert code == 2
+
+    # the separation is --a alone: --L is the 1D cavity's length, not a plate separation
+    def test_plates_ignore_L(self, capsys):
+        code, out, err = run(capsys, "static", "--plates", "--L", "2")
+        assert code == 2 and not out
+        assert err.startswith("usage error: --plates requires a positive --a (plate separation)")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "static", "--L", "1", "--format", "json")
@@ -575,9 +582,22 @@ class TestFormat:
         (("boost", "--scheme", "lorentz", "--v", "0.3"), "text"),
         (("sweep", "--scheme", "lorentz", "--v", "0.3"), "csv"),
         (("modes", "--scheme", "lorentz"), "csv"),
+        (("rect2d", "--a", "1", "--b", "2"), "text"),
     ])
     def test_first_choice_is_the_default(self, capsys, argv, default):
         assert run(capsys, *argv) == run(capsys, *argv, "--format", default)
+
+    # a request renders only its own format: JSON never builds the text-only reports
+    def test_json_builds_no_text(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a text report was built")
+
+        monkeypatch.setattr(cli, "static_limit_report", refuse)
+        monkeypatch.setattr(cli, "lab_prior_discrepancy_report", refuse)
+        rect2d = ("rect2d", "--a", "1", "--b", "2")
+        assert run(capsys, *rect2d, "--format", "json")[0] == 0
+        assert run(capsys, "boost", "--scheme", "galileo-lab", "--v", "0.3", "--format", "json")[0] == 0
+        assert run(capsys, *rect2d)[0] == 1  # the text request does reach the report
 
 
 class TestStrictJson:
@@ -605,6 +625,34 @@ class TestOutputFile:
         assert out == ""
         content = target.read_text()
         assert content.startswith("# units")
+
+    # every command in each of its formats, --plates included; the galileo-lab
+    # sweep drops a point past |v| = 0.5 and warns on stderr with CSV
+    ONE_PATH = [
+        (*argv, "--format", fmt) if fmt else argv
+        for argv, formats in (
+            (("static", "--L", "1"), ("text", "json")),
+            (("static", "--plates", "--a", "1"), ("text", "json")),
+            (("boost", "--scheme", "galileo-lab", "--v", "0.3"), ("text", "json")),
+            (("sweep", "--scheme", "galileo-lab", "--v", "0:0.6:0.3"), ("csv", "json")),
+            (("rect2d", "--a", "1", "--b", "2", "--v", "0.3", "--solve-subtraction"),
+             ("text", "json")),
+            (("modes", "--scheme", "lorentz", "--n-max", "3"), ("csv", "json")),
+            (("verify", "--only", "modes"), (None,)),
+        )
+        for fmt in formats
+    ]
+
+    @pytest.mark.parametrize("argv", ONE_PATH, ids="-".join)
+    def test_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(target)) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+        if "json" in argv:
+            assert json.loads(out)["meta"]["units"] == "hbar = c = 1"
+        else:
+            assert out.startswith("# units: hbar = c = 1\n")
 
     # exit 1 is kept for a failed check; an output path that cannot be opened
     # is a usage error, as an unreadable --config is
