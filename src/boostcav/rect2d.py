@@ -15,10 +15,11 @@ zero; the subtraction solver reports exactly those two branches. A second,
 FP[ sum (w/2 +- k^2/(2w)) ]; it fails its own static limit by the finite
 amount FP[ sum k^2/(2w) ] and is reported side by side, never corrected.
 
-The four finite parts come by default from the Chowla-Selberg closed form
-(the Epstein-zeta value, exponentially convergent, a few milliseconds at
-any aspect ratio). The exponential-cutoff fit stays available through a
-cutoff RegConfig (default_config) as the independent cross-check.
+The four finite parts come by default from the Chowla-Selberg closed form,
+the eps^0 term of the Poisson rows whose damped sums the cutoff route fits
+(a cutoff RegConfig, default_config). Both routes run those rows, so the
+independent checks are the tests' lattice enumeration of the damped sums,
+their 30-digit mpmath Bessel series and the benchmark's scipy oracle.
 """
 
 import enum
@@ -139,130 +140,13 @@ def _per_side(part: FinitePart, a: float) -> FinitePart:
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
-_Z_MAX = 60.0  # K_1(60) ~ 1.4e-27: Bessel terms past it sit ~25 digits below the leading ones
-_ROUNDING = 16.0 * sys.float_info.epsilon  # rounding bound per unit of summed term magnitude
 _STRIP = 1.5  # half-width a of the strip |Im t| < a on which the trapezoidal rules bound their integrands
 
 
-def _k1_upper(z: float) -> float:
-    """sqrt(pi/2z) e^{-z} (1 + 3/(8z)), an upper bound on K_1(z) >= K_0(z) for every z > 0.
-
-    The first two terms of Hankel's expansion (DLMF 10.40.2): for real order and
-    positive argument the remainder has the sign of the first neglected term,
-    here -15/(128 z^2) (DLMF 10.40(ii)).
-    """
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * (1.0 + 3.0 / (8.0 * z))
-
-
-def _bessel_k01(z: float) -> tuple[float, float, float]:
-    """K_0(z) and K_1(z) for 2 pi <= z <= _Z_MAX, with one bound on the error of either.
-
-    e^z K_nu(z) = (1/2) int_R g_nu, g_nu(t) = exp(-z (cosh t - 1)) cosh(nu t),
-    even and entire, is summed by the trapezoidal rule (h/2) sum_{k in Z} g_nu(k h).
-
-    Discretization: on |Im t| <= a, |g_nu| <= exp(z - z cos(a) cosh t) cosh t,
-    so every line of the strip carries int |g_nu| <= M = 2 e^z K_1(z cos a),
-    and the rule errs by at most M/(e^{2 pi a/h} - 1) (Trefethen & Weideman,
-    SIAM Rev. 56 (2014) 385, Thm 5.1, halved). h makes that eps/4 times
-    _k1_upper(z), then drops to 46 bits, so every node k h is exact.
-
-    Truncation: log g_nu is concave (z >= 1), so the terms fall by ever
-    smaller ratios; past the first below 1e-18 they add at most r/(1 - r)
-    times it, r its ratio to the one before.
-
-    Rounding, with libm's exp and sinh within one ulp: q = 2 z sinh^2(t/2)
-    carries 3 eps q, so exp(-q) carries (1 + 3q) eps, and cosh t = 1 + q/z
-    and the product add (1 + 3.5 q/z) eps <= (1 + 0.6 q) eps; the closing
-    math.fsum and the scaling by h e^{-z} add 2.5 eps. Each term so errs by
-    at most (3.6 q + 4.5) eps of itself.
-
-    K_1's terms bound K_0's term by term (cosh >= 1), so all three bounds,
-    taken on K_1, serve both orders.
-    """
-    eps = sys.float_info.epsilon
-    m = 2.0 * _k1_upper(z * math.cos(_STRIP))  # e^{-z} M
-    h = 2.0 * math.pi * _STRIP / math.log1p(m / (0.25 * eps * _k1_upper(z)))
-    h = math.floor(h * 2.0**48) / 2.0**48
-    g0, g1, rounding = [0.5], [0.5], 0.5 * 4.5  # the t = 0 node has half weight
-    while g1[-1] >= 1e-18:
-        q = 2.0 * z * math.sinh(0.5 * len(g0) * h) ** 2
-        g0.append(math.exp(-q))
-        g1.append(g0[-1] * (1.0 + q / z))
-        rounding += (3.6 * q + 4.5) * g1[-1]
-    scale = h * math.exp(-z)
-    tail = g1[-1] ** 2 / (g1[-2] - g1[-1])  # r/(1 - r) times the last term
-    error = m / math.expm1(2.0 * math.pi * _STRIP / h) + scale * (tail + eps * rounding)
-    return scale * math.fsum(g0), scale * math.fsum(g1), error
-
-
-def _chowla_selberg(a: float, b: float) -> FourParts:
-    """Exact U, W, S_omega, S_k of the a x b rectangle (a along the boost).
-
-    With x the shorter side, y the longer and k_n = n pi/x,
-
-        S_omega = pi/(48x) - zeta(3) y/(16 pi x^2) - (1/2pi) sum_n k_n sum_j K_1(2 j k_n y)/j
-
-    (Chowla & Selberg, PNAS 35 (1949) 371). Every Bessel argument
-    z = c n j, c = 2 pi y/x, is at least 2 pi, so grouping the terms by
-    m = n j (weight (pi/x) sigma_2(m)/m, sigma_2 the sum of squared divisors)
-    leaves at most nine K evaluations below _Z_MAX. With K_1' = -K_0 - K_1/z,
-    the part along each side, -s dS_omega/ds, is a fixed combination of
-
-        T0 = pi/(48x)   T1 = zeta(3) y/(16 pi x^2)
-        T2 = (1/2pi) sum (k_n/j) K_1(z)   T3 = (1/2pi) sum (k_n/j) (z K_0(z) + K_1(z)):
-
-        S_omega = T0 - T1 - T2,   along y: T1 - T3,   along x: T0 - 2 T1 - T2 + T3.
-
-    S_k is the part along a; U = (S_omega + S_k)/2, W = (S_omega - S_k)/2.
-    Each error is the dropped-tail bound plus the propagated a-priori K error
-    of _bessel_k01 plus _ROUNDING times the summed magnitude of the terms.
-    """
-    x, y = min(a, b), max(a, b)
-    step = math.pi / x
-    c = 2.0 * math.pi * (y / x)
-    t_sum = d_sum = t_err = d_err = 0.0
-    m_max = int(_Z_MAX / c)
-    for m in range(1, m_max + 1):
-        z = c * m
-        weight = step * sum(d * d for d in range(1, m + 1) if m % d == 0) / m
-        k0, k1, k_err = _bessel_k01(z)
-        t_sum += weight * k1
-        d_sum += weight * (z * k0 + k1)
-        t_err += weight * k_err
-        d_err += weight * (z + 1.0) * k_err
-    # Dropped m > m_max: sigma_2(m)/m <= zeta(2) m, K_0 < K_1 <= _k1_upper, and each
-    # term is at most 4 e^{-2 pi} < 1/2 times the one before, so the tail is at
-    # most twice its first term.
-    z = c * (m_max + 1)
-    first = step * (math.pi**2 / 6.0) * (m_max + 1) * _k1_upper(z)
-    t_err += 2.0 * first
-    d_err += 2.0 * first * (z + 1.0)
-
-    terms = (math.pi / (48.0 * x), _ZETA3 * (y / x) / (16.0 * math.pi * x),
-             t_sum / (2.0 * math.pi), d_sum / (2.0 * math.pi))
-    errors = (0.0, 0.0, t_err / (2.0 * math.pi), d_err / (2.0 * math.pi))
-
-    def combine(row: tuple[float, ...]) -> tuple[float, float]:
-        # Extreme sides overflow to inf or nan here, without an exception; reported below.
-        value = error = magnitude = 0.0
-        for r, term, term_err in zip(row, terms, errors):
-            value += r * term
-            error += abs(r) * term_err
-            magnitude += abs(r) * term
-        return value, error + _ROUNDING * magnitude
-
-    s_omega = combine((1.0, -1.0, -1.0, 0.0))
-    s_k = combine((1.0, -2.0, -1.0, 1.0) if a <= b else (0.0, 1.0, 0.0, -1.0))  # along x or y
-    for name, (value, error) in (("S_omega", s_omega), ("S_k", s_k)):
-        # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
-        # no larger in magnitude than the larger of these two.
-        if not (math.isfinite(value * value) and math.isfinite(error)):
-            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
-                             "or its square is not finite in float64")
-    # The halving sums' own rounding, at most eps (|S_omega| + |S_k|)/2, lies
-    # inside the two parts' rounding terms.
-    return _four_parts(FinitePart(*s_omega, method=RegMethod.ZETA_EXACT),
-                       FinitePart(*s_k, method=RegMethod.ZETA_EXACT))
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u/(1 - n u), u = eps/2: n roundings move a value by at most gamma_n of it."""
+    u = 0.5 * sys.float_info.epsilon
+    return n * u / (1.0 - n * u)
 
 
 def _geometric(y: float) -> tuple[float, float]:
@@ -309,8 +193,60 @@ def _row_integrals(z: float, a: float, b: float, h: float):
         i += 1
 
 
+def _poisson_rows(eps: float, x: float, y: float, reference: tuple[float, float] | None = None):
+    """The rows 2 Omega_j and 2 R_j of the x by y rectangle's damped sums, and a bound on each sum.
+
+    Node step, node truncation and j truncation as _FourPartsSummand derives
+    them. At eps > 0 the rows start with c^2 Omega_0 and R_0, which set the j
+    truncation; at eps = 0, where those diverge, they start at j = 1 and the
+    truncation is measured against the reference pair.
+    """
+    eps_mach = sys.float_info.epsilon
+    c = math.pi / x
+    z = c * eps
+    lam = math.cos(_STRIP)
+    log_ratio = z + math.log(8.0 / (lam**3 * eps_mach))
+    h = 2.0 * math.pi * _STRIP / (log_ratio + math.log1p(math.exp(-log_ratio)))
+    h = math.floor(h * 2.0**40) / 2.0**40
+    decay = 2.0 * math.exp(-2.0 * math.pi * _STRIP / h)
+    decay /= -math.expm1(-2.0 * math.pi * _STRIP / h)  # 2/(e^{2 pi _STRIP/h} - 1)
+
+    if reference is None:
+        (omega0, r0), (omega0_err, r0_err) = _row_integrals(z, 1.0, 0.0, h)
+        u = 1.0 / (lam * z)
+        omega, r = [c * c * omega0], [r0]
+        omega_err = c * c * (omega0_err + decay * 2.0 * math.pi * u * u * u)
+        r_err = r0_err + decay * math.pi * u * u * u
+        reference = abs(omega[0]), r[0]
+    else:
+        omega, r, omega_err, r_err = [], [], 0.0, 0.0
+    theta = 2.0 * math.pi * (y / x)
+    j = 1
+    while True:
+        xi = 2.0 * j * y
+        zj = j * theta
+        g1, g2 = _geometric(zj)
+        # E(j Theta) / (1 - e^{-Theta}), times 2 for the terms at -j
+        e = (4.0 * math.sqrt(math.pi / (2.0 * zj)) * (1.0 + 3.0 / (8.0 * zj))
+             * (1.0 + 1.0 / zj) / -math.expm1(-theta))
+        rest_omega = ((eps * c / xi) ** 2 * g2 + c / xi * g1) * e
+        rest_r = g2 * e
+        if (rest_omega <= 0.125 * eps_mach * reference[0]
+                and rest_r <= 0.125 * eps_mach * reference[1]):
+            return omega, r, omega_err + rest_omega, r_err + rest_r
+        rho = math.hypot(eps, xi)
+        big_a, big_b = (eps * c / rho) ** 2, c * (xi / rho) ** 2 / rho
+        (omega_j, r_j), (omega_j_err, r_j_err) = _row_integrals(c * rho, big_a, big_b, h)
+        u = 1.0 / (lam * c * rho)
+        omega.append(2.0 * omega_j)
+        r.append(2.0 * r_j)
+        omega_err += 2.0 * (omega_j_err + decay * math.pi * u * u * (2.0 * big_a * u + big_b))
+        r_err += 2.0 * (r_j_err + decay * math.pi * u * u * u)
+        j += 1
+
+
 class _FourPartsSummand:
-    """The a x b rectangle's damped sums, in units of 1/a, in closed form.
+    """The a x b rectangle's damped sums, in units of 1/a, in closed form, and their eps^0 terms.
 
     Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits the
     1 x b/a rectangle's spectrum, representable at any scale, and scales the
@@ -325,10 +261,10 @@ class _FourPartsSummand:
     Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
 
     Each sum is taken whole: no cap on w, no term enumerated, the same work
-    at every aspect ratio (Chowla & Selberg, PNAS 35 (1949) 371, take the
-    same Poisson step on the zeta side). Along the longer side, by Poisson
-    summation, sum_{n>=1} g(n s) = (1/2s) sum_{j in Z} g^(xi_j) - g(0)/2 with
-    xi_j = 2 pi j/s = 2 j y and rho_j = sqrt(eps^2 + xi_j^2). With
+    at every aspect ratio (Chowla & Selberg, PNAS 35 (1949) 371, whose closed
+    form is the eps^0 term, took the same step). Along the longer side, by
+    Poisson summation, sum_{n>=1} g(n s) = (1/2s) sum_{j in Z} g^(xi_j) - g(0)/2
+    with xi_j = 2 pi j/s = 2 j y and rho_j = sqrt(eps^2 + xi_j^2). With
     K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt,
 
         e^{-eps w}/w  ->  2 K_0(r rho) = int_R e^{-r rho cosh t} dt,
@@ -371,14 +307,16 @@ class _FourPartsSummand:
     with r <= 1/2, and adds r/(1 - r) times them.
 
     j truncation: Z_j >= j Theta with Theta = 2 pi y/x >= 2 pi, rho_j >= xi_j,
-    and by (ii) G_p(Y) <= G_p(Z) e^{-Z (cosh t - 1)}, so with K_0 <= K_1 <= _k1_upper
+    and by (ii) G_p(Y) <= G_p(Z) e^{-Z (cosh t - 1)}, so with K_0 <= K_1 and
+    Hankel's K_1(Z) <= sqrt(pi/2Z) e^{-Z} (1 + 3/8Z) (DLMF 10.40.2, 10.40(ii))
 
         |Omega_j| <= [(eps c/xi_j)^2 G_2(j Theta) + (c/xi_j) G_1(j Theta)] E(j Theta),
         R_j <= G_2(j Theta) E(j Theta),   E(Z) = 2 sqrt(pi/2Z) (1 + 3/8Z)(1 + 1/Z).
 
     These fall by e^{-Theta} a step, so the terms from j on add at most
     1/(1 - e^{-Theta}) times the one at j; the sum stops at the first j where
-    that is below eps/8 of Omega_0 and of R_0, and adds it.
+    that is below eps/8 of Omega_0 and of R_0 (at eps = 0, chowla_selberg's
+    reference), and adds it.
 
     Rounding, with libm's exp, expm1, cosh and sinh within one ulp: Y
     carries at most 5 eps, so by (iii) G_p carries (5Y + 15) eps; forming
@@ -397,7 +335,7 @@ class _FourPartsSummand:
         # inside these b/a and pi a/b are float64; damped sums that overflow raise below
         if not 1e-300 < self.aspect < 1e300:
             raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a = "
-                             f"{self.aspect:g} is out of range for the cutoff sum")
+                             f"{self.aspect:g} is out of range")
         self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
@@ -425,45 +363,9 @@ class _FourPartsSummand:
         if not math.isfinite(y * c * c * g2):
             raise OverflowError
         edge = 0.25 * c * g1  # the n = 0 terms
+        omega, r, omega_err, r_err = _poisson_rows(eps, x, y)
+
         eps_mach = sys.float_info.epsilon
-        lam = math.cos(_STRIP)
-        log_ratio = z + math.log(8.0 / (lam**3 * eps_mach))
-        h = 2.0 * math.pi * _STRIP / (log_ratio + math.log1p(math.exp(-log_ratio)))
-        h = math.floor(h * 2.0**40) / 2.0**40
-        decay = 2.0 * math.exp(-2.0 * math.pi * _STRIP / h)
-        decay /= -math.expm1(-2.0 * math.pi * _STRIP / h)  # 2/(e^{2 pi _STRIP/h} - 1)
-
-        (omega0, r0), (omega0_err, r0_err) = _row_integrals(z, 1.0, 0.0, h)
-        u = 1.0 / (lam * z)
-        omega, r = [c * c * omega0], [r0]
-        omega_err = c * c * (omega0_err + decay * 2.0 * math.pi * u * u * u)
-        r_err = r0_err + decay * math.pi * u * u * u
-        theta = 2.0 * math.pi * (y / x)
-        j = 1
-        while True:
-            xi = 2.0 * j * y
-            zj = j * theta
-            g1, g2 = _geometric(zj)
-            # E(j Theta) / (1 - e^{-Theta}), times 2 for the terms at -j
-            e = (4.0 * math.sqrt(math.pi / (2.0 * zj)) * (1.0 + 3.0 / (8.0 * zj))
-                 * (1.0 + 1.0 / zj) / -math.expm1(-theta))
-            rest_omega = ((eps * c / xi) ** 2 * g2 + c / xi * g1) * e
-            rest_r = g2 * e
-            if (rest_omega <= 0.125 * eps_mach * abs(omega[0])
-                    and rest_r <= 0.125 * eps_mach * r[0]):
-                omega_err += rest_omega
-                r_err += rest_r
-                break
-            rho = math.hypot(eps, xi)
-            big_a, big_b = (eps * c / rho) ** 2, c * (xi / rho) ** 2 / rho
-            (omega_j, r_j), (omega_j_err, r_j_err) = _row_integrals(c * rho, big_a, big_b, h)
-            u = 1.0 / (lam * c * rho)
-            omega.append(2.0 * omega_j)
-            r.append(2.0 * r_j)
-            omega_err += 2.0 * (omega_j_err + decay * math.pi * u * u * (2.0 * big_a * u + big_b))
-            r_err += 2.0 * (r_j_err + decay * math.pi * u * u * u)
-            j += 1
-
         edge_err = eps_mach * (5.0 * z + 32.0) * edge
         scale = y / (4.0 * math.pi)
         main = scale * math.fsum(omega)
@@ -478,6 +380,61 @@ class _FourPartsSummand:
         s_k = s_omega - r_sum  # k^2 = w^2 - r^2
         return s_omega, s_k, omega_err, omega_err + r_err + eps_mach * abs(s_k)
 
+    def chowla_selberg(self) -> tuple[FinitePart, FinitePart]:
+        """S_omega and S_k of the a x b rectangle itself: the eps^0 terms of the damped sums.
+
+        Taken on the 1 x y rectangle, y = long/short, and divided by the
+        shorter side, so S_omega(a, b) = S_omega(b, a) bit for bit. With c = pi
+        and Theta = 2 pi y, every row j >= 1 is finite at eps = 0 (A_j = 0,
+        B_j = c/xi_j): Omega_j(0) = -(2c/xi_j) sum_m m K_1(m j Theta) and
+        R_j(0) = 2 sum_m m^2 K_0(m j Theta). The divergent j = 0 row and the
+        n = 0 edge leave T0 - T1 and T0 - 2 T1, T0 = c/48, T1 = zeta(3) y/(16 pi)
+        (Chowla & Selberg's closed form, with m for their n):
+
+            S_omega = T0 - T1 + (y/4pi) sum_{j>=1} 2 Omega_j(0),
+            R       = T0 - 2 T1 + (y c^2/4pi) sum_{j>=1} 2 R_j(0);
+
+        the j truncation is measured against |T0| + |T1|.
+
+        Rounding (Higham, Accuracy and Stability, 2nd ed., 3.1): n roundings
+        move a value by at most _gamma(n) of it, and at eps = 0 the rows of a
+        sum share one sign. T0 passes 2 (pi, the division), T1 5 (zeta(3),
+        y = long/short, the product, 16 pi, the division), the Omega sum 7
+        (y, 4 pi, y/4pi, each row's fsum and factor h, the outer fsum and the
+        factor), the R sum 11 (pi^2 adds 3, its factor 1); each then passes the
+        two additions, the division by the shorter side and the halving into
+        U and W, 4 more. y's rounding enters T1 and the factor linearly, and
+        the rows within the 5 eps of Y and the rounding of B_j that bound each
+        term. S_omega - R adds u of S_k.
+        """
+        a, b = self.sides
+        short = min(a, b)
+        y = max(a, b) / short
+        t0, t1 = math.pi / 48.0, _ZETA3 * y / (16.0 * math.pi)
+        scale = y / (4.0 * math.pi)
+        omega, r, omega_err, r_err = _poisson_rows(
+            0.0, 1.0, y, ((t0 + t1) / scale, (t0 + t1) / (scale * math.pi * math.pi)))
+        sums = []
+        for weight, rows, rows_err, n in ((1.0, omega, omega_err, 7), (2.0, r, r_err, 11)):
+            main = scale * math.fsum(rows)
+            sums.append((t0 - weight * t1 + main, scale * rows_err + _gamma(6) * t0
+                         + _gamma(9) * weight * t1 + _gamma(n + 4) * abs(main)))
+            scale *= math.pi * math.pi
+        (s_omega, omega_err), (s_k, k_err) = sums
+        if a > b:  # k runs along the longer side: k^2 = w^2 - r^2
+            s_k = s_omega - s_k
+            k_err = omega_err + k_err + _gamma(1) * abs(s_k)
+        parts = []
+        for name, value, error in (("S_omega", s_omega, omega_err), ("S_k", s_k, k_err)):
+            value, error = value / short, error / short
+            # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
+            # no larger in magnitude than the larger of these two.
+            if not (math.isfinite(value * value) and math.isfinite(error)):
+                raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
+                                 "or its square is not finite in float64")
+            parts.append(FinitePart(value, error, method=RegMethod.ZETA_EXACT))
+        return parts[0], parts[1]
+
 
 def default_config(**schedule_kw) -> RegConfig:
     """The rectangles' cutoff cross-check schedule, x from 0.25 to 0.05 unless overridden.
@@ -491,23 +448,23 @@ def default_config(**schedule_kw) -> RegConfig:
 def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:
     """U, W, S_omega, S_k of the rectangle by the route the config names.
 
-    No config, or a ZETA_EXACT one, gives the Chowla-Selberg closed form. A
-    cutoff config gives the exponential-cutoff fit of S_omega and S_k from
-    one pass over the spectrum with identical schedules. Either way U and W
-    are built from those two as U = (S_omega + S_k)/2 and
+    No config, or a ZETA_EXACT one, gives the Chowla-Selberg closed form:
+    the eps^0 term of the Poisson rows whose damped sums S_omega and S_k a
+    cutoff config fits, on one schedule. Either way U = (S_omega + S_k)/2 and
     W = (S_omega - S_k)/2, so both identities hold by construction, bit for
-    bit, and the errors of all four parts correlate.
+    bit, and the errors of all four parts correlate. The tests check the rows
+    by lattice enumeration and a 30-digit Bessel series; the benchmark, scipy.
 
-    Raises ValueError for any other method, when a Chowla-Selberg part or
-    its square is not finite in float64, and when a damped sum or a cutoff
-    part is not.
+    Raises ValueError for any other method, for b/a outside (1e-300, 1e300),
+    when a Chowla-Selberg part or its square is not finite in float64, and
+    when a damped sum or a cutoff part is not.
     """
     a, b = cavity.proper_length_x, cavity.proper_length_y
+    summand = _FourPartsSummand(a, b)
     if config is None or config.method is RegMethod.ZETA_EXACT:
-        return _chowla_selberg(a, b)
+        return _four_parts(*summand.chowla_selberg())
     if config.method is RegMethod.EXPONENTIAL_CUTOFF:
-        parts = [_per_side(part, a)
-                 for part in cutoff_finite_part(_FourPartsSummand(a, b), config)]
+        parts = [_per_side(part, a) for part in cutoff_finite_part(summand, config)]
         for name, part in zip(("S_omega", "S_k"), parts):
             if not (math.isfinite(part.value) and math.isfinite(part.error_estimate)):
                 raise ValueError(f"rectangle a = {a:g}, b = {b:g}: cutoff finite part {name} = "

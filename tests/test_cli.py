@@ -695,12 +695,15 @@ STDOUT_SHA256 = {
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm and math.fsum). Re-recorded when the subtraction
     # branches' residual took its light-cone form; only the zero-transverse residual moved.
+    # Again when the closed form became the cutoff rows' eps^0 term: every printed value
+    # kept its 12 digits; the error columns, the static-limit gap below one ulp and one
+    # subtraction residual (1.64e-16 -> 0) moved.
     ("rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55", "--shell-grid", "0.05:0.8:0.15",
      "--solve-subtraction"):
-        "fdd418d526713aa450e17d68b8aaf47f98fe1947f044869c4600857349c7b953",
+        "be86d83d73bbbf342044f8e12e72b4ed5c5ad4fbd8ef4270aa301ce7a6a4d55f",
     ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
      "--solve-subtraction", "--format", "json"):
-        "52fbb0e48b3b7ec598ba5b6a1799355bcabc035ac75fc2addcab2bad40515484",
+        "15db125b786012e21c8f58cb2de7764321cb33a3df38f8abafe62fc242fb643b",
     # the modes table of each scheme, csv and json, and the modes group of verify
     ("modes", "--scheme", "galileo-lab", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
      "--format", "csv"):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -189,6 +190,18 @@ PART_NAMES = ("U", "W", "S_omega", "S_k")
 SQUARE_REST_ENERGY = 0.0410405973441
 
 
+@functools.lru_cache(maxsize=None)
+def _bessel_k01(ratio, n):
+    """K_0(z) and K_1(z) in 30 digits at z = 2 pi n ratio.
+
+    mpmath takes 10-60 ms a pair at these arguments, and every rectangle of
+    one aspect ratio y/x needs the same ones.
+    """
+    with mpmath.workdps(30):
+        z = 2 * mpmath.pi * n * ratio
+        return mpmath.besselk(0, z), mpmath.besselk(1, z)
+
+
 def _reference_parts(a, b):
     """The Chowla-Selberg series for F = S_omega and its side derivatives in mpmath.
 
@@ -206,16 +219,13 @@ def _reference_parts(a, b):
         f = pi / (48 * x) - zeta3 * y / (16 * pi * x**2)
         x_fx = -pi / (48 * x) + zeta3 * y / (8 * pi * x**2)
         y_fy = -zeta3 * y / (16 * pi * x**2)
-        bessel = {}  # z depends on n j only
         n = 1
         while 2 * n * pi * y / x <= 80:
             k = n * pi / x
             j = 1
             while 2 * j * k * y <= 80:
                 z = 2 * j * k * y
-                if n * j not in bessel:
-                    bessel[n * j] = mpmath.besselk(0, z), mpmath.besselk(1, z)
-                k0, k1 = bessel[n * j]
+                k0, k1 = _bessel_k01(y / x, n * j)
                 k1_prime = -k0 - k1 / z
                 f -= k * k1 / (2 * pi * j)
                 x_fx += (k * k1 / j + 2 * y * k**2 * k1_prime) / (2 * pi)
@@ -253,38 +263,72 @@ class TestChowlaSelberg:
         with pytest.raises(ValueError):
             finite_parts(cav, RegConfig.abel_plana())
 
-    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1e200, 1.0), (1e-200, 1e-200)])
+    @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1e200, 1.0), (1e-200, 1e-200),
+                                      (1.0, 1e-301)])
     def test_unrepresentable_parts_are_rejected(self, a, b):
         with pytest.raises(ValueError, match=re.escape(f"a = {a:g}, b = {b:g}:")):
             finite_parts(Cavity2D(a, b, 0.0))
 
 
-class TestBesselK:
-    """Each K_nu(z) the closed form sums carries an error that bounds its actual error."""
+@settings(max_examples=40, deadline=None)
+@given(log_aspect=st.floats(min_value=-3.0, max_value=3.0),
+       log_short=st.floats(min_value=-150.0, max_value=150.0))
+def test_zeta_parts_hold_their_errors_at_any_scale(log_aspect, log_short):
+    """Each part within its stated error of the 30-digit series, or, where a square
+    leaves float64, the ValueError naming the sides: b/a and the shorter side log-uniform."""
+    short, aspect = 10.0**log_short, 10.0**log_aspect
+    a, b = (short, short * aspect) if aspect >= 1.0 else (short / aspect, short)
+    ref = _reference_parts(a, b)
+    try:
+        parts = finite_parts(Cavity2D(a, b, 0.0))
+    except ValueError as exc:
+        assert str(exc).startswith(f"rectangle a = {a:g}, b = {b:g}: finite part ")
+        assert max(abs(ref[name]) for name in PART_NAMES) ** 2 > sys.float_info.max
+        return
+    for name in PART_NAMES:
+        fp = getattr(parts, name)
+        assert abs(fp.value - float(ref[name])) <= fp.error_estimate, name
 
-    @pytest.mark.parametrize("nu", [0, 1])
-    def test_error_bounds_the_30_digit_value(self, nu):
-        # the trapezoidal rule's a-priori bound: discretization, truncation and
-        # the rounding of each term, one bound for both orders
-        zs = [2.0 * math.pi + (60.0 - 2.0 * math.pi) * i / 39 for i in range(40)]
-        misses = []
-        with mpmath.workdps(30):
-            for z in zs:
-                *k01, err = rect2d._bessel_k01(z)
-                k = k01[nu]
-                actual = abs(mpmath.mpf(k) - mpmath.besselk(nu, z))
-                if actual > err:
-                    misses.append((z, float(actual / err)))
-        assert misses == []
 
-    @settings(max_examples=40, deadline=None)
-    @given(z=st.floats(min_value=2.0 * math.pi, max_value=60.0), nu=st.sampled_from([0, 1]))
-    def test_error_is_a_tight_bound(self, z, nu):
-        *k01, err = rect2d._bessel_k01(z)
+class TestPoissonRowsAtZero:
+    """The zeta route's rows j >= 1 at eps = 0 against their Bessel sums in mpmath."""
+
+    @staticmethod
+    def _exact_sums(y):
+        """sum_{j>=1} 2 Omega_j(0) and 2 R_j(0) on the 1 x y rectangle, in 30 digits.
+
+        2 Omega_j(0) = -(4c/xi_j) sum_m m K_1(m j Theta) and 2 R_j(0) = 4 sum_m m^2 K_0(m j Theta),
+        c = pi, xi_j = 2 j y, Theta = 2 pi y; the terms past argument 60 (K ~ 1e-27) are dropped.
+        """
         with mpmath.workdps(30):
-            exact = mpmath.besselk(nu, z)
-            actual = float(abs(mpmath.mpf(k01[nu]) - exact))
-        assert actual <= err <= 8.0 * sys.float_info.epsilon * float(exact)
+            y = mpmath.mpf(y)
+            theta = 2 * mpmath.pi * y
+            omega = r = mpmath.mpf(0)
+            for j in range(1, int(60 / theta) + 1):
+                for m in range(1, int(60 / (j * theta)) + 1):
+                    k0, k1 = _bessel_k01(y, m * j)
+                    omega -= 4 * mpmath.pi / (2 * j * y) * m * k1
+                    r += 4 * m * m * k0
+            return omega, r
+
+    def test_error_bounds_the_30_digit_sums(self):
+        # Theta = 2 pi y from 2 pi to 47, past where e^{-Theta} falls below the rounding
+        # and no row is left; the reference pair is the zeta route's, |T0| + |T1|
+        rowless = 0
+        ys = (1.0, 1.5, 2.0, 2.5, 3.5, 5.0, 6.5, 7.5)
+        for y in ys:
+            scale = y / (4.0 * math.pi)
+            t = math.pi / 48.0 + ZETA3 * y / (16.0 * math.pi)
+            omega, r, omega_err, r_err = rect2d._poisson_rows(
+                0.0, 1.0, y, (t / scale, t / (scale * math.pi * math.pi)))
+            rowless += not omega
+            for rows, err, exact in zip((omega, r), (omega_err, r_err), self._exact_sums(y)):
+                # the rows' stated error, plus the fsum and the factor h of each row
+                bound = err + rect2d._gamma(2) * sum(abs(row) for row in rows)
+                with mpmath.workdps(30):
+                    actual = float(abs(mpmath.fsum(mpmath.mpf(row) for row in rows) - exact))
+                assert actual <= bound, (y, actual, bound)
+        assert 0 < rowless < len(ys)
 
 
 def test_rectangle_runs_no_adaptive_quadrature(monkeypatch, capsys):
