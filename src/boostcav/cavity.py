@@ -61,22 +61,22 @@ def _check_length(value: float, name: str) -> None:
 
 
 def _validated(record: type) -> type:
-    """The NamedTuple record class as a subclass whose construction runs its _validate.
+    """The NamedTuple record class itself, with a __new__ that runs its _validate.
 
     Records are NamedTuples, immutable and equal and hashed by value, not
     dataclasses, whose generated methods cost about 1 ms per class at every
     import.
     """
-    @functools.wraps(record.__new__)
+    new = record.__new__
+
+    @functools.wraps(new)
     def __new__(cls, *args, **kwargs):
-        self = record.__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._validate()
         return self
 
-    return type(record.__name__, (record,), {
-        "__slots__": (), "__new__": __new__, "__doc__": record.__doc__,
-        "__module__": record.__module__, "__qualname__": record.__qualname__,
-    })
+    record.__new__ = __new__
+    return record
 
 
 def lorentz_factor(velocity: float) -> float:

@@ -10,8 +10,6 @@ header carries the unit convention hbar = c = 1.
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math

@@ -12,8 +12,6 @@ per-mode route's densities, the Abel-Plana integral, the jet oracle)
 evaluates its abscissae one at a time in `math` and `cmath`.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable
 

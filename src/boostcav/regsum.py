@@ -72,7 +72,7 @@ def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) ->
 # constant and these eps^{+k} stabilizers (they vanish at eps -> 0, but
 # absorbing them sharpens the constant by orders of magnitude).
 _STABILIZER_POWERS = (2, 4)
-_TRUNCATION_DAMPING = 1e-18  # a 1D or sequence sum stops once e^{-eps w} drops below it,
+_TRUNCATION_DAMPING = 1e-18  # a sequence sum stops once e^{-eps w} drops below it,
 _TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
 
@@ -183,12 +183,10 @@ class SequenceSummand:
 class Linear1DSummand:
     """c_n = weight * n pi / L on the 1D Dirichlet spectrum w_n = n pi / L.
 
-    Each damped sum is in closed form (Elizalde, Ten Physical Applications of
-    Spectral Zeta Functions, 2nd ed. 2012, ch. 1): with step = pi/L, x = eps step
-    and N the count of n whose float n * step is at most _TRUNCATION_CAP/eps (the
-    prefix an enumeration keeps; exact while N < 2^52), sum_{n<=N} n e^{-n x} =
-    [1 - e^{-N x}((N+1) - N e^{-x})] / (4 sinh^2(x/2)). The fit, not the known
-    Laurent series, extracts the constant.
+    Each damped sum is the whole series in closed form (Elizalde, Ten Physical
+    Applications of Spectral Zeta Functions, 2nd ed. 2012, ch. 1): with
+    step = pi/L and x = eps step, sum_{n>=1} n e^{-n x} = 1 / (4 sinh^2(x/2)).
+    The fit, not the known Laurent series, extracts the constant.
     """
 
     divergent_powers = (2,)  # sum n e^{-eps n} = 1/eps^2 - 1/12 + eps^2/240 - ...
@@ -205,13 +203,9 @@ class Linear1DSummand:
         """One column of weight * step * that sum, O(1) per cutoff; FitError past float64."""
         sums = []
         for e in eps:
-            cap = _TRUNCATION_CAP / e
-            n = int(cap / self.step)  # cap/step is within an ulp, so N is n - 1, n or n + 1
-            n += ((n + 1) * self.step <= cap) - (n * self.step > cap)
             x = e * self.step
             denom = 4.0 * math.sinh(0.5 * x) ** 2
-            tail = math.exp(-n * x) * ((n + 1) - n * math.exp(-x))
-            total = self.weight * self.step * (1.0 - tail) / denom if denom else math.inf
+            total = self.weight * self.step / denom if denom else math.inf
             if not (denom >= sys.float_info.min and math.isfinite(total)):
                 raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
                                f"(4 sinh^2(x/2) under {sys.float_info.min:.3g}, or an infinite sum)")
@@ -363,8 +357,8 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
     Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule
-    x (a 1D or sequence sum truncated once the damping factor falls below
-    1e-18; the rectangle's are whole), fits
+    x (a sequence sum truncated once the damping factor falls below 1e-18;
+    the 1D and rectangle sums are whole), fits
 
         S = sum_k b_k x^{-k} + a_0 + b_2 x^2 + b_4 x^4,
 
@@ -382,7 +376,7 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
     x = list(config.epsilon_schedule)
     eps = [xi / summand.omega_min for xi in x]
-    if x[-1] > _TRUNCATION_CAP:  # e^{-eps omega_min} < 1e-18 at every cutoff: no sum has a term
+    if x[-1] > _TRUNCATION_CAP:  # e^{-eps omega_min} < 1e-18 at every cutoff: no sequence term
         raise FitError("no spectrum term lies below the largest cutoff")
 
     if isinstance(summand, SequenceSummand):

@@ -28,8 +28,8 @@ sign and p the transverse wavenumber of a rectangle mode (0 in 1D):
 per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
 Phys. 11 (1970) 2679, for the modes). N, the coefficients and w' come from
 the mode's record: a SpacetimeMode in 1D; for a rectangle mode, its
-SpacetimeMode2D, with the normalization of the lorentz SpacetimeMode of
-the x side. Two quadratures by the one Gauss-Legendre rule are the closed
+SpacetimeMode2D, with the 1D normalization sqrt(2 gamma/a) of the x
+side. Two quadratures by the one Gauss-Legendre rule are the closed
 form's oracles: coefficient_fits, the route every 1D request takes,
 integrates the real densities of the first mode, one quadrature per
 velocity, and verify compares the same quadrature with the closed form at
@@ -43,7 +43,7 @@ import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme
-from .modes import SpacetimeMode, affine_jet, lorentz_coefficients, mode, mode_2d
+from .modes import SpacetimeMode, affine_jet, mode, mode_2d
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -121,8 +121,8 @@ def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
 
 def _mode_terms(u: SpacetimeMode, convention: StressConvention):
     """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 1D mode u."""
-    wp = _prefactor_frequency(convention, u.comoving_frequency, u.lab_phase_frequency)
-    return u.normalization, u._coeffs, wp
+    comoving, lab_phase, coeffs = u._row()
+    return u.normalization, coeffs, _prefactor_frequency(convention, comoving, lab_phase)
 
 
 def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConvention):
@@ -134,8 +134,7 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConventio
     """
     u = mode_2d(cavity, n, m)
     w = u.frequency
-    profile = mode(Scheme.LORENTZ_EXACT, Cavity1D(cavity.proper_length_x, cavity.velocity), n)
-    return (profile.normalization, lorentz_coefficients(w, u.wavenumber_x, cavity.velocity),
+    return (math.sqrt(2.0 * cavity.gamma() / cavity.proper_length_x), u._coeffs,
             _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2)
 
 
@@ -231,7 +230,6 @@ def per_mode_em(
     scheme: Scheme,
     cavity: Cavity1D,
     n: int,
-    t: float = 0.0,
     *,
     convention: StressConvention = DEFAULT_CONVENTION,
 ) -> PerModeEM:
@@ -242,8 +240,8 @@ def per_mode_em(
         e_n = int (|u_t|^2 + |u_x|^2) / (4 w') dx = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2) / (8 w')
         p_n = -int Re(u_t conj(u_x)) / (2 w') dx  = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
 
-    with l the lab length. Both are time independent, so t, the slice, does
-    not enter. quad_error is the closed form's stated rounding bound.
+    with l the lab length; both are time independent. quad_error is the
+    closed form's stated rounding bound.
     """
     norm, coeffs, wp = _mode_terms(mode(scheme, cavity, n), convention)
     return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n,
@@ -254,7 +252,6 @@ def per_mode_em_2d(
     cavity: Cavity2D,
     n: int,
     m: int,
-    t: float = 0.0,
     *,
     convention: StressConvention = DEFAULT_CONVENTION,
 ) -> PerModeEM:
@@ -313,13 +310,13 @@ def coefficient_fits(
 ) -> tuple[CoefficientFit, ...]:
     """The coefficients (c_E, c_P) = (e_1, p_1)/(pi/2) at every velocity of a grid.
 
-    e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n and t (verify's
-    "per-mode proportionality to w_n" check holds the closed form to it), and
-    the coefficients are dimensionless; so the first mode of the unit cavity
-    (L = 1) at t = 0 gives them at every L. One Gauss-Legendre
-    quadrature of the real densities per velocity (_density_quadrature);
-    the closed form of per_mode_em is its oracle (verify checks the two
-    against each other).
+    e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n (verify's "per-mode
+    proportionality to w_n" check holds the closed form to it), and the
+    coefficients are dimensionless and time independent; so the first mode
+    of the unit cavity (L = 1) on the slice t = 0 gives them at every L.
+    One Gauss-Legendre quadrature of the real densities per velocity
+    (_density_quadrature); the closed form of per_mode_em is its oracle
+    (verify checks the two against each other).
     """
     fits = []
     for v in velocities:

@@ -117,10 +117,10 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     for scheme in Scheme:
         cav = Cavity1D(1.0, 0.0)
         for n in (1, 5):
-            pm = stress.per_mode_em(scheme, cav, n, 0.0, convention=convention)
+            pm = stress.per_mode_em(scheme, cav, n, convention=convention)
             w = n * math.pi
             worst = max(worst, abs(pm.energy - w / 2) / (w / 2), abs(pm.momentum) / (w / 2))
-    pm2 = stress.per_mode_em_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1, 0.0, convention=convention)
+    pm2 = stress.per_mode_em_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1, convention=convention)
     w11 = math.pi * math.sqrt(2.0)
     worst = max(worst, abs(pm2.energy - w11 / 2) / (w11 / 2), abs(pm2.momentum) / (w11 / 2))
     out.append(_result("stress: static limit e=w/2, p=0", worst <= 1e-10, f"max deviation = {worst:.2e}"))
@@ -168,7 +168,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
         vs = ((0.0, 0.15, -0.15, 0.3, 0.45, -0.45, 0.6, 0.9) if scheme is Scheme.LORENTZ_EXACT
               else (0.0, 0.05, 0.1, 0.15, -0.15, 0.2, 0.25, -0.25))
         for v, fit in zip(vs, stress.coefficient_fits(scheme, vs, convention=convention)):
-            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1, 0.0, convention=convention)
+            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1, convention=convention)
             c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
             worst = max(worst, abs(fit.c_energy - c_e) / abs(c_e),
                         abs(fit.c_momentum - c_p) / max(abs(c_p), abs(c_e)))
@@ -183,7 +183,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
         for n in (2, 5):
             cavity = Cavity1D(1.0, v)
             e, p = stress._density_quadrature(scheme, cavity, n, 0.37, convention)
-            pm = stress.per_mode_em(scheme, cavity, n, 0.37, convention=convention)
+            pm = stress.per_mode_em(scheme, cavity, n, convention=convention)
             worst = max(worst, abs(pm.energy - e) / abs(e), abs(pm.momentum - p) / abs(e))
     out.append(_result("stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
                        worst <= 1e-12, f"max relative difference = {worst:.2e}"))
@@ -345,7 +345,7 @@ def _checks_rect2d(convention: StressConvention) -> list[CheckResult]:
         cav = Cavity2D(1.0, 1.5, v)
         for n in (1, 3):
             for m in (1, 2):
-                pm = stress.per_mode_em_2d(cav, n, m, 0.2, convention=convention)
+                pm = stress.per_mode_em_2d(cav, n, m, convention=convention)
                 e_law, p_law = stress.per_mode_em_2d_law(cav, n, m)
                 worst = max(worst, abs(pm.energy - e_law) / e_law,
                             abs(pm.momentum - p_law) / max(abs(p_law), 1.0))

@@ -167,7 +167,7 @@ def test_criterion_09_2d_per_mode_law(square_parts):
         cav = Cavity2D(1.0, 1.0, v)
         for n in range(1, 6):
             for m in range(1, 6):
-                pm = stress.per_mode_em_2d(cav, n, m, 0.1)
+                pm = stress.per_mode_em_2d(cav, n, m)
                 e_law, p_law = stress.per_mode_em_2d_law(cav, n, m)
                 worst = max(worst, abs(pm.energy - e_law) / e_law,
                             abs(pm.momentum - p_law) / max(abs(p_law), 1.0))

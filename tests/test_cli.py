@@ -687,6 +687,11 @@ STDOUT_SHA256 = {
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
         "c9182b7c5043451ec3dc9a61902438cfd7c804fe2c09da2d0aecf38a1eea74a0",
+    # static's three regulators side by side, the cutoff m0 among them, text and json
+    ("static", "--L", "1.3"):
+        "7216dfb2c9c96c86a5c227b8f5faf4e1c9a13a006df7c61aafd95b8912a0e09d",
+    ("static", "--L", "0.7", "--format", "json"):
+        "065bfd6dd6e7517c81f34b9e4943ee96861ddd2d8a89c44d9c4d70176c849665",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
         "48bcf6c402a21fd7b06390fa6e7f0b32b417bf82926fb232ea63ccb8e90e3a4a",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",

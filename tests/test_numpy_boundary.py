@@ -64,8 +64,8 @@ SCALAR_CALLS = (
     "cutoff_finite_part(SequenceSummand(range(1, 10_001), range(1, 10_001)), RegConfig.cutoff())",
     "cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=1e-5))",
     "Cavity1D(1, 0.6).walls(Scheme.LORENTZ_EXACT, 0.3)",
-    "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
-    "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3, 0.4)",
+    "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3)",
+    "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3)",
     "coefficient_fits(Scheme.LORENTZ_EXACT, (0.0, 0.6))",
     "abel_plana_m0(1.3)",
     "gauss_legendre(lambda xs: ([math.sin(x) ** 2 for x in xs], [x * math.exp(-x) for x in xs]),"
