@@ -149,8 +149,10 @@ class TestPerMode2D:
         assert abs(pm.energy - math.pi * math.sqrt(2.0) / 2.0) < 1e-12
         assert abs(pm.momentum) < 1e-12
 
-    def test_law_on_the_boosted_square(self):
-        # the closed form against the closed law
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.1])
+    def test_law_at_three_times(self, t):
+        # the closed form, and the densities integrated between the walls of the
+        # slice t, against the closed law
         cav = Cavity2D(1.0, 1.0, 0.6)
         e_law, p_law = per_mode_em_2d_law(cav, 1, 1)
         w = math.pi * math.sqrt(2.0)
@@ -162,6 +164,11 @@ class TestPerMode2D:
         pm = per_mode_em_2d(cav, 1, 1)
         assert abs(pm.energy - e_law) < 1e-11
         assert abs(pm.momentum - p_law) < 1e-11
+        norm, coeffs, wp, p2 = stress._profile_terms(cav, 1, 1, stress.DEFAULT_CONVENTION)
+        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1,
+                                      stress.DEFAULT_CONVENTION)
+        assert abs(e - e_law) < 1e-11
+        assert abs(p - p_law) < 1e-11
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (5, 2)])
     @pytest.mark.parametrize("v", [0.0, 0.3, 0.6])
@@ -257,6 +264,19 @@ class TestBitIdentity:
         label, v, n = key
         pm = per_mode_em(Scheme(label), Cavity1D(1.3, v), n)
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_HEX[key]
+
+    # the pinned closed form is the integral on every slice: the real densities
+    # integrated between the walls at t = 0 and t = 0.37 agree with it to rounding
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("key", sorted(PER_MODE_HEX), ids=lambda k: "-".join(map(str, k)))
+    def test_per_mode_slices(self, key, t):
+        label, v, n = key
+        e, p = stress._density_quadrature(Scheme(label), Cavity1D(1.3, v), n, t,
+                                          stress.DEFAULT_CONVENTION)
+        energy, momentum = map(float.fromhex, PER_MODE_HEX[key])
+        # energy >= |momentum|, so energy scales both differences
+        assert abs(e - energy) <= 1e-13 * energy
+        assert abs(p - momentum) <= 1e-13 * energy
 
     @pytest.mark.parametrize("key", sorted(PER_MODE_2D_HEX), ids=lambda k: "-".join(map(str, k)))
     def test_per_mode_2d(self, key):
