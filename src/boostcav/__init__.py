@@ -52,7 +52,6 @@ from .regsum import (
 )
 from .stress import (
     PerModeEM,
-    StressConvention,
     coefficient_fits,
     per_mode_em,
     per_mode_em_2d,
@@ -76,7 +75,6 @@ __all__ = [
     "spatial_overlap_matrix",
     "gauss_legendre",
     "PerModeEM",
-    "StressConvention",
     "per_mode_em",
     "per_mode_em_2d",
     "coefficient_fits",

@@ -38,7 +38,7 @@ from .rect2d import (
     static_limit_report,
     subtraction_solver_2d,
 )
-from .stress import PrefactorRule, StressConvention
+from .stress import _injected_fault
 from .verify import run_checks
 from . import modes as modes_mod
 
@@ -366,13 +366,9 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:
-    convention = StressConvention(
-        momentum_sign=-1.0 if args.inject_t01_sign_flip else 1.0,
-        prefactor_rule=PrefactorRule(args.inject_prefactor) if args.inject_prefactor
-        else PrefactorRule.SCHEME,
-    )
     try:
-        results = run_checks(args.only, convention)
+        with _injected_fault(-1.0 if args.inject_t01_sign_flip else 1.0, args.inject_prefactor):
+            results = run_checks(args.only)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     failures = [res for res in results if not res.passed]

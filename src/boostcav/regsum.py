@@ -204,7 +204,11 @@ class Linear1DSummand:
         sums = []
         for e in eps:
             x = e * self.step
-            denom = 4.0 * math.sinh(0.5 * x) ** 2
+            try:
+                denom = 4.0 * math.sinh(0.5 * x) ** 2
+            except OverflowError:  # from sinh, or from its square
+                raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
+                               "(4 sinh^2(x/2) overflows)") from None
             total = self.weight * self.step / denom if denom else math.inf
             if not (denom >= sys.float_info.min and math.isfinite(total)):
                 raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "

@@ -19,8 +19,8 @@ Closed form. Every mode is u = N e^{i th} sin s with th and s affine in
     Re(u_t conj(u_x)) = N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s)
 
 and over a cavity of lab length l, int sin^2 s dx = int cos^2 s dx = l/2
-exactly (n half-periods of s). Hence, with sigma the convention's momentum
-sign and p the transverse wavenumber of a rectangle mode (0 in 1D):
+exactly (n half-periods of s). Hence, with sigma the canonical T01 sign, +1,
+and p the transverse wavenumber of a rectangle mode (0 in 1D):
 
     e = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2 + p^2) / (8 w')
     p = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
@@ -35,9 +35,15 @@ integrates the real densities of the first mode, one quadrature per
 velocity, and verify compares the same quadrature with the closed form at
 other modes and slices; _jet_quadrature integrates the densities of the
 complex jet (u, u_t, u_x), evaluated one abscissa at a time, for the tests.
+
+Faults. verify proves its checks have teeth by running them under a wrong
+stress tensor: inside `with _injected_fault(sign, rule)` every per-mode term,
+on every route, takes sigma = sign and the w' of rule, "lab-phase" (the lab
+phase frequency, wrong for a moving cavity) or "doubled" (2 w', wrong at rest).
 """
 
-import enum
+import contextlib
+import contextvars
 import math
 import sys
 from typing import NamedTuple
@@ -47,9 +53,6 @@ from .modes import SpacetimeMode, affine_jet, mode, mode_2d
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "PrefactorRule",
-    "StressConvention",
-    "DEFAULT_CONVENTION",
     "PerModeEM",
     "CoefficientFit",
     "per_mode_em",
@@ -58,36 +61,6 @@ __all__ = [
     "per_mode_em_2d_law",
     "coefficient_fits",
 ]
-
-class PrefactorRule(enum.Enum):
-    """Which frequency enters the 1/(2w') vacuum prefactor.
-
-    SCHEME is the validated choice. The others are deliberate fault
-    injections for negative-control tests: LAB_PHASE uses the lab-frame
-    phase frequency (wrong for moving cavities), DOUBLED uses 2 w' (breaks
-    the static limit outright).
-    """
-
-    SCHEME = "scheme"
-    LAB_PHASE = "lab-phase"
-    DOUBLED = "doubled"
-
-
-class StressConvention(NamedTuple):
-    """Component rules and sum-rule prefactor for the vacuum stress tensor.
-
-    momentum_sign multiplies the canonical T01 = -Re(dt phi conj(dx phi));
-    +1 makes a boosted negative-energy cavity carry momentum opposite to
-    its velocity. It exists (with the prefactor rule) so the verification
-    suite can inject deliberate faults.
-    """
-
-    momentum_sign: float = 1.0
-    prefactor_rule: PrefactorRule = PrefactorRule.SCHEME
-
-
-DEFAULT_CONVENTION = StressConvention()
-
 
 class PerModeEM(NamedTuple):
     """Cavity-integrated energy/momentum contribution of a single mode.
@@ -111,21 +84,38 @@ class CoefficientFit(NamedTuple):
     c_momentum: float
 
 
-def _prefactor_frequency(convention: StressConvention, comoving, lab_phase):
-    if convention.prefactor_rule is PrefactorRule.LAB_PHASE:
+# the active fault as (T01 sign, prefactor rule); the default is the canonical tensor
+_FAULT = contextvars.ContextVar("boostcav_stress_fault", default=(1.0, None))
+
+
+@contextlib.contextmanager
+def _injected_fault(t01_sign: float = 1.0, prefactor: str | None = None):
+    """Run the block under the fault (t01_sign, prefactor); the module docstring says how."""
+    if prefactor not in (None, "lab-phase", "doubled"):
+        raise ValueError(f"unknown prefactor rule {prefactor!r}")
+    token = _FAULT.set((t01_sign, prefactor))
+    try:
+        yield
+    finally:
+        _FAULT.reset(token)
+
+
+def _prefactor_frequency(comoving, lab_phase):
+    rule = _FAULT.get()[1]
+    if rule == "lab-phase":
         return lab_phase
-    if convention.prefactor_rule is PrefactorRule.DOUBLED:
+    if rule == "doubled":
         return 2.0 * comoving
     return comoving
 
 
-def _mode_terms(u: SpacetimeMode, convention: StressConvention):
+def _mode_terms(u: SpacetimeMode):
     """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 1D mode u."""
     comoving, lab_phase, coeffs = u._row()
-    return u.normalization, coeffs, _prefactor_frequency(convention, comoving, lab_phase)
+    return u.normalization, coeffs, _prefactor_frequency(comoving, lab_phase)
 
 
-def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConvention):
+def _profile_terms(cavity: Cavity2D, n: int, m: int):
     """N, (th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
 
     The profile is the contracted 1D mode with the frequency w in its phase;
@@ -135,10 +125,10 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int, convention: StressConventio
     u = mode_2d(cavity, n, m)
     w = u.frequency
     return (math.sqrt(2.0 * cavity.gamma() / cavity.proper_length_x), u._coeffs,
-            _prefactor_frequency(convention, w, cavity.gamma() * w), u.wavenumber_y ** 2)
+            _prefactor_frequency(w, cavity.gamma() * w), u.wavenumber_y ** 2)
 
 
-def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int, convention: StressConvention,
+def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int,
                  m: int | None = None) -> PerModeEM:
     """The module docstring's e and p of the mode N exp(i th) sin s over a cavity of lab length l.
 
@@ -149,7 +139,7 @@ def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int, convention: Str
     th_t, th_x, s_t, s_x = coeffs
     n2l = norm * norm * length
     e = n2l * (th_t * th_t + th_x * th_x + s_t * s_t + s_x * s_x + p2) / (8.0 * wp)
-    p = -convention.momentum_sign * n2l * (th_t * th_x + s_t * s_x) / (4.0 * wp)
+    p = -_FAULT.get()[0] * n2l * (th_t * th_x + s_t * s_x) / (4.0 * wp)
     bound = 8.0 * sys.float_info.epsilon * e / (1.0 - velocity * velocity)
     return PerModeEM(n=n, energy=e, momentum=p, quad_error=bound, m=m)
 
@@ -167,7 +157,7 @@ def _panels(n: int) -> int:
     return max(4, math.ceil(n / 2))
 
 
-def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, convention: StressConvention):
+def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int):
     """The per-mode T00 and T01 integrals over the walls, divided by 2 w', as (e, p).
 
     The oracle of the closed form, by the complex jet (u, u_t, u_x) of the
@@ -176,21 +166,21 @@ def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int, convention: StressCo
     densities, which are A + B cos 2s with s running over n pi, so on
     _panels(n) panels the truncation is below 1e-20 (b - a)/2 |B|.
     """
+    sigma = _FAULT.get()[0]
 
     def densities(xs):
         jets = [affine_jet(norm, coeffs, t, x) for x in xs]
         return (
             [(abs(ut) ** 2 + abs(ux) ** 2 + p2 * abs(u) ** 2) / (4.0 * wp) for u, ut, ux in jets],
-            [-convention.momentum_sign * (ut * ux.conjugate()).real / (2.0 * wp)
-             for _, ut, ux in jets],
+            [-sigma * (ut * ux.conjugate()).real / (2.0 * wp) for _, ut, ux in jets],
         )
 
     left, right = walls
     return gauss_legendre(densities, left, right, panels=_panels(n))
 
 
-def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
-                        convention: StressConvention) -> tuple[float, float]:
+def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int,
+                        t: float) -> tuple[float, float]:
     """(e_n, p_n) by one Gauss-Legendre quadrature of the real densities on the slice t.
 
     With u = N e^{i th} sin s the densities are real:
@@ -204,14 +194,14 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
     densities' integral to rounding.
     """
     u = mode(scheme, cavity, n)
-    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u, convention)
+    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u)
     left, right = u.walls(t)
     # the sin^2 s and cos^2 s weights of each density
-    n2 = norm * norm
+    n2, sigma = norm * norm, _FAULT.get()[0]
     e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
     e_cos = n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)
-    p_sin = -convention.momentum_sign * n2 * th_t * th_x / (2.0 * wp)
-    p_cos = -convention.momentum_sign * n2 * s_t * s_x / (2.0 * wp)
+    p_sin = -sigma * n2 * th_t * th_x / (2.0 * wp)
+    p_cos = -sigma * n2 * s_t * s_x / (2.0 * wp)
 
     def densities(xs):
         e, p = [], []
@@ -226,13 +216,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int, t: float,
     return gauss_legendre(densities, left, right, panels=_panels(n))
 
 
-def per_mode_em(
-    scheme: Scheme,
-    cavity: Cavity1D,
-    n: int,
-    *,
-    convention: StressConvention = DEFAULT_CONVENTION,
-) -> PerModeEM:
+def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
     """The per-mode T00 and T01 integrals over the instantaneous cavity, in closed form.
 
     Returns the contributions
@@ -243,18 +227,11 @@ def per_mode_em(
     with l the lab length; both are time independent. quad_error is the
     closed form's stated rounding bound.
     """
-    norm, coeffs, wp = _mode_terms(mode(scheme, cavity, n), convention)
-    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n,
-                        convention)
+    norm, coeffs, wp = _mode_terms(mode(scheme, cavity, n))
+    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n)
 
 
-def per_mode_em_2d(
-    cavity: Cavity2D,
-    n: int,
-    m: int,
-    *,
-    convention: StressConvention = DEFAULT_CONVENTION,
-) -> PerModeEM:
+def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
     """2D analogue of per_mode_em with the transverse gradient in T00.
 
     The mode is its x profile f (the contracted 1D mode with the frequency w
@@ -266,9 +243,8 @@ def per_mode_em_2d(
         e_nm = int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
-    norm, coeffs, wp, p2 = _profile_terms(cavity, n, m, convention)
-    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity, n,
-                        convention, m)
+    norm, coeffs, wp, p2 = _profile_terms(cavity, n, m)
+    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity, n, m)
 
 
 def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
@@ -302,12 +278,7 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
     return e, p
 
 
-def coefficient_fits(
-    scheme: Scheme,
-    velocities,
-    *,
-    convention: StressConvention = DEFAULT_CONVENTION,
-) -> tuple[CoefficientFit, ...]:
+def coefficient_fits(scheme: Scheme, velocities) -> tuple[CoefficientFit, ...]:
     """The coefficients (c_E, c_P) = (e_1, p_1)/(pi/2) at every velocity of a grid.
 
     e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n (verify's "per-mode
@@ -320,6 +291,6 @@ def coefficient_fits(
     """
     fits = []
     for v in velocities:
-        e, p = _density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0, convention)
+        e, p = _density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0)
         fits.append(CoefficientFit(e / (math.pi / 2.0), p / (math.pi / 2.0)))
     return tuple(fits)

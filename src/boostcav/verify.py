@@ -1,9 +1,10 @@
 """Runtime verification suite backing the `verify` CLI subcommand.
 
 Each check re-derives one of the package's quantitative invariants from
-scratch and reports pass/fail with a numeric detail string. The stress
-checks accept a StressConvention so deliberately broken conventions can be
-injected as negative controls.
+scratch and reports pass/fail with a numeric detail string. Run inside
+stress._injected_fault, as `verify --inject-*` runs it, the suite is its own
+negative control: every group sees the wrong stress tensor, and the checks
+that depend on it must fail.
 """
 
 import math
@@ -14,7 +15,6 @@ from . import modes, observables, rect2d, regsum, stress
 from .cavity import Cavity1D, Cavity2D, Scheme
 from .observables import Route
 from .regsum import RegConfig, SequenceSummand, cutoff_finite_part
-from .stress import DEFAULT_CONVENTION, StressConvention
 
 __all__ = ["CheckResult", "run_checks", "MODULE_GROUPS"]
 
@@ -33,7 +33,7 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 # modes
 # ---------------------------------------------------------------------------
 
-def _checks_modes(convention: StressConvention) -> list[CheckResult]:
+def _checks_modes() -> list[CheckResult]:
     out = []
     worst = 0.0
     for scheme in Scheme:
@@ -98,15 +98,14 @@ def _checks_modes(convention: StressConvention) -> list[CheckResult]:
 # stress
 # ---------------------------------------------------------------------------
 
-def _checks_stress(convention: StressConvention) -> list[CheckResult]:
+def _checks_stress() -> list[CheckResult]:
     out = []
     worst = 0.0
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
         cav = Cavity1D(1.0, v)
         # quadrature between the walls of each slice: the closed form has no t to vary
-        samples = [stress._density_quadrature(scheme, cav, 3, t, convention)
-                   for t in (0.0, 0.37, 0.7, 5.0)]
+        samples = [stress._density_quadrature(scheme, cav, 3, t) for t in (0.0, 0.37, 0.7, 5.0)]
         for values in zip(*samples):
             largest = max(map(abs, values))
             if largest > 0:
@@ -117,10 +116,10 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     for scheme in Scheme:
         cav = Cavity1D(1.0, 0.0)
         for n in (1, 5):
-            pm = stress.per_mode_em(scheme, cav, n, convention=convention)
+            pm = stress.per_mode_em(scheme, cav, n)
             w = n * math.pi
             worst = max(worst, abs(pm.energy - w / 2) / (w / 2), abs(pm.momentum) / (w / 2))
-    pm2 = stress.per_mode_em_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1, convention=convention)
+    pm2 = stress.per_mode_em_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1)
     w11 = math.pi * math.sqrt(2.0)
     worst = max(worst, abs(pm2.energy - w11 / 2) / (w11 / 2), abs(pm2.momentum) / (w11 / 2))
     out.append(_result("stress: static limit e=w/2, p=0", worst <= 1e-10, f"max deviation = {worst:.2e}"))
@@ -128,8 +127,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
-        pms = [stress.per_mode_em(scheme, Cavity1D(1.0, v), n, convention=convention)
-               for n in range(1, 7)]
+        pms = [stress.per_mode_em(scheme, Cavity1D(1.0, v), n) for n in range(1, 7)]
         e_ratios = [pm.energy / (pm.n * math.pi / 2) for pm in pms]  # e_n/(w_n/2)
         p_ratios = [pm.momentum / (pm.n * math.pi / 2) for pm in pms]
         scale = max(map(abs, e_ratios + p_ratios))
@@ -142,7 +140,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst_p = 0.0
     cases = [(Scheme.LORENTZ_EXACT, (0.3, 0.6, 0.9)), (Scheme.GALILEO_COMOVING_PRIOR, (0.05, 0.1, 0.2))]
     for scheme, vs in cases:
-        fits = stress.coefficient_fits(scheme, vs, convention=convention)
+        fits = stress.coefficient_fits(scheme, vs)
         for v, fit in zip(vs, fits):
             ce, cp = stress.per_mode_coefficients(scheme, v)
             worst_e = max(worst_e, abs(fit.c_energy - ce) / ce)
@@ -155,7 +153,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         for v in (0.15, 0.45 if scheme is Scheme.LORENTZ_EXACT else 0.25):
-            plus, minus = stress.coefficient_fits(scheme, (v, -v), convention=convention)
+            plus, minus = stress.coefficient_fits(scheme, (v, -v))
             worst = max(worst, abs(plus.c_energy - minus.c_energy),
                         abs(plus.c_momentum + minus.c_momentum))
     out.append(_result("stress: parity (E even, P odd in v)", worst <= 1e-9,
@@ -167,8 +165,8 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
     for scheme in Scheme:
         vs = ((0.0, 0.15, -0.15, 0.3, 0.45, -0.45, 0.6, 0.9) if scheme is Scheme.LORENTZ_EXACT
               else (0.0, 0.05, 0.1, 0.15, -0.15, 0.2, 0.25, -0.25))
-        for v, fit in zip(vs, stress.coefficient_fits(scheme, vs, convention=convention)):
-            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1, convention=convention)
+        for v, fit in zip(vs, stress.coefficient_fits(scheme, vs)):
+            pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1)
             c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
             worst = max(worst, abs(fit.c_energy - c_e) / abs(c_e),
                         abs(fit.c_momentum - c_p) / max(abs(c_p), abs(c_e)))
@@ -182,8 +180,8 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
         for n in (2, 5):
             cavity = Cavity1D(1.0, v)
-            e, p = stress._density_quadrature(scheme, cavity, n, 0.37, convention)
-            pm = stress.per_mode_em(scheme, cavity, n, convention=convention)
+            e, p = stress._density_quadrature(scheme, cavity, n, 0.37)
+            pm = stress.per_mode_em(scheme, cavity, n)
             worst = max(worst, abs(pm.energy - e) / abs(e), abs(pm.momentum - p) / abs(e))
     out.append(_result("stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
                        worst <= 1e-12, f"max relative difference = {worst:.2e}"))
@@ -194,7 +192,7 @@ def _checks_stress(convention: StressConvention) -> list[CheckResult]:
 # regsum
 # ---------------------------------------------------------------------------
 
-def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
+def _checks_regsum() -> list[CheckResult]:
     out = []
     worst = 0.0
     for length in (0.5, 1.0, 2.0):
@@ -280,7 +278,7 @@ def _checks_regsum(convention: StressConvention) -> list[CheckResult]:
 # observables
 # ---------------------------------------------------------------------------
 
-def _checks_observables(convention: StressConvention) -> list[CheckResult]:
+def _checks_observables() -> list[CheckResult]:
     out = []
     m0 = observables.static_m0(1.0)
     worst = 0.0
@@ -338,14 +336,14 @@ def _checks_observables(convention: StressConvention) -> list[CheckResult]:
 # rect2d
 # ---------------------------------------------------------------------------
 
-def _checks_rect2d(convention: StressConvention) -> list[CheckResult]:
+def _checks_rect2d() -> list[CheckResult]:
     out = []
     worst = 0.0
     for v in (0.0, 0.3, 0.6):
         cav = Cavity2D(1.0, 1.5, v)
         for n in (1, 3):
             for m in (1, 2):
-                pm = stress.per_mode_em_2d(cav, n, m, convention=convention)
+                pm = stress.per_mode_em_2d(cav, n, m)
                 e_law, p_law = stress.per_mode_em_2d_law(cav, n, m)
                 worst = max(worst, abs(pm.energy - e_law) / e_law,
                             abs(pm.momentum - p_law) / max(abs(p_law), 1.0))
@@ -396,7 +394,7 @@ def _checks_rect2d(convention: StressConvention) -> list[CheckResult]:
     return out
 
 
-MODULE_GROUPS: dict[str, Callable[[StressConvention], list[CheckResult]]] = {
+MODULE_GROUPS: dict[str, Callable[[], list[CheckResult]]] = {
     "modes": _checks_modes,
     "stress": _checks_stress,
     "regsum": _checks_regsum,
@@ -405,15 +403,12 @@ MODULE_GROUPS: dict[str, Callable[[StressConvention], list[CheckResult]]] = {
 }
 
 
-def run_checks(
-    only: str | None = None,
-    convention: StressConvention = DEFAULT_CONVENTION,
-) -> list[CheckResult]:
+def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the invariant suite, optionally restricted to one module group."""
     if only is not None and only not in MODULE_GROUPS:
         raise ValueError(f"unknown module {only!r}; options: {sorted(MODULE_GROUPS)}")
     groups = [only] if only else list(MODULE_GROUPS)
     results: list[CheckResult] = []
     for name in groups:
-        results.extend(MODULE_GROUPS[name](convention))
+        results.extend(MODULE_GROUPS[name]())
     return results

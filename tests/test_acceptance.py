@@ -134,8 +134,7 @@ def test_criterion_07_time_independence():
         cav = Cavity1D(1.0, v)
         for n in (1, 4):
             # quadrature between the walls of each slice: per_mode_em's closed form has no t
-            samples = [stress._density_quadrature(scheme, cav, n, t, stress.DEFAULT_CONVENTION)
-                       for t in (0.0, 0.37, 0.7, 5.0)]
+            samples = [stress._density_quadrature(scheme, cav, n, t) for t in (0.0, 0.37, 0.7, 5.0)]
             es, ps = zip(*samples)
             worst = max(worst, (max(es) - min(es)) / abs(es[0]),
                         (max(ps) - min(ps)) / max(abs(ps[0]), 1e-300))

@@ -352,6 +352,14 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] stress: static limit" in out
 
+    def test_injection_reaches_the_whole_suite(self, capsys):
+        # without --only the fault wraps every group, observables' per-mode route included
+        code, out, _ = run(capsys, "verify", "--inject-prefactor", "doubled")
+        assert code == 1
+        failure_line = next(line for line in out.split("\n") if line.startswith("failures:"))
+        failures = json.loads(failure_line.split("failures:", 1)[1])
+        assert "observables: route agreement" in {f["name"] for f in failures}
+
 
 class TestModesDump:
     def test_table_contents(self, capsys):

@@ -82,9 +82,8 @@ SCALAR_CALLS = (
     "boundary_residual(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
     *(f"{call}(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 4, 0.37)"
       for call in ("gram_matrix", "spatial_overlap_matrix", "modes._gram_bound")),
-    "stress._jet_quadrature(*stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3,"
-    " stress.DEFAULT_CONVENTION), Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2,"
-    " stress.DEFAULT_CONVENTION)",
+    "stress._jet_quadrature(*stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3),"
+    " Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2)",
 )
 
 

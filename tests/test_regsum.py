@@ -544,6 +544,15 @@ class TestLinearDampedSums:
                 f"(4 sinh^2(x/2) under 2.23e-308, or an infinite sum)")):
             cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff(lo=lo))
 
+    @pytest.mark.parametrize("x", [800.0, 2000.0])
+    def test_overflowing_cutoff_fails_fast(self, x):
+        # sinh(x/2) squared overflows at x = 800, sinh(x/2) itself at x = 2000
+        with pytest.raises(FitError, match=re.escape(
+                f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
+                "(4 sinh^2(x/2) overflows)")):
+            cutoff_finite_part(Linear1DSummand(1.0),
+                               RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (x, 10.0, 1.0, 0.1)))
+
 
 class TestBitIdentity:
     """float.hex values of the cutoff route, pinned so refactors of the

@@ -9,8 +9,6 @@ from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import mode
 from boostcav.stress import (
-    PrefactorRule,
-    StressConvention,
     coefficient_fits,
     per_mode_coefficients,
     per_mode_em,
@@ -45,7 +43,7 @@ class TestPerMode1D:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
         cav = Cavity1D(1.0, v)
         # quadrature between the walls of each slice: per_mode_em's closed form has no t
-        values = [stress._density_quadrature(scheme, cav, 4, t, stress.DEFAULT_CONVENTION)
+        values = [stress._density_quadrature(scheme, cav, 4, t)
                   for t in (0.0, 0.37, 0.7, 5.0)]
         es, ps = zip(*values)
         assert (max(es) - min(es)) / abs(es[0]) < 1e-9
@@ -114,31 +112,31 @@ class TestCoefficients:
 
 class TestNegativeControls:
     def test_doubled_prefactor_breaks_static_limit(self):
-        convention = StressConvention(prefactor_rule=PrefactorRule.DOUBLED)
-        pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1, convention=convention)
+        with stress._injected_fault(prefactor="doubled"):
+            pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1)
         assert abs(pm.energy - math.pi / 2) > 0.1 * math.pi
 
     def test_lab_phase_prefactor_breaks_boosted_law(self):
         # at v = 0 every candidate frequency coincides, so this fault is only
         # visible on a moving cavity
-        convention = StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE)
-        ok = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1, convention=convention)
+        with stress._injected_fault(prefactor="lab-phase"):
+            ok = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1)
+            bad = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1)
         assert abs(ok.energy - math.pi / 2) < 1e-12
-        bad = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1, convention=convention)
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(bad.energy - ce * math.pi / 2) > 0.1 * abs(ce * math.pi / 2)
 
     def test_flipped_momentum_sign_detected(self):
-        convention = StressConvention(momentum_sign=-1.0)
-        pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1, convention=convention)
+        with stress._injected_fault(t01_sign=-1.0):
+            pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1)
         _, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(pm.momentum - cp * math.pi / 2) > abs(cp * math.pi / 2)
 
     def test_wrong_frequency_fails_proportionality_quietly_not(self):
         # the proportionality statement itself still holds per mode; the
         # failure shows up against the closed-form coefficients instead
-        convention = StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE)
-        [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.6,), convention=convention)
+        with stress._injected_fault(prefactor="lab-phase"):
+            [fit] = coefficient_fits(Scheme.LORENTZ_EXACT, (0.6,))
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(fit.c_energy - ce) > 1e-3
 
@@ -164,9 +162,8 @@ class TestPerMode2D:
         pm = per_mode_em_2d(cav, 1, 1)
         assert abs(pm.energy - e_law) < 1e-11
         assert abs(pm.momentum - p_law) < 1e-11
-        norm, coeffs, wp, p2 = stress._profile_terms(cav, 1, 1, stress.DEFAULT_CONVENTION)
-        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1,
-                                      stress.DEFAULT_CONVENTION)
+        norm, coeffs, wp, p2 = stress._profile_terms(cav, 1, 1)
+        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1)
         assert abs(e - e_law) < 1e-11
         assert abs(p - p_law) < 1e-11
 
@@ -228,15 +225,16 @@ PER_MODE_HEX = {
 }
 
 
-CONVENTIONS = {
-    "scheme": StressConvention(),
-    "lab-phase": StressConvention(prefactor_rule=PrefactorRule.LAB_PHASE),
-    "doubled": StressConvention(prefactor_rule=PrefactorRule.DOUBLED),
-    "t01-flip": StressConvention(momentum_sign=-1.0),
+# stress._injected_fault's arguments (T01 sign, prefactor rule) by label; "scheme" is no fault
+FAULTS = {
+    "scheme": (1.0, None),
+    "lab-phase": (1.0, "lab-phase"),
+    "doubled": (1.0, "doubled"),
+    "t01-flip": (-1.0, None),
 }
 
 # float.hex of per_mode_em_2d(Cavity2D(a, b, v), n, m) (energy, momentum)
-# under each convention, recorded once the per-mode integrals were evaluated in
+# under each fault, recorded once the per-mode integrals were evaluated in
 # closed form; any change is a defect
 PER_MODE_2D_HEX = {
     ((1.0, 1.5, 0.3, 1, 2), "scheme"): ("0x1.7c2d2b2f9000cp+1", "0x1.2c7cf7fabe96bp+0"),
@@ -271,8 +269,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("key", sorted(PER_MODE_HEX), ids=lambda k: "-".join(map(str, k)))
     def test_per_mode_slices(self, key, t):
         label, v, n = key
-        e, p = stress._density_quadrature(Scheme(label), Cavity1D(1.3, v), n, t,
-                                          stress.DEFAULT_CONVENTION)
+        e, p = stress._density_quadrature(Scheme(label), Cavity1D(1.3, v), n, t)
         energy, momentum = map(float.fromhex, PER_MODE_HEX[key])
         # energy >= |momentum|, so energy scales both differences
         assert abs(e - energy) <= 1e-13 * energy
@@ -281,7 +278,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("key", sorted(PER_MODE_2D_HEX), ids=lambda k: "-".join(map(str, k)))
     def test_per_mode_2d(self, key):
         (a, b, v, n, m), rule = key
-        pm = per_mode_em_2d(Cavity2D(a, b, v), n, m, convention=CONVENTIONS[rule])
+        with stress._injected_fault(*FAULTS[rule]):
+            pm = per_mode_em_2d(Cavity2D(a, b, v), n, m)
         assert (pm.energy.hex(), pm.momentum.hex()) == PER_MODE_2D_HEX[key]
 
 
@@ -325,7 +323,7 @@ class TestQuadratureBits:
     def test_density_quadrature(self, key):
         scheme, n = key
         cav = Cavity1D(1.0, 0.6 if scheme == "lorentz" else 0.2)
-        e, p = stress._density_quadrature(Scheme(scheme), cav, n, 0.37, stress.DEFAULT_CONVENTION)
+        e, p = stress._density_quadrature(Scheme(scheme), cav, n, 0.37)
         assert (e.hex(), p.hex()) == DENSITY_QUADRATURE_HEX[key]
 
 
@@ -335,7 +333,7 @@ class TestDensityQuadratureSizing:
     @settings(max_examples=300, deadline=None)
     @given(
         scheme=st.sampled_from(ALL_SCHEMES),
-        rule=st.sampled_from(sorted(CONVENTIONS)),
+        rule=st.sampled_from(sorted(FAULTS)),
         log_length=st.floats(-3.0, 3.0),
         v=st.one_of(st.floats(-0.99, 0.99),
                     st.builds(lambda gap, sign: sign * (1.0 - 10.0**-gap),
@@ -345,13 +343,14 @@ class TestDensityQuadratureSizing:
     )
     def test_within_rounding_of_the_exact_integral(self, scheme, rule, log_length, v, n,
                                                    t_fraction):
-        convention, length = CONVENTIONS[rule], 10.0**log_length
+        (sigma, prefactor), length = FAULTS[rule], 10.0**log_length
         t = t_fraction * length
         u = mode(scheme, Cavity1D(length, v), n)
-        got = stress._density_quadrature(scheme, Cavity1D(length, v), n, t, convention)
-        # the densities' sin^2 s and cos^2 s weights, as _density_quadrature forms them
-        norm, (th_t, th_x, s_t, s_x), wp = stress._mode_terms(u, convention)
-        n2, sigma = norm * norm, convention.momentum_sign
+        with stress._injected_fault(sigma, prefactor):
+            got = stress._density_quadrature(scheme, Cavity1D(length, v), n, t)
+            # the densities' sin^2 s and cos^2 s weights, as _density_quadrature forms them
+            norm, (th_t, th_x, s_t, s_x), wp = stress._mode_terms(u)
+        n2 = norm * norm
         weights = ((n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp),
                     n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)),
                    (-sigma * n2 * th_t * th_x / (2.0 * wp), -sigma * n2 * s_t * s_x / (2.0 * wp)))
@@ -397,7 +396,7 @@ def _exact(coeffs, wp, p2, sigma):
     return e, -sigma * (th_t * th_x + s_t * s_x) / (2 * wp)
 
 
-def _exact_1d(scheme, length, v, n, convention):
+def _exact_1d(scheme, length, v, n, fault):
     """per_mode_em in 40-digit arithmetic from the float inputs (length, v)."""
     with mpmath.workdps(40):
         k = n * mpmath.pi / mpmath.mpf(length)
@@ -409,21 +408,21 @@ def _exact_1d(scheme, length, v, n, convention):
             coeffs, expansion, phase = (-k, 0, -v * k, k), k, k
         else:
             coeffs, expansion, phase = (-k * g, k * g * v, -k * g * v, k * g), k, g * k
-        wp = {PrefactorRule.SCHEME: expansion, PrefactorRule.LAB_PHASE: phase,
-              PrefactorRule.DOUBLED: 2 * expansion}[convention.prefactor_rule]
-        return _exact(coeffs, wp, 0, convention.momentum_sign)
+        sigma, prefactor = fault
+        wp = {None: expansion, "lab-phase": phase, "doubled": 2 * expansion}[prefactor]
+        return _exact(coeffs, wp, 0, sigma)
 
 
-def _exact_2d(a, b, v, n, m, convention):
+def _exact_2d(a, b, v, n, m, fault):
     """per_mode_em_2d in 40-digit arithmetic from the float inputs (a, b, v)."""
     with mpmath.workdps(40):
         k, p = n * mpmath.pi / mpmath.mpf(a), m * mpmath.pi / mpmath.mpf(b)
         w = mpmath.sqrt(k * k + p * p)
         v = mpmath.mpf(v)
         g = 1 / mpmath.sqrt(1 - v * v)
-        wp = {PrefactorRule.SCHEME: w, PrefactorRule.LAB_PHASE: g * w,
-              PrefactorRule.DOUBLED: 2 * w}[convention.prefactor_rule]
-        return _exact((-w * g, w * g * v, -k * g * v, k * g), wp, p * p, convention.momentum_sign)
+        sigma, prefactor = fault
+        wp = {None: w, "lab-phase": g * w, "doubled": 2 * w}[prefactor]
+        return _exact((-w * g, w * g * v, -k * g * v, k * g), wp, p * p, sigma)
 
 
 class TestClosedForm:
@@ -433,7 +432,7 @@ class TestClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(
         scheme=st.sampled_from(ALL_SCHEMES),
-        rule=st.sampled_from(sorted(CONVENTIONS)),
+        rule=st.sampled_from(sorted(FAULTS)),
         log_length=st.floats(-3.0, 3.0),
         v_fraction=st.floats(-1.0, 1.0),
         n=st.integers(1, 12),
@@ -441,20 +440,20 @@ class TestClosedForm:
     )
     def test_1d_matches_the_jet_quadrature(self, scheme, rule, log_length, v_fraction, n,
                                            t_fraction):
-        convention, length = CONVENTIONS[rule], 10.0**log_length
+        length = 10.0**log_length
         cav = Cavity1D(length, v_fraction * (0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5))
         t = t_fraction * length
-        pm = per_mode_em(scheme, cav, n, convention=convention)
-        norm, coeffs, wp = stress._mode_terms(mode(scheme, cav, n), convention)
-        e, p = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n,
-                                      convention)
+        with stress._injected_fault(*FAULTS[rule]):
+            pm = per_mode_em(scheme, cav, n)
+            norm, coeffs, wp = stress._mode_terms(mode(scheme, cav, n))
+            e, p = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n)
         # e >= |p|, so e scales both differences
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
 
     @settings(max_examples=150, deadline=None)
     @given(
-        rule=st.sampled_from(sorted(CONVENTIONS)),
+        rule=st.sampled_from(sorted(FAULTS)),
         log_a=st.floats(-3.0, 3.0),
         log_aspect=st.floats(-2.0, 2.0),
         v=st.floats(-0.99, 0.99),
@@ -463,33 +462,35 @@ class TestClosedForm:
         t_fraction=st.floats(-3.0, 3.0),
     )
     def test_2d_matches_the_jet_quadrature(self, rule, log_a, log_aspect, v, n, m, t_fraction):
-        convention, a = CONVENTIONS[rule], 10.0**log_a
+        a = 10.0**log_a
         cav = Cavity2D(a, a * 10.0**log_aspect, v)
         t = t_fraction * a
-        pm = per_mode_em_2d(cav, n, m, convention=convention)
-        norm, coeffs, wp, p2 = stress._profile_terms(cav, n, m, convention)
-        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n, convention)
+        with stress._injected_fault(*FAULTS[rule]):
+            pm = per_mode_em_2d(cav, n, m)
+            norm, coeffs, wp, p2 = stress._profile_terms(cav, n, m)
+            e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n)
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
 
     @settings(max_examples=200, deadline=None)
     @given(
         scheme=st.sampled_from(ALL_SCHEMES),
-        rule=st.sampled_from(sorted(CONVENTIONS)),
+        rule=st.sampled_from(sorted(FAULTS)),
         log_length=st.floats(-3.0, 3.0),
         v=VELOCITIES,
         n=st.integers(1, 12),
     )
     def test_1d_rounding_bound_holds(self, scheme, rule, log_length, v, n):
         length = 10.0**log_length
-        pm = per_mode_em(scheme, Cavity1D(length, v), n, convention=CONVENTIONS[rule])
-        e, p = _exact_1d(scheme, length, v, n, CONVENTIONS[rule])
+        with stress._injected_fault(*FAULTS[rule]):
+            pm = per_mode_em(scheme, Cavity1D(length, v), n)
+        e, p = _exact_1d(scheme, length, v, n, FAULTS[rule])
         assert abs(pm.energy - e) <= pm.quad_error
         assert abs(pm.momentum - p) <= pm.quad_error
 
     @settings(max_examples=200, deadline=None)
     @given(
-        rule=st.sampled_from(sorted(CONVENTIONS)),
+        rule=st.sampled_from(sorted(FAULTS)),
         log_a=st.floats(-3.0, 3.0),
         log_aspect=st.floats(-3.0, 3.0),
         v=VELOCITIES,
@@ -498,15 +499,16 @@ class TestClosedForm:
     )
     def test_2d_rounding_bound_holds(self, rule, log_a, log_aspect, v, n, m):
         a, b = 10.0**log_a, 10.0**(log_a + log_aspect)
-        pm = per_mode_em_2d(Cavity2D(a, b, v), n, m, convention=CONVENTIONS[rule])
-        e, p = _exact_2d(a, b, v, n, m, CONVENTIONS[rule])
+        with stress._injected_fault(*FAULTS[rule]):
+            pm = per_mode_em_2d(Cavity2D(a, b, v), n, m)
+        e, p = _exact_2d(a, b, v, n, m, FAULTS[rule])
         assert abs(pm.energy - e) <= pm.quad_error
         assert abs(pm.momentum - p) <= pm.quad_error
 
 
-def _extract_loop(scheme, velocities, **kw):
+def _extract_loop(scheme, velocities):
     """One single-velocity fit at a time."""
-    return tuple(coefficient_fits(scheme, (v,), **kw)[0] for v in velocities)
+    return tuple(coefficient_fits(scheme, (v,))[0] for v in velocities)
 
 
 @st.composite
@@ -514,7 +516,7 @@ def _grids(draw):
     scheme = draw(st.sampled_from(ALL_SCHEMES))
     cap = 0.99 if scheme is Scheme.LORENTZ_EXACT else 0.5
     velocities = draw(st.lists(st.floats(-cap, cap), min_size=1, max_size=40))
-    return scheme, velocities, draw(st.sampled_from(list(CONVENTIONS.values())))
+    return scheme, velocities, draw(st.sampled_from(list(FAULTS.values())))
 
 
 class TestBatchedFits:
@@ -523,17 +525,20 @@ class TestBatchedFits:
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_equals_the_per_velocity_loop(self, grid):
-        scheme, velocities, convention = grid
-        batched = coefficient_fits(scheme, velocities, convention=convention)
-        assert batched == _extract_loop(scheme, velocities, convention=convention)
+        scheme, velocities, fault = grid
+        with stress._injected_fault(*fault):
+            batched = coefficient_fits(scheme, velocities)
+            assert batched == _extract_loop(scheme, velocities)
 
     @settings(max_examples=60, deadline=None)
     @given(_grids())
     def test_matches_the_closed_form(self, grid):
         # the oracle: per_mode_em's closed form of the same mode
-        scheme, velocities, convention = grid
-        for v, fit in zip(velocities, coefficient_fits(scheme, velocities, convention=convention)):
-            pm = per_mode_em(scheme, Cavity1D(1.0, v), 1, convention=convention)
+        scheme, velocities, fault = grid
+        with stress._injected_fault(*fault):
+            fits = coefficient_fits(scheme, velocities)
+            pms = [per_mode_em(scheme, Cavity1D(1.0, v), 1) for v in velocities]
+        for fit, pm in zip(fits, pms):
             c_e, c_p = pm.energy / (math.pi / 2), pm.momentum / (math.pi / 2)
             assert abs(fit.c_energy - c_e) <= 1e-13 * abs(c_e)
             assert abs(fit.c_momentum - c_p) <= 1e-13 * max(abs(c_p), abs(c_e))

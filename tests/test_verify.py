@@ -2,7 +2,6 @@ import pytest
 
 from boostcav import stress
 from boostcav.reports import DiscrepancyEntry, DiscrepancyReport
-from boostcav.stress import PrefactorRule, StressConvention
 from boostcav.verify import MODULE_GROUPS, run_checks
 
 
@@ -22,25 +21,57 @@ def test_unknown_group_rejected():
         run_checks("plasma")
 
 
-def test_sign_flip_fails_only_momentum_checks():
-    results = run_checks("stress", StressConvention(momentum_sign=-1.0))
-    failed = {r.name for r in results if not r.passed}
-    assert any("momentum law" in name for name in failed)
-    assert all("energy law" not in name for name in failed)
+STATIC_LIMIT = "stress: static limit e=w/2, p=0"
+ENERGY_LAW = "stress: energy law (exact contraction and comoving-prior)"
+MOMENTUM_LAW = "stress: momentum law (exact contraction and comoving-prior)"
+RECT2D_LAW = "rect2d: per-mode coefficient law"
+MASS_SHELL = "observables: mass-shell identity (exact contraction)"
+ROUTE_AGREEMENT = "observables: route agreement"
+
+# the four faults `verify --inject-*` can spell, as stress._injected_fault's arguments:
+# (the checks the full suite fails, the checks among them that call per_mode_em,
+# per_mode_em_2d or coefficient_fits themselves)
+FAULT_REACH = {
+    (1.0, "doubled"): ({STATIC_LIMIT, ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW, MASS_SHELL,
+                        ROUTE_AGREEMENT},
+                       {STATIC_LIMIT, ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW}),
+    (1.0, "lab-phase"): ({ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW, MASS_SHELL, ROUTE_AGREEMENT},
+                         {ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW}),
+    # E^2 - P^2 is even in P, so the mass shell cannot see the sign
+    (-1.0, None): ({MOMENTUM_LAW, RECT2D_LAW, ROUTE_AGREEMENT}, {MOMENTUM_LAW, RECT2D_LAW}),
+    (-1.0, "lab-phase"): ({ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW, MASS_SHELL, ROUTE_AGREEMENT},
+                          {ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW}),
+}
 
 
-def test_doubled_prefactor_fails_static_limit():
-    results = run_checks("stress", StressConvention(prefactor_rule=PrefactorRule.DOUBLED))
-    failed = {r.name for r in results if not r.passed}
-    assert any("static limit" in name for name in failed)
+@pytest.mark.parametrize("fault", list(FAULT_REACH), ids=str)
+def test_fault_reaches_every_group(fault):
+    failing, stress_only = FAULT_REACH[fault]
+    with stress._injected_fault(*fault):
+        results = run_checks()
+    assert {r.name for r in results if not r.passed} == failing
+    assert stress_only <= failing
+
+
+def test_fault_is_gone_after_an_exception():
+    with pytest.raises(ZeroDivisionError):
+        with stress._injected_fault(-1.0, "doubled"):
+            1 / 0
+    assert all(r.passed for r in run_checks("stress"))
+
+
+def test_unknown_prefactor_rule_rejected():
+    with pytest.raises(ValueError):
+        with stress._injected_fault(prefactor="halved"):
+            pass
 
 
 def test_time_independence_sees_a_drifting_slice(monkeypatch):
     # a per-slice quadrature that drifts by 1e-6 t must fail the check
     quadrature = stress._density_quadrature
 
-    def drifting(scheme, cavity, n, t, convention):
-        e, p = quadrature(scheme, cavity, n, t, convention)
+    def drifting(scheme, cavity, n, t):
+        e, p = quadrature(scheme, cavity, n, t)
         return e * (1.0 + 1e-6 * t), p * (1.0 + 1e-6 * t)
 
     monkeypatch.setattr(stress, "_density_quadrature", drifting)
