@@ -333,6 +333,19 @@ def _gram_pair(j, l):
     return -c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j
 
 
+def _gram_slice(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float):
+    """The cavity, slice and norms 2 w_n that gram_matrix and _gram_bound evaluate.
+
+    The matrix is dimensionless, G(L, t) = G(1, t/L). Where a product of two
+    norms is not a normal float (L above about 4e154, where the pairing's sums
+    underflow too, or near the smallest L), the unit cavity at t/L stands in.
+    """
+    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
+    if n_modes < 1 or sys.float_info.min <= norms[0] * norms[0] and norms[-1] * norms[-1] < math.inf:
+        return cavity, t, norms
+    return _gram_slice(scheme, Cavity1D(1.0, cavity.velocity), n_modes, t / cavity.proper_length)
+
+
 def gram_matrix(
     scheme: Scheme,
     cavity: Cavity1D,
@@ -355,8 +368,8 @@ def gram_matrix(
     exact at every lab time. _gram_bound bounds what rounding leaves of it.
     Rows are lists of complex; np.array(gram_matrix(...)) makes the matrix.
     """
+    cavity, t, norms = _gram_slice(scheme, cavity, n_modes, t)
     gram = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair)
-    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
     # times the reciprocal, not divided by the root: the tests pin the bits of this rounding
     return [[g * (1.0 / math.sqrt(a * b)) for g, b in zip(row, norms)]
             for row, a in zip(gram, norms)]
@@ -382,6 +395,7 @@ def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> lis
     1e-15; |G - I| stays under half of it on random cavities, slices and
     velocities up to 1 - 1e-6 (tests/test_modes.py).
     """
+    cavity, t, norms = _gram_slice(scheme, cavity, n_modes, t)
     left, right = cavity.walls(scheme, t)
     width, reach = right - left, max(abs(left), abs(right))
 
@@ -389,7 +403,6 @@ def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> lis
         return abs(w) * width * (1.0 + abs(a * t) + abs(b) * reach)
 
     total = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair, spread)
-    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
     return [[4.0 * sys.float_info.epsilon * (s / math.sqrt(a * b) + (i == k))
              for k, (s, b) in enumerate(zip(row, norms))]
             for i, (row, a) in enumerate(zip(total, norms))]

@@ -115,7 +115,10 @@ def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
         return 0.5 * zeta_linear_sum(math.pi / proper_length)
     if config.method is RegMethod.ABEL_PLANA:
         return abel_plana_m0(proper_length)
-    return cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config).value / proper_length
+    fp = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
+    if not fp.error_estimate < abs(fp.value):  # m0 = -pi/24 never vanishes: no digit is left
+        raise FitError(f"cutoff m0 = {fp.value:.3g} has a stated error of {fp.error_estimate:.3g}")
+    return fp.value / proper_length
 
 
 def comoving_energy(scheme: Scheme, cavity: Cavity1D, config: RegConfig | None = None) -> float:

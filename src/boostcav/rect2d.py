@@ -17,9 +17,10 @@ amount FP[ sum k^2/(2w) ] and is reported side by side, never corrected.
 
 The four finite parts come by default from the Chowla-Selberg closed form,
 the eps^0 term of the Poisson rows whose damped sums the cutoff route fits
-(a cutoff RegConfig, default_config). Both routes run those rows, so the
-independent checks are the tests' lattice enumeration of the damped sums,
-their 30-digit mpmath Bessel series and the benchmark's scipy oracle.
+(a cutoff RegConfig, default_config) on regsum's one kernel. Both routes
+run those rows, so the independent checks are the tests' lattice
+enumeration of the damped sums, their 30-digit mpmath Bessel series and
+the benchmark's scipy oracle.
 """
 
 import enum
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length
 from .observables import mass_shell_residual
-from .regsum import FinitePart, RegConfig, RegMethod, cutoff_finite_part
+from .regsum import FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -149,23 +150,11 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _geometric(y: float) -> tuple[float, float]:
-    """sum_{m>=1} m q^m = 1/(4 sinh^2(y/2)) and sum m^2 q^m = cosh(y/2)/(4 sinh^3(y/2)), q = e^{-y}.
-
-    Formed as q/(1 - q)^2 and q (1 + q)/(1 - q)^3 with 1 - q = -expm1(-y), so
-    that both fall to 0 where sinh(y/2) would overflow.
-    """
-    q = math.exp(-y)
-    d = -math.expm1(-y)
-    g1 = q / d / d
-    return g1, g1 * (1.0 + q) / d
-
-
 def _row_integrals(z: float, a: float, b: float, h: float):
     """Trapezoidal sums, step h, of int_R (a cosh^2 t G_2 - b cosh t G_1) dt and int_R G_2 dt.
 
-    G_p is _geometric at Y = z cosh t. Returns the two sums and, for each, its
-    bound on the nodes left out plus its rounding bound (_FourPartsSummand).
+    G_p is regsum._geometric at Y = z cosh t. Returns the two sums and, for each,
+    its bound on the nodes left out plus its rounding bound (_FourPartsSummand).
     """
     eps = sys.float_info.epsilon
     omega, r, rounding = [], [], [0.0, 0.0]
@@ -272,7 +261,7 @@ class _FourPartsSummand:
                        =  int_R [(eps r/rho)^2 cosh^2 t - (xi^2 r/rho^3) cosh t] e^{-r rho cosh t} dt.
 
     With r = m c the rows are geometric in q = e^{-Y}, Y = Z cosh t, Z = c rho,
-    and sum to G_1 = sum m q^m and G_2 = sum m^2 q^m (_geometric). So, the
+    and sum to G_1 = sum m q^m and G_2 = sum m^2 q^m (regsum._geometric). So, the
     n = 0 terms g(0)/2 summing to (c/4) G_1(c eps) over the rows,
 
         S_omega = (y/4pi) sum_j Omega_j - (c/4) G_1(c eps),
@@ -359,7 +348,7 @@ class _FourPartsSummand:
         x, y = min(1.0, self.aspect), max(1.0, self.aspect)
         c = math.pi / x
         z = c * eps
-        g1, g2 = _geometric(z) if z > 0.0 else (math.inf, math.inf)
+        g1, g2 = _geometric(z)
         if not math.isfinite(y * c * c * g2):
             raise OverflowError
         edge = 0.25 * c * g1  # the n = 0 terms

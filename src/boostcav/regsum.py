@@ -14,11 +14,11 @@ Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
 Each summand sums its own spectrum: the 1D one and the rectangle's
-(rect2d) in closed form, a sequence in floats with math.fsum. The
-divergence fit is one least squares in plain floats for every summand
-(the pseudoinverse of a one-sided Jacobi SVD, refined twice against
-math.fsum residuals), and the schedule and the Abel-Plana integral use
-`math`: every route runs on Python floats.
+(rect2d) in closed form on the one kernel _geometric, a sequence in
+floats with math.fsum. The divergence fit is one least squares in plain
+floats for every summand (the pseudoinverse of a one-sided Jacobi SVD,
+refined twice against math.fsum residuals), and the schedule and the
+Abel-Plana integral use `math`: every route runs on Python floats.
 """
 
 import bisect
@@ -81,8 +81,8 @@ _CONDITION_LIMIT = 1e12
 class RegConfig(NamedTuple):
     """Method selection plus, for the cutoff route, its eps schedule.
 
-    The schedule is dimensionless: a summand with lowest frequency omega_min
-    is damped at eps = x / omega_min for each x in epsilon_schedule.
+    The schedule is dimensionless, each x below 2 pi (_geometric says why): a summand
+    with lowest frequency omega_min is damped at eps = x / omega_min for each x.
     """
 
     method: RegMethod
@@ -96,6 +96,9 @@ class RegConfig(NamedTuple):
             # NaN fails every comparison, so this also rejects non-finite points
             if not (x[0] < math.inf and all(x1 > x2 for x1, x2 in zip(x, x[1:])) and x[-1] > 0):
                 raise ValueError("cutoff schedule must be finite, strictly decreasing and positive")
+            if x[0] >= 2.0 * math.pi:
+                raise ValueError(f"cutoff schedule reaches x = {x[0]:g}: it must stay below 2 pi, "
+                                 "the radius of the damped sums' Laurent series in x")
 
     # -- convenience constructors ------------------------------------------
     @staticmethod
@@ -162,8 +165,8 @@ class SequenceSummand:
         self.omega_min = self._w[0]
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """One column: S(eps) is math.fsum of c_n e^{-eps w_n} over the prefix w_n <= CAP/eps."""
-        prefixes = [bisect.bisect_right(self._w, _TRUNCATION_CAP / e) for e in eps]
+        """One column: S(eps) is math.fsum of c_n e^{-eps w_n} over the prefix eps w_n <= CAP."""
+        prefixes = [bisect.bisect_right(self._w, _TRUNCATION_CAP, key=e.__mul__) for e in eps]
         return [[math.fsum([c * math.exp(-e * w) for c, w in zip(self._c[:m], self._w)])
                  for e, m in zip(eps, prefixes)]]
 
@@ -185,7 +188,7 @@ class Linear1DSummand:
 
     Each damped sum is the whole series in closed form (Elizalde, Ten Physical
     Applications of Spectral Zeta Functions, 2nd ed. 2012, ch. 1): with
-    step = pi/L and x = eps step, sum_{n>=1} n e^{-n x} = 1 / (4 sinh^2(x/2)).
+    step = pi/L and x = eps step, sum_{n>=1} n e^{-n x} = G_1(x) (_geometric).
     The fit, not the known Laurent series, extracts the constant.
     """
 
@@ -200,21 +203,25 @@ class Linear1DSummand:
         self.omega_min = self.step
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """One column of weight * step * that sum, O(1) per cutoff; FitError past float64."""
-        sums = []
-        for e in eps:
-            x = e * self.step
-            try:
-                denom = 4.0 * math.sinh(0.5 * x) ** 2
-            except OverflowError:  # from sinh, or from its square
-                raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
-                               "(4 sinh^2(x/2) overflows)") from None
-            total = self.weight * self.step / denom if denom else math.inf
-            if not (denom >= sys.float_info.min and math.isfinite(total)):
-                raise FitError(f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
-                               f"(4 sinh^2(x/2) under {sys.float_info.min:.3g}, or an infinite sum)")
-            sums.append(total)
-        return [sums]
+        """One column of weight * step * G_1(eps step), O(1) per cutoff."""
+        return [[self.weight * self.step * _geometric(e * self.step)[0] for e in eps]]
+
+
+def _geometric(y: float) -> tuple[float, float]:
+    """G_1 = sum_{m>=1} m q^m = q/(1 - q)^2 and G_2 = sum m^2 q^m = q (1 + q)/(1 - q)^3, q = e^{-y}.
+
+    The one kernel of the 1D and rectangle damped sums: with 1 - q = -expm1(-y)
+    both fall to 0 for large y, and are infinite at y = 0. Their poles, y = 2 pi i k,
+    give the Laurent series at 0 the radius 2 pi, the 1D sums' in x; the rectangle's
+    rows are analytic below its shortest periodic orbit 2 min(a, b) in eps (Balian &
+    Bloch, Ann. Phys. 69 (1972) 76), x = 2 pi hypot(1, short/long) >= 2 pi.
+    """
+    q = math.exp(-y)
+    d = -math.expm1(-y)
+    if not d:
+        return math.inf, math.inf
+    g1 = q / d / d
+    return g1, g1 * (1.0 + q) / d
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,10 @@ class _PowerFit:
 
     def __init__(self, x: Sequence[float], powers: Sequence[int]):
         self.powers = list(powers)
-        design = [[xi ** q for xi in x] for q in self.powers]
+        try:
+            design = [[xi ** q for xi in x] for q in self.powers]
+        except OverflowError:  # x^-p at a cutoff near 0
+            raise FitError(f"x^{min(self.powers)} overflows at cutoff x = {min(x):.3g}") from None
         self.scale = [max(map(abs, col)) for col in design]  # 1 for the all-ones x^0 column
         # a vanishing column stays zero, so its singular value is 0 and cond inf
         self.columns = [[d / s for d in col] if s else col for col, s in zip(design, self.scale)]
@@ -380,11 +390,9 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
     x = list(config.epsilon_schedule)
     eps = [xi / summand.omega_min for xi in x]
-    if x[-1] > _TRUNCATION_CAP:  # e^{-eps omega_min} < 1e-18 at every cutoff: no sequence term
-        raise FitError("no spectrum term lies below the largest cutoff")
 
     if isinstance(summand, SequenceSummand):
-        saturated = summand.saturated_sum(_TRUNCATION_CAP / eps[-1])
+        saturated = summand.saturated_sum(_TRUNCATION_CAP / x[-1] * summand.omega_min)
         if saturated is not None:
             # Absolutely convergent (finite below every cutoff): the damped sums
             # carry no divergence and the eps -> 0 limit is the plain sum.
@@ -397,8 +405,11 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
                 condition_number=1.0,
             )
 
-    parts = _fit_finite_parts(x, summand.damped_sums(eps), summand.divergent_powers,
-                              summand.omega_min)
+    columns = summand.damped_sums(eps)
+    for xi, *sums in zip(x, *columns):
+        if not all(map(math.isfinite, sums)):
+            raise FitError(f"the damped sums at cutoff x = {xi:.3g} are not finite in float64")
+    parts = _fit_finite_parts(x, columns, summand.divergent_powers, summand.omega_min)
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 

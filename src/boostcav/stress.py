@@ -123,9 +123,12 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int):
     the x side (per_mode_em_2d says why).
     """
     u = mode_2d(cavity, n, m)
-    w = u.frequency
+    w, p = u.frequency, u.wavenumber_y
+    if not p * p < math.inf:
+        raise ValueError(f"side b = {cavity.proper_length_y!r} is too small for mode m = {m}: "
+                         "(m pi/b)^2 is not finite in float64")
     return (math.sqrt(2.0 * cavity.gamma() / cavity.proper_length_x), u._coeffs,
-            _prefactor_frequency(w, cavity.gamma() * w), u.wavenumber_y ** 2)
+            _prefactor_frequency(w, cavity.gamma() * w), p ** 2)
 
 
 def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int,

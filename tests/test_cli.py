@@ -684,27 +684,30 @@ class TestOutputFile:
 # solving through a Jacobi SVD instead of a QR kept every hash. The three cutoff
 # entries were re-recorded when the 1D damped sums took their closed form: m0
 # moved from 8.71e-11 to 8.67e-11 relative of -pi/(24 L), 0.11 of its stated
-# error, and each moved value by the 12th digit. Any other change is a defect.
+# error, and each moved value by the 12th digit. The five cutoff entries again when
+# those sums took the rectangle's q/(1 - q)^2 kernel: m0 moved from 8.67e-11 to
+# 8.17e-11 relative, 0.096 of its stated error, and only digits derived from it
+# moved. Any other change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
         "2faf01b20a26ba834a0d74e0b9ba0af47d5ab2df1b5e3270229dd0e954b774c6",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "1c910046358451eac7d9cb709070a35fe225bff3c3af8060f918c083b9d59634",
+        "6698fe7f48994042a92e88a686cb58e0240b5a0aecf049c4b8058247218780c7",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
         "c9182b7c5043451ec3dc9a61902438cfd7c804fe2c09da2d0aecf38a1eea74a0",
     # static's three regulators side by side, the cutoff m0 among them, text and json
     ("static", "--L", "1.3"):
-        "7216dfb2c9c96c86a5c227b8f5faf4e1c9a13a006df7c61aafd95b8912a0e09d",
+        "c91998af9836abf73bfc2fc3a9ea61487906adf9b7bf2786334813507c5a45f6",
     ("static", "--L", "0.7", "--format", "json"):
-        "065bfd6dd6e7517c81f34b9e4943ee96861ddd2d8a89c44d9c4d70176c849665",
+        "84253cc527568274cf5aef71af36faa16dcb822d4659e0e3c05fd71c63724053",
     ("boost", "--scheme", "galileo-lab", "--L", "1.3", "--v=-0.27", "--method", "cutoff"):
-        "48bcf6c402a21fd7b06390fa6e7f0b32b417bf82926fb232ea63ccb8e90e3a4a",
+        "a24e19fdd89e91f63da4fa098ee1d1465bca0390723c44021e47ae27061472e8",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "24d749d658bf187bb394123ea9386ab34de12b67a28eb15a49c9584f91f90ac8",
+        "84c0e8ae4e6f8ee6c1bddacc7951a9b0c4aeab9d49277ca7039ddf20abd4dcde",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm and math.fsum). Re-recorded when the subtraction
     # branches' residual took its light-cone form; only the zero-transverse residual moved.
@@ -1027,11 +1030,14 @@ class TestEdgeExitCodes:
         (("rect2d", "--a", "1e-150", "--b", "1e-150", "--shell-grid", "0.999999999999",
           "--format", "json"), 0, OVERFLOW),
         (("rect2d", "--a", "1e200", "--b", "1e200"), 0, "note: E_m^2 underflows float64"),
+        # sides whose (pi/b)^2 leaves float64: per_mode_em_2d refuses every mode of them,
+        # Cavity2D and rect2d still take them
+        (("rect2d", "--a", "1e-155", "--b", "1e-155"), 0, None),
     ], ids=["static-1e-300", "static-5e-324", "modes-1e-300", "boost-abel-plana-1e-308",
             "sweep-per-mode-cutoff-1e300", "boost-cutoff-near-light-speed",
             "boost-E-squared-overflows", "sweep-E-squared-overflows",
             "rect2d-E-squared-overflows", "rect2d-probe-E-squared-overflows",
-            "rect2d-E_m-squared-underflows"])
+            "rect2d-E_m-squared-underflows", "rect2d-tiny-sides"])
     def test_exit_code(self, capsys, argv, code, note):
         got, out, err = run(capsys, *argv)
         assert got == code

@@ -328,6 +328,17 @@ class TestOrthogonality:
         bound = np.array(modes._gram_bound(scheme, cav, n_modes, t))
         assert np.all(2.0 * np.abs(g - np.eye(n_modes)) <= bound)
 
+    # a product of two norms 2 w_n is subnormal at L = 1e155 and 0 at 1e200 and 1e300 (the
+    # pairing's sums underflow too), so these lengths take the unit cavity at t/L, bit for bit
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("length", [1e155, 1e200, 1e300])
+    def test_gram_identity_at_lengths_past_the_normal_range(self, scheme, length):
+        cav, t = Cavity1D(length, 0.3), 0.37 * length
+        g = modes.gram_matrix(scheme, cav, 3, t)
+        assert g == modes.gram_matrix(scheme, Cavity1D(1.0, 0.3), 3, 0.37)
+        bound = np.array(modes._gram_bound(scheme, cav, 3, t))
+        assert np.all(np.abs(np.array(g) - np.eye(3)) <= bound)
+
     def test_static_gram_exact_sine_orthogonality(self):
         for scheme in ALL_SCHEMES:
             g = np.array(modes.gram_matrix(scheme, Cavity1D(1.0, 0.0), 4, 0.0))

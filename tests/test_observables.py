@@ -42,6 +42,16 @@ class TestStaticM0:
         with pytest.raises(ValueError):
             static_m0(-1.0)
 
+    def test_cutoff_fit_without_a_digit_is_refused(self):
+        # damped sums near 1/x^2 = 1e123 round away every digit of m0: the fit reads a value
+        # near 1e104 with a larger stated error, which sweep once squared into an OverflowError
+        config = RegConfig.cutoff(hi=4.35e-59, lo=6.02e-62)
+        with pytest.raises(FitError, match=r"cutoff m0 = \S+ has a stated error of "):
+            static_m0(1.0, config)
+        with pytest.raises(FitError):
+            sweep(Scheme.LORENTZ_EXACT, 1.04e-58, [-0.9999999999999933, 0.7], Route.CLOSED_FORM,
+                  config)
+
 
 class TestComovingEnergy:
     def test_lab_prior_shifted(self):

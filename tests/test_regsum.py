@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boostcav.cavity import Cavity2D
-from boostcav import rect2d
+from boostcav import rect2d, regsum
 from boostcav.observables import static_m0
 from boostcav.regsum import (
     FitError,
@@ -160,13 +161,19 @@ class TestCutoffFit:
             cutoff_finite_part(Linear1DSummand(1.0), config)
 
     def test_schedule_past_every_term_is_rejected(self):
-        # x > 41.4 at the smallest cutoff damps even omega_min's term below 1e-18: every
-        # damped sum is empty, and a fit of zeros must not pass for a finite part
-        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (1e8, 1e6, 1e4, 1e2, 42.0))
-        for summand in (Linear1DSummand(1.0), SequenceSummand([1.0, 2.0], [1.0, 2.0]),
-                        rect2d._FourPartsSummand(1.0, 1.0)):
-            with pytest.raises(FitError, match="no spectrum term lies below the largest cutoff"):
-                cutoff_finite_part(summand, config)
+        # x > 41.4 at the smallest cutoff would damp even omega_min's term below 1e-18, and
+        # leave every damped sum empty; the schedule lies past 2 pi, so it is never built
+        with pytest.raises(ValueError, match="cutoff schedule reaches x = 1e[+]08: it must stay "
+                                             "below 2 pi"):
+            RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (1e8, 1e6, 1e4, 1e2, 42.0))
+
+    def test_fit_column_past_float64_fails_fast(self):
+        # a term lies between the cap at x = 1e-160 and 1.25 times it, so the sequence is
+        # fitted; its damped sums are finite, the fit's x^-2 column is not
+        sequence = SequenceSummand([1.0, 1.0], [1.0, 4.5e161])
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (0.1, 1e-50, 1e-100, 1e-160))
+        with pytest.raises(FitError, match=re.escape("x^-2 overflows at cutoff x = 1e-160")):
+            cutoff_finite_part(sequence, config)
 
     def test_unsaturated_sequence_is_the_linear_spectrum(self):
         # c_n = w_n = n for n <= 10,000 reaches past every cutoff, so it is fitted like the
@@ -217,6 +224,45 @@ class TestCutoffFit:
         for bad in (0.0, -2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="frequency must be positive and finite"):
                 SequenceSummand([1.0, 1.0, 1.0], [1.0, bad, 3.0])
+
+
+class TestScheduleGuard:
+    """RegConfig refuses a cutoff schedule that reaches 2 pi, the radius of the damped sums'
+    Laurent series in x (regsum._geometric), before any sum is taken."""
+
+    CUTOFF = RegMethod.EXPONENTIAL_CUTOFF
+
+    # Each failed otherwise: m0 = -0.125654 with a stated error of 1.1e-13 (the truth is
+    # -0.130900); 0.14 s of rectangle sums before a FitError; a ZeroDivisionError where the
+    # node step floors to 0; an OverflowError from the fit's x^4 column.
+    @pytest.mark.parametrize("call", [
+        lambda: cutoff_finite_part(Linear1DSummand(1.0),
+                                   RegConfig(TestScheduleGuard.CUTOFF, (700.0, 10.0, 1.0, 0.1))),
+        lambda: rect2d.finite_parts(Cavity2D(1.0, 1.0),
+                                    RegConfig(TestScheduleGuard.CUTOFF, (1e5, 1.0, 0.5, 0.1))),
+        lambda: rect2d.finite_parts(Cavity2D(1.0, 0.001), RegConfig.cutoff(hi=1e300, lo=1e-9)),
+        lambda: cutoff_finite_part(Linear1DSummand(1e300), RegConfig.cutoff(hi=2.52e87, lo=2.52e-13)),
+    ], ids=["1d-x700", "square-x1e5", "1x0.001-x1e300", "1d-L1e300-x4-column"])
+    def test_schedule_reaching_the_radius_is_refused_at_once(self, call):
+        timings = []
+        for _ in range(3):  # the fastest of three, so a scheduler pause is not counted
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="it must stay below 2 pi") as info:
+                call()
+            timings.append(time.perf_counter() - start)
+        assert info.traceback[-1].name == "_validate"  # RegConfig's
+        assert min(timings) < 1e-3
+
+    def test_radius_is_the_bound(self):
+        below = RegConfig(self.CUTOFF, (math.nextafter(2.0 * math.pi, 0.0), 1.0, 0.5, 0.1))
+        assert cutoff_finite_part(Linear1DSummand(1.0), below).error_estimate > 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "cutoff schedule reaches x = 6.28319: it must stay below 2 pi, the radius of "
+                "the damped sums' Laurent series in x")):
+            RegConfig(self.CUTOFF, (2.0 * math.pi, 1.0, 0.5, 0.1))
+        # the older refusals keep their wording, and come first
+        with pytest.raises(ValueError, match="must be finite, strictly decreasing and positive"):
+            RegConfig(self.CUTOFF, (10.0, 20.0, 1.0, 0.5))
 
 
 class TestDivergenceFit:
@@ -537,19 +583,25 @@ class TestLinearDampedSums:
     @pytest.mark.parametrize("length, lo, x", [(1.0, 1e-160, "1e-160"), (1.0, 1e-200, "2.96e-172"),
                                                (1e-10, 1e-150, "1e-150")])
     def test_past_float64_fails_fast(self, length, lo, x):
-        # 4 sinh^2(x/2) is subnormal at x = 1e-160 and zero at 2.96e-172, the first point of
-        # the lo = 1e-200 schedule it underflows at; at L = 1e-10 the sum overflows instead
+        # G_1(x) ~ 1/x^2 overflows below x = 7.5e-155: at 1e-160, and at 2.96e-172, the first
+        # point of the lo = 1e-200 schedule past it; at L = 1e-10 the sum, step G_1 / 2, does
         with pytest.raises(FitError, match=re.escape(
-                f"1D spectrum: the damped sum at cutoff x = {x} leaves float64 "
-                f"(4 sinh^2(x/2) under 2.23e-308, or an infinite sum)")):
+                f"the damped sums at cutoff x = {x} are not finite in float64")):
             cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff(lo=lo))
+
+    def test_cutoff_underflowing_to_zero_is_an_infinite_sum(self):
+        # eps = x/omega_min = 5e-324/pi rounds to 0, where the whole series diverges
+        assert regsum._geometric(0.0) == (math.inf, math.inf)
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (0.2, 0.1, 0.05, 5e-324))
+        with pytest.raises(FitError, match=re.escape("cutoff x = 4.94e-324 are not finite")):
+            cutoff_finite_part(Linear1DSummand(1.0), config)
 
     @pytest.mark.parametrize("x", [800.0, 2000.0])
     def test_overflowing_cutoff_fails_fast(self, x):
-        # sinh(x/2) squared overflows at x = 800, sinh(x/2) itself at x = 2000
-        with pytest.raises(FitError, match=re.escape(
-                f"1D spectrum: the damped sum at cutoff x = {x:.3g} leaves float64 "
-                "(4 sinh^2(x/2) overflows)")):
+        # sinh(x/2) squared overflowed at x = 800, sinh(x/2) itself at x = 2000; both lie
+        # past the radius 2 pi, so the schedule is refused before any sum
+        with pytest.raises(ValueError, match=re.escape(
+                f"cutoff schedule reaches x = {x:g}: it must stay below 2 pi")):
             cutoff_finite_part(Linear1DSummand(1.0),
                                RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (x, 10.0, 1.0, 0.1)))
 
@@ -563,8 +615,9 @@ class TestBitIdentity:
     the rectangle's damped sums ran in column-major slabs of rows, with
     (1, 20) added then, and once more when they took their closed form
     (whole sums, no cap); STATIC_CUTOFF again once the 1D damped sums took
-    theirs. Each value's distance to the oracle (Chowla-Selberg;
-    -pi/(24 L)) is noted beside it.
+    theirs, and once more when they took the rectangle's q/(1 - q)^2 kernel.
+    Each value's distance to the oracle (Chowla-Selberg; -pi/(24 L)) is
+    noted beside it.
     """
 
     # (value, error_estimate) of U, W, S_omega, S_k; beside each, its distance to the
@@ -589,8 +642,9 @@ class TestBitIdentity:
             ("-0x1.c840708d750aap-1", "0x1.879f4a7986680p-25"),  # 8.09e-09 -> 7.55e-09
         ),
     }
-    # relative distance to -pi/(24 L): 8.671e-11 at both lengths, 0.107 of the stated error
-    STATIC_CUTOFF = {1.0: "-0x1.0c15238273612p-3", 2.5: "-0x1.acee9f371f01dp-5"}
+    # relative distance to -pi/(24 L): 8.173e-11 at both lengths, 0.096 of the stated error
+    # (with the 1/(4 sinh^2(x/2)) sums, -0x1.0c15238273612p-3: 8.671e-11, 0.107)
+    STATIC_CUTOFF = {1.0: "-0x1.0c152382791bcp-3", 2.5: "-0x1.acee9f37282c6p-5"}
 
     @pytest.mark.parametrize("sides", sorted(RECT))
     def test_rectangle_parts(self, sides):

@@ -192,6 +192,11 @@ class TestPerMode2D:
         assert abs(pm.energy - e_law) <= 1e-12 * e_law
         assert abs(pm.momentum - p_law) <= 1e-12 * e_law
 
+    @pytest.mark.parametrize("b, m", [(1e-160, 2), (1e-154, 5), (5e-324, 1)])
+    def test_side_whose_wavenumber_squares_past_float64_is_named(self, b, m):
+        with pytest.raises(ValueError, match=f"side b = {b!r} is too small for mode m = {m}: "):
+            per_mode_em_2d(Cavity2D(1.0, b, 0.3), 1, m)
+
     def test_wide_cavity_recovers_1d_ratios(self):
         # p_1 -> 0 proxy: per-mode ratios approach the 1D boosted laws
         cav = Cavity2D(1.0, 50.0, 0.6)
