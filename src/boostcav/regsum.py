@@ -13,15 +13,14 @@ Three independent routes:
 Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
-Each summand sums its own spectrum: the 1D one and the rectangle's
-(rect2d) in closed form on the one kernel _geometric, a sequence in
-floats with math.fsum. The divergence fit is one least squares in plain
-floats for every summand (the pseudoinverse of a one-sided Jacobi SVD,
+The 1D and rectangle (rect2d) summands sum their own spectra in closed
+form on the one kernel _geometric; a SequenceSummand is a finite list,
+and its finite part is its math.fsum. The divergence fit is one least
+squares in plain floats (the pseudoinverse of a one-sided Jacobi SVD,
 refined twice against math.fsum residuals), and the schedule and the
 Abel-Plana integral use `math`: every route runs on Python floats.
 """
 
-import bisect
 import enum
 import math
 import sys
@@ -72,8 +71,6 @@ def geometric_schedule(*, hi: float = 0.2, lo: float = 0.01, points: int = 8) ->
 # constant and these eps^{+k} stabilizers (they vanish at eps -> 0, but
 # absorbing them sharpens the constant by orders of magnitude).
 _STABILIZER_POWERS = (2, 4)
-_TRUNCATION_DAMPING = 1e-18  # a sequence sum stops once e^{-eps w} drops below it,
-_TRUNCATION_CAP = -math.log(_TRUNCATION_DAMPING)  # that is, once eps w exceeds this
 _CONDITION_LIMIT = 1e12
 
 
@@ -143,12 +140,11 @@ class FinitePart(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class SequenceSummand:
-    """Explicit finite (or truncatable) sequence of (coefficient, frequency).
+    """Explicit finite sequence of (coefficient, frequency).
 
-    Terms are kept in ascending frequency (stable order among ties).
+    Its damped sums are analytic at eps = 0, so their eps -> 0 limit, the
+    cutoff finite part, is the plain sum: math.fsum, rounded once, no fit.
     """
-
-    divergent_powers = (2,)  # an unsaturated sequence is fitted like the 1D spectrum
 
     def __init__(self, coefficients: Sequence[float], frequencies: Sequence[float]):
         c = [float(x) for x in coefficients]
@@ -159,28 +155,7 @@ class SequenceSummand:
             raise ValueError("coefficients must be finite")
         for x in w:
             _check_length(x, "frequency")
-        order = sorted(range(len(w)), key=w.__getitem__)
-        self._c = [c[i] for i in order]
-        self._w = [w[i] for i in order]
-        self.omega_min = self._w[0]
-
-    def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """One column: S(eps) is math.fsum of c_n e^{-eps w_n} over the prefix eps w_n <= CAP."""
-        prefixes = [bisect.bisect_right(self._w, _TRUNCATION_CAP, key=e.__mul__) for e in eps]
-        return [[math.fsum([c * math.exp(-e * w) for c, w in zip(self._c[:m], self._w)])
-                 for e, m in zip(eps, prefixes)]]
-
-    def saturated_sum(self, omega_cap: float) -> float | None:
-        """Undamped total when the sequence is already finite below the cutoffs.
-
-        Detected by the term count not growing when the frequency cap is
-        pushed 25% past omega_cap, the schedule's most permissive truncation
-        point (any infinite polynomial-density spectrum gains terms there).
-        """
-        count = bisect.bisect_right(self._w, 1.25 * omega_cap)
-        if count != bisect.bisect_right(self._w, omega_cap):
-            return None
-        return math.fsum(self._c[:count])
+        self._total = math.fsum(c)
 
 
 class Linear1DSummand:
@@ -370,15 +345,14 @@ def _fit_finite_parts(
 def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FinitePart, ...]:
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
-    Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule
-    x (a sequence sum truncated once the damping factor falls below 1e-18;
-    the 1D and rectangle sums are whole), fits
+    Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule x, fits
 
         S = sum_k b_k x^{-k} + a_0 + b_2 x^2 + b_4 x^4,
 
     k over summand.divergent_powers, and returns a_0. The error estimate
     combines the fit residual with a refit restricted to the small-x half
-    of the schedule.
+    of the schedule. A SequenceSummand is a finite list: its finite part is
+    its math.fsum, with no divergent coefficient and half an ulp of error.
 
     A summand has omega_min, divergent_powers and damped_sums(eps), which
     sums its own spectrum: one column of S(eps_i) per weight. With one
@@ -388,23 +362,11 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     """
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
+    if isinstance(summand, SequenceSummand):
+        return FinitePart(summand._total, 0.5 * math.ulp(summand._total), config.method,
+                          fitted_divergent_coeffs=(), condition_number=1.0)
     x = list(config.epsilon_schedule)
     eps = [xi / summand.omega_min for xi in x]
-
-    if isinstance(summand, SequenceSummand):
-        saturated = summand.saturated_sum(_TRUNCATION_CAP / x[-1] * summand.omega_min)
-        if saturated is not None:
-            # Absolutely convergent (finite below every cutoff): the damped sums
-            # carry no divergence and the eps -> 0 limit is the plain sum.
-            return FinitePart(
-                value=saturated,
-                error_estimate=0.0,
-                method=config.method,
-                fitted_divergent_coeffs=tuple(0.0 for _ in summand.divergent_powers),
-                fit_residual=0.0,
-                condition_number=1.0,
-            )
-
     columns = summand.damped_sums(eps)
     for xi, *sums in zip(x, *columns):
         if not all(map(math.isfinite, sums)):

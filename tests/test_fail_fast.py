@@ -6,6 +6,7 @@ returns, or raises ValueError or FitError (a bare OverflowError or
 ZeroDivisionError fails the test), within one second.
 """
 
+import math
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -107,7 +108,13 @@ def _cutoff_finite_part(draw):
         return lambda: cutoff_finite_part(Linear1DSummand(length, weight), _config(config))
     freqs = draw(st.lists(LENGTHS, min_size=1, max_size=6))
     coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(freqs), max_size=len(freqs)))
-    return lambda: cutoff_finite_part(SequenceSummand(coeffs, freqs), _config(config))
+
+    def sequence():
+        # a finite list: its finite part is its plain sum, rounded once
+        fp = cutoff_finite_part(SequenceSummand(coeffs, freqs), _config(config))
+        assert fp.value == math.fsum(coeffs), (fp, coeffs)
+        assert fp.error_estimate == 0.5 * math.ulp(fp.value), fp
+    return sequence
 
 
 # each draws its inputs and returns the call on them

@@ -19,7 +19,6 @@ from boostcav.regsum import (
     RegConfig,
     RegMethod,
     SequenceSummand,
-    _TRUNCATION_CAP,
     abel_plana_m0,
     cutoff_finite_part,
     geometric_schedule,
@@ -135,7 +134,17 @@ class TestCutoffFit:
         finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
         fp = cutoff_finite_part(finite, config)
         assert fp.value == 10.0
-        assert all(c == 0.0 for c in fp.fitted_divergent_coeffs)
+        assert fp.fitted_divergent_coeffs == ()
+
+    @pytest.mark.parametrize("far", [1e6, 5e3])
+    def test_sequence_is_its_sum(self, far):
+        # a term far past the cutoffs counts like any other: no truncation, no fit
+        fp = cutoff_finite_part(SequenceSummand([1.0, 1.0, 1.0], [1.0, 2.0, far]),
+                                RegConfig.cutoff())
+        assert fp.value == 3.0
+        assert fp.error_estimate <= 0.5 * math.ulp(3.0)
+        assert fp.fitted_divergent_coeffs == ()
+        assert fp.condition_number == 1.0
 
     def test_static_1d_energy(self):
         config = RegConfig.cutoff()
@@ -161,29 +170,25 @@ class TestCutoffFit:
             cutoff_finite_part(Linear1DSummand(1.0), config)
 
     def test_schedule_past_every_term_is_rejected(self):
-        # x > 41.4 at the smallest cutoff would damp even omega_min's term below 1e-18, and
-        # leave every damped sum empty; the schedule lies past 2 pi, so it is never built
+        # every x here, down to 42, damps even omega_min's term by e^{-42} = 5.7e-19 or less, so
+        # the damped sums would hold no divergence to fit; the schedule lies past 2 pi, so it
+        # is never built
         with pytest.raises(ValueError, match="cutoff schedule reaches x = 1e[+]08: it must stay "
                                              "below 2 pi"):
             RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (1e8, 1e6, 1e4, 1e2, 42.0))
 
     def test_fit_column_past_float64_fails_fast(self):
-        # a term lies between the cap at x = 1e-160 and 1.25 times it, so the sequence is
-        # fitted; its damped sums are finite, the fit's x^-2 column is not
-        sequence = SequenceSummand([1.0, 1.0], [1.0, 4.5e161])
-        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (0.1, 1e-50, 1e-100, 1e-160))
-        with pytest.raises(FitError, match=re.escape("x^-2 overflows at cutoff x = 1e-160")):
-            cutoff_finite_part(sequence, config)
+        # damped sums 1/eps stay finite down to x = 1e-80, where the fit's x^-4 column does not
+        class Quartic:
+            omega_min = 1.0
+            divergent_powers = (4,)
 
-    def test_unsaturated_sequence_is_the_linear_spectrum(self):
-        # c_n = w_n = n for n <= 10,000 reaches past every cutoff, so it is fitted like the
-        # 1D spectrum, whose terms it shares; its fsum sums and the closed form differ in the
-        # last bits, so the two finite parts agree within their stated errors
-        sequence = SequenceSummand(range(1, 10_001), range(1, 10_001))
-        fp = cutoff_finite_part(sequence, RegConfig.cutoff())
-        linear = cutoff_finite_part(Linear1DSummand(math.pi, weight=1.0), RegConfig.cutoff())
-        assert abs(fp.value - linear.value) <= fp.error_estimate + linear.error_estimate
-        assert fp.value.hex() == "-0x1.55555554defe2p-4"
+            def damped_sums(self, eps):
+                return [[1.0 / e for e in eps]]
+
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, (0.1, 1e-20, 1e-40, 1e-60, 1e-80))
+        with pytest.raises(FitError, match=re.escape("x^-4 overflows at cutoff x = 1e-80")):
+            cutoff_finite_part(Quartic(), config)
 
     # lo = 2e-5 and 1e-5 take about 2.1e6 and 4.1e6 spectrum terms, each sum in O(1)
     @pytest.mark.parametrize("lo", [2e-5, 1e-5])
@@ -427,6 +432,10 @@ class TestRect2DSums:
                                                    one.fitted_divergent_coeffs[1] * side)), name
 
 
+# the enumeration's cap: past w = CAP/eps every damping factor is below 1e-18
+CAP = -math.log(1e-18)
+
+
 class TestRectDampedSums:
     """The rectangle's closed-form damped sums against an enumeration of the lattice.
 
@@ -444,7 +453,7 @@ class TestRectDampedSums:
         (3 eps w + 1) and a term (3 eps w + 6); math.fsum rounds each row once,
         and the sum of the rows once more.
         """
-        cap = _TRUNCATION_CAP / eps
+        cap = CAP / eps
         p_step = math.pi / aspect
         rows, rounding = ([], []), [0.0, 0.0]
         n = 1
@@ -471,7 +480,7 @@ class TestRectDampedSums:
         1/eps: the tail is at most int_W^inf N (-f') dw
         = (aspect/4pi) [W^2 f(W) + int_W^inf w^2 e^{-eps w} dw].
         """
-        big_w = _TRUNCATION_CAP / eps
+        big_w = CAP / eps
         return aspect / (4.0 * math.pi) * math.exp(-eps * big_w) * (
             0.5 * big_w**3 + big_w**2 / eps + 2.0 * big_w / eps**2 + 2.0 / eps**3)
 
