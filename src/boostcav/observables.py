@@ -56,6 +56,7 @@ __all__ = [
 
 ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comoving
 _NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
+_NONREL_SAMPLES = 16  # nonrel_fit's sample velocities
 
 
 class Route(enum.Enum):
@@ -148,7 +149,7 @@ def _coefficients(scheme: Scheme, velocities, route: Route) -> list[tuple[float,
     """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
     if route is Route.CLOSED_FORM:
         return [closed_form_coefficients(scheme, v) for v in velocities]
-    return list(coefficient_fits(scheme, velocities))  # each fit is its (c_E, c_P)
+    return list(coefficient_fits(scheme, velocities))
 
 
 def boosted_em(
@@ -246,21 +247,16 @@ def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
             f"({worst.route.value}, v = {worst.velocity:.12g})")
 
 
-def nonrel_fit(
-    scheme: Scheme,
-    v_max: float,
-    degree: int,
-    *,
-    n_samples: int = 16,
-) -> NonRelFit:
+def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
     """Least-squares small-velocity expansion of the per-mode-numeric route.
 
     Fits the per-mode coefficients c_E = E/m0 and c_P = P/m0 themselves, so
-    no regularized m0 enters. Even powers only for E/m0 and odd only for
-    P/m0 (the parity the exact expressions obey). Raises FitError when the
-    worst residual exceeds 1e-6, which flags a degree too low for the
-    requested window, and when a design's condition number exceeds 1e12
-    (a degree too high for the samples).
+    no regularized m0 enters, at 16 evenly spaced velocities on (0, v_max].
+    Even powers only for E/m0 and odd only for P/m0 (the parity the exact
+    expressions obey). Raises FitError when the worst residual exceeds
+    1e-6, which flags a degree too low for the requested window, and when a
+    design's condition number exceeds 1e12 (a degree too high for the
+    samples).
     """
     if v_max > 0.3:
         raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
@@ -268,12 +264,10 @@ def nonrel_fit(
         raise ValueError("v_max must be > 0 for a non-relativistic fit")
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    if n_samples < 12:
-        raise ValueError("need at least 12 sample velocities")
-    # np.linspace(v_max / n_samples, v_max, n_samples) in floats
-    start = v_max / n_samples
-    step = (v_max - start) / (n_samples - 1)
-    vs = [i * step + start for i in range(n_samples - 1)] + [v_max]
+    # np.linspace(v_max / 16, v_max, 16) in floats
+    start = v_max / _NONREL_SAMPLES
+    step = (v_max - start) / (_NONREL_SAMPLES - 1)
+    vs = [i * step + start for i in range(_NONREL_SAMPLES - 1)] + [v_max]
     e_over, p_over = zip(*_coefficients(scheme, vs, Route.PER_MODE_NUMERIC))
 
     def fit(powers, data):

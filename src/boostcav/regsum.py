@@ -155,7 +155,10 @@ class SequenceSummand:
             raise ValueError("coefficients must be finite")
         for x in w:
             _check_length(x, "frequency")
-        self._total = math.fsum(c)
+        try:
+            self._total = math.fsum(c)
+        except OverflowError:
+            raise ValueError("math.fsum of the coefficients overflows float64") from None
 
 
 class Linear1DSummand:
@@ -308,19 +311,26 @@ def _fit_finite_parts(
     |y_i|), which the divergent columns amplify through the constant's row
     of the pseudoinverse. It is what makes small-eps schedules *worse*
     beyond a point.
+
+    A schedule of fewer points than the fitted powers plus two leaves no
+    refit and raises FitError: the fit would interpolate, and its stated
+    error would be the rounding alone.
     """
     fit_powers = [-p for p in powers] + [0, *_STABILIZER_POWERS]
     n_div = len(powers)  # the index of the x^0 term
     fit = _PowerFit(x, fit_powers)
     lower = len(x) - max(len(fit_powers) + 1, len(x) // 2)  # first point of the small-x half
-    refit = _PowerFit(x[lower:], fit_powers) if lower > 0 else None
+    if lower <= 0:
+        raise FitError(f"a {len(x)}-point cutoff schedule leaves no small-x refit for "
+                       f"{len(fit_powers)} fitted powers; use at least {len(fit_powers) + 2} points")
+    refit = _PowerFit(x[lower:], fit_powers)
     dual = fit.dual(n_div)
     parts = []
     for values in columns:
         coeffs = fit.solve(values)
         a0 = coeffs[n_div]
         residual = max(map(abs, fit.residuals(coeffs, values)))
-        refit_shift = abs(refit.solve(values[lower:])[n_div] - a0) if refit else 0.0
+        refit_shift = abs(refit.solve(values[lower:])[n_div] - a0)
         noise = 16.0 * sys.float_info.epsilon * math.fsum(
             [abs(d) * abs(y) for d, y in zip(dual, values)])
         divergent = []

@@ -54,7 +54,6 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "PerModeEM",
-    "CoefficientFit",
     "per_mode_em",
     "per_mode_em_2d",
     "per_mode_coefficients",
@@ -75,13 +74,6 @@ class PerModeEM(NamedTuple):
     momentum: float
     quad_error: float
     m: int | None = None
-
-
-class CoefficientFit(NamedTuple):
-    """Velocity-dependent per-mode coefficients: e_n = c_E w_n/2, p_n = c_P w_n/2."""
-
-    c_energy: float
-    c_momentum: float
 
 
 # the active fault as (T01 sign, prefactor rule); the default is the canonical tensor
@@ -157,7 +149,7 @@ def _panels(n: int) -> int:
     [a, b] the truncation is below 1e-20 (b - a)/2 |B|, far under the
     rounding.
     """
-    return max(4, math.ceil(n / 2))
+    return math.ceil(n / 2)
 
 
 def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int):
@@ -281,7 +273,7 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
     return e, p
 
 
-def coefficient_fits(scheme: Scheme, velocities) -> tuple[CoefficientFit, ...]:
+def coefficient_fits(scheme: Scheme, velocities) -> tuple[tuple[float, float], ...]:
     """The coefficients (c_E, c_P) = (e_1, p_1)/(pi/2) at every velocity of a grid.
 
     e_n = c_E w_n/2 and p_n = c_P w_n/2 at every n (verify's "per-mode
@@ -292,8 +284,5 @@ def coefficient_fits(scheme: Scheme, velocities) -> tuple[CoefficientFit, ...]:
     (_density_quadrature); the closed form of per_mode_em is its oracle
     (verify checks the two against each other).
     """
-    fits = []
-    for v in velocities:
-        e, p = _density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0)
-        fits.append(CoefficientFit(e / (math.pi / 2.0), p / (math.pi / 2.0)))
-    return tuple(fits)
+    fits = (_density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0) for v in velocities)
+    return tuple((e / (math.pi / 2.0), p / (math.pi / 2.0)) for e, p in fits)

@@ -141,10 +141,10 @@ def _checks_stress() -> list[CheckResult]:
     cases = [(Scheme.LORENTZ_EXACT, (0.3, 0.6, 0.9)), (Scheme.GALILEO_COMOVING_PRIOR, (0.05, 0.1, 0.2))]
     for scheme, vs in cases:
         fits = stress.coefficient_fits(scheme, vs)
-        for v, fit in zip(vs, fits):
+        for v, (fit_e, fit_p) in zip(vs, fits):
             ce, cp = stress.per_mode_coefficients(scheme, v)
-            worst_e = max(worst_e, abs(fit.c_energy - ce) / ce)
-            worst_p = max(worst_p, abs(fit.c_momentum - cp) / abs(cp))
+            worst_e = max(worst_e, abs(fit_e - ce) / ce)
+            worst_p = max(worst_p, abs(fit_p - cp) / abs(cp))
     out.append(_result("stress: energy law (exact contraction and comoving-prior)",
                        worst_e <= 1e-9, f"max relative error = {worst_e:.2e}"))
     out.append(_result("stress: momentum law (exact contraction and comoving-prior)",
@@ -153,9 +153,8 @@ def _checks_stress() -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         for v in (0.15, 0.45 if scheme is Scheme.LORENTZ_EXACT else 0.25):
-            plus, minus = stress.coefficient_fits(scheme, (v, -v))
-            worst = max(worst, abs(plus.c_energy - minus.c_energy),
-                        abs(plus.c_momentum + minus.c_momentum))
+            (e_plus, p_plus), (e_minus, p_minus) = stress.coefficient_fits(scheme, (v, -v))
+            worst = max(worst, abs(e_plus - e_minus), abs(p_plus + p_minus))
     out.append(_result("stress: parity (E even, P odd in v)", worst <= 1e-9,
                        f"max parity violation = {worst:.2e}"))
 
@@ -165,11 +164,11 @@ def _checks_stress() -> list[CheckResult]:
     for scheme in Scheme:
         vs = ((0.0, 0.15, -0.15, 0.3, 0.45, -0.45, 0.6, 0.9) if scheme is Scheme.LORENTZ_EXACT
               else (0.0, 0.05, 0.1, 0.15, -0.15, 0.2, 0.25, -0.25))
-        for v, fit in zip(vs, stress.coefficient_fits(scheme, vs)):
+        for v, (fit_e, fit_p) in zip(vs, stress.coefficient_fits(scheme, vs)):
             pm = stress.per_mode_em(scheme, Cavity1D(1.0, v), 1)
             c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
-            worst = max(worst, abs(fit.c_energy - c_e) / abs(c_e),
-                        abs(fit.c_momentum - c_p) / max(abs(c_p), abs(c_e)))
+            worst = max(worst, abs(fit_e - c_e) / abs(c_e),
+                        abs(fit_p - c_p) / max(abs(c_p), abs(c_e)))
     out.append(_result("stress: per-mode route's first-mode quadrature matches the closed form",
                        worst <= 1e-13, f"max relative difference = {worst:.2e}"))
 

@@ -687,17 +687,20 @@ class TestOutputFile:
 # error, and each moved value by the 12th digit. The five cutoff entries again when
 # those sums took the rectangle's q/(1 - q)^2 kernel: m0 moved from 8.67e-11 to
 # 8.17e-11 relative, 0.096 of its stated error, and only digits derived from it
-# moved. Any other change is a defect.
+# moved. The three sweeps again when the first mode's quadrature took one panel,
+# the count its truncation bound needs: only shell_residual digits moved (79, 9 and
+# 11 rows), and every coefficient stays within 5.1e-16 of the closed form. Any
+# other change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
-        "2faf01b20a26ba834a0d74e0b9ba0af47d5ab2df1b5e3270229dd0e954b774c6",
+        "e6431db35286a96bcb619dd6ae2276da5d12842c55f6ea86644c90d0c2deb50c",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
-        "6698fe7f48994042a92e88a686cb58e0240b5a0aecf049c4b8058247218780c7",
+        "d0bc39e868147d39e59e7b4951941f681095c0c064d252de9adb9fa8f1fc0a53",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
-        "c9182b7c5043451ec3dc9a61902438cfd7c804fe2c09da2d0aecf38a1eea74a0",
+        "8302a6f6e2d9e8a653f50fb9fe7a08b01faa032d547705bac704456c158fa007",
     # static's three regulators side by side, the cutoff m0 among them, text and json
     ("static", "--L", "1.3"):
         "c91998af9836abf73bfc2fc3a9ea61487906adf9b7bf2786334813507c5a45f6",

@@ -107,7 +107,10 @@ def _cutoff_finite_part(draw):
         length, weight = draw(LENGTHS), draw(st.floats(-2.0, 2.0))
         return lambda: cutoff_finite_part(Linear1DSummand(length, weight), _config(config))
     freqs = draw(st.lists(LENGTHS, min_size=1, max_size=6))
-    coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(freqs), max_size=len(freqs)))
+    # the second alternative, of magnitude 5e307 to 1e308: two of one sign overflow math.fsum
+    big = st.builds(math.copysign, st.floats(5e307, 1e308), st.sampled_from((-1.0, 1.0)))
+    coeffs = draw(st.lists(st.one_of(st.floats(-10.0, 10.0), big),
+                           min_size=len(freqs), max_size=len(freqs)))
 
     def sequence():
         # a finite list: its finite part is its plain sum, rounded once

@@ -150,8 +150,8 @@ class TestNonRelFit:
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.4, degree=4)
         with pytest.raises(ValueError):
             nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=1)
-        with pytest.raises(ValueError):
-            nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=4, n_samples=5)
+        with pytest.raises(TypeError):  # the sample count is fixed at 16
+            nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=4, n_samples=16)
         for v_max in (0.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="v_max must be > 0"):
                 nonrel_fit(Scheme.LORENTZ_EXACT, v_max, degree=4)

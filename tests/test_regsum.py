@@ -115,11 +115,15 @@ class TestCutoffFit:
         # S(eps) = sum n e^{-eps n} has the closed form e^-eps/(1-e^-eps)^2,
         # whose eps-expansion constant is -1/12; the eps^2, eps^4 stabilizers
         # absorb this schedule's coarseness.
+        summand = Linear1DSummand(math.pi, weight=1.0)  # c_n = n, w_n = n
+        # four points interpolate the four fitted powers: no refit, so no stated error
+        with pytest.raises(FitError, match="a 4-point cutoff schedule leaves no small-x refit"):
+            cutoff_finite_part(summand, RegConfig(RegMethod.EXPONENTIAL_CUTOFF,
+                                                  (0.1, 0.05, 0.02, 0.01)))
         config = RegConfig(
             method=RegMethod.EXPONENTIAL_CUTOFF,
-            epsilon_schedule=(0.1, 0.05, 0.02, 0.01),
+            epsilon_schedule=(0.1, 0.07, 0.05, 0.03, 0.02, 0.01),
         )
-        summand = Linear1DSummand(math.pi, weight=1.0)  # c_n = n, w_n = n
         fp = cutoff_finite_part(summand, config)
         assert abs(fp.value + 1.0 / 12.0) < 1e-6
         # the engine's raw sums must agree with the closed form
@@ -145,6 +149,10 @@ class TestCutoffFit:
         assert fp.error_estimate <= 0.5 * math.ulp(3.0)
         assert fp.fitted_divergent_coeffs == ()
         assert fp.condition_number == 1.0
+
+    def test_sequence_sum_past_float64_fails_fast(self):
+        with pytest.raises(ValueError, match="math.fsum of the coefficients overflows float64"):
+            SequenceSummand([1e308, 1e308], [1.0, 2.0])
 
     def test_static_1d_energy(self):
         config = RegConfig.cutoff()
@@ -259,8 +267,11 @@ class TestScheduleGuard:
         assert min(timings) < 1e-3
 
     def test_radius_is_the_bound(self):
-        below = RegConfig(self.CUTOFF, (math.nextafter(2.0 * math.pi, 0.0), 1.0, 0.5, 0.1))
+        top = math.nextafter(2.0 * math.pi, 0.0)
+        below = RegConfig(self.CUTOFF, (top, 3.0, 1.0, 0.5, 0.2, 0.1))
         assert cutoff_finite_part(Linear1DSummand(1.0), below).error_estimate > 0.0
+        with pytest.raises(FitError, match="a 4-point cutoff schedule"):  # valid, but no refit
+            cutoff_finite_part(Linear1DSummand(1.0), RegConfig(self.CUTOFF, (top, 1.0, 0.5, 0.1)))
         with pytest.raises(ValueError, match=re.escape(
                 "cutoff schedule reaches x = 6.28319: it must stay below 2 pi, the radius of "
                 "the damped sums' Laurent series in x")):
@@ -268,6 +279,40 @@ class TestScheduleGuard:
         # the older refusals keep their wording, and come first
         with pytest.raises(ValueError, match="must be finite, strictly decreasing and positive"):
             RegConfig(self.CUTOFF, (10.0, 20.0, 1.0, 0.5))
+
+
+class TestRefitGuard:
+    """A cutoff schedule needs two points more than the fitted powers, or the small-x refit
+    is empty and the stated error is rounding alone: 6 points for the 1D sum (x^-2, 1, x^2,
+    x^4) and 7 for the rectangle's (x^-3, x^-2, 1, x^2, x^4). At 4 points the 1D fit
+    interpolated, and actual/stated read 6.4e4 on (1, 0.1) and 8.4e11 on (5.68, 2.26)."""
+
+    @pytest.mark.parametrize("points", [4, 5])
+    @pytest.mark.parametrize("span", [(0.2, 0.01), (1.0, 0.1), (5.68, 2.26)])
+    def test_1d_schedule_without_refit_fails(self, points, span):
+        config = RegConfig.cutoff(hi=span[0], lo=span[1], points=points)
+        with pytest.raises(FitError, match=re.escape(
+                f"a {points}-point cutoff schedule leaves no small-x refit for 4 fitted powers; "
+                "use at least 6 points")):
+            cutoff_finite_part(Linear1DSummand(1.0), config)
+
+    def test_1d_six_points_fit(self):
+        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(points=6))
+        assert 0.0 < abs(fp.value + math.pi / 24.0) <= fp.error_estimate
+
+    @pytest.mark.parametrize("points", [5, 6])
+    def test_rectangle_schedule_without_refit_fails(self, points):
+        with pytest.raises(FitError, match=re.escape(
+                f"a {points}-point cutoff schedule leaves no small-x refit for 5 fitted powers; "
+                "use at least 7 points")):
+            rect2d.finite_parts(Cavity2D(1.0, 2.0), rect2d.default_config(points=points))
+
+    def test_rectangle_seven_points_fit(self):
+        exact = rect2d.finite_parts(Cavity2D(1.0, 2.0))
+        cut = rect2d.finite_parts(Cavity2D(1.0, 2.0), rect2d.default_config(points=7))
+        for name in ("S_omega", "S_k"):
+            part = getattr(cut, name)
+            assert abs(part.value - getattr(exact, name).value) <= part.error_estimate
 
 
 class TestDivergenceFit:
