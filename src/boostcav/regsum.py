@@ -14,11 +14,11 @@ Cross-agreement of the routes is the package's strongest regularization
 check; nothing here ever regularizes velocity-dependent sums directly.
 
 The 1D and rectangle (rect2d) summands sum their own spectra in closed
-form on the one kernel _geometric; a SequenceSummand is a finite list,
-and its finite part is its math.fsum. The divergence fit is one least
-squares in plain floats (the pseudoinverse of a one-sided Jacobi SVD,
-refined twice against math.fsum residuals), and the schedule and the
-Abel-Plana integral use `math`: every route runs on Python floats.
+form on the one kernel _geometric, and every summand's finite part comes
+from the one divergence fit: a least squares in plain floats (the
+pseudoinverse of a one-sided Jacobi SVD, refined twice against math.fsum
+residuals). The schedule and the Abel-Plana integral use `math`: every
+route runs on Python floats.
 """
 
 import enum
@@ -34,7 +34,6 @@ __all__ = [
     "RegConfig",
     "FinitePart",
     "FitError",
-    "SequenceSummand",
     "Linear1DSummand",
     "geometric_schedule",
     "cutoff_finite_part",
@@ -138,28 +137,6 @@ class FinitePart(NamedTuple):
 # ---------------------------------------------------------------------------
 # summands
 # ---------------------------------------------------------------------------
-
-class SequenceSummand:
-    """Explicit finite sequence of (coefficient, frequency).
-
-    Its damped sums are analytic at eps = 0, so their eps -> 0 limit, the
-    cutoff finite part, is the plain sum: math.fsum, rounded once, no fit.
-    """
-
-    def __init__(self, coefficients: Sequence[float], frequencies: Sequence[float]):
-        c = [float(x) for x in coefficients]
-        w = [float(x) for x in frequencies]
-        if len(c) != len(w) or not w:
-            raise ValueError("coefficients and frequencies must be non-empty and of equal length")
-        if not all(map(math.isfinite, c)):
-            raise ValueError("coefficients must be finite")
-        for x in w:
-            _check_length(x, "frequency")
-        try:
-            self._total = math.fsum(c)
-        except OverflowError:
-            raise ValueError("math.fsum of the coefficients overflows float64") from None
-
 
 class Linear1DSummand:
     """c_n = weight * n pi / L on the 1D Dirichlet spectrum w_n = n pi / L.
@@ -343,7 +320,7 @@ def _fit_finite_parts(
             divergent.append(c)
         parts.append(FinitePart(
             value=a0,
-            error_estimate=refit_shift + residual + 2.0 ** max(powers) * noise,
+            error_estimate=refit_shift + residual + 2.0 ** max(powers, default=0) * noise,
             method=RegMethod.EXPONENTIAL_CUTOFF,
             fitted_divergent_coeffs=tuple(divergent),
             fit_residual=residual,
@@ -361,8 +338,14 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
 
     k over summand.divergent_powers, and returns a_0. The error estimate
     combines the fit residual with a refit restricted to the small-x half
-    of the schedule. A SequenceSummand is a finite list: its finite part is
-    its math.fsum, with no divergent coefficient and half an ulp of error.
+    of the schedule.
+
+    Past the divergent powers the model is a_0 + b_2 x^2 + b_4 x^4, even in
+    x, so the damped sums must be even there too: the 1D sums are, by G_1's
+    Laurent series 1/x^2 - 1/12 + x^2/240 - ..., and the rectangle's are
+    C + O(eps^2) (rect2d._FourPartsSummand). A finite list is not: its sums
+    carry the odd term -x sum c_n w_n / omega_min, which the stated error
+    does not bound.
 
     A summand has omega_min, divergent_powers and damped_sums(eps), which
     sums its own spectrum: one column of S(eps_i) per weight. With one
@@ -372,9 +355,6 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     """
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
         raise ValueError("cutoff_finite_part requires an EXPONENTIAL_CUTOFF config")
-    if isinstance(summand, SequenceSummand):
-        return FinitePart(summand._total, 0.5 * math.ulp(summand._total), config.method,
-                          fitted_divergent_coeffs=(), condition_number=1.0)
     x = list(config.epsilon_schedule)
     eps = [xi / summand.omega_min for xi in x]
     columns = summand.damped_sums(eps)

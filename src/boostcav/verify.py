@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 from . import modes, observables, rect2d, regsum, stress
 from .cavity import Cavity1D, Cavity2D, Scheme
 from .observables import Route
-from .regsum import RegConfig, SequenceSummand, cutoff_finite_part
+from .regsum import RegConfig, cutoff_finite_part
 
 __all__ = ["CheckResult", "run_checks", "MODULE_GROUPS"]
 
@@ -222,12 +222,19 @@ def _checks_regsum() -> list[CheckResult]:
     out.append(_result("regsum: linearity of the finite part", lin_err <= max(budget, 1e-12),
                        f"|FP(2c+3d) - 2FP(c) - 3FP(d)| = {lin_err:.2e} (budget {budget:.2e})"))
 
-    finite = SequenceSummand([1.0] * 10, [float(n) for n in range(1, 11)])
-    fp = cutoff_finite_part(finite, config)
-    div = max((abs(x) for x in fp.fitted_divergent_coeffs), default=0.0)
-    ok = abs(fp.value - 10.0) <= 1e-10 and div <= 1e-8
+    class _Convergent:  # c minus its eps^-2 divergence: G_1(x) - 1/x^2 -> -1/12
+        omega_min = c.omega_min
+        divergent_powers = c.divergent_powers
+
+        def damped_sums(self, eps):
+            return [[s - 1.0 / e / e for s, e in zip(c.damped_sums(eps)[0], eps)]]
+
+    fp = cutoff_finite_part(_Convergent(), config)
+    div = max(map(abs, fp.fitted_divergent_coeffs))
+    err = abs(fp.value + 1.0 / 12.0)
+    ok = err <= fp.error_estimate and div <= 1e-8
     out.append(_result("regsum: convergent pass-through", ok,
-                       f"value error {abs(fp.value - 10.0):.2e}, max divergent coeff {div:.2e}"))
+                       f"value error {err:.2e}, max divergent coeff {div:.2e}"))
 
     summand = regsum.Linear1DSummand(1.0, weight=0.5)
     full = cutoff_finite_part(summand, config)

@@ -30,7 +30,6 @@ from boostcav.observables import (
 from boostcav.regsum import (
     Linear1DSummand,
     RegConfig,
-    SequenceSummand,
     cutoff_finite_part,
 )
 
@@ -245,13 +244,20 @@ def test_criterion_12_regulator_robustness():
         worst_2d = max(worst_2d, shift / max(5.0 * fp.error_estimate, 1e-300))
         ok_2d = ok_2d and shift < 5.0 * fp.error_estimate
 
-    finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
-    fp_fin = cutoff_finite_part(finite, config)
-    ok_pass = abs(fp_fin.value - 10.0) <= 1e-10 and all(
+    class Convergent:  # sum n e^{-eps n} less its eps^-2 divergence: finite part -1/12
+        omega_min = 1.0
+        divergent_powers = (2,)
+
+        def damped_sums(self, eps):
+            [sums] = Linear1DSummand(math.pi, weight=1.0).damped_sums(eps)
+            return [[s - 1.0 / e / e for s, e in zip(sums, eps)]]
+
+    fp_fin = cutoff_finite_part(Convergent(), config)
+    ok_pass = abs(fp_fin.value + 1.0 / 12.0) <= 1e-10 and all(
         abs(c) <= 1e-8 for c in fp_fin.fitted_divergent_coeffs
     )
     ok = ok_1d and ok_2d and ok_pass
     _report(12, ok, f"halved schedules: 1D shift {shift_1d:.2e} < 5x err "
                     f"{5 * full.error_estimate:.2e}; 2D worst shift/(5x err) {worst_2d:.2f}; "
-                    f"convergent pass-through dev {abs(fp_fin.value - 10.0):.1e}")
+                    f"convergent pass-through dev {abs(fp_fin.value + 1.0 / 12.0):.1e}")
     assert ok

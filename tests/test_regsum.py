@@ -18,7 +18,6 @@ from boostcav.regsum import (
     Linear1DSummand,
     RegConfig,
     RegMethod,
-    SequenceSummand,
     abel_plana_m0,
     cutoff_finite_part,
     geometric_schedule,
@@ -28,6 +27,16 @@ from boostcav.regsum import (
 # classical lattice value: (pi/2) [zeta(-1/2) beta(-1/2) - zeta(-1)] for the
 # unit square spectrum, from sum_{n,m>=1} (n^2+m^2)^{-s} = zeta(s)beta(s) - zeta(2s)
 SQUARE_REST_ENERGY = 0.0410405973441
+
+
+class ConvergentSummand:
+    """sum n e^{-eps n} less its eps^-2 divergence: damped sums G_1(x) - 1/x^2, finite part -1/12."""
+
+    omega_min = 1.0
+    divergent_powers = ()
+
+    def damped_sums(self, eps):
+        return [[regsum._geometric(e)[0] - 1.0 / e / e for e in eps]]
 
 
 class TestZetaAssignment:
@@ -133,26 +142,15 @@ class TestCutoffFit:
             x = math.exp(-eps)
             assert abs(total - x / (1 - x) ** 2) < 1e-9
 
-    def test_convergent_passthrough(self):
-        config = RegConfig.cutoff()
-        finite = SequenceSummand(np.ones(10), np.arange(1.0, 11.0))
-        fp = cutoff_finite_part(finite, config)
-        assert fp.value == 10.0
-        assert fp.fitted_divergent_coeffs == ()
-
-    @pytest.mark.parametrize("far", [1e6, 5e3])
-    def test_sequence_is_its_sum(self, far):
-        # a term far past the cutoffs counts like any other: no truncation, no fit
-        fp = cutoff_finite_part(SequenceSummand([1.0, 1.0, 1.0], [1.0, 2.0, far]),
-                                RegConfig.cutoff())
-        assert fp.value == 3.0
-        assert fp.error_estimate <= 0.5 * math.ulp(3.0)
-        assert fp.fitted_divergent_coeffs == ()
-        assert fp.condition_number == 1.0
-
-    def test_sequence_sum_past_float64_fails_fast(self):
-        with pytest.raises(ValueError, match="math.fsum of the coefficients overflows float64"):
-            SequenceSummand([1e308, 1e308], [1.0, 2.0])
+    def test_convergent_summand_fits_with_no_divergent_power(self):
+        # G_1(x) - 1/x^2 = -1/12 + x^2/240 - ...: even in x, so the fit's model holds
+        summand = ConvergentSummand()
+        for hi, lo in ((0.2, 0.01), (1.0, 0.1), (3.0, 0.3), (0.2, 1e-3), (6.0, 1.0), (0.25, 0.05)):
+            fp = cutoff_finite_part(summand, RegConfig.cutoff(hi=hi, lo=lo))
+            assert abs(fp.value + 1.0 / 12.0) <= fp.error_estimate, (hi, lo, fp)
+            assert fp.fitted_divergent_coeffs == ()
+        with pytest.raises(FitError, match="use at least 5 points"):
+            cutoff_finite_part(summand, RegConfig.cutoff(points=4))
 
     def test_static_1d_energy(self):
         config = RegConfig.cutoff()
@@ -232,11 +230,6 @@ class TestCutoffFit:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="weight must be finite"):
                 Linear1DSummand(1.0, bad)
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                SequenceSummand([1.0, bad, 1.0], [1.0, 2.0, 3.0])
-        for bad in (0.0, -2.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="frequency must be positive and finite"):
-                SequenceSummand([1.0, 1.0, 1.0], [1.0, bad, 3.0])
 
 
 class TestScheduleGuard:

@@ -11,8 +11,8 @@ def test_module_groups_cover_every_package_module():
     assert set(MODULE_GROUPS) == {"modes", "stress", "regsum", "observables", "rect2d"}
 
 
-@pytest.mark.parametrize("group", ["modes", "regsum", "observables"])
-def test_groups_pass_under_default_convention(group):
+@pytest.mark.parametrize("group", sorted(MODULE_GROUPS))
+def test_groups_pass_without_a_fault(group):
     results = run_checks(group)
     assert results
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
@@ -61,7 +61,7 @@ RECT2D_STATIC = "rect2d: static limit of the per-mode route"
 RECT2D_SHELL = "rect2d: shell residual matches 2(g^2(1+v^2)-1)UW"
 
 # a kernel scaled by 1 + 1e-9 at every module binding of its name: the checks the full suite
-# fails. regsum._geometric, zeta_linear_sum and abel_plana_m0 fail none yet, so have no row.
+# fails. zeta_linear_sum and abel_plana_m0 fail none yet, so have no row.
 KERNEL_DEFECTS = {
     ("_closed_form", ("stress",)): {STATIC_LIMIT, FIRST_MODE, DENSITIES, RECT2D_LAW},
     ("per_mode_coefficients", ("stress", "rect2d")): {ENERGY_LAW, MOMENTUM_LAW, RECT2D_STATIC,
@@ -69,6 +69,7 @@ KERNEL_DEFECTS = {
     ("closed_form_coefficients", ("observables",)): {MASS_SHELL},
     ("gauss_legendre", ("quadrature", "stress", "regsum")): {FIRST_MODE, DENSITIES, ENERGY_LAW,
                                                              MOMENTUM_LAW, MASS_SHELL},
+    ("_geometric", ("regsum", "rect2d")): {"regsum: convergent pass-through"},
 }
 
 
