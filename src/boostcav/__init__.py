@@ -16,8 +16,6 @@ from .modes import (
     boundary_residual,
     gram_matrix,
     kg_residual,
-    mode,
-    mode_2d,
     spatial_overlap_matrix,
 )
 from .observables import (
@@ -25,7 +23,6 @@ from .observables import (
     Route,
     SweepTable,
     boosted_em,
-    comoving_energy,
     em_plate_energy_per_area,
     mass_shell_residual,
     nonrel_fit,
@@ -38,7 +35,6 @@ from .rect2d import (
     Route2D,
     boosted_em_2d,
     mass_shell_probe_2d,
-    static_energy_2d,
     subtraction_solver_2d,
 )
 from .regsum import (
@@ -67,8 +63,6 @@ __all__ = [
     "OutsideCavityError",
     "SpacetimeMode",
     "SpacetimeMode2D",
-    "mode",
-    "mode_2d",
     "boundary_residual",
     "kg_residual",
     "gram_matrix",
@@ -89,7 +83,6 @@ __all__ = [
     "EnergyMomentum",
     "SweepTable",
     "static_m0",
-    "comoving_energy",
     "boosted_em",
     "route_comparison",
     "mass_shell_residual",
@@ -97,7 +90,6 @@ __all__ = [
     "sweep",
     "em_plate_energy_per_area",
     "Route2D",
-    "static_energy_2d",
     "boosted_em_2d",
     "mass_shell_probe_2d",
     "subtraction_solver_2d",

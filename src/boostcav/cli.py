@@ -28,7 +28,7 @@ from .observables import (
     static_m0,
     sweep,
 )
-from .regsum import FitError, RegConfig
+from .regsum import FitError, RegConfig, RegMethod
 from .rect2d import (
     Route2D,
     UnderdeterminedError,
@@ -46,7 +46,7 @@ __all__ = ["main"]
 
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
-_METHODS = ("zeta", "cutoff", "abel-plana")  # the 1D regularizers, as --method spells them
+_METHODS = tuple(m.value for m in RegMethod)  # the 1D regularizers, as --method spells them
 # Rows one table may hold: a `modes` --n-max, or the points of a velocity grid.
 # A 10,000-row sweep takes about 0.27 s wall by the closed form and 0.48 s by the
 # per-mode route (one process on a 2-core x86-64 Xeon, median of 5).
@@ -153,12 +153,8 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad velocity {text!r}") from exc
 
 
-def _reg_config_1d(method: str) -> RegConfig | None:
-    if method == "zeta":
-        return None
-    if method == "cutoff":
-        return RegConfig.cutoff()
-    return RegConfig.abel_plana()
+def _reg_config_1d(method: str) -> RegConfig:
+    return RegConfig.cutoff() if method == "cutoff" else RegConfig(RegMethod(method))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +309,8 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
         "E_m": e_m,
         "E_m_error": parts.S_omega.error_estimate,
     }
-    probe = (mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), Route2D.PER_MODE,
-                                 parts=parts) if args.shell_grid else ())
+    probe = (mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), parts=parts)
+             if args.shell_grid else ())
     probe_rows = [{"v": r.velocity, "residual": r.residual, "error": r.residual_error,
                    "predicted": r.predicted_residual} for r in probe]
     note = shell_residual_warning((per_mode, grouped) + probe, e_m, rest="E_m")

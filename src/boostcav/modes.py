@@ -35,8 +35,6 @@ __all__ = [
     "OutsideCavityError",
     "SpacetimeMode",
     "SpacetimeMode2D",
-    "mode",
-    "mode_2d",
     "boundary_residual",
     "kg_residual",
     "canonical_norm",
@@ -246,17 +244,9 @@ class SpacetimeMode2D(NamedTuple):
         return affine_value(self.normalization, self._coeffs, t, x) * p * math.cos(p * y)
 
 
-def mode(scheme: Scheme, cavity: Cavity1D, n: int) -> SpacetimeMode:
-    return SpacetimeMode(scheme, cavity, n)
-
-
-def mode_2d(cavity: Cavity2D, n: int, m: int) -> SpacetimeMode2D:
-    return SpacetimeMode2D(cavity, n, m)
-
-
 def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tuple[complex, complex]:
     """Mode values at the two instantaneous walls; zero for Dirichlet walls."""
-    u = mode(scheme, cavity, n)
+    u = SpacetimeMode(scheme, cavity, n)
     left, right = u.walls(t)
     return u.value(t, left, check=False), u.value(t, right, check=False)
 
@@ -283,7 +273,7 @@ def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) ->
     operator (d_t + v d_x)^2 - d_x^2, q(k) = (k_t + v k_x)^2 - k_x^2. Squares
     are products, so q is exactly 0 where the coefficients are symmetric.
     """
-    u = mode(scheme, cavity, n)
+    u = SpacetimeMode(scheme, cavity, n)
     u._require_inside(t, x)
 
     def wave(_, k_t, k_x, d):
@@ -300,7 +290,7 @@ def kg_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float, x: float) ->
 
 def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
     """Diagonal of the scheme's conserved sesquilinear pairing (analytic): 2 w_n."""
-    return float(2.0 * mode(scheme, cavity, n).lab_phase_frequency)
+    return float(2.0 * SpacetimeMode(scheme, cavity, n).lab_phase_frequency)
 
 
 def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
@@ -322,7 +312,7 @@ def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
             z = 0.5 * b * width
             return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
 
-    waves = [_plane_waves(mode(scheme, cavity, n)) for n in range(1, n_modes + 1)]
+    waves = [_plane_waves(SpacetimeMode(scheme, cavity, n)) for n in range(1, n_modes + 1)]
     return [[sum(term(*pair(j, l)) for j in waves_n for l in waves_m) for waves_m in waves]
             for waves_n in waves]
 

@@ -41,7 +41,6 @@ __all__ = [
     "RouteComparison",
     "NonRelFit",
     "static_m0",
-    "comoving_energy",
     "closed_form_coefficients",
     "boosted_em",
     "route_comparison",
@@ -122,14 +121,6 @@ def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
     return fp.value / proper_length
 
 
-def comoving_energy(scheme: Scheme, cavity: Cavity1D, config: RegConfig | None = None) -> float:
-    """Vacuum energy in the cavity rest frame under the given scheme."""
-    m0 = static_m0(cavity.proper_length, config)
-    if scheme is Scheme.GALILEO_LAB_PRIOR:
-        return (1.0 - cavity.velocity**2) * m0
-    return m0
-
-
 def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
     """(E/m0, P/m0) closed forms as printed by each scheme's algebra.
 
@@ -156,7 +147,6 @@ def boosted_em(
     scheme: Scheme,
     cavity: Cavity1D,
     route: Route = Route.PER_MODE_NUMERIC,
-    config: RegConfig | None = None,
     *,
     m0: float | None = None,
 ) -> EnergyMomentum:
@@ -164,10 +154,10 @@ def boosted_em(
 
     CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE_NUMERIC
     multiplies the quadrature-extracted coefficients by the regularized m0.
-    A caller that already holds static_m0(L, config) passes it as m0.
+    m0 is static_m0(L, config) of the caller's regulator; by default, the zeta m0.
     """
     if m0 is None:
-        m0 = static_m0(cavity.proper_length, config)
+        m0 = static_m0(cavity.proper_length)
     [(c_e, c_p)] = _coefficients(scheme, (cavity.velocity,), route)
     return EnergyMomentum(
         energy=c_e * m0, momentum=c_p * m0, scheme=scheme, velocity=cavity.velocity, route=route
@@ -179,8 +169,8 @@ def route_comparison(
 ) -> RouteComparison:
     """Both routes side by side; disagreement is reported, never hidden."""
     m0 = static_m0(cavity.proper_length, config)
-    closed = boosted_em(scheme, cavity, Route.CLOSED_FORM, config, m0=m0)
-    numeric = boosted_em(scheme, cavity, Route.PER_MODE_NUMERIC, config, m0=m0)
+    closed = boosted_em(scheme, cavity, Route.CLOSED_FORM, m0=m0)
+    numeric = boosted_em(scheme, cavity, Route.PER_MODE_NUMERIC, m0=m0)
     scale_e = max(abs(closed.energy), abs(numeric.energy), 1e-300)
     # momentum vanishes at v = 0; measure its disagreement on the overall
     # energy-momentum scale so quadrature noise around zero is not inflated

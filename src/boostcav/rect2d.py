@@ -43,7 +43,6 @@ __all__ = [
     "SubtractionSolution",
     "UnderdeterminedError",
     "default_config",
-    "static_energy_2d",
     "finite_parts",
     "boosted_em_2d",
     "static_limit_report",
@@ -87,7 +86,7 @@ class ShellProbeRow(NamedTuple):
     velocity: float
     residual: float
     residual_error: float
-    predicted_residual: float | None  # analytic 4 g^2 v^2 U W, per-mode route only
+    predicted_residual: float  # analytic 4 g^2 v^2 U W
     route: Route2D
     energy: float  # the (E_s, P_s) the residual is formed from
     momentum: float
@@ -462,11 +461,6 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 
-def static_energy_2d(cavity: Cavity2D, config: RegConfig | None = None) -> FinitePart:
-    """Finite part of (1/2) sum_nm w_nm, the rest-frame vacuum energy."""
-    return finite_parts(cavity, config).S_omega
-
-
 def boosted_em_2d(
     cavity: Cavity2D,
     route: Route2D = Route2D.PER_MODE,
@@ -540,32 +534,29 @@ def static_limit_report(cavity: Cavity2D, *, parts: FourParts | None = None) -> 
 def mass_shell_probe_2d(
     cavity: Cavity2D,
     v_grid,
-    route: Route2D = Route2D.PER_MODE,
     *,
     parts: FourParts | None = None,
 ) -> tuple[ShellProbeRow, ...]:
-    """Shell residual E^2 - P^2 - E_m^2 across a velocity grid."""
+    """Per-mode shell residual E^2 - P^2 - E_m^2 at each distinct velocity of the grid."""
     if parts is None:
         parts = finite_parts(cavity)
     e_m = parts.S_omega.value
     e_m_err = parts.S_omega.error_estimate
     rows = []
-    for v in sorted(float(v) for v in v_grid):
+    for v in sorted({float(v) for v in v_grid}):
         moving = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, v)
-        res = boosted_em_2d(moving, route, parts=parts)
+        res = boosted_em_2d(moving, Route2D.PER_MODE, parts=parts)
         residual = mass_shell_residual(res, e_m)
         err = (
             2.0 * abs(res.energy) * res.energy_error
             + 2.0 * abs(res.momentum) * res.momentum_error
             + 2.0 * abs(e_m) * e_m_err
         )
-        predicted = None
-        if route is Route2D.PER_MODE:
-            # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
-            predicted = 4.0 * v * v / (1.0 - v * v) * parts.U.value * parts.W.value
+        # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
+        predicted = 4.0 * v * v / (1.0 - v * v) * parts.U.value * parts.W.value
         rows.append(
             ShellProbeRow(velocity=v, residual=residual, residual_error=err,
-                          predicted_residual=predicted, route=route, energy=res.energy,
+                          predicted_residual=predicted, route=res.route, energy=res.energy,
                           momentum=res.momentum)
         )
     return tuple(rows)

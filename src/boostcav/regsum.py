@@ -96,15 +96,6 @@ class RegConfig(NamedTuple):
                 raise ValueError(f"cutoff schedule reaches x = {x[0]:g}: it must stay below 2 pi, "
                                  "the radius of the damped sums' Laurent series in x")
 
-    # -- convenience constructors ------------------------------------------
-    @staticmethod
-    def zeta() -> "RegConfig":
-        return RegConfig(method=RegMethod.ZETA_EXACT)
-
-    @staticmethod
-    def abel_plana() -> "RegConfig":
-        return RegConfig(method=RegMethod.ABEL_PLANA)
-
     @staticmethod
     def cutoff(**schedule_kw) -> "RegConfig":
         """Exponential cutoff on geometric_schedule(**schedule_kw)."""
@@ -266,10 +257,6 @@ class _PowerFit:
             target = self.residuals(coeffs, values)
         return coeffs
 
-    def dual(self, k: int) -> list[float]:
-        """Row k of the pseudoinverse: the k-th scaled coefficient is sum_i dual_i y_i."""
-        return self.pinv[k]
-
 
 def _fit_finite_parts(
     x: list[float], columns: list[list[float]], powers: tuple[int, ...], omega_min: float
@@ -301,7 +288,7 @@ def _fit_finite_parts(
         raise FitError(f"a {len(x)}-point cutoff schedule leaves no small-x refit for "
                        f"{len(fit_powers)} fitted powers; use at least {len(fit_powers) + 2} points")
     refit = _PowerFit(x[lower:], fit_powers)
-    dual = fit.dual(n_div)
+    dual = fit.pinv[n_div]  # the scaled a0 is sum_i dual_i y_i
     parts = []
     for values in columns:
         coeffs = fit.solve(values)

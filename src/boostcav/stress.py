@@ -49,7 +49,7 @@ import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme
-from .modes import SpacetimeMode, affine_jet, mode, mode_2d
+from .modes import SpacetimeMode, SpacetimeMode2D, affine_jet
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -66,7 +66,7 @@ class PerModeEM(NamedTuple):
 
     quad_error bounds the rounding error of energy and momentum: it is the
     closed form's stated rounding bound 8 eps gamma^2 e, not a quadrature
-    estimate (the field keeps its name).
+    estimate.
     """
 
     n: int
@@ -114,7 +114,7 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int):
     it carries the 1D normalization sqrt(2 gamma/a) of the lorentz mode of
     the x side (per_mode_em_2d says why).
     """
-    u = mode_2d(cavity, n, m)
+    u = SpacetimeMode2D(cavity, n, m)
     w, p = u.frequency, u.wavenumber_y
     if not p * p < math.inf:
         raise ValueError(f"side b = {cavity.proper_length_y!r} is too small for mode m = {m}: "
@@ -188,7 +188,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int,
     _panels(n) panels is below 1e-20 (b - a)/2 |B|: the result is the
     densities' integral to rounding.
     """
-    u = mode(scheme, cavity, n)
+    u = SpacetimeMode(scheme, cavity, n)
     norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u)
     left, right = u.walls(t)
     # the sin^2 s and cos^2 s weights of each density
@@ -222,7 +222,7 @@ def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
     with l the lab length; both are time independent. quad_error is the
     closed form's stated rounding bound.
     """
-    norm, coeffs, wp = _mode_terms(mode(scheme, cavity, n))
+    norm, coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
     return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n)
 
 
@@ -257,12 +257,12 @@ def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float
 
 
 def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
-    """Closed-form 2D per-mode law: the oracle the quadrature is checked against.
+    """2D per-mode law; verify's "rect2d: per-mode coefficient law" compares per_mode_em_2d to it.
 
         e_nm = [gamma^2 (1+v^2) (w^2 + k^2) + p^2] / (4 w)
         p_nm = gamma^2 v (w^2 + k^2) / (2 w)
     """
-    u = mode_2d(cavity, n, m)
+    u = SpacetimeMode2D(cavity, n, m)
     v = cavity.velocity
     g2 = 1.0 / (1.0 - v * v)
     w = u.frequency

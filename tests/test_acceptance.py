@@ -30,6 +30,7 @@ from boostcav.observables import (
 from boostcav.regsum import (
     Linear1DSummand,
     RegConfig,
+    RegMethod,
     cutoff_finite_part,
 )
 
@@ -54,7 +55,7 @@ def aspect_parts():
 def test_criterion_01_static_energy_three_regularizers():
     zeta = static_m0(1.0)
     cut = static_m0(1.0, RegConfig.cutoff())
-    ap = static_m0(1.0, RegConfig.abel_plana())
+    ap = static_m0(1.0, RegConfig(RegMethod.ABEL_PLANA))
     err_zeta = abs(zeta - M0)
     err_cut = abs(cut - M0) / abs(M0)
     err_ap = abs(ap - M0)

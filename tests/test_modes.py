@@ -23,7 +23,7 @@ EPS = np.finfo(float).eps
 
 def field_scale(scheme, cav, n):
     """N (th_t^2 + th_x^2 + s_t^2 + s_x^2), a bound on |u_tt| + |u_xx|."""
-    u = modes.mode(scheme, cav, n)
+    u = modes.SpacetimeMode(scheme, cav, n)
     return u.normalization * sum(c * c for c in u._coeffs)
 
 
@@ -54,35 +54,37 @@ class TestCavityTypes:
 class TestFrequencies:
     def test_lab_prior_frequency_shift(self):
         # comoving frequency (1 - v^2) n pi / L
-        got = modes.mode(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, 0.2), 3).comoving_frequency
+        u = modes.SpacetimeMode(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, 0.2), 3)
+        got = u.comoving_frequency
         assert abs(got - 0.96 * 3 * math.pi) < 1e-14
 
     def test_contraction_frequency_velocity_independent(self):
-        got = modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 1).comoving_frequency
+        got = modes.SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 1).comoving_frequency
         assert abs(got - math.pi) < 1e-15
 
     def test_comoving_prior_frequency(self):
-        got = modes.mode(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(2.0, 0.1), 2).comoving_frequency
+        u = modes.SpacetimeMode(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(2.0, 0.1), 2)
+        got = u.comoving_frequency
         assert abs(got - math.pi) < 1e-15
 
     def test_lab_phase_accessor(self):
         cav = Cavity1D(1.0, 0.6)
-        assert abs(modes.mode(Scheme.LORENTZ_EXACT, cav, 2).lab_phase_frequency
+        assert abs(modes.SpacetimeMode(Scheme.LORENTZ_EXACT, cav, 2).lab_phase_frequency
                    - 1.25 * 2 * math.pi) < 1e-14
-        assert abs(modes.mode(Scheme.GALILEO_COMOVING_PRIOR, cav, 2).lab_phase_frequency
+        assert abs(modes.SpacetimeMode(Scheme.GALILEO_COMOVING_PRIOR, cav, 2).lab_phase_frequency
                    - 2 * math.pi) < 1e-14
 
     def test_rejects_bad_index(self):
         for bad in (0, -3):
             with pytest.raises(ValueError):
-                modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), bad)
+                modes.SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.1), bad)
         with pytest.raises(ValueError):
             modes.SpacetimeMode2D(Cavity2D(1.0, 1.0), 1, 0)
 
 
 class TestEvalMode:
     def test_static_midpoint_antinode(self):
-        got = modes.mode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1).value(0.0, 0.5)
+        got = modes.SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), 1).value(0.0, 0.5)
         assert abs(got - math.sqrt(2.0)) < 1e-14
 
     def test_wall_zero_every_scheme(self):
@@ -90,7 +92,7 @@ class TestEvalMode:
             cav = Cavity1D(1.0, scheme_velocity(scheme))
             t = 0.8
             left = cav.velocity * t
-            assert abs(modes.mode(scheme, cav, 4).value(t, left)) < 1e-12
+            assert abs(modes.SpacetimeMode(scheme, cav, 4).value(t, left)) < 1e-12
 
     def test_contracted_mode_value_and_norm(self):
         # v = 0.6, n = 1, t = 0, x = 0.4: N e^{i pi gamma 0.24} sin(0.4 pi gamma)
@@ -101,7 +103,7 @@ class TestEvalMode:
             * np.exp(1j * math.pi * gamma * 0.6 * 0.4)
             * math.sin(0.4 * math.pi * gamma)
         )
-        got = modes.mode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.4)
+        got = modes.SpacetimeMode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.4)
         assert abs(got - expected) < 1e-14
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -110,7 +112,7 @@ class TestEvalMode:
         # oracle: numerical norm integral fixes the normalization constant
         cav = Cavity1D(1.3, scheme_velocity(scheme))
         t = 0.4
-        u = modes.mode(scheme, cav, n)
+        u = modes.SpacetimeMode(scheme, cav, n)
         left, right = u.walls(t)
         norm = gauss_legendre(
             lambda xs: [abs(u.value(t, x, check=False)) ** 2 for x in xs],
@@ -121,9 +123,9 @@ class TestEvalMode:
     def test_outside_cavity_rejected(self):
         cav = Cavity1D(1.0, 0.6)
         with pytest.raises(OutsideCavityError):
-            modes.mode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.9)  # beyond L/gamma
+            modes.SpacetimeMode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.9)  # beyond L/gamma
         with pytest.raises(OutsideCavityError):
-            modes.mode(Scheme.GALILEO_COMOVING_PRIOR, cav, 1).value(2.0, 0.3)
+            modes.SpacetimeMode(Scheme.GALILEO_COMOVING_PRIOR, cav, 1).value(2.0, 0.3)
 
 
 class TestBoundaryAndFieldEquation:
@@ -169,7 +171,7 @@ class TestBoundaryAndFieldEquation:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_closed_form_derivatives_match_finite_differences(self, scheme):
         cav = Cavity1D(1.0, scheme_velocity(scheme))
-        u = modes.mode(scheme, cav, 2)
+        u = modes.SpacetimeMode(scheme, cav, 2)
         t, x = 0.3, cav.velocity * 0.3 + 0.3
         h = 1e-5 * cav.proper_length
         fd_t = (u.value(t + h, x, check=False) - u.value(t - h, x, check=False)) / (2 * h)
@@ -227,7 +229,7 @@ class TestModes2D:
         cav = Cavity2D(1.0, 1.0, 0.6)
         t = 0.7
         left = cav.velocity * t
-        u = modes.mode_2d(cav, 2, 3)
+        u = modes.SpacetimeMode2D(cav, 2, 3)
         assert abs(u.value(t, left, 0.4, check=False)) < 1e-12
         assert abs(u.value(t, left + 0.3, 0.0, check=False)) < 1e-12
         assert abs(u.value(t, left + cav.lab_length_x(), 0.4, check=False)) < 1e-12
@@ -237,7 +239,7 @@ class TestModes2D:
         # the outer x integrand integrates y at all of its abscissae at once, one
         # component per abscissa
         cav = Cavity2D(1.0, 2.0, 0.6)
-        u = modes.mode_2d(cav, 2, 3)
+        u = modes.SpacetimeMode2D(cav, 2, 3)
         t = 0.15
         left, right = cav.walls_x(t)
 
@@ -391,8 +393,8 @@ def _wave_sum_mp(scheme, cav, n, m, t, gram):
     with mpmath.workdps(30):
         mid, width = (mpmath.mpf(left) + right) / 2, mpmath.mpf(right) - left
         total = mpmath.mpc(0)
-        for c_j, a_j, b_j, d_j in modes._plane_waves(modes.mode(scheme, cav, n)):
-            for c_l, a_l, b_l, d_l in modes._plane_waves(modes.mode(scheme, cav, m)):
+        for c_j, a_j, b_j, d_j in modes._plane_waves(modes.SpacetimeMode(scheme, cav, n)):
+            for c_l, a_l, b_l, d_l in modes._plane_waves(modes.SpacetimeMode(scheme, cav, m)):
                 if gram:
                     w = -mpmath.conj(c_j) * c_l * (mpmath.mpf(d_j) + d_l)
                     a, b = mpmath.mpf(a_l) - a_j, mpmath.mpf(b_l) - b_j
@@ -424,7 +426,7 @@ def _pairing_mp(scheme, cav, n_modes, t, gram, degree=5):
         xs = [(mid + half * x, half * w) for x, w in nodes]
         jets = []
         for n in range(1, n_modes + 1):
-            u = modes.mode(scheme, cav, n)
+            u = modes.SpacetimeMode(scheme, cav, n)
             norm, (th_t, th_x, s_t, s_x) = u.normalization, u._coeffs
             jet = []
             for x, _ in xs:
@@ -502,6 +504,6 @@ class TestStaticReduction:
         xs = np.linspace(0.01, 0.99, 17).tolist()
         for n in (1, 3, 6):
             for x in xs:
-                values = [modes.mode(s, cav, n).value(0.42, x) for s in ALL_SCHEMES]
+                values = [modes.SpacetimeMode(s, cav, n).value(0.42, x) for s in ALL_SCHEMES]
                 for other in values[1:]:
                     assert abs(other - values[0]) < 1e-12

@@ -10,8 +10,8 @@ from pathlib import Path
 import boostcav
 from boostcav import modes, stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.modes import (boundary_residual, gram_matrix, kg_residual, mode, mode_2d,
-                            spatial_overlap_matrix)
+from boostcav.modes import (SpacetimeMode, SpacetimeMode2D, boundary_residual, gram_matrix,
+                            kg_residual, spatial_overlap_matrix)
 from boostcav.observables import inertia_ratios, nonrel_fit
 from boostcav.quadrature import gauss_legendre
 from boostcav.regsum import Linear1DSummand, RegConfig, abel_plana_m0, cutoff_finite_part
@@ -68,13 +68,13 @@ SCALAR_CALLS = (
     "abel_plana_m0(1.3)",
     "gauss_legendre(lambda xs: ([math.sin(x) ** 2 for x in xs], [x * math.exp(-x) for x in xs]),"
     " 0.0, 9.0, panels=5)",
-    *(f"mode(Scheme.{scheme}, Cavity1D(1.3, 0.6), 3).{name}"
+    *(f"SpacetimeMode(Scheme.{scheme}, Cavity1D(1.3, 0.6), 3).{name}"
       for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
       for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
                    "normalization")),
-    *(f"mode(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 3).{name}(0.4, 0.5)"
+    *(f"SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 3).{name}(0.4, 0.5)"
       for name in ("value", "d_dt", "d_dx")),
-    *(f"mode_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3).{name}(0.4, -0.1, 0.7)"
+    *(f"SpacetimeMode2D(Cavity2D(1.1, 2.3, -0.5), 2, 3).{name}(0.4, -0.1, 0.7)"
       for name in ("value", "d_dt", "d_dx", "d_dy")),
     "kg_residual(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4, 0.6)",
     "boundary_residual(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
@@ -99,8 +99,8 @@ def test_scalar_calls_run_without_numpy():
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError",
         "from boostcav import modes, stress",
         "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
-        "from boostcav.modes import (boundary_residual, gram_matrix, kg_residual, mode, mode_2d,",
-        "                            spatial_overlap_matrix)",
+        "from boostcav.modes import (SpacetimeMode, SpacetimeMode2D, boundary_residual,",
+        "                            gram_matrix, kg_residual, spatial_overlap_matrix)",
         "from boostcav.observables import inertia_ratios, nonrel_fit",
         "from boostcav.quadrature import gauss_legendre",
         "from boostcav.regsum import Linear1DSummand, RegConfig, abel_plana_m0, cutoff_finite_part",

@@ -42,7 +42,7 @@ class TestValueSemantics:
 
     def test_different_values_differ(self):
         assert RegConfig.cutoff() != RegConfig.cutoff(hi=0.3)
-        assert RegConfig.cutoff() != RegConfig.zeta()
+        assert RegConfig.cutoff() != RegConfig(RegMethod.ZETA_EXACT)
         assert Cavity1D(1.0, 0.5) != Cavity1D(1.0, -0.5)
 
     @pytest.mark.parametrize("record, field", RECORDS, ids=IDS)
@@ -59,7 +59,7 @@ class TestValueSemantics:
 
     def test_repr_names_the_class_and_fields(self):
         assert repr(Cavity1D(1.0, 0.5)) == "Cavity1D(proper_length=1.0, velocity=0.5)"
-        assert repr(RegConfig.zeta()) == (
+        assert repr(RegConfig(RegMethod.ZETA_EXACT)) == (
             "RegConfig(method=<RegMethod.ZETA_EXACT: 'zeta'>, epsilon_schedule=())")
         assert repr(CheckResult("c", False, "d")) == "CheckResult(name='c', passed=False, detail='d')"
 
@@ -117,5 +117,5 @@ class TestValidation:
 
     def test_other_methods_need_no_schedule(self):
         assert RegConfig(RegMethod.ZETA_EXACT).epsilon_schedule == ()
-        assert RegConfig.abel_plana().method is RegMethod.ABEL_PLANA
+        assert RegConfig(RegMethod.ABEL_PLANA).method is RegMethod.ABEL_PLANA
         assert RegConfig.cutoff().halved().epsilon_schedule[0] == 0.1

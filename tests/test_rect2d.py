@@ -84,6 +84,14 @@ class TestShellProbe:
         assert row.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
         assert abs(row.residual - row.predicted_residual) <= 1e-6 * row.predicted_residual
 
+    def test_repeated_velocities_give_one_row(self, square_parts, capsys):
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.3, 0.3, 0.1], parts=square_parts)
+        assert [row.velocity for row in rows] == [0.1, 0.3]
+        # five grid points that round to the same 12 digits
+        assert main(["rect2d", "--a", "1", "--b", "1", "--v", "0.5",
+                     "--shell-grid", "0.2:0.2000000000005:0.0000000000001"]) == 0
+        assert capsys.readouterr().out.count("shell probe v = 0.2") == 1
+
 
 class TestSubtractionSolver:
     def test_both_branches_zero_the_residual(self, square_parts):
@@ -126,8 +134,8 @@ class TestSubtractionSolver:
 
 class TestGeometry:
     def test_swap_symmetry_at_rest(self):
-        em_ab = rect2d.static_energy_2d(Cavity2D(1.0, 2.0, 0.0))
-        em_ba = rect2d.static_energy_2d(Cavity2D(2.0, 1.0, 0.0))
+        em_ab = rect2d.finite_parts(Cavity2D(1.0, 2.0, 0.0)).S_omega
+        em_ba = rect2d.finite_parts(Cavity2D(2.0, 1.0, 0.0)).S_omega
         assert abs(em_ab.value - em_ba.value) <= 5.0 * (
             em_ab.error_estimate + em_ba.error_estimate
         )
@@ -257,11 +265,11 @@ class TestChowlaSelberg:
 
     def test_config_selects_the_route(self):
         cav = Cavity2D(1.0, 2.0, 0.0)
-        assert finite_parts(cav, RegConfig.zeta()) == finite_parts(cav)
+        assert finite_parts(cav, RegConfig(RegMethod.ZETA_EXACT)) == finite_parts(cav)
         cutoff = finite_parts(cav, rect2d.default_config())
         assert cutoff.S_omega.method is RegMethod.EXPONENTIAL_CUTOFF
         with pytest.raises(ValueError):
-            finite_parts(cav, RegConfig.abel_plana())
+            finite_parts(cav, RegConfig(RegMethod.ABEL_PLANA))
 
     @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1e200, 1.0), (1e-200, 1e-200),
                                       (1.0, 1e-301)])

@@ -204,7 +204,7 @@ class TestCutoffFit:
 
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError):
-            cutoff_finite_part(Linear1DSummand(1.0), RegConfig.zeta())
+            cutoff_finite_part(Linear1DSummand(1.0), RegConfig(RegMethod.ZETA_EXACT))
 
     def test_fits_in_units_of_omega_min(self):
         # sum (n pi / 2L) e^{-eps n pi / L} = L/(2 pi eps^2) - pi/(24 L) + O(eps^2):
@@ -326,7 +326,7 @@ class TestDivergenceFit:
         coeffs = np.array(fit.solve(values.tolist()))
         assert np.max(np.abs(coeffs - ref)) <= tol * np.max(np.abs(ref))
         dual = np.linalg.pinv(design)[row]
-        assert np.max(np.abs(np.array(fit.dual(row)) - dual)) <= tol * np.max(np.abs(dual))
+        assert np.max(np.abs(np.array(fit.pinv[row]) - dual)) <= tol * np.max(np.abs(dual))
 
     def _check_cutoff(self, x, divergent_powers, data_seed):
         # the cutoff fit's powers; the noise estimate reads the x^0 row
@@ -399,8 +399,8 @@ class TestRect2DSums:
 
     def test_disjoint_schedules_agree(self):
         cav = Cavity2D(1.0, 1.0, 0.0)
-        a = rect2d.static_energy_2d(cav, rect2d.default_config(hi=0.25, lo=0.02))
-        b = rect2d.static_energy_2d(cav, rect2d.default_config(hi=0.19, lo=0.03, points=7))
+        a = rect2d.finite_parts(cav, rect2d.default_config(hi=0.25, lo=0.02)).S_omega
+        b = rect2d.finite_parts(cav, rect2d.default_config(hi=0.19, lo=0.03, points=7)).S_omega
         assert abs(a.value - b.value) / abs(a.value) < 1e-4
 
     @pytest.mark.parametrize("a, b", BOUND_GRID)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.modes import mode
+from boostcav.modes import SpacetimeMode
 from boostcav.stress import (
     coefficient_fits,
     per_mode_coefficients,
@@ -351,7 +351,7 @@ class TestDensityQuadratureSizing:
                                                    t_fraction):
         (sigma, prefactor), length = FAULTS[rule], 10.0**log_length
         t = t_fraction * length
-        u = mode(scheme, Cavity1D(length, v), n)
+        u = SpacetimeMode(scheme, Cavity1D(length, v), n)
         with stress._injected_fault(sigma, prefactor):
             got = stress._density_quadrature(scheme, Cavity1D(length, v), n, t)
             # the densities' sin^2 s and cos^2 s weights, as _density_quadrature forms them
@@ -451,7 +451,7 @@ class TestClosedForm:
         t = t_fraction * length
         with stress._injected_fault(*FAULTS[rule]):
             pm = per_mode_em(scheme, cav, n)
-            norm, coeffs, wp = stress._mode_terms(mode(scheme, cav, n))
+            norm, coeffs, wp = stress._mode_terms(SpacetimeMode(scheme, cav, n))
             e, p = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n)
         # e >= |p|, so e scales both differences
         assert abs(pm.energy - e) <= 1e-13 * pm.energy

@@ -15,6 +15,7 @@ def test_module_groups_cover_every_package_module():
 def test_groups_pass_without_a_fault(group):
     results = run_checks(group)
     assert results
+    assert all(type(r.passed) is bool for r in results)
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
@@ -51,6 +52,7 @@ def test_fault_reaches_every_group(fault):
     failing, stress_only = FAULT_REACH[fault]
     with stress._injected_fault(*fault):
         results = run_checks()
+    assert all(type(r.passed) is bool for r in results)
     assert {r.name for r in results if not r.passed} == failing
     assert stress_only <= failing
 
