@@ -42,10 +42,6 @@ class Scheme(enum.Enum):
     LORENTZ_EXACT = "lorentz"
 
     @property
-    def label(self) -> str:
-        return self.value
-
-    @property
     def is_galilean(self) -> bool:
         return self is not Scheme.LORENTZ_EXACT
 
@@ -53,6 +49,14 @@ class Scheme(enum.Enum):
 def _check_velocity(v: float) -> None:
     if not math.isfinite(v) or abs(v) >= 1.0:
         raise ValueError(f"velocity must satisfy |v| < 1, got {v!r}")
+
+
+def _velocity_grid(v_grid) -> list[float]:
+    """The distinct velocities of a grid as floats, ascending, each with |v| < 1."""
+    grid = {float(v) for v in v_grid}
+    for v in grid:
+        _check_velocity(v)
+    return sorted(grid)
 
 
 def _check_length(value: float, name: str) -> None:
@@ -145,7 +149,7 @@ def nonrelativistic_flag(scheme: Scheme, velocity: float) -> str | None:
     """Validity note attached to Galilean-scheme outputs at large velocity."""
     if scheme.is_galilean and abs(velocity) > NONREL_VELOCITY_LIMIT:
         return (
-            f"{scheme.label}: non-relativistic approximation, "
+            f"{scheme.value}: non-relativistic approximation, "
             f"valid to O(v^2) only (|v| = {abs(velocity):g} > {NONREL_VELOCITY_LIMIT})"
         )
     return None

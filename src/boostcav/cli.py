@@ -216,7 +216,7 @@ def _cmd_boost(args: argparse.Namespace) -> tuple:
         })
     meta = {
         "command": "boost",
-        "scheme": scheme.label,
+        "scheme": scheme.value,
         "L": args.L,
         "v": args.v,
         "m0": m0,
@@ -230,7 +230,7 @@ def _cmd_boost(args: argparse.Namespace) -> tuple:
         meta["warnings"] = notes
 
     def lines():
-        yield f"scheme {scheme.label}, L = {_fmt(args.L)}, v = {_fmt(args.v)}, m0 = {_fmt(m0)}"
+        yield f"scheme {scheme.value}, L = {_fmt(args.L)}, v = {_fmt(args.v)}, m0 = {_fmt(m0)}"
         if flag:
             yield f"note: {flag}"
         yield from (f"note: {note}" for note in notes)
@@ -259,7 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
     ]
     meta = {
         "command": "sweep",
-        "scheme": scheme.label,
+        "scheme": scheme.value,
         "L": args.L,
         "method": table.method.value,
         "route": route.value,
@@ -409,7 +409,7 @@ def _cmd_modes(args: argparse.Namespace) -> tuple:
         comoving, lab_phase, coeffs = modes_mod.SpacetimeMode(scheme, cavity, n)._row()
         u_mid = modes_mod.affine_value(norm, coeffs, t, x_mid)
         csv_rows.append([float(n), comoving, lab_phase, norm, u_mid.real, u_mid.imag])
-    meta = {"command": "modes", "scheme": scheme.label, "L": args.L,
+    meta = {"command": "modes", "scheme": scheme.value, "L": args.L,
             "v": args.v, "t": t, "x_sample": x_mid}
     return (0, meta, lambda: [dict(zip(header, row)) for row in csv_rows],
             lambda: _csv_lines(header, [[int(r[0])] + r[1:] for r in csv_rows]))
@@ -444,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=functools.partial(argparse.ArgumentParser,
                                                                 allow_abbrev=False))
-    schemes = [s.label for s in Scheme]
+    schemes = [s.value for s in Scheme]
 
     p = subs.add_parser("static", help="regularized static energy, all regularizers side by side")
     p.add_argument("--L", type=float, help="proper cavity length")

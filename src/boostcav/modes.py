@@ -167,8 +167,6 @@ class SpacetimeMode(NamedTuple):
             self._require_inside(t, x)
         return affine_value(self.normalization, self._coeffs, t, x)
 
-    __call__ = value
-
     def d_dt(self, t: float, x: float) -> complex:
         return affine_jet(self.normalization, self._coeffs, t, x)[1]
 
@@ -198,10 +196,8 @@ class SpacetimeMode2D(NamedTuple):
 
     @property
     def frequency(self) -> float:
+        """hypot(k, p); also the vacuum prefactor frequency, velocity independent."""
         return math.hypot(self.wavenumber_x, self.wavenumber_y)
-
-    # The vacuum prefactor frequency; proper-frame value, velocity independent.
-    comoving_frequency = frequency
 
     @property
     def normalization(self) -> float:
@@ -227,8 +223,6 @@ class SpacetimeMode2D(NamedTuple):
         if check and not self.contains(t, x, y):
             raise OutsideCavityError("(x, y) outside the instantaneous cavity")
         return affine_value(self.normalization, self._coeffs, t, x) * self._sin_py(y)
-
-    __call__ = value
 
     def _sin_py(self, y: float) -> float:
         return math.sin(self.wavenumber_y * y)

@@ -18,7 +18,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Scheme, _check_length, nonrelativistic_flag
+from .cavity import Cavity1D, Scheme, _check_length, _velocity_grid, nonrelativistic_flag
 from .regsum import (
     FitError,
     Linear1DSummand,
@@ -30,8 +30,7 @@ from .regsum import (
     zeta_linear_sum,
 )
 from .reports import DiscrepancyEntry, DiscrepancyReport
-from .stress import coefficient_fits
-from . import stress
+from .stress import coefficient_fits, per_mode_coefficients
 
 __all__ = [
     "Route",
@@ -107,10 +106,10 @@ class NonRelFit(NamedTuple):
     momentum_residual: float
 
 
-def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
+def static_m0(proper_length: float, config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> float:
     """Regularized static cavity energy m0(L) = -pi/(24 L) by the chosen route."""
     Cavity1D(proper_length)  # validates L
-    if config is None or config.method is RegMethod.ZETA_EXACT:
+    if config.method is RegMethod.ZETA_EXACT:
         # m0 = (1/2) sum n pi/L -> (pi/2L) * (-1/12)
         return 0.5 * zeta_linear_sum(math.pi / proper_length)
     if config.method is RegMethod.ABEL_PLANA:
@@ -124,16 +123,15 @@ def static_m0(proper_length: float, config: RegConfig | None = None) -> float:
 def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
     """(E/m0, P/m0) closed forms as printed by each scheme's algebra.
 
-    For galileo-lab these are (1 + 2v^2 + v^4, v + v^3), which agree with
-    the quadrature-derived per-mode law only through O(v^2) in energy and
-    differ by a factor ~2 in momentum; see lab_prior_discrepancy_report.
+    Only galileo-lab prints its own, (1 + 2v^2 + v^4, v + v^3), which agree
+    with the quadrature-derived per-mode law only through O(v^2) in energy
+    and differ by a factor ~2 in momentum; see lab_prior_discrepancy_report.
+    The other schemes print the per-mode law (stress.per_mode_coefficients).
     """
     v = velocity
     if scheme is Scheme.GALILEO_LAB_PRIOR:
         return 1.0 + 2.0 * v * v + v**4, v + v**3
-    if scheme is Scheme.GALILEO_COMOVING_PRIOR:
-        return 1.0 + v * v / 2.0, v
-    return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
+    return per_mode_coefficients(scheme, v)
 
 
 def _coefficients(scheme: Scheme, velocities, route: Route) -> list[tuple[float, float]]:
@@ -165,7 +163,7 @@ def boosted_em(
 
 
 def route_comparison(
-    scheme: Scheme, cavity: Cavity1D, config: RegConfig | None = None
+    scheme: Scheme, cavity: Cavity1D, config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)
 ) -> RouteComparison:
     """Both routes side by side; disagreement is reported, never hidden."""
     m0 = static_m0(cavity.proper_length, config)
@@ -294,20 +292,18 @@ def sweep(
     proper_length: float,
     v_grid,
     route: Route = Route.CLOSED_FORM,
-    config: RegConfig | None = None,
+    config: RegConfig = RegConfig(RegMethod.ZETA_EXACT),
 ) -> SweepTable:
     """Velocity sweep with point-particle reference columns m0*gamma(, v), sorted by v."""
-    grid = sorted({float(v) for v in v_grid})
+    grid = _velocity_grid(v_grid)
     if not grid:
         raise ValueError("velocity grid is empty")
-    if any(abs(v) >= 1.0 for v in grid):
-        raise ValueError("all grid velocities must satisfy |v| < 1")
     warnings: list[str] = []
     if scheme.is_galilean and any(abs(v) > 0.5 for v in grid):
         dropped = [v for v in grid if abs(v) > 0.5]
         grid = [v for v in grid if abs(v) <= 0.5]
         warnings.append(
-            f"{scheme.label}: grid capped at |v| <= 0.5 "
+            f"{scheme.value}: grid capped at |v| <= 0.5 "
             f"(dropped {len(dropped)} point(s); non-relativistic scheme)"
         )
         if not grid:
@@ -316,8 +312,6 @@ def sweep(
     if flag:
         warnings.append(flag)
     m0 = static_m0(proper_length, config)
-    method = config.method if config is not None else RegMethod.ZETA_EXACT
-    grid = [Cavity1D(proper_length, v).velocity for v in grid]  # validates L and each v
 
     def row(v: float, c_e: float, c_p: float) -> SweepRow:
         em = EnergyMomentum(c_e * m0, c_p * m0, scheme, v, route)
@@ -336,7 +330,7 @@ def sweep(
     shell = shell_residual_warning(rows, m0)
     if shell:
         warnings.append(shell)
-    return SweepTable(rows=rows, scheme=scheme, proper_length=proper_length, method=method,
+    return SweepTable(rows=rows, scheme=scheme, proper_length=proper_length, method=config.method,
                       warnings=tuple(warnings))
 
 
@@ -363,7 +357,7 @@ def lab_prior_discrepancy_report(cavity: Cavity1D, *, m0: float | None = None) -
     """galileo-lab closed forms vs the quadrature-derived per-mode law (m0 by zeta unless given)."""
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
-    c_quad = stress.per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
+    c_quad = per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     if m0 is None:
         m0 = static_m0(cavity.proper_length)
     entries = (

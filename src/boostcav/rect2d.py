@@ -28,7 +28,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity2D, Scheme, _check_length
+from .cavity import Cavity2D, Scheme, _check_length, _velocity_grid
 from .observables import mass_shell_residual
 from .regsum import FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part
 from .reports import DiscrepancyEntry, DiscrepancyReport
@@ -70,16 +70,12 @@ class FourParts(NamedTuple):
 
 
 class Rect2DResult(NamedTuple):
-    proper_length_x: float
-    proper_length_y: float
     velocity: float
     route: Route2D
-    static_energy: float
     energy: float
     momentum: float
     energy_error: float
     momentum_error: float
-    parts: FourParts
 
 
 class ShellProbeRow(NamedTuple):
@@ -320,10 +316,11 @@ class _FourPartsSummand:
         _check_length(b, "side b")
         self.sides = a, b  # named in messages
         self.aspect = b / a
-        # inside these b/a and pi a/b are float64; damped sums that overflow raise below
+        # inside these b/a and pi a/b are float64; damped sums that overflow raise below.
+        # b/a itself may have under- or overflowed, so the message names the range
         if not 1e-300 < self.aspect < 1e300:
-            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a = "
-                             f"{self.aspect:g} is out of range")
+            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a is outside "
+                             "(1e-300, 1e300)")
         self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
@@ -433,10 +430,10 @@ def default_config(**schedule_kw) -> RegConfig:
     return RegConfig.cutoff(**{"hi": 0.25, "lo": 0.05, **schedule_kw})
 
 
-def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts:
+def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> FourParts:
     """U, W, S_omega, S_k of the rectangle by the route the config names.
 
-    No config, or a ZETA_EXACT one, gives the Chowla-Selberg closed form:
+    ZETA_EXACT, the default, gives the Chowla-Selberg closed form:
     the eps^0 term of the Poisson rows whose damped sums S_omega and S_k a
     cutoff config fits, on one schedule. Either way U = (S_omega + S_k)/2 and
     W = (S_omega - S_k)/2, so both identities hold by construction, bit for
@@ -449,7 +446,7 @@ def finite_parts(cavity: Cavity2D, config: RegConfig | None = None) -> FourParts
     """
     a, b = cavity.proper_length_x, cavity.proper_length_y
     summand = _FourPartsSummand(a, b)
-    if config is None or config.method is RegMethod.ZETA_EXACT:
+    if config.method is RegMethod.ZETA_EXACT:
         return _four_parts(*summand.chowla_selberg())
     if config.method is RegMethod.EXPONENTIAL_CUTOFF:
         parts = [_per_side(part, a) for part in cutoff_finite_part(summand, config)]
@@ -490,18 +487,8 @@ def boosted_em_2d(
         momentum_err = abs(g2v) * (
             parts.S_omega.error_estimate + parts.S_k.error_estimate
         )
-    return Rect2DResult(
-        proper_length_x=cavity.proper_length_x,
-        proper_length_y=cavity.proper_length_y,
-        velocity=v,
-        route=route,
-        static_energy=parts.S_omega.value,
-        energy=energy,
-        momentum=momentum,
-        energy_error=energy_err,
-        momentum_error=momentum_err,
-        parts=parts,
-    )
+    return Rect2DResult(velocity=v, route=route, energy=energy, momentum=momentum,
+                        energy_error=energy_err, momentum_error=momentum_err)
 
 
 def static_limit_report(cavity: Cavity2D, *, parts: FourParts | None = None) -> DiscrepancyReport:
@@ -543,7 +530,7 @@ def mass_shell_probe_2d(
     e_m = parts.S_omega.value
     e_m_err = parts.S_omega.error_estimate
     rows = []
-    for v in sorted({float(v) for v in v_grid}):
+    for v in _velocity_grid(v_grid):
         moving = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, v)
         res = boosted_em_2d(moving, Route2D.PER_MODE, parts=parts)
         residual = mass_shell_residual(res, e_m)
@@ -576,10 +563,7 @@ def subtraction_solver_2d(
     evaluated on the grid and reported with its worst post-shift residual
     relative to the shifted rest energy squared.
     """
-    grid = sorted({float(v) for v in v_grid})
-    nonzero = [v for v in grid if v != 0.0]
-    if any(abs(v) >= 1.0 for v in grid):
-        raise ValueError("grid velocities must satisfy |v| < 1")
+    nonzero = [v for v in _velocity_grid(v_grid) if v != 0.0]
     if len(nonzero) < 3:
         raise UnderdeterminedError(
             f"need >= 3 distinct nonzero velocities to constrain two shifts, "

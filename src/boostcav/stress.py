@@ -246,14 +246,12 @@ def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float
     """Closed-form (c_E, c_P) the quadrature must reproduce, per scheme.
 
     Defined by e_n = c_E * w_n / 2 and p_n = c_P * w_n / 2 with w_n = n pi / L.
+    galileo-lab and lorentz share the law ((1+v^2)/(1-v^2), 2v/(1-v^2)).
     """
     v = velocity
-    if scheme is Scheme.GALILEO_LAB_PRIOR:
-        return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
     if scheme is Scheme.GALILEO_COMOVING_PRIOR:
         return 1.0 + v * v / 2.0, v
-    g2 = 1.0 / (1.0 - v * v)
-    return g2 * (1.0 + v * v), 2.0 * g2 * v
+    return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
 
 
 def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:

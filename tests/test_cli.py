@@ -12,6 +12,7 @@ import pytest
 import boostcav
 from boostcav import cli
 from boostcav.cli import ROW_BUDGET, main
+from boostcav.regsum import FitError
 
 M0 = -math.pi / 24.0
 
@@ -1007,7 +1008,10 @@ class TestColdStart:
 
 
 class TestEdgeExitCodes:
-    """Inputs at the float64 edges keep their exit codes; math never overflows into exit 1."""
+    """Inputs at the float64 edges and missing or malformed flags keep their exit codes.
+
+    Math never overflows into exit 1.
+    """
 
     UNDERFLOW = "warning: m0^2 underflows float64"
     OVERFLOW = "E^2 overflows float64"
@@ -1036,11 +1040,30 @@ class TestEdgeExitCodes:
         # sides whose (pi/b)^2 leaves float64: per_mode_em_2d refuses every mode of them,
         # Cavity2D and rect2d still take them
         (("rect2d", "--a", "1e-155", "--b", "1e-155"), 0, None),
+        # b/a underflows to 0: the refusal names the range, not the rounded ratio
+        (("rect2d", "--a", "1e300", "--b", "1e-300"), 2,
+         "usage error: rectangle a = 1e+300, b = 1e-300: aspect ratio b/a is outside "
+         "(1e-300, 1e300)\n"),
+        (("sweep", "--scheme", "lorentz", "--v=0:0.5:0"), 2,
+         "usage error: grid step must be positive\n"),
+        (("sweep", "--scheme", "lorentz", "--v=fast"), 2, "usage error: bad velocity 'fast'\n"),
+        (("boost", "--v", "0.5"), 2, "usage error: boost requires --scheme and --v\n"),
+        (("boost", "--scheme", "lorentz"), 2, "usage error: boost requires --scheme and --v\n"),
+        (("sweep", "--scheme", "lorentz"), 2, "usage error: sweep requires --scheme and --v"),
+        (("sweep", "--v", "0:0.5:0.1"), 2, "usage error: sweep requires --scheme and --v"),
+        (("modes",), 2, "usage error: modes requires --scheme\n"),
+        (("modes", "--scheme", "lorentz", "--n-max", "0"), 2,
+         "usage error: --n-max must be >= 1\n"),
+        (("rect2d", "--a", "1", "--b", "1", "--solve-subtraction", "--shell-grid", "0:0.2:0.1"),
+         2, "got 2\nrun `boostcav rect2d --help` for accepted flags\n"),
     ], ids=["static-1e-300", "static-5e-324", "modes-1e-300", "boost-abel-plana-1e-308",
             "sweep-per-mode-cutoff-1e300", "boost-cutoff-near-light-speed",
             "boost-E-squared-overflows", "sweep-E-squared-overflows",
             "rect2d-E-squared-overflows", "rect2d-probe-E-squared-overflows",
-            "rect2d-E_m-squared-underflows", "rect2d-tiny-sides"])
+            "rect2d-E_m-squared-underflows", "rect2d-tiny-sides", "rect2d-aspect-underflows",
+            "sweep-zero-step", "sweep-bad-velocity", "boost-no-scheme", "boost-no-v",
+            "sweep-no-v", "sweep-no-scheme", "modes-no-scheme", "modes-n-max-0",
+            "rect2d-subtraction-underdetermined"])
     def test_exit_code(self, capsys, argv, code, note):
         got, out, err = run(capsys, *argv)
         assert got == code
@@ -1053,3 +1076,12 @@ class TestEdgeExitCodes:
             assert (marker in out + err) == (note is not None and marker in note)
         if note is not None:
             assert note in out + err
+
+    def test_fit_error_is_a_consistency_failure(self, capsys, monkeypatch):
+        # no flag reaches a FitError through the shipped routes; a route that raises one exits 1
+        def refuse(*args):
+            raise FitError("fit refused")
+
+        monkeypatch.setattr(cli, "route_comparison", refuse)
+        assert run(capsys, "boost", "--scheme", "lorentz", "--v", "0.5") == (
+            1, "", "consistency failure: fit refused\n")

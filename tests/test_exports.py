@@ -21,11 +21,16 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def _forwards(func: ast.FunctionDef) -> bool:
-    """True when the body, past a docstring, is `return f(<the parameters, in order>)`."""
+def _past_docstring(func: ast.FunctionDef) -> list[ast.stmt]:
     body = func.body
     if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
+        return body[1:]
+    return body
+
+
+def _forwards(func: ast.FunctionDef) -> bool:
+    """True when the body, past a docstring, is `return f(<the parameters, in order>)`."""
+    body = _past_docstring(func)
     if len(body) != 1 or not isinstance(body[0], ast.Return):
         return False
     call = body[0].value
@@ -44,3 +49,38 @@ def test_no_exported_function_only_forwards(name):
     forwards = [node.name for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name in exported and _forwards(node)]
     assert forwards == []
+
+
+def _aliases(cls: ast.ClassDef) -> list[str]:
+    """Class-body `name = other` of an earlier method or property, and pass-through properties.
+
+    A pass-through property's body, past a docstring, is only `return self.<attr>`.
+    """
+    found, defined = [], set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+            body = _past_docstring(node)
+            passes = (len(body) == 1 and isinstance(body[0], ast.Return)
+                      and isinstance(body[0].value, ast.Attribute)
+                      and isinstance(body[0].value.value, ast.Name)
+                      and body[0].value.value.id == "self")
+            if passes and any(getattr(d, "id", None) == "property" for d in node.decorator_list):
+                found.append(f"{cls.name}.{node.name}")
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+              and node.value.id in defined):
+            found += [f"{cls.name}.{target.id}" for target in node.targets]
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_class_aliases_a_member(name):
+    # A second name for a method or attribute is a second spelling of one value;
+    # callers should use the member itself.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    aliases = [alias for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in exported
+               for alias in _aliases(node)]
+    assert aliases == []

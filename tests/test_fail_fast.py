@@ -46,9 +46,9 @@ MODES = st.integers(1, 6)
 
 
 def _config(spec):
-    """None, the config of a method, or a cutoff config on a schedule; built inside the timed call."""
+    """Zeta for None, the config of a method, or a cutoff config on a schedule; built in the timed call."""
     if spec is None:
-        return None
+        return RegConfig(RegMethod.ZETA_EXACT)
     if isinstance(spec, RegMethod):
         return RegConfig(spec)
     return RegConfig(RegMethod.EXPONENTIAL_CUTOFF, spec)

@@ -46,7 +46,7 @@ class TestCavityTypes:
 
     def test_scheme_labels_roundtrip(self):
         for scheme in ALL_SCHEMES:
-            assert Scheme(scheme.label) is scheme
+            assert Scheme(scheme.value) is scheme
         with pytest.raises(ValueError):
             Scheme("einstein")
 
@@ -126,6 +126,10 @@ class TestEvalMode:
             modes.SpacetimeMode(Scheme.LORENTZ_EXACT, cav, 1).value(0.0, 0.9)  # beyond L/gamma
         with pytest.raises(OutsideCavityError):
             modes.SpacetimeMode(Scheme.GALILEO_COMOVING_PRIOR, cav, 1).value(2.0, 0.3)
+        u = modes.SpacetimeMode2D(Cavity2D(1.0, 2.0, 0.6), 1, 1)
+        for x, y in ((0.9, 1.0), (0.4, 2.1), (0.4, -0.1)):  # beyond a/gamma, past b, below 0
+            with pytest.raises(OutsideCavityError):
+                u.value(0.0, x, y)
 
 
 class TestBoundaryAndFieldEquation:

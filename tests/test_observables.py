@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(Scheme.LORENTZ_EXACT, 1.0, [1.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_non_finite_velocity_named(self, scheme, bad):
+        for grid in ([bad], [0.1, 0.2, bad]):
+            with pytest.raises(ValueError, match=re.escape(f"|v| < 1, got {bad!r}")):
+                sweep(scheme, 1.0, grid)
+
 
 class TestPlates:
     def test_reference_values(self):
@@ -285,7 +293,7 @@ class TestStaticM0FittedOnce:
         assert em.energy == -2.0 * closed_form_coefficients(Scheme.LORENTZ_EXACT, 0.4)[0]
 
 
-CONFIGS = {"zeta": None, "cutoff": RegConfig.cutoff(),
+CONFIGS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff(),
            "abel-plana": RegConfig(RegMethod.ABEL_PLANA)}
 
 
@@ -294,7 +302,7 @@ class TestLengthOnlyScales:
 
     @pytest.mark.parametrize("method", sorted(CONFIGS))
     @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
-    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.label)
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     # below |v| ~ 1e-150, P = c_P m0 leaves the normal float64 range at one end
     # of the L range, where no result keeps 53 bits to compare in ulp
     @settings(max_examples=12, deadline=None)

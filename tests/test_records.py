@@ -66,7 +66,7 @@ class TestValueSemantics:
     def test_defaults_properties_and_methods(self):
         assert Cavity1D(2.0) == Cavity1D(proper_length=2.0, velocity=0.0)
         assert Cavity1D(1.0, 0.6).gamma() == pytest.approx(1.25)
-        assert SpacetimeMode2D(Cavity2D(1.0, 1.0), 1, 1).comoving_frequency == pytest.approx(
+        assert SpacetimeMode2D(Cavity2D(1.0, 1.0), 1, 1).frequency == pytest.approx(
             math.pi * math.sqrt(2.0))
         parts = finite_parts(Cavity2D(1.0, 2.0))
         assert parts.S_omega is parts[2] and parts._fields == ("U", "W", "S_omega", "S_k")

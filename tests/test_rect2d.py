@@ -34,7 +34,7 @@ class TestStaticLimit:
     def test_per_mode_route_recovers_rest_energy(self, square_parts):
         res = boosted_em_2d(Cavity2D(1.0, 1.0, 0.0), Route2D.PER_MODE, parts=square_parts)
         budget = 2.0 * (res.energy_error + square_parts.S_omega.error_estimate)
-        assert abs(res.energy - res.static_energy) <= max(budget, 1e-12)
+        assert abs(res.energy - square_parts.S_omega.value) <= max(budget, 1e-12)
         assert res.momentum == 0.0
 
     def test_grouped_route_misses_by_s_k(self, square_parts):
@@ -84,6 +84,17 @@ class TestShellProbe:
         assert row.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
         assert abs(row.residual - row.predicted_residual) <= 1e-6 * row.predicted_residual
 
+    def test_parts_default_to_the_closed_form(self, square_parts):
+        square = Cavity2D(1.0, 1.0, 0.0)
+        assert (mass_shell_probe_2d(square, [0.2, 0.6])
+                == mass_shell_probe_2d(square, [0.2, 0.6], parts=square_parts))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocity_named(self, square_parts, bad):
+        for grid in ([bad], [0.1, 0.2, bad]):
+            with pytest.raises(ValueError, match=re.escape(f"|v| < 1, got {bad!r}")):
+                mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), grid, parts=square_parts)
+
     def test_repeated_velocities_give_one_row(self, square_parts, capsys):
         rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.3, 0.3, 0.1], parts=square_parts)
         assert [row.velocity for row in rows] == [0.1, 0.3]
@@ -121,6 +132,14 @@ class TestSubtractionSolver:
         sol = subtraction_solver_2d(Cavity2D(a, b, 0.0), grid)
         for br in sol.branches:
             assert br.max_rel_residual <= 4.0 * sys.float_info.epsilon
+
+    # NaN fails every comparison: a |v| >= 1 test lets it through, it counts as nonzero,
+    # and max(0.0, nan) is 0.0, so a NaN grid would report a zero residual
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocity_named(self, square_parts, bad):
+        for grid in ([bad, bad, bad], [0.1, 0.2, bad]):
+            with pytest.raises(ValueError, match=re.escape(f"|v| < 1, got {bad!r}")):
+                subtraction_solver_2d(Cavity2D(1.0, 1.0), grid, parts=square_parts)
 
     def test_single_point_underdetermined(self, square_parts):
         with pytest.raises(UnderdeterminedError):
@@ -359,7 +378,8 @@ class TestHalvesByConstruction:
     @pytest.mark.parametrize("a, b", [(1.0, 2.0), (3.0, 0.5)])
     def test_u_and_w_are_half_sum_and_difference(self, cutoff, a, b):
         cav = Cavity2D(a, b, 0.0)
-        parts = finite_parts(cav, rect2d.default_config() if cutoff else None)
+        config = rect2d.default_config() if cutoff else RegConfig(RegMethod.ZETA_EXACT)
+        parts = finite_parts(cav, config)
         s_omega, s_k = parts.S_omega, parts.S_k
         assert parts.U.value == 0.5 * (s_omega.value + s_k.value)
         assert parts.W.value == 0.5 * (s_omega.value - s_k.value)
@@ -393,7 +413,7 @@ class TestCutoffAtExtremeSides:
     @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1.0, 1e-200), (1e200, 1.0)])
     def test_unrepresentable_sides_are_named(self, capsys, a, b):
         cav = Cavity2D(a, b, 0.0)
-        for config in (rect2d.default_config(), None):
+        for config in (rect2d.default_config(), RegConfig(RegMethod.ZETA_EXACT)):
             with pytest.raises(ValueError, match=re.escape(f"rectangle a = {a:g}, b = {b:g}: ")):
                 finite_parts(cav, config)
         assert main(["rect2d", "--a", f"{a:g}", "--b", f"{b:g}"]) == 2
