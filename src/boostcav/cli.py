@@ -253,15 +253,15 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
     table = sweep(scheme, args.L, grid, route, config)
     header = ["v", "E", "P", "shell_residual", "E_point_particle", "P_point_particle", "route"]
     csv_rows = [
-        [r.velocity, r.energy, r.momentum, r.shell_residual,
-         r.energy_point_particle, r.momentum_point_particle, r.route.value]
+        [r.result.velocity, r.result.energy, r.result.momentum, r.shell_residual,
+         r.energy_point_particle, r.momentum_point_particle, r.result.route.value]
         for r in table.rows
     ]
     meta = {
         "command": "sweep",
         "scheme": scheme.value,
         "L": args.L,
-        "method": table.method.value,
+        "method": config.method.value,
         "route": route.value,
         "warnings": list(table.warnings),
     }
@@ -311,9 +311,9 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
     }
     probe = (mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), parts=parts)
              if args.shell_grid else ())
-    probe_rows = [{"v": r.velocity, "residual": r.residual, "error": r.residual_error,
+    probe_rows = [{"v": r.result.velocity, "residual": r.residual, "error": r.residual_error,
                    "predicted": r.predicted_residual} for r in probe]
-    note = shell_residual_warning((per_mode, grouped) + probe, e_m, rest="E_m")
+    note = shell_residual_warning((per_mode, grouped, *(r.result for r in probe)), e_m, rest="E_m")
     if note:
         meta["warnings"] = [note]
     solver = None

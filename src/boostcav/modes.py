@@ -209,11 +209,8 @@ class SpacetimeMode2D(NamedTuple):
         """(th_t, th_x, s_t, s_x) of the x profile; the mode is the profile times sin(p y)."""
         return lorentz_coefficients(self.frequency, self.wavenumber_x, self.cavity.velocity)
 
-    def walls_x(self, t: float) -> tuple[float, float]:
-        return self.cavity.walls_x(t)
-
     def contains(self, t: float, x: float, y: float) -> bool:
-        left, right = self.walls_x(t)
+        left, right = self.cavity.walls_x(t)
         b = self.cavity.proper_length_y
         sx = _WALL_SLACK * (right - left)
         sy = _WALL_SLACK * b

@@ -18,7 +18,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Scheme, _check_length, _velocity_grid, nonrelativistic_flag
+from .cavity import (Cavity1D, Scheme, _check_length, _velocity_grid, lorentz_factor,
+                     nonrelativistic_flag)
 from .regsum import (
     FitError,
     Linear1DSummand,
@@ -65,26 +66,19 @@ class Route(enum.Enum):
 class EnergyMomentum(NamedTuple):
     energy: float
     momentum: float
-    scheme: Scheme
     velocity: float
     route: Route
 
 
 class SweepRow(NamedTuple):
-    velocity: float
-    energy: float
-    momentum: float
+    result: EnergyMomentum
     shell_residual: float
     energy_point_particle: float
     momentum_point_particle: float
-    route: Route
 
 
 class SweepTable(NamedTuple):
     rows: tuple[SweepRow, ...]
-    scheme: Scheme
-    proper_length: float
-    method: RegMethod
     warnings: tuple[str, ...] = ()
 
 
@@ -157,9 +151,7 @@ def boosted_em(
     if m0 is None:
         m0 = static_m0(cavity.proper_length)
     [(c_e, c_p)] = _coefficients(scheme, (cavity.velocity,), route)
-    return EnergyMomentum(
-        energy=c_e * m0, momentum=c_p * m0, scheme=scheme, velocity=cavity.velocity, route=route
-    )
+    return EnergyMomentum(energy=c_e * m0, momentum=c_p * m0, velocity=cavity.velocity, route=route)
 
 
 def route_comparison(
@@ -213,9 +205,9 @@ def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
     where some E^2 overflows (|E| above about 1.3e154) mass_shell_residual
     forms it as (E - P)(E + P) - m0^2. The warning says which and gives the
     relative residual (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems
-    (records with energy, momentum, route and velocity: EnergyMomentum,
-    SweepRow, or rect2d's results and shell probe rows with their rest energy
-    E_m as m0). rest names m0 in the message.
+    (results with energy, momentum, route and velocity: EnergyMomentum, or
+    rect2d's Rect2DResult with its rest energy E_m as m0). rest names m0 in
+    the message.
     """
     largest = max(abs(em.energy) for em in ems)
     if m0 * m0 < sys.float_info.min:
@@ -314,24 +306,16 @@ def sweep(
     m0 = static_m0(proper_length, config)
 
     def row(v: float, c_e: float, c_p: float) -> SweepRow:
-        em = EnergyMomentum(c_e * m0, c_p * m0, scheme, v, route)
-        gamma = 1.0 / math.sqrt(1.0 - v * v)
-        return SweepRow(
-            velocity=v,
-            energy=em.energy,
-            momentum=em.momentum,
-            shell_residual=mass_shell_residual(em, m0),
-            energy_point_particle=m0 * gamma,
-            momentum_point_particle=m0 * gamma * v,
-            route=route,
-        )
+        em = EnergyMomentum(c_e * m0, c_p * m0, v, route)
+        gamma = lorentz_factor(v)
+        return SweepRow(result=em, shell_residual=mass_shell_residual(em, m0),
+                        energy_point_particle=m0 * gamma, momentum_point_particle=m0 * gamma * v)
 
     rows = tuple(row(v, *c) for v, c in zip(grid, _coefficients(scheme, grid, route)))
-    shell = shell_residual_warning(rows, m0)
+    shell = shell_residual_warning([r.result for r in rows], m0)
     if shell:
         warnings.append(shell)
-    return SweepTable(rows=rows, scheme=scheme, proper_length=proper_length, method=config.method,
-                      warnings=tuple(warnings))
+    return SweepTable(rows=rows, warnings=tuple(warnings))
 
 
 def em_plate_energy_per_area(separation: float) -> tuple[float, float]:

@@ -79,13 +79,10 @@ class Rect2DResult(NamedTuple):
 
 
 class ShellProbeRow(NamedTuple):
-    velocity: float
+    result: Rect2DResult  # the per-mode (E_s, P_s) the residual is formed from
     residual: float
     residual_error: float
     predicted_residual: float  # analytic 4 g^2 v^2 U W
-    route: Route2D
-    energy: float  # the (E_s, P_s) the residual is formed from
-    momentum: float
 
 
 class SubtractionBranch(NamedTuple):
@@ -541,11 +538,7 @@ def mass_shell_probe_2d(
         )
         # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
         predicted = 4.0 * v * v / (1.0 - v * v) * parts.U.value * parts.W.value
-        rows.append(
-            ShellProbeRow(velocity=v, residual=residual, residual_error=err,
-                          predicted_residual=predicted, route=res.route, energy=res.energy,
-                          momentum=res.momentum)
-        )
+        rows.append(ShellProbeRow(res, residual, err, predicted))
     return tuple(rows)
 
 

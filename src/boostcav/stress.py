@@ -69,11 +69,9 @@ class PerModeEM(NamedTuple):
     estimate.
     """
 
-    n: int
     energy: float
     momentum: float
     quad_error: float
-    m: int | None = None
 
 
 # the active fault as (T01 sign, prefactor rule); the default is the canonical tensor
@@ -123,8 +121,7 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int):
             _prefactor_frequency(w, cavity.gamma() * w), p ** 2)
 
 
-def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int,
-                 m: int | None = None) -> PerModeEM:
+def _closed_form(norm, coeffs, wp, p2, length, velocity) -> PerModeEM:
     """The module docstring's e and p of the mode N exp(i th) sin s over a cavity of lab length l.
 
     quad_error is the stated rounding bound 8 eps gamma^2 e: e >= |p| and
@@ -136,7 +133,7 @@ def _closed_form(norm, coeffs, wp, p2, length, velocity, n: int,
     e = n2l * (th_t * th_t + th_x * th_x + s_t * s_t + s_x * s_x + p2) / (8.0 * wp)
     p = -_FAULT.get()[0] * n2l * (th_t * th_x + s_t * s_x) / (4.0 * wp)
     bound = 8.0 * sys.float_info.epsilon * e / (1.0 - velocity * velocity)
-    return PerModeEM(n=n, energy=e, momentum=p, quad_error=bound, m=m)
+    return PerModeEM(energy=e, momentum=p, quad_error=bound)
 
 
 def _panels(n: int) -> int:
@@ -223,7 +220,7 @@ def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
     closed form's stated rounding bound.
     """
     norm, coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
-    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity, n)
+    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity)
 
 
 def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
@@ -239,7 +236,7 @@ def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
     norm, coeffs, wp, p2 = _profile_terms(cavity, n, m)
-    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity, n, m)
+    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity)
 
 
 def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:

@@ -127,9 +127,9 @@ def _checks_stress() -> list[CheckResult]:
     worst = 0.0
     for scheme in Scheme:
         v = 0.6 if scheme is Scheme.LORENTZ_EXACT else 0.2
-        pms = [stress.per_mode_em(scheme, Cavity1D(1.0, v), n) for n in range(1, 7)]
-        e_ratios = [pm.energy / (pm.n * math.pi / 2) for pm in pms]  # e_n/(w_n/2)
-        p_ratios = [pm.momentum / (pm.n * math.pi / 2) for pm in pms]
+        pms = {n: stress.per_mode_em(scheme, Cavity1D(1.0, v), n) for n in range(1, 7)}
+        e_ratios = [pm.energy / (n * math.pi / 2) for n, pm in pms.items()]  # e_n/(w_n/2)
+        p_ratios = [pm.momentum / (n * math.pi / 2) for n, pm in pms.items()]
         scale = max(map(abs, e_ratios + p_ratios))
         worst = max(worst, (max(e_ratios) - min(e_ratios)) / scale,
                     (max(p_ratios) - min(p_ratios)) / scale)

@@ -84,3 +84,34 @@ def test_no_exported_class_aliases_a_member(name):
                if isinstance(node, ast.ClassDef) and node.name in exported
                for alias in _aliases(node)]
     assert aliases == []
+
+
+def _member_forwards(cls: ast.ClassDef) -> list[str]:
+    """Methods whose body, past a docstring, is `return self.<attr>.<method>(<the parameters>)`."""
+    found = []
+    for node in cls.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = _past_docstring(node)
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        target = getattr(call, "func", None)
+        params = [a.arg for a in node.args.posonlyargs + node.args.args][1:]
+        if (isinstance(call, ast.Call) and not call.keywords
+                and isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute)
+                and getattr(target.value.value, "id", None) == "self"
+                and [getattr(a, "id", None) for a in call.args] == params):
+            found.append(f"{cls.name}.{node.name}")
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_class_method_forwards(name):
+    # A method that passes its parameters to a member's method is a second name for
+    # that method; callers should call the member.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    forwards = [method for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name in exported
+                for method in _member_forwards(node)]
+    assert forwards == []

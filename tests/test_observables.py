@@ -22,6 +22,8 @@ from boostcav.observables import (
 from boostcav.regsum import FitError, RegConfig, RegMethod
 
 M0 = -math.pi / 24.0
+CONFIGS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff(),
+           "abel-plana": RegConfig(RegMethod.ABEL_PLANA)}
 
 
 class TestStaticM0:
@@ -179,10 +181,11 @@ class TestSweep:
     def test_contracted_sweep_shape_and_monotonicity(self):
         table = sweep(Scheme.LORENTZ_EXACT, 1.0, np.arange(0.0, 0.91, 0.1))
         assert len(table.rows) == 10
-        energies = [r.energy for r in table.rows]
+        energies = [r.result.energy for r in table.rows]
         assert all(b < a for a, b in zip(energies, energies[1:]))  # more negative
         first = table.rows[0]
-        assert first.energy == M0 and first.momentum == 0.0 and first.shell_residual == 0.0
+        assert (first.result.energy == M0 and first.result.momentum == 0.0
+                and first.shell_residual == 0.0)
 
     def test_point_particle_reference_column(self):
         table = sweep(Scheme.LORENTZ_EXACT, 1.0, [0.6])
@@ -190,11 +193,31 @@ class TestSweep:
         assert abs(row.energy_point_particle - 1.25 * M0) < 1e-14
         assert abs(row.momentum_point_particle - 0.75 * M0) < 1e-14
         # cavity energy lies below the point-particle curve (more negative)
-        assert row.energy < row.energy_point_particle
+        assert row.result.energy < row.energy_point_particle
+
+    @pytest.mark.parametrize("v", [0.176548, 0.212237])
+    def test_point_particle_gamma_is_the_cavity_gamma(self, v):
+        # at these velocities 1/sqrt(1 - v*v) and 1/sqrt(1 - v**2) round apart
+        gamma = Cavity1D(1.0, v).gamma()
+        [row] = sweep(Scheme.LORENTZ_EXACT, 1.0, [v]).rows
+        assert row.energy_point_particle == static_m0(1.0) * gamma
+        assert row.momentum_point_particle == static_m0(1.0) * gamma * v
+
+    @pytest.mark.parametrize("method", sorted(CONFIGS))
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_row_holds_the_single_velocity_result(self, scheme, route, method):
+        config = CONFIGS[method]
+        grid = [i / 20 for i in range(-9, 10)]  # -0.45 to 0.45, ascending
+        table = sweep(scheme, 1.7, grid, route, config)
+        m0 = static_m0(1.7, config)
+        assert [row.result for row in table.rows] == [
+            boosted_em(scheme, Cavity1D(1.7, v), route, m0=m0) for v in grid
+        ]
 
     def test_galilean_grid_capped(self):
         table = sweep(Scheme.GALILEO_COMOVING_PRIOR, 1.0, [0.1, 0.3, 0.7])
-        assert [r.velocity for r in table.rows] == [0.1, 0.3]
+        assert [r.result.velocity for r in table.rows] == [0.1, 0.3]
         assert any("capped" in w for w in table.warnings)
 
     def test_invalid_grids(self):
@@ -291,10 +314,6 @@ class TestStaticM0FittedOnce:
         em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), Route.CLOSED_FORM, m0=-2.0)
         assert not cutoff_fits
         assert em.energy == -2.0 * closed_form_coefficients(Scheme.LORENTZ_EXACT, 0.4)[0]
-
-
-CONFIGS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff(),
-           "abel-plana": RegConfig(RegMethod.ABEL_PLANA)}
 
 
 class TestLengthOnlyScales:

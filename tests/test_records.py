@@ -22,7 +22,7 @@ RECORDS = [
     (SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 2), "m"),
     (RegConfig.cutoff(), "epsilon_schedule"),
     (CUTOFF_PART, "value"),
-    (EnergyMomentum(1.0, 0.5, Scheme.LORENTZ_EXACT, 0.3, Route.CLOSED_FORM), "energy"),
+    (EnergyMomentum(1.0, 0.5, 0.3, Route.CLOSED_FORM), "energy"),
     (CheckResult("name", True, "detail"), "passed"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]

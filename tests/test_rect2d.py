@@ -81,8 +81,16 @@ class TestShellProbe:
         tiny = Cavity2D(1e-150, 1e-150, 0.0)
         parts = finite_parts(tiny)
         [row] = mass_shell_probe_2d(tiny, [0.99999999], parts=parts)
-        assert row.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
+        assert row.result.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
         assert abs(row.residual - row.predicted_residual) <= 1e-6 * row.predicted_residual
+
+    def test_row_holds_the_per_mode_result(self):
+        parts = finite_parts(Cavity2D(1.3, 4.1))
+        rows = mass_shell_probe_2d(Cavity2D(1.3, 4.1), [0.1, 0.5, 0.9], parts=parts)
+        assert [row.result for row in rows] == [
+            boosted_em_2d(Cavity2D(1.3, 4.1, v), Route2D.PER_MODE, parts=parts)
+            for v in (0.1, 0.5, 0.9)
+        ]
 
     def test_parts_default_to_the_closed_form(self, square_parts):
         square = Cavity2D(1.0, 1.0, 0.0)
@@ -97,7 +105,7 @@ class TestShellProbe:
 
     def test_repeated_velocities_give_one_row(self, square_parts, capsys):
         rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.3, 0.3, 0.1], parts=square_parts)
-        assert [row.velocity for row in rows] == [0.1, 0.3]
+        assert [row.result.velocity for row in rows] == [0.1, 0.3]
         # five grid points that round to the same 12 digits
         assert main(["rect2d", "--a", "1", "--b", "1", "--v", "0.5",
                      "--shell-grid", "0.2:0.2000000000005:0.0000000000001"]) == 0
