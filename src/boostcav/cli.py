@@ -238,7 +238,7 @@ def _cmd_boost(args: argparse.Namespace) -> tuple:
             yield (f"  {row['route']:>12s}: E = {_fmt(row['E'])}  P = {_fmt(row['P'])}  "
                    f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}")
         if scheme is Scheme.GALILEO_LAB_PRIOR:
-            yield from lab_prior_discrepancy_report(cavity, m0=m0).lines()
+            yield from lab_prior_discrepancy_report(cavity, m0).lines()
 
     return 0 if comparison.agree else 1, meta, lambda: rows, lines
 
@@ -282,8 +282,8 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
         raise UsageError("rect2d requires --a and --b")
     cavity = Cavity2D(args.a, args.b, args.v)
     parts = finite_parts(cavity)
-    per_mode = boosted_em_2d(cavity, Route2D.PER_MODE, parts=parts)
-    grouped = boosted_em_2d(cavity, Route2D.GROUPED, parts=parts)
+    per_mode = boosted_em_2d(cavity, Route2D.PER_MODE)
+    grouped = boosted_em_2d(cavity, Route2D.GROUPED)
     e_m = parts.S_omega.value
     rows = []
     for res in (per_mode, grouped):
@@ -309,8 +309,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
         "E_m": e_m,
         "E_m_error": parts.S_omega.error_estimate,
     }
-    probe = (mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid), parts=parts)
-             if args.shell_grid else ())
+    probe = mass_shell_probe_2d(cavity, _parse_grid(args.shell_grid)) if args.shell_grid else ()
     probe_rows = [{"v": r.result.velocity, "residual": r.residual, "error": r.residual_error,
                    "predicted": r.predicted_residual} for r in probe]
     note = shell_residual_warning((per_mode, grouped, *(r.result for r in probe)), e_m, rest="E_m")
@@ -320,7 +319,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
     if args.solve_subtraction:
         grid = _parse_grid(args.shell_grid or "0.2:0.6:0.2")
         try:
-            solver = subtraction_solver_2d(cavity, grid, parts=parts)
+            solver = subtraction_solver_2d(cavity, grid)
         except UnderdeterminedError as exc:
             raise UsageError(str(exc)) from exc
         meta["subtraction_note"] = solver.note
@@ -348,7 +347,7 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
         yield "finite parts:"
         for row in part_rows:
             yield f"  {row['part']:>8s} = {_fmt(row['value'])} +- {_fmt(row['error'])}"
-        yield from static_limit_report(cavity, parts=parts).lines()
+        yield from static_limit_report(cavity).lines()
         for row in probe_rows:
             yield (f"  shell probe v = {_fmt(row['v'])}: residual = {_fmt(row['residual'])}"
                    f" +- {_fmt(row['error'])} (predicted {_fmt(row['predicted'])})")

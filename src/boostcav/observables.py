@@ -337,13 +337,11 @@ def em_plate_energy_per_area(separation: float) -> tuple[float, float]:
     return energy, slope
 
 
-def lab_prior_discrepancy_report(cavity: Cavity1D, *, m0: float | None = None) -> DiscrepancyReport:
-    """galileo-lab closed forms vs the quadrature-derived per-mode law (m0 by zeta unless given)."""
+def lab_prior_discrepancy_report(cavity: Cavity1D, m0: float) -> DiscrepancyReport:
+    """galileo-lab closed forms vs the quadrature-derived per-mode law, at rest energy m0."""
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     c_quad = per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
-    if m0 is None:
-        m0 = static_m0(cavity.proper_length)
     entries = (
         DiscrepancyEntry("E/m0 coefficient", c_closed[0], c_quad[0]),
         DiscrepancyEntry("P/m0 coefficient", c_closed[1], c_quad[1]),

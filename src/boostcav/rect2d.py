@@ -108,7 +108,6 @@ def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
         return FinitePart(
             value=0.5 * (s_omega.value + sign * s_k.value),
             error_estimate=0.5 * (s_omega.error_estimate + s_k.error_estimate),
-            method=s_omega.method,
             fitted_divergent_coeffs=tuple(
                 0.5 * (a + sign * b)
                 for a, b in zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs)
@@ -414,7 +413,7 @@ class _FourPartsSummand:
             if not (math.isfinite(value * value) and math.isfinite(error)):
                 raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
                                  "or its square is not finite in float64")
-            parts.append(FinitePart(value, error, method=RegMethod.ZETA_EXACT))
+            parts.append(FinitePart(value, error))
         return parts[0], parts[1]
 
 
@@ -455,21 +454,8 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
     raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
 
 
-def boosted_em_2d(
-    cavity: Cavity2D,
-    route: Route2D = Route2D.PER_MODE,
-    *,
-    parts: FourParts | None = None,
-) -> Rect2DResult:
-    """Lab-frame (E_s, P_s) of the moving rectangle by the chosen route.
-
-    Passing precomputed parts skips the spectral sums (they are velocity
-    independent, so sweeps over v reuse one set); without them the closed
-    form supplies the parts.
-    """
-    if parts is None:
-        parts = finite_parts(cavity)
-    v = cavity.velocity
+def _boost(parts: FourParts, v: float, route: Route2D) -> Rect2DResult:
+    """Lab-frame (E_s, P_s) at velocity v from the rectangle's parts, by the chosen route."""
     ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
     if route is Route2D.PER_MODE:
         energy = ce * parts.U.value + parts.W.value
@@ -488,13 +474,16 @@ def boosted_em_2d(
                         energy_error=energy_err, momentum_error=momentum_err)
 
 
-def static_limit_report(cavity: Cavity2D, *, parts: FourParts | None = None) -> DiscrepancyReport:
+def boosted_em_2d(cavity: Cavity2D, route: Route2D = Route2D.PER_MODE) -> Rect2DResult:
+    """Lab-frame (E_s, P_s) of the moving rectangle by the chosen route."""
+    return _boost(finite_parts(cavity), cavity.velocity, route)
+
+
+def static_limit_report(cavity: Cavity2D) -> DiscrepancyReport:
     """Quantifies the grouped route's failure of its own v = 0 limit."""
-    if parts is None:
-        parts = finite_parts(cavity)
-    at_rest = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, 0.0)
-    grouped = boosted_em_2d(at_rest, Route2D.GROUPED, parts=parts)
-    per_mode = boosted_em_2d(at_rest, Route2D.PER_MODE, parts=parts)
+    parts = finite_parts(cavity)
+    grouped = _boost(parts, 0.0, Route2D.GROUPED)
+    per_mode = _boost(parts, 0.0, Route2D.PER_MODE)
     entries = (
         DiscrepancyEntry("E_s(v=0)", grouped.energy, parts.S_omega.value),
         DiscrepancyEntry("E_s(v=0) per-mode", per_mode.energy, parts.S_omega.value),
@@ -515,21 +504,14 @@ def static_limit_report(cavity: Cavity2D, *, parts: FourParts | None = None) -> 
     )
 
 
-def mass_shell_probe_2d(
-    cavity: Cavity2D,
-    v_grid,
-    *,
-    parts: FourParts | None = None,
-) -> tuple[ShellProbeRow, ...]:
+def mass_shell_probe_2d(cavity: Cavity2D, v_grid) -> tuple[ShellProbeRow, ...]:
     """Per-mode shell residual E^2 - P^2 - E_m^2 at each distinct velocity of the grid."""
-    if parts is None:
-        parts = finite_parts(cavity)
+    parts = finite_parts(cavity)
     e_m = parts.S_omega.value
     e_m_err = parts.S_omega.error_estimate
     rows = []
     for v in _velocity_grid(v_grid):
-        moving = Cavity2D(cavity.proper_length_x, cavity.proper_length_y, v)
-        res = boosted_em_2d(moving, Route2D.PER_MODE, parts=parts)
+        res = _boost(parts, v, Route2D.PER_MODE)
         residual = mass_shell_residual(res, e_m)
         err = (
             2.0 * abs(res.energy) * res.energy_error
@@ -542,12 +524,7 @@ def mass_shell_probe_2d(
     return tuple(rows)
 
 
-def subtraction_solver_2d(
-    cavity: Cavity2D,
-    v_grid,
-    *,
-    parts: FourParts | None = None,
-) -> SubtractionSolution:
+def subtraction_solver_2d(cavity: Cavity2D, v_grid) -> SubtractionSolution:
     """Finite-part shifts (U0+dU, W0+dW) that restore the shell on the grid.
 
     The residual is 2(gamma^2(1+v^2)-1)(U0+dU)(W0+dW) at every grid point,
@@ -562,8 +539,7 @@ def subtraction_solver_2d(
             f"need >= 3 distinct nonzero velocities to constrain two shifts, "
             f"got {len(nonzero)}"
         )
-    if parts is None:
-        parts = finite_parts(cavity)
+    parts = finite_parts(cavity)
     u0 = parts.U.value
     w0 = parts.W.value
 

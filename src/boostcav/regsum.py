@@ -115,7 +115,6 @@ class FinitePart(NamedTuple):
 
     value: float
     error_estimate: float
-    method: RegMethod
     fitted_divergent_coeffs: tuple[float, ...] = ()
     fit_residual: float = 0.0
     condition_number: float = 0.0
@@ -308,7 +307,6 @@ def _fit_finite_parts(
         parts.append(FinitePart(
             value=a0,
             error_estimate=refit_shift + residual + 2.0 ** max(powers, default=0) * noise,
-            method=RegMethod.EXPONENTIAL_CUTOFF,
             fitted_divergent_coeffs=tuple(divergent),
             fit_residual=residual,
             condition_number=fit.cond,

@@ -360,7 +360,7 @@ def _checks_rect2d() -> list[CheckResult]:
 
     square = Cavity2D(1.0, 1.0, 0.0)
     parts = rect2d.finite_parts(square)
-    res0 = rect2d.boosted_em_2d(square, rect2d.Route2D.PER_MODE, parts=parts)
+    res0 = rect2d.boosted_em_2d(square, rect2d.Route2D.PER_MODE)
     static_gap = abs(res0.energy - parts.S_omega.value)
     budget = 2.0 * (res0.energy_error + parts.S_omega.error_estimate)
     ok = static_gap <= max(budget, 1e-12) and res0.momentum == 0.0
@@ -368,7 +368,7 @@ def _checks_rect2d() -> list[CheckResult]:
                            f"|E_s(0) - E_m| = {static_gap:.2e} (budget {budget:.2e}), "
                            f"P_s(0) = {res0.momentum:g}"))
 
-    rows = rect2d.mass_shell_probe_2d(square, (0.3, 0.6), parts=parts)
+    rows = rect2d.mass_shell_probe_2d(square, (0.3, 0.6))
     worst = max(abs(r.residual - r.predicted_residual) for r in rows)
     # measured and predicted differ only through the correlated fit noise of
     # the finite parts; budget by the propagated part errors

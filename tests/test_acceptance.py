@@ -183,13 +183,13 @@ def test_criterion_10_quasi_1d_limit(aspect_parts):
     v = 0.6
     gamma_fac = (1.0 + v * v) / (1.0 - v * v)  # 2.125
     parts50 = aspect_parts[50.0]
-    res = rect2d.boosted_em_2d(Cavity2D(1.0, 50.0, v), parts=parts50)
+    res = rect2d.boosted_em_2d(Cavity2D(1.0, 50.0, v))
     e_ratio = res.energy / parts50.S_omega.value
     p_ratio = res.momentum / parts50.S_omega.value
     rel_residuals = []
     for b in (5.0, 20.0, 50.0):
         parts = aspect_parts[b]
-        rows = rect2d.mass_shell_probe_2d(Cavity2D(1.0, b, 0.0), [v], parts=parts)
+        rows = rect2d.mass_shell_probe_2d(Cavity2D(1.0, b, 0.0), [v])
         rel_residuals.append(abs(rows[0].residual) / parts.S_omega.value**2)
     decreasing = rel_residuals[0] > rel_residuals[1] > rel_residuals[2]
     e_ok = abs(e_ratio - gamma_fac) <= 0.02 * gamma_fac
@@ -214,9 +214,8 @@ def test_criterion_10_quasi_1d_limit(aspect_parts):
     )
 
 
-def test_criterion_11_subtraction_solver(square_parts):
-    sol = rect2d.subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6],
-                                       parts=square_parts)
+def test_criterion_11_subtraction_solver():
+    sol = rect2d.subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6])
     worst = max(br.max_rel_residual for br in sol.branches)
     ok = len(sol.branches) == 2 and worst <= 1e-10
     _report(11, ok, f"both finite-part branches zero the shell residual: "

@@ -115,3 +115,45 @@ def test_no_exported_class_method_forwards(name):
                 if isinstance(node, ast.ClassDef) and node.name in exported
                 for method in _member_forwards(node)]
     assert forwards == []
+
+
+# m0 selects the regulator, and two callers need different ones: verify takes the zeta
+# default, route_comparison passes its config's m0.
+NONE_FILLED_ALLOWED = {("boostcav.observables", "boosted_em", "m0")}
+
+
+def _none_filled(func: ast.FunctionDef) -> list[str]:
+    """Parameters that default to None and that `if p is None: p = <call>(...)` fills."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    nones = {a.arg for a, d in defaults if isinstance(d, ast.Constant) and d.value is None}
+    found = []
+    for node in ast.walk(func):
+        test = getattr(node, "test", None)
+        if not (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name) and test.left.id in nones
+                and isinstance(test.ops[0], ast.Is)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None):
+            continue
+        if any(isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+               and [getattr(t, "id", None) for t in stmt.targets] == [test.left.id]
+               for stmt in node.body):
+            found.append(test.left.id)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_function_fills_a_none_keyword(name):
+    # A None default that the body replaces by a computed value is a second way in:
+    # the caller may pass the value instead, and nothing checks it against the other
+    # arguments. Callers that need the value pass what it is computed from.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    found = {(name, node.name, param) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in exported
+             for param in _none_filled(node)}
+    assert found == {entry for entry in NONE_FILLED_ALLOWED if entry[0] == name}

@@ -170,7 +170,7 @@ class TestMismatch:
             assert abs(ratio - 1.0) < tol
 
     def test_discrepancy_report_content(self):
-        report = lab_prior_discrepancy_report(Cavity1D(1.0, 0.2))
+        report = lab_prior_discrepancy_report(Cavity1D(1.0, 0.2), static_m0(1.0))
         assert report.max_rel_diff > 0.01
         coeff_e = report.entries[0]
         assert abs(coeff_e.value_a - 1.0816) < 1e-10   # 1 + 2 v^2 + v^4

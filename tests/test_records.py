@@ -12,7 +12,7 @@ from boostcav.rect2d import finite_parts
 from boostcav.regsum import FinitePart, RegConfig, RegMethod
 from boostcav.verify import CheckResult
 
-CUTOFF_PART = FinitePart(-0.13, 1e-10, RegMethod.EXPONENTIAL_CUTOFF, (0.5,), 1e-12, 40.0)
+CUTOFF_PART = FinitePart(-0.13, 1e-10, (0.5,), 1e-12, 40.0)
 
 # one record of each validating class and two plain ones, with a field to assign
 RECORDS = [
@@ -31,7 +31,7 @@ IDS = [type(record).__name__ for record, _ in RECORDS]
 class TestValueSemantics:
     @pytest.mark.parametrize("make", [
         RegConfig.cutoff,
-        lambda: FinitePart(-0.13, 1e-10, RegMethod.EXPONENTIAL_CUTOFF, (0.5,), 1e-12, 40.0),
+        lambda: FinitePart(-0.13, 1e-10, (0.5,), 1e-12, 40.0),
         lambda: Cavity1D(1.0, 0.5),
     ], ids=["RegConfig", "FinitePart", "Cavity1D"])
     def test_equal_and_hashed_by_value(self, make):
@@ -98,8 +98,8 @@ class TestValidation:
         (lambda: RegConfig(method=RegMethod.EXPONENTIAL_CUTOFF,
                            epsilon_schedule=(math.inf, 0.2, 0.1, 0.05)),
          "cutoff schedule must be finite"),
-        (lambda: FinitePart(math.nan, 0.0, RegMethod.ZETA_EXACT), "finite part is NaN"),
-        (lambda: FinitePart(value=math.nan, error_estimate=0.0, method=RegMethod.ZETA_EXACT),
+        (lambda: FinitePart(math.nan, 0.0), "finite part is NaN"),
+        (lambda: FinitePart(value=math.nan, error_estimate=0.0),
          "finite part is NaN"),
     ])
     def test_rejects_with_message(self, make, message):
@@ -113,7 +113,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             Cavity1D(1.0, 0.5, 0.1)
         with pytest.raises(TypeError):
-            FinitePart(0.1, 0.0, RegMethod.ZETA_EXACT, nonsense=1)
+            FinitePart(0.1, 0.0, nonsense=1)
 
     def test_other_methods_need_no_schedule(self):
         assert RegConfig(RegMethod.ZETA_EXACT).epsilon_schedule == ()

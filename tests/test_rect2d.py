@@ -32,7 +32,7 @@ def square_parts():
 
 class TestStaticLimit:
     def test_per_mode_route_recovers_rest_energy(self, square_parts):
-        res = boosted_em_2d(Cavity2D(1.0, 1.0, 0.0), Route2D.PER_MODE, parts=square_parts)
+        res = boosted_em_2d(Cavity2D(1.0, 1.0, 0.0), Route2D.PER_MODE)
         budget = 2.0 * (res.energy_error + square_parts.S_omega.error_estimate)
         assert abs(res.energy - square_parts.S_omega.value) <= max(budget, 1e-12)
         assert res.momentum == 0.0
@@ -47,13 +47,12 @@ class TestStaticLimit:
 
 
 class TestShellProbe:
-    def test_rest_velocity_row(self, square_parts):
-        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.0], parts=square_parts)
+    def test_rest_velocity_row(self):
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.0])
         assert abs(rows[0].residual) <= rows[0].residual_error
 
     def test_residual_matches_analytic_law(self, square_parts):
-        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6],
-                                   parts=square_parts)
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6])
         e_m = square_parts.S_omega.value
         budget = 4.0 * abs(e_m) * (
             square_parts.U.error_estimate + square_parts.W.error_estimate
@@ -66,45 +65,38 @@ class TestShellProbe:
     def test_predicted_residual_has_no_cancellation(self, square_parts, v):
         # 2 (gamma^2 (1 + v^2) - 1) U W = 4 gamma^2 v^2 U W in exact rational arithmetic;
         # gamma^2 (1 + v^2) - 1 formed in floats loses everything at v = 1e-9
-        [row] = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [v], parts=square_parts)
+        [row] = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [v])
         vq, u, w = (Fraction(x) for x in (v, square_parts.U.value, square_parts.W.value))
         exact = float(4 * vq * vq / (1 - vq * vq) * u * w)
         assert abs(row.predicted_residual - exact) <= 4.0 * math.ulp(exact)
 
-    def test_square_residual_beyond_error_bars(self, square_parts):
-        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.6], parts=square_parts)
+    def test_square_residual_beyond_error_bars(self):
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.6])
         assert abs(rows[0].residual) > 10.0 * rows[0].residual_error
 
     def test_overflowing_squares_form_the_residual_as_a_product(self):
         # |E_s| ~ 3e156: E_s^2 overflows, (E_s - P_s)(E_s + P_s) ~ 3e304 does not;
         # E_s - P_s is a difference of two such numbers, good to about 1e-7
         tiny = Cavity2D(1e-150, 1e-150, 0.0)
-        parts = finite_parts(tiny)
-        [row] = mass_shell_probe_2d(tiny, [0.99999999], parts=parts)
+        [row] = mass_shell_probe_2d(tiny, [0.99999999])
         assert row.result.energy > math.sqrt(sys.float_info.max) and math.isfinite(row.residual)
         assert abs(row.residual - row.predicted_residual) <= 1e-6 * row.predicted_residual
 
     def test_row_holds_the_per_mode_result(self):
-        parts = finite_parts(Cavity2D(1.3, 4.1))
-        rows = mass_shell_probe_2d(Cavity2D(1.3, 4.1), [0.1, 0.5, 0.9], parts=parts)
+        rows = mass_shell_probe_2d(Cavity2D(1.3, 4.1), [0.1, 0.5, 0.9])
         assert [row.result for row in rows] == [
-            boosted_em_2d(Cavity2D(1.3, 4.1, v), Route2D.PER_MODE, parts=parts)
+            boosted_em_2d(Cavity2D(1.3, 4.1, v), Route2D.PER_MODE)
             for v in (0.1, 0.5, 0.9)
         ]
 
-    def test_parts_default_to_the_closed_form(self, square_parts):
-        square = Cavity2D(1.0, 1.0, 0.0)
-        assert (mass_shell_probe_2d(square, [0.2, 0.6])
-                == mass_shell_probe_2d(square, [0.2, 0.6], parts=square_parts))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_velocity_named(self, square_parts, bad):
+    def test_non_finite_velocity_named(self, bad):
         for grid in ([bad], [0.1, 0.2, bad]):
             with pytest.raises(ValueError, match=re.escape(f"|v| < 1, got {bad!r}")):
-                mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), grid, parts=square_parts)
+                mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), grid)
 
-    def test_repeated_velocities_give_one_row(self, square_parts, capsys):
-        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.3, 0.3, 0.1], parts=square_parts)
+    def test_repeated_velocities_give_one_row(self, capsys):
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 1.0, 0.0), [0.3, 0.3, 0.1])
         assert [row.result.velocity for row in rows] == [0.1, 0.3]
         # five grid points that round to the same 12 digits
         assert main(["rect2d", "--a", "1", "--b", "1", "--v", "0.5",
@@ -113,17 +105,15 @@ class TestShellProbe:
 
 
 class TestSubtractionSolver:
-    def test_both_branches_zero_the_residual(self, square_parts):
-        sol = subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6],
-                                    parts=square_parts)
+    def test_both_branches_zero_the_residual(self):
+        sol = subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6])
         names = {br.name for br in sol.branches}
         assert names == {"zero-transverse-part", "zero-longitudinal-part"}
         for br in sol.branches:
             assert br.max_rel_residual <= 1e-10
 
     def test_branch_shifts_cancel_the_parts(self, square_parts):
-        sol = subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6],
-                                    parts=square_parts)
+        sol = subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.2, 0.4, 0.6])
         by_name = {br.name: br for br in sol.branches}
         assert abs(by_name["zero-transverse-part"].delta_W + square_parts.W.value) < 1e-15
         assert abs(by_name["zero-longitudinal-part"].delta_U + square_parts.U.value) < 1e-15
@@ -144,19 +134,56 @@ class TestSubtractionSolver:
     # NaN fails every comparison: a |v| >= 1 test lets it through, it counts as nonzero,
     # and max(0.0, nan) is 0.0, so a NaN grid would report a zero residual
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_velocity_named(self, square_parts, bad):
+    def test_non_finite_velocity_named(self, bad):
         for grid in ([bad, bad, bad], [0.1, 0.2, bad]):
             with pytest.raises(ValueError, match=re.escape(f"|v| < 1, got {bad!r}")):
-                subtraction_solver_2d(Cavity2D(1.0, 1.0), grid, parts=square_parts)
+                subtraction_solver_2d(Cavity2D(1.0, 1.0), grid)
 
-    def test_single_point_underdetermined(self, square_parts):
+    def test_single_point_underdetermined(self):
         with pytest.raises(UnderdeterminedError):
-            subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.5], parts=square_parts)
+            subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.5])
 
-    def test_zero_velocities_do_not_count(self, square_parts):
+    def test_zero_velocities_do_not_count(self):
         with pytest.raises(UnderdeterminedError):
-            subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.0, 0.2, 0.4],
-                                  parts=square_parts)
+            subtraction_solver_2d(Cavity2D(1.0, 1.0, 0.0), [0.0, 0.2, 0.4])
+
+
+GRID_50 = [k / 50.0 for k in range(50)]
+# each rectangle function, with the arguments it takes after the rectangle
+RECTANGLE_CALLS = pytest.mark.parametrize("func, args", [
+    (boosted_em_2d, ()),
+    (static_limit_report, ()),
+    (subtraction_solver_2d, (GRID_50,)),
+    (mass_shell_probe_2d, (GRID_50,)),
+], ids=["boosted_em_2d", "static_limit_report", "subtraction_solver_2d", "mass_shell_probe_2d"])
+
+
+class TestOneWayIn:
+    """Each rectangle function takes the rectangle, and one boost law serves them all."""
+
+    @RECTANGLE_CALLS
+    def test_one_closed_form_evaluation_per_call(self, monkeypatch, func, args):
+        calls = []
+
+        def counting(cavity, *config):
+            calls.append(cavity)
+            return finite_parts(cavity, *config)
+
+        monkeypatch.setattr(rect2d, "finite_parts", counting)
+        func(Cavity2D(1.3, 4.1, 0.5), *args)
+        assert calls == [Cavity2D(1.3, 4.1, 0.5)]
+
+    @RECTANGLE_CALLS
+    def test_parts_are_not_an_argument(self, square_parts, func, args):
+        with pytest.raises(TypeError):
+            func(Cavity2D(1.0, 1.0), *args, parts=square_parts)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.3, 4.1), (2.7, 0.9)])
+    def test_static_limit_is_the_boost_at_rest(self, a, b):
+        grouped, per_mode = static_limit_report(Cavity2D(a, b)).entries
+        at_rest = Cavity2D(a, b, 0.0)
+        assert grouped.value_a == boosted_em_2d(at_rest, Route2D.GROUPED).energy
+        assert per_mode.value_a == boosted_em_2d(at_rest, Route2D.PER_MODE).energy
 
 
 class TestGeometry:
@@ -209,7 +236,7 @@ class TestWideCavityAsymptotics:
     def test_wide_cavity_shell_residual_stays_finite(self, wide_parts):
         # with U/E_m -> 3/2 and W/E_m -> -1/2, the relative shell residual at
         # v = 0.6 tends to -(3/2)(gamma^2(1+v^2) - 1) = -1.6875 instead of 0
-        rows = mass_shell_probe_2d(Cavity2D(1.0, 30.0, 0.0), [0.6], parts=wide_parts)
+        rows = mass_shell_probe_2d(Cavity2D(1.0, 30.0, 0.0), [0.6])
         e_m = wide_parts.S_omega.value
         rel = rows[0].residual / e_m**2
         assert -2.1 < rel < -1.6
@@ -283,7 +310,6 @@ class TestChowlaSelberg:
         ref = _reference_parts(a, b)
         for name in PART_NAMES:
             fp = getattr(parts, name)
-            assert fp.method is RegMethod.ZETA_EXACT
             assert fp.error_estimate > 0.0
             assert abs(fp.value - float(ref[name])) <= fp.error_estimate, name
 
@@ -294,7 +320,7 @@ class TestChowlaSelberg:
         cav = Cavity2D(1.0, 2.0, 0.0)
         assert finite_parts(cav, RegConfig(RegMethod.ZETA_EXACT)) == finite_parts(cav)
         cutoff = finite_parts(cav, rect2d.default_config())
-        assert cutoff.S_omega.method is RegMethod.EXPONENTIAL_CUTOFF
+        assert len(cutoff.S_omega.fitted_divergent_coeffs) == 2
         with pytest.raises(ValueError):
             finite_parts(cav, RegConfig(RegMethod.ABEL_PLANA))
 
@@ -397,8 +423,7 @@ class TestHalvesByConstruction:
         for half in (parts.U, parts.W):
             assert half.error_estimate == 0.5 * (s_omega.error_estimate + s_k.error_estimate)
             assert half.fit_residual == 0.5 * (s_omega.fit_residual + s_k.fit_residual)
-            assert (half.method, half.condition_number) == (s_omega.method,
-                                                            s_omega.condition_number)
+            assert half.condition_number == s_omega.condition_number
         assert len(s_omega.fitted_divergent_coeffs) == (2 if cutoff else 0)
 
 
