@@ -105,13 +105,10 @@ class Cavity1D(NamedTuple):
             )
         _check_velocity(self.velocity)
 
-    def gamma(self) -> float:
-        return lorentz_factor(self.velocity)
-
     def lab_length(self, scheme: Scheme) -> float:
         """Instantaneous cavity extent on a lab-time slice."""
         if scheme is Scheme.LORENTZ_EXACT:
-            return self.proper_length / self.gamma()
+            return self.proper_length / lorentz_factor(self.velocity)
         return self.proper_length
 
     def walls(self, scheme: Scheme, t: float) -> tuple[float, float]:
@@ -133,12 +130,9 @@ class Cavity2D(NamedTuple):
         _check_length(self.proper_length_y, "proper_length_y")
         _check_velocity(self.velocity)
 
-    def gamma(self) -> float:
-        return lorentz_factor(self.velocity)
-
     # Only the boost axis is contracted: x is the 1D lorentz cavity.
     def lab_length_x(self) -> float:
-        return self.proper_length_x / self.gamma()
+        return self.proper_length_x / lorentz_factor(self.velocity)
 
     def walls_x(self, t: float) -> tuple[float, float]:
         left = self.velocity * t

@@ -201,7 +201,7 @@ class SpacetimeMode2D(NamedTuple):
 
     @property
     def normalization(self) -> float:
-        g = self.cavity.gamma()
+        g = lorentz_factor(self.cavity.velocity)
         return 2.0 * math.sqrt(g / (self.cavity.proper_length_x * self.cavity.proper_length_y))
 
     @property

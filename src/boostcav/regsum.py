@@ -133,7 +133,7 @@ class Linear1DSummand:
 
     Each damped sum is the whole series in closed form (Elizalde, Ten Physical
     Applications of Spectral Zeta Functions, 2nd ed. 2012, ch. 1): with
-    step = pi/L and x = eps step, sum_{n>=1} n e^{-n x} = G_1(x) (_geometric).
+    omega_min = pi/L and x = eps omega_min, sum_{n>=1} n e^{-n x} = G_1(x) (_geometric).
     The fit, not the known Laurent series, extracts the constant.
     """
 
@@ -143,13 +143,12 @@ class Linear1DSummand:
         _check_length(proper_length, "proper_length")
         if not math.isfinite(weight):
             raise ValueError(f"weight must be finite, got {weight!r}")
-        self.step = math.pi / proper_length
         self.weight = weight
-        self.omega_min = self.step
+        self.omega_min = math.pi / proper_length
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
-        """One column of weight * step * G_1(eps step), O(1) per cutoff."""
-        return [[self.weight * self.step * _geometric(e * self.step)[0] for e in eps]]
+        """One column of weight * omega_min * G_1(eps omega_min), O(1) per cutoff."""
+        return [[self.weight * self.omega_min * _geometric(e * self.omega_min)[0] for e in eps]]
 
 
 def _geometric(y: float) -> tuple[float, float]:
@@ -314,15 +313,15 @@ def _fit_finite_parts(
     return parts
 
 
-def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FinitePart, ...]:
+def cutoff_finite_part(summand, config: RegConfig) -> tuple[FinitePart, ...]:
     """Exponential-cutoff finite part of sum_n c_n with damping e^{-eps w_n}.
 
     Evaluates S(eps) at eps = x / omega_min over the dimensionless schedule x, fits
 
         S = sum_k b_k x^{-k} + a_0 + b_2 x^2 + b_4 x^4,
 
-    k over summand.divergent_powers, and returns a_0. The error estimate
-    combines the fit residual with a refit restricted to the small-x half
+    k over summand.divergent_powers, and returns each column's a_0. The error
+    estimate combines the fit residual with a refit restricted to the small-x half
     of the schedule.
 
     Past the divergent powers the model is a_0 + b_2 x^2 + b_4 x^4, even in
@@ -333,9 +332,9 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     does not bound.
 
     A summand has omega_min, divergent_powers and damped_sums(eps), which
-    sums its own spectrum: one column of S(eps_i) per weight. With one
-    column one FinitePart comes back; with several (the rectangle's, one
-    per coefficient row) a tuple of them, all from the same damped sums, so
+    sums its own spectrum: one column of S(eps_i) per weight. It comes back
+    as a tuple with one FinitePart per column (the 1D summand has one, the
+    rectangle's one per coefficient row), all from the same damped sums, so
     linear identities between the weights survive the fit exactly.
     """
     if config.method is not RegMethod.EXPONENTIAL_CUTOFF:
@@ -346,8 +345,7 @@ def cutoff_finite_part(summand, config: RegConfig) -> FinitePart | tuple[FiniteP
     for xi, *sums in zip(x, *columns):
         if not all(map(math.isfinite, sums)):
             raise FitError(f"the damped sums at cutoff x = {xi:.3g} are not finite in float64")
-    parts = _fit_finite_parts(x, columns, summand.divergent_powers, summand.omega_min)
-    return parts[0] if len(parts) == 1 else tuple(parts)
+    return tuple(_fit_finite_parts(x, columns, summand.divergent_powers, summand.omega_min))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ the deviation quantified rather than silently preferring one.
 
 from typing import NamedTuple
 
+__all__ = ["DiscrepancyEntry", "DiscrepancyReport"]
+
 
 class DiscrepancyEntry(NamedTuple):
     quantity: str
@@ -29,10 +31,6 @@ class DiscrepancyReport(NamedTuple):
     label_b: str
     entries: tuple[DiscrepancyEntry, ...]
     note: str = ""
-
-    @property
-    def max_rel_diff(self) -> float:
-        return max((e.rel_diff for e in self.entries), default=0.0)
 
     def lines(self) -> list[str]:
         out = [f"discrepancy report: {self.title}", f"  [A] {self.label_a}  [B] {self.label_b}"]

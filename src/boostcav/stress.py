@@ -48,7 +48,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme
+from .cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor
 from .modes import SpacetimeMode, SpacetimeMode2D, affine_jet
 from .quadrature import gauss_legendre
 
@@ -105,6 +105,17 @@ def _mode_terms(u: SpacetimeMode):
     return u.normalization, coeffs, _prefactor_frequency(comoving, lab_phase)
 
 
+def _mode_2d(cavity: Cavity2D, n: int, m: int) -> SpacetimeMode2D:
+    """Rectangle mode (n, m), refused where (n pi/a)^2 or (m pi/b)^2 is not finite in float64."""
+    u = SpacetimeMode2D(cavity, n, m)
+    for k, length, side, label, index in ((u.wavenumber_x, cavity.proper_length_x, "a", "n", n),
+                                          (u.wavenumber_y, cavity.proper_length_y, "b", "m", m)):
+        if not k * k < math.inf:
+            raise ValueError(f"side {side} = {length!r} is too small for mode {label} = {index}: "
+                             f"({label} pi/{side})^2 is not finite in float64")
+    return u
+
+
 def _profile_terms(cavity: Cavity2D, n: int, m: int):
     """N, (th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
 
@@ -112,13 +123,10 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int):
     it carries the 1D normalization sqrt(2 gamma/a) of the lorentz mode of
     the x side (per_mode_em_2d says why).
     """
-    u = SpacetimeMode2D(cavity, n, m)
-    w, p = u.frequency, u.wavenumber_y
-    if not p * p < math.inf:
-        raise ValueError(f"side b = {cavity.proper_length_y!r} is too small for mode m = {m}: "
-                         "(m pi/b)^2 is not finite in float64")
-    return (math.sqrt(2.0 * cavity.gamma() / cavity.proper_length_x), u._coeffs,
-            _prefactor_frequency(w, cavity.gamma() * w), p ** 2)
+    u = _mode_2d(cavity, n, m)
+    w, g = u.frequency, lorentz_factor(cavity.velocity)
+    return (math.sqrt(2.0 * g / cavity.proper_length_x), u._coeffs,
+            _prefactor_frequency(w, g * w), u.wavenumber_y ** 2)
 
 
 def _closed_form(norm, coeffs, wp, p2, length, velocity) -> PerModeEM:
@@ -257,7 +265,7 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
         e_nm = [gamma^2 (1+v^2) (w^2 + k^2) + p^2] / (4 w)
         p_nm = gamma^2 v (w^2 + k^2) / (2 w)
     """
-    u = SpacetimeMode2D(cavity, n, m)
+    u = _mode_2d(cavity, n, m)
     v = cavity.velocity
     g2 = 1.0 / (1.0 - v * v)
     w = u.frequency

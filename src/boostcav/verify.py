@@ -215,9 +215,9 @@ def _checks_regsum() -> list[CheckResult]:
             [sums_c], [sums_d] = c.damped_sums(eps), d.damped_sums(eps)
             return [[2.0 * sc + 3.0 * sd for sc, sd in zip(sums_c, sums_d)]]
 
-    fc = cutoff_finite_part(c, config)
-    fd = cutoff_finite_part(d, config)
-    fm = cutoff_finite_part(_Combined(), config)
+    [fc] = cutoff_finite_part(c, config)
+    [fd] = cutoff_finite_part(d, config)
+    [fm] = cutoff_finite_part(_Combined(), config)
     lin_err = abs(fm.value - (2.0 * fc.value + 3.0 * fd.value))
     budget = fm.error_estimate + 2.0 * fc.error_estimate + 3.0 * fd.error_estimate
     out.append(CheckResult("regsum: linearity of the finite part", lin_err <= max(budget, 1e-12),
@@ -230,7 +230,7 @@ def _checks_regsum() -> list[CheckResult]:
         def damped_sums(self, eps):
             return [[s - 1.0 / e / e for s, e in zip(c.damped_sums(eps)[0], eps)]]
 
-    fp = cutoff_finite_part(_Convergent(), config)
+    [fp] = cutoff_finite_part(_Convergent(), config)
     div = max(map(abs, fp.fitted_divergent_coeffs))
     err = abs(fp.value + 1.0 / 12.0)
     ok = err <= fp.error_estimate and div <= 1e-8
@@ -238,8 +238,8 @@ def _checks_regsum() -> list[CheckResult]:
                            f"value error {err:.2e}, max divergent coeff {div:.2e}"))
 
     summand = regsum.Linear1DSummand(1.0, weight=0.5)
-    full = cutoff_finite_part(summand, config)
-    halved = cutoff_finite_part(summand, config.halved())
+    [full] = cutoff_finite_part(summand, config)
+    [halved] = cutoff_finite_part(summand, config.halved())
     shift = abs(halved.value - full.value)
     ok = shift < 5.0 * max(full.error_estimate, 1e-15)
     detail_1d = f"1D shift {shift:.2e} vs 5x error {5.0 * full.error_estimate:.2e}"

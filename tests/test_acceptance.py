@@ -226,8 +226,8 @@ def test_criterion_11_subtraction_solver():
 def test_criterion_12_regulator_robustness():
     config = RegConfig.cutoff()
     summand = Linear1DSummand(1.0, weight=0.5)
-    full = cutoff_finite_part(summand, config)
-    half = cutoff_finite_part(summand, config.halved())
+    [full] = cutoff_finite_part(summand, config)
+    [half] = cutoff_finite_part(summand, config.halved())
     shift_1d = abs(half.value - full.value)
     ok_1d = shift_1d < 5.0 * full.error_estimate
 
@@ -252,7 +252,7 @@ def test_criterion_12_regulator_robustness():
             [sums] = Linear1DSummand(math.pi, weight=1.0).damped_sums(eps)
             return [[s - 1.0 / e / e for s, e in zip(sums, eps)]]
 
-    fp_fin = cutoff_finite_part(Convergent(), config)
+    [fp_fin] = cutoff_finite_part(Convergent(), config)
     ok_pass = abs(fp_fin.value + 1.0 / 12.0) <= 1e-10 and all(
         abs(c) <= 1e-8 for c in fp_fin.fitted_divergent_coeffs
     )

@@ -117,6 +117,37 @@ def test_no_exported_class_method_forwards(name):
     assert forwards == []
 
 
+
+def _field_applications(cls: ast.ClassDef) -> list[str]:
+    """Methods whose body, past a docstring, is `return f(...)` of a plain name f, with no
+    keywords, on arguments that are each a field `self.<attr>` or a parameter."""
+    found = []
+    for node in cls.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = _past_docstring(node)
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        params = {a.arg for a in node.args.posonlyargs + node.args.args} - {"self"}
+        if (isinstance(call, ast.Call) and not call.keywords and isinstance(call.func, ast.Name)
+                and all(getattr(a, "id", None) in params
+                        or (isinstance(a, ast.Attribute) and getattr(a.value, "id", None) == "self")
+                        for a in call.args)):
+            found.append(f"{cls.name}.{node.name}")
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_class_method_applies_a_function_to_its_fields(name):
+    # A method that only applies a function to the record's fields is a second spelling
+    # of that function's value; callers should call the function.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    found = [method for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name in exported
+             for method in _field_applications(node)]
+    assert found == []
+
 # m0 selects the regulator, and two callers need different ones: verify takes the zeta
 # default, route_comparison passes its config's m0.
 NONE_FILLED_ALLOWED = {("boostcav.observables", "boosted_em", "m0")}

@@ -21,7 +21,7 @@ from boostcav.regsum import (
     RegMethod,
     cutoff_finite_part,
 )
-from boostcav.stress import per_mode_em, per_mode_em_2d
+from boostcav.stress import per_mode_em, per_mode_em_2d, per_mode_em_2d_law
 
 
 def _decades(lo: float, hi: float):
@@ -88,6 +88,11 @@ def _per_mode_em_2d(draw):
     return lambda: per_mode_em_2d(Cavity2D(a, b, v), n, m)
 
 
+def _per_mode_em_2d_law(draw):
+    a, b, v, n, m = draw(LENGTHS), draw(LENGTHS), draw(VELOCITIES), draw(MODES), draw(MODES)
+    return lambda: per_mode_em_2d_law(Cavity2D(a, b, v), n, m)
+
+
 def _boosted_em_2d(draw):
     a, b, v = draw(LENGTHS), draw(LENGTHS), draw(VELOCITIES)
     route = draw(st.sampled_from(list(rect2d.Route2D)))
@@ -122,8 +127,8 @@ def _cutoff_finite_part(draw):
 
 # each draws its inputs and returns the call on them
 CALLS = {f.__name__[1:]: f for f in (_static_m0, _boosted_em, _sweep, _gram_matrix, _per_mode_em,
-                                      _per_mode_em_2d, _boosted_em_2d, _finite_parts,
-                                      _cutoff_finite_part)}
+                                      _per_mode_em_2d, _per_mode_em_2d_law, _boosted_em_2d,
+                                      _finite_parts, _cutoff_finite_part)}
 
 
 @settings(max_examples=500, deadline=None)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boostcav.cavity import Cavity1D, Scheme
+from boostcav.cavity import Cavity1D, Scheme, lorentz_factor
 from boostcav.observables import (
     Route,
+    RouteComparison,
     boosted_em,
     closed_form_coefficients,
     em_plate_energy_per_area,
@@ -87,7 +88,11 @@ class TestBoostedEM:
         # closed and quadrature lab-prior forms genuinely differ; reported,
         # not gated
         assert lab.rel_diff_momentum > 0.1
-        assert "factor-2" in lab.note
+        assert lab.agree
+
+    def test_route_comparison_holds_what_callers_read(self):
+        assert RouteComparison._fields == ("closed", "numeric", "rel_diff_energy",
+                                           "rel_diff_momentum", "agree")
 
 
 class TestMassShell:
@@ -171,7 +176,7 @@ class TestMismatch:
 
     def test_discrepancy_report_content(self):
         report = lab_prior_discrepancy_report(Cavity1D(1.0, 0.2), static_m0(1.0))
-        assert report.max_rel_diff > 0.01
+        assert max(e.rel_diff for e in report.entries) > 0.01
         coeff_e = report.entries[0]
         assert abs(coeff_e.value_a - 1.0816) < 1e-10   # 1 + 2 v^2 + v^4
         assert abs(coeff_e.value_b - 1.04 / 0.96) < 1e-10
@@ -198,7 +203,7 @@ class TestSweep:
     @pytest.mark.parametrize("v", [0.176548, 0.212237])
     def test_point_particle_gamma_is_the_cavity_gamma(self, v):
         # at these velocities 1/sqrt(1 - v*v) and 1/sqrt(1 - v**2) round apart
-        gamma = Cavity1D(1.0, v).gamma()
+        gamma = lorentz_factor(Cavity1D(1.0, v).velocity)
         [row] = sweep(Scheme.LORENTZ_EXACT, 1.0, [v]).rows
         assert row.energy_point_particle == static_m0(1.0) * gamma
         assert row.momentum_point_particle == static_m0(1.0) * gamma * v

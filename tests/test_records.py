@@ -5,11 +5,12 @@ import pickle
 
 import pytest
 
-from boostcav.cavity import Cavity1D, Cavity2D, Scheme
+from boostcav.cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor
 from boostcav.modes import SpacetimeMode, SpacetimeMode2D
 from boostcav.observables import EnergyMomentum, Route
 from boostcav.rect2d import finite_parts
 from boostcav.regsum import FinitePart, RegConfig, RegMethod
+from boostcav.reports import DiscrepancyReport
 from boostcav.verify import CheckResult
 
 CUTOFF_PART = FinitePart(-0.13, 1e-10, (0.5,), 1e-12, 40.0)
@@ -65,11 +66,15 @@ class TestValueSemantics:
 
     def test_defaults_properties_and_methods(self):
         assert Cavity1D(2.0) == Cavity1D(proper_length=2.0, velocity=0.0)
-        assert Cavity1D(1.0, 0.6).gamma() == pytest.approx(1.25)
+        assert lorentz_factor(Cavity1D(1.0, 0.6).velocity) == pytest.approx(1.25)
         assert SpacetimeMode2D(Cavity2D(1.0, 1.0), 1, 1).frequency == pytest.approx(
             math.pi * math.sqrt(2.0))
         parts = finite_parts(Cavity2D(1.0, 2.0))
         assert parts.S_omega is parts[2] and parts._fields == ("U", "W", "S_omega", "S_k")
+
+    def test_one_spelling_of_gamma_and_of_each_rel_diff(self):
+        assert not hasattr(Cavity1D(1.0), "gamma") and not hasattr(Cavity2D(1.0, 1.0), "gamma")
+        assert not hasattr(DiscrepancyReport, "max_rel_diff")
 
 
 class TestValidation:

@@ -133,7 +133,7 @@ class TestCutoffFit:
             method=RegMethod.EXPONENTIAL_CUTOFF,
             epsilon_schedule=(0.1, 0.07, 0.05, 0.03, 0.02, 0.01),
         )
-        fp = cutoff_finite_part(summand, config)
+        [fp] = cutoff_finite_part(summand, config)
         assert abs(fp.value + 1.0 / 12.0) < 1e-6
         # the engine's raw sums must agree with the closed form
         schedule = list(config.epsilon_schedule)
@@ -146,7 +146,7 @@ class TestCutoffFit:
         # G_1(x) - 1/x^2 = -1/12 + x^2/240 - ...: even in x, so the fit's model holds
         summand = ConvergentSummand()
         for hi, lo in ((0.2, 0.01), (1.0, 0.1), (3.0, 0.3), (0.2, 1e-3), (6.0, 1.0), (0.25, 0.05)):
-            fp = cutoff_finite_part(summand, RegConfig.cutoff(hi=hi, lo=lo))
+            [fp] = cutoff_finite_part(summand, RegConfig.cutoff(hi=hi, lo=lo))
             assert abs(fp.value + 1.0 / 12.0) <= fp.error_estimate, (hi, lo, fp)
             assert fp.fitted_divergent_coeffs == ()
         with pytest.raises(FitError, match="use at least 5 points"):
@@ -154,7 +154,7 @@ class TestCutoffFit:
 
     def test_static_1d_energy(self):
         config = RegConfig.cutoff()
-        fp = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
         target = -math.pi / 24.0
         assert abs(fp.value - target) < 1e-6 * abs(target)
         assert abs(fp.value - target) < 5.0 * max(fp.error_estimate, 1e-12)
@@ -162,8 +162,8 @@ class TestCutoffFit:
     def test_halving_robustness_1d(self):
         config = RegConfig.cutoff()
         summand = Linear1DSummand(1.0, weight=0.5)
-        full = cutoff_finite_part(summand, config)
-        half = cutoff_finite_part(summand, config.halved())
+        [full] = cutoff_finite_part(summand, config)
+        [half] = cutoff_finite_part(summand, config.halved())
         assert abs(half.value - full.value) < 5.0 * full.error_estimate
 
     def test_condition_guard(self):
@@ -199,7 +199,7 @@ class TestCutoffFit:
     # lo = 2e-5 and 1e-5 take about 2.1e6 and 4.1e6 spectrum terms, each sum in O(1)
     @pytest.mark.parametrize("lo", [2e-5, 1e-5])
     def test_small_cutoffs_fit_m0(self, lo):
-        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=lo))
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=lo))
         assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     def test_wrong_method_rejected(self):
@@ -210,18 +210,28 @@ class TestCutoffFit:
         # sum (n pi / 2L) e^{-eps n pi / L} = L/(2 pi eps^2) - pi/(24 L) + O(eps^2):
         # the schedule scales with 1/omega_min = L/pi, so each length fits the
         # unit cavity's sums times 1/L, and the divergent coefficient is L/(2 pi)
-        unit = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
+        [unit] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
         assert unit.fitted_divergent_coeffs[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
         for length in (0.25, 4.0):
-            fp = cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff())
+            [fp] = cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff())
             assert fp.value * length == pytest.approx(unit.value, rel=1e-12)
             assert fp.fitted_divergent_coeffs[0] / length == pytest.approx(
                 unit.fitted_divergent_coeffs[0], rel=1e-12)
             assert fp.condition_number == unit.condition_number
         # L/(2 pi) is representable at L = 1e160 although omega_min^-2 is not
-        far = cutoff_finite_part(Linear1DSummand(1e160), RegConfig.cutoff())
+        [far] = cutoff_finite_part(Linear1DSummand(1e160), RegConfig.cutoff())
         assert far.fitted_divergent_coeffs[0] == pytest.approx(1e160 / (2.0 * math.pi), rel=1e-9)
         assert far.value * 1e160 == pytest.approx(unit.value, rel=1e-9)
+
+    @pytest.mark.parametrize("summand, columns", [(Linear1DSummand(1.0), 1),
+                                                  (rect2d._FourPartsSummand(1.0, 2.0), 2)])
+    def test_one_finite_part_per_column(self, summand, columns):
+        parts = cutoff_finite_part(summand, RegConfig.cutoff())
+        assert type(parts) is tuple and len(parts) == columns
+        assert all(type(part) is regsum.FinitePart for part in parts)
+
+    def test_linear_summand_holds_its_weight_and_lowest_frequency(self):
+        assert vars(Linear1DSummand(1.0)) == {"weight": 0.5, "omega_min": math.pi}
 
     def test_summands_reject_non_finite_input(self):
         for length in (0.0, -1.0, math.nan, math.inf):
@@ -262,7 +272,7 @@ class TestScheduleGuard:
     def test_radius_is_the_bound(self):
         top = math.nextafter(2.0 * math.pi, 0.0)
         below = RegConfig(self.CUTOFF, (top, 3.0, 1.0, 0.5, 0.2, 0.1))
-        assert cutoff_finite_part(Linear1DSummand(1.0), below).error_estimate > 0.0
+        assert cutoff_finite_part(Linear1DSummand(1.0), below)[0].error_estimate > 0.0
         with pytest.raises(FitError, match="a 4-point cutoff schedule"):  # valid, but no refit
             cutoff_finite_part(Linear1DSummand(1.0), RegConfig(self.CUTOFF, (top, 1.0, 0.5, 0.1)))
         with pytest.raises(ValueError, match=re.escape(
@@ -290,7 +300,7 @@ class TestRefitGuard:
             cutoff_finite_part(Linear1DSummand(1.0), config)
 
     def test_1d_six_points_fit(self):
-        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(points=6))
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(points=6))
         assert 0.0 < abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     @pytest.mark.parametrize("points", [5, 6])
@@ -358,7 +368,7 @@ class TestDivergenceFit:
 
     def test_refinement_sharpens_the_static_constant(self):
         # m0(1) = -pi/24 from the default schedule: 8.7e-11 relative, inside its error
-        fp = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff())
         assert abs(fp.value / (-math.pi / 24.0) - 1.0) <= 8.8e-11
         assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
@@ -598,11 +608,11 @@ class TestLinearDampedSums:
         terms, partial = [], 0.0
         n = 1
         while True:
-            w = n * summand.step
+            w = n * summand.omega_min
             term = summand.weight * w * math.exp(-eps * w)
             terms.append(term)
             partial += term
-            r = (n + 1) / n * math.exp(-eps * summand.step)
+            r = (n + 1) / n * math.exp(-eps * summand.omega_min)
             if r < 1.0 and abs(term) * r / (1.0 - r) < 2.0**-60 * abs(partial):
                 return math.fsum(terms)
             n += 1
@@ -627,7 +637,7 @@ class TestLinearDampedSums:
         config = RegConfig.cutoff(lo=1e-12)
         [sums] = summand.damped_sums([x / summand.omega_min for x in config.epsilon_schedule])
         assert all(math.isfinite(s) and s > 0.0 for s in sums)
-        fp = cutoff_finite_part(summand, config)
+        [fp] = cutoff_finite_part(summand, config)
         assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     @pytest.mark.parametrize("length, lo, x", [(1.0, 1e-160, "1e-160"), (1.0, 1e-200, "2.96e-172"),

@@ -197,6 +197,24 @@ class TestPerMode2D:
         with pytest.raises(ValueError, match=f"side b = {b!r} is too small for mode m = {m}: "):
             per_mode_em_2d(Cavity2D(1.0, b, 0.3), 1, m)
 
+    @pytest.mark.parametrize("f", [per_mode_em_2d, per_mode_em_2d_law])
+    @pytest.mark.parametrize("a, b, side, index", [(1e-200, 1.0, "a", "n"), (1e-154, 1.0, "a", "n"),
+                                                   (1.0, 1e-200, "b", "m")])
+    def test_either_side_too_small_for_its_mode_is_named(self, f, a, b, side, index):
+        # side a gave inf from per_mode_em_2d and an OverflowError from the law
+        length = a if side == "a" else b
+        message = (f"side {side} = {length!r} is too small for mode {index} = 1: "
+                   f"({index} pi/{side})^2 is not finite in float64")
+        with pytest.raises(ValueError) as info:
+            f(Cavity2D(a, b, 0.5), 1, 1)
+        assert str(info.value) == message
+
+    def test_smallest_side_a_left_keeps_the_law(self):
+        cav = Cavity2D(1e-153, 1.0, 0.5)
+        pm = per_mode_em_2d(cav, 1, 1)
+        assert (pm.energy, pm.momentum) == per_mode_em_2d_law(cav, 1, 1) == (
+            2.6179938779914943e+153, 2.0943951023931952e+153)
+
     def test_wide_cavity_recovers_1d_ratios(self):
         # p_1 -> 0 proxy: per-mode ratios approach the 1D boosted laws
         cav = Cavity2D(1.0, 50.0, 0.6)

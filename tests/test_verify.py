@@ -130,6 +130,5 @@ def test_discrepancy_report_arithmetic():
     )
     assert report.entries[0].abs_diff == 1.0
     assert report.entries[0].rel_diff == 0.5
-    assert report.max_rel_diff == 0.5
     text = "\n".join(report.lines())
     assert "x: A=2" in text and "note: n" in text
