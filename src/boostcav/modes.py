@@ -146,17 +146,14 @@ class SpacetimeMode(NamedTuple):
         return k, coeffs[3], coeffs  # s_x = gamma k
 
     # -- geometry ----------------------------------------------------------
-    def walls(self, t: float) -> tuple[float, float]:
-        return self.cavity.walls(self.scheme, t)
-
     def contains(self, t: float, x: float) -> bool:
-        left, right = self.walls(t)
+        left, right = self.cavity.walls(self.scheme, t)
         slack = _WALL_SLACK * (right - left)
         return left - slack <= x <= right + slack
 
     def _require_inside(self, t: float, x: float) -> None:
         if not self.contains(t, x):
-            left, right = self.walls(t)
+            left, right = self.cavity.walls(self.scheme, t)
             raise OutsideCavityError(
                 f"x outside instantaneous cavity [{left:.6g}, {right:.6g}] at t={t:.6g}"
             )
@@ -238,7 +235,7 @@ class SpacetimeMode2D(NamedTuple):
 def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tuple[complex, complex]:
     """Mode values at the two instantaneous walls; zero for Dirichlet walls."""
     u = SpacetimeMode(scheme, cavity, n)
-    left, right = u.walls(t)
+    left, right = cavity.walls(scheme, t)
     return u.value(t, left, check=False), u.value(t, right, check=False)
 
 
@@ -315,16 +312,14 @@ def _gram_pair(j, l):
 
 
 def _gram_slice(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float):
-    """The cavity, slice and norms 2 w_n that gram_matrix and _gram_bound evaluate.
+    """The unit cavity, slice t/L and norms 2 w_n that gram_matrix and _gram_bound evaluate.
 
-    The matrix is dimensionless, G(L, t) = G(1, t/L). Where a product of two
-    norms is not a normal float (L above about 4e154, where the pairing's sums
-    underflow too, or near the smallest L), the unit cavity at t/L stands in.
+    The matrix is dimensionless, G(L, t) = G(1, t/L), so every L is evaluated
+    on the unit cavity, where no product of two norms leaves the normal floats.
     """
-    norms = [canonical_norm(scheme, cavity, n) for n in range(1, n_modes + 1)]
-    if n_modes < 1 or sys.float_info.min <= norms[0] * norms[0] and norms[-1] * norms[-1] < math.inf:
-        return cavity, t, norms
-    return _gram_slice(scheme, Cavity1D(1.0, cavity.velocity), n_modes, t / cavity.proper_length)
+    unit = Cavity1D(1.0, cavity.velocity)
+    norms = [canonical_norm(scheme, unit, n) for n in range(1, n_modes + 1)]
+    return unit, t / cavity.proper_length, norms
 
 
 def gram_matrix(

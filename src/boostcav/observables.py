@@ -47,7 +47,6 @@ __all__ = [
     "mass_shell_residual",
     "shell_residual_warning",
     "nonrel_fit",
-    "inertia_ratios",
     "sweep",
     "em_plate_energy_per_area",
     "lab_prior_discrepancy_report",
@@ -254,19 +253,6 @@ def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
             f"{_NONREL_RESIDUAL_LIMIT:g}; raise the degree or shrink v_max"
         )
     return NonRelFit(e_coeffs, p_coeffs, e_res, p_res)
-
-
-def inertia_ratios(
-    scheme: Scheme = Scheme.LORENTZ_EXACT, *, v_max: float = 0.2
-) -> tuple[float, float]:
-    """The two candidate inertia/energy ratios at v = 0, reported side by side.
-
-    Returns (dE/d(v^2/2) / m0, dP/dv / m0). For the exact treatment these
-    are 4 and 2; the package reports both without endorsing either as "the"
-    inertia.
-    """
-    fit = nonrel_fit(scheme, v_max, degree=6)
-    return 2.0 * fit.energy_coeffs[1], fit.momentum_coeffs[0]
 
 
 def sweep(

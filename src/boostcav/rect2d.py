@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length, _velocity_grid
 from .observables import mass_shell_residual
-from .regsum import FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part
+from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part,
+                     geometric_schedule)
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -417,13 +418,13 @@ class _FourPartsSummand:
         return parts[0], parts[1]
 
 
-def default_config(**schedule_kw) -> RegConfig:
-    """The rectangles' cutoff cross-check schedule, x from 0.25 to 0.05 unless overridden.
+def default_config() -> RegConfig:
+    """The rectangles' cutoff cross-check schedule, x from 0.25 to 0.05.
 
     finite_parts uses the Chowla-Selberg closed form unless handed a config;
     this one routes it through the exponential-cutoff fit instead.
     """
-    return RegConfig.cutoff(**{"hi": 0.25, "lo": 0.05, **schedule_kw})
+    return RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=0.25, lo=0.05))
 
 
 def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> FourParts:

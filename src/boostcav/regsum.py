@@ -97,12 +97,9 @@ class RegConfig(NamedTuple):
                                  "the radius of the damped sums' Laurent series in x")
 
     @staticmethod
-    def cutoff(**schedule_kw) -> "RegConfig":
-        """Exponential cutoff on geometric_schedule(**schedule_kw)."""
-        return RegConfig(
-            method=RegMethod.EXPONENTIAL_CUTOFF,
-            epsilon_schedule=geometric_schedule(**schedule_kw),
-        )
+    def cutoff() -> "RegConfig":
+        """The 1D default: exponential cutoff on geometric_schedule()."""
+        return RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule())
 
     def halved(self) -> "RegConfig":
         """Same config with every cutoff halved (robustness checks)."""

@@ -144,6 +144,17 @@ def _closed_form(norm, coeffs, wp, p2, length, velocity) -> PerModeEM:
     return PerModeEM(energy=e, momentum=p, quad_error=bound)
 
 
+def _finite(em, cavity, index):
+    """em, the (energy, momentum, ...) of mode index, refused unless both are finite in float64."""
+    if not (math.isfinite(em[0]) and math.isfinite(em[1])):
+        where = (f"n = {index} of L = {cavity.proper_length!r}" if isinstance(cavity, Cavity1D)
+                 else f"(n, m) = {index} of a = {cavity.proper_length_x!r}, "
+                      f"b = {cavity.proper_length_y!r}")
+        raise ValueError(f"mode {where} at v = {cavity.velocity!r}: energy {em[0]!r} or momentum "
+                         f"{em[1]!r} is not finite in float64")
+    return em
+
+
 def _panels(n: int) -> int:
     """Panels for densities A + B cos 2s with s running over n pi: at most two periods each.
 
@@ -195,7 +206,7 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int,
     """
     u = SpacetimeMode(scheme, cavity, n)
     norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u)
-    left, right = u.walls(t)
+    left, right = cavity.walls(scheme, t)
     # the sin^2 s and cos^2 s weights of each density
     n2, sigma = norm * norm, _FAULT.get()[0]
     e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
@@ -228,7 +239,8 @@ def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
     closed form's stated rounding bound.
     """
     norm, coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
-    return _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity)
+    em = _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity)
+    return _finite(em, cavity, n)
 
 
 def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
@@ -244,7 +256,8 @@ def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
     norm, coeffs, wp, p2 = _profile_terms(cavity, n, m)
-    return _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity)
+    em = _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity)
+    return _finite(em, cavity, (n, m))
 
 
 def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
@@ -273,7 +286,7 @@ def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
     p2 = u.wavenumber_y**2
     e = (g2 * (1.0 + v * v) * (w * w + k2) + p2) / (4.0 * w)
     p = g2 * v * (w * w + k2) / (2.0 * w)
-    return e, p
+    return _finite((e, p), cavity, (n, m))
 
 
 def coefficient_fits(scheme: Scheme, velocities) -> tuple[tuple[float, float], ...]:

@@ -87,7 +87,8 @@ def test_no_exported_class_aliases_a_member(name):
 
 
 def _member_forwards(cls: ast.ClassDef) -> list[str]:
-    """Methods whose body, past a docstring, is `return self.<attr>.<method>(<the parameters>)`."""
+    """Methods whose body, past a docstring, is `return self.<attr>.<method>(...)` with no
+    keywords, on arguments that are each a parameter or a field `self.<attr>`."""
     found = []
     for node in cls.body:
         if not isinstance(node, ast.FunctionDef):
@@ -95,19 +96,21 @@ def _member_forwards(cls: ast.ClassDef) -> list[str]:
         body = _past_docstring(node)
         call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
         target = getattr(call, "func", None)
-        params = [a.arg for a in node.args.posonlyargs + node.args.args][1:]
+        params = {a.arg for a in node.args.posonlyargs + node.args.args} - {"self"}
         if (isinstance(call, ast.Call) and not call.keywords
                 and isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute)
                 and getattr(target.value.value, "id", None) == "self"
-                and [getattr(a, "id", None) for a in call.args] == params):
+                and all(getattr(a, "id", None) in params
+                        or (isinstance(a, ast.Attribute) and getattr(a.value, "id", None) == "self")
+                        for a in call.args)):
             found.append(f"{cls.name}.{node.name}")
     return found
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_exported_class_method_forwards(name):
-    # A method that passes its parameters to a member's method is a second name for
-    # that method; callers should call the member.
+    # A method that passes its parameters, or the record's own fields, to a member's
+    # method is a second name for that method; callers should call the member.
     module = importlib.import_module(name)
     tree = ast.parse(Path(module.__file__).read_text())
     exported = set(getattr(module, "__all__", ()))
@@ -116,6 +119,26 @@ def test_no_exported_class_method_forwards(name):
                 for method in _member_forwards(node)]
     assert forwards == []
 
+
+def _star_parameters(func: ast.FunctionDef) -> bool:
+    return func.args.vararg is not None or func.args.kwarg is not None
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_callable_takes_star_arguments(name):
+    # *args or **kwargs passed on to another callable make a second spelling of its
+    # call; the signature should name what the function takes.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    found = [node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in exported
+             and _star_parameters(node)]
+    found += [f"{node.name}.{method.name}" for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name in exported
+              for method in node.body
+              if isinstance(method, ast.FunctionDef) and _star_parameters(method)]
+    assert found == []
 
 
 def _field_applications(cls: ast.ClassDef) -> list[str]:

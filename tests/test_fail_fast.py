@@ -3,9 +3,11 @@
 Lengths and velocities are drawn across float64 (5e-324 to 1.7e308, and up to
 a ulp below light speed), cutoff schedules from 1e-300 to 1e300. Each call
 returns, or raises ValueError or FitError (a bare OverflowError or
-ZeroDivisionError fails the test), within one second.
+ZeroDivisionError fails the test), within one second. A per-mode call that
+returns gives a finite energy and momentum.
 """
 
+import math
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -137,7 +139,9 @@ def test_every_call_answers_or_fails_fast(name, data):
     call = CALLS[name](data.draw)
     start = time.perf_counter()
     try:
-        call()
+        result = call()
     except (ValueError, FitError):
-        pass
+        result = None
     assert time.perf_counter() - start < 1.0, name
+    if result is not None and name.startswith("per_mode_em"):
+        assert math.isfinite(result[0]) and math.isfinite(result[1]), (name, result)

@@ -113,7 +113,7 @@ class TestEvalMode:
         cav = Cavity1D(1.3, scheme_velocity(scheme))
         t = 0.4
         u = modes.SpacetimeMode(scheme, cav, n)
-        left, right = u.walls(t)
+        left, right = cav.walls(scheme, t)
         norm = gauss_legendre(
             lambda xs: [abs(u.value(t, x, check=False)) ** 2 for x in xs],
             left, right, panels=n,
@@ -344,6 +344,22 @@ class TestOrthogonality:
         assert g == modes.gram_matrix(scheme, Cavity1D(1.0, 0.3), 3, 0.37)
         bound = np.array(modes._gram_bound(scheme, cav, 3, t))
         assert np.all(np.abs(np.array(g) - np.eye(3)) <= bound)
+
+    # the matrix is dimensionless, G(L, t) = G(1, t/L): every length is the unit cavity, bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(ALL_SCHEMES), log_length=st.floats(-150.0, 300.0),
+           v=st.one_of(st.floats(-0.99, 0.99),
+                       st.builds(lambda gap, sign: sign * (1.0 - 10.0**-gap),
+                                 st.floats(2.0, 6.0), st.sampled_from((-1.0, 1.0)))),
+           n_modes=st.integers(1, 12), t_fraction=st.floats(-10.0, 10.0))
+    def test_gram_scale_invariance_at_every_length(self, scheme, log_length, v, n_modes,
+                                                    t_fraction):
+        length = 10.0**log_length
+        cav, unit, t = Cavity1D(length, v), Cavity1D(1.0, v), t_fraction * length
+        assert (modes.gram_matrix(scheme, cav, n_modes, t)
+                == modes.gram_matrix(scheme, unit, n_modes, t / length))
+        assert (modes._gram_bound(scheme, cav, n_modes, t)
+                == modes._gram_bound(scheme, unit, n_modes, t / length))
 
     def test_static_gram_exact_sine_orthogonality(self):
         for scheme in ALL_SCHEMES:

@@ -12,9 +12,10 @@ from boostcav import modes, stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import (SpacetimeMode, SpacetimeMode2D, boundary_residual, gram_matrix,
                             kg_residual, spatial_overlap_matrix)
-from boostcav.observables import inertia_ratios, nonrel_fit
+from boostcav.observables import nonrel_fit
 from boostcav.quadrature import gauss_legendre
-from boostcav.regsum import Linear1DSummand, RegConfig, abel_plana_m0, cutoff_finite_part
+from boostcav.regsum import (Linear1DSummand, RegConfig, RegMethod, abel_plana_m0,
+                             cutoff_finite_part, geometric_schedule)
 from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d
 
 SRC = Path(boostcav.__file__).resolve().parent
@@ -59,8 +60,8 @@ def test_modules_importing_quadrature():
 # each line prints the repr of one scalar call's result
 SCALAR_CALLS = (
     "nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)",
-    "inertia_ratios()",
-    "cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=1e-5))",
+    "cutoff_finite_part(Linear1DSummand(1.0),"
+    " RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(lo=1e-5)))",
     "Cavity1D(1, 0.6).walls(Scheme.LORENTZ_EXACT, 0.3)",
     "per_mode_em(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3)",
     "per_mode_em_2d(Cavity2D(1.1, 2.3, -0.5), 2, 3)",
@@ -101,9 +102,10 @@ def test_scalar_calls_run_without_numpy():
         "from boostcav.cavity import Cavity1D, Cavity2D, Scheme",
         "from boostcav.modes import (SpacetimeMode, SpacetimeMode2D, boundary_residual,",
         "                            gram_matrix, kg_residual, spatial_overlap_matrix)",
-        "from boostcav.observables import inertia_ratios, nonrel_fit",
+        "from boostcav.observables import nonrel_fit",
         "from boostcav.quadrature import gauss_legendre",
-        "from boostcav.regsum import Linear1DSummand, RegConfig, abel_plana_m0, cutoff_finite_part",
+        "from boostcav.regsum import (Linear1DSummand, RegConfig, RegMethod, abel_plana_m0,",
+        "                             cutoff_finite_part, geometric_schedule)",
         "from boostcav.stress import coefficient_fits, per_mode_em, per_mode_em_2d",
         *(f"print(repr({call}))" for call in SCALAR_CALLS),
     )

@@ -12,7 +12,6 @@ from boostcav.observables import (
     boosted_em,
     closed_form_coefficients,
     em_plate_energy_per_area,
-    inertia_ratios,
     lab_prior_discrepancy_report,
     mass_shell_residual,
     nonrel_fit,
@@ -20,7 +19,7 @@ from boostcav.observables import (
     static_m0,
     sweep,
 )
-from boostcav.regsum import FitError, RegConfig, RegMethod
+from boostcav.regsum import FitError, RegConfig, RegMethod, geometric_schedule
 
 M0 = -math.pi / 24.0
 CONFIGS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff(),
@@ -48,7 +47,8 @@ class TestStaticM0:
     def test_cutoff_fit_without_a_digit_is_refused(self):
         # damped sums near 1/x^2 = 1e123 round away every digit of m0: the fit reads a value
         # near 1e104 with a larger stated error, which sweep once squared into an OverflowError
-        config = RegConfig.cutoff(hi=4.35e-59, lo=6.02e-62)
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF,
+                           geometric_schedule(hi=4.35e-59, lo=6.02e-62))
         with pytest.raises(FitError, match=r"cutoff m0 = \S+ has a stated error of "):
             static_m0(1.0, config)
         with pytest.raises(FitError):
@@ -155,7 +155,8 @@ class TestNonRelFit:
             nonrel_fit(Scheme.LORENTZ_EXACT, 1e-300, degree=4)
 
     def test_inertia_ratios_reported_side_by_side(self):
-        de, dp = inertia_ratios()
+        fit = nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)
+        de, dp = 2.0 * fit.energy_coeffs[1], fit.momentum_coeffs[0]
         assert abs(de - 4.0) < 1e-3
         assert abs(dp - 2.0) < 1e-3
 

@@ -9,7 +9,7 @@ from boostcav.cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor
 from boostcav.modes import SpacetimeMode, SpacetimeMode2D
 from boostcav.observables import EnergyMomentum, Route
 from boostcav.rect2d import finite_parts
-from boostcav.regsum import FinitePart, RegConfig, RegMethod
+from boostcav.regsum import FinitePart, RegConfig, RegMethod, geometric_schedule
 from boostcav.reports import DiscrepancyReport
 from boostcav.verify import CheckResult
 
@@ -42,7 +42,8 @@ class TestValueSemantics:
         assert len({first, second}) == 1  # a reuse set keyed on configs sees one
 
     def test_different_values_differ(self):
-        assert RegConfig.cutoff() != RegConfig.cutoff(hi=0.3)
+        assert RegConfig.cutoff() != RegConfig(RegMethod.EXPONENTIAL_CUTOFF,
+                                               geometric_schedule(hi=0.3))
         assert RegConfig.cutoff() != RegConfig(RegMethod.ZETA_EXACT)
         assert Cavity1D(1.0, 0.5) != Cavity1D(1.0, -0.5)
 

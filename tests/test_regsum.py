@@ -146,11 +146,13 @@ class TestCutoffFit:
         # G_1(x) - 1/x^2 = -1/12 + x^2/240 - ...: even in x, so the fit's model holds
         summand = ConvergentSummand()
         for hi, lo in ((0.2, 0.01), (1.0, 0.1), (3.0, 0.3), (0.2, 1e-3), (6.0, 1.0), (0.25, 0.05)):
-            [fp] = cutoff_finite_part(summand, RegConfig.cutoff(hi=hi, lo=lo))
+            config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=hi, lo=lo))
+            [fp] = cutoff_finite_part(summand, config)
             assert abs(fp.value + 1.0 / 12.0) <= fp.error_estimate, (hi, lo, fp)
             assert fp.fitted_divergent_coeffs == ()
         with pytest.raises(FitError, match="use at least 5 points"):
-            cutoff_finite_part(summand, RegConfig.cutoff(points=4))
+            cutoff_finite_part(summand, RegConfig(RegMethod.EXPONENTIAL_CUTOFF,
+                                                  geometric_schedule(points=4)))
 
     def test_static_1d_energy(self):
         config = RegConfig.cutoff()
@@ -199,7 +201,8 @@ class TestCutoffFit:
     # lo = 2e-5 and 1e-5 take about 2.1e6 and 4.1e6 spectrum terms, each sum in O(1)
     @pytest.mark.parametrize("lo", [2e-5, 1e-5])
     def test_small_cutoffs_fit_m0(self, lo):
-        [fp] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(lo=lo))
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(lo=lo))
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0), config)
         assert abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     def test_wrong_method_rejected(self):
@@ -256,8 +259,10 @@ class TestScheduleGuard:
                                    RegConfig(TestScheduleGuard.CUTOFF, (700.0, 10.0, 1.0, 0.1))),
         lambda: rect2d.finite_parts(Cavity2D(1.0, 1.0),
                                     RegConfig(TestScheduleGuard.CUTOFF, (1e5, 1.0, 0.5, 0.1))),
-        lambda: rect2d.finite_parts(Cavity2D(1.0, 0.001), RegConfig.cutoff(hi=1e300, lo=1e-9)),
-        lambda: cutoff_finite_part(Linear1DSummand(1e300), RegConfig.cutoff(hi=2.52e87, lo=2.52e-13)),
+        lambda: rect2d.finite_parts(Cavity2D(1.0, 0.001), RegConfig(
+            RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=1e300, lo=1e-9))),
+        lambda: cutoff_finite_part(Linear1DSummand(1e300), RegConfig(
+            RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=2.52e87, lo=2.52e-13))),
     ], ids=["1d-x700", "square-x1e5", "1x0.001-x1e300", "1d-L1e300-x4-column"])
     def test_schedule_reaching_the_radius_is_refused_at_once(self, call):
         timings = []
@@ -293,14 +298,16 @@ class TestRefitGuard:
     @pytest.mark.parametrize("points", [4, 5])
     @pytest.mark.parametrize("span", [(0.2, 0.01), (1.0, 0.1), (5.68, 2.26)])
     def test_1d_schedule_without_refit_fails(self, points, span):
-        config = RegConfig.cutoff(hi=span[0], lo=span[1], points=points)
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF,
+                           geometric_schedule(hi=span[0], lo=span[1], points=points))
         with pytest.raises(FitError, match=re.escape(
                 f"a {points}-point cutoff schedule leaves no small-x refit for 4 fitted powers; "
                 "use at least 6 points")):
             cutoff_finite_part(Linear1DSummand(1.0), config)
 
     def test_1d_six_points_fit(self):
-        [fp] = cutoff_finite_part(Linear1DSummand(1.0), RegConfig.cutoff(points=6))
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(points=6))
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0), config)
         assert 0.0 < abs(fp.value + math.pi / 24.0) <= fp.error_estimate
 
     @pytest.mark.parametrize("points", [5, 6])
@@ -308,11 +315,13 @@ class TestRefitGuard:
         with pytest.raises(FitError, match=re.escape(
                 f"a {points}-point cutoff schedule leaves no small-x refit for 5 fitted powers; "
                 "use at least 7 points")):
-            rect2d.finite_parts(Cavity2D(1.0, 2.0), rect2d.default_config(points=points))
+            rect2d.finite_parts(Cavity2D(1.0, 2.0), RegConfig(
+                RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=0.25, lo=0.05, points=points)))
 
     def test_rectangle_seven_points_fit(self):
         exact = rect2d.finite_parts(Cavity2D(1.0, 2.0))
-        cut = rect2d.finite_parts(Cavity2D(1.0, 2.0), rect2d.default_config(points=7))
+        cut = rect2d.finite_parts(Cavity2D(1.0, 2.0), RegConfig(
+            RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=0.25, lo=0.05, points=7)))
         for name in ("S_omega", "S_k"):
             part = getattr(cut, name)
             assert abs(part.value - getattr(exact, name).value) <= part.error_estimate
@@ -409,8 +418,10 @@ class TestRect2DSums:
 
     def test_disjoint_schedules_agree(self):
         cav = Cavity2D(1.0, 1.0, 0.0)
-        a = rect2d.finite_parts(cav, rect2d.default_config(hi=0.25, lo=0.02)).S_omega
-        b = rect2d.finite_parts(cav, rect2d.default_config(hi=0.19, lo=0.03, points=7)).S_omega
+        a = rect2d.finite_parts(cav, RegConfig(
+            RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=0.25, lo=0.02))).S_omega
+        b = rect2d.finite_parts(cav, RegConfig(
+            RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(hi=0.19, lo=0.03, points=7))).S_omega
         assert abs(a.value - b.value) / abs(a.value) < 1e-4
 
     @pytest.mark.parametrize("a, b", BOUND_GRID)
@@ -634,7 +645,7 @@ class TestLinearDampedSums:
     def test_cutoffs_beyond_any_enumeration(self):
         # lo = 1e-12: about 4e13 terms at the smallest cutoff
         summand = Linear1DSummand(1.0)
-        config = RegConfig.cutoff(lo=1e-12)
+        config = RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(lo=1e-12))
         [sums] = summand.damped_sums([x / summand.omega_min for x in config.epsilon_schedule])
         assert all(math.isfinite(s) and s > 0.0 for s in sums)
         [fp] = cutoff_finite_part(summand, config)
@@ -647,7 +658,8 @@ class TestLinearDampedSums:
         # point of the lo = 1e-200 schedule past it; at L = 1e-10 the sum, step G_1 / 2, does
         with pytest.raises(FitError, match=re.escape(
                 f"the damped sums at cutoff x = {x} are not finite in float64")):
-            cutoff_finite_part(Linear1DSummand(length), RegConfig.cutoff(lo=lo))
+            cutoff_finite_part(Linear1DSummand(length),
+                               RegConfig(RegMethod.EXPONENTIAL_CUTOFF, geometric_schedule(lo=lo)))
 
     def test_cutoff_underflowing_to_zero_is_an_infinite_sum(self):
         # eps = x/omega_min = 5e-324/pi rounds to 0, where the whole series diverges

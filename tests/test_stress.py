@@ -67,6 +67,10 @@ class TestPerMode1D:
         assert abs(pm.energy / half_w - ce) <= 1e-12 * ce
         assert abs(pm.momentum / half_w - cp) <= 1e-12 * ce
 
+    def test_largest_finite_energies_still_answer(self):
+        pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.999), 3)
+        assert (pm.energy, pm.momentum) == (4.710033964581147e+153, 4.710031607207971e+153)
+
 
 class TestCoefficients:
     def test_contracted_closed_form_at_half_light_speed(self):
@@ -225,6 +229,18 @@ class TestPerMode2D:
         assert abs(pm.momentum / w - gamma2 * 0.6) < 2e-3
 
 
+@pytest.mark.parametrize("call", [
+    lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.9999999), 3),
+    lambda: per_mode_em_2d(Cavity2D(2.87e-154, 1.0, 0.0), 1, 1),
+    lambda: per_mode_em_2d_law(Cavity2D(2.87e-154, 1.0, 0.0), 1, 1),
+    lambda: per_mode_em_2d_law(Cavity2D(1e-150, 1.0, 0.9999999), 1, 1),
+], ids=["1d-gamma2", "2d-k2", "law-k2", "law-gamma2"])
+def test_per_mode_energy_or_momentum_past_float64_is_refused(call):
+    # gamma^2 or k^2 overflows the closed form's sums, which would read inf or nan
+    with pytest.raises(ValueError, match="energy .* or momentum .* is not finite in float64"):
+        call()
+
+
 # float.hex of per_mode_em(scheme, Cavity1D(1.3, v), n) (energy, momentum),
 # recorded once the per-mode integrals were evaluated in closed form; any change
 # is a defect
@@ -378,7 +394,7 @@ class TestDensityQuadratureSizing:
         weights = ((n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp),
                     n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)),
                    (-sigma * n2 * th_t * th_x / (2.0 * wp), -sigma * n2 * s_t * s_x / (2.0 * wp)))
-        a, b = u.walls(t)
+        a, b = u.cavity.walls(scheme, t)
         panels = stress._panels(n)
         phase = abs(s_t * t) + abs(s_x) * max(abs(a), abs(b))  # the terms summed into s
         eps = 2.0**-53  # unit roundoff
