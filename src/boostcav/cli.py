@@ -146,7 +146,11 @@ def _parse_grid(text: str) -> list[float]:
                              f"budget of {ROW_BUDGET}")
         if intervals < 0:  # -inf when the span overflows downward
             raise UsageError(f"grid spec {text!r} produces no points")
-        return [float(_fmt(start + i * step)) for i in range(math.floor(intervals) + 1)]
+        raw = [start + i * step for i in range(math.floor(intervals) + 1)]
+        points = [float(_fmt(x)) for x in raw]
+        if max(map(abs, points)) >= 1.0 > max(map(abs, raw)):
+            raise UsageError(f"grid spec {text!r} rounds a point to |v| = 1 at 12 significant digits")
+        return points
     try:
         return [float(text)]
     except ValueError as exc:

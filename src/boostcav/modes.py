@@ -96,7 +96,7 @@ def affine_jet(norm, coeffs, t, x):
 
 @_validated
 class SpacetimeMode(NamedTuple):
-    """One normalized 1D cavity mode; evaluation plus closed-form derivatives."""
+    """One normalized 1D cavity mode: its frequencies, normalization and coefficients."""
 
     scheme: Scheme
     cavity: Cavity1D
@@ -146,29 +146,18 @@ class SpacetimeMode(NamedTuple):
         return k, coeffs[3], coeffs  # s_x = gamma k
 
     # -- geometry ----------------------------------------------------------
-    def contains(self, t: float, x: float) -> bool:
+    def _require_inside(self, t: float, x: float) -> None:
         left, right = self.cavity.walls(self.scheme, t)
         slack = _WALL_SLACK * (right - left)
-        return left - slack <= x <= right + slack
-
-    def _require_inside(self, t: float, x: float) -> None:
-        if not self.contains(t, x):
-            left, right = self.cavity.walls(self.scheme, t)
+        if not left - slack <= x <= right + slack:
             raise OutsideCavityError(
                 f"x outside instantaneous cavity [{left:.6g}, {right:.6g}] at t={t:.6g}"
             )
 
     # -- evaluation ---------------------------------------------------------
-    def value(self, t: float, x: float, *, check: bool = True) -> complex:
-        if check:
-            self._require_inside(t, x)
+    def value(self, t: float, x: float) -> complex:
+        self._require_inside(t, x)
         return affine_value(self.normalization, self._coeffs, t, x)
-
-    def d_dt(self, t: float, x: float) -> complex:
-        return affine_jet(self.normalization, self._coeffs, t, x)[1]
-
-    def d_dx(self, t: float, x: float) -> complex:
-        return affine_jet(self.normalization, self._coeffs, t, x)[2]
 
 
 @_validated
@@ -206,37 +195,22 @@ class SpacetimeMode2D(NamedTuple):
         """(th_t, th_x, s_t, s_x) of the x profile; the mode is the profile times sin(p y)."""
         return lorentz_coefficients(self.frequency, self.wavenumber_x, self.cavity.velocity)
 
-    def contains(self, t: float, x: float, y: float) -> bool:
+    def value(self, t: float, x: float, y: float) -> complex:
         left, right = self.cavity.walls_x(t)
         b = self.cavity.proper_length_y
         sx = _WALL_SLACK * (right - left)
         sy = _WALL_SLACK * b
-        return left - sx <= x <= right + sx and -sy <= y <= b + sy
-
-    def value(self, t: float, x: float, y: float, *, check: bool = True) -> complex:
-        if check and not self.contains(t, x, y):
+        if not (left - sx <= x <= right + sx and -sy <= y <= b + sy):
             raise OutsideCavityError("(x, y) outside the instantaneous cavity")
-        return affine_value(self.normalization, self._coeffs, t, x) * self._sin_py(y)
-
-    def _sin_py(self, y: float) -> float:
-        return math.sin(self.wavenumber_y * y)
-
-    def d_dt(self, t: float, x: float, y: float) -> complex:
-        return affine_jet(self.normalization, self._coeffs, t, x)[1] * self._sin_py(y)
-
-    def d_dx(self, t: float, x: float, y: float) -> complex:
-        return affine_jet(self.normalization, self._coeffs, t, x)[2] * self._sin_py(y)
-
-    def d_dy(self, t: float, x: float, y: float) -> complex:
-        p = self.wavenumber_y
-        return affine_value(self.normalization, self._coeffs, t, x) * p * math.cos(p * y)
+        profile = affine_value(self.normalization, self._coeffs, t, x)
+        return profile * math.sin(self.wavenumber_y * y)
 
 
 def boundary_residual(scheme: Scheme, cavity: Cavity1D, n: int, t: float) -> tuple[complex, complex]:
     """Mode values at the two instantaneous walls; zero for Dirichlet walls."""
     u = SpacetimeMode(scheme, cavity, n)
     left, right = cavity.walls(scheme, t)
-    return u.value(t, left, check=False), u.value(t, right, check=False)
+    return u.value(t, left), u.value(t, right)
 
 
 def _plane_waves(u: SpacetimeMode):

@@ -19,22 +19,25 @@ Closed form. Every mode is u = N e^{i th} sin s with th and s affine in
     Re(u_t conj(u_x)) = N^2 (th_t th_x sin^2 s + s_t s_x cos^2 s)
 
 and over a cavity of lab length l, int sin^2 s dx = int cos^2 s dx = l/2
-exactly (n half-periods of s). Hence, with sigma the canonical T01 sign, +1,
-and p the transverse wavenumber of a rectangle mode (0 in 1D):
+exactly (n half-periods of s). The mode has unit norm, N^2 l / 2 = 1, so
+N^2 l = 2 in every scheme (lorentz 2 gamma/L * L/gamma, both galileo
+schemes 2/L * L) and for a rectangle mode's x profile (2 gamma/a * a/gamma).
+Hence, with sigma the canonical T01 sign, +1, and p the transverse
+wavenumber of a rectangle mode (0 in 1D):
 
-    e = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2 + p^2) / (8 w')
-    p = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
+    e = (th_t^2 + th_x^2 + s_t^2 + s_x^2 + p^2) / (4 w')
+    p = -sigma (th_t th_x + s_t s_x) / (2 w')
 
 per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
-Phys. 11 (1970) 2679, for the modes). N, the coefficients and w' come from
-the mode's record: a SpacetimeMode in 1D; for a rectangle mode, its
-SpacetimeMode2D, with the 1D normalization sqrt(2 gamma/a) of the x
-side. Two quadratures by the one Gauss-Legendre rule are the closed
-form's oracles: coefficient_fits, the route every 1D request takes,
-integrates the real densities of the first mode, one quadrature per
-velocity, and verify compares the same quadrature with the closed form at
-other modes and slices; _jet_quadrature integrates the densities of the
-complex jet (u, u_t, u_x), evaluated one abscissa at a time, for the tests.
+Phys. 11 (1970) 2679, for the modes) from the coefficients and w' alone,
+read off the mode's record: a SpacetimeMode in 1D; for a rectangle mode,
+its SpacetimeMode2D. Two quadratures by the one Gauss-Legendre rule are the
+closed form's oracles, and they keep N and the walls, so a wrong N shows:
+coefficient_fits, the route every 1D request takes, integrates the real
+densities of the first mode, one quadrature per velocity, and verify
+compares the same quadrature with the closed form at other modes and
+slices; _jet_quadrature integrates the densities of the complex jet
+(u, u_t, u_x), evaluated one abscissa at a time, for the tests.
 
 Faults. verify proves its checks have teeth by running them under a wrong
 stress tensor: inside `with _injected_fault(sign, rule)` every per-mode term,
@@ -100,9 +103,9 @@ def _prefactor_frequency(comoving, lab_phase):
 
 
 def _mode_terms(u: SpacetimeMode):
-    """N, (th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 1D mode u."""
+    """(th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 1D mode u."""
     comoving, lab_phase, coeffs = u._row()
-    return u.normalization, coeffs, _prefactor_frequency(comoving, lab_phase)
+    return coeffs, _prefactor_frequency(comoving, lab_phase)
 
 
 def _mode_2d(cavity: Cavity2D, n: int, m: int) -> SpacetimeMode2D:
@@ -117,29 +120,28 @@ def _mode_2d(cavity: Cavity2D, n: int, m: int) -> SpacetimeMode2D:
 
 
 def _profile_terms(cavity: Cavity2D, n: int, m: int):
-    """N, (th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
+    """(th_t, th_x, s_t, s_x), w' and p^2 of rectangle mode (n, m)'s x profile.
 
-    The profile is the contracted 1D mode with the frequency w in its phase;
-    it carries the 1D normalization sqrt(2 gamma/a) of the lorentz mode of
-    the x side (per_mode_em_2d says why).
+    The profile is the contracted 1D mode with the frequency w in its phase
+    (per_mode_em_2d says why its integrals are the 1D ones).
     """
     u = _mode_2d(cavity, n, m)
     w, g = u.frequency, lorentz_factor(cavity.velocity)
-    return (math.sqrt(2.0 * g / cavity.proper_length_x), u._coeffs,
-            _prefactor_frequency(w, g * w), u.wavenumber_y ** 2)
+    return u._coeffs, _prefactor_frequency(w, g * w), u.wavenumber_y ** 2
 
 
-def _closed_form(norm, coeffs, wp, p2, length, velocity) -> PerModeEM:
-    """The module docstring's e and p of the mode N exp(i th) sin s over a cavity of lab length l.
+def _closed_form(coeffs, wp, p2, velocity) -> PerModeEM:
+    """The module docstring's e and p of a unit-normalized mode exp(i th) sin s, N^2 l = 2.
 
-    quad_error is the stated rounding bound 8 eps gamma^2 e: e >= |p| and
-    neither sum cancels, so a few eps of rounding per operation remain,
+    Each coefficient is divided by w' before it is squared, and 1/4 and 1/2
+    are applied before the last product, so a sum overflows only where e
+    does. quad_error is the stated rounding bound 8 eps gamma^2 e: e >= |p|
+    and neither sum cancels, so a few eps of rounding per operation remain,
     amplified only by the 1 - v^2 inside gamma (and inside galileo-lab's w').
     """
-    th_t, th_x, s_t, s_x = coeffs
-    n2l = norm * norm * length
-    e = n2l * (th_t * th_t + th_x * th_x + s_t * s_t + s_x * s_x + p2) / (8.0 * wp)
-    p = -_FAULT.get()[0] * n2l * (th_t * th_x + s_t * s_x) / (4.0 * wp)
+    r0, r1, r2, r3 = (c / wp for c in coeffs)
+    e = 0.25 * wp * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + p2 / wp / wp)
+    p = -_FAULT.get()[0] * 0.5 * wp * (r0 * r1 + r2 * r3)
     bound = 8.0 * sys.float_info.epsilon * e / (1.0 - velocity * velocity)
     return PerModeEM(energy=e, momentum=p, quad_error=bound)
 
@@ -205,10 +207,11 @@ def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int,
     densities' integral to rounding.
     """
     u = SpacetimeMode(scheme, cavity, n)
-    norm, (th_t, th_x, s_t, s_x), wp = _mode_terms(u)
+    (th_t, th_x, s_t, s_x), wp = _mode_terms(u)
     left, right = cavity.walls(scheme, t)
     # the sin^2 s and cos^2 s weights of each density
-    n2, sigma = norm * norm, _FAULT.get()[0]
+    norm, sigma = u.normalization, _FAULT.get()[0]
+    n2 = norm * norm
     e_sin = n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp)
     e_cos = n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)
     p_sin = -sigma * n2 * th_t * th_x / (2.0 * wp)
@@ -232,14 +235,14 @@ def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
 
     Returns the contributions
 
-        e_n = int (|u_t|^2 + |u_x|^2) / (4 w') dx = N^2 l (th_t^2 + th_x^2 + s_t^2 + s_x^2) / (8 w')
-        p_n = -int Re(u_t conj(u_x)) / (2 w') dx  = -sigma N^2 l (th_t th_x + s_t s_x) / (4 w')
+        e_n = int (|u_t|^2 + |u_x|^2) / (4 w') dx = (th_t^2 + th_x^2 + s_t^2 + s_x^2) / (4 w')
+        p_n = -int Re(u_t conj(u_x)) / (2 w') dx  = -sigma (th_t th_x + s_t s_x) / (2 w')
 
-    with l the lab length; both are time independent. quad_error is the
-    closed form's stated rounding bound.
+    by the unit norm, N^2 l = 2 with l the lab length; both are time
+    independent. quad_error is the closed form's stated rounding bound.
     """
-    norm, coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
-    em = _closed_form(norm, coeffs, wp, 0.0, cavity.lab_length(scheme), cavity.velocity)
+    coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
+    em = _closed_form(coeffs, wp, 0.0, cavity.velocity)
     return _finite(em, cavity, n)
 
 
@@ -249,14 +252,14 @@ def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
     The mode is its x profile f (the contracted 1D mode with the frequency w
     in its phase) times sin(p y). sin^2(p y) and cos^2(p y) both integrate
     to b/2 over [0, b], which cancels the 2/b in the square of the 2D
-    normalization; so f carries the 1D normalization sqrt(2 gamma/a), and
-    the x integrals are the 1D closed form with p^2 |f|^2 added to T00:
+    normalization; so f has unit norm over the lab length a/gamma, and the
+    x integrals are the 1D closed form with p^2 |f|^2 added to T00:
 
         e_nm = int (|f_t|^2 + |f_x|^2 + p^2 |f|^2) / (4 w') dx
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
-    norm, coeffs, wp, p2 = _profile_terms(cavity, n, m)
-    em = _closed_form(norm, coeffs, wp, p2, cavity.lab_length_x(), cavity.velocity)
+    coeffs, wp, p2 = _profile_terms(cavity, n, m)
+    em = _closed_form(coeffs, wp, p2, cavity.velocity)
     return _finite(em, cavity, (n, m))
 
 

@@ -473,6 +473,25 @@ class TestGridSpec:
         assert code == 2 and not out
         assert "usage error: grid spec '1e308:-1e308:1' produces no points\n" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        (("sweep", "--scheme", "lorentz"), "--v"),
+        (("rect2d", "--a", "1", "--b", "1"), "--shell-grid"),
+    ])
+    @pytest.mark.parametrize("spec", ["0.9999999999999:0.9999999999999:0.1",
+                                      "-0.9999999999999:-0.9999999999999:1"])
+    def test_point_rounded_to_light_speed_names_the_spec(self, capsys, command, flag, spec):
+        # grid points keep 12 significant digits, so 0.9999999999999 becomes 1.0, a
+        # velocity the spec never reaches
+        code, out, err = run(capsys, *command, f"{flag}={spec}")
+        assert code == 2 and not out
+        assert (f"usage error: grid spec {spec!r} rounds a point to |v| = 1 at 12 "
+                f"significant digits\n") in err
+
+    def test_grid_reaching_light_speed_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "sweep", "--scheme", "lorentz", "--v=0.5:1.5:0.5")
+        assert code == 2 and not out
+        assert "velocity must satisfy |v| < 1, got 1.0" in err
+
     def test_at_the_budget_runs(self, capsys):
         spec = "-0.4999:0.5:0.0001"
         code, out, _ = run(capsys, "sweep", "--scheme", "lorentz", f"--v={spec}")

@@ -211,3 +211,29 @@ def test_no_exported_function_fills_a_none_keyword(name):
              if isinstance(node, ast.FunctionDef) and node.name in exported
              for param in _none_filled(node)}
     assert found == {entry for entry in NONE_FILLED_ALLOWED if entry[0] == name}
+
+
+def _bool_switches(func: ast.FunctionDef) -> list[str]:
+    """Parameters annotated `bool` that have a default."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a in defaulted if getattr(a.annotation, "id", None) == "bool"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_callable_takes_a_boolean_switch(name):
+    # A defaulted bool parameter runs two functions under one name; the caller that
+    # needs the other behaviour should call what it needs.
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    exported = set(getattr(module, "__all__", ()))
+    found = [f"{node.name}({param})" for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in exported
+             for param in _bool_switches(node)]
+    found += [f"{node.name}.{method.name}({param})" for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name in exported
+              for method in node.body if isinstance(method, ast.FunctionDef)
+              for param in _bool_switches(method)]
+    assert found == []

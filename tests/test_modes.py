@@ -115,7 +115,7 @@ class TestEvalMode:
         u = modes.SpacetimeMode(scheme, cav, n)
         left, right = cav.walls(scheme, t)
         norm = gauss_legendre(
-            lambda xs: [abs(u.value(t, x, check=False)) ** 2 for x in xs],
+            lambda xs: [abs(u.value(t, x)) ** 2 for x in xs],
             left, right, panels=n,
         )
         assert abs(norm - 1.0) < 1e-12
@@ -176,17 +176,24 @@ class TestBoundaryAndFieldEquation:
     def test_closed_form_derivatives_match_finite_differences(self, scheme):
         cav = Cavity1D(1.0, scheme_velocity(scheme))
         u = modes.SpacetimeMode(scheme, cav, 2)
+        norm, coeffs = u.normalization, u._coeffs
         t, x = 0.3, cav.velocity * 0.3 + 0.3
         h = 1e-5 * cav.proper_length
-        fd_t = (u.value(t + h, x, check=False) - u.value(t - h, x, check=False)) / (2 * h)
-        fd_x = (u.value(t, x + h, check=False) - u.value(t, x - h, check=False)) / (2 * h)
+
+        def f(t, x):
+            return modes.affine_value(norm, coeffs, t, x)
+
+        fd_t = (f(t + h, x) - f(t - h, x)) / (2 * h)
+        fd_x = (f(t, x + h) - f(t, x - h)) / (2 * h)
+        _, u_t, u_x = modes.affine_jet(norm, coeffs, t, x)
         # central differences carry O(h^2 |u'''|) truncation error
-        assert abs(fd_t - complex(u.d_dt(t, x))) < 1e-6 * abs(u.d_dt(t, x))
-        assert abs(fd_x - complex(u.d_dx(t, x))) < 1e-6 * abs(u.d_dx(t, x))
+        assert abs(fd_t - u_t) < 1e-6 * abs(u_t)
+        assert abs(fd_x - u_x) < 1e-6 * abs(u_x)
 
 
-# float.hex (real, imag) of SpacetimeMode2D(Cavity2D(a, b, v), n, m).value, d_dt, d_dx
-# and d_dy at (t, x, y), recorded while the 2D mode still wrote its own derivatives.
+# float.hex (real, imag) of SpacetimeMode2D(Cavity2D(a, b, v), n, m).value and its d/dt,
+# d/dx and d/dy at (t, x, y), recorded while the 2D mode still wrote its own derivatives;
+# _jet_2d forms the derivatives from affine_jet and affine_value, bit for bit.
 MODE_2D_HEX = {
     (1.0, 1.0, 0.0, 1, 1, 0.0, 0.3, 0.4): (
         ("0x1.89f188bdcd7afp+0", "0x0.0p+0"),
@@ -215,6 +222,15 @@ MODE_2D_HEX = {
 }
 
 
+def _jet_2d(u, t, x, y):
+    """(value, d/dt, d/dx, d/dy) of the rectangle mode u: its x profile's jet times sin(p y)."""
+    norm, coeffs, p = u.normalization, u._coeffs, u.wavenumber_y
+    _, u_t, u_x = modes.affine_jet(norm, coeffs, t, x)
+    sin_py = math.sin(p * y)
+    return (u.value(t, x, y), u_t * sin_py, u_x * sin_py,
+            modes.affine_value(norm, coeffs, t, x) * p * math.cos(p * y))
+
+
 class TestModes2D:
     def test_frequency_examples(self):
         assert abs(modes.SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 1).frequency
@@ -234,9 +250,9 @@ class TestModes2D:
         t = 0.7
         left = cav.velocity * t
         u = modes.SpacetimeMode2D(cav, 2, 3)
-        assert abs(u.value(t, left, 0.4, check=False)) < 1e-12
-        assert abs(u.value(t, left + 0.3, 0.0, check=False)) < 1e-12
-        assert abs(u.value(t, left + cav.lab_length_x(), 0.4, check=False)) < 1e-12
+        assert abs(u.value(t, left, 0.4)) < 1e-12
+        assert abs(u.value(t, left + 0.3, 0.0)) < 1e-12
+        assert abs(u.value(t, left + cav.lab_length_x(), 0.4)) < 1e-12
 
     def test_unit_norm_2d(self):
         # oracle: nested quadrature of |u|^2 over the instantaneous rectangle;
@@ -249,7 +265,7 @@ class TestModes2D:
 
         def over_y(xs):
             return list(gauss_legendre(
-                lambda ys: tuple([abs(u.value(t, x, y, check=False)) ** 2 for y in ys] for x in xs),
+                lambda ys: tuple([abs(u.value(t, x, y)) ** 2 for y in ys] for x in xs),
                 0.0, cav.proper_length_y, panels=3,
             ))
 
@@ -260,7 +276,7 @@ class TestModes2D:
     def test_bits_unchanged(self, point):
         a, b, v, n, m, t, x, y = point
         u = modes.SpacetimeMode2D(Cavity2D(a, b, v), n, m)
-        got = [complex(f(t, x, y)) for f in (u.value, u.d_dt, u.d_dx, u.d_dy)]
+        got = [complex(z) for z in _jet_2d(u, t, x, y)]
         assert [(z.real.hex(), z.imag.hex()) for z in got] == list(MODE_2D_HEX[point])
 
     @pytest.mark.parametrize("a,b,v,n,m", [
@@ -273,13 +289,18 @@ class TestModes2D:
         left, right = cav.walls_x(t)
         x, y = left + 0.37 * (right - left), 0.61 * b
         h = 1e-5 * min(cav.lab_length_x(), b)
+        p = u.wavenumber_y
+
+        def f(t, x, y):
+            return modes.affine_value(u.normalization, u._coeffs, t, x) * math.sin(p * y)
+
         fd = (
-            (u.value(t + h, x, y, check=False) - u.value(t - h, x, y, check=False)) / (2 * h),
-            (u.value(t, x + h, y) - u.value(t, x - h, y)) / (2 * h),
-            (u.value(t, x, y + h) - u.value(t, x, y - h)) / (2 * h),
+            (f(t + h, x, y) - f(t - h, x, y)) / (2 * h),
+            (f(t, x + h, y) - f(t, x - h, y)) / (2 * h),
+            (f(t, x, y + h) - f(t, x, y - h)) / (2 * h),
         )
         # central differences carry O(h^2 |u'''|) truncation error
-        for approx, exact in zip(fd, (u.d_dt(t, x, y), u.d_dx(t, x, y), u.d_dy(t, x, y))):
+        for approx, exact in zip(fd, _jet_2d(u, t, x, y)[1:]):
             assert abs(approx - complex(exact)) < 1e-6 * abs(exact)
 
     @staticmethod

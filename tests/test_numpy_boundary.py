@@ -57,6 +57,9 @@ def test_modules_importing_quadrature():
     assert _modules_importing(lambda name: name == "boostcav.quadrature") == QUADRATURE_MODULES
 
 
+MODE_1D = "SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 3)"
+MODE_2D = "SpacetimeMode2D(Cavity2D(1.1, 2.3, -0.5), 2, 3)"
+
 # each line prints the repr of one scalar call's result
 SCALAR_CALLS = (
     "nonrel_fit(Scheme.LORENTZ_EXACT, 0.2, degree=6)",
@@ -73,15 +76,16 @@ SCALAR_CALLS = (
       for scheme in ("GALILEO_LAB_PRIOR", "LORENTZ_EXACT")
       for name in ("base_frequency", "comoving_frequency", "lab_phase_frequency",
                    "normalization")),
-    *(f"SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 3).{name}(0.4, 0.5)"
-      for name in ("value", "d_dt", "d_dx")),
-    *(f"SpacetimeMode2D(Cavity2D(1.1, 2.3, -0.5), 2, 3).{name}(0.4, -0.1, 0.7)"
-      for name in ("value", "d_dt", "d_dx", "d_dy")),
+    f"{MODE_1D}.value(0.4, 0.5)",
+    f"modes.affine_jet({MODE_1D}.normalization, {MODE_1D}._coeffs, 0.4, 0.5)",
+    f"{MODE_2D}.value(0.4, -0.1, 0.7)",
+    f"modes.affine_jet({MODE_2D}.normalization, {MODE_2D}._coeffs, 0.4, -0.1)",
     "kg_residual(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4, 0.6)",
     "boundary_residual(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.3, 0.2), 3, 0.4)",
     *(f"{call}(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.6), 4, 0.37)"
       for call in ("gram_matrix", "spatial_overlap_matrix", "modes._gram_bound")),
-    "stress._jet_quadrature(*stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3),"
+    "stress._jet_quadrature(SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.1, -0.5), 2)"
+    ".normalization, *stress._profile_terms(Cavity2D(1.1, 2.3, -0.5), 2, 3),"
     " Cavity2D(1.1, 2.3, -0.5).walls_x(0.4), 0.4, 2)",
 )
 

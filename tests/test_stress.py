@@ -69,7 +69,34 @@ class TestPerMode1D:
 
     def test_largest_finite_energies_still_answer(self):
         pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.999), 3)
-        assert (pm.energy, pm.momentum) == (4.710033964581147e+153, 4.710031607207971e+153)
+        assert (pm.energy, pm.momentum) == (4.710033964581148e+153, 4.710031607207972e+153)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(ALL_SCHEMES), log_length=st.floats(-3.0, 3.0),
+           n=st.integers(1, 60))
+    def test_static_limit_is_exact(self, scheme, log_length, n):
+        # at v = 0 every scheme's coefficients are (-k, 0, 0, k) and w' = k, so the
+        # unit norm leaves e = k/2 with no rounding
+        cav = Cavity1D(10.0**log_length, 0.0)
+        pm = per_mode_em(scheme, cav, n)
+        assert (pm.energy, pm.momentum) == (SpacetimeMode(scheme, cav, n).base_frequency / 2, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_length=st.floats(math.log10(2.4e-154), 3.0), log_gap=st.floats(-16.0, 0.0),
+           sign=st.sampled_from((-1.0, 1.0)),
+           n=st.one_of(st.integers(1, 1000), st.integers(1, 10**152)))
+    def test_refuses_only_what_float64_cannot_hold(self, log_length, log_gap, sign, n):
+        # 1 - |v| from 1e-16 to 1: gamma^2 up to 4.5e15 and k = n pi/L up to 1e306 overflow
+        # no intermediate sum; only an energy past float64 is refused
+        length, v = 10.0**log_length, sign * (1.0 - 10.0**log_gap)
+        e, p = _exact_1d(Scheme.LORENTZ_EXACT, length, v, n, FAULTS["scheme"])
+        if e <= 1e308:
+            pm = per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(length, v), n)
+            assert abs(pm.energy - e) <= pm.quad_error
+            assert abs(pm.momentum - p) <= pm.quad_error
+        elif e >= 1.8e308:
+            with pytest.raises(ValueError, match="energy .* or momentum .* is not finite"):
+                per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(length, v), n)
 
 
 class TestCoefficients:
@@ -166,7 +193,8 @@ class TestPerMode2D:
         pm = per_mode_em_2d(cav, 1, 1)
         assert abs(pm.energy - e_law) < 1e-11
         assert abs(pm.momentum - p_law) < 1e-11
-        norm, coeffs, wp, p2 = stress._profile_terms(cav, 1, 1)
+        norm = SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1).normalization
+        coeffs, wp, p2 = stress._profile_terms(cav, 1, 1)
         e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1)
         assert abs(e - e_law) < 1e-11
         assert abs(p - p_law) < 1e-11
@@ -216,8 +244,10 @@ class TestPerMode2D:
     def test_smallest_side_a_left_keeps_the_law(self):
         cav = Cavity2D(1e-153, 1.0, 0.5)
         pm = per_mode_em_2d(cav, 1, 1)
-        assert (pm.energy, pm.momentum) == per_mode_em_2d_law(cav, 1, 1) == (
-            2.6179938779914943e+153, 2.0943951023931952e+153)
+        e_law, p_law = per_mode_em_2d_law(cav, 1, 1)
+        assert (e_law, p_law) == (2.6179938779914943e+153, 2.0943951023931952e+153)
+        assert abs(pm.energy - e_law) <= pm.quad_error
+        assert abs(pm.momentum - p_law) <= pm.quad_error
 
     def test_wide_cavity_recovers_1d_ratios(self):
         # p_1 -> 0 proxy: per-mode ratios approach the 1D boosted laws
@@ -230,37 +260,57 @@ class TestPerMode2D:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.9999999), 3),
-    lambda: per_mode_em_2d(Cavity2D(2.87e-154, 1.0, 0.0), 1, 1),
+    lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.9999999), 10**152),
     lambda: per_mode_em_2d_law(Cavity2D(2.87e-154, 1.0, 0.0), 1, 1),
     lambda: per_mode_em_2d_law(Cavity2D(1e-150, 1.0, 0.9999999), 1, 1),
-], ids=["1d-gamma2", "2d-k2", "law-k2", "law-gamma2"])
+], ids=["1d-n", "law-k2", "law-gamma2"])
 def test_per_mode_energy_or_momentum_past_float64_is_refused(call):
-    # gamma^2 or k^2 overflows the closed form's sums, which would read inf or nan
+    # the 1D energy is past float64 (about 1.6e309); the law's sums overflow on
+    # gamma^2 or k^2, which would read inf or nan
     with pytest.raises(ValueError, match="energy .* or momentum .* is not finite in float64"):
         call()
 
 
+@pytest.mark.parametrize("call, law", [
+    (lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.9999999), 3),
+     lambda: _exact_1d(Scheme.LORENTZ_EXACT, 1e-150, 0.9999999, 3, FAULTS["scheme"])),
+    (lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-150, 0.9999999), 10**151),
+     lambda: _exact_1d(Scheme.LORENTZ_EXACT, 1e-150, 0.9999999, 10**151, FAULTS["scheme"])),
+    (lambda: per_mode_em(Scheme.LORENTZ_EXACT, Cavity1D(1e-146, 1 - 2**-53), 1),
+     lambda: _exact_1d(Scheme.LORENTZ_EXACT, 1e-146, 1 - 2**-53, 1, FAULTS["scheme"])),
+    (lambda: per_mode_em_2d(Cavity2D(2.87e-154, 1.0, 0.0), 1, 1),
+     lambda: _exact_2d(2.87e-154, 1.0, 0.0, 1, 1, FAULTS["scheme"])),
+], ids=["1d-gamma2", "1d-n", "1d-light-speed", "2d-k2"])
+def test_per_mode_energy_within_float64_answers(call, law):
+    # gamma^2 or k^2 alone past float64, with e and p representable: the closed form
+    # divides each coefficient by w' before squaring, so it answers
+    pm = call()
+    e, p = law()
+    assert abs(pm.energy - e) <= pm.quad_error
+    assert abs(pm.momentum - p) <= pm.quad_error
+
+
 # float.hex of per_mode_em(scheme, Cavity1D(1.3, v), n) (energy, momentum),
-# recorded once the per-mode integrals were evaluated in closed form; any change
-# is a defect
+# re-recorded when the closed form came to read the mode's coefficients alone
+# (N^2 l = 2); any change is a defect. Each comment gives the energy's and the
+# momentum's distance from the 40-digit law (_exact_1d) in units of 2^-53 e.
 PER_MODE_HEX = {
-    ("galileo-lab", -0.3, 1): ("0x1.7282ec43a7d11p+0", "-0x1.97e708ce018f4p-1"),
-    ("galileo-lab", -0.3, 6): ("0x1.15e23132bddcep+3", "-0x1.31ed469a812b8p+2"),
-    ("galileo-lab", 0.3, 1): ("0x1.7282ec43a7d11p+0", "0x1.97e708ce018f4p-1"),
-    ("galileo-lab", 0.3, 6): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),
-    ("galileo-comoving", -0.3, 1): ("0x1.433ee75f3d969p+0", "-0x1.7330f617a023bp-2"),
-    ("galileo-comoving", -0.3, 6): ("0x1.e4de5b0edc61ep+2", "-0x1.1664b891b81adp+1"),
-    ("galileo-comoving", 0.3, 1): ("0x1.433ee75f3d969p+0", "0x1.7330f617a023bp-2"),
-    ("galileo-comoving", 0.3, 6): ("0x1.e4de5b0edc61ep+2", "0x1.1664b891b81adp+1"),
-    ("lorentz", -0.7, 1): ("0x1.c3dbcf8c071fdp+1", "-0x1.a890ae64a4c2ep+1"),
-    ("lorentz", -0.7, 6): ("0x1.52e4dba90557ep+4", "-0x1.3e6c82cb7b922p+4"),
-    ("lorentz", 0.3, 1): ("0x1.7282ec43a7d14p+0", "0x1.97e708ce018f7p-1"),
-    ("lorentz", 0.3, 6): ("0x1.15e23132bddd0p+3", "0x1.31ed469a812b9p+2"),
+    ("galileo-lab", -0.3, 1): ("0x1.7282ec43a7d13p+0", "-0x1.97e708ce018f7p-1"),  # 1.53, 0.27
+    ("galileo-lab", -0.3, 6): ("0x1.15e23132bddd0p+3", "-0x1.31ed469a812bap+2"),  # 1.69, 0.42
+    ("galileo-lab", 0.3, 1): ("0x1.7282ec43a7d13p+0", "0x1.97e708ce018f7p-1"),  # 1.53, 0.27
+    ("galileo-lab", 0.3, 6): ("0x1.15e23132bddd0p+3", "0x1.31ed469a812bap+2"),  # 1.69, 0.42
+    ("galileo-comoving", -0.3, 1): ("0x1.433ee75f3d96ap+0", "-0x1.7330f617a023dp-2"),  # 1.48, 0.13
+    ("galileo-comoving", -0.3, 6): ("0x1.e4de5b0edc620p+2", "-0x1.1664b891b81aep+1"),  # 0.42, 0.00
+    ("galileo-comoving", 0.3, 1): ("0x1.433ee75f3d96ap+0", "0x1.7330f617a023dp-2"),  # 1.48, 0.13
+    ("galileo-comoving", 0.3, 6): ("0x1.e4de5b0edc620p+2", "0x1.1664b891b81aep+1"),  # 0.42, 0.00
+    ("lorentz", -0.7, 1): ("0x1.c3dbcf8c071ffp+1", "-0x1.a890ae64a4c2fp+1"),  # 1.68, 1.57
+    ("lorentz", -0.7, 6): ("0x1.52e4dba90557fp+4", "-0x1.3e6c82cb7b922p+4"),  # 1.30, 0.32
+    ("lorentz", 0.3, 1): ("0x1.7282ec43a7d12p+0", "0x1.97e708ce018f4p-1"),  # 2.92, 2.34
+    ("lorentz", 0.3, 6): ("0x1.15e23132bddcep+3", "0x1.31ed469a812b8p+2"),  # 1.99, 1.42
     # here Python's v ** 2 (C pow) and numpy's array square v * v differ, and
     # so would these bits
-    ("lorentz", 0.6352, 3): ("0x1.10ea551b8ed10p+3", "0x1.ee13192f90326p+2"),
-    ("lorentz", -0.8329, 6): ("0x1.40bbdc7f4bdd3p+5", "-0x1.3b723edc0c6eep+5"),
+    ("lorentz", 0.6352, 3): ("0x1.10ea551b8ed11p+3", "0x1.ee13192f90327p+2"),  # 0.90, 0.57
+    ("lorentz", -0.8329, 6): ("0x1.40bbdc7f4bdd2p+5", "-0x1.3b723edc0c6eep+5"),  # 2.12, 2.48
 }
 
 
@@ -273,25 +323,26 @@ FAULTS = {
 }
 
 # float.hex of per_mode_em_2d(Cavity2D(a, b, v), n, m) (energy, momentum)
-# under each fault, recorded once the per-mode integrals were evaluated in
-# closed form; any change is a defect
+# under each fault, re-recorded when the closed form came to read the mode's
+# coefficients alone; any change is a defect. Each comment gives the distances
+# from the 40-digit law (_exact_2d) in units of 2^-53 e, as PER_MODE_HEX's do.
 PER_MODE_2D_HEX = {
-    ((1.0, 1.5, 0.3, 1, 2), "scheme"): ("0x1.7c2d2b2f9000cp+1", "0x1.2c7cf7fabe96bp+0"),
-    ((1.0, 1.5, 0.3, 1, 2), "lab-phase"): ("0x1.6aaa4b3011347p+1", "0x1.1ea5be412b415p+0"),
-    ((1.0, 1.5, 0.3, 1, 2), "doubled"): ("0x1.7c2d2b2f9000cp+0", "0x1.2c7cf7fabe96bp-1"),
-    ((1.0, 1.5, 0.3, 1, 2), "t01-flip"): ("0x1.7c2d2b2f9000cp+1", "-0x1.2c7cf7fabe96bp+0"),
-    ((0.7, 35.0, -0.6, 3, 1), "scheme"): ("0x1.c9c79b83ce42bp+3", "-0x1.93eb4739aae07p+3"),
-    ((0.7, 35.0, -0.6, 3, 1), "lab-phase"): ("0x1.6e3949363e9bcp+3", "-0x1.43229f6155805p+3"),
-    ((0.7, 35.0, -0.6, 3, 1), "doubled"): ("0x1.c9c79b83ce42bp+2", "-0x1.93eb4739aae07p+2"),
-    ((0.7, 35.0, -0.6, 3, 1), "t01-flip"): ("0x1.c9c79b83ce42bp+3", "0x1.93eb4739aae07p+3"),
-    ((1.0, 50.0, 0.6, 1, 1), "scheme"): ("0x1.ab4bfbfcd42eep+1", "0x1.78fdba6e70fc0p+1"),
-    ((1.0, 50.0, 0.6, 1, 1), "lab-phase"): ("0x1.55d66330a9bf2p+1", "0x1.2d97c8585a633p+1"),
-    ((1.0, 50.0, 0.6, 1, 1), "doubled"): ("0x1.ab4bfbfcd42eep+0", "0x1.78fdba6e70fc0p+0"),
-    ((1.0, 50.0, 0.6, 1, 1), "t01-flip"): ("0x1.ab4bfbfcd42eep+1", "-0x1.78fdba6e70fc0p+1"),
-    ((2.3, 0.4, -0.93, 5, 4), "scheme"): ("0x1.ee83ddf789cf3p+6", "-0x1.ce98f7fb84901p+6"),
-    ((2.3, 0.4, -0.93, 5, 4), "lab-phase"): ("0x1.6b8708316c842p+5", "-0x1.541072f4f0904p+5"),
-    ((2.3, 0.4, -0.93, 5, 4), "doubled"): ("0x1.ee83ddf789cf3p+5", "-0x1.ce98f7fb84901p+5"),
-    ((2.3, 0.4, -0.93, 5, 4), "t01-flip"): ("0x1.ee83ddf789cf3p+6", "0x1.ce98f7fb84901p+6"),
+    ((1.0, 1.5, 0.3, 1, 2), "scheme"): ("0x1.7c2d2b2f9000ep+1", "0x1.2c7cf7fabe96cp+0"),  # 1.99, 1.85
+    ((1.0, 1.5, 0.3, 1, 2), "lab-phase"): ("0x1.6aaa4b3011349p+1", "0x1.1ea5be412b416p+0"),  # 0.36, 0.85
+    ((1.0, 1.5, 0.3, 1, 2), "doubled"): ("0x1.7c2d2b2f9000ep+0", "0x1.2c7cf7fabe96cp-1"),  # 1.99, 1.85
+    ((1.0, 1.5, 0.3, 1, 2), "t01-flip"): ("0x1.7c2d2b2f9000ep+1", "-0x1.2c7cf7fabe96cp+0"),  # 1.99, 1.85
+    ((0.7, 35.0, -0.6, 3, 1), "scheme"): ("0x1.c9c79b83ce42dp+3", "-0x1.93eb4739aae07p+3"),  # 0.13, 0.34
+    ((0.7, 35.0, -0.6, 3, 1), "lab-phase"): ("0x1.6e3949363e9bdp+3", "-0x1.43229f6155805p+3"),  # 0.90, 0.66
+    ((0.7, 35.0, -0.6, 3, 1), "doubled"): ("0x1.c9c79b83ce42dp+2", "-0x1.93eb4739aae07p+2"),  # 0.13, 0.34
+    ((0.7, 35.0, -0.6, 3, 1), "t01-flip"): ("0x1.c9c79b83ce42dp+3", "0x1.93eb4739aae07p+3"),  # 0.13, 0.34
+    ((1.0, 50.0, 0.6, 1, 1), "scheme"): ("0x1.ab4bfbfcd42ecp+1", "0x1.78fdba6e70fbep+1"),  # 0.20, 1.43
+    ((1.0, 50.0, 0.6, 1, 1), "lab-phase"): ("0x1.55d66330a9befp+1", "0x1.2d97c8585a634p+1"),  # 1.89, 2.00
+    ((1.0, 50.0, 0.6, 1, 1), "doubled"): ("0x1.ab4bfbfcd42ecp+0", "0x1.78fdba6e70fbep+0"),  # 0.20, 1.43
+    ((1.0, 50.0, 0.6, 1, 1), "t01-flip"): ("0x1.ab4bfbfcd42ecp+1", "-0x1.78fdba6e70fbep+1"),  # 0.20, 1.43
+    ((2.3, 0.4, -0.93, 5, 4), "scheme"): ("0x1.ee83ddf789cf3p+6", "-0x1.ce98f7fb84901p+6"),  # 0.57, 0.63
+    ((2.3, 0.4, -0.93, 5, 4), "lab-phase"): ("0x1.6b8708316c842p+5", "-0x1.541072f4f0904p+5"),  # 0.27, 0.51
+    ((2.3, 0.4, -0.93, 5, 4), "doubled"): ("0x1.ee83ddf789cf3p+5", "-0x1.ce98f7fb84901p+5"),  # 0.57, 0.63
+    ((2.3, 0.4, -0.93, 5, 4), "t01-flip"): ("0x1.ee83ddf789cf3p+6", "0x1.ce98f7fb84901p+6"),  # 0.57, 0.63
 }
 
 
@@ -389,8 +440,8 @@ class TestDensityQuadratureSizing:
         with stress._injected_fault(sigma, prefactor):
             got = stress._density_quadrature(scheme, Cavity1D(length, v), n, t)
             # the densities' sin^2 s and cos^2 s weights, as _density_quadrature forms them
-            norm, (th_t, th_x, s_t, s_x), wp = stress._mode_terms(u)
-        n2 = norm * norm
+            (th_t, th_x, s_t, s_x), wp = stress._mode_terms(u)
+        n2 = u.normalization * u.normalization
         weights = ((n2 * (th_t * th_t + th_x * th_x) / (4.0 * wp),
                     n2 * (s_t * s_t + s_x * s_x) / (4.0 * wp)),
                    (-sigma * n2 * th_t * th_x / (2.0 * wp), -sigma * n2 * s_t * s_x / (2.0 * wp)))
@@ -485,8 +536,10 @@ class TestClosedForm:
         t = t_fraction * length
         with stress._injected_fault(*FAULTS[rule]):
             pm = per_mode_em(scheme, cav, n)
-            norm, coeffs, wp = stress._mode_terms(SpacetimeMode(scheme, cav, n))
-            e, p = stress._jet_quadrature(norm, coeffs, wp, 0.0, cav.walls(scheme, t), t, n)
+            u = SpacetimeMode(scheme, cav, n)
+            coeffs, wp = stress._mode_terms(u)
+            e, p = stress._jet_quadrature(u.normalization, coeffs, wp, 0.0, cav.walls(scheme, t),
+                                          t, n)
         # e >= |p|, so e scales both differences
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
@@ -507,7 +560,8 @@ class TestClosedForm:
         t = t_fraction * a
         with stress._injected_fault(*FAULTS[rule]):
             pm = per_mode_em_2d(cav, n, m)
-            norm, coeffs, wp, p2 = stress._profile_terms(cav, n, m)
+            norm = SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(a, v), n).normalization
+            coeffs, wp, p2 = stress._profile_terms(cav, n, m)
             e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n)
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
