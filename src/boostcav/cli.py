@@ -400,10 +400,12 @@ def _cmd_modes(args: argparse.Namespace) -> tuple:
     x_mid = 0.5 * (left + right)
     # past 2^52 pi the float64 spacing of a phase is about pi or more: no digit is left
     th_t, th_x, s_t, s_x = modes_mod.SpacetimeMode(scheme, cavity, args.n_max)._coeffs
-    worst = max(abs(th_t * t + th_x * x_mid), abs(s_t * t + s_x * x_mid))
-    if not worst * sys.float_info.epsilon <= math.pi:
-        raise UsageError(f"--t {t!r} leaves no correct digit in the phase of mode n = "
-                         f"{args.n_max} at x_mid: |phase| = {worst:.6g}, over 2^52 pi")
+    phases = abs(th_t * t + th_x * x_mid), abs(s_t * t + s_x * x_mid)
+    no_digit = f"--t {t!r} leaves no correct digit in the phase of mode n = {args.n_max} at x_mid"
+    if not all(map(math.isfinite, phases)):  # inf - inf is nan, which max() may drop
+        raise UsageError(f"{no_digit}: the phase is not finite in float64")
+    if not max(phases) * sys.float_info.epsilon <= math.pi:
+        raise UsageError(f"{no_digit}: |phase| = {max(phases):.6g}, over 2^52 pi")
     header = ["n", "omega_comoving", "omega_lab_phase", "normalization",
               "re_u_mid", "im_u_mid"]
     norm = modes_mod.SpacetimeMode(scheme, cavity, 1).normalization

@@ -10,7 +10,8 @@ velocity-dependent sums are never regularized directly. Everything here
 runs on `math`; nonrel_fit uses the divergence fit's float least squares.
 
 E/m0 and P/m0 depend on v alone and m0(L) = m0(1)/L, so the coefficients
-and every regularized m0 are computed on the unit cavity and L only scales.
+and the cutoff fit run on the unit cavity and L only scales them; zeta and
+Abel-Plana form m0 with pi/L, which may differ from m0(1)/L by rounding.
 """
 
 import enum
@@ -138,16 +139,14 @@ def boosted_em(
     cavity: Cavity1D,
     route: Route = Route.PER_MODE_NUMERIC,
     *,
-    m0: float | None = None,
+    m0: float,
 ) -> EnergyMomentum:
     """Lab-frame vacuum energy and momentum of the moving cavity.
 
     CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE_NUMERIC
     multiplies the quadrature-extracted coefficients by the regularized m0.
-    m0 is static_m0(L, config) of the caller's regulator; by default, the zeta m0.
+    m0 is static_m0(L, config) of the caller's regulator.
     """
-    if m0 is None:
-        m0 = static_m0(cavity.proper_length)
     [(c_e, c_p)] = _coefficients(scheme, (cavity.velocity,), route)
     return EnergyMomentum(energy=c_e * m0, momentum=c_p * m0, velocity=cavity.velocity, route=route)
 

@@ -120,16 +120,18 @@ def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
     return FourParts(U=half(1.0), W=half(-1.0), S_omega=s_omega, S_k=s_k)
 
 
-def _per_side(part: FinitePart, a: float) -> FinitePart:
-    """A part of the 1 x b/a rectangle as the a x b rectangle's.
+def _per_side(part: FinitePart, short: float) -> FinitePart:
+    """A part of the 1 x y rectangle, y = long/short, as the a x b rectangle's.
 
-    Value, error and fit residual scale by 1/a; the eps^-3 and eps^-2
-    coefficients by a^2 and a (S_a(eps) = S_1(eps/a)/a).
+    Value, error and fit residual scale by 1/short; a cutoff fit's eps^-3 and
+    eps^-2 coefficients by short^2 and short (S(eps) = S_1(eps/short)/short).
     """
-    area, perimeter = part.fitted_divergent_coeffs
-    return part._replace(value=part.value / a, error_estimate=part.error_estimate / a,
-                         fitted_divergent_coeffs=(area * a * a, perimeter * a),
-                         fit_residual=part.fit_residual / a)
+    coeffs = part.fitted_divergent_coeffs
+    if coeffs:
+        area, perimeter = coeffs
+        coeffs = area * short * short, perimeter * short
+    return part._replace(value=part.value / short, error_estimate=part.error_estimate / short,
+                         fitted_divergent_coeffs=coeffs, fit_residual=part.fit_residual / short)
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
@@ -174,8 +176,8 @@ def _row_integrals(z: float, a: float, b: float, h: float):
         i += 1
 
 
-def _poisson_rows(eps: float, x: float, y: float, reference: tuple[float, float] | None = None):
-    """The rows 2 Omega_j and 2 R_j of the x by y rectangle's damped sums, and a bound on each sum.
+def _poisson_rows(eps: float, y: float, reference: tuple[float, float] | None = None):
+    """The rows 2 Omega_j and 2 R_j of the 1 x y rectangle's damped sums, and a bound on each sum.
 
     Node step, node truncation and j truncation as _FourPartsSummand derives
     them. At eps > 0 the rows start with c^2 Omega_0 and R_0, which set the j
@@ -183,7 +185,7 @@ def _poisson_rows(eps: float, x: float, y: float, reference: tuple[float, float]
     truncation is measured against the reference pair.
     """
     eps_mach = sys.float_info.epsilon
-    c = math.pi / x
+    c = math.pi  # the rows' wavenumber step, pi over the unit side
     z = c * eps
     lam = math.cos(_STRIP)
     log_ratio = z + math.log(8.0 / (lam**3 * eps_mach))
@@ -201,7 +203,7 @@ def _poisson_rows(eps: float, x: float, y: float, reference: tuple[float, float]
         reference = abs(omega[0]), r[0]
     else:
         omega, r, omega_err, r_err = [], [], 0.0, 0.0
-    theta = 2.0 * math.pi * (y / x)
+    theta = 2.0 * math.pi * y
     j = 1
     while True:
         xi = 2.0 * j * y
@@ -227,23 +229,24 @@ def _poisson_rows(eps: float, x: float, y: float, reference: tuple[float, float]
 
 
 class _FourPartsSummand:
-    """The a x b rectangle's damped sums, in units of 1/a, in closed form, and their eps^0 terms.
+    """The 1 x y rectangle's damped sums, y = long/short, in closed form, and their eps^0 terms.
 
-    Every part of the a x b rectangle is g(b/a)/a, so finite_parts fits the
-    1 x b/a rectangle's spectrum, representable at any scale, and scales the
-    parts back. Its shorter side x = min(1, b/a) carries the rows, wavenumber
-    r = m c with c = pi/x, and its longer side y the columns, u = n s with
+    Every part of the a x b rectangle is g(y)/min(a, b), y = max(a, b)/min(a, b),
+    so both routes take their parts on the 1 x y rectangle, representable at
+    any scale, and finite_parts scales them back (_per_side). Its unit side carries the rows,
+    wavenumber r = m c with c = pi, and its side y the columns, u = n s with
     s = pi/y; w = sqrt(r^2 + u^2). The two weights are
 
         S_omega: w/2   S_k: k^2/(2w), k the wavenumber along a,
 
     and U = (S_omega + S_k)/2, W = (S_omega - S_k)/2 follow by linearity
-    (_four_parts). Each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2):
-    Weyl area and perimeter terms, no eps^-1 (the corner term is a constant).
+    (_four_parts). S_omega is blind to the orientation; S_k alone reads it
+    (_s_k). Each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2): Weyl area
+    and perimeter terms, no eps^-1 (the corner term is a constant).
 
     Each sum is taken whole: no cap on w, no term enumerated, the same work
     at every aspect ratio (Chowla & Selberg, PNAS 35 (1949) 371, whose closed
-    form is the eps^0 term, took the same step). Along the longer side, by
+    form is the eps^0 term, took the same step). Along the side y, by
     Poisson summation, sum_{n>=1} g(n s) = (1/2s) sum_{j in Z} g^(xi_j) - g(0)/2
     with xi_j = 2 pi j/s = 2 j y and rho_j = sqrt(eps^2 + xi_j^2). With
     K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt,
@@ -287,7 +290,7 @@ class _FourPartsSummand:
     stops at the first node whose terms are below eps/8 of the t = 0 ones
     with r <= 1/2, and adds r/(1 - r) times them.
 
-    j truncation: Z_j >= j Theta with Theta = 2 pi y/x >= 2 pi, rho_j >= xi_j,
+    j truncation: Z_j >= j Theta with Theta = 2 pi y >= 2 pi, rho_j >= xi_j,
     and by (ii) G_p(Y) <= G_p(Z) e^{-Z (cosh t - 1)}, so with K_0 <= K_1 and
     Hankel's K_1(Z) <= sqrt(pi/2Z) e^{-Z} (1 + 3/8Z) (DLMF 10.40.2, 10.40(ii))
 
@@ -311,11 +314,11 @@ class _FourPartsSummand:
     def __init__(self, a: float, b: float):
         _check_length(a, "side a")
         _check_length(b, "side b")
-        self.sides = a, b  # named in messages
-        self.aspect = b / a
-        # inside these b/a and pi a/b are float64; damped sums that overflow raise below.
-        # b/a itself may have under- or overflowed, so the message names the range
-        if not 1e-300 < self.aspect < 1e300:
+        self.sides = a, b  # named in messages; a <= b puts k along the rows
+        self.aspect = max(a, b) / min(a, b)
+        # inside this y and pi/y are float64; damped sums that overflow raise below.
+        # y itself may have overflowed, so the message names the range
+        if not self.aspect < 1e300:
             raise ValueError(f"rectangle a = {a:g}, b = {b:g}: aspect ratio b/a is outside "
                              "(1e-300, 1e300)")
         self.omega_min = math.hypot(math.pi, math.pi / self.aspect)
@@ -327,49 +330,44 @@ class _FourPartsSummand:
 
     def damped(self, eps: float) -> tuple[float, float, float, float]:
         """S_omega, S_k and the bound on the error of each, at one cutoff."""
+        y = self.aspect
+        z = math.pi * eps
+        g1, g2 = _geometric(z)
         try:
-            sums = self._closed_form(eps)
-            if all(map(math.isfinite, sums)):
-                return sums
+            if math.isfinite(y * math.pi * math.pi * g2):
+                omega, r, omega_err, r_err = _poisson_rows(eps, y)
+                edge = 0.25 * math.pi * g1  # the n = 0 terms
+                eps_mach = sys.float_info.epsilon
+                edge_err = eps_mach * (5.0 * z + 32.0) * edge
+                scale, sums = y / (4.0 * math.pi), []
+                for rows, rows_err in ((omega, omega_err), (r, r_err)):
+                    main = scale * math.fsum(rows)
+                    sums.append((main - edge, scale * rows_err + edge_err
+                                 + 6.0 * eps_mach * (abs(main) + edge)))
+                    scale *= math.pi * math.pi
+                (s_omega, omega_err), (s_k, k_err) = sums[0], self._s_k(*sums)
+                if all(map(math.isfinite, (s_omega, s_k, omega_err, k_err))):
+                    return s_omega, s_k, omega_err, k_err
         except OverflowError:
             pass
         a, b = self.sides
         raise ValueError(f"rectangle a = {a:g}, b = {b:g}: the damped sums at cutoff "
-                         f"eps = {eps:g} (in units of 1/a) are not finite in float64")
+                         f"eps = {eps:g} (in units of 1/min(a, b)) are not finite in float64")
 
-    def _closed_form(self, eps: float) -> tuple[float, float, float, float]:
-        x, y = min(1.0, self.aspect), max(1.0, self.aspect)
-        c = math.pi / x
-        z = c * eps
-        g1, g2 = _geometric(z)
-        if not math.isfinite(y * c * c * g2):
-            raise OverflowError
-        edge = 0.25 * c * g1  # the n = 0 terms
-        omega, r, omega_err, r_err = _poisson_rows(eps, x, y)
-
-        eps_mach = sys.float_info.epsilon
-        edge_err = eps_mach * (5.0 * z + 32.0) * edge
-        scale = y / (4.0 * math.pi)
-        main = scale * math.fsum(omega)
-        s_omega = main - edge
-        omega_err = scale * omega_err + edge_err + 6.0 * eps_mach * (abs(main) + edge)
-        scale *= c * c
-        main = scale * math.fsum(r)
-        r_sum = main - edge
-        r_err = scale * r_err + edge_err + 6.0 * eps_mach * (main + edge)
-        if 1.0 <= self.aspect:  # k is the rows' wavenumber
-            return s_omega, r_sum, omega_err, r_err
-        s_k = s_omega - r_sum  # k^2 = w^2 - r^2
-        return s_omega, s_k, omega_err, omega_err + r_err + eps_mach * abs(s_k)
+    def _s_k(self, s_omega: tuple[float, float], r: tuple[float, float]) -> tuple[float, float]:
+        """S_k and its error from S_omega's and R's: R if k runs along the rows, else S_omega - R."""
+        a, b = self.sides
+        if a <= b:
+            return r
+        s_k = s_omega[0] - r[0]  # k^2 = w^2 - r^2, one more rounding
+        return s_k, s_omega[1] + r[1] + _gamma(1) * abs(s_k)
 
     def chowla_selberg(self) -> tuple[FinitePart, FinitePart]:
-        """S_omega and S_k of the a x b rectangle itself: the eps^0 terms of the damped sums.
+        """S_omega and S_k of the 1 x y rectangle: the eps^0 terms of the damped sums.
 
-        Taken on the 1 x y rectangle, y = long/short, and divided by the
-        shorter side, so S_omega(a, b) = S_omega(b, a) bit for bit. With c = pi
-        and Theta = 2 pi y, every row j >= 1 is finite at eps = 0 (A_j = 0,
-        B_j = c/xi_j): Omega_j(0) = -(2c/xi_j) sum_m m K_1(m j Theta) and
-        R_j(0) = 2 sum_m m^2 K_0(m j Theta). The divergent j = 0 row and the
+        With c = pi and Theta = 2 pi y, every row j >= 1 is finite at eps = 0
+        (A_j = 0, B_j = c/xi_j): Omega_j(0) = -(2c/xi_j) sum_m m K_1(m j Theta)
+        and R_j(0) = 2 sum_m m^2 K_0(m j Theta). The divergent j = 0 row and the
         n = 0 edge leave T0 - T1 and T0 - 2 T1, T0 = c/48, T1 = zeta(3) y/(16 pi)
         (Chowla & Selberg's closed form, with m for their n):
 
@@ -389,33 +387,18 @@ class _FourPartsSummand:
         the rows within the 5 eps of Y and the rounding of B_j that bound each
         term. S_omega - R adds u of S_k.
         """
-        a, b = self.sides
-        short = min(a, b)
-        y = max(a, b) / short
+        y = self.aspect
         t0, t1 = math.pi / 48.0, _ZETA3 * y / (16.0 * math.pi)
         scale = y / (4.0 * math.pi)
         omega, r, omega_err, r_err = _poisson_rows(
-            0.0, 1.0, y, ((t0 + t1) / scale, (t0 + t1) / (scale * math.pi * math.pi)))
+            0.0, y, ((t0 + t1) / scale, (t0 + t1) / (scale * math.pi * math.pi)))
         sums = []
         for weight, rows, rows_err, n in ((1.0, omega, omega_err, 7), (2.0, r, r_err, 11)):
             main = scale * math.fsum(rows)
             sums.append((t0 - weight * t1 + main, scale * rows_err + _gamma(6) * t0
                          + _gamma(9) * weight * t1 + _gamma(n + 4) * abs(main)))
             scale *= math.pi * math.pi
-        (s_omega, omega_err), (s_k, k_err) = sums
-        if a > b:  # k runs along the longer side: k^2 = w^2 - r^2
-            s_k = s_omega - s_k
-            k_err = omega_err + k_err + _gamma(1) * abs(s_k)
-        parts = []
-        for name, value, error in (("S_omega", s_omega, omega_err), ("S_k", s_k, k_err)):
-            value, error = value / short, error / short
-            # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
-            # no larger in magnitude than the larger of these two.
-            if not (math.isfinite(value * value) and math.isfinite(error)):
-                raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = {value:g} "
-                                 "or its square is not finite in float64")
-            parts.append(FinitePart(value, error))
-        return parts[0], parts[1]
+        return FinitePart(*sums[0]), FinitePart(*self._s_k(*sums))
 
 
 def default_config() -> RegConfig:
@@ -432,27 +415,33 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
 
     ZETA_EXACT, the default, gives the Chowla-Selberg closed form:
     the eps^0 term of the Poisson rows whose damped sums S_omega and S_k a
-    cutoff config fits, on one schedule. Either way U = (S_omega + S_k)/2 and
+    cutoff config fits, on one schedule. Both routes work on the 1 x y
+    rectangle, y = long/short, and divide by the shorter side, so S_omega(a, b)
+    = S_omega(b, a) bit for bit on either. Either way U = (S_omega + S_k)/2 and
     W = (S_omega - S_k)/2, so both identities hold by construction, bit for
     bit, and the errors of all four parts correlate. The tests check the rows
     by lattice enumeration and a 30-digit Bessel series; the benchmark, scipy.
 
     Raises ValueError for any other method, for b/a outside (1e-300, 1e300),
-    when a Chowla-Selberg part or its square is not finite in float64, and
-    when a damped sum or a cutoff part is not.
+    when a damped sum is not finite in float64, and, on both routes alike,
+    when a part or its square is not.
     """
     a, b = cavity.proper_length_x, cavity.proper_length_y
     summand = _FourPartsSummand(a, b)
     if config.method is RegMethod.ZETA_EXACT:
-        return _four_parts(*summand.chowla_selberg())
-    if config.method is RegMethod.EXPONENTIAL_CUTOFF:
-        parts = [_per_side(part, a) for part in cutoff_finite_part(summand, config)]
-        for name, part in zip(("S_omega", "S_k"), parts):
-            if not (math.isfinite(part.value) and math.isfinite(part.error_estimate)):
-                raise ValueError(f"rectangle a = {a:g}, b = {b:g}: cutoff finite part {name} = "
-                                 f"{part.value:g} is not finite in float64")
-        return _four_parts(*parts)
-    raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
+        parts = summand.chowla_selberg()
+    elif config.method is RegMethod.EXPONENTIAL_CUTOFF:
+        parts = cutoff_finite_part(summand, config)
+    else:
+        raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
+    parts = [_per_side(part, min(a, b)) for part in parts]
+    for name, part in zip(("S_omega", "S_k"), parts):
+        # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
+        # no larger in magnitude than the larger of these two.
+        if not (math.isfinite(part.value * part.value) and math.isfinite(part.error_estimate)):
+            raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = "
+                             f"{part.value:g} or its square is not finite in float64")
+    return _four_parts(*parts)
 
 
 def _boost(parts: FourParts, v: float, route: Route2D) -> Rect2DResult:

@@ -293,7 +293,7 @@ def _checks_observables() -> list[CheckResult]:
     for v in [i * 0.05 for i in range(20)]:  # 0, 0.05, ..., 0.95
         cav = Cavity1D(1.0, v)
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
-            em = observables.boosted_em(Scheme.LORENTZ_EXACT, cav, route)
+            em = observables.boosted_em(Scheme.LORENTZ_EXACT, cav, route, m0=m0)
             worst = max(worst, abs(observables.mass_shell_residual(em, m0)) / m0**2)
     out.append(CheckResult("observables: mass-shell identity (exact contraction)",
                            worst <= 1e-10, f"max |E^2-P^2-m0^2|/m0^2 = {worst:.2e}"))
@@ -320,15 +320,16 @@ def _checks_observables() -> list[CheckResult]:
     out.append(CheckResult("observables: galilean momentum ratio -> 1",
                            abs(p_ratio - 1.0) <= 2e-4, f"ratio at v=0.01: {p_ratio:.8f}"))
 
-    em = observables.boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.99), Route.CLOSED_FORM)
+    em = observables.boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.99), Route.CLOSED_FORM,
+                                 m0=m0)
     out.append(CheckResult("observables: divergence as v -> 1", abs(em.energy) > 50.0 * abs(m0),
                            f"|E(0.99)/m0| = {abs(em.energy / m0):.1f}"))
 
     worst = 0.0
     for scheme in Scheme:
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
-            plus = observables.boosted_em(scheme, Cavity1D(1.0, 0.3), route)
-            minus = observables.boosted_em(scheme, Cavity1D(1.0, -0.3), route)
+            plus = observables.boosted_em(scheme, Cavity1D(1.0, 0.3), route, m0=m0)
+            minus = observables.boosted_em(scheme, Cavity1D(1.0, -0.3), route, m0=m0)
             worst = max(worst, abs(plus.energy - minus.energy) / abs(plus.energy),
                         abs(plus.momentum + minus.momentum) / max(abs(plus.momentum), 1e-300))
     out.append(CheckResult("observables: parity of E and P", worst <= 1e-9,

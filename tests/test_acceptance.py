@@ -69,7 +69,7 @@ def test_criterion_02_boost_laws_by_quadrature():
     worst = 0.0
     for v in np.arange(0.1, 0.91, 0.1):
         cav = Cavity1D(1.0, float(v))
-        numeric = boosted_em(Scheme.LORENTZ_EXACT, cav, Route.PER_MODE_NUMERIC)
+        numeric = boosted_em(Scheme.LORENTZ_EXACT, cav, Route.PER_MODE_NUMERIC, m0=static_m0(1.0))
         ce, cp = closed_form_coefficients(Scheme.LORENTZ_EXACT, float(v))
         worst = max(worst, abs(numeric.energy - ce * M0) / abs(ce * M0),
                     abs(numeric.momentum - cp * M0) / abs(cp * M0))
@@ -83,7 +83,7 @@ def test_criterion_03_mass_shell_identity():
     for v in np.arange(0.1, 0.91, 0.1):
         cav = Cavity1D(1.0, float(v))
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
-            em = boosted_em(Scheme.LORENTZ_EXACT, cav, route)
+            em = boosted_em(Scheme.LORENTZ_EXACT, cav, route, m0=static_m0(1.0))
             worst = max(worst, abs(mass_shell_residual(em, M0)) / M0**2)
     ok = worst <= 1e-10
     _report(3, ok, f"|E^2-P^2-m0^2|/m0^2 max {worst:.2e} over both routes (<=1e-10)")

@@ -404,6 +404,7 @@ class TestModesDump:
         assert code == 2 and not out
         t = float(argv[argv.index("--t") + 1])
         assert f"usage error: --t {t!r} leaves no correct digit in the phase of mode n = " in err
+        assert "nan" not in err
 
     def test_time_within_the_phase_precision_runs(self, capsys):
         code, out, _ = run(capsys, "modes", "--scheme", "lorentz", "--t", "1e15", "--n-max", "4")

@@ -171,11 +171,6 @@ def test_no_exported_class_method_applies_a_function_to_its_fields(name):
              for method in _field_applications(node)]
     assert found == []
 
-# m0 selects the regulator, and two callers need different ones: verify takes the zeta
-# default, route_comparison passes its config's m0.
-NONE_FILLED_ALLOWED = {("boostcav.observables", "boosted_em", "m0")}
-
-
 def _none_filled(func: ast.FunctionDef) -> list[str]:
     """Parameters that default to None and that `if p is None: p = <call>(...)` fills."""
     args = func.args
@@ -210,7 +205,7 @@ def test_no_exported_function_fills_a_none_keyword(name):
     found = {(name, node.name, param) for node in tree.body
              if isinstance(node, ast.FunctionDef) and node.name in exported
              for param in _none_filled(node)}
-    assert found == {entry for entry in NONE_FILLED_ALLOWED if entry[0] == name}
+    assert found == set()
 
 
 def _bool_switches(func: ast.FunctionDef) -> list[str]:

@@ -64,7 +64,7 @@ def _static_m0(draw):
 def _boosted_em(draw):
     scheme, length, v = draw(SCHEMES), draw(LENGTHS), draw(VELOCITIES)
     route = draw(st.sampled_from(list(Route)))
-    return lambda: boosted_em(scheme, Cavity1D(length, v), route)
+    return lambda: boosted_em(scheme, Cavity1D(length, v), route, m0=static_m0(length))
 
 
 def _sweep(draw):

@@ -58,26 +58,30 @@ class TestStaticM0:
 
 class TestBoostedEM:
     def test_contracted_closed_form_values(self):
-        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), Route.CLOSED_FORM)
+        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), Route.CLOSED_FORM,
+                        m0=static_m0(1.0))
         assert abs(em.energy - 2.125 * M0) < 1e-12
         assert abs(em.momentum - 1.875 * M0) < 1e-12
         assert abs(em.energy + 0.278162) < 1e-6
         assert abs(em.momentum + 0.245437) < 1e-6
 
     def test_comoving_prior_closed_form(self):
-        em = boosted_em(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2), Route.CLOSED_FORM)
+        em = boosted_em(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2), Route.CLOSED_FORM,
+                        m0=static_m0(1.0))
         assert abs(em.energy - 1.02 * M0) < 1e-14
         assert abs(em.momentum - 0.2 * M0) < 1e-14
 
     def test_static_row(self):
-        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), Route.CLOSED_FORM)
+        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.0), Route.CLOSED_FORM,
+                        m0=static_m0(1.0))
         assert em.energy == M0
         assert em.momentum == 0.0
 
     @pytest.mark.parametrize("v", [0.1, 0.4, 0.6, 0.9])
     def test_numeric_route_matches_closed(self, v):
-        numeric = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, v), Route.PER_MODE_NUMERIC)
-        closed = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, v), Route.CLOSED_FORM)
+        m0 = static_m0(1.0)
+        numeric = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, v), Route.PER_MODE_NUMERIC, m0=m0)
+        closed = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, v), Route.CLOSED_FORM, m0=m0)
         assert abs(numeric.energy - closed.energy) <= 1e-8 * abs(closed.energy)
         assert abs(numeric.momentum - closed.momentum) <= 1e-8 * abs(closed.momentum)
 
@@ -99,11 +103,12 @@ class TestMassShell:
     @pytest.mark.parametrize("v", np.arange(0.0, 0.951, 0.05).tolist())
     def test_contracted_shell_identity(self, v):
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
-            em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, float(v)), route)
+            em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, float(v)), route, m0=static_m0(1.0))
             assert abs(mass_shell_residual(em, M0)) <= 1e-10 * M0**2
 
     def test_comoving_prior_violation_quantified(self):
-        em = boosted_em(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2), Route.CLOSED_FORM)
+        em = boosted_em(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2), Route.CLOSED_FORM,
+                        m0=static_m0(1.0))
         # (1.02^2 - 0.04 - 1) m0^2 = 4e-4 m0^2 = v^4/4 m0^2
         assert abs(mass_shell_residual(em, M0) - 4e-4 * M0**2) < 1e-12
 
@@ -267,14 +272,15 @@ class TestPlates:
 
 class TestDivergenceAndParity:
     def test_energy_grows_unbounded(self):
-        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.99), Route.CLOSED_FORM)
+        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.99), Route.CLOSED_FORM,
+                        m0=static_m0(1.0))
         assert abs(em.energy) > 50.0 * abs(M0)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("route", [Route.CLOSED_FORM, Route.PER_MODE_NUMERIC])
     def test_parity(self, scheme, route):
-        plus = boosted_em(scheme, Cavity1D(1.0, 0.3), route)
-        minus = boosted_em(scheme, Cavity1D(1.0, -0.3), route)
+        plus = boosted_em(scheme, Cavity1D(1.0, 0.3), route, m0=static_m0(1.0))
+        minus = boosted_em(scheme, Cavity1D(1.0, -0.3), route, m0=static_m0(1.0))
         assert abs(plus.energy - minus.energy) < 1e-10 * abs(plus.energy)
         assert abs(plus.momentum + minus.momentum) < 1e-10 * abs(plus.momentum)
 

@@ -381,7 +381,7 @@ class TestPoissonRowsAtZero:
             scale = y / (4.0 * math.pi)
             t = math.pi / 48.0 + ZETA3 * y / (16.0 * math.pi)
             omega, r, omega_err, r_err = rect2d._poisson_rows(
-                0.0, 1.0, y, (t / scale, t / (scale * math.pi * math.pi)))
+                0.0, y, (t / scale, t / (scale * math.pi * math.pi)))
             rowless += not omega
             for rows, err, exact in zip((omega, r), (omega_err, r_err), self._exact_sums(y)):
                 # the rows' stated error, plus the fsum and the factor h of each row
@@ -441,8 +441,8 @@ class TestCutoffAtExtremeSides:
             cut, ref = getattr(cutoff, name), getattr(exact, name)
             assert abs(cut.value - ref.value) <= cut.error_estimate + ref.error_estimate, name
 
-    # a finite part of 1e-200 x 1 is about 1e398; the 1 x 1e-200 rectangle's damped sums
-    # in units of 1/a, about (a/b)^2, overflow before any fit
+    # a finite part of 1e-200 x 1, or of 1 x 1e-200, is about 1e398, and of 1e200 x 1 about
+    # 1e198, whose square leaves float64
     @pytest.mark.parametrize("a, b", [(1e-200, 1.0), (1.0, 1e-200), (1e200, 1.0)])
     def test_unrepresentable_sides_are_named(self, capsys, a, b):
         cav = Cavity2D(a, b, 0.0)
@@ -451,6 +451,23 @@ class TestCutoffAtExtremeSides:
                 finite_parts(cav, config)
         assert main(["rect2d", "--a", f"{a:g}", "--b", f"{b:g}"]) == 2
         assert f"usage error: rectangle a = {a:g}, b = {b:g}: " in capsys.readouterr().err
+
+
+    def test_refuses_where_zeta_does(self):
+        # sides from 1e-200 to 1e200 in both orders: inside every range, past the squares'
+        # (1e-155^2), past the parts' own (1e-200 x 1) and past the aspect ratio's (1e-200 x 1e200)
+        sides = (1e-200, 1e-160, 1e-155, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e155, 1e160, 1e200)
+
+        def outcome(a, b, config):
+            try:
+                finite_parts(Cavity2D(a, b, 0.0), config)
+            except ValueError as exc:
+                return str(exc)
+            return "answers"
+
+        differ = [(a, b) for a in sides for b in sides
+                  if outcome(a, b, rect2d.default_config()) != outcome(a, b, RegConfig(RegMethod.ZETA_EXACT))]
+        assert not differ
 
 
 SIDES = st.floats(min_value=1e-2, max_value=1e2)
