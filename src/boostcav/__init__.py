@@ -16,7 +16,6 @@ from .modes import (
     boundary_residual,
     gram_matrix,
     kg_residual,
-    spatial_overlap_matrix,
 )
 from .observables import (
     EnergyMomentum,
@@ -66,7 +65,6 @@ __all__ = [
     "boundary_residual",
     "kg_residual",
     "gram_matrix",
-    "spatial_overlap_matrix",
     "gauss_legendre",
     "PerModeEM",
     "per_mode_em",

@@ -47,9 +47,9 @@ __all__ = ["main"]
 UNITS_NOTE = "hbar = c = 1"
 REGULATOR_AGREEMENT_RTOL = 1e-5
 _METHODS = tuple(m.value for m in RegMethod)  # the 1D regularizers, as --method spells them
-# Rows one table may hold: a `modes` --n-max, or the points of a velocity grid.
-# A 10,000-row sweep takes about 0.27 s wall by the closed form and 0.48 s by the
-# per-mode route (one process on a 2-core x86-64 Xeon, median of 5).
+# Rows one table may hold, a `modes` --n-max or a velocity grid's points, to bound a
+# request: a cold 10,000-row `sweep --format csv` took 0.22 s wall by the closed form
+# and 0.49 s per mode (median of 5, shared 2-core x86-64 Xeon, October 2026).
 ROW_BUDGET = 10_000
 
 

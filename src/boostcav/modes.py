@@ -5,13 +5,13 @@ phase and argument are affine in (t, x):
 
     u(t, x) = N * exp(i*(th_t*t + th_x*x)) * sin(s_t*t + s_x*x)
 
-which makes all derivatives closed-form. The spatial normalization N fixes
-unit L2 norm over the instantaneous cavity at any lab time. The mode is the
-pair of plane waves (N/2i)(exp(i k+.X) - exp(i k-.X)), k+- = grad(th +- s),
-X = (t, x) (Moore, J. Math. Phys. 11 (1970) 2679). So it solves its field
-equation where the scheme's operator symbol vanishes on k+ and k-
-(kg_residual), and each Gram or overlap entry is a closed-form sum of four
-exponential integrals (gram_matrix).
+so the stress integrals (stress) are closed forms in the coefficients. The
+spatial normalization N fixes unit L2 norm over the instantaneous cavity at
+any lab time. The mode is the pair of plane waves
+(N/2i)(exp(i k+.X) - exp(i k-.X)), k+- = grad(th +- s), X = (t, x) (Moore,
+J. Math. Phys. 11 (1970) 2679). So it solves its field equation where the
+scheme's operator symbol vanishes on k+ and k- (kg_residual), and each Gram
+entry is a closed-form sum of four exponential integrals (gram_matrix).
 
 Scheme coefficients (k = n*pi/L, g = gamma):
 
@@ -39,7 +39,6 @@ __all__ = [
     "kg_residual",
     "canonical_norm",
     "gram_matrix",
-    "spatial_overlap_matrix",
 ]
 
 
@@ -74,24 +73,13 @@ def lorentz_coefficients(w: float, k: float, velocity: float):
     return -w * g, w * g * v, -k * g * v, k * g
 
 
-# The affine form of the module docstring and its first derivatives, written
-# only here for 1D and 2D modes alike. Each evaluates one point (t, x).
+# The affine form of the module docstring, written only here for 1D and 2D
+# modes alike. It evaluates one point (t, x).
 
 def affine_value(norm, coeffs, t, x):
     """N exp(i(th_t t + th_x x)) sin(s_t t + s_x x)."""
     th_t, th_x, s_t, s_x = coeffs
     return norm * cmath.exp(1j * (th_t * t + th_x * x)) * math.sin(s_t * t + s_x * x)
-
-
-def affine_jet(norm, coeffs, t, x):
-    """(u, du/dt, du/dx) of affine_value; exp(i th), sin s and cos s are evaluated once."""
-    th_t, th_x, s_t, s_x = coeffs
-    nph = norm * cmath.exp(1j * (th_t * t + th_x * x))
-    s = s_t * t + s_x * x
-    sin_s, cos_s = math.sin(s), math.cos(s)
-    return (nph * sin_s,
-            nph * (1j * th_t * sin_s + s_t * cos_s),
-            nph * (1j * th_x * sin_s + s_x * cos_s))
 
 
 @_validated
@@ -256,11 +244,11 @@ def canonical_norm(scheme: Scheme, cavity: Cavity1D, n: int) -> float:
 
 
 def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
-                     pair, term=None) -> list[list[complex]]:
+                     term=None) -> list[list[complex]]:
     """Sums over wave pairs (j of mode n, l of mode m) of w exp(i(a t + b x)) dx on the cavity.
 
-    pair(j, l) gives the weight w and wave vector (a, b) of the product of
-    waves j and l. The x integral over [L, R] is
+    Waves j and l add w = -conj(c_j) c_l (d_j + d_l) with (a, b) = k_l - k_j
+    in the conserved pairing (gram_matrix). The x integral over [L, R] is
     exp(i b (L + R)/2) (R - L) sinc(b (R - L)/2), which does not cancel as b -> 0.
     term(w, a, b), if given, replaces that integral. Rows are modes n.
     """
@@ -275,14 +263,10 @@ def _pairwise_matrix(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float,
             return w * cmath.exp(1j * (a * t + b * mid)) * width * (math.sin(z) / z if z else 1.0)
 
     waves = [_plane_waves(SpacetimeMode(scheme, cavity, n)) for n in range(1, n_modes + 1)]
-    return [[sum(term(*pair(j, l)) for j in waves_n for l in waves_m) for waves_m in waves]
+    return [[sum(term(-c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j)
+                 for c_j, a_j, b_j, d_j in waves_n for c_l, a_l, b_l, d_l in waves_m)
+             for waves_m in waves]
             for waves_n in waves]
-
-
-def _gram_pair(j, l):
-    """Weight and wave vector of waves j and l in the conserved pairing (gram_matrix)."""
-    (c_j, a_j, b_j, d_j), (c_l, a_l, b_l, d_l) = j, l
-    return -c_j.conjugate() * c_l * (d_j + d_l), a_l - a_j, b_l - b_j
 
 
 def _gram_slice(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float):
@@ -312,14 +296,14 @@ def gram_matrix(
     D exp(i k.X) = i d exp(i k.X), add -conj(c_j) c_l (d_j + d_l) exp(i (k_l - k_j).X).
 
     The naive equal-time overlap int u_n conj(u_m) dx is *not* diagonal for
-    the moving cavity (the mode phases mix t and x); see
-    spatial_overlap_matrix for that diagnostic. The conserved pairing is
+    the moving cavity: on a lab slice the galileo-lab and lorentz phases keep
+    an x dependence that no measure cancels. The conserved pairing is
     slice-independent, which is what makes the orthonormality statement
     exact at every lab time. _gram_bound bounds what rounding leaves of it.
     Rows are lists of complex; np.array(gram_matrix(...)) makes the matrix.
     """
     cavity, t, norms = _gram_slice(scheme, cavity, n_modes, t)
-    gram = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair)
+    gram = _pairwise_matrix(scheme, cavity, n_modes, t)
     # times the reciprocal, not divided by the root: the tests pin the bits of this rounding
     return [[g * (1.0 / math.sqrt(a * b)) for g, b in zip(row, norms)]
             for row, a in zip(gram, norms)]
@@ -352,31 +336,8 @@ def _gram_bound(scheme: Scheme, cavity: Cavity1D, n_modes: int, t: float) -> lis
     def spread(w, a, b):
         return abs(w) * width * (1.0 + abs(a * t) + abs(b) * reach)
 
-    total = _pairwise_matrix(scheme, cavity, n_modes, t, _gram_pair, spread)
+    total = _pairwise_matrix(scheme, cavity, n_modes, t, spread)
     return [[4.0 * sys.float_info.epsilon * (s / math.sqrt(a * b) + (i == k))
              for k, (s, b) in enumerate(zip(row, norms))]
             for i, (row, a) in enumerate(zip(total, norms))]
 
-
-def spatial_overlap_matrix(
-    scheme: Scheme,
-    cavity: Cavity1D,
-    n_modes: int,
-    t: float,
-) -> list[list[complex]]:
-    """Literal equal-time overlaps int u_n conj(u_m) dx (unit diagonal).
-
-    Off-diagonal entries are nonzero for the galileo-lab and lorentz
-    families: on a fixed-t slice their phases retain x-dependence that no
-    measure choice can cancel. They grow as O(v) between modes of opposite
-    parity and O(v^2) between modes of equal parity. Kept as a diagnostic
-    of exactly that time-space mixing; gram_matrix holds the conserved
-    pairing that is exactly diagonal. In closed form, as there, waves j and
-    l add c_j conj(c_l) exp(i (k_j - k_l).X).
-    """
-
-    def pair(j, l):
-        (c_j, a_j, b_j, _), (c_l, a_l, b_l, _) = j, l
-        return c_j * c_l.conjugate(), a_j - a_l, b_j - b_l
-
-    return _pairwise_matrix(scheme, cavity, n_modes, t, pair)

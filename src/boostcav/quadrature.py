@@ -8,8 +8,8 @@ ellipse E_rho of the panel misses its integral by at most
 h (64/15) M rho^-32 / (rho^2 - 1) (Trefethen, Approximation Theory and
 Approximation Practice, 2013, Thm 19.3). The rule runs on lists of
 floats with `math.fsum`, and every integrand in the package (the
-per-mode route's densities, the Abel-Plana integral, the jet oracle)
-evaluates its abscissae one at a time in `math` and `cmath`.
+per-mode route's densities, the Abel-Plana integral) evaluates its
+abscissae one at a time in `math`.
 """
 
 import math

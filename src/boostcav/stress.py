@@ -9,8 +9,14 @@ and the vacuum expectation of any mode bilinear B is the per-mode sum
 
     <0| B |0> = sum_n  B(u_n, conj(u_n)) / (2 w'_n)
 
-with w'_n the scheme's comoving/expansion frequency. At v = 0 this makes
-the per-mode energy exactly w_n / 2, which pins every factor.
+with w'_n the scheme's comoving/expansion frequency: 1/(2 w'_n) is the
+paper's weight. A mode normalized to the scheme's conserved pairing
+(modes.canonical_norm, 2 x its lab phase frequency) would enter with the
+Klein-Gordon weight 1/(2 x lab phase frequency) instead. The paper's weight
+is gamma times that for lorentz and the rectangle, gamma^2 times for
+galileo-lab and equal for galileo-comoving. Both weights give the per-mode
+energy w_n / 2 at v = 0, so the static limit pins neither one's velocity
+dependence.
 
 Closed form. Every mode is u = N e^{i th} sin s with th and s affine in
 (t, x), and the walls sit at s = 0 and s = n pi, so
@@ -31,18 +37,19 @@ wavenumber of a rectangle mode (0 in 1D):
 per_mode_em and per_mode_em_2d evaluate these in `math` (Moore, J. Math.
 Phys. 11 (1970) 2679, for the modes) from the coefficients and w' alone,
 read off the mode's record: a SpacetimeMode in 1D; for a rectangle mode,
-its SpacetimeMode2D. Two quadratures by the one Gauss-Legendre rule are the
+its SpacetimeMode2D. Quadratures by the one Gauss-Legendre rule are the
 closed form's oracles, and they keep N and the walls, so a wrong N shows:
 coefficient_fits, the route every 1D request takes, integrates the real
 densities of the first mode, one quadrature per velocity, and verify
 compares the same quadrature with the closed form at other modes and
-slices; _jet_quadrature integrates the densities of the complex jet
-(u, u_t, u_x), evaluated one abscissa at a time, for the tests.
+slices. The tests' oracle integrates the densities of the complex jet
+(u, u_t, u_x) of 1D and rectangle modes (tests/_oracles.py).
 
 Faults. verify proves its checks have teeth by running them under a wrong
 stress tensor: inside `with _injected_fault(sign, rule)` every per-mode term,
 on every route, takes sigma = sign and the w' of rule, "lab-phase" (the lab
-phase frequency, wrong for a moving cavity) or "doubled" (2 w', wrong at rest).
+phase frequency: the Klein-Gordon weight, which the checks reject because
+they pin the paper's law) or "doubled" (2 w', wrong at rest).
 """
 
 import contextlib
@@ -52,7 +59,7 @@ import sys
 from typing import NamedTuple
 
 from .cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor
-from .modes import SpacetimeMode, SpacetimeMode2D, affine_jet
+from .modes import SpacetimeMode, SpacetimeMode2D
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -168,28 +175,6 @@ def _panels(n: int) -> int:
     rounding.
     """
     return math.ceil(n / 2)
-
-
-def _jet_quadrature(norm, coeffs, wp, p2, walls, t, n: int):
-    """The per-mode T00 and T01 integrals over the walls, divided by 2 w', as (e, p).
-
-    The oracle of the closed form, by the complex jet (u, u_t, u_x) of the
-    mode N exp(i th) sin s; p2 is the squared transverse wavenumber of a
-    rectangle mode's x profile, 0 in 1D. The phase th cancels from both
-    densities, which are A + B cos 2s with s running over n pi, so on
-    _panels(n) panels the truncation is below 1e-20 (b - a)/2 |B|.
-    """
-    sigma = _FAULT.get()[0]
-
-    def densities(xs):
-        jets = [affine_jet(norm, coeffs, t, x) for x in xs]
-        return (
-            [(abs(ut) ** 2 + abs(ux) ** 2 + p2 * abs(u) ** 2) / (4.0 * wp) for u, ut, ux in jets],
-            [-sigma * (ut * ux.conjugate()).real / (2.0 * wp) for _, ut, ux in jets],
-        )
-
-    left, right = walls
-    return gauss_legendre(densities, left, right, panels=_panels(n))
 
 
 def _density_quadrature(scheme: Scheme, cavity: Cavity1D, n: int,

@@ -11,6 +11,8 @@ from boostcav.modes import OutsideCavityError
 from boostcav.quadrature import gauss_legendre
 from mpmath.calculus.quadrature import GaussLegendre
 
+from _oracles import affine_jet
+
 ALL_SCHEMES = list(Scheme)
 
 
@@ -185,7 +187,7 @@ class TestBoundaryAndFieldEquation:
 
         fd_t = (f(t + h, x) - f(t - h, x)) / (2 * h)
         fd_x = (f(t, x + h) - f(t, x - h)) / (2 * h)
-        _, u_t, u_x = modes.affine_jet(norm, coeffs, t, x)
+        _, u_t, u_x = affine_jet(norm, coeffs, t, x)
         # central differences carry O(h^2 |u'''|) truncation error
         assert abs(fd_t - u_t) < 1e-6 * abs(u_t)
         assert abs(fd_x - u_x) < 1e-6 * abs(u_x)
@@ -225,7 +227,7 @@ MODE_2D_HEX = {
 def _jet_2d(u, t, x, y):
     """(value, d/dt, d/dx, d/dy) of the rectangle mode u: its x profile's jet times sin(p y)."""
     norm, coeffs, p = u.normalization, u._coeffs, u.wavenumber_y
-    _, u_t, u_x = modes.affine_jet(norm, coeffs, t, x)
+    _, u_t, u_x = affine_jet(norm, coeffs, t, x)
     sin_py = math.sin(p * y)
     return (u.value(t, x, y), u_t * sin_py, u_x * sin_py,
             modes.affine_value(norm, coeffs, t, x) * p * math.cos(p * y))
@@ -271,6 +273,29 @@ class TestModes2D:
 
         norm = gauss_legendre(over_y, left, right, panels=2)
         assert abs(norm - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("a,b,v,n,m,t", [
+        (1.0, 2.0, 0.6, 2, 3, 0.15), (1.5, 0.7, -0.3, 1, 2, -0.4), (0.3, 5.0, 0.95, 4, 1, 1.1),
+        (2.0, 1.0, -0.95, 3, 5, 2.5),
+    ])
+    def test_klein_gordon_norm_2d(self, a, b, v, n, m, t):
+        # i int (conj(u) u_t - u conj(u_t)) dA on the lab slice t, by nested quadrature
+        # as above, is 2 gamma w: twice the lab phase frequency, as canonical_norm is in 1D
+        cav = Cavity2D(a, b, v)
+        u = modes.SpacetimeMode2D(cav, n, m)
+        left, right = cav.walls_x(t)
+
+        def density(x, y):
+            value, u_t, _, _ = _jet_2d(u, t, x, y)
+            return (1j * (value.conjugate() * u_t - value * u_t.conjugate())).real
+
+        def over_y(xs):
+            return list(gauss_legendre(lambda ys: tuple([density(x, y) for y in ys] for x in xs),
+                                       0.0, b, panels=m))
+
+        norm = gauss_legendre(over_y, left, right, panels=n)
+        want = 2.0 * lorentz_factor(v) * u.frequency
+        assert abs(norm - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("point", list(MODE_2D_HEX), ids=str)
     def test_bits_unchanged(self, point):
@@ -387,43 +412,8 @@ class TestOrthogonality:
             g = np.array(modes.gram_matrix(scheme, Cavity1D(1.0, 0.0), 4, 0.0))
             assert np.max(np.abs(g - np.eye(4))) < 1e-12
 
-    def test_spatial_overlap_unit_diagonal(self):
-        for scheme in ALL_SCHEMES:
-            cav = Cavity1D(1.0, scheme_velocity(scheme))
-            s = np.array(modes.spatial_overlap_matrix(scheme, cav, 4, 0.5))
-            assert np.max(np.abs(np.diag(s) - 1.0)) < 1e-12
 
-    def test_spatial_overlap_offdiagonal_closed_form(self):
-        # For the contracted family at v = 0.5 the (2,1) equal-time overlap is
-        # 2 * (32 / (105 pi)) * (1 - i): the fixed-t slice mixes the phases, so
-        # the naive overlap is O(v^2) rather than zero. Value derived by
-        # elementary integration of e^{i v pi xi} sin(2 pi xi) sin(pi xi).
-        cav = Cavity1D(1.0, 0.5)
-        s = modes.spatial_overlap_matrix(Scheme.LORENTZ_EXACT, cav, 2, 0.0)
-        expected = 2.0 * (32.0 / (105.0 * math.pi)) * (1.0 - 1.0j)
-        assert abs(s[1][0] - expected) < 1e-12
-        assert abs(s[1][0]) > 0.1
-
-    def test_comoving_prior_overlap_is_diagonal(self):
-        # the comoving-prior family keeps x-independent phases, so even the
-        # naive overlap is exactly diagonal
-        s = np.array(modes.spatial_overlap_matrix(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2),
-                                                  5, 1.1))
-        assert np.max(np.abs(s - np.eye(5))) < 1e-12
-
-    def test_overlap_offdiagonal_velocity_scaling(self):
-        # naive-overlap defect: O(v) between opposite-parity modes, O(v^2)
-        # between equal-parity modes
-        odd_gap, even_gap = [], []
-        for v in (0.05, 0.1):
-            s = modes.spatial_overlap_matrix(Scheme.GALILEO_LAB_PRIOR, Cavity1D(1.0, v), 3, 0.0)
-            odd_gap.append(abs(s[1][0]))
-            even_gap.append(abs(s[2][0]))
-        assert odd_gap[1] / odd_gap[0] == pytest.approx(2.0, rel=0.02)
-        assert even_gap[1] / even_gap[0] == pytest.approx(4.0, rel=0.02)
-
-
-def _wave_sum_mp(scheme, cav, n, m, t, gram):
+def _wave_sum_mp(scheme, cav, n, m, t):
     """Entry (n, m) as the four-wave sum in 30-digit mpmath on the modes' float waves.
 
     Also returns the stated float error 4 eps sum |w| (R - L)(1 + |a t| + |b| max(|L|, |R|)):
@@ -436,27 +426,22 @@ def _wave_sum_mp(scheme, cav, n, m, t, gram):
         total = mpmath.mpc(0)
         for c_j, a_j, b_j, d_j in modes._plane_waves(modes.SpacetimeMode(scheme, cav, n)):
             for c_l, a_l, b_l, d_l in modes._plane_waves(modes.SpacetimeMode(scheme, cav, m)):
-                if gram:
-                    w = -mpmath.conj(c_j) * c_l * (mpmath.mpf(d_j) + d_l)
-                    a, b = mpmath.mpf(a_l) - a_j, mpmath.mpf(b_l) - b_j
-                else:
-                    w = mpmath.mpc(c_j) * mpmath.conj(c_l)
-                    a, b = mpmath.mpf(a_j) - a_l, mpmath.mpf(b_j) - b_l
+                w = -mpmath.conj(c_j) * c_l * (mpmath.mpf(d_j) + d_l)
+                a, b = mpmath.mpf(a_l) - a_j, mpmath.mpf(b_l) - b_j
                 total += w * mpmath.expj(a * t + b * mid) * width * mpmath.sinc(b * width / 2)
                 bound += float(abs(w) * width) * (1.0 + abs(float(a) * t)
                                                   + abs(float(b)) * max(abs(left), abs(right)))
-        if gram:
-            scale = mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, n))
-                                * modes.canonical_norm(scheme, cav, m))
-            total, bound = total / scale, bound / float(scale)
+        scale = mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, n))
+                            * modes.canonical_norm(scheme, cav, m))
+        total, bound = total / scale, bound / float(scale)
     return complex(total), 4.0 * EPS * bound
 
 
-def _pairing_mp(scheme, cav, n_modes, t, gram, degree=5):
-    """Each matrix by one fixed 48-node Gauss-Legendre rule in 30-digit mpmath.
+def _pairing_mp(scheme, cav, n_modes, t, degree=5):
+    """The Gram matrix by one fixed 48-node Gauss-Legendre rule in 30-digit mpmath.
 
-    Integrates the pairing itself, i (conj(u_n) D u_m - u_m conj(D u_n)) or
-    u_n conj(u_m), from the affine form, independently of the plane waves.
+    Integrates the pairing itself, i (conj(u_n) D u_m - u_m conj(D u_n)),
+    from the affine form, independently of the plane waves.
     """
     shift = cav.velocity if scheme is Scheme.GALILEO_COMOVING_PRIOR else 0.0
     left, right = cav.walls(scheme, t)
@@ -480,63 +465,54 @@ def _pairing_mp(scheme, cav, n_modes, t, gram, degree=5):
             jets.append(jet)
         for i, jet_n in enumerate(jets):
             for k, jet_m in enumerate(jets):
-                if gram:
-                    terms = (1j * (mpmath.conj(u) * dv - v * mpmath.conj(du))
-                             for (u, du), (v, dv) in zip(jet_n, jet_m))
-                else:
-                    terms = (u * mpmath.conj(v) for (u, _), (v, _) in zip(jet_n, jet_m))
+                terms = (1j * (mpmath.conj(u) * dv - v * mpmath.conj(du))
+                         for (u, du), (v, dv) in zip(jet_n, jet_m))
                 total = mpmath.fsum(w * term for (_, w), term in zip(xs, terms))
-                if gram:
-                    total /= mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, i + 1))
-                                         * modes.canonical_norm(scheme, cav, k + 1))
+                total /= mpmath.sqrt(mpmath.mpf(modes.canonical_norm(scheme, cav, i + 1))
+                                     * modes.canonical_norm(scheme, cav, k + 1))
                 out[i, k] = complex(total)
     return out
 
 
 class TestPairwiseClosedForm:
-    """Gram and overlap entries are the four-wave sum of the modes' plane waves."""
+    """Gram entries are the four-wave sum of the modes' plane waves."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("n_modes", [1, 4, 10])
     @pytest.mark.parametrize("t", [0.0, 0.37, 3.0])
     def test_matches_mpmath_wave_sum(self, scheme, n_modes, t):
         cav = Cavity1D(1.0, scheme_velocity(scheme))
-        for matrix, gram in ((modes.gram_matrix, True), (modes.spatial_overlap_matrix, False)):
-            got = matrix(scheme, cav, n_modes, t)
-            assert len(got) == n_modes and all(len(row) == n_modes for row in got)
-            assert all(type(z) is complex for row in got for z in row)
-            want = [[_wave_sum_mp(scheme, cav, n, m, t, gram)[0] for m in range(1, n_modes + 1)]
-                    for n in range(1, n_modes + 1)]
-            assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
+        got = modes.gram_matrix(scheme, cav, n_modes, t)
+        assert len(got) == n_modes and all(len(row) == n_modes for row in got)
+        assert all(type(z) is complex for row in got for z in row)
+        want = [[_wave_sum_mp(scheme, cav, n, m, t)[0] for m in range(1, n_modes + 1)]
+                for n in range(1, n_modes + 1)]
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_weights_match_gauss_legendre_of_the_pairing(self, scheme):
-        # checks the weights -conj(c_j) c_l (d_j + d_l) and c_j conj(c_l) against the
-        # pairings they come from; 48 nodes integrate these entire integrands to 30 digits
+        # checks the weights -conj(c_j) c_l (d_j + d_l) against the pairing they come
+        # from; 48 nodes integrate this entire integrand to 30 digits
         cav = Cavity1D(1.0, scheme_velocity(scheme))
-        for matrix, gram in ((modes.gram_matrix, True), (modes.spatial_overlap_matrix, False)):
-            want = _pairing_mp(scheme, cav, 3, 0.37, gram)
-            assert np.max(np.abs(np.array(matrix(scheme, cav, 3, 0.37)) - want)) <= 1e-14
+        want = _pairing_mp(scheme, cav, 3, 0.37)
+        assert np.max(np.abs(np.array(modes.gram_matrix(scheme, cav, 3, 0.37)) - want)) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(scheme=st.sampled_from(ALL_SCHEMES), v=st.floats(-0.9999, 0.9999),
            t=st.floats(0.0, 10.0), n=st.integers(1, 30),
            m_of=st.sampled_from([lambda n: n, lambda n: n + 1, lambda n: n - 1,
-                                 lambda n: 31 - n]),
-           gram=st.booleans())
-    def test_within_stated_rounding(self, scheme, v, t, n, m_of, gram):
+                                 lambda n: 31 - n]))
+    def test_within_stated_rounding(self, scheme, v, t, n, m_of):
         # near |v| = 1 the minus waves' b = (m - n) pi D / L with D the Doppler
         # factor, so sinc arguments near 0 are covered
         m = min(max(m_of(n), 1), 30)
         cav = Cavity1D(1.0, v)
-        matrix = modes.gram_matrix if gram else modes.spatial_overlap_matrix
-        want, bound = _wave_sum_mp(scheme, cav, n, m, t, gram)
-        assert abs(matrix(scheme, cav, max(n, m), t)[n - 1][m - 1] - want) <= bound
+        want, bound = _wave_sum_mp(scheme, cav, n, m, t)
+        assert abs(modes.gram_matrix(scheme, cav, max(n, m), t)[n - 1][m - 1] - want) <= bound
 
-    @pytest.mark.parametrize("matrix", [modes.gram_matrix, modes.spatial_overlap_matrix])
-    def test_rejects_empty(self, matrix):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError, match="n_modes"):
-            matrix(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 0, 0.0)
+            modes.gram_matrix(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.9), 0, 0.0)
 
 
 class TestStaticReduction:

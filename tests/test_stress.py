@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boostcav import stress
+from boostcav import modes, stress
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import SpacetimeMode
 from boostcav.stress import (
@@ -15,6 +15,8 @@ from boostcav.stress import (
     per_mode_em_2d,
     per_mode_em_2d_law,
 )
+
+from _oracles import jet_quadrature
 
 ALL_SCHEMES = list(Scheme)
 
@@ -171,6 +173,30 @@ class TestNegativeControls:
         ce, _ = per_mode_coefficients(Scheme.LORENTZ_EXACT, 0.6)
         assert abs(c_e - ce) > 1e-3
 
+    @pytest.mark.parametrize("v", [0.3, 0.6, -0.95])
+    def test_lab_phase_is_the_klein_gordon_weight(self, v):
+        # the paper's weight 1/(2 w') over 1/(2 x lab phase frequency), the weight of a mode
+        # normalized to the conserved pairing: gamma for lorentz and the rectangle,
+        # gamma^2 for galileo-lab, 1 for galileo-comoving
+        g = 1.0 / math.sqrt(1.0 - v * v)
+        ratios = {Scheme.LORENTZ_EXACT: g, Scheme.GALILEO_LAB_PRIOR: g * g,
+                  Scheme.GALILEO_COMOVING_PRIOR: 1.0}
+        cav, rect = Cavity1D(1.3, v), Cavity2D(1.3, 0.7, v)
+        with stress._injected_fault(prefactor="lab-phase"):
+            kg = {scheme: per_mode_em(scheme, cav, 3) for scheme in ratios}
+            kg_2d = per_mode_em_2d(rect, 2, 3)
+        for scheme, ratio in ratios.items():
+            pm = per_mode_em(scheme, cav, 3)
+            assert pm.energy == pytest.approx(ratio * kg[scheme].energy, rel=1e-14)
+            assert pm.momentum == pytest.approx(ratio * kg[scheme].momentum, rel=1e-14)
+            wp = stress._mode_terms(SpacetimeMode(scheme, cav, 3))[1]
+            assert ratio * 2.0 * wp == pytest.approx(modes.canonical_norm(scheme, cav, 3),
+                                                     rel=1e-14)
+        assert per_mode_em_2d(rect, 2, 3).energy == pytest.approx(g * kg_2d.energy, rel=1e-14)
+        # (e^2 - p^2)/(w/2)^2 per lorentz mode: 1 under the paper's weight, 1 - v^2 under this
+        e, p = kg[Scheme.LORENTZ_EXACT].energy, kg[Scheme.LORENTZ_EXACT].momentum
+        assert (e * e - p * p) / (1.5 * math.pi / 1.3) ** 2 == pytest.approx(1.0 - v * v, rel=1e-12)
+
 
 class TestPerMode2D:
     def test_static_square(self):
@@ -195,7 +221,7 @@ class TestPerMode2D:
         assert abs(pm.momentum - p_law) < 1e-11
         norm = SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), 1).normalization
         coeffs, wp, p2 = stress._profile_terms(cav, 1, 1)
-        e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1)
+        e, p = jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, 1)
         assert abs(e - e_law) < 1e-11
         assert abs(p - p_law) < 1e-11
 
@@ -538,8 +564,8 @@ class TestClosedForm:
             pm = per_mode_em(scheme, cav, n)
             u = SpacetimeMode(scheme, cav, n)
             coeffs, wp = stress._mode_terms(u)
-            e, p = stress._jet_quadrature(u.normalization, coeffs, wp, 0.0, cav.walls(scheme, t),
-                                          t, n)
+            e, p = jet_quadrature(u.normalization, coeffs, wp, 0.0, cav.walls(scheme, t),
+                                  t, n)
         # e >= |p|, so e scales both differences
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
@@ -562,7 +588,7 @@ class TestClosedForm:
             pm = per_mode_em_2d(cav, n, m)
             norm = SpacetimeMode(Scheme.LORENTZ_EXACT, Cavity1D(a, v), n).normalization
             coeffs, wp, p2 = stress._profile_terms(cav, n, m)
-            e, p = stress._jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n)
+            e, p = jet_quadrature(norm, coeffs, wp, p2, cav.walls_x(t), t, n)
         assert abs(pm.energy - e) <= 1e-13 * pm.energy
         assert abs(pm.momentum - p) <= 1e-13 * pm.energy
 
