@@ -1,7 +1,8 @@
 """Cavity geometry, kinematics, and the transformation-scheme selector.
 
 Natural units throughout: hbar = c = 1, so lengths are inverse energies and
-the velocity is the dimensionless fraction of the speed of light.
+the velocity is the dimensionless fraction of the speed of light. 1 - v^2 is
+formed only here (_light_cone), and gamma only by lorentz_factor.
 """
 
 import enum
@@ -83,9 +84,17 @@ def _validated(record: type) -> type:
     return record
 
 
+def _light_cone(v: float) -> float:
+    """1 - v^2 as (1 - v)(1 + v), within a few ulps at any |v| < 1.
+
+    One factor is exact where 1 - v^2 is small (Sterbenz: 1 - v for v >= 1/2).
+    """
+    return (1.0 - v) * (1.0 + v)
+
+
 def lorentz_factor(velocity: float) -> float:
-    """gamma = 1/sqrt(1 - v^2)."""
-    return 1.0 / math.sqrt(1.0 - velocity**2)
+    """gamma = 1/sqrt(1 - v^2), with 1 - v^2 from _light_cone."""
+    return 1.0 / math.sqrt(_light_cone(velocity))
 
 
 @_validated

@@ -29,7 +29,7 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme, _validated, lorentz_factor
+from .cavity import Cavity1D, Cavity2D, Scheme, _light_cone, _validated, lorentz_factor
 
 __all__ = [
     "OutsideCavityError",
@@ -127,7 +127,7 @@ class SpacetimeMode(NamedTuple):
         k = self.base_frequency
         v = self.cavity.velocity
         if self.scheme is Scheme.GALILEO_LAB_PRIOR:
-            return (1.0 - v**2) * k, k, (-k, v * k, -v * k, k)
+            return _light_cone(v) * k, k, (-k, v * k, -v * k, k)
         if self.scheme is Scheme.GALILEO_COMOVING_PRIOR:
             return k, k, (-k, 0.0, -v * k, k)
         coeffs = lorentz_coefficients(k, k, v)

@@ -28,7 +28,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity2D, Scheme, _check_length, _velocity_grid
+from .cavity import Cavity2D, Scheme, _check_length, _velocity_grid, lorentz_factor
 from .observables import mass_shell_residual
 from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part,
                      geometric_schedule)
@@ -445,21 +445,39 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
 
 
 def _boost(parts: FourParts, v: float, route: Route2D) -> Rect2DResult:
-    """Lab-frame (E_s, P_s) at velocity v from the rectangle's parts, by the chosen route."""
+    """Lab-frame (E_s, P_s) at velocity v from the rectangle's parts, by the chosen route.
+
+    Each error column bounds two errors, which add. The parts' own: the law
+    is linear in them, so their stated errors carry through with weights
+    |c_E| and |c_P|. The boost's rounding on the parts as given (Higham,
+    Accuracy and Stability, 2nd ed., 2.1 and 3.1): c_E = (1 + v^2)/(1 - v^2)
+    passes 2 roundings above the line, 3 below (cavity._light_cone) and the
+    division, so it is within _gamma(6) of the law at any |v| < 1, and c_P
+    = 2v/(1 - v^2) within _gamma(4); the route's product and sum (the
+    grouped route's sum or difference and product) add 2. So each column
+    adds _gamma(8) of the magnitudes it combines: |c_E U| + |W| and |c_P U|
+    per mode, |c_E| and |c_P/2| times |S_omega| + |S_k| grouped. A result
+    below the normal range errs by up to 2^-1075 absolute instead: c_P and
+    c_P/2 by at most 2^-1074, times the parts they multiply, and each
+    product by 2^-1075 more, so each column also adds 2^-1074 (1 + |U|)
+    (grouped, 1 + |S_omega| + |S_k|), below half an ulp of any normal column.
+    """
     ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
     if route is Route2D.PER_MODE:
-        energy = ce * parts.U.value + parts.W.value
-        momentum = cp * parts.U.value
-        energy_err = abs(ce) * parts.U.error_estimate + parts.W.error_estimate
-        momentum_err = abs(cp) * parts.U.error_estimate
+        ce_u, cp_u = ce * parts.U.value, cp * parts.U.value
+        energy, momentum = ce_u + parts.W.value, cp_u
+        tiny = 2.0**-1074 * (1.0 + abs(parts.U.value))
+        energy_err = (abs(ce) * parts.U.error_estimate + parts.W.error_estimate
+                      + _gamma(8) * (abs(ce_u) + abs(parts.W.value)) + tiny)
+        momentum_err = abs(cp) * parts.U.error_estimate + _gamma(8) * abs(cp_u) + tiny
     else:
         energy = ce * (parts.S_omega.value + parts.S_k.value)  # gamma^2(1+v^2) on S_omega + S_k
         g2v = cp / 2.0
         momentum = g2v * (parts.S_omega.value - parts.S_k.value)
-        energy_err = ce * (parts.S_omega.error_estimate + parts.S_k.error_estimate)
-        momentum_err = abs(g2v) * (
-            parts.S_omega.error_estimate + parts.S_k.error_estimate
-        )
+        magnitude = abs(parts.S_omega.value) + abs(parts.S_k.value)
+        size = parts.S_omega.error_estimate + parts.S_k.error_estimate + _gamma(8) * magnitude
+        tiny = 2.0**-1074 * (1.0 + magnitude)
+        energy_err, momentum_err = ce * size + tiny, abs(g2v) * size + tiny
     return Rect2DResult(velocity=v, route=route, energy=energy, momentum=momentum,
                         energy_error=energy_err, momentum_error=momentum_err)
 
@@ -509,7 +527,8 @@ def mass_shell_probe_2d(cavity: Cavity2D, v_grid) -> tuple[ShellProbeRow, ...]:
             + 2.0 * abs(e_m) * e_m_err
         )
         # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
-        predicted = 4.0 * v * v / (1.0 - v * v) * parts.U.value * parts.W.value
+        gv = lorentz_factor(v) * v
+        predicted = 4.0 * gv * gv * parts.U.value * parts.W.value
         rows.append(ShellProbeRow(res, residual, err, predicted))
     return tuple(rows)
 

@@ -58,7 +58,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity1D, Cavity2D, Scheme, lorentz_factor
+from .cavity import Cavity1D, Cavity2D, Scheme, _light_cone, lorentz_factor
 from .modes import SpacetimeMode, SpacetimeMode2D
 from .quadrature import gauss_legendre
 
@@ -75,8 +75,7 @@ class PerModeEM(NamedTuple):
     """Cavity-integrated energy/momentum contribution of a single mode.
 
     quad_error bounds the rounding error of energy and momentum: it is the
-    closed form's stated rounding bound 8 eps gamma^2 e, not a quadrature
-    estimate.
+    closed form's stated rounding bound 8 eps e, not a quadrature estimate.
     """
 
     energy: float
@@ -137,20 +136,20 @@ def _profile_terms(cavity: Cavity2D, n: int, m: int):
     return u._coeffs, _prefactor_frequency(w, g * w), u.wavenumber_y ** 2
 
 
-def _closed_form(coeffs, wp, p2, velocity) -> PerModeEM:
+def _closed_form(coeffs, wp, p2) -> PerModeEM:
     """The module docstring's e and p of a unit-normalized mode exp(i th) sin s, N^2 l = 2.
 
     Each coefficient is divided by w' before it is squared, and 1/4 and 1/2
     are applied before the last product, so a sum overflows only where e
-    does. quad_error is the stated rounding bound 8 eps gamma^2 e: e >= |p|
-    and neither sum cancels, so a few eps of rounding per operation remain,
-    amplified only by the 1 - v^2 inside gamma (and inside galileo-lab's w').
+    does. quad_error is the stated rounding bound 8 eps e: e >= |p| and
+    neither sum cancels, and gamma and galileo-lab's w' take 1 - v^2 from
+    cavity._light_cone, within a few ulps at any |v| < 1, so a few eps of
+    rounding per operation remain at every velocity.
     """
     r0, r1, r2, r3 = (c / wp for c in coeffs)
     e = 0.25 * wp * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + p2 / wp / wp)
     p = -_FAULT.get()[0] * 0.5 * wp * (r0 * r1 + r2 * r3)
-    bound = 8.0 * sys.float_info.epsilon * e / (1.0 - velocity * velocity)
-    return PerModeEM(energy=e, momentum=p, quad_error=bound)
+    return PerModeEM(energy=e, momentum=p, quad_error=8.0 * sys.float_info.epsilon * e)
 
 
 def _finite(em, cavity, index):
@@ -227,7 +226,7 @@ def per_mode_em(scheme: Scheme, cavity: Cavity1D, n: int) -> PerModeEM:
     independent. quad_error is the closed form's stated rounding bound.
     """
     coeffs, wp = _mode_terms(SpacetimeMode(scheme, cavity, n))
-    em = _closed_form(coeffs, wp, 0.0, cavity.velocity)
+    em = _closed_form(coeffs, wp, 0.0)
     return _finite(em, cavity, n)
 
 
@@ -244,7 +243,7 @@ def per_mode_em_2d(cavity: Cavity2D, n: int, m: int) -> PerModeEM:
         p_nm = -int Re(f_t conj(f_x)) / (2 w')            dx
     """
     coeffs, wp, p2 = _profile_terms(cavity, n, m)
-    em = _closed_form(coeffs, wp, p2, cavity.velocity)
+    em = _closed_form(coeffs, wp, p2)
     return _finite(em, cavity, (n, m))
 
 
@@ -252,28 +251,31 @@ def per_mode_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float
     """Closed-form (c_E, c_P) the quadrature must reproduce, per scheme.
 
     Defined by e_n = c_E * w_n / 2 and p_n = c_P * w_n / 2 with w_n = n pi / L.
-    galileo-lab and lorentz share the law ((1+v^2)/(1-v^2), 2v/(1-v^2)).
+    galileo-lab and lorentz share the law ((1+v^2)/(1-v^2), 2v/(1-v^2)), the one
+    place it is written; 1 - v^2 comes from cavity._light_cone, so both are
+    within a few ulps at any |v| < 1.
     """
     v = velocity
     if scheme is Scheme.GALILEO_COMOVING_PRIOR:
         return 1.0 + v * v / 2.0, v
-    return (1.0 + v * v) / (1.0 - v * v), 2.0 * v / (1.0 - v * v)
+    light_cone = _light_cone(v)
+    return (1.0 + v * v) / light_cone, 2.0 * v / light_cone
 
 
 def per_mode_em_2d_law(cavity: Cavity2D, n: int, m: int) -> tuple[float, float]:
     """2D per-mode law; verify's "rect2d: per-mode coefficient law" compares per_mode_em_2d to it.
 
-        e_nm = [gamma^2 (1+v^2) (w^2 + k^2) + p^2] / (4 w)
-        p_nm = gamma^2 v (w^2 + k^2) / (2 w)
+        e_nm = [c_E (w^2 + k^2) + p^2] / (4 w)
+        p_nm = c_P (w^2 + k^2) / (4 w)
+
+    with (c_E, c_P) the lorentz per_mode_coefficients.
     """
     u = _mode_2d(cavity, n, m)
-    v = cavity.velocity
-    g2 = 1.0 / (1.0 - v * v)
+    ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, cavity.velocity)
     w = u.frequency
-    k2 = u.wavenumber_x**2
-    p2 = u.wavenumber_y**2
-    e = (g2 * (1.0 + v * v) * (w * w + k2) + p2) / (4.0 * w)
-    p = g2 * v * (w * w + k2) / (2.0 * w)
+    w2k2 = w * w + u.wavenumber_x**2
+    e = (ce * w2k2 + u.wavenumber_y**2) / (4.0 * w)
+    p = cp * w2k2 / (4.0 * w)
     return _finite((e, p), cavity, (n, m))
 
 

@@ -710,18 +710,20 @@ class TestOutputFile:
 # 8.17e-11 relative, 0.096 of its stated error, and only digits derived from it
 # moved. The three sweeps again when the first mode's quadrature took one panel,
 # the count its truncation bound needs: only shell_residual digits moved (79, 9 and
-# 11 rows), and every coefficient stays within 5.1e-16 of the closed form. Any
-# other change is a defect.
+# 11 rows), and every coefficient stays within 5.1e-16 of the closed form. The
+# lorentz and galileo-lab sweeps and the lorentz boost again when 1 - v^2 came to be
+# formed as (1 - v)(1 + v): only shell_residual digits moved (55, 6 and 1 rows), each
+# within 7 eps (E^2 + P^2) before and after. Any other change is a defect.
 STDOUT_SHA256 = {
     ("sweep", "--scheme", "lorentz", "--L", "1.37", "--v=-0.93:0.94:0.005", "--route", "per-mode",
      "--method", "zeta", "--format", "csv"):
-        "e6431db35286a96bcb619dd6ae2276da5d12842c55f6ea86644c90d0c2deb50c",
+        "7a6a33aca2bd46030d87bf47d1f006a6863f6cb8d77cc57f272aceb3c1c6afb1",
     ("sweep", "--scheme", "galileo-comoving", "--L", "0.83", "--v=-0.48:0.5:0.0093", "--route",
      "per-mode", "--method", "cutoff", "--format", "json"):
         "d0bc39e868147d39e59e7b4951941f681095c0c064d252de9adb9fa8f1fc0a53",
     ("sweep", "--scheme", "galileo-lab", "--L", "2.2", "--v=-0.47:0.5:0.036", "--route", "per-mode",
      "--method", "abel-plana", "--format", "csv"):
-        "8302a6f6e2d9e8a653f50fb9fe7a08b01faa032d547705bac704456c158fa007",
+        "44b58f5c94a2525fb55dd558545c0a4bc3b9924ef359d5a64ae93de99c0cdf50",
     # static's three regulators side by side, the cutoff m0 among them, text and json
     ("static", "--L", "1.3"):
         "c91998af9836abf73bfc2fc3a9ea61487906adf9b7bf2786334813507c5a45f6",
@@ -731,19 +733,24 @@ STDOUT_SHA256 = {
         "a24e19fdd89e91f63da4fa098ee1d1465bca0390723c44021e47ae27061472e8",
     ("boost", "--scheme", "lorentz", "--L", "0.7", "--v=0.81", "--method", "cutoff",
      "--format", "json"):
-        "84c0e8ae4e6f8ee6c1bddacc7951a9b0c4aeab9d49277ca7039ddf20abd4dcde",
+        "ea5cc93a67f985b269ea21bc03a13bc71ddf499b59e03ff1533da4549ed56d59",
+    # near light speed, where 1 - v^2 decides the digits: E = P = -1308996.87423, the
+    # 40-digit law's (-1308996.874234901... and -1308996.874234895...)
+    ("boost", "--scheme", "lorentz", "--L", "1", "--v", "0.9999999"):
+        "c99cdb13d80749505572e357f9b5c9d74d98d9d8196c8b724240d1a2f4f18b6b",
     # rect2d text and json, each with a shell grid and the solver: the Chowla-Selberg
     # closed form in floats (libm and math.fsum). Re-recorded when the subtraction
     # branches' residual took its light-cone form; only the zero-transverse residual moved.
     # Again when the closed form became the cutoff rows' eps^0 term: every printed value
     # kept its 12 digits; the error columns, the static-limit gap below one ulp and one
-    # subtraction residual (1.64e-16 -> 0) moved.
+    # subtraction residual (1.64e-16 -> 0) moved. Again when E_s_error and P_s_error came
+    # to add the boost's own rounding: only those columns and the shell rows' errors moved.
     ("rect2d", "--a", "1.3", "--b", "4.1", "--v", "0.55", "--shell-grid", "0.05:0.8:0.15",
      "--solve-subtraction"):
-        "be86d83d73bbbf342044f8e12e72b4ed5c5ad4fbd8ef4270aa301ce7a6a4d55f",
+        "a9bed9142205655dce0e2e8ba06e94ecd88dccddf8e01ca9ae865ca4b1954dd9",
     ("rect2d", "--a", "2.7", "--b", "0.9", "--v=-0.35", "--shell-grid", "0.1:0.7:0.3",
      "--solve-subtraction", "--format", "json"):
-        "15db125b786012e21c8f58cb2de7764321cb33a3df38f8abafe62fc242fb643b",
+        "ae6a3ce96d6928c76d52bd8184de66a513cc0b1da489ff796cf09a4e3c0efe87",
     # the modes table of each scheme, csv and json, and the modes group of verify
     ("modes", "--scheme", "galileo-lab", "--L", "0.7", "--v", "0.3", "--n-max", "40", "--t", "1.3",
      "--format", "csv"):

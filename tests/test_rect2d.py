@@ -494,3 +494,39 @@ def test_swap_symmetry_and_linearity(a, b):
         ab.S_omega.error_estimate + ba.S_omega.error_estimate)
     assert abs(ab.U.value + ab.W.value - ab.S_omega.value) <= (
         ab.U.error_estimate + ab.W.error_estimate + ab.S_omega.error_estimate)
+
+
+@functools.lru_cache(maxsize=None)
+def _boost_parts(a, b, method):
+    config = rect2d.default_config() if method == "cutoff" else RegConfig(RegMethod.ZETA_EXACT)
+    return finite_parts(Cavity2D(a, b), config)
+
+
+# zeta parts at aspect 1, near U's and S_omega's zero crossings (1.83, 2.736865), and at
+# 1e3 and 1e12; cutoff parts at aspect 1 and 20. Each non-square one on both orientations.
+BOOST_GEOMETRIES = [(1.0, y, "zeta") for y in (1.0, 1.83, 2.736865, 1e3, 1e12)]
+BOOST_GEOMETRIES += [(1.0, y, "cutoff") for y in (1.0, 20.0)]
+BOOST_GEOMETRIES += [(b, a, method) for a, b, method in BOOST_GEOMETRIES if a != b]
+
+
+@pytest.mark.parametrize("geometry", BOOST_GEOMETRIES, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(v=st.one_of(st.floats(-0.99, 0.99),
+                   st.builds(lambda bits, sign: sign * (1.0 - 2.0**-bits),
+                             st.integers(1, 53), st.sampled_from((-1.0, 1.0))),
+                   st.builds(lambda gap, sign: sign * (1.0 - 10.0**-gap),
+                             st.floats(2.0, 16.0), st.sampled_from((-1.0, 1.0)))))
+def test_boost_within_its_stated_errors(geometry, v):
+    """E_s and P_s within their stated errors of the 40-digit law on the same float parts,
+    on both routes, up to v = 1 - 2^-53."""
+    parts = _boost_parts(*geometry)
+    with mpmath.workdps(40):
+        w = mpmath.mpf(v)
+        ce, cp = (1 + w * w) / (1 - w * w), 2 * w / (1 - w * w)
+        u, s_omega, s_k = (mpmath.mpf(p.value) for p in (parts.U, parts.S_omega, parts.S_k))
+        laws = {Route2D.PER_MODE: (ce * u + parts.W.value, cp * u),
+                Route2D.GROUPED: (ce * (s_omega + s_k), cp / 2 * (s_omega - s_k))}
+        for route, (energy, momentum) in laws.items():
+            res = rect2d._boost(parts, v, route)
+            assert abs(res.energy - energy) <= res.energy_error, route
+            assert abs(res.momentum - momentum) <= res.momentum_error, route

@@ -61,13 +61,16 @@ FIRST_MODE = "stress: per-mode route's first-mode quadrature matches the closed 
 DENSITIES = "stress: closed form matches Gauss-Legendre of the densities at t = 0.37"
 RECT2D_STATIC = "rect2d: static limit of the per-mode route"
 RECT2D_SHELL = "rect2d: shell residual matches 2(g^2(1+v^2)-1)UW"
+MODES_STATIC = "modes: static reduction"
 
 # a kernel scaled by 1 + 1e-9 at every module binding of its name: the checks the full suite
 # fails. zeta_linear_sum and abel_plana_m0 fail none yet, so have no row.
 KERNEL_DEFECTS = {
+    ("_light_cone", ("cavity", "modes", "stress")): {
+        MODES_STATIC, STATIC_LIMIT, RECT2D_STATIC, RECT2D_SHELL, MASS_SHELL},
     ("_closed_form", ("stress",)): {STATIC_LIMIT, FIRST_MODE, DENSITIES, RECT2D_LAW},
     ("per_mode_coefficients", ("stress", "rect2d", "observables")): {
-        ENERGY_LAW, MOMENTUM_LAW, RECT2D_STATIC, RECT2D_SHELL, MASS_SHELL},
+        ENERGY_LAW, MOMENTUM_LAW, RECT2D_LAW, RECT2D_STATIC, RECT2D_SHELL, MASS_SHELL},
     ("closed_form_coefficients", ("observables",)): {MASS_SHELL},
     ("gauss_legendre", ("quadrature", "stress", "regsum")): {FIRST_MODE, DENSITIES, ENERGY_LAW,
                                                              MOMENTUM_LAW, MASS_SHELL},
