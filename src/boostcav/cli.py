@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 """
 
 import argparse
-import functools
 import math
 import sys
 from typing import Any, Iterator, Sequence
@@ -424,104 +423,103 @@ def _cmd_modes(args: argparse.Namespace) -> tuple:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
-    """--config, --output and (with formats, the first the default) --format."""
-    sub.add_argument("--config", help="file of 'key = value' lines, read as the flags "
-                                      "--key=value; flags on the command line win")
+# a flag that alone means true and also takes a boolean: --plates, --plates=false
+_SWITCH = {"nargs": "?", "const": True, "default": False, "type": _parse_bool, "metavar": "BOOL"}
+_SCHEMES = [s.value for s in Scheme]
+
+# Each command's handler, help, own flags (without their dashes, each with its
+# add_argument keywords) and formats (the first the default; none, no --format).
+_COMMANDS = {
+    "static": (_cmd_static, "regularized static energy, all regularizers side by side", {
+        "L": {"type": float, "help": "proper cavity length"},
+        "a": {"type": float, "help": "plate separation (with --plates)"},
+        "plates": {**_SWITCH, "help": "parallel-plate energy per unit area instead of the 1D cavity"},
+    }, ("text", "json")),
+    "boost": (_cmd_boost, "boosted energy/momentum, both routes", {
+        "scheme": {"choices": _SCHEMES},
+        "L": {"type": float, "default": 1.0},
+        "v": {"type": float},
+        "method": {"choices": _METHODS, "default": "zeta"},
+    }, ("text", "json")),
+    "sweep": (_cmd_sweep, "velocity sweep table with point-particle reference columns", {
+        "scheme": {"choices": _SCHEMES},
+        "L": {"type": float, "default": 1.0},
+        "v": {"help": "grid spec start:stop:step (inclusive)"},
+        "route": {"choices": [r.value for r in Route], "default": Route.CLOSED_FORM.value},
+        "method": {"choices": _METHODS, "default": "zeta"},
+    }, ("csv", "json")),
+    "rect2d": (_cmd_rect2d, "moving rectangle: finite parts, routes, shell probe", {
+        "a": {"type": float},
+        "b": {"type": float},
+        "v": {"type": float, "default": 0.0},
+        "shell-grid": {"help": "velocity grid for the shell probe"},
+        "solve-subtraction": _SWITCH,
+    }, ("text", "json")),
+    "verify": (_cmd_verify, "run the invariant suite", {
+        "only": {"help": "restrict to one module group"},
+        # the negative-control faults, hidden from --help
+        "inject-t01-sign-flip": {**_SWITCH, "help": argparse.SUPPRESS},
+        "inject-prefactor": {"choices": ("lab-phase", "doubled"), "help": argparse.SUPPRESS},
+    }, ()),
+    "modes": (_cmd_modes, "dump a mode table: n, frequencies, norm, sample value", {
+        "scheme": {"choices": _SCHEMES},
+        "L": {"type": float, "default": 1.0},
+        "v": {"type": float, "default": 0.0},
+        "n-max": {"type": int, "default": 8},
+        "t": {"type": float, "default": 0.0},
+    }, ("csv", "json")),
+}
+
+
+def _flags(command: str) -> dict[str, dict]:
+    """Every flag of a command, in --help order: its own, then --config, --format, --output."""
+    _, _, own, formats = _COMMANDS[command]
+    flags = {**own, "config": {"help": "file of 'key = value' lines, read as the flags "
+                                       "--key=value; flags on the command line win"}}
     if formats:
-        sub.add_argument("--format", choices=formats, default=formats[0])
-    sub.add_argument("--output", help="output path (default: stdout)")
+        flags["format"] = {"choices": formats, "default": formats[0]}
+    return {**flags, "output": {"help": "output path (default: stdout)"}}
 
 
-def _add_switch(sub: argparse.ArgumentParser, flag: str, **kw) -> None:
-    """A flag that alone means true and also takes a boolean: --plates, --plates=false."""
-    sub.add_argument(flag, nargs="?", const=True, default=False, type=_parse_bool,
-                     metavar="BOOL", **kw)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command's subparser, which the top-level help and errors name; flags for one."""
     parser = argparse.ArgumentParser(
         prog="boostcav",
         description="Vacuum energy and momentum of uniformly moving Dirichlet cavities "
                     f"(units: {UNITS_NOTE}).",
     )
-    # no prefix matching: a config key, like a flag, must spell its option in full
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=functools.partial(argparse.ArgumentParser,
-                                                                allow_abbrev=False))
-    schemes = [s.value for s in Scheme]
-
-    p = subs.add_parser("static", help="regularized static energy, all regularizers side by side")
-    p.add_argument("--L", type=float, help="proper cavity length")
-    p.add_argument("--a", type=float, help="plate separation (with --plates)")
-    _add_switch(p, "--plates", help="parallel-plate energy per unit area instead of the 1D cavity")
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=_cmd_static)
-
-    p = subs.add_parser("boost", help="boosted energy/momentum, both routes")
-    p.add_argument("--scheme", choices=schemes)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--v", type=float)
-    p.add_argument("--method", choices=_METHODS, default="zeta")
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=_cmd_boost)
-
-    p = subs.add_parser("sweep", help="velocity sweep table with point-particle reference columns")
-    p.add_argument("--scheme", choices=schemes)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--v", help="grid spec start:stop:step (inclusive)")
-    p.add_argument("--route", choices=[r.value for r in Route], default=Route.CLOSED_FORM.value)
-    p.add_argument("--method", choices=_METHODS, default="zeta")
-    _add_common(p, ("csv", "json"))
-    p.set_defaults(func=_cmd_sweep)
-
-    p = subs.add_parser("rect2d", help="moving rectangle: finite parts, routes, shell probe")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--v", type=float, default=0.0)
-    p.add_argument("--shell-grid", help="velocity grid for the shell probe")
-    _add_switch(p, "--solve-subtraction")
-    _add_common(p, ("text", "json"))
-    p.set_defaults(func=_cmd_rect2d)
-
-    p = subs.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--only", help="restrict to one module group")
-    _add_switch(p, "--inject-t01-sign-flip", help=argparse.SUPPRESS)  # negative-control fault
-    p.add_argument("--inject-prefactor", choices=("lab-phase", "doubled"),
-                   help=argparse.SUPPRESS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = subs.add_parser("modes", help="dump a mode table: n, frequencies, norm, sample value")
-    p.add_argument("--scheme", choices=schemes)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--v", type=float, default=0.0)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--t", type=float, default=0.0)
-    _add_common(p, ("csv", "json"))
-    p.set_defaults(func=_cmd_modes)
-
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        # no prefix matching: a config key, like a flag, must spell its option in full
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        if name == command:
+            for flag, keywords in _flags(name).items():
+                sub.add_argument(f"--{flag}", **keywords)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    # the top level has no flag but -h, so the first token naming a command is the
+    # one argparse takes: only its subparser gets flags
+    command = next((token for token in argv if token in _COMMANDS), None)
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
         if args.config:
             # the file's lines as flags right after the subcommand: argparse
             # converts and checks them, and the command line's own flags,
-            # coming later, win
-            file_flags = {f"--{key}={value}": (key, lineno)
-                          for key, (value, lineno) in _load_config(args.config).items()}
-            _, unknown = parser.parse_known_args(argv[:1] + list(file_flags))
-            if unknown:
-                key, lineno = file_flags[unknown[0]]
-                raise UsageError(f"{args.config}:{lineno}: unknown key {key!r} for boostcav "
-                                 f"{args.command} (no flag --{key})")
-            args = parser.parse_args(argv[:1] + list(file_flags) + argv[1:])
-        code, meta, rows, lines = args.func(args)
+            # coming later, win. A key that is no flag is refused after a bad
+            # value; `config` is none, as files do not nest
+            values = _load_config(args.config)
+            keys = _flags(command).keys() - {"config"}
+            file_flags = [f"--{key}={value}" for key, (value, _) in values.items() if key in keys]
+            args = parser.parse_args(argv[:1] + file_flags + argv[1:])
+            for key, (_, lineno) in values.items():
+                if key not in keys:
+                    raise UsageError(f"{args.config}:{lineno}: unknown key {key!r} for boostcav "
+                                     f"{command} (no flag --{key})")
+        code, meta, rows, lines = _COMMANDS[command][0](args)
         # the one output path: JSON, or the text or CSV lines under the units note
         if getattr(args, "format", "text") == "json":
             text = _json_payload(meta, rows())

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -590,6 +591,17 @@ class TestConfigFile:
         assert f"usage error: {cfg}:1: expected 'key = value'" in err
         assert "run `boostcav boost --help`" in err
 
+    @pytest.mark.parametrize("line,key", [("config = other.cfg", "config"), ("help = 1", "help")])
+    def test_no_key_outside_the_command_flags(self, capsys, tmp_path, line, key):
+        # config files do not nest, and --help is no key: each is refused with its line
+        (tmp_path / "other.cfg").write_text("L = 2\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run(capsys, "static", "--L", "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: {cfg}:1: unknown key {key!r} for boostcav static "
+                       f"(no flag --{key})\nrun `boostcav static --help` for accepted flags\n")
+
     def test_flag_before_config_also_wins(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scheme = lorentz\nv = 0.2\nformat = json\n")
@@ -915,6 +927,27 @@ class TestHelpGoldens:
         assert out == HELP_TEXT[command]
 
 
+# argparse's own refusals at 80 columns, byte for byte: a partly built parser must
+# keep every one of them
+TOP_USAGE = "usage: boostcav [-h] {static,boost,sweep,rect2d,verify,modes} ...\n"
+ERROR_TEXT = {
+    (): TOP_USAGE + "boostcav: error: the following arguments are required: command\n",
+    ("nosuch",): TOP_USAGE + "boostcav: error: argument command: invalid choice: 'nosuch' "
+                             "(choose from 'static', 'boost', 'sweep', 'rect2d', 'verify', "
+                             "'modes')\n",
+    ("static", "--bogus"): TOP_USAGE + "boostcav: error: unrecognized arguments: --bogus\n",
+    ("verify", "--format", "json"): TOP_USAGE + "boostcav: error: unrecognized arguments: "
+                                                "--format json\n",
+}
+
+
+class TestErrorGoldens:
+    @pytest.mark.parametrize("argv", list(ERROR_TEXT), ids=lambda a: "-".join(a) or "bare")
+    def test_bytes_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (2, "", ERROR_TEXT[argv])
+
+
 class TestStaticM0FittedOnce:
     @pytest.fixture
     def fits(self, monkeypatch):
@@ -944,7 +977,7 @@ class TestStaticM0FittedOnce:
 
 
 class TestColdStart:
-    """What a fresh CLI process imports; structural, so no timing is asserted."""
+    """What a CLI request imports and builds; structural, so no timing is asserted."""
 
     @staticmethod
     def _fresh(script: str) -> str:
@@ -1021,6 +1054,32 @@ class TestColdStart:
         expected += [f"{argv[0]} {code} False" for argv, code in self.REQUESTS]
         expected.append("verify 0 False")
         assert self._fresh(script).splitlines() == expected
+
+    # each command's own flags; every request also adds the 7 parsers' -h, and
+    # --config, --output and (all but verify) --format
+    OWN_FLAGS = (
+        (["static", "--L", "1.3"], 3),
+        (["boost", "--scheme", "lorentz", "--v", "0.5"], 4),
+        (["sweep", "--scheme", "lorentz", "--v", "0:0.4:0.2"], 5),
+        (["rect2d", "--a", "1", "--b", "3", "--v", "0.4"], 5),
+        (["verify", "--only", "stress"], 3),
+        (["modes", "--scheme", "lorentz", "--n-max", "3"], 5),
+    )
+
+    @pytest.mark.parametrize("argv,own", OWN_FLAGS, ids=[argv[0] for argv, _ in OWN_FLAGS])
+    def test_a_request_adds_only_its_own_flags(self, capsys, monkeypatch, argv, own):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *names, **keywords):
+            added.append(names)
+            return add_argument(parser, *names, **keywords)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert run(capsys, *argv)[0] == 0
+        common = 2 if argv[0] == "verify" else 3
+        assert len(added) == 7 + own + common
+        assert added.count(("-h", "--help")) == 7
 
     def test_text_requests_never_import_json(self):
         script = (
