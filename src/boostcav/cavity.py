@@ -2,7 +2,9 @@
 
 Natural units throughout: hbar = c = 1, so lengths are inverse energies and
 the velocity is the dimensionless fraction of the speed of light. 1 - v^2 is
-formed only here (_light_cone), and gamma only by lorentz_factor.
+formed only here (_light_cone), and gamma only by lorentz_factor. Every
+printed value, in rows, reports, notes and warnings, has 12 significant
+digits, and negative zero prints as 0: _fmt is its one formatter.
 """
 
 import enum
@@ -45,6 +47,12 @@ class Scheme(enum.Enum):
     @property
     def is_galilean(self) -> bool:
         return self is not Scheme.LORENTZ_EXACT
+
+
+def _fmt(x: float) -> str:
+    if x == 0.0:
+        x = 0.0  # normalize negative zero
+    return f"{x:.12g}"
 
 
 def _check_velocity(v: float) -> None:
@@ -153,6 +161,6 @@ def nonrelativistic_flag(scheme: Scheme, velocity: float) -> str | None:
     if scheme.is_galilean and abs(velocity) > NONREL_VELOCITY_LIMIT:
         return (
             f"{scheme.value}: non-relativistic approximation, "
-            f"valid to O(v^2) only (|v| = {abs(velocity):g} > {NONREL_VELOCITY_LIMIT})"
+            f"valid to O(v^2) only (|v| = {_fmt(abs(velocity))} > {NONREL_VELOCITY_LIMIT})"
         )
     return None

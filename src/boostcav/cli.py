@@ -4,7 +4,8 @@ Subcommands: static | boost | sweep | rect2d | verify | modes. A `--config`
 file of `key = value` lines is read as the flags `--key=value` it spells;
 flags on the command line override it.
 All output is deterministic: byte-identical across runs for the same
-configuration. Numbers are serialized with 12 significant digits and every
+configuration. Every printed value, in rows, reports, notes and warnings,
+has 12 significant digits, and negative zero prints as 0 (cavity._fmt); every
 header carries the unit convention hbar = c = 1.
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
@@ -15,7 +16,7 @@ import math
 import sys
 from typing import Any, Iterator, Sequence
 
-from .cavity import Cavity1D, Cavity2D, Scheme, nonrelativistic_flag
+from .cavity import Cavity1D, Cavity2D, Scheme, _fmt, nonrelativistic_flag
 from .observables import (
     ROUTE_AGREEMENT_RTOL,
     Route,
@@ -54,12 +55,6 @@ ROW_BUDGET = 10_000
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize negative zero
-    return f"{x:.12g}"
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -19,8 +19,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import (Cavity1D, Scheme, _check_length, _velocity_grid, lorentz_factor,
-                     nonrelativistic_flag)
+from .cavity import (NONREL_VELOCITY_LIMIT, Cavity1D, Scheme, _check_length, _fmt,
+                     _velocity_grid, lorentz_factor, nonrelativistic_flag)
 from .regsum import (
     FitError,
     Linear1DSummand,
@@ -199,11 +199,11 @@ def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
     """
     largest = max(abs(em.energy) for em in ems)
     if m0 * m0 < sys.float_info.min:
-        cause = (f"{rest}^2 underflows float64 (to {m0 * m0:.12g}), so E^2-P^2-{rest}^2 is not "
+        cause = (f"{rest}^2 underflows float64 (to {_fmt(m0 * m0)}), so E^2-P^2-{rest}^2 is not "
                  "representable")
     elif largest * largest == math.inf:
-        cause = (f"E^2 overflows float64 (|E| up to {largest:.12g}), so E^2-P^2-{rest}^2 is formed "
-                 f"as (E-P)(E+P)-{rest}^2")
+        cause = (f"E^2 overflows float64 (|E| up to {_fmt(largest)}), so E^2-P^2-{rest}^2 is "
+                 f"formed as (E-P)(E+P)-{rest}^2")
     else:
         return ""
 
@@ -211,8 +211,8 @@ def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
         return (em.energy / m0) ** 2 - (em.momentum / m0) ** 2 - 1.0
 
     worst = max(ems, key=lambda em: abs(relative(em)))
-    return (f"{cause}; relative residual (E/{rest})^2-(P/{rest})^2-1 = {relative(worst):.12g} "
-            f"({worst.route.value}, v = {worst.velocity:.12g})")
+    return (f"{cause}; relative residual (E/{rest})^2-(P/{rest})^2-1 = {_fmt(relative(worst))} "
+            f"({worst.route.value}, v = {_fmt(worst.velocity)})")
 
 
 def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
@@ -226,8 +226,8 @@ def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
     design's condition number exceeds 1e12 (a degree too high for the
     samples).
     """
-    if v_max > 0.3:
-        raise ValueError("v_max must be <= 0.3 for a non-relativistic fit")
+    if v_max > NONREL_VELOCITY_LIMIT:
+        raise ValueError(f"v_max must be <= {NONREL_VELOCITY_LIMIT} for a non-relativistic fit")
     if not v_max > 0.0:
         raise ValueError("v_max must be > 0 for a non-relativistic fit")
     if degree < 2:
@@ -324,7 +324,7 @@ def lab_prior_discrepancy_report(cavity: Cavity1D, m0: float) -> DiscrepancyRepo
         DiscrepancyEntry("P", c_closed[1] * m0, c_quad[1] * m0),
     )
     return DiscrepancyReport(
-        title=f"galileo-lab routes at v = {v:g}",
+        title=f"galileo-lab routes at v = {_fmt(v)}",
         label_a="closed form (1 + 2v^2 + v^4, v + v^3)",
         label_b="per-mode quadrature ((1+v^2)/(1-v^2), 2v/(1-v^2))",
         entries=entries,

@@ -28,7 +28,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .cavity import Cavity2D, Scheme, _check_length, _velocity_grid, lorentz_factor
+from .cavity import Cavity2D, Scheme, _check_length, _fmt, _velocity_grid, lorentz_factor
 from .observables import mass_shell_residual
 from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part,
                      geometric_schedule)
@@ -497,16 +497,14 @@ def static_limit_report(cavity: Cavity2D) -> DiscrepancyReport:
         DiscrepancyEntry("E_s(v=0) per-mode", per_mode.energy, parts.S_omega.value),
     )
     return DiscrepancyReport(
-        title=(
-            f"static limit of the grouped 2D route, a={cavity.proper_length_x:g}, "
-            f"b={cavity.proper_length_y:g}"
-        ),
+        title=(f"static limit of the grouped 2D route, a={_fmt(cavity.proper_length_x)}, "
+               f"b={_fmt(cavity.proper_length_y)}"),
         label_a="route value at v = 0",
         label_b="rest-frame energy FP[sum w/2]",
         entries=entries,
         note=(
             "the grouped closed form misses its own static limit by the finite "
-            f"amount FP[sum k^2/(2w)] = {parts.S_k.value:.12g}; the per-mode route "
+            f"amount FP[sum k^2/(2w)] = {_fmt(parts.S_k.value)}; the per-mode route "
             "reproduces it exactly (U + W = S_omega by linearity)"
         ),
     )
@@ -569,6 +567,6 @@ def subtraction_solver_2d(cavity: Cavity2D, v_grid) -> SubtractionSolution:
     )
     note = (
         "shell-for-all-v forces (U0+dU)(W0+dW) = 0; the solution manifold is "
-        f"the union of the two branches above (U0 = {u0:.12g}, W0 = {w0:.12g})"
+        f"the union of the two branches above (U0 = {_fmt(u0)}, W0 = {_fmt(w0)})"
     )
     return SubtractionSolution(branches=branches, note=note)

@@ -7,6 +7,8 @@ the deviation quantified rather than silently preferring one.
 
 from typing import NamedTuple
 
+from .cavity import _fmt
+
 __all__ = ["DiscrepancyEntry", "DiscrepancyReport"]
 
 
@@ -36,7 +38,7 @@ class DiscrepancyReport(NamedTuple):
         out = [f"discrepancy report: {self.title}", f"  [A] {self.label_a}  [B] {self.label_b}"]
         for e in self.entries:
             out.append(
-                f"  {e.quantity}: A={e.value_a:.12g} B={e.value_b:.12g} "
+                f"  {e.quantity}: A={_fmt(e.value_a)} B={_fmt(e.value_b)} "
                 f"abs={e.abs_diff:.3e} rel={e.rel_diff:.3e}"
             )
         if self.note:

@@ -25,6 +25,11 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+def _at_most(name: str, reading: float, gate: float, label: str) -> CheckResult:
+    """The check that passes when reading <= gate, printing `label = reading`."""
+    return CheckResult(name, reading <= gate, f"{label} = {reading:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
@@ -40,8 +45,7 @@ def _checks_modes() -> list[CheckResult]:
                 left, right = modes.boundary_residual(scheme, cav, n, t)
                 scale = modes.SpacetimeMode(scheme, cav, n).normalization
                 worst = max(worst, abs(left) / scale, abs(right) / scale)
-    out.append(CheckResult("modes: dirichlet walls", worst <= 1e-12,
-                           f"max |u(wall)|/N = {worst:.2e}"))
+    out.append(_at_most("modes: dirichlet walls", worst, 1e-12, "max |u(wall)|/N"))
 
     rng = random.Random(20240517)
     worst = 0.0
@@ -56,8 +60,7 @@ def _checks_modes() -> list[CheckResult]:
                 for _ in range(25):
                     x = left + (right - left) * rng.uniform(0.01, 0.99)
                     worst = max(worst, modes.kg_residual(scheme, cav, n, 0.21, x) / scale)
-    out.append(CheckResult("modes: field equation", worst <= 1e-9,
-                           f"max relative residual = {worst:.2e}"))
+    out.append(_at_most("modes: field equation", worst, 1e-9, "max relative residual"))
 
     # each entry within the rounding bound of modes._gram_bound
     worst_off = worst_shift = 0.0
@@ -121,8 +124,7 @@ def _checks_stress() -> list[CheckResult]:
     pm2 = stress.per_mode_em_2d(Cavity2D(1.0, 1.0, 0.0), 1, 1)
     w11 = math.pi * math.sqrt(2.0)
     worst = max(worst, abs(pm2.energy - w11 / 2) / (w11 / 2), abs(pm2.momentum) / (w11 / 2))
-    out.append(CheckResult("stress: static limit e=w/2, p=0", worst <= 1e-10,
-                           f"max deviation = {worst:.2e}"))
+    out.append(_at_most("stress: static limit e=w/2, p=0", worst, 1e-10, "max deviation"))
 
     worst = 0.0
     for scheme in Scheme:
@@ -133,8 +135,7 @@ def _checks_stress() -> list[CheckResult]:
         scale = max(map(abs, e_ratios + p_ratios))
         worst = max(worst, (max(e_ratios) - min(e_ratios)) / scale,
                     (max(p_ratios) - min(p_ratios)) / scale)
-    out.append(CheckResult("stress: per-mode proportionality to w_n", worst <= 1e-8,
-                           f"max dispersion = {worst:.2e}"))
+    out.append(_at_most("stress: per-mode proportionality to w_n", worst, 1e-8, "max dispersion"))
 
     worst_e = 0.0
     worst_p = 0.0
@@ -145,18 +146,17 @@ def _checks_stress() -> list[CheckResult]:
             ce, cp = stress.per_mode_coefficients(scheme, v)
             worst_e = max(worst_e, abs(fit_e - ce) / ce)
             worst_p = max(worst_p, abs(fit_p - cp) / abs(cp))
-    out.append(CheckResult("stress: energy law (exact contraction and comoving-prior)",
-                           worst_e <= 1e-9, f"max relative error = {worst_e:.2e}"))
-    out.append(CheckResult("stress: momentum law (exact contraction and comoving-prior)",
-                           worst_p <= 1e-9, f"max relative error = {worst_p:.2e}"))
+    out.append(_at_most("stress: energy law (exact contraction and comoving-prior)",
+                        worst_e, 1e-9, "max relative error"))
+    out.append(_at_most("stress: momentum law (exact contraction and comoving-prior)",
+                        worst_p, 1e-9, "max relative error"))
 
     worst = 0.0
     for scheme in Scheme:
         for v in (0.15, 0.45 if scheme is Scheme.LORENTZ_EXACT else 0.25):
             (e_plus, p_plus), (e_minus, p_minus) = stress.coefficient_fits(scheme, (v, -v))
             worst = max(worst, abs(e_plus - e_minus), abs(p_plus + p_minus))
-    out.append(CheckResult("stress: parity (E even, P odd in v)", worst <= 1e-9,
-                           f"max parity violation = {worst:.2e}"))
+    out.append(_at_most("stress: parity (E even, P odd in v)", worst, 1e-9, "max parity violation"))
 
     # the route's quadrature against the closed form, at the velocities above;
     # momentum is measured on the energy scale, as it vanishes at v = 0
@@ -169,8 +169,8 @@ def _checks_stress() -> list[CheckResult]:
             c_e, c_p = pm.energy / (math.pi / 2.0), pm.momentum / (math.pi / 2.0)
             worst = max(worst, abs(fit_e - c_e) / abs(c_e),
                         abs(fit_p - c_p) / max(abs(c_p), abs(c_e)))
-    out.append(CheckResult("stress: per-mode route's first-mode quadrature matches the closed form",
-                           worst <= 1e-13, f"max relative difference = {worst:.2e}"))
+    out.append(_at_most("stress: per-mode route's first-mode quadrature matches the closed form",
+                        worst, 1e-13, "max relative difference"))
 
     # quadrature as the closed form's oracle beyond the first mode and the t = 0 slice;
     # e >= |p|, so e scales both differences
@@ -182,9 +182,8 @@ def _checks_stress() -> list[CheckResult]:
             e, p = stress._density_quadrature(scheme, cavity, n, 0.37)
             pm = stress.per_mode_em(scheme, cavity, n)
             worst = max(worst, abs(pm.energy - e) / abs(e), abs(pm.momentum - p) / abs(e))
-    out.append(CheckResult(
-        "stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
-        worst <= 1e-12, f"max relative difference = {worst:.2e}"))
+    out.append(_at_most("stress: closed form matches Gauss-Legendre of the densities at t = 0.37",
+                        worst, 1e-12, "max relative difference"))
     return out
 
 
@@ -200,8 +199,8 @@ def _checks_regsum() -> list[CheckResult]:
         cut = observables.static_m0(length, RegConfig.cutoff())
         ap = observables.static_m0(length, RegConfig(RegMethod.ABEL_PLANA))
         worst = max(worst, abs(cut - exact) / abs(exact), abs(ap - exact) / abs(exact))
-    out.append(CheckResult("regsum: regulator universality on m0(L)", worst <= 1e-6,
-                           f"max relative spread = {worst:.2e}"))
+    out.append(_at_most("regsum: regulator universality on m0(L)", worst, 1e-6,
+                        "max relative spread"))
 
     config = RegConfig.cutoff()
     c = regsum.Linear1DSummand(math.pi, weight=1.0)        # c_n = n on w_n = n
@@ -264,8 +263,8 @@ def _checks_regsum() -> list[CheckResult]:
     }
     worst = max(abs(fitted - exact) / abs(exact) for name, terms in weyl.items()
                 for fitted, exact in zip(getattr(p_full, name).fitted_divergent_coeffs, terms))
-    out.append(CheckResult("regsum: fitted divergences are the Weyl area and perimeter terms",
-                           worst <= 1e-8, f"square: max relative deviation = {worst:.2e}"))
+    out.append(_at_most("regsum: fitted divergences are the Weyl area and perimeter terms",
+                        worst, 1e-8, "square: max relative deviation"))
 
     wide = Cavity2D(1.0, 20.0, 0.0)
     p_wide = rect2d.finite_parts(wide, cfg2)
@@ -295,8 +294,8 @@ def _checks_observables() -> list[CheckResult]:
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
             em = observables.boosted_em(Scheme.LORENTZ_EXACT, cav, route, m0=m0)
             worst = max(worst, abs(observables.mass_shell_residual(em, m0)) / m0**2)
-    out.append(CheckResult("observables: mass-shell identity (exact contraction)",
-                           worst <= 1e-10, f"max |E^2-P^2-m0^2|/m0^2 = {worst:.2e}"))
+    out.append(_at_most("observables: mass-shell identity (exact contraction)",
+                        worst, 1e-10, "max |E^2-P^2-m0^2|/m0^2"))
 
     worst = 0.0
     for scheme, vs in [(Scheme.LORENTZ_EXACT, (0.2, 0.6, 0.9)),
@@ -304,8 +303,8 @@ def _checks_observables() -> list[CheckResult]:
         for v in vs:
             cmp_ = observables.route_comparison(scheme, Cavity1D(1.0, v))
             worst = max(worst, cmp_.rel_diff_energy, cmp_.rel_diff_momentum)
-    out.append(CheckResult("observables: route agreement", worst <= 1e-8,
-                           f"max relative route spread = {worst:.2e}"))
+    out.append(_at_most("observables: route agreement", worst, observables.ROUTE_AGREEMENT_RTOL,
+                        "max relative route spread"))
 
     v = 0.05
     e_lab = observables.closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)[0]
@@ -332,8 +331,7 @@ def _checks_observables() -> list[CheckResult]:
             minus = observables.boosted_em(scheme, Cavity1D(1.0, -0.3), route, m0=m0)
             worst = max(worst, abs(plus.energy - minus.energy) / abs(plus.energy),
                         abs(plus.momentum + minus.momentum) / max(abs(plus.momentum), 1e-300))
-    out.append(CheckResult("observables: parity of E and P", worst <= 1e-9,
-                           f"max parity violation = {worst:.2e}"))
+    out.append(_at_most("observables: parity of E and P", worst, 1e-9, "max parity violation"))
 
     energy, slope = observables.em_plate_energy_per_area(1.0)
     out.append(CheckResult("observables: plate energy signs", energy < 0.0 < slope,
@@ -356,8 +354,7 @@ def _checks_rect2d() -> list[CheckResult]:
                 e_law, p_law = stress.per_mode_em_2d_law(cav, n, m)
                 worst = max(worst, abs(pm.energy - e_law) / e_law,
                             abs(pm.momentum - p_law) / max(abs(p_law), 1.0))
-    out.append(CheckResult("rect2d: per-mode coefficient law", worst <= 1e-9,
-                           f"max relative deviation = {worst:.2e}"))
+    out.append(_at_most("rect2d: per-mode coefficient law", worst, 1e-9, "max relative deviation"))
 
     square = Cavity2D(1.0, 1.0, 0.0)
     parts = rect2d.finite_parts(square)

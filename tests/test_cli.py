@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import boostcav
-from boostcav import cli
+from boostcav import cavity, cli
 from boostcav.cli import ROW_BUDGET, main
 from boostcav.regsum import FitError
 
@@ -327,6 +328,47 @@ class TestShellResidualUnderflow:
     def test_representable_residual_is_silent(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 0 and not err and "note:" not in out
+
+
+class TestPrintRule:
+    """Every printed value has 12 significant digits, and negative zero prints as 0."""
+
+    def test_fmt_normalizes_negative_zero(self):
+        assert cavity._fmt(-0.0) == "0"
+
+    def test_no_negative_zero_in_the_lab_report(self, capsys):
+        # the title's v and the report's P/m0 coefficients are -0.0 here
+        code, out, _ = run(capsys, "boost", "--scheme", "galileo-lab", "--L", "1", "--v=-0")
+        assert code == 0
+        assert re.search(r"-0(?![.\d])", out) is None
+
+    def test_lab_report_title(self, capsys):
+        code, out, _ = run(capsys, "boost", "--scheme", "galileo-lab", "--L", "1",
+                           "--v", "0.123456789")
+        assert code == 0
+        assert "discrepancy report: galileo-lab routes at v = 0.123456789\n" in out
+
+    def test_validity_note(self, capsys):
+        code, out, _ = run(capsys, "boost", "--scheme", "galileo-comoving", "--L", "1",
+                           "--v", "0.312345678")
+        assert code == 0
+        assert "(|v| = 0.312345678 > 0.3)\n" in out
+
+    @pytest.mark.parametrize("argv, title", [
+        (("--a", "1.23456789", "--b", "2", "--v", "0.5", "--solve-subtraction"),
+         "a=1.23456789, b=2"),
+        # a rect2d-aspect geometry whose sides have 7 significant digits
+        (("--a", "0.877571", "--b", "4.387855", "--v", "0.486169"), "a=0.877571, b=4.387855"),
+    ])
+    def test_static_limit_title(self, capsys, argv, title):
+        code, out, _ = run(capsys, "rect2d", *argv)
+        assert code == 0
+        assert f"discrepancy report: static limit of the grouped 2D route, {title}\n" in out
+
+    def test_shell_warning_velocity(self, capsys):
+        code, _, err = run(capsys, "sweep", "--scheme", "lorentz", "--L", "1e160", "--v=-0")
+        assert code == 0
+        assert err.startswith("warning: m0^2 underflows float64") and err.endswith("v = 0)\n")
 
 
 class TestVerify:

@@ -232,3 +232,29 @@ def test_no_exported_callable_takes_a_boolean_switch(name):
               for method in node.body if isinstance(method, ast.FunctionDef)
               for param in _bool_switches(method)]
     assert found == []
+
+
+def _twelve_digit_specs(module_name: str) -> list[str]:
+    """The dotted def, or the module, around each f-string field formatted `.12g`."""
+    module = importlib.import_module(module_name)
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.FormattedValue) and child.format_spec is not None:
+                if [getattr(v, "value", None) for v in child.format_spec.values] == [".12g"]:
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(Path(module.__file__).read_text()), module_name)
+    return found
+
+
+def test_one_formatter_for_printed_values():
+    # The print rule (12 significant digits, negative zero as 0) is written once, in
+    # cavity._fmt; a value formatted `.12g` elsewhere would skip the zero rule.
+    found = [where for name in MODULES for where in _twelve_digit_specs(name)]
+    assert found == ["boostcav.cavity._fmt"]

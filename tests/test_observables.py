@@ -1,10 +1,13 @@
 import math
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boostcav import stress
 from boostcav.cavity import Cavity1D, Scheme, lorentz_factor
 from boostcav.observables import (
     Route,
@@ -105,6 +108,23 @@ class TestMassShell:
         for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
             em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, float(v)), route, m0=static_m0(1.0))
             assert abs(mass_shell_residual(em, M0)) <= 1e-10 * M0**2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), st.floats(-0.99, 0.99))
+    def test_klein_gordon_weight_sums_off_shell(self, length, v):
+        # under the lab-phase (Klein-Gordon) weight each lorentz term is 1/gamma of the
+        # paper's, so E = gamma (1 + v^2) m0 and P = 2 gamma v m0: von Laue's stressed body
+        # with S = E0, whose E^2 - P^2 = (1 - v^2) m0^2 is off shell by -v^2 m0^2
+        m0 = static_m0(length)
+        with stress._injected_fault(1.0, "lab-phase"):
+            em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(length, v), Route.PER_MODE_NUMERIC,
+                            m0=m0)
+        with mpmath.workdps(40):
+            w, rest = mpmath.mpf(v), mpmath.mpf(m0)
+            gamma = 1 / mpmath.sqrt(1 - w * w)
+            bound = 32 * sys.float_info.epsilon * abs(em.energy)
+            assert abs(em.energy - gamma * (1 + w * w) * rest) <= bound
+            assert abs(em.momentum - 2 * gamma * w * rest) <= bound
 
     def test_comoving_prior_violation_quantified(self):
         em = boosted_em(Scheme.GALILEO_COMOVING_PRIOR, Cavity1D(1.0, 0.2), Route.CLOSED_FORM,

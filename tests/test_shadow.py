@@ -1,0 +1,59 @@
+"""Stated rounding bounds against the 40-digit shadow run of the same code (tests/_shadow.py).
+
+The inputs are drawn as floats and passed to the shadow as mpf of the same
+values, so the difference between the two results is the float run's
+rounding, which each stated error must bound.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+from mpmath import mpf, sqrt
+
+from _shadow import MODULES, shadow
+from boostcav import rect2d
+from boostcav.cavity import Cavity1D, Cavity2D, Scheme
+from boostcav.stress import per_mode_em
+
+DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e3
+
+
+@st.composite
+def _moving_cavities(draw):
+    scheme = draw(st.sampled_from(list(Scheme)))
+    top = 1.0 - 1e-12 if scheme is Scheme.LORENTZ_EXACT else 0.5
+    return scheme, draw(DECADES), draw(st.floats(-top, top))
+
+
+def test_shadow_runs_at_40_digits_and_restores():
+    v = mpf(0.6)  # the float nearest 0.6
+    with shadow():
+        zeta3 = mpf("1.2020569031595942853997381615114499907649")
+        contracted = Cavity1D(mpf(2), v).lab_length(Scheme.LORENTZ_EXACT)
+        assert abs(rect2d._ZETA3 - zeta3) < 1e-39
+        assert abs(contracted - 2 * sqrt(1 - v * v)) < 1e-39
+    assert all(module.math is math for module in MODULES)
+    assert rect2d._ZETA3 == 1.2020569031595942
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moving_cavities(), st.integers(1, 10**4))
+def test_per_mode_rounding_within_quad_error(drawn, n):
+    scheme, length, v = drawn
+    em = per_mode_em(scheme, Cavity1D(length, v), n)
+    with shadow():
+        exact = per_mode_em(scheme, Cavity1D(mpf(length), mpf(v)), n)
+        assert abs(em.energy - exact.energy) <= em.quad_error
+        assert abs(em.momentum - exact.momentum) <= em.quad_error
+
+
+@settings(max_examples=40, deadline=None)
+@given(DECADES, DECADES)
+def test_zeta_parts_rounding_within_their_errors(shorter, aspect):
+    a, b = (shorter, shorter * aspect) if aspect >= 1.0 else (shorter / aspect, shorter)
+    parts = rect2d.finite_parts(Cavity2D(a, b))
+    with shadow():
+        exact = rect2d.finite_parts(Cavity2D(mpf(a), mpf(b)))
+        for name in ("U", "W", "S_omega", "S_k"):
+            part, shadow_part = getattr(parts, name), getattr(exact, name)
+            assert abs(part.value - shadow_part.value) <= part.error_estimate, name
