@@ -31,7 +31,6 @@ from .observables import (
 )
 from .quadrature import gauss_legendre
 from .rect2d import (
-    Route2D,
     boosted_em_2d,
     mass_shell_probe_2d,
     subtraction_solver_2d,
@@ -87,7 +86,6 @@ __all__ = [
     "nonrel_fit",
     "sweep",
     "em_plate_energy_per_area",
-    "Route2D",
     "boosted_em_2d",
     "mass_shell_probe_2d",
     "subtraction_solver_2d",

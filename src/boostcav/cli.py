@@ -30,7 +30,6 @@ from .observables import (
 )
 from .regsum import FitError, RegConfig, RegMethod
 from .rect2d import (
-    Route2D,
     UnderdeterminedError,
     boosted_em_2d,
     finite_parts,
@@ -280,8 +279,8 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
         raise UsageError("rect2d requires --a and --b")
     cavity = Cavity2D(args.a, args.b, args.v)
     parts = finite_parts(cavity)
-    per_mode = boosted_em_2d(cavity, Route2D.PER_MODE)
-    grouped = boosted_em_2d(cavity, Route2D.GROUPED)
+    per_mode = boosted_em_2d(cavity, Route.PER_MODE)
+    grouped = boosted_em_2d(cavity, Route.GROUPED)
     e_m = parts.S_omega.value
     rows = []
     for res in (per_mode, grouped):
@@ -440,7 +439,8 @@ _COMMANDS = {
         "scheme": {"choices": _SCHEMES},
         "L": {"type": float, "default": 1.0},
         "v": {"help": "grid spec start:stop:step (inclusive)"},
-        "route": {"choices": [r.value for r in Route], "default": Route.CLOSED_FORM.value},
+        "route": {"choices": (Route.CLOSED_FORM.value, Route.PER_MODE.value),
+                  "default": Route.CLOSED_FORM.value},
         "method": {"choices": _METHODS, "default": "zeta"},
     }, ("csv", "json")),
     "rect2d": (_cmd_rect2d, "moving rectangle: finite parts, routes, shell probe", {

@@ -1,9 +1,11 @@
 """Frame-dependent Casimir energy and momentum of the 1D cavity.
 
-Two routes everywhere: the closed forms each scheme's algebra prints, and a
-per-mode numeric route that multiplies velocity coefficients, integrated
-from the real T00 and T01 densities of one mode (stress.coefficient_fits),
-by the regularized static energy. The numeric route rests on the per-mode
+One boost law for every cavity (_boost): a cavity's static parts U and W
+give E = c_E U + W and P = c_P U, with the 1D cavity the case (U, W) =
+(m0, 0) and the rectangle's per-mode route its own U and W. Two 1D routes
+supply (c_E, c_P): the closed forms each scheme's algebra prints, and a
+per-mode numeric route, integrated from the real T00 and T01 densities of
+one mode (stress.coefficient_fits). The numeric route rests on the per-mode
 proportionality to w_n, which verify checks, so one mode gives the
 coefficients and regularization is confined to the single static sum;
 velocity-dependent sums are never regularized directly. Everything here
@@ -32,7 +34,7 @@ from .regsum import (
     zeta_linear_sum,
 )
 from .reports import DiscrepancyEntry, DiscrepancyReport
-from .stress import coefficient_fits, per_mode_coefficients
+from .stress import _FIT_BOUND, coefficient_fits, per_mode_coefficients
 
 __all__ = [
     "Route",
@@ -56,18 +58,26 @@ __all__ = [
 ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comoving
 _NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
 _NONREL_SAMPLES = 16  # nonrel_fit's sample velocities
+_CLOSED_FORM_BOUND = 6, 1  # (c_E, c_P) in closed form, every scheme's: see _boost
 
 
 class Route(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    PER_MODE_NUMERIC = "per-mode"
+    """How a result's E and P were formed; the CLI prints the value."""
+
+    CLOSED_FORM = "closed-form"  # 1D: the scheme's printed coefficients on m0
+    PER_MODE = "per-mode"        # 1D: the quadrature's on m0; the rectangle: the law on U, W
+    GROUPED = "grouped"          # the rectangle: prefactors on FP[sum(w/2 +- k^2/2w)]
 
 
 class EnergyMomentum(NamedTuple):
-    energy: float
-    momentum: float
+    """A moving cavity's lab-frame energy and momentum, each with a bound on its error."""
+
     velocity: float
     route: Route
+    energy: float
+    momentum: float
+    energy_error: float
+    momentum_error: float
 
 
 class SweepRow(NamedTuple):
@@ -127,28 +137,74 @@ def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, fl
     return per_mode_coefficients(scheme, v)
 
 
-def _coefficients(scheme: Scheme, velocities, route: Route) -> list[tuple[float, float]]:
-    """(E/m0, P/m0) at each velocity by the route: printed formulas or per-mode quadrature."""
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u/(1 - n u), u = eps/2: n roundings move a value by at most gamma_n of it."""
+    u = 0.5 * sys.float_info.epsilon
+    return n * u / (1.0 - n * u)
+
+
+def _boost(u_part: tuple[float, float], w_part: tuple[float, float],
+           coefficients: tuple[float, float], bound: tuple[int, int], velocity: float,
+           route: Route) -> EnergyMomentum:
+    """The boost law E = c_E U + W, P = c_P U on a cavity's static parts, with error bounds.
+
+    u_part and w_part are U and W, each (value, bound on its error); bound is
+    (roundings, floor): each of (c_E, c_P) is within _gamma(roundings) of the
+    law's, and c_P within floor 2^-1074 below the normal range. Every closed
+    form has (6, 1): the Lorentz c_E = (1 + v^2)/(1 - v^2) passes 2 roundings
+    above the line, 3 below (cavity._light_cone) and the division, c_P =
+    2v/(1 - v^2) 4;
+    galileo-lab's printed pair, with libm's pow within an ulp, 4 and 3, and
+    galileo-comoving's 2 and none. Each column adds the parts' bounds,
+    weighted |c_E| and |c_P| (the law is linear in them), and the boost's
+    rounding (Higham, Accuracy and Stability, 2nd ed., 2.1 and 3.1): the
+    product and the sum add 2, so _gamma(roundings + 2) of |c_E U| + |W| and
+    of |c_P U|. Below the normal range each product errs by 2^-1075 and c_P
+    by floor 2^-1074 times U, so each column also adds 2^-1074 (1 + floor
+    |U|), below half an ulp of any normal column. Raises ValueError unless
+    the parts, E and P are finite.
+    """
+    (u, u_err), (w, w_err), (ce, cp), (roundings, floor) = u_part, w_part, coefficients, bound
+    ce_u, cp_u = ce * u, cp * u
+    energy, momentum = ce_u + w, cp_u
+    if not all(map(math.isfinite, (u, w, energy, momentum))):
+        raise ValueError(f"boost at v = {velocity!r}: static parts U = {u!r}, W = {w!r} or "
+                         f"energy {energy!r}, momentum {momentum!r} not finite in float64")
+    rounding, tiny = _gamma(roundings + 2), 2.0**-1074 * (1.0 + floor * abs(u))
+    return EnergyMomentum(
+        velocity=velocity, route=route, energy=energy, momentum=momentum,
+        energy_error=abs(ce) * u_err + w_err + rounding * (abs(ce_u) + abs(w)) + tiny,
+        momentum_error=abs(cp) * u_err + rounding * abs(cp_u) + tiny)
+
+
+def _m0_part(m0: float) -> tuple[float, float]:
+    """m0 and its bound 2 eps |m0|, the zeta route's rounding; no regulator's own error is carried."""
+    return m0, 2.0 * sys.float_info.epsilon * abs(m0)
+
+
+def _boosts_1d(scheme: Scheme, velocities, route: Route, m0: float) -> list[EnergyMomentum]:
+    """The boost law on (U, W) = (m0, 0) at each velocity, with the route's coefficients."""
     if route is Route.CLOSED_FORM:
-        return [closed_form_coefficients(scheme, v) for v in velocities]
-    return list(coefficient_fits(scheme, velocities))
+        pairs = [closed_form_coefficients(scheme, v) for v in velocities]
+        bound = _CLOSED_FORM_BOUND
+    elif route is Route.PER_MODE:
+        pairs, bound = coefficient_fits(scheme, velocities), _FIT_BOUND
+    else:
+        raise ValueError(f"the 1D cavity has no {route.value} route (use closed-form or per-mode)")
+    return [_boost(_m0_part(m0), (0.0, 0.0), c, bound, v, route)
+            for v, c in zip(velocities, pairs)]
 
 
-def boosted_em(
-    scheme: Scheme,
-    cavity: Cavity1D,
-    route: Route = Route.PER_MODE_NUMERIC,
-    *,
-    m0: float,
-) -> EnergyMomentum:
+def boosted_em(scheme: Scheme, cavity: Cavity1D, route: Route = Route.PER_MODE, *,
+               m0: float) -> EnergyMomentum:
     """Lab-frame vacuum energy and momentum of the moving cavity.
 
-    CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE_NUMERIC
+    CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE
     multiplies the quadrature-extracted coefficients by the regularized m0.
     m0 is static_m0(L, config) of the caller's regulator.
     """
-    [(c_e, c_p)] = _coefficients(scheme, (cavity.velocity,), route)
-    return EnergyMomentum(energy=c_e * m0, momentum=c_p * m0, velocity=cavity.velocity, route=route)
+    [em] = _boosts_1d(scheme, [cavity.velocity], route, m0)
+    return em
 
 
 def route_comparison(
@@ -157,7 +213,7 @@ def route_comparison(
     """Both routes side by side; disagreement is reported, never hidden."""
     m0 = static_m0(cavity.proper_length, config)
     closed = boosted_em(scheme, cavity, Route.CLOSED_FORM, m0=m0)
-    numeric = boosted_em(scheme, cavity, Route.PER_MODE_NUMERIC, m0=m0)
+    numeric = boosted_em(scheme, cavity, Route.PER_MODE, m0=m0)
     scale_e = max(abs(closed.energy), abs(numeric.energy), 1e-300)
     # momentum vanishes at v = 0; measure its disagreement on the overall
     # energy-momentum scale so quadrature noise around zero is not inflated
@@ -193,9 +249,8 @@ def shell_residual_warning(ems, m0: float, rest: str = "m0") -> str:
     where some E^2 overflows (|E| above about 1.3e154) mass_shell_residual
     forms it as (E - P)(E + P) - m0^2. The warning says which and gives the
     relative residual (E/m0)^2 - (P/m0)^2 - 1 of largest magnitude over ems
-    (results with energy, momentum, route and velocity: EnergyMomentum, or
-    rect2d's Rect2DResult with its rest energy E_m as m0). rest names m0 in
-    the message.
+    (EnergyMomentum results; the rectangle's with its rest energy E_m as m0).
+    rest names m0 in the message.
     """
     largest = max(abs(em.energy) for em in ems)
     if m0 * m0 < sys.float_info.min:
@@ -236,7 +291,7 @@ def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
     start = v_max / _NONREL_SAMPLES
     step = (v_max - start) / (_NONREL_SAMPLES - 1)
     vs = [i * step + start for i in range(_NONREL_SAMPLES - 1)] + [v_max]
-    e_over, p_over = zip(*_coefficients(scheme, vs, Route.PER_MODE_NUMERIC))
+    e_over, p_over = zip(*coefficient_fits(scheme, vs))
 
     def fit(powers, data):
         power_fit = _PowerFit(vs, powers)
@@ -254,13 +309,8 @@ def nonrel_fit(scheme: Scheme, v_max: float, degree: int) -> NonRelFit:
     return NonRelFit(e_coeffs, p_coeffs, e_res, p_res)
 
 
-def sweep(
-    scheme: Scheme,
-    proper_length: float,
-    v_grid,
-    route: Route = Route.CLOSED_FORM,
-    config: RegConfig = RegConfig(RegMethod.ZETA_EXACT),
-) -> SweepTable:
+def sweep(scheme: Scheme, proper_length: float, v_grid, route: Route = Route.CLOSED_FORM,
+          config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> SweepTable:
     """Velocity sweep with point-particle reference columns m0*gamma(, v), sorted by v."""
     grid = _velocity_grid(v_grid)
     if not grid:
@@ -280,13 +330,13 @@ def sweep(
         warnings.append(flag)
     m0 = static_m0(proper_length, config)
 
-    def row(v: float, c_e: float, c_p: float) -> SweepRow:
-        em = EnergyMomentum(c_e * m0, c_p * m0, v, route)
-        gamma = lorentz_factor(v)
+    def row(em: EnergyMomentum) -> SweepRow:
+        gamma = lorentz_factor(em.velocity)
         return SweepRow(result=em, shell_residual=mass_shell_residual(em, m0),
-                        energy_point_particle=m0 * gamma, momentum_point_particle=m0 * gamma * v)
+                        energy_point_particle=m0 * gamma,
+                        momentum_point_particle=m0 * gamma * em.velocity)
 
-    rows = tuple(row(v, *c) for v, c in zip(grid, _coefficients(scheme, grid, route)))
+    rows = tuple(map(row, _boosts_1d(scheme, grid, route, m0)))
     shell = shell_residual_warning([r.result for r in rows], m0)
     if shell:
         warnings.append(shell)
@@ -317,11 +367,13 @@ def lab_prior_discrepancy_report(cavity: Cavity1D, m0: float) -> DiscrepancyRepo
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     c_quad = per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
+    closed, quad = (_boost(_m0_part(m0), (0.0, 0.0), c, _CLOSED_FORM_BOUND, v, route)
+                    for c, route in ((c_closed, Route.CLOSED_FORM), (c_quad, Route.PER_MODE)))
     entries = (
         DiscrepancyEntry("E/m0 coefficient", c_closed[0], c_quad[0]),
         DiscrepancyEntry("P/m0 coefficient", c_closed[1], c_quad[1]),
-        DiscrepancyEntry("E", c_closed[0] * m0, c_quad[0] * m0),
-        DiscrepancyEntry("P", c_closed[1] * m0, c_quad[1] * m0),
+        DiscrepancyEntry("E", closed.energy, quad.energy),
+        DiscrepancyEntry("P", closed.momentum, quad.momentum),
     )
     return DiscrepancyReport(
         title=f"galileo-lab routes at v = {_fmt(v)}",

@@ -14,6 +14,8 @@ zero; the subtraction solver reports exactly those two branches. A second,
 "grouped" route evaluates the boost prefactors on the regrouped sums
 FP[ sum (w/2 +- k^2/(2w)) ]; it fails its own static limit by the finite
 amount FP[ sum k^2/(2w) ] and is reported side by side, never corrected.
+The per-mode route is the 1D cavity's boost law, observables._boost, on U
+and W, and both routes return its one record, EnergyMomentum.
 
 The four finite parts come by default from the Chowla-Selberg closed form,
 the eps^0 term of the Poisson rows whose damped sums the cutoff route fits
@@ -23,22 +25,20 @@ enumeration of the damped sums, their 30-digit mpmath Bessel series and
 the benchmark's scipy oracle.
 """
 
-import enum
 import math
 import sys
 from typing import NamedTuple
 
 from .cavity import Cavity2D, Scheme, _check_length, _fmt, _velocity_grid, lorentz_factor
-from .observables import mass_shell_residual
+from .observables import (_CLOSED_FORM_BOUND, EnergyMomentum, Route, _boost, _gamma,
+                          mass_shell_residual)
 from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part,
                      geometric_schedule)
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
 __all__ = [
-    "Route2D",
     "FourParts",
-    "Rect2DResult",
     "ShellProbeRow",
     "SubtractionBranch",
     "SubtractionSolution",
@@ -50,11 +50,6 @@ __all__ = [
     "mass_shell_probe_2d",
     "subtraction_solver_2d",
 ]
-
-
-class Route2D(enum.Enum):
-    GROUPED = "grouped"      # boost prefactors on FP[sum(w/2 +- k^2/2w)]
-    PER_MODE = "per-mode"    # closed-form per-mode coefficient law on U and W
 
 
 class UnderdeterminedError(ValueError):
@@ -70,17 +65,8 @@ class FourParts(NamedTuple):
     S_k: FinitePart
 
 
-class Rect2DResult(NamedTuple):
-    velocity: float
-    route: Route2D
-    energy: float
-    momentum: float
-    energy_error: float
-    momentum_error: float
-
-
 class ShellProbeRow(NamedTuple):
-    result: Rect2DResult  # the per-mode (E_s, P_s) the residual is formed from
+    result: EnergyMomentum  # the per-mode (E_s, P_s) the residual is formed from
     residual: float
     residual_error: float
     predicted_residual: float  # analytic 4 g^2 v^2 U W
@@ -136,12 +122,6 @@ def _per_side(part: FinitePart, short: float) -> FinitePart:
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
 _STRIP = 1.5  # half-width a of the strip |Im t| < a on which the trapezoidal rules bound their integrands
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u/(1 - n u), u = eps/2: n roundings move a value by at most gamma_n of it."""
-    u = 0.5 * sys.float_info.epsilon
-    return n * u / (1.0 - n * u)
 
 
 def _row_integrals(z: float, a: float, b: float, h: float):
@@ -444,54 +424,43 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
     return _four_parts(*parts)
 
 
-def _boost(parts: FourParts, v: float, route: Route2D) -> Rect2DResult:
+def _boost_2d(parts: FourParts, v: float, route: Route) -> EnergyMomentum:
     """Lab-frame (E_s, P_s) at velocity v from the rectangle's parts, by the chosen route.
 
-    Each error column bounds two errors, which add. The parts' own: the law
-    is linear in them, so their stated errors carry through with weights
-    |c_E| and |c_P|. The boost's rounding on the parts as given (Higham,
-    Accuracy and Stability, 2nd ed., 2.1 and 3.1): c_E = (1 + v^2)/(1 - v^2)
-    passes 2 roundings above the line, 3 below (cavity._light_cone) and the
-    division, so it is within _gamma(6) of the law at any |v| < 1, and c_P
-    = 2v/(1 - v^2) within _gamma(4); the route's product and sum (the
-    grouped route's sum or difference and product) add 2. So each column
-    adds _gamma(8) of the magnitudes it combines: |c_E U| + |W| and |c_P U|
-    per mode, |c_E| and |c_P/2| times |S_omega| + |S_k| grouped. A result
-    below the normal range errs by up to 2^-1075 absolute instead: c_P and
-    c_P/2 by at most 2^-1074, times the parts they multiply, and each
-    product by 2^-1075 more, so each column also adds 2^-1074 (1 + |U|)
-    (grouped, 1 + |S_omega| + |S_k|), below half an ulp of any normal column.
+    The per-mode route is the boost law (observables._boost) on U and W. The
+    grouped route, not that law, puts c_E on S_omega + S_k and c_P/2 on
+    S_omega - S_k. Its columns are |c_E| and |c_P/2| times the parts' errors
+    plus _gamma(8) of |S_omega| + |S_k| (the coefficients' 6 roundings, the
+    sum or difference and the product), plus 2^-1074 (1 + |S_omega| + |S_k|)
+    below the normal range.
     """
-    ce, cp = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
-    if route is Route2D.PER_MODE:
-        ce_u, cp_u = ce * parts.U.value, cp * parts.U.value
-        energy, momentum = ce_u + parts.W.value, cp_u
-        tiny = 2.0**-1074 * (1.0 + abs(parts.U.value))
-        energy_err = (abs(ce) * parts.U.error_estimate + parts.W.error_estimate
-                      + _gamma(8) * (abs(ce_u) + abs(parts.W.value)) + tiny)
-        momentum_err = abs(cp) * parts.U.error_estimate + _gamma(8) * abs(cp_u) + tiny
-    else:
-        energy = ce * (parts.S_omega.value + parts.S_k.value)  # gamma^2(1+v^2) on S_omega + S_k
-        g2v = cp / 2.0
-        momentum = g2v * (parts.S_omega.value - parts.S_k.value)
-        magnitude = abs(parts.S_omega.value) + abs(parts.S_k.value)
-        size = parts.S_omega.error_estimate + parts.S_k.error_estimate + _gamma(8) * magnitude
-        tiny = 2.0**-1074 * (1.0 + magnitude)
-        energy_err, momentum_err = ce * size + tiny, abs(g2v) * size + tiny
-    return Rect2DResult(velocity=v, route=route, energy=energy, momentum=momentum,
-                        energy_error=energy_err, momentum_error=momentum_err)
+    ce, cp = coefficients = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
+    if route is Route.PER_MODE:
+        return _boost((parts.U.value, parts.U.error_estimate),
+                      (parts.W.value, parts.W.error_estimate), coefficients,
+                      _CLOSED_FORM_BOUND, v, route)
+    if route is not Route.GROUPED:
+        raise ValueError(f"the rectangle has no {route.value} route (use per-mode or grouped)")
+    energy = ce * (parts.S_omega.value + parts.S_k.value)  # gamma^2(1+v^2) on S_omega + S_k
+    g2v = cp / 2.0
+    momentum = g2v * (parts.S_omega.value - parts.S_k.value)
+    magnitude = abs(parts.S_omega.value) + abs(parts.S_k.value)
+    size = parts.S_omega.error_estimate + parts.S_k.error_estimate + _gamma(8) * magnitude
+    tiny = 2.0**-1074 * (1.0 + magnitude)
+    return EnergyMomentum(velocity=v, route=route, energy=energy, momentum=momentum,
+                          energy_error=ce * size + tiny, momentum_error=abs(g2v) * size + tiny)
 
 
-def boosted_em_2d(cavity: Cavity2D, route: Route2D = Route2D.PER_MODE) -> Rect2DResult:
+def boosted_em_2d(cavity: Cavity2D, route: Route = Route.PER_MODE) -> EnergyMomentum:
     """Lab-frame (E_s, P_s) of the moving rectangle by the chosen route."""
-    return _boost(finite_parts(cavity), cavity.velocity, route)
+    return _boost_2d(finite_parts(cavity), cavity.velocity, route)
 
 
 def static_limit_report(cavity: Cavity2D) -> DiscrepancyReport:
     """Quantifies the grouped route's failure of its own v = 0 limit."""
     parts = finite_parts(cavity)
-    grouped = _boost(parts, 0.0, Route2D.GROUPED)
-    per_mode = _boost(parts, 0.0, Route2D.PER_MODE)
+    grouped = _boost_2d(parts, 0.0, Route.GROUPED)
+    per_mode = _boost_2d(parts, 0.0, Route.PER_MODE)
     entries = (
         DiscrepancyEntry("E_s(v=0)", grouped.energy, parts.S_omega.value),
         DiscrepancyEntry("E_s(v=0) per-mode", per_mode.energy, parts.S_omega.value),
@@ -517,7 +486,7 @@ def mass_shell_probe_2d(cavity: Cavity2D, v_grid) -> tuple[ShellProbeRow, ...]:
     e_m_err = parts.S_omega.error_estimate
     rows = []
     for v in _velocity_grid(v_grid):
-        res = _boost(parts, v, Route2D.PER_MODE)
+        res = _boost_2d(parts, v, Route.PER_MODE)
         residual = mass_shell_residual(res, e_m)
         err = (
             2.0 * abs(res.energy) * res.energy_error

@@ -83,6 +83,9 @@ class PerModeEM(NamedTuple):
     quad_error: float
 
 
+# coefficient_fits' bound against the per-mode law, (roundings, floor), derived there
+_FIT_BOUND = 54, 8
+
 # the active fault as (T01 sign, prefactor rule); the default is the canonical tensor
 _FAULT = contextvars.ContextVar("boostcav_stress_fault", default=(1.0, None))
 
@@ -289,6 +292,24 @@ def coefficient_fits(scheme: Scheme, velocities) -> tuple[tuple[float, float], .
     One Gauss-Legendre quadrature of the real densities per velocity
     (_density_quadrature); the closed form of per_mode_em is its oracle
     (verify checks the two against each other).
+
+    Rounding (_FIT_BOUND, (54, 8)). Each coefficient is within
+    observables._gamma(54) of the law, counting as _closed_form does, with
+    libm within one ulp (2 roundings). The float pi cancels between k and
+    pi/2, and gamma between N^2 and the lab length, which adds 1; gamma^2
+    (lorentz) or w' (galileo-lab) carries at most 7 (1 - v^2 passes 3, then
+    the square root and the reciprocal). The weights of sin^2 s and cos^2 s
+    take 11 from the affine coefficients, N^2 and w'; each node adds 7
+    (sin^2 or cos^2 5, a product and the sum), its weight 3 (the table, the
+    half-width, the product), and fsum and the division 1 each. Each density
+    is A + B cos 2s with |B| <= |A|, as its sin^2 and cos^2 weights share a
+    sign. The abscissae and s_x x move s by at most 3 pi u, and so the
+    integral by 6 pi u |B| l; s_x l is pi within 3 roundings, which moves it
+    by 3 u |B| l: 22 more of A l. The truncation, below 1e-20 A l, adds 1:
+    54 in all. Below the normal range each rounding errs by up to 2^-1075
+    absolute instead, and only c_P gets there: p_sin and p_cos carry 2.2 of
+    it, each node's value 5.2, its 16 weighted values 16 more and fsum 1,
+    and the division by pi/2 leaves 15.1, so c_P is within 8 2^-1074.
     """
     fits = (_density_quadrature(scheme, Cavity1D(1.0, float(v)), 1, 0.0) for v in velocities)
     return tuple((e / (math.pi / 2.0), p / (math.pi / 2.0)) for e, p in fits)

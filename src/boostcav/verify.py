@@ -291,7 +291,7 @@ def _checks_observables() -> list[CheckResult]:
     worst = 0.0
     for v in [i * 0.05 for i in range(20)]:  # 0, 0.05, ..., 0.95
         cav = Cavity1D(1.0, v)
-        for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
+        for route in (Route.CLOSED_FORM, Route.PER_MODE):
             em = observables.boosted_em(Scheme.LORENTZ_EXACT, cav, route, m0=m0)
             worst = max(worst, abs(observables.mass_shell_residual(em, m0)) / m0**2)
     out.append(_at_most("observables: mass-shell identity (exact contraction)",
@@ -326,7 +326,7 @@ def _checks_observables() -> list[CheckResult]:
 
     worst = 0.0
     for scheme in Scheme:
-        for route in (Route.CLOSED_FORM, Route.PER_MODE_NUMERIC):
+        for route in (Route.CLOSED_FORM, Route.PER_MODE):
             plus = observables.boosted_em(scheme, Cavity1D(1.0, 0.3), route, m0=m0)
             minus = observables.boosted_em(scheme, Cavity1D(1.0, -0.3), route, m0=m0)
             worst = max(worst, abs(plus.energy - minus.energy) / abs(plus.energy),
@@ -358,7 +358,7 @@ def _checks_rect2d() -> list[CheckResult]:
 
     square = Cavity2D(1.0, 1.0, 0.0)
     parts = rect2d.finite_parts(square)
-    res0 = rect2d.boosted_em_2d(square, rect2d.Route2D.PER_MODE)
+    res0 = rect2d.boosted_em_2d(square, Route.PER_MODE)
     static_gap = abs(res0.energy - parts.S_omega.value)
     budget = 2.0 * (res0.energy_error + parts.S_omega.error_estimate)
     ok = static_gap <= max(budget, 1e-12) and res0.momentum == 0.0

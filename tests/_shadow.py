@@ -1,7 +1,7 @@
 """A 40-digit shadow run: the package's own code with mpmath in place of `math`.
 
 Inside `shadow()` the modules that compute (cavity, modes, stress, regsum,
-rect2d) read MATH, mpmath's functions under math's names, at 40 digits, and
+observables, rect2d) read MATH, mpmath's functions under math's names, at 40 digits, and
 rect2d's zeta(3) is mpmath's. Called with mpf inputs of the same float values,
 the same code runs with the same truncations and model, so |float - shadow|
 is the float run's rounding alone. Plain float literals are exact binary
@@ -14,10 +14,10 @@ import types
 
 import mpmath
 
-from boostcav import cavity, modes, rect2d, regsum, stress
+from boostcav import cavity, modes, observables, rect2d, regsum, stress
 
 DIGITS = 40
-MODULES = (cavity, modes, stress, regsum, rect2d)
+MODULES = (cavity, modes, stress, regsum, observables, rect2d)
 
 MATH = types.SimpleNamespace(
     exp=mpmath.exp, expm1=mpmath.expm1, log=mpmath.log, log1p=mpmath.log1p,

@@ -826,6 +826,19 @@ STDOUT_SHA256 = {
         "b7641c6754d9d242313f8908060a97a93cbd9ad4c71fd5add4c028a3e3d14b08",
     ("verify", "--only", "modes"):
         "373ad3c1eeb534283b298963936142521ffe522a73bcf007721ece0fd717a18b",
+    # the boost law's edges: m0^2 underflowing, galileo-lab's two laws in json, E^2
+    # overflowing on the per-mode route, and the rectangle at v = 1 - 2^-53
+    ("boost", "--scheme", "lorentz", "--L", "1e300", "--v", "0.5"):
+        "0250bb86dc0c633a5fa379b214970d47f1af46a8aa3afe6f129090be13f53abb",
+    ("boost", "--scheme", "galileo-lab", "--L", "1", "--v", "0.2", "--format", "json"):
+        "fadc47a27b5cd632a08395a987ce793c3b75984d09518592a9649d0f8726069d",
+    ("sweep", "--scheme", "lorentz", "--L", "1e-150", "--v=-0.9999999999:-0.9:0.5", "--route",
+     "per-mode"):
+        "372b69c0b8d25d26dcb323fa80afa9503cff422944f0296d27a64739c7bc7b88",
+    ("rect2d", "--a", "1e-150", "--b", "1e-150", "--v", "0.9999999999999999"):
+        "4b4a11565607f1128459ad8f28fa7970de377e91478ad0d98dfb6006c02baf28",
+    ("rect2d", "--a", "1e-150", "--b", "1e-150", "--v", "0.9999999999999999", "--format", "json"):
+        "5412152309e712f148d11acadd4a723d614e95e8f80cc05d2beb960b29d50648",
 }
 
 

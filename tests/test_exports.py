@@ -258,3 +258,91 @@ def test_one_formatter_for_printed_values():
     # cavity._fmt; a value formatted `.12g` elsewhere would skip the zero rule.
     found = [where for name in MODULES for where in _twelve_digit_specs(name)]
     assert found == ["boostcav.cavity._fmt"]
+
+
+# What a boost coefficient (c_E, c_P) comes from, and the names the package gives one.
+COEFFICIENT_CALLS = {"per_mode_coefficients", "closed_form_coefficients", "coefficient_fits"}
+COEFFICIENT_NAMES = {"c_e", "c_p", "ce", "cp"}
+BOOST_LAW = "boostcav.observables._boost"
+# defs besides the law that build its result or multiply a coefficient, each with its reason
+NOT_THE_LAW = {
+    "boostcav.rect2d._boost_2d": "the rectangle's grouped route puts c_E and c_P/2 on the "
+                                 "regrouped sums: it is not the law, and is reported beside it",
+    "boostcav.stress.per_mode_em_2d_law": "the per-mode law on one mode's w^2 + k^2, which "
+                                          "verify holds the closed form to; no static part",
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _carries(node: ast.AST, names: set[str]) -> bool:
+    """True when node holds a coefficient call or one of the names."""
+    return any((isinstance(n, ast.Call) and _callee(n) in COEFFICIENT_CALLS)
+               or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
+
+
+def _pairs(target: ast.AST, value: ast.AST, loop: bool) -> list[tuple[ast.AST, ast.AST]]:
+    """(target, value) bindings, element by element where a tuple binds a tuple (or, looping,
+    a zip of as many sequences)."""
+    elts = getattr(target, "elts", None)
+    if loop:  # a loop binds an item of the sequence: elementwise only over a zip's sequences
+        values = value.args if isinstance(value, ast.Call) and _callee(value) == "zip" else None
+    else:
+        values = getattr(value, "elts", None)
+    if elts is None or values is None or len(elts) != len(values):
+        return [(target, value)]
+    return [pair for t, v in zip(elts, values) for pair in _pairs(t, v, loop)]
+
+
+def _coefficient_names(func: ast.FunctionDef) -> set[str]:
+    """The names in func, nested defs included, bound to a value that carries a coefficient."""
+    bindings = [pair for node in ast.walk(func) if isinstance(node, ast.Assign)
+                for target in node.targets for pair in _pairs(target, node.value, False)]
+    bindings += [pair for node in ast.walk(func) if isinstance(node, (ast.For, ast.comprehension))
+                 for pair in _pairs(node.target, node.iter, True)]
+    names = set(COEFFICIENT_NAMES)
+    while True:
+        bound = {n.id for target, value in bindings if _carries(value, names)
+                 for n in ast.walk(target) if isinstance(n, ast.Name)}
+        if bound <= names:
+            return names
+        names |= bound
+
+
+def _boost_sites(module_name: str) -> dict[str, set[str]]:
+    """{dotted def: what it does of "builds the result" and "multiplies a coefficient"}."""
+    module = importlib.import_module(module_name)
+    found: dict[str, set[str]] = {}
+
+    def visit(node, where, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = names | _coefficient_names(child) if isinstance(child, ast.FunctionDef) \
+                    else names
+                visit(child, f"{where}.{child.name}", inner)
+                continue
+            if isinstance(child, ast.Call) and (
+                    _callee(child) == "EnergyMomentum"
+                    or (_callee(child) == "_make" and getattr(child.func.value, "id", None)
+                        == "EnergyMomentum")):
+                found.setdefault(where, set()).add("builds the result")
+            product = (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult)
+                       and (_carries(child.left, names) or _carries(child.right, names)))
+            product |= (isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Mult)
+                        and (_carries(child.target, names) or _carries(child.value, names)))
+            if product:
+                found.setdefault(where, set()).add("multiplies a coefficient")
+            visit(child, where, names)
+
+    visit(ast.parse(Path(module.__file__).read_text()), module_name, set())
+    return found
+
+
+def test_the_boost_law_is_written_once():
+    # E = c_E U + W and P = c_P U on a cavity's static parts: a second def that builds
+    # the result record or multiplies a boost coefficient into a value writes the law again.
+    found = {where: what for name in MODULES for where, what in _boost_sites(name).items()}
+    assert found.pop(BOOST_LAW) == {"builds the result", "multiplies a coefficient"}
+    assert set(found) == set(NOT_THE_LAW)

@@ -23,7 +23,7 @@ RECORDS = [
     (SpacetimeMode2D(Cavity2D(1.0, 2.0), 1, 2), "m"),
     (RegConfig.cutoff(), "epsilon_schedule"),
     (CUTOFF_PART, "value"),
-    (EnergyMomentum(1.0, 0.5, 0.3, Route.CLOSED_FORM), "energy"),
+    (EnergyMomentum(0.3, Route.CLOSED_FORM, 1.0, 0.5, 1e-16, 1e-16), "energy"),
     (CheckResult("name", True, "detail"), "passed"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from boostcav.cavity import Cavity2D
 from boostcav import quadrature, rect2d
 from boostcav.cli import main
+from boostcav.observables import Route
 from boostcav.regsum import RegConfig, RegMethod
 from boostcav.rect2d import (
-    Route2D,
     UnderdeterminedError,
     boosted_em_2d,
     finite_parts,
@@ -31,8 +31,12 @@ def square_parts():
 
 
 class TestStaticLimit:
+    def test_refuses_the_1d_closed_form_route(self):
+        with pytest.raises(ValueError, match="the rectangle has no closed-form route"):
+            boosted_em_2d(Cavity2D(1.0, 1.0, 0.3), Route.CLOSED_FORM)
+
     def test_per_mode_route_recovers_rest_energy(self, square_parts):
-        res = boosted_em_2d(Cavity2D(1.0, 1.0, 0.0), Route2D.PER_MODE)
+        res = boosted_em_2d(Cavity2D(1.0, 1.0, 0.0), Route.PER_MODE)
         budget = 2.0 * (res.energy_error + square_parts.S_omega.error_estimate)
         assert abs(res.energy - square_parts.S_omega.value) <= max(budget, 1e-12)
         assert res.momentum == 0.0
@@ -85,7 +89,7 @@ class TestShellProbe:
     def test_row_holds_the_per_mode_result(self):
         rows = mass_shell_probe_2d(Cavity2D(1.3, 4.1), [0.1, 0.5, 0.9])
         assert [row.result for row in rows] == [
-            boosted_em_2d(Cavity2D(1.3, 4.1, v), Route2D.PER_MODE)
+            boosted_em_2d(Cavity2D(1.3, 4.1, v), Route.PER_MODE)
             for v in (0.1, 0.5, 0.9)
         ]
 
@@ -182,8 +186,8 @@ class TestOneWayIn:
     def test_static_limit_is_the_boost_at_rest(self, a, b):
         grouped, per_mode = static_limit_report(Cavity2D(a, b)).entries
         at_rest = Cavity2D(a, b, 0.0)
-        assert grouped.value_a == boosted_em_2d(at_rest, Route2D.GROUPED).energy
-        assert per_mode.value_a == boosted_em_2d(at_rest, Route2D.PER_MODE).energy
+        assert grouped.value_a == boosted_em_2d(at_rest, Route.GROUPED).energy
+        assert per_mode.value_a == boosted_em_2d(at_rest, Route.PER_MODE).energy
 
 
 class TestGeometry:
@@ -524,9 +528,9 @@ def test_boost_within_its_stated_errors(geometry, v):
         w = mpmath.mpf(v)
         ce, cp = (1 + w * w) / (1 - w * w), 2 * w / (1 - w * w)
         u, s_omega, s_k = (mpmath.mpf(p.value) for p in (parts.U, parts.S_omega, parts.S_k))
-        laws = {Route2D.PER_MODE: (ce * u + parts.W.value, cp * u),
-                Route2D.GROUPED: (ce * (s_omega + s_k), cp / 2 * (s_omega - s_k))}
+        laws = {Route.PER_MODE: (ce * u + parts.W.value, cp * u),
+                Route.GROUPED: (ce * (s_omega + s_k), cp / 2 * (s_omega - s_k))}
         for route, (energy, momentum) in laws.items():
-            res = rect2d._boost(parts, v, route)
+            res = rect2d._boost_2d(parts, v, route)
             assert abs(res.energy - energy) <= res.energy_error, route
             assert abs(res.momentum - momentum) <= res.momentum_error, route

@@ -13,7 +13,8 @@ from mpmath import mpf, sqrt
 from _shadow import MODULES, shadow
 from boostcav import rect2d
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.stress import per_mode_em
+from boostcav.observables import Route, boosted_em, closed_form_coefficients, static_m0
+from boostcav.stress import per_mode_coefficients, per_mode_em
 
 DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e3
 
@@ -57,3 +58,25 @@ def test_zeta_parts_rounding_within_their_errors(shorter, aspect):
         for name in ("U", "W", "S_omega", "S_k"):
             part, shadow_part = getattr(parts, name), getattr(exact, name)
             assert abs(part.value - shadow_part.value) <= part.error_estimate, name
+
+
+# |v| anywhere below 1, and 1 - |v| from 2^-1 down to 2^-53
+VELOCITIES = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda bits, sign: sign * (1.0 - 2.0**-bits), st.floats(1.0, 53.0),
+              st.sampled_from((-1.0, 1.0))),
+)
+# each 1D route's law: the scheme's printed coefficients, or the per-mode law its quadrature fits
+LAWS = {Route.CLOSED_FORM: closed_form_coefficients, Route.PER_MODE: per_mode_coefficients}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Scheme)), st.sampled_from(list(LAWS)), DECADES, VELOCITIES)
+def test_1d_boost_within_its_stated_errors(scheme, route, length, v):
+    """E and P within their error columns of the 40-digit law on the 40-digit m0, both routes."""
+    em = boosted_em(scheme, Cavity1D(length, v), route, m0=static_m0(length))
+    with shadow():
+        exact_m0 = static_m0(mpf(length))
+        c_e, c_p = LAWS[route](scheme, mpf(v))
+        assert abs(em.energy - c_e * exact_m0) <= em.energy_error
+        assert abs(em.momentum - c_p * exact_m0) <= em.momentum_error
