@@ -839,6 +839,16 @@ STDOUT_SHA256 = {
         "4b4a11565607f1128459ad8f28fa7970de377e91478ad0d98dfb6006c02baf28",
     ("rect2d", "--a", "1e-150", "--b", "1e-150", "--v", "0.9999999999999999", "--format", "json"):
         "5412152309e712f148d11acadd4a723d614e95e8f80cc05d2beb960b29d50648",
+    # m0 as each regulator's FinitePart: the three regulators near the top of the
+    # length range, Abel-Plana's m0 through galileo-lab's report, and a cutoff m0 of
+    # 1.3e-309, below the normal range
+    ("static", "--L", "1e306"):
+        "a7f775f6cf64428c0912f18dcb2e0f3e557acb61a33ac8a08416a954a27d447b",
+    ("boost", "--scheme", "galileo-lab", "--L", "2", "--v", "0.2", "--method", "abel-plana"):
+        "f230608041cb36333d34c3e82a9395c48b60228f0cbebbb4a8b9e74db4d74aaa",
+    ("boost", "--scheme", "lorentz", "--L", "1e308", "--v", "0.99", "--method", "cutoff",
+     "--format", "json"):
+        "c05d6814f873f00e7208f6975d9f7f2e6c9088a441567efff2e2aeecfd0e86d8",
 }
 
 
