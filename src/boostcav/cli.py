@@ -177,7 +177,7 @@ def _cmd_static(args: argparse.Namespace) -> tuple:
     length = args.L
     if length is None or length <= 0:
         raise UsageError("static requires a positive --L")
-    values = {method: static_m0(length, _reg_config_1d(method)) for method in _METHODS}
+    values = {method: static_m0(length, _reg_config_1d(method)).value for method in _METHODS}
     spread = max(values.values()) - min(values.values())
     rel = spread / abs(values["zeta"])
     meta = {"command": "static", "L": length, "agreement_rtol": REGULATOR_AGREEMENT_RTOL}
@@ -198,7 +198,8 @@ def _cmd_boost(args: argparse.Namespace) -> tuple:
     scheme = Scheme(args.scheme)
     cavity = Cavity1D(args.L, args.v)
     config = _reg_config_1d(args.method)
-    m0 = static_m0(args.L, config)
+    m0_part = static_m0(args.L, config)
+    m0 = m0_part.value
     comparison = route_comparison(scheme, cavity, config)
     flag = nonrelativistic_flag(scheme, args.v)
     notes = [note for em in (comparison.closed, comparison.numeric)
@@ -235,7 +236,7 @@ def _cmd_boost(args: argparse.Namespace) -> tuple:
             yield (f"  {row['route']:>12s}: E = {_fmt(row['E'])}  P = {_fmt(row['P'])}  "
                    f"E^2-P^2-m0^2 = {_fmt(row['shell_residual'])}")
         if scheme is Scheme.GALILEO_LAB_PRIOR:
-            yield from lab_prior_discrepancy_report(cavity, m0).lines()
+            yield from lab_prior_discrepancy_report(cavity, m0_part).lines()
 
     return 0 if comparison.agree else 1, meta, lambda: rows, lines
 
@@ -292,11 +293,8 @@ def _cmd_rect2d(args: argparse.Namespace) -> tuple:
             "P_s_error": res.momentum_error,
             "shell_residual": mass_shell_residual(res, e_m),
         })
-    part_rows = [
-        {"part": name, "value": fp.value, "error": fp.error_estimate}
-        for name, fp in (("U", parts.U), ("W", parts.W),
-                         ("S_omega", parts.S_omega), ("S_k", parts.S_k))
-    ]
+    part_rows = [{"part": name, "value": fp.value, "error": fp.error_estimate}
+                 for name, fp in zip(parts._fields, parts)]
     meta = {
         "command": "rect2d",
         "method": "zeta",

@@ -24,11 +24,13 @@ from typing import NamedTuple
 from .cavity import (NONREL_VELOCITY_LIMIT, Cavity1D, Scheme, _check_length, _fmt,
                      _velocity_grid, lorentz_factor, nonrelativistic_flag)
 from .regsum import (
+    FinitePart,
     FitError,
     Linear1DSummand,
     RegConfig,
     RegMethod,
     _PowerFit,
+    _rescaled,
     abel_plana_m0,
     cutoff_finite_part,
     zeta_linear_sum,
@@ -109,18 +111,33 @@ class NonRelFit(NamedTuple):
     momentum_residual: float
 
 
-def static_m0(proper_length: float, config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> float:
-    """Regularized static cavity energy m0(L) = -pi/(24 L) by the chosen route."""
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u/(1 - n u), u = eps/2: n roundings move a value by at most gamma_n of it."""
+    u = 0.5 * sys.float_info.epsilon
+    return n * u / (1.0 - n * u)
+
+
+def static_m0(proper_length: float,
+              config: RegConfig = RegConfig(RegMethod.ZETA_EXACT)) -> FinitePart:
+    """Regularized static cavity energy m0(L) = -pi/(24 L), with a bound on its error.
+
+    zeta rounds 3 times (pi, /L, /12), Abel-Plana 26 with its truncation (abel_plana_m0):
+    _gamma of the count of |m0|, plus 2^-1074 below the normal range. The cutoff route moves
+    its fit on the unit cavity to L (regsum._rescaled), and refuses one with no digit left.
+    """
     Cavity1D(proper_length)  # validates L
     if config.method is RegMethod.ZETA_EXACT:
         # m0 = (1/2) sum n pi/L -> (pi/2L) * (-1/12)
-        return 0.5 * zeta_linear_sum(math.pi / proper_length)
-    if config.method is RegMethod.ABEL_PLANA:
-        return abel_plana_m0(proper_length)
-    [fp] = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
-    if not fp.error_estimate < abs(fp.value):  # m0 = -pi/24 never vanishes: no digit is left
-        raise FitError(f"cutoff m0 = {fp.value:.3g} has a stated error of {fp.error_estimate:.3g}")
-    return fp.value / proper_length
+        m0, roundings = 0.5 * zeta_linear_sum(math.pi / proper_length), 3
+    elif config.method is RegMethod.ABEL_PLANA:
+        m0, roundings = abel_plana_m0(proper_length), 26
+    else:
+        [fp] = cutoff_finite_part(Linear1DSummand(1.0, weight=0.5), config)
+        if not fp.error_estimate < abs(fp.value):  # m0 = -pi/24 never vanishes: no digit is left
+            raise FitError(f"cutoff m0 = {fp.value:.3g} has a stated error of "
+                           f"{fp.error_estimate:.3g}")
+        return _rescaled(fp, proper_length, Linear1DSummand.divergent_powers)
+    return FinitePart(m0, _gamma(roundings) * abs(m0) + 2.0**-1074)
 
 
 def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, float]:
@@ -137,25 +154,18 @@ def closed_form_coefficients(scheme: Scheme, velocity: float) -> tuple[float, fl
     return per_mode_coefficients(scheme, v)
 
 
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u/(1 - n u), u = eps/2: n roundings move a value by at most gamma_n of it."""
-    u = 0.5 * sys.float_info.epsilon
-    return n * u / (1.0 - n * u)
-
-
-def _boost(u_part: tuple[float, float], w_part: tuple[float, float],
-           coefficients: tuple[float, float], bound: tuple[int, int], velocity: float,
-           route: Route) -> EnergyMomentum:
+def _boost(u_part: FinitePart, w_part: FinitePart, coefficients: tuple[float, float],
+           bound: tuple[int, int], velocity: float, route: Route) -> EnergyMomentum:
     """The boost law E = c_E U + W, P = c_P U on a cavity's static parts, with error bounds.
 
-    u_part and w_part are U and W, each (value, bound on its error); bound is
-    (roundings, floor): each of (c_E, c_P) is within _gamma(roundings) of the
-    law's, and c_P within floor 2^-1074 below the normal range. Every closed
-    form has (6, 1): the Lorentz c_E = (1 + v^2)/(1 - v^2) passes 2 roundings
-    above the line, 3 below (cavity._light_cone) and the division, c_P =
-    2v/(1 - v^2) 4;
-    galileo-lab's printed pair, with libm's pow within an ulp, 4 and 3, and
-    galileo-comoving's 2 and none. Each column adds the parts' bounds,
+    u_part and w_part are U and W, each with a bound on its error: the
+    rectangle's finite parts, or the 1D cavity's m0 (static_m0) and a zero W.
+    bound is (roundings, floor): each of (c_E, c_P) is within _gamma(roundings)
+    of the law's, and c_P within floor 2^-1074 below the normal range. Every
+    closed form has (6, 1): the Lorentz c_E = (1 + v^2)/(1 - v^2) passes 2
+    roundings above the line, 3 below (cavity._light_cone) and the division,
+    c_P = 2v/(1 - v^2) 4; galileo-lab's printed pair, with libm's pow within
+    an ulp, 4 and 3, and galileo-comoving's 2 and none. Each column adds the parts' bounds,
     weighted |c_E| and |c_P| (the law is linear in them), and the boost's
     rounding (Higham, Accuracy and Stability, 2nd ed., 2.1 and 3.1): the
     product and the sum add 2, so _gamma(roundings + 2) of |c_E U| + |W| and
@@ -164,7 +174,8 @@ def _boost(u_part: tuple[float, float], w_part: tuple[float, float],
     |U|), below half an ulp of any normal column. Raises ValueError unless
     the parts, E and P are finite.
     """
-    (u, u_err), (w, w_err), (ce, cp), (roundings, floor) = u_part, w_part, coefficients, bound
+    (u, u_err, *_), (w, w_err, *_) = u_part, w_part
+    (ce, cp), (roundings, floor) = coefficients, bound
     ce_u, cp_u = ce * u, cp * u
     energy, momentum = ce_u + w, cp_u
     if not all(map(math.isfinite, (u, w, energy, momentum))):
@@ -177,12 +188,7 @@ def _boost(u_part: tuple[float, float], w_part: tuple[float, float],
         momentum_error=abs(cp) * u_err + rounding * abs(cp_u) + tiny)
 
 
-def _m0_part(m0: float) -> tuple[float, float]:
-    """m0 and its bound 2 eps |m0|, the zeta route's rounding; no regulator's own error is carried."""
-    return m0, 2.0 * sys.float_info.epsilon * abs(m0)
-
-
-def _boosts_1d(scheme: Scheme, velocities, route: Route, m0: float) -> list[EnergyMomentum]:
+def _boosts_1d(scheme: Scheme, velocities, route: Route, m0: FinitePart) -> list[EnergyMomentum]:
     """The boost law on (U, W) = (m0, 0) at each velocity, with the route's coefficients."""
     if route is Route.CLOSED_FORM:
         pairs = [closed_form_coefficients(scheme, v) for v in velocities]
@@ -191,17 +197,18 @@ def _boosts_1d(scheme: Scheme, velocities, route: Route, m0: float) -> list[Ener
         pairs, bound = coefficient_fits(scheme, velocities), _FIT_BOUND
     else:
         raise ValueError(f"the 1D cavity has no {route.value} route (use closed-form or per-mode)")
-    return [_boost(_m0_part(m0), (0.0, 0.0), c, bound, v, route)
+    return [_boost(m0, FinitePart(0.0, 0.0), c, bound, v, route)
             for v, c in zip(velocities, pairs)]
 
 
 def boosted_em(scheme: Scheme, cavity: Cavity1D, route: Route = Route.PER_MODE, *,
-               m0: float) -> EnergyMomentum:
+               m0: FinitePart) -> EnergyMomentum:
     """Lab-frame vacuum energy and momentum of the moving cavity.
 
     CLOSED_FORM evaluates the scheme's printed formulas; PER_MODE
     multiplies the quadrature-extracted coefficients by the regularized m0.
-    m0 is static_m0(L, config) of the caller's regulator.
+    m0 is static_m0(L, config) of the caller's regulator, whose stated error
+    the result's error columns carry.
     """
     [em] = _boosts_1d(scheme, [cavity.velocity], route, m0)
     return em
@@ -332,12 +339,12 @@ def sweep(scheme: Scheme, proper_length: float, v_grid, route: Route = Route.CLO
 
     def row(em: EnergyMomentum) -> SweepRow:
         gamma = lorentz_factor(em.velocity)
-        return SweepRow(result=em, shell_residual=mass_shell_residual(em, m0),
-                        energy_point_particle=m0 * gamma,
-                        momentum_point_particle=m0 * gamma * em.velocity)
+        return SweepRow(result=em, shell_residual=mass_shell_residual(em, m0.value),
+                        energy_point_particle=m0.value * gamma,
+                        momentum_point_particle=m0.value * gamma * em.velocity)
 
     rows = tuple(map(row, _boosts_1d(scheme, grid, route, m0)))
-    shell = shell_residual_warning([r.result for r in rows], m0)
+    shell = shell_residual_warning([r.result for r in rows], m0.value)
     if shell:
         warnings.append(shell)
     return SweepTable(rows=rows, warnings=tuple(warnings))
@@ -362,12 +369,12 @@ def em_plate_energy_per_area(separation: float) -> tuple[float, float]:
     return energy, slope
 
 
-def lab_prior_discrepancy_report(cavity: Cavity1D, m0: float) -> DiscrepancyReport:
+def lab_prior_discrepancy_report(cavity: Cavity1D, m0: FinitePart) -> DiscrepancyReport:
     """galileo-lab closed forms vs the quadrature-derived per-mode law, at rest energy m0."""
     v = cavity.velocity
     c_closed = closed_form_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
     c_quad = per_mode_coefficients(Scheme.GALILEO_LAB_PRIOR, v)
-    closed, quad = (_boost(_m0_part(m0), (0.0, 0.0), c, _CLOSED_FORM_BOUND, v, route)
+    closed, quad = (_boost(m0, FinitePart(0.0, 0.0), c, _CLOSED_FORM_BOUND, v, route)
                     for c, route in ((c_closed, Route.CLOSED_FORM), (c_quad, Route.PER_MODE)))
     entries = (
         DiscrepancyEntry("E/m0 coefficient", c_closed[0], c_quad[0]),

@@ -32,8 +32,8 @@ from typing import NamedTuple
 from .cavity import Cavity2D, Scheme, _check_length, _fmt, _velocity_grid, lorentz_factor
 from .observables import (_CLOSED_FORM_BOUND, EnergyMomentum, Route, _boost, _gamma,
                           mass_shell_residual)
-from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, cutoff_finite_part,
-                     geometric_schedule)
+from .regsum import (FinitePart, RegConfig, RegMethod, _geometric, _rescaled,
+                     cutoff_finite_part, geometric_schedule)
 from .reports import DiscrepancyEntry, DiscrepancyReport
 from .stress import per_mode_coefficients
 
@@ -92,32 +92,14 @@ def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
     residual of each half are bounded by the mean of the two.
     """
     def half(sign: float) -> FinitePart:
-        return FinitePart(
-            value=0.5 * (s_omega.value + sign * s_k.value),
-            error_estimate=0.5 * (s_omega.error_estimate + s_k.error_estimate),
-            fitted_divergent_coeffs=tuple(
-                0.5 * (a + sign * b)
-                for a, b in zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs)
-            ),
-            fit_residual=0.5 * (s_omega.fit_residual + s_k.fit_residual),
-            condition_number=s_omega.condition_number,
-        )
+        coeffs = zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs)
+        return FinitePart(value=0.5 * (s_omega.value + sign * s_k.value),
+                          error_estimate=0.5 * (s_omega.error_estimate + s_k.error_estimate),
+                          fitted_divergent_coeffs=tuple(0.5 * (a + sign * b) for a, b in coeffs),
+                          fit_residual=0.5 * (s_omega.fit_residual + s_k.fit_residual),
+                          condition_number=s_omega.condition_number)
 
     return FourParts(U=half(1.0), W=half(-1.0), S_omega=s_omega, S_k=s_k)
-
-
-def _per_side(part: FinitePart, short: float) -> FinitePart:
-    """A part of the 1 x y rectangle, y = long/short, as the a x b rectangle's.
-
-    Value, error and fit residual scale by 1/short; a cutoff fit's eps^-3 and
-    eps^-2 coefficients by short^2 and short (S(eps) = S_1(eps/short)/short).
-    """
-    coeffs = part.fitted_divergent_coeffs
-    if coeffs:
-        area, perimeter = coeffs
-        coeffs = area * short * short, perimeter * short
-    return part._replace(value=part.value / short, error_estimate=part.error_estimate / short,
-                         fitted_divergent_coeffs=coeffs, fit_residual=part.fit_residual / short)
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
@@ -213,9 +195,9 @@ class _FourPartsSummand:
 
     Every part of the a x b rectangle is g(y)/min(a, b), y = max(a, b)/min(a, b),
     so both routes take their parts on the 1 x y rectangle, representable at
-    any scale, and finite_parts scales them back (_per_side). Its unit side carries the rows,
-    wavenumber r = m c with c = pi, and its side y the columns, u = n s with
-    s = pi/y; w = sqrt(r^2 + u^2). The two weights are
+    any scale, and finite_parts scales them back (regsum._rescaled). Its unit side
+    carries the rows, wavenumber r = m c with c = pi, and its side y the columns,
+    u = n s with s = pi/y; w = sqrt(r^2 + u^2). The two weights are
 
         S_omega: w/2   S_k: k^2/(2w), k the wavenumber along a,
 
@@ -414,7 +396,7 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
         parts = cutoff_finite_part(summand, config)
     else:
         raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
-    parts = [_per_side(part, min(a, b)) for part in parts]
+    parts = [_rescaled(part, min(a, b), summand.divergent_powers) for part in parts]
     for name, part in zip(("S_omega", "S_k"), parts):
         # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
         # no larger in magnitude than the larger of these two.
@@ -436,9 +418,7 @@ def _boost_2d(parts: FourParts, v: float, route: Route) -> EnergyMomentum:
     """
     ce, cp = coefficients = per_mode_coefficients(Scheme.LORENTZ_EXACT, v)
     if route is Route.PER_MODE:
-        return _boost((parts.U.value, parts.U.error_estimate),
-                      (parts.W.value, parts.W.error_estimate), coefficients,
-                      _CLOSED_FORM_BOUND, v, route)
+        return _boost(parts.U, parts.W, coefficients, _CLOSED_FORM_BOUND, v, route)
     if route is not Route.GROUPED:
         raise ValueError(f"the rectangle has no {route.value} route (use per-mode or grouped)")
     energy = ce * (parts.S_omega.value + parts.S_k.value)  # gamma^2(1+v^2) on S_omega + S_k
@@ -482,17 +462,13 @@ def static_limit_report(cavity: Cavity2D) -> DiscrepancyReport:
 def mass_shell_probe_2d(cavity: Cavity2D, v_grid) -> tuple[ShellProbeRow, ...]:
     """Per-mode shell residual E^2 - P^2 - E_m^2 at each distinct velocity of the grid."""
     parts = finite_parts(cavity)
-    e_m = parts.S_omega.value
-    e_m_err = parts.S_omega.error_estimate
+    e_m, e_m_err, *_ = parts.S_omega
     rows = []
     for v in _velocity_grid(v_grid):
         res = _boost_2d(parts, v, Route.PER_MODE)
         residual = mass_shell_residual(res, e_m)
-        err = (
-            2.0 * abs(res.energy) * res.energy_error
-            + 2.0 * abs(res.momentum) * res.momentum_error
-            + 2.0 * abs(e_m) * e_m_err
-        )
+        err = (2.0 * abs(res.energy) * res.energy_error
+               + 2.0 * abs(res.momentum) * res.momentum_error + 2.0 * abs(e_m) * e_m_err)
         # 2 (gamma^2 (1 + v^2) - 1) U W, with the 2 gamma^2 v^2 that cancels in it formed directly
         gv = lorentz_factor(v) * v
         predicted = 4.0 * gv * gv * parts.U.value * parts.W.value

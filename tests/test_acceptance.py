@@ -53,9 +53,9 @@ def aspect_parts():
 
 
 def test_criterion_01_static_energy_three_regularizers():
-    zeta = static_m0(1.0)
-    cut = static_m0(1.0, RegConfig.cutoff())
-    ap = static_m0(1.0, RegConfig(RegMethod.ABEL_PLANA))
+    zeta = static_m0(1.0).value
+    cut = static_m0(1.0, RegConfig.cutoff()).value
+    ap = static_m0(1.0, RegConfig(RegMethod.ABEL_PLANA)).value
     err_zeta = abs(zeta - M0)
     err_cut = abs(cut - M0) / abs(M0)
     err_ap = abs(ap - M0)

@@ -18,6 +18,7 @@ from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.modes import gram_matrix
 from boostcav.observables import Route, boosted_em, static_m0, sweep
 from boostcav.regsum import (
+    FinitePart,
     FitError,
     Linear1DSummand,
     RegConfig,
@@ -69,7 +70,7 @@ def _boosted_em(draw):
     # the zeta m0 of L, or a non-finite one, which the boost law refuses
     m0 = draw(st.one_of(st.none(), st.sampled_from((math.nan, math.inf, -math.inf))))
     return lambda: boosted_em(scheme, Cavity1D(length, v), route,
-                              m0=static_m0(length) if m0 is None else m0)
+                              m0=static_m0(length) if m0 is None else FinitePart(m0, 0.0))
 
 
 def _sweep(draw):

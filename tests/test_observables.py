@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boostcav import stress
 from boostcav.cavity import Cavity1D, Scheme, lorentz_factor
@@ -22,7 +22,7 @@ from boostcav.observables import (
     static_m0,
     sweep,
 )
-from boostcav.regsum import FitError, RegConfig, RegMethod, geometric_schedule
+from boostcav.regsum import FinitePart, FitError, RegConfig, RegMethod, geometric_schedule
 
 M0 = -math.pi / 24.0
 ROUTES_1D = [Route.CLOSED_FORM, Route.PER_MODE]  # the 1D cavity's routes; grouped is the rectangle's
@@ -32,21 +32,31 @@ CONFIGS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff()
 
 class TestStaticM0:
     def test_zeta_exact(self):
-        assert static_m0(1.0) == 0.5 * (-math.pi / 12.0)
-        assert abs(static_m0(1.0) + 0.13089969) < 1e-8
-        assert abs(static_m0(10.0) + math.pi / 240.0) < 1e-15
+        assert static_m0(1.0).value == 0.5 * (-math.pi / 12.0)
+        assert abs(static_m0(1.0).value + 0.13089969) < 1e-8
+        assert abs(static_m0(10.0).value + math.pi / 240.0) < 1e-15
 
     def test_cutoff_within_tolerance(self):
-        got = static_m0(1.0, RegConfig.cutoff())
+        got = static_m0(1.0, RegConfig.cutoff()).value
         assert abs(got - M0) < 1e-6 * abs(M0)
 
     def test_abel_plana(self):
-        got = static_m0(1.0, RegConfig(RegMethod.ABEL_PLANA))
+        got = static_m0(1.0, RegConfig(RegMethod.ABEL_PLANA)).value
         assert abs(got - M0) < 1e-10
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             static_m0(-1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CONFIGS)),
+           st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), st.floats(1e300, 1.7e308)))
+    @example("zeta", 1.7e308)  # m0 = -7.7e-310, below the normal range
+    @example("abel-plana", 1.7e308)
+    def test_each_regulator_bounds_its_error(self, method, length):
+        m0 = static_m0(length, CONFIGS[method])
+        with mpmath.workdps(50):
+            assert abs(m0.value + mpmath.pi / (24 * mpmath.mpf(length))) <= m0.error_estimate
 
     def test_cutoff_fit_without_a_digit_is_refused(self):
         # damped sums near 1/x^2 = 1e123 round away every digit of m0: the fit reads a value
@@ -64,12 +74,15 @@ class TestBoostedEM:
     def test_refuses_the_rectangles_route_and_a_non_finite_m0(self):
         cavity = Cavity1D(1.0, 0.3)
         with pytest.raises(ValueError, match="the 1D cavity has no grouped route"):
-            boosted_em(Scheme.LORENTZ_EXACT, cavity, Route.GROUPED, m0=M0)
+            boosted_em(Scheme.LORENTZ_EXACT, cavity, Route.GROUPED, m0=FinitePart(M0, 0.0))
         with pytest.raises(ValueError, match="the 1D cavity has no grouped route"):
             sweep(Scheme.LORENTZ_EXACT, 1.0, [0.3], Route.GROUPED)
-        for m0 in (math.nan, math.inf, -math.inf):
+        for m0 in (math.inf, -math.inf):
             with pytest.raises(ValueError, match="not finite in float64"):
-                boosted_em(Scheme.LORENTZ_EXACT, cavity, Route.CLOSED_FORM, m0=m0)
+                boosted_em(Scheme.LORENTZ_EXACT, cavity, Route.CLOSED_FORM,
+                           m0=FinitePart(m0, 0.0))
+        with pytest.raises(ValueError, match="finite part is NaN"):  # the record refuses NaN
+            FinitePart(math.nan, 0.0)
 
     def test_contracted_closed_form_values(self):
         em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.0, 0.6), Route.CLOSED_FORM,
@@ -131,7 +144,7 @@ class TestMassShell:
             em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(length, v), Route.PER_MODE,
                             m0=m0)
         with mpmath.workdps(40):
-            w, rest = mpmath.mpf(v), mpmath.mpf(m0)
+            w, rest = mpmath.mpf(v), mpmath.mpf(m0.value)
             gamma = 1 / mpmath.sqrt(1 - w * w)
             bound = 32 * sys.float_info.epsilon * abs(em.energy)
             assert abs(em.energy - gamma * (1 + w * w) * rest) <= bound
@@ -242,8 +255,8 @@ class TestSweep:
         # at these velocities 1/sqrt(1 - v*v) and 1/sqrt(1 - v**2) round apart
         gamma = lorentz_factor(Cavity1D(1.0, v).velocity)
         [row] = sweep(Scheme.LORENTZ_EXACT, 1.0, [v]).rows
-        assert row.energy_point_particle == static_m0(1.0) * gamma
-        assert row.momentum_point_particle == static_m0(1.0) * gamma * v
+        assert row.energy_point_particle == static_m0(1.0).value * gamma
+        assert row.momentum_point_particle == static_m0(1.0).value * gamma * v
 
     @pytest.mark.parametrize("method", sorted(CONFIGS))
     @pytest.mark.parametrize("route", ROUTES_1D, ids=lambda r: r.value)
@@ -354,7 +367,8 @@ class TestStaticM0FittedOnce:
         assert len(cutoff_fits) == 1
 
     def test_passed_m0_is_used(self, cutoff_fits):
-        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), Route.CLOSED_FORM, m0=-2.0)
+        em = boosted_em(Scheme.LORENTZ_EXACT, Cavity1D(1.3, 0.4), Route.CLOSED_FORM,
+                        m0=FinitePart(-2.0, 0.0))
         assert not cutoff_fits
         assert em.energy == -2.0 * closed_form_coefficients(Scheme.LORENTZ_EXACT, 0.4)[0]
 
@@ -376,7 +390,7 @@ class TestLengthOnlyScales:
         m0, unit_m0 = static_m0(length, config), static_m0(1.0, config)
         scaled = boosted_em(scheme, Cavity1D(length, v), route, m0=m0)
         unit = boosted_em(scheme, Cavity1D(1.0, v), route, m0=unit_m0)
-        for got, want in ((length * m0, unit_m0),
+        for got, want in ((length * m0.value, unit_m0.value),
                           (length * scaled.energy, unit.energy),
                           (length * scaled.momentum, unit.momentum)):
             assert abs(got - want) <= 4.0 * math.ulp(want)

@@ -741,4 +741,4 @@ class TestBitIdentity:
     @pytest.mark.parametrize("length", sorted(STATIC_CUTOFF))
     def test_static_cutoff(self, length):
         m0 = static_m0(length, RegConfig.cutoff())
-        assert m0.hex() == self.STATIC_CUTOFF[length]
+        assert m0.value.hex() == self.STATIC_CUTOFF[length]

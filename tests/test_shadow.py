@@ -7,13 +7,14 @@ rounding, which each stated error must bound.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, sqrt
 
 from _shadow import MODULES, shadow
 from boostcav import rect2d
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
 from boostcav.observables import Route, boosted_em, closed_form_coefficients, static_m0
+from boostcav.regsum import RegConfig, RegMethod
 from boostcav.stress import per_mode_coefficients, per_mode_em
 
 DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e3
@@ -50,6 +51,9 @@ def test_per_mode_rounding_within_quad_error(drawn, n):
 
 @settings(max_examples=40, deadline=None)
 @given(DECADES, DECADES)
+# parts below the normal range, where the error of the move to the sides is absolute
+@example(1e308, 1.5)
+@example(1.2e308, 0.8)
 def test_zeta_parts_rounding_within_their_errors(shorter, aspect):
     a, b = (shorter, shorter * aspect) if aspect >= 1.0 else (shorter / aspect, shorter)
     parts = rect2d.finite_parts(Cavity2D(a, b))
@@ -68,15 +72,24 @@ VELOCITIES = st.one_of(
 )
 # each 1D route's law: the scheme's printed coefficients, or the per-mode law its quadrature fits
 LAWS = {Route.CLOSED_FORM: closed_form_coefficients, Route.PER_MODE: per_mode_coefficients}
+REGULATORS = {"zeta": RegConfig(RegMethod.ZETA_EXACT), "cutoff": RegConfig.cutoff(),
+              "abel-plana": RegConfig(RegMethod.ABEL_PLANA)}
+# 1e-3 .. 1e3, and the top of the range, where m0 falls below the normal range past L = 5.9e306
+LENGTHS_1D = st.one_of(DECADES, st.floats(1e300, 1.7e308))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(list(Scheme)), st.sampled_from(list(LAWS)), DECADES, VELOCITIES)
-def test_1d_boost_within_its_stated_errors(scheme, route, length, v):
+@given(st.sampled_from(list(Scheme)), st.sampled_from(list(LAWS)),
+       st.sampled_from(sorted(REGULATORS)), LENGTHS_1D, VELOCITIES)
+# pinned: a cutoff m0, whose fit error (E errs by 2.3e-11 here) the columns must carry, and
+# an m0 below the normal range, whose rounding is absolute (E errs by 2.6e-322 here)
+@example(Scheme.LORENTZ_EXACT, Route.CLOSED_FORM, "cutoff", 1.0, 0.6)
+@example(Scheme.LORENTZ_EXACT, Route.CLOSED_FORM, "zeta", 1e308, 0.99)
+def test_1d_boost_within_its_stated_errors(scheme, route, regulator, length, v):
     """E and P within their error columns of the 40-digit law on the 40-digit m0, both routes."""
-    em = boosted_em(scheme, Cavity1D(length, v), route, m0=static_m0(length))
+    em = boosted_em(scheme, Cavity1D(length, v), route, m0=static_m0(length, REGULATORS[regulator]))
     with shadow():
-        exact_m0 = static_m0(mpf(length))
+        exact_m0 = static_m0(mpf(length)).value
         c_e, c_p = LAWS[route](scheme, mpf(v))
         assert abs(em.energy - c_e * exact_m0) <= em.energy_error
         assert abs(em.momentum - c_p * exact_m0) <= em.momentum_error
