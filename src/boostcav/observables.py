@@ -1,4 +1,4 @@
-"""Frame-dependent Casimir energy and momentum of the 1D cavity.
+"""Frame-dependent Casimir energy and momentum: the 1D cavity's, and the boost law of both.
 
 One boost law for every cavity (_boost): a cavity's static parts U and W
 give E = c_E U + W and P = c_P U, with the 1D cavity the case (U, W) =
@@ -61,6 +61,7 @@ ROUTE_AGREEMENT_RTOL = 1e-8  # documented tolerance for lorentz / galileo-comovi
 _NONREL_RESIDUAL_LIMIT = 1e-6  # worst residual nonrel_fit accepts
 _NONREL_SAMPLES = 16  # nonrel_fit's sample velocities
 _CLOSED_FORM_BOUND = 6, 1  # (c_E, c_P) in closed form, every scheme's: see _boost
+_GALILEAN_CAP = 0.5  # sweep's largest |v| for a Galilean scheme
 
 
 class Route(enum.Enum):
@@ -174,7 +175,8 @@ def _boost(u_part: FinitePart, w_part: FinitePart, coefficients: tuple[float, fl
     |U|), below half an ulp of any normal column. Raises ValueError unless
     the parts, E and P are finite.
     """
-    (u, u_err, *_), (w, w_err, *_) = u_part, w_part
+    u, u_err = u_part.value, u_part.error_estimate
+    w, w_err = w_part.value, w_part.error_estimate
     (ce, cp), (roundings, floor) = coefficients, bound
     ce_u, cp_u = ce * u, cp * u
     energy, momentum = ce_u + w, cp_u
@@ -323,15 +325,14 @@ def sweep(scheme: Scheme, proper_length: float, v_grid, route: Route = Route.CLO
     if not grid:
         raise ValueError("velocity grid is empty")
     warnings: list[str] = []
-    if scheme.is_galilean and any(abs(v) > 0.5 for v in grid):
-        dropped = [v for v in grid if abs(v) > 0.5]
-        grid = [v for v in grid if abs(v) <= 0.5]
-        warnings.append(
-            f"{scheme.value}: grid capped at |v| <= 0.5 "
-            f"(dropped {len(dropped)} point(s); non-relativistic scheme)"
-        )
+    dropped = [v for v in grid if abs(v) > _GALILEAN_CAP] if scheme.is_galilean else []
+    if dropped:
+        grid = [v for v in grid if abs(v) <= _GALILEAN_CAP]
+        warnings.append(f"{scheme.value}: grid capped at |v| <= {_GALILEAN_CAP} "
+                        f"(dropped {len(dropped)} point(s); non-relativistic scheme)")
         if not grid:
-            raise ValueError("velocity grid empty after capping Galilean scheme at 0.5")
+            raise ValueError("velocity grid empty after capping Galilean scheme at "
+                             f"{_GALILEAN_CAP}")
     flag = nonrelativistic_flag(scheme, max(abs(v) for v in grid))
     if flag:
         warnings.append(flag)

@@ -84,22 +84,20 @@ class SubtractionSolution(NamedTuple):
     note: str
 
 
-def _four_parts(s_omega: FinitePart, s_k: FinitePart) -> FourParts:
-    """U = (S_omega + S_k)/2 and W = (S_omega - S_k)/2, field by field.
+def _linear(a: FinitePart, b: FinitePart, sign: float, scale: float, roundings: int) -> FinitePart:
+    """scale (a + sign b), field by field, with its error.
 
-    Both routes build U and W this way. The halves are linear in the data,
-    so value and fitted coefficients follow exactly, and the error and fit
-    residual of each half are bounded by the mean of the two.
+    Value and fitted coefficients follow exactly (the rule is linear), error and fit residual
+    as scale times the sum of a's and b's; the error adds _gamma(roundings) of |value|, the
+    roundings not in a's and b's (S_k = S_omega - R: 1; U and W: 0, chowla_selberg counts them).
     """
-    def half(sign: float) -> FinitePart:
-        coeffs = zip(s_omega.fitted_divergent_coeffs, s_k.fitted_divergent_coeffs)
-        return FinitePart(value=0.5 * (s_omega.value + sign * s_k.value),
-                          error_estimate=0.5 * (s_omega.error_estimate + s_k.error_estimate),
-                          fitted_divergent_coeffs=tuple(0.5 * (a + sign * b) for a, b in coeffs),
-                          fit_residual=0.5 * (s_omega.fit_residual + s_k.fit_residual),
-                          condition_number=s_omega.condition_number)
-
-    return FourParts(U=half(1.0), W=half(-1.0), S_omega=s_omega, S_k=s_k)
+    value = scale * (a.value + sign * b.value)
+    error = scale * (a.error_estimate + b.error_estimate) + _gamma(roundings) * abs(value)
+    coeffs = zip(a.fitted_divergent_coeffs, b.fitted_divergent_coeffs)
+    return FinitePart(value=value, error_estimate=error,
+                      fitted_divergent_coeffs=tuple(scale * (x + sign * y) for x, y in coeffs),
+                      fit_residual=scale * (a.fit_residual + b.fit_residual),
+                      condition_number=a.condition_number)
 
 
 _ZETA3 = 1.2020569031595942854  # Apery's constant zeta(3)
@@ -202,9 +200,12 @@ class _FourPartsSummand:
         S_omega: w/2   S_k: k^2/(2w), k the wavenumber along a,
 
     and U = (S_omega + S_k)/2, W = (S_omega - S_k)/2 follow by linearity
-    (_four_parts). S_omega is blind to the orientation; S_k alone reads it
+    (_linear). S_omega is blind to the orientation; S_k alone reads it
     (_s_k). Each damped sum is A eps^-3 + B eps^-2 + C + O(eps^2): Weyl area
-    and perimeter terms, no eps^-1 (the corner term is a constant).
+    and perimeter terms, no eps^-1 (the corner term is a constant). damped(eps)
+    returns S_omega and S_k at one cutoff, chowla_selberg() their eps^0 terms,
+    each a FinitePart with the bound on its error; damped_sums gives the fit
+    the values.
 
     Each sum is taken whole: no cap on w, no term enumerated, the same work
     at every aspect ratio (Chowla & Selberg, PNAS 35 (1949) 371, whose closed
@@ -287,11 +288,10 @@ class _FourPartsSummand:
 
     def damped_sums(self, eps: list[float]) -> list[list[float]]:
         """S_omega(eps_i) and S_k(eps_i), whole sums: one column per weight."""
-        sums = [self.damped(e)[:2] for e in eps]
-        return [[s[0] for s in sums], [s[1] for s in sums]]
+        return [[part.value for part in column] for column in zip(*map(self.damped, eps))]
 
-    def damped(self, eps: float) -> tuple[float, float, float, float]:
-        """S_omega, S_k and the bound on the error of each, at one cutoff."""
+    def damped(self, eps: float) -> tuple[FinitePart, FinitePart]:
+        """S_omega and S_k at one cutoff, each with the bound on its error."""
         y = self.aspect
         z = math.pi * eps
         g1, g2 = _geometric(z)
@@ -304,25 +304,22 @@ class _FourPartsSummand:
                 scale, sums = y / (4.0 * math.pi), []
                 for rows, rows_err in ((omega, omega_err), (r, r_err)):
                     main = scale * math.fsum(rows)
-                    sums.append((main - edge, scale * rows_err + edge_err
-                                 + 6.0 * eps_mach * (abs(main) + edge)))
+                    sums.append(FinitePart(main - edge, scale * rows_err + edge_err
+                                           + 6.0 * eps_mach * (abs(main) + edge)))
                     scale *= math.pi * math.pi
-                (s_omega, omega_err), (s_k, k_err) = sums[0], self._s_k(*sums)
-                if all(map(math.isfinite, (s_omega, s_k, omega_err, k_err))):
-                    return s_omega, s_k, omega_err, k_err
+                parts = sums[0], self._s_k(*sums)
+                if all(math.isfinite(p.value) and math.isfinite(p.error_estimate) for p in parts):
+                    return parts
         except OverflowError:
             pass
         a, b = self.sides
         raise ValueError(f"rectangle a = {a:g}, b = {b:g}: the damped sums at cutoff "
                          f"eps = {eps:g} (in units of 1/min(a, b)) are not finite in float64")
 
-    def _s_k(self, s_omega: tuple[float, float], r: tuple[float, float]) -> tuple[float, float]:
-        """S_k and its error from S_omega's and R's: R if k runs along the rows, else S_omega - R."""
+    def _s_k(self, s_omega: FinitePart, r: FinitePart) -> FinitePart:
+        """S_k from S_omega and R: R if k runs along the rows, else S_omega - R (one rounding)."""
         a, b = self.sides
-        if a <= b:
-            return r
-        s_k = s_omega[0] - r[0]  # k^2 = w^2 - r^2, one more rounding
-        return s_k, s_omega[1] + r[1] + _gamma(1) * abs(s_k)
+        return r if a <= b else _linear(s_omega, r, -1.0, 1.0, 1)
 
     def chowla_selberg(self) -> tuple[FinitePart, FinitePart]:
         """S_omega and S_k of the 1 x y rectangle: the eps^0 terms of the damped sums.
@@ -357,10 +354,10 @@ class _FourPartsSummand:
         sums = []
         for weight, rows, rows_err, n in ((1.0, omega, omega_err, 7), (2.0, r, r_err, 11)):
             main = scale * math.fsum(rows)
-            sums.append((t0 - weight * t1 + main, scale * rows_err + _gamma(6) * t0
-                         + _gamma(9) * weight * t1 + _gamma(n + 4) * abs(main)))
+            sums.append(FinitePart(t0 - weight * t1 + main, scale * rows_err + _gamma(6) * t0
+                                   + _gamma(9) * weight * t1 + _gamma(n + 4) * abs(main)))
             scale *= math.pi * math.pi
-        return FinitePart(*sums[0]), FinitePart(*self._s_k(*sums))
+        return sums[0], self._s_k(*sums)
 
 
 def default_config() -> RegConfig:
@@ -396,14 +393,15 @@ def finite_parts(cavity: Cavity2D, config: RegConfig = RegConfig(RegMethod.ZETA_
         parts = cutoff_finite_part(summand, config)
     else:
         raise ValueError(f"rect2d finite parts have no {config.method.value} route (use zeta or cutoff)")
-    parts = [_rescaled(part, min(a, b), summand.divergent_powers) for part in parts]
-    for name, part in zip(("S_omega", "S_k"), parts):
+    s_omega, s_k = (_rescaled(part, min(a, b), summand.divergent_powers) for part in parts)
+    for name, part in (("S_omega", s_omega), ("S_k", s_k)):
         # Every observable squares the parts (E^2 - P^2 - E_m^2); U and W are
         # no larger in magnitude than the larger of these two.
         if not (math.isfinite(part.value * part.value) and math.isfinite(part.error_estimate)):
             raise ValueError(f"rectangle a = {a:g}, b = {b:g}: finite part {name} = "
                              f"{part.value:g} or its square is not finite in float64")
-    return _four_parts(*parts)
+    return FourParts(U=_linear(s_omega, s_k, 1.0, 0.5, 0), W=_linear(s_omega, s_k, -1.0, 0.5, 0),
+                     S_omega=s_omega, S_k=s_k)
 
 
 def _boost_2d(parts: FourParts, v: float, route: Route) -> EnergyMomentum:
@@ -462,7 +460,7 @@ def static_limit_report(cavity: Cavity2D) -> DiscrepancyReport:
 def mass_shell_probe_2d(cavity: Cavity2D, v_grid) -> tuple[ShellProbeRow, ...]:
     """Per-mode shell residual E^2 - P^2 - E_m^2 at each distinct velocity of the grid."""
     parts = finite_parts(cavity)
-    e_m, e_m_err, *_ = parts.S_omega
+    e_m, e_m_err = parts.S_omega.value, parts.S_omega.error_estimate
     rows = []
     for v in _velocity_grid(v_grid):
         res = _boost_2d(parts, v, Route.PER_MODE)

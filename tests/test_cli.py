@@ -849,6 +849,19 @@ STDOUT_SHA256 = {
     ("boost", "--scheme", "lorentz", "--L", "1e308", "--v", "0.99", "--method", "cutoff",
      "--format", "json"):
         "c05d6814f873f00e7208f6975d9f7f2e6c9088a441567efff2e2aeecfd0e86d8",
+    # the rectangle's parts as one record each: aspect 50 in both orientations, S_omega
+    # near its sign change (b/a = 2.74), and the cutoff route's fitted readings in verify
+    # (the E^2 overflow at sides of 1e-150 is pinned above)
+    ("rect2d", "--a", "1", "--b", "50", "--v", "0.6"):
+        "27a411f0381140eb2686d4b490cad8686e9e6712716ee8e0b2a671bd6c435e5c",
+    ("rect2d", "--a", "50", "--b", "1", "--v", "0.6"):
+        "4c5dd159c161f9e679994d3b279a9ffbe08728e08496c795be3f98f2001ab0db",
+    ("rect2d", "--a", "1", "--b", "2.74", "--v", "0.3", "--format", "json"):
+        "79816862976a2ae942a6d21e345c6d1f66cb697bb5991bbec860dc13f81bac9d",
+    ("verify", "--only", "regsum"):
+        "8192d0026134cbf0c9fa49b8f185c228d9af0252aeede18a232521e257a1fd4e",
+    ("verify", "--only", "rect2d"):
+        "775826f8556f4ea4749cf30d963719dc48e32a07daf10febbc635ec508700224",
 }
 
 

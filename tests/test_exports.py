@@ -346,3 +346,18 @@ def test_the_boost_law_is_written_once():
     found = {where: what for name in MODULES for where, what in _boost_sites(name).items()}
     assert found.pop(BOOST_LAW) == {"builds the result", "multiplies a coefficient"}
     assert set(found) == set(NOT_THE_LAW)
+
+
+def _starred_records(module_name: str) -> list[str]:
+    """Each `FinitePart(*...)` call in the module, as `module:line`."""
+    module = importlib.import_module(module_name)
+    return [f"{module_name}:{node.lineno}"
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.Call) and _callee(node) == "FinitePart"
+            and any(isinstance(arg, ast.Starred) for arg in node.args)]
+
+
+def test_no_finite_part_is_built_from_a_tuple():
+    # A regularized value and its bound travel as one FinitePart; a record unpacked from
+    # a (value, error) tuple means a second shape of the same value crossed a def.
+    assert [where for name in MODULES for where in _starred_records(name)] == []

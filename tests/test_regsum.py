@@ -563,15 +563,16 @@ class TestRectDampedSums:
         summand = rect2d._FourPartsSummand(*sides)
         worst = 0.0
         for eps in schedule:
-            *got, err_omega, err_k = summand.damped(eps)
+            got = summand.damped(eps)
             ref, ref_rounding = self._enumerated(sides, eps)
             tail = self._tail(summand.aspect, eps)
-            for value, exact, err, rounding in zip(got, ref, (err_omega, err_k), ref_rounding):
+            for part, exact, rounding in zip(got, ref, ref_rounding):
+                value, err = part.value, part.error_estimate
                 bound = err + rounding + tail
                 assert abs(value - exact) <= bound, (eps, value, exact, bound)
                 worst = max(worst, abs(value - exact) / bound)
         assert summand.damped_sums(list(schedule)) == [
-            [summand.damped(eps)[i] for eps in schedule] for i in (0, 1)]
+            [summand.damped(eps)[i].value for eps in schedule] for i in (0, 1)]
         return worst
 
     # Raw cutoffs at and near the cap: at the smallest of the second schedule each
@@ -592,10 +593,10 @@ class TestRectDampedSums:
         schedule = [x / summand.omega_min for x in (0.25, 0.05)]
         assert self._check((1.0, 1.0), schedule) <= 1.0
         for eps in schedule:
-            s_omega, s_k, err_omega, err_k = summand.damped(eps)
+            s_omega, s_k = summand.damped(eps)
             # each stated error is about 40 ulps of its sum, nearly all the rounding bound
-            assert err_omega <= 64.0 * sys.float_info.epsilon * s_omega
-            assert err_k <= 64.0 * sys.float_info.epsilon * s_k
+            assert s_omega.error_estimate <= 64.0 * sys.float_info.epsilon * s_omega.value
+            assert s_k.error_estimate <= 64.0 * sys.float_info.epsilon * s_k.value
 
     @pytest.mark.parametrize("z", [1e-3, 0.0177, 0.25, 1.0, 6.3, 40.0, 200.0])
     def test_step_estimate_lies_below_the_integrals(self, z):

@@ -13,7 +13,8 @@ from mpmath import mpf, sqrt
 from _shadow import MODULES, shadow
 from boostcav import rect2d
 from boostcav.cavity import Cavity1D, Cavity2D, Scheme
-from boostcav.observables import Route, boosted_em, closed_form_coefficients, static_m0
+from boostcav.observables import (Route, boosted_em, closed_form_coefficients, mass_shell_residual,
+                                  static_m0)
 from boostcav.regsum import RegConfig, RegMethod
 from boostcav.stress import per_mode_coefficients, per_mode_em
 
@@ -93,3 +94,26 @@ def test_1d_boost_within_its_stated_errors(scheme, route, regulator, length, v):
         c_e, c_p = LAWS[route](scheme, mpf(v))
         assert abs(em.energy - c_e * exact_m0) <= em.energy_error
         assert abs(em.momentum - c_p * exact_m0) <= em.momentum_error
+
+
+@settings(max_examples=40, deadline=None)
+@given(DECADES, DECADES, VELOCITIES)
+def test_2d_boost_and_shell_within_their_stated_errors(shorter, aspect, v):
+    """E_s, P_s on both routes and the shell residual within their columns, both orientations.
+
+    The float run goes through boosted_em_2d and mass_shell_probe_2d; the shadow forms the
+    same values with the same code on its own parts (what boosted_em_2d passes _boost_2d).
+    """
+    for a, b in ((shorter, shorter * aspect), (shorter * aspect, shorter)):
+        ems = {route: rect2d.boosted_em_2d(Cavity2D(a, b, v), route)
+               for route in (Route.PER_MODE, Route.GROUPED)}
+        [row] = rect2d.mass_shell_probe_2d(Cavity2D(a, b), [v])
+        with shadow():
+            parts = rect2d.finite_parts(Cavity2D(mpf(a), mpf(b)))
+            for route, em in ems.items():
+                exact = rect2d._boost_2d(parts, mpf(v), route)
+                assert abs(em.energy - exact.energy) <= em.energy_error, (a, b, route)
+                assert abs(em.momentum - exact.momentum) <= em.momentum_error, (a, b, route)
+            exact = rect2d._boost_2d(parts, mpf(v), Route.PER_MODE)
+            residual = mass_shell_residual(exact, parts.S_omega.value)
+            assert abs(row.residual - residual) <= row.residual_error, (a, b)
